@@ -286,7 +286,7 @@ impl<V: Plain> ClockCache<V> {
     /// misses overlap instead of serializing. Slot allocation and
     /// CLOCK eviction stay per-pair — the hand is inherently serial.
     pub fn put_many(&self, pairs: &[(u64, V)]) {
-        for group in pairs.chunks(cuckoo::sync::WRITE_GROUP) {
+        for group in pairs.chunks(cuckoo::WRITE_GROUP) {
             for (key, _) in group {
                 self.map.prefetch_write_for(key);
             }

@@ -15,7 +15,7 @@
 //!
 //! Tags let lookups compare one byte before touching full keys, and make
 //! a slot's alternate bucket computable without reading the key (see
-//! [`crate::hashing`]).
+//! [`crate::hash`]).
 //!
 //! Buckets and metadata are *passive*: no locking, no version
 //! management. Callers combine them with [`crate::sync`] stripes
@@ -63,10 +63,9 @@ impl<const B: usize> BucketMeta<B> {
     /// scans `candidates = match_tag_mask(tag) & occupied_mask()` instead
     /// of probing tags one by one).
     ///
-    /// Dispatches to an explicit vector probe where one exists — SSE2 (or
-    /// AVX2, which selects the same 128-bit kernel at ≤16 ways) on
-    /// x86_64, runtime-detected once via `is_x86_feature_detected!`;
-    /// NEON on aarch64, compile-time — and otherwise to the portable
+    /// Dispatches at compile time to an explicit vector probe where one
+    /// exists — SSE2 on x86_64 (its baseline; 256-bit lanes add nothing
+    /// at ≤16 ways), NEON on aarch64 — and otherwise to the portable
     /// SWAR kernel [`BucketMeta::match_tag_mask_swar`], which also
     /// serves as the differential-test oracle for every vector path.
     /// Sanitized/model builds (`miri`, `cuckoo_model`, `cuckoo_tsan`)
@@ -311,18 +310,14 @@ impl<const B: usize> Default for BucketMeta<B> {
     }
 }
 
-/// Which engine [`BucketMeta::match_tag_mask`] dispatches to on this
-/// host/build (runtime CPU detection on x86_64, compile-time elsewhere).
+/// Which engine [`BucketMeta::match_tag_mask`] dispatches to in this
+/// build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TagProbeKind {
     /// Portable 64-bit SWAR kernel (fallback and differential oracle).
     Swar,
     /// 128-bit `pcmpeqb` kernel (x86_64 baseline).
     Sse2,
-    /// AVX2 detected; routes to the same 128-bit kernel because 256-bit
-    /// lanes add nothing at ≤16 ways — reported distinctly so operators
-    /// can see what the host offers.
-    Avx2,
     /// 128-bit `vceqq_u8` kernel (aarch64 mandates NEON).
     Neon,
 }
@@ -333,38 +328,16 @@ compile_error!(
      take the atomic SWAR kernel"
 );
 
-/// The probe engine [`BucketMeta::match_tag_mask`] uses in this process.
-///
-/// On x86_64 the answer is detected once via `is_x86_feature_detected!`
-/// and cached; everywhere else it is a compile-time constant. Exposed so
-/// tests (and the `cuckoo_force_simd` CI run) can assert which kernel is
-/// actually live.
+/// The probe engine [`BucketMeta::match_tag_mask`] uses in this build.
+/// Exposed so tests (and the `cuckoo_force_simd` CI run) can assert which
+/// kernel is actually live.
 pub fn tag_probe_kind() -> TagProbeKind {
     #[cfg(all(
         target_arch = "x86_64",
         not(any(miri, cuckoo_model, cuckoo_tsan, cuckoo_force_swar))
     ))]
     {
-        use core::sync::atomic::{AtomicU8, Ordering};
-        const UNKNOWN: u8 = 0;
-        const SSE2: u8 = 1;
-        const AVX2: u8 = 2;
-        static KIND: AtomicU8 = AtomicU8::new(UNKNOWN);
-        // Memoizes a pure CPU-feature probe: any thread that misses the
-        // cache re-derives the same value, so ordering is irrelevant.
-        // ORDERING: simd_probe
-        let mut k = KIND.load(Ordering::Relaxed);
-        if k == UNKNOWN {
-            k = if std::arch::is_x86_feature_detected!("avx2") { AVX2 } else { SSE2 };
-            // Same-value store by every racer (see load above).
-            // ORDERING: simd_probe
-            KIND.store(k, Ordering::Relaxed);
-        }
-        if k == AVX2 {
-            TagProbeKind::Avx2
-        } else {
-            TagProbeKind::Sse2
-        }
+        TagProbeKind::Sse2
     }
     #[cfg(all(
         target_arch = "aarch64",
@@ -604,7 +577,7 @@ mod tests {
             target_arch = "x86_64",
             not(any(miri, cuckoo_model, cuckoo_tsan, cuckoo_force_swar))
         ))]
-        assert!(matches!(kind, TagProbeKind::Sse2 | TagProbeKind::Avx2));
+        assert_eq!(kind, TagProbeKind::Sse2);
         let _ = kind;
     }
 

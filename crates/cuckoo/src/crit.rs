@@ -18,7 +18,7 @@
 //! is no undo needed if execution aborts", §4.3.1).
 
 use crate::bucket::BucketMeta;
-use crate::hashing::KeySlots;
+use crate::hash::KeySlots;
 use crate::raw::RawTable;
 use crate::search::{PathEntry, SearchScratch};
 use crate::sync::LockStripes;
@@ -472,8 +472,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hashing::key_slots;
-    use crate::hash::RandomState;
+    use crate::hash::{key_slots, RandomState};
     use htm::DirectCtx;
 
     type Raw = RawTable<u64, u64, 4>;

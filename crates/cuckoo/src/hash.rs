@@ -15,8 +15,26 @@
 //! into the OS (a counter mixed with address entropy), keeping table
 //! construction deterministic enough for tests while still varying seeds
 //! between tables.
+//!
+//! # The two-bucket, partial-key hashing scheme (paper §4.1)
+//!
+//! Every key maps to two candidate buckets. Following the MemC3 lineage
+//! the paper builds on, one 64-bit hash yields:
+//!
+//! - the **partial key** (or *tag*): one non-zero byte stored next to the
+//!   slot. Lookups compare tags before touching full keys, and — crucially
+//!   for inserts — a slot's *alternate* bucket is computable from the tag
+//!   alone, so path search never reads (or rehashes) full keys.
+//! - the **primary bucket index**, from the hash's low bits.
+//!
+//! The alternate index is `index XOR (tag * ODD_MULT)` masked to the table
+//! size. XOR with a value derived only from the tag makes the mapping an
+//! involution: `alt_index(alt_index(i, t), t) == i`, which is exactly what
+//! lets displacement move an item *back* as well as forward.
+//!
+//! The geometry functions are also reachable as `cuckoo::hashing::*`.
 
-use core::hash::{BuildHasher, Hasher};
+use core::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// 64-bit finalization mix (Murmur3/SplitMix style): full-avalanche, so
@@ -297,10 +315,82 @@ impl BuildHasher for SipHashBuilder {
     }
 }
 
+/// Multiplier spreading the 8-bit tag across index bits (the constant is
+/// the 64-bit Murmur2 multiplier, also used by MemC3).
+const TAG_MULT: u64 = 0xc6a4_a793_5bd1_e995;
+
+/// A key's full placement information: primary/alternate bucket and tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeySlots {
+    /// Primary bucket index.
+    pub i1: usize,
+    /// Alternate bucket index.
+    pub i2: usize,
+    /// Non-zero partial key stored alongside the slot.
+    pub tag: u8,
+}
+
+/// Extracts a non-zero tag from a hash's top byte.
+#[inline]
+pub fn tag_of(hash: u64) -> u8 {
+    let t = (hash >> 56) as u8;
+    if t == 0 {
+        1
+    } else {
+        t
+    }
+}
+
+/// Primary bucket index for a hash in a table of `mask + 1` buckets.
+#[inline]
+pub fn index_of(hash: u64, mask: usize) -> usize {
+    (hash as usize) & mask
+}
+
+/// The other candidate bucket for an item with `tag` currently in bucket
+/// `index`. Involutive: applying it twice returns `index`.
+///
+/// For the two candidates to be distinct for every tag, the table must
+/// have at least 256 buckets (table constructors enforce this minimum).
+#[inline]
+pub fn alt_index(index: usize, tag: u8, mask: usize) -> usize {
+    index ^ ((tag as u64).wrapping_mul(TAG_MULT) as usize & mask)
+}
+
+/// Hashes `key` once. Operations that may probe more than one table
+/// (migration's two-table lookups) or retry (stale-table loops) hash
+/// with this and re-derive per-mask slots via [`slots_from_hash`]
+/// instead of paying the full hash on every attempt.
+#[inline]
+pub fn hash_of<K: Hash + ?Sized, S: BuildHasher>(hash_builder: &S, key: &K) -> u64 {
+    hash_builder.hash_one(key)
+}
+
+/// Derives both candidate buckets and the tag from an already-computed
+/// hash. Tag and primary index depend only on the hash; the alternate
+/// index additionally depends on the table's `mask`, so one hash serves
+/// any number of table sizes.
+#[inline]
+pub fn slots_from_hash(hash: u64, mask: usize) -> KeySlots {
+    let tag = tag_of(hash);
+    let i1 = index_of(hash, mask);
+    let i2 = alt_index(i1, tag, mask);
+    KeySlots { i1, i2, tag }
+}
+
+/// Computes both candidate buckets and the tag for `key`.
+#[inline]
+pub fn key_slots<K: Hash + ?Sized, S: BuildHasher>(
+    hash_builder: &S,
+    key: &K,
+    mask: usize,
+) -> KeySlots {
+    slots_from_hash(hash_of(hash_builder, key), mask)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use core::hash::Hash;
 
     fn fx_hash_of<T: Hash>(v: &T) -> u64 {
         let mut h = FxHasher64::default();
@@ -391,5 +481,82 @@ mod tests {
             let diff = (a ^ b).count_ones();
             assert!(diff >= 16, "bit {bit} only flipped {diff} output bits");
         }
+    }
+
+    const MASK: usize = (1 << 16) - 1;
+
+    #[test]
+    fn tag_is_never_zero() {
+        for h in [0u64, 1 << 56, u64::MAX, 0x00ff_ffff_ffff_ffff] {
+            assert_ne!(tag_of(h), 0, "hash {h:#x}");
+        }
+        assert_eq!(tag_of(0), 1);
+        assert_eq!(tag_of(0xab00_0000_0000_0000), 0xab);
+    }
+
+    #[test]
+    fn alt_index_is_an_involution() {
+        for i in (0..=MASK).step_by(97) {
+            for tag in 1..=255u8 {
+                let a = alt_index(i, tag, MASK);
+                assert_eq!(alt_index(a, tag, MASK), i, "i={i} tag={tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn alt_index_differs_from_index() {
+        // tag * TAG_MULT masked must be non-zero or both candidate buckets
+        // collapse to one. TAG_MULT is odd, so multiplication by it is a
+        // bijection mod 2^k: the masked product is zero only when the tag
+        // is divisible by the table size, impossible for tables of at
+        // least 256 buckets (constructors enforce that minimum).
+        for shift in [8usize, 16, 20] {
+            let mask = (1usize << shift) - 1;
+            for tag in 1..=255u8 {
+                assert_ne!(
+                    alt_index(0, tag, mask),
+                    0,
+                    "tag {tag} collapses at mask {mask:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn key_slots_consistent_with_parts() {
+        let s = RandomState::with_seed(42);
+        let ks = key_slots(&s, &12345u64, MASK);
+        assert!(ks.i1 <= MASK && ks.i2 <= MASK);
+        assert_ne!(ks.tag, 0);
+        assert_eq!(alt_index(ks.i1, ks.tag, MASK), ks.i2);
+        assert_eq!(alt_index(ks.i2, ks.tag, MASK), ks.i1);
+    }
+
+    #[test]
+    fn slots_from_hash_matches_key_slots_across_masks() {
+        let s = RandomState::with_seed(17);
+        for key in 0..500u64 {
+            let h = hash_of(&s, &key);
+            for shift in [8usize, 12, 16, 20] {
+                let mask = (1usize << shift) - 1;
+                assert_eq!(slots_from_hash(h, mask), key_slots(&s, &key, mask));
+            }
+        }
+    }
+
+    #[test]
+    fn buckets_spread_over_table() {
+        let s = RandomState::with_seed(7);
+        let mut hits = vec![0u32; 256];
+        let mask = 255;
+        for k in 0..10_000u64 {
+            let ks = key_slots(&s, &k, mask);
+            hits[ks.i1] += 1;
+        }
+        let max = *hits.iter().max().unwrap();
+        let min = *hits.iter().min().unwrap();
+        // ~39 expected per bucket; allow generous skew.
+        assert!(min > 10 && max < 100, "min={min} max={max}");
     }
 }

@@ -43,7 +43,6 @@ pub mod analysis;
 pub mod bucket;
 pub mod error;
 pub mod hash;
-pub mod hashing;
 pub mod prefetch;
 pub mod raw;
 pub mod search;
@@ -51,6 +50,7 @@ pub mod stats;
 pub mod sync;
 pub mod sync2;
 
+mod core;
 mod counter;
 mod crit;
 mod elided;
@@ -59,6 +59,14 @@ mod memc3;
 mod optimistic;
 mod read;
 
+/// Slot geometry under its historical path; the code lives in [`hash`].
+pub mod hashing {
+    pub use crate::hash::{
+        alt_index, hash_of, index_of, key_slots, slots_from_hash, tag_of, KeySlots,
+    };
+}
+
+pub use crate::core::WRITE_GROUP;
 pub use elided::ElidedCuckooMap;
 pub use error::{InsertError, UpsertOutcome};
 pub use hash::{DefaultHashBuilder, FxHasher64, RandomState, SipHashBuilder, SipHasher13};

@@ -37,13 +37,13 @@
 //!   fail validation) and long-running processes no longer leak one
 //!   table per doubling.
 
+use crate::core::{claim, locked_empty_slot, locked_find, PlainStore, WriteCtx, MULTIGET_GROUP};
 use crate::counter::ShardedCounter;
 use crate::error::{InsertError, UpsertOutcome};
-use crate::hash::DefaultHashBuilder;
-use crate::hashing::{hash_of, key_slots, slots_from_hash, KeySlots};
+use crate::hash::{hash_of, key_slots, slots_from_hash, DefaultHashBuilder, KeySlots};
 use crate::raw::RawTable;
-use crate::search::{self, bfs, exec, EvictionPolicy, PathEntry};
-use crate::sync::{EpochRegistry, LockStripes, DEFAULT_STRIPES, MAX_BATCH_BUCKETS, WRITE_GROUP};
+use crate::search::{self, EvictionPolicy};
+use crate::sync::{EpochRegistry, LockStripes, DEFAULT_STRIPES};
 use crate::stats::TableMetrics;
 use crate::DEFAULT_MAX_SEARCH_SLOTS;
 use core::hash::{BuildHasher, Hash};
@@ -377,6 +377,51 @@ where
         self.storage.load(Ordering::SeqCst) == mig.new
     }
 
+    /// Whether a writer's view `(raw, m)` from
+    /// [`writer_table`](Self::writer_table) is still the table to write
+    /// to; checked inside the stripe locks.
+    #[inline]
+    fn view_valid(&self, raw: &RawTable<K, V, B>, m: *mut Migration<K, V, B>) -> bool {
+        if m.is_null() {
+            self.table_is_stable(raw)
+        } else {
+            self.migration_still_targets(m)
+        }
+    }
+
+    /// This map's parameters for the shared write core.
+    #[inline]
+    fn write_ctx(&self) -> WriteCtx<'_, S> {
+        WriteCtx {
+            stripes: &self.stripes,
+            hash_builder: &self.hash_builder,
+            count: &self.count,
+            metrics: &self.table_metrics,
+            displacements: &self.displacements,
+            eviction: self.eviction,
+            max_search_slots: self.max_search_slots,
+            prefetch: true,
+        }
+    }
+
+    /// Runs `f` on the table a writer must operate on for hash `h`, with
+    /// the candidate pair locked and the view validated under that lock.
+    /// Caller must hold an epoch pin.
+    fn with_locked_pair<R>(
+        &self,
+        h: u64,
+        f: impl FnOnce(&RawTable<K, V, B>, KeySlots) -> R,
+    ) -> R {
+        loop {
+            let (raw, m) = self.writer_table(h);
+            let ks = slots_from_hash(h, raw.mask());
+            let _g = self.stripes.lock_pair(ks.i1, ks.i2);
+            if self.view_valid(raw, m) {
+                return f(raw, ks);
+            }
+        }
+    }
+
     /// Looks up `key`, applying `f` to the value under the lock.
     ///
     /// Readers never help (or wait for) a migration: during one they
@@ -409,7 +454,7 @@ where
                     if self.migration.load(Ordering::SeqCst) != m {
                         continue; // emergency rebuild resolved it; retry
                     }
-                    if let Some((bi, s)) = Self::locked_find(old, ks_old, key) {
+                    if let Some((bi, s)) = locked_find(old, ks_old, key) {
                         // SAFETY: pair lock held; chunk movers need these
                         // stripes too, so the slot is stable.
                         return Some(f(unsafe { &*old.bucket(bi).val_ptr(s) }));
@@ -422,7 +467,7 @@ where
                 if !self.migration_still_targets(m) {
                     continue;
                 }
-                return Self::locked_find(new, ks, key)
+                return locked_find(new, ks, key)
                     // SAFETY: pair lock held; the slot is occupied.
                     .map(|(bi, s)| f(unsafe { &*new.bucket(bi).val_ptr(s) }));
             }
@@ -432,7 +477,7 @@ where
             if !self.table_is_stable(raw) {
                 continue; // expanded or migration began while locking
             }
-            return Self::locked_find(raw, ks, key)
+            return locked_find(raw, ks, key)
                 // SAFETY: pair lock held; the slot is occupied.
                 .map(|(bi, s)| f(unsafe { &*raw.bucket(bi).val_ptr(s) }));
         }
@@ -441,7 +486,7 @@ where
     /// Batched lookup applying `f` to each found value under its bucket
     /// lock: one result per key, in order (`None` = miss). Equivalent to
     /// [`get_with`](Self::get_with) per key, but groups of
-    /// [`MULTIGET_GROUP`](crate::read::MULTIGET_GROUP) keys are
+    /// `MULTIGET_GROUP` (8) keys are
     /// software-pipelined — all hashes computed up front, candidate
     /// metadata then tag-hit data buckets prefetched — so the per-key
     /// cache misses overlap before the (serializing) per-key lock
@@ -454,9 +499,9 @@ where
     ) -> Vec<Option<R>> {
         let _pin = self.epochs.pin();
         let mut out = Vec::with_capacity(keys.len());
-        let mut hashes = [0u64; crate::read::MULTIGET_GROUP];
-        let mut ks_buf = [KeySlots { i1: 0, i2: 0, tag: 1 }; crate::read::MULTIGET_GROUP];
-        for group in keys.chunks(crate::read::MULTIGET_GROUP) {
+        let mut hashes = [0u64; MULTIGET_GROUP];
+        let mut ks_buf = [KeySlots { i1: 0, i2: 0, tag: 1 }; MULTIGET_GROUP];
+        for group in keys.chunks(MULTIGET_GROUP) {
             let raw = self.current();
             let migrating = !self.migration.load(Ordering::SeqCst).is_null();
             // Stage 1: hash every key; on the stable path also prefetch
@@ -505,7 +550,7 @@ where
                     continue;
                 }
                 out.push(
-                    Self::locked_find(raw, ks, key)
+                    locked_find(raw, ks, key)
                         // SAFETY: pair lock held; the slot is occupied.
                         .map(|(bi, s)| f(unsafe { &*raw.bucket(bi).val_ptr(s) })),
                 );
@@ -551,11 +596,7 @@ where
     /// Expands the table automatically instead of returning
     /// `Err(TableFull)`.
     pub fn insert(&self, key: K, val: V) -> Result<(), InsertError> {
-        match self.insert_inner(key, val, false) {
-            Ok(UpsertOutcome::Inserted) => Ok(()),
-            Ok(UpsertOutcome::Updated) => unreachable!("non-upsert updated"),
-            Err(e) => Err(e),
-        }
+        self.insert_inner(key, val, false).map(|_| ())
     }
 
     /// Inserts or replaces, returning which happened.
@@ -566,247 +607,88 @@ where
 
     /// Batched insert: one result per entry, in order, equivalent to
     /// calling [`insert`](Self::insert) per entry (duplicates within a
-    /// batch included). Groups of [`WRITE_GROUP`] entries are
-    /// software-pipelined: all keys hashed and both candidate metadata
-    /// lines prefetched with write intent, then the group's stripe set
-    /// acquired in one ascending, deduplicated
-    /// [`lock_batch`](LockStripes::lock_batch) pass, then each key
-    /// probed (vector tag match) and written in request order. Entries
-    /// needing a cuckoo path search — or hitting an in-flight migration
-    /// — individually fall back to the single-key insert.
-    pub fn insert_many(&self, entries: Vec<(K, V)>) -> Vec<Result<(), InsertError>> {
-        self.write_many_inner(entries, false)
-            .into_iter()
-            .map(|r| match r {
-                Ok(UpsertOutcome::Inserted) => Ok(()),
-                Ok(UpsertOutcome::Updated) => unreachable!("non-upsert updated"),
-                Err(e) => Err(e),
-            })
-            .collect()
+    /// batch included) — but groups of entries are software-pipelined
+    /// (hash all + write-intent prefetch → one coalesced batch lock →
+    /// in-order claim). Entries needing a cuckoo path search — or hitting
+    /// an in-flight migration — fall back, in order, to the single-key
+    /// insert.
+    pub fn insert_many(
+        &self,
+        entries: impl IntoIterator<Item = (K, V)>,
+    ) -> Vec<Result<(), InsertError>> {
+        self.write_many(entries, false).into_iter().map(|r| r.map(|_| ())).collect()
     }
 
     /// Batched [`upsert`](Self::upsert): same pipeline and equivalence
     /// contract as [`insert_many`](Self::insert_many), reporting which of
-    /// insert/update happened per entry.
-    pub fn upsert_many(&self, entries: Vec<(K, V)>) -> Vec<UpsertOutcome> {
-        self.write_many_inner(entries, true)
-            .into_iter()
-            .map(|r| r.expect("upsert cannot fail: expansion handles fullness"))
-            .collect()
+    /// insert/update happened per entry. Never `Err` on this map
+    /// (expansion handles fullness); the type matches
+    /// `OptimisticCuckooMap::upsert_many`.
+    pub fn upsert_many(
+        &self,
+        entries: impl IntoIterator<Item = (K, V)>,
+    ) -> Vec<Result<UpsertOutcome, InsertError>> {
+        self.write_many(entries, true)
     }
 
-    /// The pipelined engine behind `insert_many`/`upsert_many`.
-    fn write_many_inner(
+    fn write_many(
         &self,
-        entries: Vec<(K, V)>,
+        entries: impl IntoIterator<Item = (K, V)>,
         upsert: bool,
     ) -> Vec<Result<UpsertOutcome, InsertError>> {
         let _pin = self.epochs.pin();
-        let n = entries.len();
-        let mut out = Vec::with_capacity(n);
-        // `Option` slots so the group loop can move each entry exactly
-        // once (into a bucket, or into the single-key fallback).
-        let mut slots: Vec<Option<(K, V)>> = entries.into_iter().map(Some).collect();
-        let mut ks_buf = [KeySlots { i1: 0, i2: 0, tag: 1 }; WRITE_GROUP];
-        let mut buckets = [0usize; MAX_BATCH_BUCKETS];
-        let mut start = 0usize;
-        while start < n {
-            let glen = WRITE_GROUP.min(n - start);
-            let group = &mut slots[start..start + glen];
-            self.table_metrics.insert_batch_groups.inc();
-            self.table_metrics.insert_batch_keys.add(glen as u64);
-            let raw = self.current();
-            let migrating = !self.migration.load(Ordering::SeqCst).is_null();
-            // Stage 1: hash every key; on the stable path also prefetch
-            // both candidate metadata lines with write intent.
-            if !migrating {
-                for (j, e) in group.iter().enumerate() {
-                    let (key, _) = e.as_ref().expect("slot unconsumed before its group runs");
-                    let ks = slots_from_hash(hash_of(&self.hash_builder, key), raw.mask());
-                    ks_buf[j] = ks;
-                    buckets[2 * j] = ks.i1;
-                    buckets[2 * j + 1] = ks.i2;
-                    raw.prefetch_meta_write(ks.i1);
-                    raw.prefetch_meta_write(ks.i2);
-                }
-            }
-            if migrating {
-                // Migration in flight: the two-table single-key writer
-                // already orders its per-chunk work correctly; run the
-                // whole group through it.
-                self.table_metrics.insert_batch_fallbacks.add(glen as u64);
-                for e in group.iter_mut() {
-                    let (key, val) = e.take().expect("slot unconsumed");
-                    out.push(self.insert_inner(key, val, upsert));
-                }
-                start += glen;
-                continue;
-            }
-            // Stages 2+3 under the group's coalesced batch lock.
-            let g = self.stripes.lock_batch(&buckets[..glen * 2]);
-            if !self.table_is_stable(raw) {
-                // The table swapped (or a migration began) between
-                // `current()` and the lock: demote the whole group.
-                drop(g);
-                self.table_metrics.insert_batch_fallbacks.add(glen as u64);
-                for e in group.iter_mut() {
-                    let (key, val) = e.take().expect("slot unconsumed");
-                    out.push(self.insert_inner(key, val, upsert));
-                }
-                start += glen;
-                continue;
-            }
-            // Stage 3: in request order, so duplicate keys within the
-            // group observe one another exactly like a loop of single
-            // inserts would. The first key whose candidate pair is full
-            // demotes itself AND the rest of the group to the in-order
-            // single-key path below: its path search displaces entries
-            // that later keys' outcomes may depend on, so finishing the
-            // group under the batch lock first would not be
-            // loop-equivalent.
-            let mut demote_from = glen;
-            for (j, e) in group.iter_mut().enumerate() {
-                let ks = ks_buf[j];
-                let found = {
-                    let (key, _) = e.as_ref().expect("slot unconsumed");
-                    Self::locked_find(raw, ks, key)
-                };
-                if let Some((bi, s)) = found {
-                    if upsert {
-                        let (_key, val) = e.take().expect("slot unconsumed");
-                        // SAFETY: batch lock covers `bi`; slot occupied
-                        // (just found); readers are locked out.
-                        unsafe { *raw.bucket(bi).val_ptr(s) = val };
-                        out.push(Ok(UpsertOutcome::Updated));
-                    } else {
-                        *e = None; // drop the rejected entry
-                        out.push(Err(InsertError::KeyExists));
-                    }
-                } else if let Some((bi, slot)) = Self::locked_empty_slot(raw, ks) {
-                    let (key, val) = e.take().expect("slot unconsumed");
-                    // SAFETY: batch lock held; slot empty. Keys and
-                    // values move by plain writes — readers are locked
-                    // out, unlike the optimistic table.
-                    unsafe { raw.write_entry(bi, slot, ks.tag, key, val) };
-                    self.count.add(bi, 1);
-                    out.push(Ok(UpsertOutcome::Inserted));
-                } else {
-                    demote_from = j;
-                    break;
-                }
-            }
-            drop(g);
-            if demote_from < glen {
-                self.table_metrics.insert_batch_fallbacks.add((glen - demote_from) as u64);
-                for e in group[demote_from..].iter_mut() {
-                    let (key, val) = e.take().expect("fallback entry present");
-                    out.push(self.insert_inner(key, val, upsert));
-                }
-            }
-            start += glen;
-        }
-        out
+        self.write_ctx().write_many::<PlainStore, K, V, B>(
+            entries,
+            upsert,
+            || (!self.is_migrating()).then(|| self.current()),
+            |raw| self.table_is_stable(raw),
+            |key, val| self.insert_inner(key, val, upsert),
+        )
     }
 
     /// Removes `key`, returning its value.
     pub fn remove(&self, key: &K) -> Option<V> {
         let _pin = self.epochs.pin();
-        let h = hash_of(&self.hash_builder, key);
-        loop {
-            if let Some((new, m)) = self.writer_table(h) {
-                let ks = slots_from_hash(h, new.mask());
-                let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-                if !self.migration_still_targets(m) {
-                    continue;
-                }
-                return match Self::locked_find(new, ks, key) {
-                    Some((bi, s)) => {
-                        // SAFETY: pair lock held; slot occupied.
-                        let (_, v) = unsafe { new.take_entry(bi, s) };
-                        self.count.add(bi, -1);
-                        Some(v)
-                    }
-                    None => None,
-                };
-            }
-            let raw = self.current();
-            let ks = slots_from_hash(h, raw.mask());
-            let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-            if !self.table_is_stable(raw) {
-                continue;
-            }
-            return match Self::locked_find(raw, ks, key) {
-                Some((bi, s)) => {
-                    // SAFETY: pair lock held; slot occupied.
-                    let (_, v) = unsafe { raw.take_entry(bi, s) };
-                    self.count.add(bi, -1);
-                    Some(v)
-                }
-                None => None,
-            };
-        }
+        self.with_locked_pair(hash_of(&self.hash_builder, key), |raw, ks| {
+            let (bi, s) = locked_find(raw, ks, key)?;
+            // SAFETY: pair lock held; slot occupied.
+            let (_, v) = unsafe { raw.take_entry(bi, s) };
+            self.count.add(bi, -1);
+            Some(v)
+        })
     }
 
     /// Replaces the value of an existing key, returning the old value.
     pub fn update(&self, key: &K, val: V) -> Option<V> {
         let _pin = self.epochs.pin();
-        let h = hash_of(&self.hash_builder, key);
-        loop {
-            if let Some((new, m)) = self.writer_table(h) {
-                let ks = slots_from_hash(h, new.mask());
-                let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-                if !self.migration_still_targets(m) {
-                    continue;
-                }
-                return match Self::locked_find(new, ks, key) {
-                    // SAFETY: pair lock held; slot occupied.
-                    Some((bi, s)) => Some(std::mem::replace(
-                        unsafe { &mut *new.bucket(bi).val_ptr(s) },
-                        val,
-                    )),
-                    None => None,
-                };
-            }
-            let raw = self.current();
-            let ks = slots_from_hash(h, raw.mask());
-            let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-            if !self.table_is_stable(raw) {
-                continue;
-            }
-            return match Self::locked_find(raw, ks, key) {
-                Some((bi, s)) => {
-                    // SAFETY: pair lock held; slot occupied.
-                    Some(std::mem::replace(
-                        unsafe { &mut *raw.bucket(bi).val_ptr(s) },
-                        val,
-                    ))
-                }
-                None => None,
-            };
-        }
+        self.with_locked_pair(hash_of(&self.hash_builder, key), |raw, ks| {
+            let (bi, s) = locked_find(raw, ks, key)?;
+            // SAFETY: pair lock held; slot occupied.
+            Some(std::mem::replace(unsafe { &mut *raw.bucket(bi).val_ptr(s) }, val))
+        })
     }
 
     /// Writer-side migration checkpoint: when a migration is in flight,
     /// migrates (or waits for) the chunks covering `key`'s old-table
     /// buckets, occasionally sweeps one extra chunk so the tail
     /// completes without a dedicated thread, and returns the *new*
-    /// table to operate on.
+    /// table to operate on, with the migration it belongs to.
     ///
-    /// `None` means no migration is in flight (operate on `current()`),
-    /// or the observed migration resolved mid-checkpoint (the caller's
-    /// loop re-reads state either way).
-    #[allow(clippy::type_complexity)]
-    fn writer_table(&self, h: u64) -> Option<(&RawTable<K, V, B>, *mut Migration<K, V, B>)> {
+    /// A null migration means none is in flight, or the observed one
+    /// resolved mid-checkpoint: operate on `current()`. Either way the
+    /// caller validates the pair with [`view_valid`](Self::view_valid)
+    /// under its stripe locks and loops on failure.
+    fn writer_table(&self, h: u64) -> (&RawTable<K, V, B>, *mut Migration<K, V, B>) {
         let m = self.migration.load(Ordering::SeqCst);
         if m.is_null() {
-            return None;
+            return (self.current(), m);
         }
         // SAFETY: caller is pinned; descriptor and tables stay live.
         let mig = unsafe { &*m };
         let old = unsafe { &*mig.old };
         let ks_old = slots_from_hash(h, old.mask());
         if !self.ensure_chunks_done(mig, m, ks_old.i1, ks_old.i2) {
-            return None;
+            return (self.current(), std::ptr::null_mut());
         }
         // Voluntary helping is throttled: the mandatory own-chunk work
         // above already guarantees every write lands in the new table,
@@ -825,7 +707,7 @@ where
         // `self.migration` under that pin, so the new table it points to
         // cannot be reclaimed before the returned borrow ends (epoch
         // ordering argument: DESIGN.md §5d).
-        Some((unsafe { &*mig.new }, m))
+        (unsafe { &*mig.new }, m)
     }
 
     /// Number of items.
@@ -962,256 +844,76 @@ where
     /// mid-scan; the caller discards accumulated state and retries, or
     /// falls back to `for_each`. An in-flight migration is driven to
     /// completion before scanning so every entry lives in one table.
-    pub fn scan(&self, mut f: impl FnMut(&K, &V)) -> bool {
+    pub fn scan(&self, f: impl FnMut(&K, &V)) -> bool {
         let _pin = self.epochs.pin();
         while self.help_migrate(usize::MAX) {
             crate::sync2::thread::yield_now();
         }
-        if !self.migration.load(Ordering::SeqCst).is_null() {
-            return false;
-        }
-        // A cuckoo-path displacement can hop an entry from a bucket this
-        // scan has not reached yet into one it already passed — the
-        // entry would silently vanish from the snapshot. Validate the
-        // displacement count across the whole scan and abort on change.
-        let displacements_before = self.displacements.load(Ordering::SeqCst);
+        // A migration (incremental) or table swap (stop-the-world) that
+        // starts mid-scan strands entries outside `raw`: abort, the caller
+        // restarts on the new table. The pin keeps `raw` alive either way.
         let raw = self.current();
-        let nbuckets = raw.n_buckets();
-        let nstripes = self.stripes.len().min(nbuckets);
-        for s in 0..nstripes {
-            // `stripe_of(s) == s` for `s < nstripes`; the pair guard
-            // with both buckets equal holds exactly one stripe.
-            let _g = self.stripes.lock_pair(s, s);
-            // A migration (incremental) or table swap (stop-the-world)
-            // that started since the check above strands entries
-            // outside `raw`: abort, the caller restarts on the new
-            // table. The pin keeps `raw` alive either way.
-            if !self.migration.load(Ordering::SeqCst).is_null()
-                || !std::ptr::eq(self.current(), raw)
-            {
-                return false;
-            }
-            let mut bi = s;
-            while bi < nbuckets {
-                let mask = raw.meta(bi).occupied_mask();
-                let b = raw.bucket(bi);
-                for slot in 0..B {
-                    if mask & (1 << slot) != 0 {
-                        // SAFETY: the stripe covering `bi` is held, so
-                        // the occupied slot's entry is stable.
-                        unsafe { f(&*b.key_ptr(slot), &*b.val_ptr(slot)) };
-                    }
-                }
-                bi += self.stripes.len();
-            }
-        }
-        self.displacements.load(Ordering::SeqCst) == displacements_before
+        self.write_ctx().scan(raw, || self.table_is_stable(raw), f)
     }
 
     fn insert_inner(&self, key: K, val: V, upsert: bool) -> Result<UpsertOutcome, InsertError> {
         let _pin = self.epochs.pin();
         let h = hash_of(&self.hash_builder, &key);
+        let (mut key, mut val) = (key, val);
         let mut stale_retries = 0usize;
         loop {
-            if let Some((new, m)) = self.writer_table(h) {
-                // Migration in flight: our old-table chunks are drained,
-                // so the key (if present) and the insert target are both
-                // in the new table.
-                let ks = slots_from_hash(h, new.mask());
-                {
-                    let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-                    if !self.migration_still_targets(m) {
-                        continue;
-                    }
-                    if let Some((bi, s)) = Self::locked_find(new, ks, &key) {
-                        if upsert {
-                            // SAFETY: pair lock held; slot occupied.
-                            unsafe { *new.bucket(bi).val_ptr(s) = val };
-                            return Ok(UpsertOutcome::Updated);
-                        }
-                        return Err(InsertError::KeyExists);
-                    }
-                    if let Some((bi, slot)) = Self::locked_empty_slot(new, ks) {
-                        // SAFETY: pair lock held; slot empty.
-                        unsafe { new.write_entry(bi, slot, ks.tag, key, val) };
-                        self.count.add(bi, 1);
-                        return Ok(UpsertOutcome::Inserted);
-                    }
-                }
-                // Candidate pair full: displace within the new table.
-                let searched = search::with_scratch(|scratch| {
-                    let r = search::plan(
-                        self.eviction,
-                        new,
-                        ks.i1,
-                        ks.i2,
-                        self.max_search_slots,
-                        true,
-                        scratch,
-                    );
-                    if self.eviction != EvictionPolicy::Bfs {
-                        self.table_metrics.record_eviction(scratch, r.is_err());
-                    }
-                    r.map(|()| scratch.path.clone())
-                });
-                match searched {
-                    Err(_) => {
-                        // Even the doubled table is full: rebuild bigger
-                        // under the full-table lock (rare).
-                        self.emergency_rebuild(m);
-                    }
-                    Ok(path) => {
-                        if self.execute_path_on(new, &path, || self.migration_still_targets(m)) {
-                            stale_retries = 0;
-                        } else {
-                            stale_retries += 1;
-                            if stale_retries > 16 {
-                                self.emergency_rebuild(m);
-                                stale_retries = 0;
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-
-            let raw = self.current();
+            // Mid-migration our old-table chunks are drained, so the key
+            // (if present) and the insert target are both in the new
+            // table, and displacement happens within it.
+            let (raw, m) = self.writer_table(h);
+            let valid = || self.view_valid(raw, m);
             let ks = slots_from_hash(h, raw.mask());
-            // Fast path under the candidate pair lock.
             {
                 let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-                if !self.table_is_stable(raw) {
+                if !valid() {
                     continue;
                 }
-                if let Some((bi, s)) = Self::locked_find(raw, ks, &key) {
-                    if upsert {
-                        // SAFETY: pair lock held; slot occupied.
-                        unsafe { *raw.bucket(bi).val_ptr(s) = val };
-                        return Ok(UpsertOutcome::Updated);
-                    }
-                    return Err(InsertError::KeyExists);
-                }
-                if let Some((bi, slot)) = Self::locked_empty_slot(raw, ks) {
-                    // SAFETY: pair lock held; slot empty. Keys and values
-                    // move by plain writes — readers are locked out,
-                    // unlike the optimistic table.
-                    unsafe { raw.write_entry(bi, slot, ks.tag, key, val) };
-                    self.count.add(bi, 1);
-                    return Ok(UpsertOutcome::Inserted);
+                // SAFETY: pair lock held over both candidate buckets of a
+                // validated table; readers are locked out, so plain
+                // stores suffice.
+                match unsafe { claim::<PlainStore, K, V, B>(raw, ks, key, val, upsert) }
+                    .settle(&self.count, ks)
+                {
+                    Ok(result) => return result,
+                    Err(unplaced) => (key, val) = unplaced,
                 }
             }
-
-            // Slow path: lock-free path search over atomic metadata only
-            // (safe even for non-`Plain` keys — keys are never read).
-            let searched = search::with_scratch(|scratch| {
-                let r = search::plan(
-                    self.eviction,
-                    raw,
-                    ks.i1,
-                    ks.i2,
-                    self.max_search_slots,
-                    true,
-                    scratch,
-                );
-                if self.eviction != EvictionPolicy::Bfs {
-                    self.table_metrics.record_eviction(scratch, r.is_err());
-                }
-                r.map(|()| scratch.path.clone())
+            // Lock-free path search over atomic metadata only (safe even
+            // for non-`Plain` keys — keys are never read).
+            let executed = search::with_scratch(|scratch| {
+                self.write_ctx().search_and_displace::<PlainStore, K, V, B>(raw, ks, scratch, valid)
             });
-            match searched {
-                Err(_) => {
-                    self.grow(raw);
-                    // Re-enter with the (possibly) new table.
-                }
-                Ok(path) => {
-                    if self.execute_path_on(raw, &path, || self.table_is_stable(raw)) {
-                        stale_retries = 0;
+            match executed {
+                Some(true) => stale_retries = 0,
+                Some(false) if stale_retries < 16 => stale_retries += 1,
+                // No path — or the livelock escape hatch: make room.
+                // Mid-migration even the doubled table is full, so
+                // rebuild bigger under the full-table lock (rare).
+                _ => {
+                    stale_retries = 0;
+                    if m.is_null() {
+                        self.grow(raw);
                     } else {
-                        stale_retries += 1;
-                        if stale_retries > 16 {
-                            // Livelock escape hatch: force an expansion.
-                            self.grow(raw);
-                            stale_retries = 0;
-                        }
+                        self.emergency_rebuild(m);
                     }
                 }
             }
-            // `key`/`val` were not consumed this round; loop.
         }
-    }
-
-    /// First empty slot in either candidate bucket; pair lock must be
-    /// held.
-    fn locked_empty_slot(raw: &RawTable<K, V, B>, ks: KeySlots) -> Option<(usize, usize)> {
-        for bi in [ks.i1, ks.i2] {
-            if let Some(slot) = raw.meta(bi).empty_slot() {
-                return Some((bi, slot));
-            }
-            if ks.i2 == ks.i1 {
-                break;
-            }
-        }
-        None
     }
 
     /// Mode dispatch for a full table: begin an incremental migration or
     /// fall back to the stop-the-world rehash.
+    #[cold]
     fn grow(&self, seen: &RawTable<K, V, B>) {
         match self.resize_mode {
             ResizeMode::Incremental => self.begin_migration(seen),
             ResizeMode::StopTheWorld => self.expand(seen),
         }
-    }
-
-    /// Finds `key` in its candidate buckets; pair lock must be held.
-    fn locked_find(raw: &RawTable<K, V, B>, ks: KeySlots, key: &K) -> Option<(usize, usize)> {
-        for bi in [ks.i1, ks.i2] {
-            let b = raw.bucket(bi);
-            let m = raw.meta(bi);
-            let mut cand = m.match_tag_mask(ks.tag) & m.occupied_mask();
-            while cand != 0 {
-                let s = cand.trailing_zeros() as usize;
-                cand &= cand - 1;
-                // SAFETY: pair lock held; slot occupied; no concurrent
-                // writer can mutate it.
-                if unsafe { &*b.key_ptr(s) } == key {
-                    return Some((bi, s));
-                }
-            }
-            if ks.i2 == ks.i1 {
-                break;
-            }
-        }
-        None
-    }
-
-    /// Validated per-pair-locked path execution over `raw` (which must be
-    /// the table the path was discovered on). `valid` is re-checked
-    /// inside every pair lock: a concurrent expansion, migration start,
-    /// or emergency rebuild makes the step fail validation instead of
-    /// displacing entries in a table that is being drained.
-    ///
-    /// Delegates to the shared hole-backwards executor
-    /// ([`exec::execute_hole_backwards`]) with the plain mover
-    /// ([`RawTable::move_entry`]): readers here are locked out, but the
-    /// destination-before-source discipline is uniform across tables —
-    /// this map used to clear the source first (`take_entry`) while its
-    /// comment claimed otherwise, exactly the drift the shared executor
-    /// exists to prevent.
-    fn execute_path_on(
-        &self,
-        raw: &RawTable<K, V, B>,
-        path: &[PathEntry],
-        valid: impl Fn() -> bool,
-    ) -> bool {
-        exec::execute_hole_backwards(
-            raw,
-            Some(&self.stripes),
-            path,
-            &self.displacements,
-            valid,
-            RawTable::move_entry,
-        )
     }
 
     /// Doubles the table under the full-stripe lock and rehashes every
@@ -1227,25 +929,10 @@ where
         // SAFETY: all stripes held — exclusive access to the live table.
         let old = unsafe { &*old_ptr };
 
-        // Move every entry out of the old table.
-        let coords: Vec<(usize, usize)> = old.occupied_coords().collect();
-        let mut entries: Vec<(K, V)> = Vec::with_capacity(coords.len());
-        for (bi, s) in coords {
-            // SAFETY: all stripes held; slot occupied.
-            entries.push(unsafe { old.take_entry(bi, s) });
-        }
-
-        // Rebuild at double the size; in the pathological case the rebuild
-        // itself fails, keep doubling.
-        let mut new_slots = old.total_slots() * 2;
-        let new = loop {
-            match self.try_rebuild(new_slots, &mut entries) {
-                Some(table) => break table,
-                None => new_slots *= 2,
-            }
-        };
-        debug_assert!(entries.is_empty());
-
+        let mut entries = Vec::new();
+        // SAFETY: all stripes held.
+        unsafe { old.drain_into(&mut entries) };
+        let new = Box::new(self.write_ctx().rebuild(old.total_slots() * 2, entries));
         self.storage.store(Box::into_raw(new), Ordering::SeqCst);
         // SAFETY: `old_ptr` came from `Box::into_raw` at construction or a
         // previous expansion, and is no longer reachable as current.
@@ -1447,7 +1134,7 @@ where
                 }
                 // Phase 2: move the entry under all three stripes.
                 let moved = {
-                    let _g = self.stripes.lock_multi([ob, ks_new.i1, ks_new.i2]);
+                    let _g = self.stripes.lock_batch(&[ob, ks_new.i1, ks_new.i2]);
                     if self.migration.load(Ordering::SeqCst) != m {
                         return false;
                     }
@@ -1455,7 +1142,7 @@ where
                         old.meta(ob).is_occupied(slot),
                         "only the chunk owner may drain its buckets"
                     );
-                    match Self::locked_empty_slot(new, ks_new) {
+                    match locked_empty_slot(new, ks_new) {
                         Some((nbi, ns)) => {
                             // SAFETY: all three stripes held; source
                             // occupied, destination empty.
@@ -1485,9 +1172,9 @@ where
         true
     }
 
-    /// BFS-displaces entries inside the new table to open a slot in one
-    /// of `ks`'s candidate buckets. `false` only when even BFS finds no
-    /// slot (the new table is effectively full).
+    /// Displaces entries inside the new table to open a slot in one of
+    /// `ks`'s candidate buckets. `false` only when the search finds no
+    /// path (the new table is effectively full).
     fn make_room_in_new(
         &self,
         mig: &Migration<K, V, B>,
@@ -1496,21 +1183,14 @@ where
     ) -> bool {
         // SAFETY: caller is pinned; the new table is live.
         let new = unsafe { &*mig.new };
-        let searched = search::with_scratch(|scratch| {
-            bfs::search(new, ks.i1, ks.i2, self.max_search_slots, true, scratch)
-                .map(|()| scratch.path.clone())
-        });
-        match searched {
-            Err(_) => false,
-            Ok(path) => {
-                // A failed step just means a concurrent writer got there
-                // first; the caller re-examines the buckets either way.
-                let _ = self.execute_path_on(new, &path, || {
-                    self.migration.load(Ordering::SeqCst) == m
-                });
-                true
-            }
-        }
+        // A stale path just means a concurrent writer got there first;
+        // the caller re-examines the buckets either way.
+        search::with_scratch(|scratch| {
+            self.write_ctx().search_and_displace::<PlainStore, K, V, B>(new, ks, scratch, || {
+                self.migration.load(Ordering::SeqCst) == m
+            })
+        })
+        .is_some()
     }
 
     /// Publishes the fully-migrated new table and retires the old one.
@@ -1551,6 +1231,7 @@ where
     /// everything into a bigger table under the full-table lock, ending
     /// the migration. The pause is proportional to table size, but this
     /// only triggers when a doubling was insufficient mid-flight.
+    #[cold]
     fn emergency_rebuild(&self, m: *mut Migration<K, V, B>) {
         let _lk = self.resize_lock.lock().expect("resize_lock poisoned: an expansion panicked mid-flight");
         let all = self.stripes.lock_all();
@@ -1562,23 +1243,12 @@ where
         let mig = unsafe { &*m };
         let old = unsafe { &*mig.old };
         let new = unsafe { &*mig.new };
-        let mut entries: Vec<(K, V)> = Vec::new();
+        let mut entries = Vec::new();
         for t in [old, new] {
-            let coords: Vec<(usize, usize)> = t.occupied_coords().collect();
-            entries.reserve(coords.len());
-            for (bi, s) in coords {
-                // SAFETY: all stripes held; slot occupied.
-                entries.push(unsafe { t.take_entry(bi, s) });
-            }
+            // SAFETY: all stripes held.
+            unsafe { t.drain_into(&mut entries) };
         }
-        let mut slots = new.total_slots() * 2;
-        let rebuilt = loop {
-            match self.try_rebuild(slots, &mut entries) {
-                Some(table) => break table,
-                None => slots *= 2,
-            }
-        };
-        debug_assert!(entries.is_empty());
+        let rebuilt = Box::new(self.write_ctx().rebuild(new.total_slots() * 2, entries));
         // Disconnect the migration before publishing the rebuilt table;
         // both orders are safe here because every observer re-validates
         // under stripe locks we still hold.
@@ -1623,70 +1293,6 @@ where
             let min = self.epochs.min_active();
             g.retain(|r| r.epoch >= min);
             self.table_metrics.graveyard_depth.set(g.len() as u64);
-        }
-    }
-
-    /// Builds a table of `slots` capacity containing `entries` (drained on
-    /// success; restored on failure).
-    fn try_rebuild(
-        &self,
-        slots: usize,
-        entries: &mut Vec<(K, V)>,
-    ) -> Option<Box<RawTable<K, V, B>>> {
-        let table: Box<RawTable<K, V, B>> = Box::new(RawTable::with_capacity(slots));
-        let mut inserted: usize = 0;
-        let ok = search::with_scratch(|scratch| {
-            while let Some((k, v)) = entries.pop() {
-                let ks = key_slots(&self.hash_builder, &k, table.mask());
-                let mut target = None;
-                for bi in [ks.i1, ks.i2] {
-                    if let Some(slot) = table.meta(bi).empty_slot() {
-                        target = Some((bi, slot));
-                        break;
-                    }
-                    if ks.i2 == ks.i1 {
-                        break;
-                    }
-                }
-                if let Some((bi, slot)) = target {
-                    // SAFETY: the new table is private to this thread.
-                    unsafe { table.write_entry(bi, slot, ks.tag, k, v) };
-                    inserted += 1;
-                    continue;
-                }
-                if bfs::search(&table, ks.i1, ks.i2, self.max_search_slots, true, scratch)
-                    .is_err()
-                {
-                    entries.push((k, v));
-                    return false;
-                }
-                let path = scratch.path.clone();
-                for i in (0..path.len() - 1).rev() {
-                    let (src, dst) = (path[i], path[i + 1]);
-                    // SAFETY: private table; path valid (single-threaded).
-                    unsafe {
-                        let (mk, mv) = table.take_entry(src.bucket, src.slot as usize);
-                        table.write_entry(dst.bucket, dst.slot as usize, src.tag, mk, mv);
-                    }
-                }
-                let head = path[0];
-                // SAFETY: private table; head slot vacated.
-                unsafe { table.write_entry(head.bucket, head.slot as usize, ks.tag, k, v) };
-                inserted += 1;
-            }
-            true
-        });
-        if ok {
-            Some(table)
-        } else {
-            // Drain the partial table back into `entries` for the retry.
-            let coords: Vec<(usize, usize)> = table.occupied_coords().collect();
-            for (bi, s) in coords {
-                // SAFETY: private table; slots occupied.
-                entries.push(unsafe { table.take_entry(bi, s) });
-            }
-            debug_assert!(entries.len() >= inserted);
-            None
         }
     }
 }
@@ -1739,38 +1345,14 @@ where
     /// absent.
     pub fn modify(&self, key: &K, f: impl FnOnce(&mut V)) -> bool {
         let _pin = self.epochs.pin();
-        let h = hash_of(&self.hash_builder, key);
-        loop {
-            if let Some((new, m)) = self.writer_table(h) {
-                let ks = slots_from_hash(h, new.mask());
-                let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-                if !self.migration_still_targets(m) {
-                    continue;
-                }
-                return match Self::locked_find(new, ks, key) {
-                    Some((bi, s)) => {
-                        // SAFETY: pair lock held; slot occupied.
-                        f(unsafe { &mut *new.bucket(bi).val_ptr(s) });
-                        true
-                    }
-                    None => false,
-                };
+        self.with_locked_pair(hash_of(&self.hash_builder, key), |raw, ks| {
+            let found = locked_find(raw, ks, key);
+            if let Some((bi, s)) = found {
+                // SAFETY: pair lock held; slot occupied.
+                f(unsafe { &mut *raw.bucket(bi).val_ptr(s) });
             }
-            let raw = self.current();
-            let ks = slots_from_hash(h, raw.mask());
-            let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-            if !self.table_is_stable(raw) {
-                continue;
-            }
-            return match Self::locked_find(raw, ks, key) {
-                Some((bi, s)) => {
-                    // SAFETY: pair lock held; slot occupied.
-                    f(unsafe { &mut *raw.bucket(bi).val_ptr(s) });
-                    true
-                }
-                None => false,
-            };
-        }
+            found.is_some()
+        })
     }
 
     /// Removes every entry for which `f` returns `false`, under the
@@ -1954,9 +1536,8 @@ mod tests {
         assert!(m.insert_many(entries.clone()).into_iter().all(|r| r.is_ok()));
         let dup = m.insert_many(entries);
         assert!(dup.into_iter().all(|r| r == Err(InsertError::KeyExists)));
-        let ups =
-            m.upsert_many((0..100).map(|i| (format!("k{i}"), format!("w{i}"))).collect());
-        assert!(ups.into_iter().all(|o| o == UpsertOutcome::Updated));
+        let ups = m.upsert_many((0..100).map(|i| (format!("k{i}"), format!("w{i}"))));
+        assert!(ups.into_iter().all(|o| o == Ok(UpsertOutcome::Updated)));
         assert_eq!(m.get(&"k7".to_string()), Some("w7".to_string()));
         assert_eq!(m.len(), 100);
         assert!(m.metrics().insert_batch_groups.get() >= 3 * (100 / 8) as u64);

@@ -19,15 +19,16 @@
 //! wrappers of the [`htm`] crate; critical sections run through
 //! [`htm::MemCtx`] so elided execution gets genuine conflict detection.
 
+use crate::core::{PlainStore, WriteCtx};
 use crate::counter::ShardedCounter;
 use crate::crit::{self, CritOutcome};
 use crate::error::InsertError;
-use crate::hash::DefaultHashBuilder;
-use crate::hashing::{key_slots, KeySlots};
+use crate::hash::{key_slots, DefaultHashBuilder, KeySlots};
 use crate::raw::RawTable;
-use crate::search::{self, dfs, exec, EvictionPolicy, SearchScratch};
+use crate::search::{self, dfs, EvictionPolicy, SearchScratch};
 use crate::stats::{PathStats, PathStatsSnapshot, TableMetrics};
 use crate::sync::{LockStripes, SpinLock, DEFAULT_STRIPES};
+use crate::sync2::atomic::AtomicU64;
 use crate::DEFAULT_MAX_SEARCH_SLOTS;
 use core::hash::{BuildHasher, Hash};
 use htm::{
@@ -155,6 +156,9 @@ pub struct MemC3Cuckoo<K, V, const B: usize = 4, S = DefaultHashBuilder> {
     config: MemC3Config,
     writer: WriterLock,
     path_stats: PathStats,
+    /// The path executor's displacement count. Write-only here: this
+    /// table has no fuzzy `scan` to validate against it.
+    displacements: AtomicU64,
     /// Boxed: keeps the read path's fields (`raw`, `stripes`) densely
     /// packed instead of interleaved with ~400 B of counters.
     table_metrics: Box<TableMetrics>,
@@ -209,6 +213,7 @@ where
             config,
             writer,
             path_stats: PathStats::new(),
+            displacements: AtomicU64::new(0),
             table_metrics: Box::new(TableMetrics::new()),
         }
     }
@@ -251,6 +256,31 @@ where
     #[inline]
     fn slots_of(&self, key: &K) -> KeySlots {
         key_slots(&self.hash_builder, key, self.raw.mask())
+    }
+
+    /// This table's parameters for the shared write core.
+    fn write_ctx(&self) -> WriteCtx<'_, S> {
+        WriteCtx {
+            stripes: &self.stripes,
+            hash_builder: &self.hash_builder,
+            count: &self.count,
+            metrics: &self.table_metrics,
+            displacements: &self.displacements,
+            eviction: self.config.eviction,
+            max_search_slots: self.config.max_search_slots,
+            prefetch: self.config.prefetch,
+        }
+    }
+
+    /// The configured find-path step, run with no lock held: leaves a
+    /// cuckoo path for `ks` in `scratch.path`, or reports none.
+    fn find_path(&self, ks: KeySlots, scratch: &mut SearchScratch) -> bool {
+        match self.config.search {
+            SearchKind::Bfs => self.write_ctx().plan_and_record(&self.raw, ks, scratch).is_ok(),
+            SearchKind::Dfs => {
+                dfs::search(&self.raw, ks.i1, ks.i2, self.config.max_search_slots, scratch).is_ok()
+            }
+        }
     }
 
     /// Lock-free optimistic lookup (identical protocol to cuckoo+).
@@ -356,32 +386,7 @@ where
                 !self.raw.meta(ks.i1).is_full() || !self.raw.meta(ks.i2).is_full();
             if !available {
                 self.path_stats.record_search();
-                let found = match self.config.search {
-                    SearchKind::Bfs => {
-                        let r = search::plan(
-                            self.config.eviction,
-                            &self.raw,
-                            ks.i1,
-                            ks.i2,
-                            self.config.max_search_slots,
-                            self.config.prefetch,
-                            scratch,
-                        );
-                        if self.config.eviction != EvictionPolicy::Bfs {
-                            self.table_metrics.record_eviction(scratch, r.is_err());
-                        }
-                        r.is_ok()
-                    }
-                    SearchKind::Dfs => dfs::search(
-                        &self.raw,
-                        ks.i1,
-                        ks.i2,
-                        self.config.max_search_slots,
-                        scratch,
-                    )
-                    .is_ok(),
-                };
-                if !found {
+                if !self.find_path(ks, scratch) {
                     return Err(InsertError::TableFull);
                 }
             } else {
@@ -448,94 +453,23 @@ where
     /// baseline mode); exclusive access via `&mut self`.
     pub fn insert_unlocked(&mut self, key: K, val: V) -> Result<(), InsertError> {
         let ks = self.slots_of(&key);
-        // Duplicate check and direct add.
-        for bi in [ks.i1, ks.i2] {
-            let b = self.raw.bucket(bi);
-            let m = self.raw.meta(bi);
-            let mask = m.occupied_mask();
-            for s in 0..B {
-                if mask & (1 << s) != 0 && m.partial(s) == ks.tag {
-                    // SAFETY: exclusive access via `&mut self`.
-                    if unsafe { b.key_ptr(s).read() } == key {
-                        return Err(InsertError::KeyExists);
-                    }
-                }
-            }
-            if ks.i2 == ks.i1 {
-                break;
-            }
-        }
-        search::with_scratch(|scratch| loop {
-            let mut target = None;
-            for bi in [ks.i1, ks.i2] {
-                if let Some(slot) = self.raw.meta(bi).empty_slot() {
-                    target = Some((bi, slot));
-                    break;
-                }
-            }
-            if let Some((bi, slot)) = target {
-                // SAFETY: exclusive access.
-                unsafe { self.raw.write_entry(bi, slot, ks.tag, key, val) };
-                self.count.add(bi, 1);
-                return Ok(());
-            }
-            let found = match self.config.search {
-                SearchKind::Bfs => search::plan(
-                    self.config.eviction,
-                    &self.raw,
-                    ks.i1,
-                    ks.i2,
-                    self.config.max_search_slots,
-                    self.config.prefetch,
-                    scratch,
-                )
-                .is_ok(),
-                SearchKind::Dfs => dfs::search(
-                    &self.raw,
-                    ks.i1,
-                    ks.i2,
-                    self.config.max_search_slots,
-                    scratch,
-                )
-                .is_ok(),
-            };
-            if !found {
-                return Err(InsertError::TableFull);
-            }
-            // Execute with validation even though we are single-threaded:
-            // a DFS random walk may revisit the same (bucket, slot), in
-            // which case a later-executed displacement empties a slot an
-            // earlier one expects full. Each applied displacement is
-            // individually valid, so on a mismatch we simply search again
-            // (the walk is randomized). The shared executor (`stripes:
-            // None` — exclusive access via `&mut self`) does exactly that
-            // validation per step.
-            let displacements = crate::sync2::atomic::AtomicU64::new(0);
-            let valid = exec::execute_hole_backwards(
-                &self.raw,
-                None,
-                &scratch.path,
-                &displacements,
-                || true,
-                RawTable::move_entry,
-            );
-            if !valid {
-                continue;
-            }
-            let path = &scratch.path;
-            let head = path[0];
-            if self.raw.meta(head.bucket).is_occupied(head.slot as usize) {
-                continue;
-            }
-            // SAFETY: exclusive access; head slot was just vacated (or was
-            // the found empty slot for trivial paths).
+        search::with_scratch(|scratch| {
+            // SAFETY: `&mut self` — exclusive access to the whole table.
             unsafe {
-                self.raw
-                    .write_entry(head.bucket, head.slot as usize, ks.tag, key, val)
-            };
-            self.count.add(head.bucket, 1);
-            return Ok(());
+                self.write_ctx().insert_exclusive::<PlainStore, K, V, B>(
+                    &self.raw,
+                    ks,
+                    key,
+                    val,
+                    false,
+                    scratch,
+                    |s| self.find_path(ks, s),
+                )
+            }
         })
+        .settle(&self.count, ks)
+        .unwrap_or(Err(InsertError::TableFull))
+        .map(|_| ())
     }
 
     /// Number of items.

@@ -27,15 +27,15 @@
 //!
 //! [`bfs_max_path_len`]: crate::search::bfs::bfs_max_path_len
 
+use crate::core::{claim, locked_find, RacyStore, Stores, WriteCtx, MULTIGET_GROUP};
 use crate::counter::ShardedCounter;
 use crate::error::{InsertError, UpsertOutcome};
-use crate::hash::DefaultHashBuilder;
-use crate::hashing::{key_slots, KeySlots};
+use crate::hash::{key_slots, DefaultHashBuilder, KeySlots};
 use crate::raw::RawTable;
-use crate::search::{self, bfs, exec, EvictionPolicy, PathEntry};
+use crate::search::{self, EvictionPolicy};
 use crate::stats::{PathStats, PathStatsSnapshot, TableMetrics};
-use crate::sync::{LockStripes, DEFAULT_STRIPES, MAX_BATCH_BUCKETS, WRITE_GROUP};
-use crate::sync2::atomic::{AtomicU64, Ordering};
+use crate::sync::{LockStripes, DEFAULT_STRIPES};
+use crate::sync2::atomic::AtomicU64;
 use crate::DEFAULT_MAX_SEARCH_SLOTS;
 use core::hash::{BuildHasher, Hash};
 use htm::Plain;
@@ -158,14 +158,6 @@ pub struct OptimisticCuckooMap<K, V, const B: usize = 8, S = DefaultHashBuilder>
     table_metrics: Box<TableMetrics>,
 }
 
-/// Outcome of the locked fast path.
-enum FastPath {
-    Inserted,
-    Updated,
-    Exists,
-    BucketsFull,
-}
-
 impl<K, V, const B: usize> OptimisticCuckooMap<K, V, B, DefaultHashBuilder>
 where
     K: Plain + Eq + Hash,
@@ -195,6 +187,21 @@ where
     #[inline]
     fn slots_of(&self, key: &K) -> KeySlots {
         key_slots(&self.hash_builder, key, self.raw.mask())
+    }
+
+    /// This table's parameters for the shared write core.
+    #[inline]
+    fn write_ctx(&self) -> WriteCtx<'_, S> {
+        WriteCtx {
+            stripes: &self.stripes,
+            hash_builder: &self.hash_builder,
+            count: &self.count,
+            metrics: &self.table_metrics,
+            displacements: &self.displacements,
+            eviction: self.eviction,
+            max_search_slots: self.max_search_slots,
+            prefetch: self.prefetch,
+        }
     }
 
     /// Issues prefetch-for-store hints for both of `key`'s candidate
@@ -243,11 +250,8 @@ where
     pub fn get_many_into(&self, keys: &[K], out: &mut Vec<Option<V>>) {
         out.clear();
         out.resize(keys.len(), None);
-        let mut ks_buf = [KeySlots { i1: 0, i2: 0, tag: 1 }; crate::read::MULTIGET_GROUP];
-        for (group, results) in keys
-            .chunks(crate::read::MULTIGET_GROUP)
-            .zip(out.chunks_mut(crate::read::MULTIGET_GROUP))
-        {
+        let mut ks_buf = [KeySlots { i1: 0, i2: 0, tag: 1 }; MULTIGET_GROUP];
+        for (group, results) in keys.chunks(MULTIGET_GROUP).zip(out.chunks_mut(MULTIGET_GROUP)) {
             // Stage 1 (hashing) lives here: the engine below is
             // hash-agnostic and consumes precomputed slots.
             for (j, key) in group.iter().enumerate() {
@@ -281,131 +285,40 @@ where
 
     /// Batched insert: one result per entry, in order, equivalent to
     /// calling [`insert`](Self::insert) per entry (duplicates within a
-    /// batch included) — but groups of entries are software-pipelined:
-    ///
-    /// 1. hash every key and prefetch both candidate metadata lines with
-    ///    write intent, so the group's cache misses overlap;
-    /// 2. acquire the group's stripe set in one ascending, deduplicated
-    ///    [`lock_batch`](LockStripes::lock_batch) pass (keys sharing a
-    ///    stripe coalesce under a single acquisition);
-    /// 3. probe (vector tag match) and write each key in request order.
-    ///
-    /// The first key whose candidate buckets are full demotes itself and
-    /// the rest of its group to in-order single-key path-search inserts
-    /// after the batch lock drops (its displacements may change what the
-    /// remaining keys observe, so partial-group results under the batch
-    /// lock would not match the loop).
-    pub fn insert_many(&self, entries: &[(K, V)]) -> Vec<Result<(), InsertError>> {
-        self.write_many_inner(entries, false)
-            .into_iter()
-            .map(|r| r.map(|_| ()))
-            .collect()
+    /// batch included) — but groups of entries are software-pipelined
+    /// (hash all + write-intent prefetch → one coalesced batch lock →
+    /// in-order claim). The first entry whose candidate buckets are full
+    /// demotes itself and the rest of its group to in-order single-key
+    /// path-search inserts after the batch lock drops.
+    pub fn insert_many(
+        &self,
+        entries: impl IntoIterator<Item = (K, V)>,
+    ) -> Vec<Result<(), InsertError>> {
+        self.write_many(entries, false).into_iter().map(|r| r.map(|_| ())).collect()
     }
 
     /// Batched [`upsert`](Self::upsert): same pipeline and equivalence
     /// contract as [`insert_many`](Self::insert_many), reporting which of
     /// insert/update happened per entry.
-    pub fn upsert_many(&self, entries: &[(K, V)]) -> Vec<Result<UpsertOutcome, InsertError>> {
-        self.write_many_inner(entries, true)
+    pub fn upsert_many(
+        &self,
+        entries: impl IntoIterator<Item = (K, V)>,
+    ) -> Vec<Result<UpsertOutcome, InsertError>> {
+        self.write_many(entries, true)
     }
 
-    /// The pipelined engine behind `insert_many`/`upsert_many`.
-    fn write_many_inner(
+    fn write_many(
         &self,
-        entries: &[(K, V)],
+        entries: impl IntoIterator<Item = (K, V)>,
         upsert: bool,
     ) -> Vec<Result<UpsertOutcome, InsertError>> {
-        let mut out = Vec::with_capacity(entries.len());
-        let mut ks_buf = [KeySlots { i1: 0, i2: 0, tag: 1 }; WRITE_GROUP];
-        let mut buckets = [0usize; MAX_BATCH_BUCKETS];
-        for group in entries.chunks(WRITE_GROUP) {
-            self.table_metrics.insert_batch_groups.inc();
-            self.table_metrics.insert_batch_keys.add(group.len() as u64);
-            // Stage 1: hash + write-intent prefetch, back to back.
-            for (j, (key, _)) in group.iter().enumerate() {
-                let ks = self.slots_of(key);
-                ks_buf[j] = ks;
-                buckets[2 * j] = ks.i1;
-                buckets[2 * j + 1] = ks.i2;
-                if self.prefetch {
-                    self.raw.prefetch_meta_write(ks.i1);
-                    self.raw.prefetch_meta_write(ks.i2);
-                }
-            }
-            let mut demote_from = group.len();
-            {
-                // Stage 2: one coalesced ascending acquisition.
-                let _g = self.stripes.lock_batch(&buckets[..group.len() * 2]);
-                // Stage 3: in request order, so duplicate keys within the
-                // group observe one another exactly like a loop of
-                // single-key inserts would. The first key whose candidate
-                // pair is full demotes itself AND the rest of the group
-                // to the in-order single-key path below: its path search
-                // displaces entries that later keys' outcomes may depend
-                // on, so finishing the group under the batch lock first
-                // would not be loop-equivalent.
-                for (j, (key, val)) in group.iter().enumerate() {
-                    match self.locked_write_one(ks_buf[j], key, *val, upsert) {
-                        Some(r) => out.push(r),
-                        None => {
-                            demote_from = j;
-                            break;
-                        }
-                    }
-                }
-            }
-            if demote_from < group.len() {
-                self.table_metrics.insert_batch_fallbacks.add((group.len() - demote_from) as u64);
-                for (key, val) in &group[demote_from..] {
-                    out.push(self.insert_inner(*key, *val, upsert));
-                }
-            }
-        }
-        out
-    }
-
-    /// One key's stage-3 step under the group's batch lock: duplicate
-    /// check, then direct claim of an empty candidate slot. `None` means
-    /// both candidate buckets are full — the caller re-runs the key
-    /// through the single-key path-search insert once the batch lock is
-    /// released.
-    fn locked_write_one(
-        &self,
-        ks: KeySlots,
-        key: &K,
-        val: V,
-        upsert: bool,
-    ) -> Option<Result<UpsertOutcome, InsertError>> {
-        if let Some((bi, slot)) = self.locked_find(ks, key) {
-            if upsert {
-                // SAFETY: the batch lock covers `bi` (the caller holds
-                // every stripe of the group's candidate buckets);
-                // atomic-chunk store keeps racing optimistic readers
-                // race-free (they fail validation).
-                unsafe {
-                    htm::mem::store_bytes(
-                        self.raw.bucket(bi).val_ptr(slot) as usize,
-                        &val as *const V as *const u8,
-                        core::mem::size_of::<V>(),
-                    );
-                }
-                return Some(Ok(UpsertOutcome::Updated));
-            }
-            return Some(Err(InsertError::KeyExists));
-        }
-        for bi in [ks.i1, ks.i2] {
-            if let Some(slot) = self.raw.meta(bi).empty_slot() {
-                // SAFETY: batch lock held (stripe versions odd, readers
-                // retry); slot is empty.
-                unsafe { self.raw.write_entry_racy(bi, slot, ks.tag, *key, val) };
-                self.count.add(ks.i1, 1);
-                return Some(Ok(UpsertOutcome::Inserted));
-            }
-            if ks.i2 == ks.i1 {
-                break;
-            }
-        }
-        None
+        self.write_ctx().write_many::<RacyStore, K, V, B>(
+            entries,
+            upsert,
+            || Some(&self.raw),
+            |_| true,
+            |key, val| self.insert_inner(key, val, upsert),
+        )
     }
 
     /// Inserts or replaces, reporting which happened. Fails only when the
@@ -416,22 +329,7 @@ where
 
     /// Replaces the value of an existing key; `false` if absent.
     pub fn update(&self, key: &K, val: V) -> bool {
-        let ks = self.slots_of(key);
-        let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-        if let Some((bi, slot)) = self.locked_find(ks, key) {
-            // SAFETY: the pair lock covers `bi`; atomic-chunk store keeps
-            // racing optimistic readers race-free (they fail validation).
-            unsafe {
-                htm::mem::store_bytes(
-                    self.raw.bucket(bi).val_ptr(slot) as usize,
-                    &val as *const V as *const u8,
-                    core::mem::size_of::<V>(),
-                );
-            }
-            true
-        } else {
-            false
-        }
+        self.read_modify_write(key, |_| val).is_some()
     }
 
     /// Removes `key` only if its current value satisfies `pred`,
@@ -440,7 +338,7 @@ where
     pub fn remove_if(&self, key: &K, pred: impl FnOnce(&V) -> bool) -> Option<V> {
         let ks = self.slots_of(key);
         let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-        let (bi, slot) = self.locked_find(ks, key)?;
+        let (bi, slot) = locked_find(&self.raw, ks, key)?;
         // SAFETY: pair lock held → plain read of locked data.
         let v = unsafe { self.raw.bucket(bi).val_ptr(slot).read() };
         if !pred(&v) {
@@ -454,16 +352,7 @@ where
 
     /// Removes `key`, returning its value.
     pub fn remove(&self, key: &K) -> Option<V> {
-        let ks = self.slots_of(key);
-        let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-        if let Some((bi, slot)) = self.locked_find(ks, key) {
-            // SAFETY: pair lock held; slot is occupied (just found).
-            let (_, v) = unsafe { self.raw.take_entry(bi, slot) };
-            self.count.add(bi, -1);
-            Some(v)
-        } else {
-            None
-        }
+        self.remove_if(key, |_| true)
     }
 
     /// Number of items (exact at quiescence; convergent under writes).
@@ -552,41 +441,15 @@ where
     /// one (the entry would be silently absent from the scan). The
     /// caller must then discard whatever `f` accumulated and retry, or
     /// fall back to [`snapshot`](Self::snapshot).
-    pub fn scan(&self, mut f: impl FnMut(&K, &V)) -> bool {
-        // ORDERING: exec.scan-counter
-        let displacements_before = self.displacements.load(Ordering::SeqCst);
-        let n_buckets = self.raw.n_buckets();
-        for s in 0..self.stripes.len().min(n_buckets) {
-            let _g = self.stripes.lock_pair(s, s);
-            let mut bi = s;
-            while bi < n_buckets {
-                let b = self.raw.bucket(bi);
-                let mut occ = self.raw.meta(bi).occupied_mask();
-                while occ != 0 {
-                    let slot = occ.trailing_zeros() as usize;
-                    occ &= occ - 1;
-                    // SAFETY: the stripe covering `bi` is held, so no
-                    // writer mutates these slots; plain reads of locked
-                    // data are race-free.
-                    let (k, v) = unsafe { (b.key_ptr(slot).read(), b.val_ptr(slot).read()) };
-                    f(&k, &v);
-                }
-                bi += self.stripes.len();
-            }
-        }
-        // ORDERING: exec.scan-counter
-        self.displacements.load(Ordering::SeqCst) == displacements_before
+    pub fn scan(&self, f: impl FnMut(&K, &V)) -> bool {
+        self.write_ctx().scan(&self.raw, || true, f)
     }
 
     /// Removes every entry (exclusive access).
     pub fn clear(&mut self) {
-        let coords: Vec<_> = self.raw.occupied_coords().collect();
-        for (bi, s) in coords {
-            // SAFETY: exclusive access; slot occupied; entries are
-            // `Plain` (no drop glue), so taking the entry out of the
-            // slot is all the cleanup there is.
-            let _ = unsafe { self.raw.take_entry(bi, s) };
-        }
+        // SAFETY: exclusive access; entries are `Plain` (no drop glue),
+        // so taking them out of their slots is all the cleanup there is.
+        unsafe { self.raw.drain_into(&mut Vec::new()) };
         self.count.reset();
     }
 
@@ -610,232 +473,64 @@ where
     pub fn read_modify_write(&self, key: &K, f: impl FnOnce(V) -> V) -> Option<V> {
         let ks = self.slots_of(key);
         let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-        let (bi, slot) = self.locked_find(ks, key)?;
+        let (bi, slot) = locked_find(&self.raw, ks, key)?;
         let b = self.raw.bucket(bi);
         // SAFETY: pair lock held → no concurrent writer; a plain read of
         // locked data is race-free, and publication via the atomic store
         // keeps racing optimistic readers (who fail validation) safe.
         let new = f(unsafe { b.val_ptr(slot).read() });
-        // SAFETY: as above.
-        unsafe {
-            htm::mem::store_bytes(
-                b.val_ptr(slot) as usize,
-                &new as *const V as *const u8,
-                core::mem::size_of::<V>(),
-            );
-        }
+        // SAFETY: as above; slot occupied (just found).
+        unsafe { RacyStore::overwrite(&self.raw, bi, slot, new) };
         Some(new)
     }
 
     /// Doubles the table's capacity, rehashing every entry (the
     /// "expansion process" the paper schedules when a table becomes too
-    /// full, §4.1). Requires exclusive access.
-    ///
-    /// A table at ≤50% average load *usually* rehashes into the doubled
-    /// table without exhausting the BFS budget, but an adversarial key
-    /// distribution can still defeat one attempt (all keys sharing few
-    /// candidate buckets under the new, larger mask). Rather than
-    /// panicking on that tail case, the rebuild keeps doubling until
-    /// every entry places.
+    /// full, §4.1). Requires exclusive access. Keeps doubling in the
+    /// (adversarial) case where one doubling cannot place every entry.
     pub fn expand(&mut self) {
-        // Drain every entry first so a failed attempt can be retried at a
-        // larger size without losing items.
-        let coords: Vec<(usize, usize)> = self.raw.occupied_coords().collect();
-        let mut entries: Vec<(K, V)> = Vec::with_capacity(coords.len());
-        for (bi, s) in coords {
-            // SAFETY: exclusive access; slot occupied.
-            entries.push(unsafe { self.raw.take_entry(bi, s) });
-        }
-        let mut new_capacity = self.raw.total_slots() * 2;
-        loop {
-            if let Some(new_raw) = self.try_rebuild_into(new_capacity, &mut entries) {
-                self.raw = new_raw;
-                return;
-            }
-            new_capacity *= 2;
-        }
-    }
-
-    /// Rehashes `entries` into a fresh private table of `capacity` slots.
-    /// On BFS-budget exhaustion, drains everything placed so far back
-    /// into `entries` and returns `None` so the caller can retry larger.
-    fn try_rebuild_into(
-        &self,
-        capacity: usize,
-        entries: &mut Vec<(K, V)>,
-    ) -> Option<RawTable<K, V, B>> {
-        let new_raw: RawTable<K, V, B> = RawTable::with_capacity(capacity);
-        let ok = search::with_scratch(|scratch| {
-            while let Some((k, v)) = entries.pop() {
-                let ks = key_slots(&self.hash_builder, &k, new_raw.mask());
-                let placed = [ks.i1, ks.i2]
-                    .iter()
-                    .find_map(|&nb| new_raw.meta(nb).empty_slot().map(|slot| (nb, slot)));
-                if let Some((nb, slot)) = placed {
-                    // SAFETY: the new table is private during the rebuild.
-                    unsafe { new_raw.write_entry(nb, slot, ks.tag, k, v) };
-                    continue;
-                }
-                // Both candidates full: displace via BFS.
-                if bfs::search(&new_raw, ks.i1, ks.i2, self.max_search_slots, false, scratch)
-                    .is_err()
-                {
-                    entries.push((k, v));
-                    return false;
-                }
-                let path = scratch.path.clone();
-                for i in (0..path.len() - 1).rev() {
-                    let (src, dst) = (path[i], path[i + 1]);
-                    // SAFETY: private table; single-threaded path valid.
-                    unsafe {
-                        let (mk, mv) = new_raw.take_entry(src.bucket, src.slot as usize);
-                        new_raw.write_entry(dst.bucket, dst.slot as usize, src.tag, mk, mv);
-                    }
-                }
-                let head = path[0];
-                // SAFETY: private table; head slot vacated.
-                unsafe {
-                    new_raw.write_entry(head.bucket, head.slot as usize, ks.tag, k, v)
-                };
-            }
-            true
-        });
-        if ok {
-            Some(new_raw)
-        } else {
-            // Hand the partial table's entries back for the retry.
-            let coords: Vec<(usize, usize)> = new_raw.occupied_coords().collect();
-            for (bi, s) in coords {
-                // SAFETY: private table; slots occupied.
-                entries.push(unsafe { new_raw.take_entry(bi, s) });
-            }
-            None
-        }
+        let mut entries = Vec::new();
+        // SAFETY: exclusive access via `&mut self`.
+        unsafe { self.raw.drain_into(&mut entries) };
+        self.raw = self.write_ctx().rebuild(self.raw.total_slots() * 2, entries);
     }
 
     fn insert_inner(&self, key: K, val: V, upsert: bool) -> Result<UpsertOutcome, InsertError> {
         let ks = self.slots_of(&key);
-        search::with_scratch(|scratch| {
-            let mut stale_retries = 0usize;
-            loop {
-                match self.fast_path(ks, &key, val, upsert) {
-                    FastPath::Inserted => {
-                        self.count.add(ks.i1, 1);
-                        return Ok(UpsertOutcome::Inserted);
-                    }
-                    FastPath::Updated => return Ok(UpsertOutcome::Updated),
-                    FastPath::Exists => return Err(InsertError::KeyExists),
-                    FastPath::BucketsFull => {}
-                }
-                self.path_stats.record_search();
-                let searched = search::plan(
-                    self.eviction,
-                    &self.raw,
-                    ks.i1,
-                    ks.i2,
-                    self.max_search_slots,
-                    self.prefetch,
-                    scratch,
-                );
-                // One histogram sample per search (success or failure):
-                // the search itself examined hundreds of slots, so the
-                // relative cost of recording is negligible (P1 budget).
-                self.table_metrics.bfs_examined_slots.record(scratch.examined as u64);
-                if self.eviction != EvictionPolicy::Bfs {
-                    self.table_metrics.record_eviction(scratch, searched.is_err());
-                }
-                if searched.is_err() {
+        let mut stale_retries = 0usize;
+        loop {
+            let claimed = {
+                let _g = self.stripes.lock_pair(ks.i1, ks.i2);
+                // SAFETY: the pair lock covers both candidate buckets
+                // (stripe versions odd, so racing readers retry).
+                unsafe { claim::<RacyStore, K, V, B>(&self.raw, ks, key, val, upsert) }
+            };
+            if let Ok(result) = claimed.settle(&self.count, ks) {
+                return result;
+            }
+            self.path_stats.record_search();
+            let executed = search::with_scratch(|scratch| {
+                self.write_ctx()
+                    .search_and_displace::<RacyStore, K, V, B>(&self.raw, ks, scratch, || true)
+            });
+            let Some(executed) = executed else {
+                return self.full_table_insert(ks, key, val, upsert);
+            };
+            self.path_stats.record_execution(!executed);
+            if !executed {
+                stale_retries += 1;
+                if stale_retries > self.path_retries {
                     return self.full_table_insert(ks, key, val, upsert);
                 }
-                self.table_metrics.bfs_path_len.record(scratch.path.len() as u64);
-                let executed = self.execute_path_fg(&scratch.path);
-                self.path_stats.record_execution(!executed);
-                if !executed {
-                    stale_retries += 1;
-                    if stale_retries > self.path_retries {
-                        return self.full_table_insert(ks, key, val, upsert);
-                    }
-                }
-                // Path executed (or went stale): re-enter the fast path,
-                // which re-checks duplicates and claims the freed slot.
-            }
-        })
-    }
-
-    /// Duplicate-check + direct insertion under the candidate pair lock.
-    fn fast_path(&self, ks: KeySlots, key: &K, val: V, upsert: bool) -> FastPath {
-        let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-        if let Some((bi, slot)) = self.locked_find(ks, key) {
-            if upsert {
-                // SAFETY: pair lock covers `bi`; atomic store for readers.
-                unsafe {
-                    htm::mem::store_bytes(
-                        self.raw.bucket(bi).val_ptr(slot) as usize,
-                        &val as *const V as *const u8,
-                        core::mem::size_of::<V>(),
-                    );
-                }
-                return FastPath::Updated;
-            }
-            return FastPath::Exists;
-        }
-        for bi in [ks.i1, ks.i2] {
-            if let Some(slot) = self.raw.meta(bi).empty_slot() {
-                // SAFETY: pair lock held (version odd, readers retry);
-                // slot is empty.
-                unsafe { self.raw.write_entry_racy(bi, slot, ks.tag, *key, val) };
-                return FastPath::Inserted;
-            }
-            if ks.i2 == ks.i1 {
-                break;
             }
         }
-        FastPath::BucketsFull
-    }
-
-    /// Finds `key` in its candidate buckets; requires the pair lock held.
-    fn locked_find(&self, ks: KeySlots, key: &K) -> Option<(usize, usize)> {
-        for bi in [ks.i1, ks.i2] {
-            let b = self.raw.bucket(bi);
-            let m = self.raw.meta(bi);
-            let mut cand = m.match_tag_mask(ks.tag) & m.occupied_mask();
-            while cand != 0 {
-                let s = cand.trailing_zeros() as usize;
-                cand &= cand - 1;
-                // SAFETY: pair lock held → no concurrent writer to this
-                // bucket; plain read is race-free.
-                if unsafe { b.key_ptr(s).read() } == *key {
-                    return Some((bi, s));
-                }
-            }
-            if ks.i2 == ks.i1 {
-                break;
-            }
-        }
-        None
-    }
-
-    /// Executes a cuckoo path one locked bucket-pair at a time (§4.4),
-    /// re-validating each displacement. `false` means the path went stale.
-    ///
-    /// Delegates to the shared hole-backwards executor
-    /// ([`exec::execute_hole_backwards`]): destination written before the
-    /// source is cleared, so optimistic readers probing both candidate
-    /// buckets never miss an in-flight entry. `tests/model.rs` proves
-    /// that claim mechanically against concurrent readers.
-    fn execute_path_fg(&self, path: &[PathEntry]) -> bool {
-        exec::execute_hole_backwards(
-            &self.raw,
-            Some(&self.stripes),
-            path,
-            &self.displacements,
-            || true,
-            RawTable::move_entry_racy,
-        )
     }
 
     /// The pessimistic full-table path: every stripe held, deterministic
-    /// completion (§4.4's livelock escape hatch).
+    /// completion (§4.4's livelock escape hatch). Publication stays
+    /// atomic-chunk for any reader that stamped its version before we
+    /// locked.
+    #[cold]
     fn full_table_insert(
         &self,
         ks: KeySlots,
@@ -844,82 +539,18 @@ where
         upsert: bool,
     ) -> Result<UpsertOutcome, InsertError> {
         self.path_stats.record_full_table_fallback();
+        let ctx = self.write_ctx();
         let _g = self.stripes.lock_all();
-        if let Some((bi, slot)) = self.locked_find(ks, &key) {
-            if upsert {
-                // SAFETY: all stripes held.
-                unsafe {
-                    htm::mem::store_bytes(
-                        self.raw.bucket(bi).val_ptr(slot) as usize,
-                        &val as *const V as *const u8,
-                        core::mem::size_of::<V>(),
-                    );
-                }
-                return Ok(UpsertOutcome::Updated);
-            }
-            return Err(InsertError::KeyExists);
-        }
-        let mut target = None;
-        for bi in [ks.i1, ks.i2] {
-            if let Some(slot) = self.raw.meta(bi).empty_slot() {
-                target = Some((bi, slot));
-                break;
-            }
-            if ks.i2 == ks.i1 {
-                break;
-            }
-        }
-        if let Some((bi, slot)) = target {
-            // SAFETY: all stripes held; slot empty.
-            unsafe { self.raw.write_entry_racy(bi, slot, ks.tag, key, val) };
-            self.count.add(bi, 1);
-            return Ok(UpsertOutcome::Inserted);
-        }
         search::with_scratch(|scratch| {
-            let searched = search::plan(
-                self.eviction,
-                &self.raw,
-                ks.i1,
-                ks.i2,
-                self.max_search_slots,
-                self.prefetch,
-                scratch,
-            );
-            if self.eviction != EvictionPolicy::Bfs {
-                self.table_metrics.record_eviction(scratch, searched.is_err());
-            }
-            if searched.is_err() {
-                return Err(InsertError::TableFull);
-            }
-            // All stripes held: the freshly discovered path cannot go
-            // stale.
-            let ok = self.execute_path_fg_locked(&scratch.path);
-            debug_assert!(ok, "path stale under the full-table lock");
-            let head = scratch.path[0];
-            debug_assert!(!self.raw.meta(head.bucket).is_occupied(head.slot as usize));
-            // SAFETY: all stripes held; head slot just freed.
+            // SAFETY: every stripe is held — exclusive over the whole table.
             unsafe {
-                self.raw
-                    .write_entry_racy(head.bucket, head.slot as usize, ks.tag, key, val)
-            };
-            self.count.add(head.bucket, 1);
-            Ok(UpsertOutcome::Inserted)
+                ctx.insert_exclusive::<RacyStore, K, V, B>(&self.raw, ks, key, val, upsert, scratch, |s| {
+                    ctx.plan_and_record(&self.raw, ks, s).is_ok()
+                })
+            }
         })
-    }
-
-    /// Path execution while the full-table lock is already held: the
-    /// shared executor with per-step locking disabled (`stripes: None`).
-    /// Publication stays atomic for any reader that stamped its version
-    /// before we locked.
-    fn execute_path_fg_locked(&self, path: &[PathEntry]) -> bool {
-        exec::execute_hole_backwards(
-            &self.raw,
-            None,
-            path,
-            &self.displacements,
-            || true,
-            RawTable::move_entry_racy,
-        )
+        .settle(&self.count, ks)
+        .unwrap_or(Err(InsertError::TableFull))
     }
 }
 
@@ -942,8 +573,8 @@ where
 
     /// Executes `path` through the production executor (per-step pair
     /// locks, hole-backwards). Returns `false` if the path went stale.
-    pub fn execute_path(&self, path: &[PathEntry]) -> bool {
-        self.execute_path_fg(path)
+    pub fn execute_path(&self, path: &[crate::search::PathEntry]) -> bool {
+        self.write_ctx().displace::<RacyStore, K, V, B>(&self.raw, path, || true)
     }
 
     /// **Deliberately broken** executor for mutation testing: each step
@@ -952,7 +583,7 @@ where
     /// in neither candidate bucket. The model suite proves readers
     /// observe the resulting false miss — i.e. the checker would catch a
     /// real regression of this shape.
-    pub fn execute_path_split_displacement(&self, path: &[PathEntry]) -> bool {
+    pub fn execute_path_split_displacement(&self, path: &[crate::search::PathEntry]) -> bool {
         if path.len() < 2 {
             return true;
         }
@@ -986,7 +617,8 @@ where
                 // above and writers are excluded by the pair lock.
                 unsafe { self.raw.write_entry_racy(dst.bucket, ds, src.tag, k, v) };
             }
-            self.displacements.fetch_add(1, Ordering::SeqCst); // ORDERING: exec.scan-counter
+            // ORDERING: exec.scan-counter
+            self.displacements.fetch_add(1, crate::sync2::atomic::Ordering::SeqCst);
         }
         true
     }
@@ -1046,14 +678,14 @@ mod tests {
     fn insert_many_matches_loop_semantics() {
         let m = Map::with_capacity(1024);
         m.insert(3, 30).unwrap();
-        let results = m.insert_many(&[(1, 10), (2, 20), (3, 99), (1, 11)]);
+        let results = m.insert_many([(1, 10), (2, 20), (3, 99), (1, 11)]);
         assert!(results[0].is_ok());
         assert!(results[1].is_ok());
         assert_eq!(results[2], Err(InsertError::KeyExists));
         assert_eq!(results[3], Err(InsertError::KeyExists), "in-batch duplicate");
         assert_eq!(m.get(&1), Some(10));
         assert_eq!(m.get(&3), Some(30));
-        let ups = m.upsert_many(&[(3, 300), (4, 40), (4, 44)]);
+        let ups = m.upsert_many([(3, 300), (4, 40), (4, 44)]);
         assert_eq!(ups[0], Ok(UpsertOutcome::Updated));
         assert_eq!(ups[1], Ok(UpsertOutcome::Inserted));
         assert_eq!(ups[2], Ok(UpsertOutcome::Updated), "in-batch duplicate updates");
@@ -1072,7 +704,7 @@ mod tests {
         let m: OptimisticCuckooMap<u64, u64, 4> = Builder::new(256).build();
         let n = (m.capacity() * 9 / 10) as u64;
         let entries: Vec<(u64, u64)> = (0..n).map(|k| (k, k * 2 + 1)).collect();
-        for r in m.insert_many(&entries) {
+        for r in m.insert_many(entries) {
             r.unwrap();
         }
         assert_eq!(m.len(), n as usize);
@@ -1471,7 +1103,7 @@ mod tests {
             full(ks.i1);
             full(ks.i2);
             let mut scratch = crate::search::SearchScratch::default();
-            if bfs::search(&m.raw, ks.i1, ks.i2, 2000, false, &mut scratch).is_ok()
+            if crate::search::bfs::search(&m.raw, ks.i1, ks.i2, 2000, false, &mut scratch).is_ok()
                 && scratch.path.len() >= 2
             {
                 break (ks, scratch.path.clone());
@@ -1485,7 +1117,7 @@ mod tests {
         unsafe { m.raw.take_entry(head.bucket, head.slot as usize) };
         m.count.add(head.bucket, -1);
         assert!(
-            !m.execute_path_fg(&path),
+            !m.execute_path(&path),
             "execution must reject the stale path"
         );
         // And the public insert path records such rejections.

@@ -7,7 +7,7 @@
 //! in the table types layered on top.
 
 use crate::bucket::{Bucket, BucketMeta};
-use crate::hashing;
+use crate::hash;
 use htm::Plain;
 
 /// Power-of-two array of B-way buckets plus their metadata.
@@ -28,7 +28,7 @@ unsafe impl<K: Send + Sync, V: Send + Sync, const B: usize> Sync for RawTable<K,
 
 impl<K, V, const B: usize> RawTable<K, V, B> {
     /// Minimum bucket count: guarantees every tag's alternate bucket is
-    /// distinct from its primary (see [`crate::hashing::alt_index`]).
+    /// distinct from its primary (see [`crate::hash::alt_index`]).
     pub const MIN_BUCKETS: usize = 256;
 
     /// Creates a table with at least `capacity` item slots, rounding the
@@ -87,7 +87,7 @@ impl<K, V, const B: usize> RawTable<K, V, B> {
     /// The alternate bucket index for an item with `tag` in `index`.
     #[inline]
     pub fn alt_index(&self, index: usize, tag: u8) -> usize {
-        hashing::alt_index(index, tag, self.mask)
+        hash::alt_index(index, tag, self.mask)
     }
 
     /// Hints bucket `index`'s metadata word (tags + occupancy) into
@@ -213,6 +213,22 @@ impl<K, V, const B: usize> RawTable<K, V, B> {
             None
         } else {
             Some(mask.trailing_zeros() as usize)
+        }
+    }
+
+    /// Moves every entry out of the table into `out`.
+    ///
+    /// # Safety
+    ///
+    /// The caller holds writer exclusion over the whole table.
+    pub unsafe fn drain_into(&self, out: &mut Vec<(K, V)>) {
+        out.reserve(self.count_occupied());
+        for bi in 0..self.n_buckets() {
+            while let Some(slot) = self.first_occupied_slot(bi) {
+                // SAFETY: exclusion per this function's contract; the
+                // slot is occupied (just read under that exclusion).
+                out.push(unsafe { self.take_entry(bi, slot) });
+            }
         }
     }
 

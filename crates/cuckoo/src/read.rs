@@ -18,7 +18,8 @@
 //! schedule that always interleaves a version bump between `read_begin`
 //! and `read_validate` starves the reader permanently.
 
-use crate::hashing::KeySlots;
+use crate::core::MULTIGET_GROUP;
+use crate::hash::KeySlots;
 use crate::raw::RawTable;
 use crate::stats::TableMetrics;
 use crate::sync::{LockStripes, ReadStamp};
@@ -30,16 +31,6 @@ use htm::Plain;
 /// means sustained writer pressure on this stripe pair, at which point
 /// queueing on the lock is both faster and fair.
 const MAX_OPTIMISTIC_RETRIES: u32 = 64;
-
-/// Keys per software-pipelined lookup group (the batched `get_many`
-/// engine). Sized like the paper's prefetch argument (§4.3.2) sizes the
-/// BFS frontier: large enough that by the time the first key's bucket
-/// lines are demanded the later keys' prefetches are in flight (covering
-/// a DRAM-latency's worth of independent misses — ~8 lines at ≈80 ns
-/// latency and ≈10 ns/line of pipeline work), small enough that G keys'
-/// staged state (stamps + candidate masks) stays register/L1-resident
-/// and the earliest prefetched lines are not evicted before use.
-pub(crate) const MULTIGET_GROUP: usize = 8;
 
 /// Probes one bucket's candidate slots (a SWAR tag-match mask) for
 /// `key`, returning the racy value copy on a full-key match.
@@ -337,8 +328,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::RandomState;
-    use crate::hashing::key_slots;
+    use crate::hash::{key_slots, RandomState};
 
     #[test]
     fn get_and_contains_roundtrip() {

@@ -22,10 +22,10 @@
 //! - [`LockStripes::lock_all`] — the pessimistic full-table acquisition
 //!   the paper describes as the probabilistic-livelock escape hatch
 //!   ("acquiring each of the 2048 locks in the lock-striped table").
-//! - [`LockStripes::lock_multi`] — ordered acquisition of up to three
-//!   stripes at once, used by incremental expansion to move one entry
-//!   atomically between an old-table bucket and its two new-table
-//!   candidate buckets.
+//! - [`LockStripes::lock_batch`] — ordered, deduplicated acquisition of
+//!   a small set of stripes at once: a pipelined write group's candidate
+//!   pairs, or (incremental expansion) an old-table bucket plus its
+//!   entry's two new-table candidate buckets.
 //! - [`EpochRegistry`] — striped epoch counters for quiescence-based
 //!   reclamation of retired bucket arrays: every table operation pins
 //!   the current epoch in a padded per-thread stripe, and a retired
@@ -33,6 +33,7 @@
 //!   retirement epoch (so no in-flight lock-free search can still hold
 //!   the pointer).
 
+use crate::core::MAX_BATCH_BUCKETS;
 use crate::sync2::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Number of lock stripes the paper's implementation uses by default.
@@ -200,7 +201,7 @@ pub(crate) fn backoff(spins: &mut u32) {
 /// the type system cannot express:
 ///
 /// 1. **Ascending stripe order** — every multi-stripe acquisition
-///    ([`LockStripes::lock_pair`], [`LockStripes::lock_multi`],
+///    ([`LockStripes::lock_pair`], [`LockStripes::lock_batch`],
 ///    [`LockStripes::lock_all`]) takes stripes of one table in strictly
 ///    increasing index order, and no thread starts a new acquisition at
 ///    an index at or below one it already holds in that table.
@@ -454,44 +455,18 @@ impl LockStripes {
         AllGuard { stripes: self }
     }
 
-    /// Locks the stripes covering up to three buckets in stripe-index
-    /// order (deadlock-free with [`LockStripes::lock_pair`] and with
-    /// itself); shared stripes are locked once.
-    ///
-    /// Incremental expansion uses this to move one entry atomically from
-    /// an old-table bucket into one of its two new-table candidate
-    /// buckets: all three buckets' stripes are held, so no reader or
-    /// writer can observe the entry absent from both tables or present in
-    /// both.
-    pub fn lock_multi(&self, buckets: [usize; 3]) -> MultiGuard<'_> {
-        let mut s = buckets.map(|b| self.stripe_of(b));
-        s.sort_unstable();
-        let mut held = [usize::MAX; 3];
-        let mut n = 0;
-        for idx in s {
-            if n > 0 && held[n - 1] == idx {
-                continue; // shared stripe: lock once
-            }
-            #[cfg(debug_assertions)]
-            audit::acquiring(self.audit_id(), idx);
-            self.lock_counted(idx);
-            held[n] = idx;
-            n += 1;
-        }
-        MultiGuard {
-            stripes: self,
-            held,
-            n,
-        }
-    }
-
     /// Locks the stripes covering an arbitrary set of up to
-    /// [`MAX_BATCH_BUCKETS`] buckets — one pipelined write group's
-    /// candidate pairs — in ascending stripe-index order (deadlock-free
-    /// with [`LockStripes::lock_pair`], [`LockStripes::lock_multi`], and
-    /// itself). Buckets sharing a stripe are coalesced under a single
-    /// acquisition, so a group of G keys costs at most `2·G` lock words
-    /// and usually far fewer.
+    /// `2 *` [`WRITE_GROUP`](crate::WRITE_GROUP) buckets — one pipelined
+    /// write group's candidate pairs — in ascending stripe-index order
+    /// (deadlock-free with [`LockStripes::lock_pair`] and itself). Buckets
+    /// sharing a stripe are coalesced under a single acquisition, so a
+    /// group of G keys costs at most `2·G` lock words and usually far
+    /// fewer.
+    ///
+    /// Incremental expansion also moves one entry atomically with it:
+    /// the old-table bucket and both new-table candidate buckets are held
+    /// together, so no reader or writer can observe the entry absent from
+    /// both tables or present in both.
     pub fn lock_batch(&self, buckets: &[usize]) -> BatchGuard<'_> {
         assert!(
             buckets.len() <= MAX_BATCH_BUCKETS,
@@ -591,18 +566,8 @@ impl Drop for PairGuard<'_> {
     }
 }
 
-/// Keys per pipelined write group (`insert_many`/`upsert_many`), sized
-/// like the read path's multiget group: large enough to overlap a
-/// group's DRAM misses, small enough that stage-1 prefetches survive
-/// until stage 3 probes them.
-pub const WRITE_GROUP: usize = 8;
-
-/// Most buckets one [`LockStripes::lock_batch`] call may cover: a full
-/// pipelined write group × two candidate buckets each.
-pub const MAX_BATCH_BUCKETS: usize = 2 * WRITE_GROUP;
-
-/// Guard holding the deduplicated stripe set of one write group;
-/// releases in reverse acquisition order.
+/// Guard holding a deduplicated stripe set (see
+/// [`LockStripes::lock_batch`]); releases in reverse acquisition order.
 #[derive(Debug)]
 pub struct BatchGuard<'a> {
     stripes: &'a LockStripes,
@@ -626,33 +591,6 @@ impl BatchGuard<'_> {
 }
 
 impl Drop for BatchGuard<'_> {
-    fn drop(&mut self) {
-        for &idx in self.held[..self.n].iter().rev() {
-            self.stripes.stripes[idx].lock.unlock();
-            #[cfg(debug_assertions)]
-            audit::released(self.stripes.audit_id(), idx);
-        }
-    }
-}
-
-/// Guard holding one to three stripe locks; releases in reverse order.
-#[derive(Debug)]
-pub struct MultiGuard<'a> {
-    stripes: &'a LockStripes,
-    held: [usize; 3],
-    n: usize,
-}
-
-impl MultiGuard<'_> {
-    /// Whether this guard covers the stripe of `bucket`.
-    #[inline]
-    pub fn covers(&self, bucket: usize) -> bool {
-        let s = self.stripes.stripe_of(bucket);
-        self.held[..self.n].contains(&s)
-    }
-}
-
-impl Drop for MultiGuard<'_> {
     fn drop(&mut self) {
         for &idx in self.held[..self.n].iter().rev() {
             self.stripes.stripes[idx].lock.unlock();
@@ -1035,7 +973,7 @@ mod tests {
         drop(s.lock_pair(0, 1)); // two stripes
         drop(s.lock_pair(2, 2)); // one stripe
         drop(s.lock_all()); // four stripes
-        drop(s.lock_multi([0, 1, 2])); // three stripes
+        drop(s.lock_batch(&[0, 1, 2])); // three stripes
         let st = s.lock_stats();
         assert_eq!(st.acquisitions, 2 + 1 + 4 + 3);
         assert_eq!(st.contended, 0, "single-threaded: no contention");
@@ -1087,7 +1025,7 @@ mod tests {
     fn multi_lock_dedupes_shared_stripes() {
         let s = LockStripes::new(8);
         {
-            let g = s.lock_multi([1, 9, 3]); // 1 and 9 share a stripe
+            let g = s.lock_batch(&[1, 9, 3]); // 1 and 9 share a stripe
             assert!(g.covers(1));
             assert!(g.covers(9));
             assert!(g.covers(3));
@@ -1098,7 +1036,7 @@ mod tests {
         assert!(!s.stripe(1).is_locked());
         assert!(!s.stripe(3).is_locked());
         {
-            let _g = s.lock_multi([5, 5, 5]);
+            let _g = s.lock_batch(&[5, 5, 5]);
             assert!(s.stripe(5).is_locked());
         }
         assert!(!s.stripe(5).is_locked());
@@ -1106,7 +1044,7 @@ mod tests {
 
     #[test]
     fn multi_lock_orders_against_pair_lock() {
-        // Interleave lock_multi and lock_pair over overlapping stripes
+        // Interleave lock_batch and lock_pair over overlapping stripes
         // from several threads; ordered acquisition must not deadlock.
         let s = LockStripes::new(4);
         let hits = AtomicUsize::new(0);
@@ -1117,7 +1055,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..500 {
                         if (t + i) % 2 == 0 {
-                            let _g = s.lock_multi([i % 4, (i + 1) % 4, (i + 3) % 4]);
+                            let _g = s.lock_batch(&[i % 4, (i + 1) % 4, (i + 3) % 4]);
                             hits.fetch_add(1, Ordering::Relaxed);
                         } else {
                             let _g = s.lock_pair((i + 2) % 4, i % 4);
@@ -1171,7 +1109,7 @@ mod tests {
         let g = stripes.lock_pair(7, 3);
         assert!(g.covers(7) && g.covers(3));
         drop(g);
-        let g = stripes.lock_multi([6, 1, 4]);
+        let g = stripes.lock_batch(&[6, 1, 4]);
         drop(g);
         let _all = stripes.lock_all();
     }

@@ -318,7 +318,7 @@ fn upsert_many_vs_get_many_overlapping_keys() {
                 // One group: an overwrite of a racing key, a fresh
                 // insert, and an untouched-key overwrite — all under a
                 // single batch acquisition.
-                let out = map.upsert_many(&[(1, [20, 20]), (5, [50, 50])]);
+                let out = map.upsert_many([(1, [20, 20]), (5, [50, 50])]);
                 assert_eq!(out[0], Ok(cuckoo::UpsertOutcome::Updated));
                 assert_eq!(out[1], Ok(cuckoo::UpsertOutcome::Inserted));
             })

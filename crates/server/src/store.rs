@@ -651,18 +651,17 @@ impl Store for CuckooStore {
             // values are allocated in command order and duplicates
             // within the run resolve last-wins under the batch lock,
             // so outcomes match the per-command loop exactly.
-            let mut entries: Vec<(Box<[u8]>, Arc<StoredItem>)> = Vec::with_capacity(run);
-            for c in &cmds[i..i + run] {
+            let entries = cmds[i..i + run].iter().map(|c| {
                 let expires_at = deadline(c.exptime, now);
                 let cas = self.cas.fetch_add(1, Ordering::Relaxed);
                 let item =
                     Arc::new(StoredItem { flags: c.flags, expires_at, cas, data: c.data.into() });
-                entries.push((c.key.into(), item));
                 out.push(StoreOutcome::Stored { cas, expires_at });
-            }
+                (Box::<[u8]>::from(c.key), item)
+            });
             let (mut ins, mut upd) = (0u64, 0u64);
             for outcome in self.map.upsert_many(entries) {
-                match outcome {
+                match outcome.expect("CuckooMap grows instead of reporting full") {
                     cuckoo::UpsertOutcome::Inserted => ins += 1,
                     cuckoo::UpsertOutcome::Updated => upd += 1,
                 }

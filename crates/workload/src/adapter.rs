@@ -140,7 +140,7 @@ impl<V: BenchValue + cuckoo::Plain, const B: usize> ConcurrentMap<V>
 
     fn write_many(&self, pairs: &[(u64, V)], out: &mut Vec<PutResult>) {
         out.clear();
-        out.extend(self.insert_many(pairs).into_iter().map(put_from_cuckoo));
+        out.extend(self.insert_many(pairs.iter().copied()).into_iter().map(put_from_cuckoo));
     }
 
     fn del(&self, key: &u64) -> bool {
@@ -279,7 +279,7 @@ impl<V: BenchValue, const B: usize> ConcurrentMap<V> for CuckooMap<u64, V, B> {
 
     fn write_many(&self, pairs: &[(u64, V)], out: &mut Vec<PutResult>) {
         out.clear();
-        out.extend(self.insert_many(pairs.to_vec()).into_iter().map(put_from_cuckoo));
+        out.extend(self.insert_many(pairs.iter().copied()).into_iter().map(put_from_cuckoo));
     }
 
     fn del(&self, key: &u64) -> bool {

