@@ -207,6 +207,15 @@ impl<V: Plain> ClockCache<V> {
         self.expirations.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records the outcome of reads made through
+    /// [`visit_many`](Self::visit_many). The cache stores opaque values;
+    /// an owner that keeps its own key and lifetime inside them (as
+    /// `cuckood`'s store does) is the one who knows what was a hit.
+    pub fn record_gets(&self, hits: u64, misses: u64) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+    }
+
     /// Looks up `key`, marking it recently used on a hit.
     pub fn get(&self, key: u64) -> Option<V> {
         match self.map.get(&key) {
@@ -226,38 +235,37 @@ impl<V: Plain> ClockCache<V> {
         }
     }
 
-    /// Batched [`get`](Self::get): one result per key, in order, via the
-    /// table's software-pipelined multi-key read path. Hits mark recency
-    /// and count exactly as single-key `get` does (counters are updated
-    /// once per batch).
+    /// Batched [`get`](Self::get): one result per key, in order. Hits
+    /// mark recency and count exactly as single-key `get` does (counters
+    /// are updated once per batch).
     pub fn get_many(&self, keys: &[u64], out: &mut Vec<Option<V>>) {
-        let mut entries: Vec<Option<(u32, V)>> = Vec::with_capacity(keys.len());
-        self.map.get_many_into(keys, &mut entries);
         out.clear();
         out.reserve(keys.len());
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for entry in entries {
-            match entry {
-                Some((slot, v)) => {
-                    hits += 1;
+        self.visit_many(keys, |_, v| out.push(v.copied()));
+        let hits = out.iter().flatten().count() as u64;
+        self.record_gets(hits, keys.len() as u64 - hits);
+    }
+
+    /// The batched read itself, via the table's software-pipelined
+    /// multi-key path: calls `f(i, value)` exactly once per key, in
+    /// order, with the resident value borrowed from the pipeline's
+    /// validated copy. Marks every found entry recently used and counts
+    /// nothing: an owner that only peeks stays out of `hits`/`misses`,
+    /// and one that decides for itself what a hit is reports through
+    /// [`record_gets`](Self::record_gets).
+    pub fn visit_many(&self, keys: &[u64], mut f: impl FnMut(usize, Option<&V>)) {
+        self.map.visit_many(keys, |i, entry| {
+            f(
+                i,
+                entry.map(|(slot, v)| {
                     // Same benign race as `get`: marking a recycled slot
                     // recent only delays one eviction.
                     // ORDERING: advisory.relaxed
-                    self.recency[slot as usize].store(1, Ordering::Relaxed);
-                    out.push(Some(v));
-                }
-                None => {
-                    misses += 1;
-                    out.push(None);
-                }
-            }
-        }
-        if hits != 0 {
-            self.hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if misses != 0 {
-            self.misses.fetch_add(misses, Ordering::Relaxed);
-        }
+                    self.recency[*slot as usize].store(1, Ordering::Relaxed);
+                    v
+                }),
+            )
+        });
     }
 
     /// Inserts or replaces `key → value`, evicting via CLOCK when at

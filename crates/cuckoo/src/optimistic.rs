@@ -249,32 +249,49 @@ where
     /// nothing.
     pub fn get_many_into(&self, keys: &[K], out: &mut Vec<Option<V>>) {
         out.clear();
-        out.resize(keys.len(), None);
-        let mut ks_buf = [KeySlots { i1: 0, i2: 0, tag: 1 }; MULTIGET_GROUP];
-        for (group, results) in keys.chunks(MULTIGET_GROUP).zip(out.chunks_mut(MULTIGET_GROUP)) {
-            // Stage 1 (hashing) lives here: the engine below is
-            // hash-agnostic and consumes precomputed slots.
-            for (j, key) in group.iter().enumerate() {
-                ks_buf[j] = self.slots_of(key);
-            }
-            crate::read::get_group(
-                &self.raw,
-                &self.stripes,
-                &self.table_metrics,
-                &ks_buf[..group.len()],
-                group,
-                results,
-            );
-        }
+        out.reserve(keys.len());
+        self.visit_many(keys, |_, v| out.push(v.copied()));
     }
 
     /// Batched [`get_many`](Self::get_many) applying `f` to each found
     /// value (values are `Plain` copies, so `f` observes a validated
     /// copy, exactly like `get`'s return value).
     pub fn get_with_many<R>(&self, keys: &[K], mut f: impl FnMut(&V) -> R) -> Vec<Option<R>> {
-        let mut copies = Vec::new();
-        self.get_many_into(keys, &mut copies);
-        copies.into_iter().map(|o| o.map(|v| f(&v))).collect()
+        let mut out = Vec::with_capacity(keys.len());
+        self.visit_many(keys, |_, v| out.push(v.map(&mut f)));
+        out
+    }
+
+    /// The batched lookup itself: calls `f(i, value)` exactly once per
+    /// key, in order, with what [`get`](Self::get) would return for
+    /// `keys[i]` — borrowed, so a caller that only reads part of a wide
+    /// value, or encodes it straight into its own buffer, pays no
+    /// second copy. Each group's validated copies land in a stack
+    /// buffer and `f` runs after the group's pipeline, outside every
+    /// seqlock window: it may be slow, or call back into the map,
+    /// without costing the group's other keys a retry.
+    pub fn visit_many(&self, keys: &[K], mut f: impl FnMut(usize, Option<&V>)) {
+        let mut ks_buf = [KeySlots { i1: 0, i2: 0, tag: 1 }; MULTIGET_GROUP];
+        let mut found = [None; MULTIGET_GROUP];
+        for (g, group) in keys.chunks(MULTIGET_GROUP).enumerate() {
+            // Stage 1 (hashing) lives here: the engine below is
+            // hash-agnostic and consumes precomputed slots.
+            for (j, key) in group.iter().enumerate() {
+                ks_buf[j] = self.slots_of(key);
+            }
+            let found = &mut found[..group.len()];
+            crate::read::get_group(
+                &self.raw,
+                &self.stripes,
+                &self.table_metrics,
+                &ks_buf[..group.len()],
+                group,
+                found,
+            );
+            for (j, v) in found.iter().enumerate() {
+                f(g * MULTIGET_GROUP + j, v.as_ref());
+            }
+        }
     }
 
     /// Inserts `key → val`; errors if the key exists or the table is too

@@ -115,6 +115,23 @@ impl<K, V, const B: usize> RawTable<K, V, B> {
         crate::prefetch::prefetch_read(self.bucket(index) as *const Bucket<K, V, B>);
     }
 
+    /// Hints every cache line of `(index, slot)`'s value storage into
+    /// cache, for batched lookups whose tag probe named that slot: a
+    /// value wider than a line is otherwise copied out one demand miss
+    /// after another, and even a narrow one sits on a different line
+    /// than the key array [`prefetch_data`](Self::prefetch_data) covers.
+    #[inline]
+    pub fn prefetch_val(&self, index: usize, slot: usize) {
+        let val = self.bucket(index).val_ptr(slot).cast_const().cast::<u8>();
+        // The value need not start on a (64-byte) line boundary: walk
+        // from the start of its first line to its last byte.
+        let lead = val as usize % 64;
+        let first_line = val.wrapping_sub(lead);
+        for offset in (0..lead + core::mem::size_of::<V>()).step_by(64) {
+            crate::prefetch::prefetch_read(first_line.wrapping_add(offset));
+        }
+    }
+
     /// Writes a full entry into `(bucket, slot)` and publishes it,
     /// assuming exclusive write access to that bucket.
     ///

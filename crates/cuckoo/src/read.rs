@@ -174,6 +174,20 @@ struct Staged {
     cand2: u16,
 }
 
+/// Stage-2 hint for one bucket of a batched lookup: when its tag probe
+/// reported candidates, the key array and each candidate slot's value
+/// storage — everything stage 3's compare and copy-out will touch.
+#[inline]
+fn prefetch_candidates<K, V, const B: usize>(raw: &RawTable<K, V, B>, bucket_idx: usize, mut cand: u16) {
+    if cand != 0 {
+        raw.prefetch_data(bucket_idx);
+    }
+    while cand != 0 {
+        raw.prefetch_val(bucket_idx, cand.trailing_zeros() as usize);
+        cand &= cand - 1;
+    }
+}
+
 /// Software-pipelined batched lookup over one group of at most
 /// [`MULTIGET_GROUP`] keys (`ks`, `keys`, and `out` are parallel).
 ///
@@ -183,10 +197,12 @@ struct Staged {
 /// 1. **prefetch metadata** — both candidate `BucketMeta` words for
 ///    every key are requested before any is read;
 /// 2. **stamp + tag-match + prefetch data** — per key: stamp the stripe
-///    versions, SWAR-probe the (now warm) metadata, and prefetch the
-///    entry storage of buckets reporting a candidate;
+///    versions, SWAR-probe the (now warm) metadata, and prefetch the key
+///    array of buckets reporting a candidate and every line of each
+///    candidate slot's value;
 /// 3. **probe + validate** — per key: full-key compare the candidates
-///    (data lines now warm) and validate the stamps. Stamp movement
+///    and copy the value out (key and value lines now warm), then
+///    validate the stamps. Stamp movement
 ///    means a writer touched the pair mid-pipeline; that key alone
 ///    falls back to the single-key path (bounded retries, then locks).
 ///
@@ -235,12 +251,8 @@ pub(crate) fn get_group<K, V, const B: usize>(
             let m2 = raw.meta(k.i2);
             m2.match_tag_mask(k.tag) & m2.occupied_mask()
         };
-        if cand1 != 0 {
-            raw.prefetch_data(k.i1);
-        }
-        if cand2 != 0 {
-            raw.prefetch_data(k.i2);
-        }
+        prefetch_candidates(raw, k.i1, cand1);
+        prefetch_candidates(raw, k.i2, cand2);
         staged[j] = Staged { st1, st2, same_stripe, cand1, cand2 };
     }
     // Stage 3: full-key probes under the captured stamps.

@@ -7,6 +7,10 @@
 //! executes every complete request in the buffer (responses accumulate
 //! in the write buffer — pipelined clients get pipelined replies), then
 //! flushes as much of the write buffer as the socket accepts.
+//!
+//! Adjacent reads, and adjacent storage commands, that share the receive
+//! buffer execute as one batched store call (see [`execute`]); a hit is
+//! encoded from the table's validated copy straight into `wbuf`.
 
 // ORDERING-FILE: stats.counter — protocol-error tallies only.
 
@@ -146,53 +150,17 @@ impl Conn {
     /// Parses and executes every complete request in `rbuf`. Returns
     /// whether any request was handled.
     ///
-    /// Storage bursts coalesce: when a parsed `set`/`add`/`replace` is
-    /// followed by more complete storage commands already sitting in
-    /// the buffer (a pipelining client), the whole run executes as one
-    /// [`StoreCmd`] batch through [`crate::store::Store::store_many`],
-    /// so the backend's pipelined write path amortizes its cache
-    /// misses across the burst. Replies are encoded per command, in
-    /// order, honoring each command's own `noreply` — the reply stream
-    /// is byte-identical to the unbatched loop.
+    /// Bursts coalesce (see [`execute`]): adjacent `get`/`gets` requests
+    /// already sitting in the buffer run as one batched store read,
+    /// adjacent `set`/`add`/`replace` as one batched store write.
     fn drain_requests(&mut self, ctx: &ServerCtx) -> bool {
-        let mut consumed = 0;
+        let mut requests = Requests { buf: &self.rbuf, consumed: 0, ahead: None };
         let mut any = false;
         while !self.closing && self.handoff.is_none() {
-            match proto::parse(&self.rbuf[consumed..]) {
-                Parsed::Ok { request, consumed: used } => {
+            match requests.next() {
+                Parsed::Ok { request, .. } => {
                     any = true;
-                    consumed += used;
-                    if let Request::Store { verb, key, flags, exptime, data, noreply } = &request {
-                        // A replica refuses mutations per command via
-                        // `execute`; only coalesce on a writable node.
-                        if !ctx.is_read_only() {
-                            let mut cmds = vec![StoreCmd {
-                                verb: *verb,
-                                key,
-                                flags: *flags,
-                                exptime: *exptime,
-                                data,
-                            }];
-                            let mut replies = vec![!*noreply];
-                            // Parse ahead: only complete storage
-                            // commands extend the burst; anything else
-                            // (including an incomplete tail) is left
-                            // for the outer loop to handle.
-                            while let Parsed::Ok {
-                                request:
-                                    Request::Store { verb, key, flags, exptime, data, noreply },
-                                consumed: used,
-                            } = proto::parse(&self.rbuf[consumed..])
-                            {
-                                cmds.push(StoreCmd { verb, key, flags, exptime, data });
-                                replies.push(!noreply);
-                                consumed += used;
-                            }
-                            execute_store_batch(&cmds, &replies, ctx, &mut self.wbuf);
-                            continue;
-                        }
-                    }
-                    match execute(&request, ctx, &mut self.wbuf) {
+                    match execute(request, &mut requests, ctx, &mut self.wbuf) {
                         Action::Continue => {}
                         Action::Quit => self.closing = true,
                         Action::Replicate { lsn } => self.handoff = Some(lsn),
@@ -203,13 +171,14 @@ impl Conn {
                     ctx.stats.protocol_errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     e.encode(&mut self.wbuf);
                     match e.recover_by {
-                        Some(skip) => consumed += skip,
+                        Some(skip) => requests.consumed += skip,
                         None => self.closing = true,
                     }
                     any = true;
                 }
             }
         }
+        let consumed = requests.consumed;
         if consumed > 0 {
             self.rbuf.drain(..consumed);
         }
@@ -265,13 +234,69 @@ enum Action {
     Replicate { lsn: u64 },
 }
 
-/// Executes one request, appending the response to `out`.
-fn execute(req: &Request<'_>, ctx: &ServerCtx, out: &mut Vec<u8>) -> Action {
+/// The unexecuted part of the receive buffer, and at most one parse
+/// made ahead of need: a burst's look-ahead ends on the first thing
+/// that does not extend the burst, and that parse is handed to the
+/// next [`next`](Self::next) instead of being made a second time.
+struct Requests<'a> {
+    buf: &'a [u8],
+    /// Bytes of `buf` whose requests have been taken.
+    consumed: usize,
+    ahead: Option<Parsed<'a>>,
+}
+
+impl<'a> Requests<'a> {
+    /// Takes the next request (or what stands in its place).
+    fn next(&mut self) -> Parsed<'a> {
+        let parsed = self.ahead.take().unwrap_or_else(|| proto::parse(&self.buf[self.consumed..]));
+        if let Parsed::Ok { consumed, .. } = &parsed {
+            self.consumed += consumed;
+        }
+        parsed
+    }
+
+    /// Collects a burst: offers each complete request that follows to
+    /// `extend`, which keeps it (`None`) or hands it back and ends the
+    /// run, as an incomplete tail or a protocol error does.
+    fn extend_run(&mut self, mut extend: impl FnMut(Request<'a>) -> Option<Request<'a>>) {
+        while self.ahead.is_none() {
+            match proto::parse(&self.buf[self.consumed..]) {
+                Parsed::Ok { request, consumed } => match extend(request) {
+                    None => self.consumed += consumed,
+                    Some(request) => self.ahead = Some(Parsed::Ok { request, consumed }),
+                },
+                end => self.ahead = Some(end),
+            }
+        }
+    }
+}
+
+/// Executes one request — or, for a read or a storage command, the
+/// whole burst that `req` begins — appending the responses to `out`.
+///
+/// A burst is what a pipelining client leaves in the receive buffer: a
+/// maximal run of adjacent complete `get`/`gets` requests executes as
+/// one [`Store::read_many`](crate::store::Store::read_many), a run of
+/// `set`/`add`/`replace` as one
+/// [`Store::store_many`](crate::store::Store::store_many), with one
+/// clock reading, so the backend's pipelined table paths overlap the
+/// run's cache misses. A lone request is a run of one through the same
+/// code. Replies are encoded per request, in order, honoring each
+/// command's own `noreply`: the reply stream is byte-identical to
+/// executing the requests one at a time, and as a run never reaches
+/// across a request of another kind, every read still follows every
+/// write that precedes it on the connection.
+fn execute<'a>(
+    req: Request<'a>,
+    requests: &mut Requests<'a>,
+    ctx: &ServerCtx,
+    out: &mut Vec<u8>,
+) -> Action {
     // A replica refuses client mutations until promoted; replicated ops
     // arrive through the applier, not this path. (With `noreply` the
     // refusal is silent — the reply stream must stay in sync.)
     if ctx.is_read_only() {
-        let refused = match req {
+        let refused = match &req {
             Request::Store { noreply, .. }
             | Request::Delete { noreply, .. }
             | Request::FlushAll { noreply, .. } => Some(*noreply),
@@ -285,48 +310,75 @@ fn execute(req: &Request<'_>, ctx: &ServerCtx, out: &mut Vec<u8>) -> Action {
         }
     }
     let t0 = Instant::now();
+    // Requests this call serves: more than one only for a burst.
+    let mut served = 1;
     let class = match req {
-        Request::Get { keys, with_cas } => {
-            let now = crate::store::now_secs();
+        Request::Get { mut keys, with_cas } => {
+            // Per request of the run: where its keys end in `keys`, and
+            // whether it is a `gets`.
+            let mut gets = vec![(keys.len(), with_cas)];
+            requests.extend_run(|req| match req {
+                Request::Get { keys: more, with_cas } => {
+                    keys.extend(more);
+                    gets.push((keys.len(), with_cas));
+                    None
+                }
+                other => Some(other),
+            });
             if keys.len() > 1 {
-                // One batched store call for the whole request: the
-                // backend pipelines the per-key cache misses. Misses
-                // simply emit no VALUE stanza, exactly as the
-                // single-key loop below.
                 ctx.stats.record_multiget(keys.len());
-                let mut items = Vec::with_capacity(keys.len());
-                ctx.store.get_many(keys, now, &mut items);
-                for (key, item) in keys.iter().zip(items) {
-                    if let Some(item) = item {
-                        proto::encode_value(
-                            out,
-                            key,
-                            item.flags,
-                            &item.data,
-                            with_cas.then_some(item.cas),
-                        );
-                    }
-                }
-            } else {
-                for key in keys {
-                    if let Some(item) = ctx.store.get(key, now) {
-                        proto::encode_value(out, key, item.flags, &item.data, with_cas.then_some(item.cas));
-                    }
-                }
             }
-            proto::encode_end(out);
+            // The store shows each key's item once, in order, and it is
+            // encoded from there straight into `out`: a miss emits no
+            // `VALUE` stanza, a request's last key is followed by `END`.
+            let mut request = 0;
+            ctx.store.read_many(&keys, crate::store::now_secs(), &mut |i, item| {
+                let (end, with_cas) = gets[request];
+                if let Some(item) = item {
+                    let cas = with_cas.then_some(item.cas);
+                    proto::encode_value(out, keys[i], item.flags, item.data, cas);
+                }
+                if i + 1 == end {
+                    proto::encode_end(out);
+                    request += 1;
+                }
+            });
+            served = gets.len();
             OpClass::Get
         }
         Request::Store { verb, key, flags, exptime, data, noreply } => {
-            // Shares the burst executor (which records its own latency
-            // samples) so single and coalesced stores stay one path.
-            execute_store_batch(
-                &[StoreCmd { verb: *verb, key, flags: *flags, exptime: *exptime, data }],
-                &[!*noreply],
-                ctx,
-                out,
-            );
-            return Action::Continue;
+            let mut cmds = vec![StoreCmd { verb, key, flags, exptime, data }];
+            let mut replies = vec![!noreply];
+            requests.extend_run(|req| match req {
+                Request::Store { verb, key, flags, exptime, data, noreply } => {
+                    cmds.push(StoreCmd { verb, key, flags, exptime, data });
+                    replies.push(!noreply);
+                    None
+                }
+                other => Some(other),
+            });
+            if cmds.len() > 1 {
+                ctx.stats.record_multiset(cmds.len());
+            }
+            let mut outcomes = Vec::with_capacity(cmds.len());
+            ctx.store.store_many(&cmds, crate::store::now_secs(), &mut outcomes);
+            for (outcome, reply) in outcomes.iter().zip(replies) {
+                if *outcome == StoreOutcome::TooLarge {
+                    ctx.stats.too_large.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+                if reply {
+                    proto::encode_line(
+                        out,
+                        match outcome {
+                            StoreOutcome::Stored { .. } => "STORED",
+                            StoreOutcome::NotStored => "NOT_STORED",
+                            StoreOutcome::TooLarge => "SERVER_ERROR object too large for cache",
+                        },
+                    );
+                }
+            }
+            served = cmds.len();
+            OpClass::Store
         }
         Request::Delete { key, noreply } => {
             let deleted = ctx.store.delete(key);
@@ -366,7 +418,7 @@ fn execute(req: &Request<'_>, ctx: &ServerCtx, out: &mut Vec<u8>) -> Action {
             OpClass::Other
         }
         Request::FlushAll { delay, noreply } => {
-            if *delay != 0 {
+            if delay != 0 {
                 // A delayed flush is a timer, not an op — it cannot be
                 // replayed deterministically from the log, so it is
                 // refused rather than approximated.
@@ -388,7 +440,7 @@ fn execute(req: &Request<'_>, ctx: &ServerCtx, out: &mut Vec<u8>) -> Action {
             } else {
                 // The feeder thread writes the handshake reply; nothing
                 // is encoded here.
-                return Action::Replicate { lsn: *lsn };
+                return Action::Replicate { lsn };
             }
         }
         Request::Promote => {
@@ -404,46 +456,6 @@ fn execute(req: &Request<'_>, ctx: &ServerCtx, out: &mut Vec<u8>) -> Action {
         }
         Request::Quit => return Action::Quit,
     };
-    ctx.stats.record(class, t0.elapsed().as_nanos() as u64);
+    ctx.stats.record_served(class, t0, served);
     Action::Continue
-}
-
-/// Executes a coalesced burst of storage commands as one batched
-/// [`crate::store::Store::store_many`] call, encoding per-command
-/// replies in order. `replies[i]` is `!noreply` for command `i`.
-fn execute_store_batch(
-    cmds: &[StoreCmd<'_>],
-    replies: &[bool],
-    ctx: &ServerCtx,
-    out: &mut Vec<u8>,
-) {
-    let t0 = Instant::now();
-    let now = crate::store::now_secs();
-    if cmds.len() > 1 {
-        ctx.stats.record_multiset(cmds.len());
-    }
-    let mut outcomes = Vec::with_capacity(cmds.len());
-    ctx.store.store_many(cmds, now, &mut outcomes);
-    for (outcome, &reply) in outcomes.iter().zip(replies) {
-        if *outcome == StoreOutcome::TooLarge {
-            ctx.stats.too_large.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        if reply {
-            proto::encode_line(
-                out,
-                match outcome {
-                    StoreOutcome::Stored { .. } => "STORED",
-                    StoreOutcome::NotStored => "NOT_STORED",
-                    StoreOutcome::TooLarge => "SERVER_ERROR object too large for cache",
-                },
-            );
-        }
-    }
-    // One histogram sample per command, amortized across the burst, so
-    // `cmd_set` still counts individual commands and the mean reflects
-    // per-command service time.
-    let per_cmd = t0.elapsed().as_nanos() as u64 / cmds.len() as u64;
-    for _ in 0..cmds.len() {
-        ctx.stats.record(OpClass::Store, per_cmd);
-    }
 }

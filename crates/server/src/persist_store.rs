@@ -21,7 +21,7 @@ use persist::record::Op;
 use persist::{Entry, PersistConfig, Persister, Recovered, WriteStripes};
 
 use crate::proto::StoreVerb;
-use crate::store::{now_secs, ItemOut, Store, StoreCmd, StoreOutcome, StoreStats};
+use crate::store::{now_secs, ItemRef, Store, StoreCmd, StoreOutcome, StoreStats};
 
 /// Stripe count: enough dispersion that unrelated keys essentially never
 /// share a lock, small enough that `flush_all`'s lock-all sweep is cheap.
@@ -107,12 +107,8 @@ fn scan_provider(inner: Arc<dyn Store>) -> persist::EntryProvider {
 }
 
 impl Store for PersistentStore {
-    fn get(&self, key: &[u8], now: u32) -> Option<ItemOut> {
-        self.inner.get(key, now)
-    }
-
-    fn get_many(&self, keys: &[&[u8]], now: u32, out: &mut Vec<Option<ItemOut>>) {
-        self.inner.get_many(keys, now, out)
+    fn read_many(&self, keys: &[&[u8]], now: u32, visit: &mut dyn FnMut(usize, Option<ItemRef<'_>>)) {
+        self.inner.read_many(keys, now, visit)
     }
 
     fn store(

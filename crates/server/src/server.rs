@@ -8,10 +8,16 @@
 //! and the stats counters, which is the point of fronting a concurrent
 //! cuckoo table). Workers run a poll-free event loop over their shard:
 //! nonblocking sockets, a pump per connection per sweep, and a short
-//! park when a sweep makes no progress. That trades a few hundred
-//! microseconds of idle latency for zero dependencies; under load the
-//! loop never parks and throughput is bounded by the table, not the
-//! loop.
+//! park when a sweep makes no progress. That trades idle latency for
+//! zero dependencies, and `perf` (PR 11) measured the trade: a lone
+//! request that finds the worker parked takes ~300 µs
+//! (`server.rtt_idle_us`) against ~54 µs while other traffic keeps the
+//! loop sweeping (`server.rtt_busy_us`), and the park sets `p50_us` on
+//! the 20 k req/s `net_paced` workload. Load alone does not keep the
+//! loop awake either: a closed-loop client with one batch in flight
+//! lets the worker run dry and park between batches. With work always
+//! queued a request costs about a microsecond of CPU, of which the
+//! table is a tenth — sockets, parsing and the store are the rest.
 //!
 //! Shutdown ([`ServerHandle::shutdown`] or SIGINT via [`crate::signal`])
 //! is a drain: the accept loop stops taking sockets, every connection

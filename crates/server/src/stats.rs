@@ -55,9 +55,10 @@ pub struct ServerStats {
     pub protocol_errors: AtomicU64,
     /// Requests answered `SERVER_ERROR object too large for cache`.
     pub too_large: AtomicU64,
-    /// Multi-key `get` requests served through the batched store path.
+    /// Read bursts of more than one key — a multi-key `get`, a run of
+    /// pipelined `get`s, or both — served by one batched store read.
     pub multiget_batches: AtomicU64,
-    /// Total keys carried by those batched requests (so
+    /// Total keys carried by those bursts (so
     /// `multiget_keys / multiget_batches` is the mean batch size).
     pub multiget_keys: AtomicU64,
     /// Pipelined storage-command bursts coalesced into one batched
@@ -87,11 +88,18 @@ impl ServerStats {
         }
     }
 
-    pub fn record(&self, class: OpClass, nanos: u64) {
-        self.histogram(class).record(nanos);
+    /// Records `n` requests served together since `t0` — one, or a
+    /// burst: one histogram sample per request, each of the mean, so
+    /// `cmd_get` / `cmd_set` count individual requests and the mean
+    /// reflects per-request service time.
+    pub fn record_served(&self, class: OpClass, t0: Instant, n: usize) {
+        let per_request = t0.elapsed().as_nanos() as u64 / n as u64;
+        for _ in 0..n {
+            self.histogram(class).record(per_request);
+        }
     }
 
-    /// Records one multi-key `get` request of `keys` keys.
+    /// Records one batched read burst of `keys` keys.
     pub fn record_multiget(&self, keys: usize) {
         self.multiget_batches.fetch_add(1, Ordering::Relaxed);
         self.multiget_keys.fetch_add(keys as u64, Ordering::Relaxed);

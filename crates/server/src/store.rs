@@ -72,11 +72,27 @@ pub enum StoreOutcome {
     TooLarge,
 }
 
-/// An owned item copy handed to the connection for response encoding.
+/// One live item as [`Store::read_many`] shows it to its visitor: the
+/// value bytes are borrowed from the engine's own copy and are gone
+/// when the visitor returns.
+#[derive(Debug, Clone, Copy)]
+pub struct ItemRef<'a> {
+    pub flags: u32,
+    pub cas: u64,
+    pub data: &'a [u8],
+}
+
+/// An owned item copy, for callers that keep one ([`Store::get`]).
 pub struct ItemOut {
     pub flags: u32,
     pub cas: u64,
     pub data: Vec<u8>,
+}
+
+impl From<ItemRef<'_>> for ItemOut {
+    fn from(item: ItemRef<'_>) -> Self {
+        ItemOut { flags: item.flags, cas: item.cas, data: item.data.to_vec() }
+    }
 }
 
 /// One storage command of a coalesced burst (see
@@ -107,15 +123,26 @@ pub struct StoreStats {
 /// The protocol-facing storage interface. `now` is passed in (rather
 /// than read internally) so tests can drive time.
 pub trait Store: Send + Sync + 'static {
-    fn get(&self, key: &[u8], now: u32) -> Option<ItemOut>;
-    /// Batched lookup: one result per key, in order (`None` = miss),
-    /// with per-key semantics identical to [`get`](Self::get). The
-    /// default loops `get`; backends whose table has a pipelined
-    /// multi-key read path override it to amortize cache misses across
-    /// the batch.
+    /// The engine's one read path: calls `visit(i, item)` exactly once
+    /// per key, in order, with the live item under `keys[i]` (`None` =
+    /// miss) borrowed from the engine, so the connection encodes a hit
+    /// straight into its reply buffer. A batch goes through the table's
+    /// pipelined multi-key lookup; one key is a batch of one. An item
+    /// found expired at `now` is reaped and shown as a miss; each key
+    /// counts as one `get_hits` or `get_misses` by what was shown.
+    fn read_many(&self, keys: &[&[u8]], now: u32, visit: &mut dyn FnMut(usize, Option<ItemRef<'_>>));
+    /// [`read_many`](Self::read_many) of one key, as an owned copy.
+    fn get(&self, key: &[u8], now: u32) -> Option<ItemOut> {
+        let mut out = None;
+        self.read_many(&[key], now, &mut |_, item| out = item.map(ItemOut::from));
+        out
+    }
+    /// [`read_many`](Self::read_many) collected into owned copies: one
+    /// result per key, in order (`None` = miss).
     fn get_many(&self, keys: &[&[u8]], now: u32, out: &mut Vec<Option<ItemOut>>) {
         out.clear();
-        out.extend(keys.iter().map(|k| self.get(k, now)));
+        out.reserve(keys.len());
+        self.read_many(keys, now, &mut |_, item| out.push(item.map(ItemOut::from)));
     }
     fn store(
         &self,
@@ -258,47 +285,59 @@ impl ClockStore {
     fn next_cas(&self) -> u64 {
         self.cas.fetch_add(1, Ordering::Relaxed)
     }
+
+    /// Whether `key` itself — not a stranger sharing its 64-bit hash —
+    /// is resident under `h` and passes `test`. An uncounted look: the
+    /// `set` or `delete` that takes it is not tallied as a `get`.
+    fn resident(&self, h: u64, key: &[u8], test: impl Fn(&InlineEntry) -> bool) -> bool {
+        let mut found = false;
+        self.cache.visit_many(&[h], |_, e| found = e.is_some_and(|e| e.key() == key && test(e)));
+        found
+    }
+
+    /// Drops the item under `h`, found past its deadline. Counted when
+    /// the delete removed something, so an item expires once however
+    /// many readers (or duplicates within one batch) notice.
+    fn reap(&self, h: u64) {
+        if self.cache.delete(h).is_some() {
+            self.cache.record_expiration();
+        }
+    }
+
+    /// Reaps `key`'s incumbent if it has expired, so that `add` and
+    /// `replace` see it as absent, as memcached semantics require.
+    fn reap_if_expired(&self, h: u64, key: &[u8], now: u32) {
+        if self.resident(h, key, |e| expired(e.expires_at, now)) {
+            self.reap(h);
+        }
+    }
 }
 
 impl Store for ClockStore {
-    fn get(&self, key: &[u8], now: u32) -> Option<ItemOut> {
-        let h = self.hash_key(key);
-        let e = self.cache.get(h)?;
-        if e.key() != key {
-            // 64-bit hash collision between distinct resident keys:
-            // indistinguishable from a miss at the protocol level.
-            self.collisions.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        if expired(e.expires_at, now) {
-            self.cache.delete(h);
-            self.cache.record_expiration();
-            return None;
-        }
-        Some(ItemOut { flags: e.flags, cas: e.cas, data: e.value().to_vec() })
-    }
-
-    fn get_many(&self, keys: &[&[u8]], now: u32, out: &mut Vec<Option<ItemOut>>) {
+    fn read_many(&self, keys: &[&[u8]], now: u32, visit: &mut dyn FnMut(usize, Option<ItemRef<'_>>)) {
         let hashes: Vec<u64> = keys.iter().map(|k| self.hash_key(k)).collect();
-        let mut entries = Vec::with_capacity(keys.len());
-        self.cache.get_many(&hashes, &mut entries);
-        out.clear();
-        out.reserve(keys.len());
-        for ((key, h), entry) in keys.iter().zip(&hashes).zip(entries) {
+        let mut hits = 0;
+        self.cache.visit_many(&hashes, |i, entry| {
             let item = entry.and_then(|e| {
-                if e.key() != *key {
+                if e.key() != keys[i] {
+                    // 64-bit hash collision between distinct resident
+                    // keys: indistinguishable from a miss at the
+                    // protocol level.
                     self.collisions.fetch_add(1, Ordering::Relaxed);
                     return None;
                 }
                 if expired(e.expires_at, now) {
-                    self.cache.delete(*h);
-                    self.cache.record_expiration();
+                    self.reap(hashes[i]);
                     return None;
                 }
-                Some(ItemOut { flags: e.flags, cas: e.cas, data: e.value().to_vec() })
+                Some(ItemRef { flags: e.flags, cas: e.cas, data: e.value() })
             });
-            out.push(item);
-        }
+            hits += item.is_some() as u64;
+            visit(i, item);
+        });
+        // `get_hits` / `get_misses` count what clients were answered:
+        // a collision or an expired item is a hit only to the table.
+        self.cache.record_gets(hits, keys.len() as u64 - hits);
     }
 
     fn store(
@@ -316,14 +355,7 @@ impl Store for ClockStore {
         let Some(entry) = InlineEntry::new(key, flags, expires_at, cas, data) else {
             return StoreOutcome::TooLarge;
         };
-        // Lazily reap an expired incumbent so add/replace see it as
-        // absent, as memcached semantics require.
-        if let Some(old) = self.cache.get(h) {
-            if old.key() == key && expired(old.expires_at, now) {
-                self.cache.delete(h);
-                self.cache.record_expiration();
-            }
-        }
+        self.reap_if_expired(h, key, now);
         let stored = match verb {
             StoreVerb::Set => {
                 self.cache.put(h, entry);
@@ -370,12 +402,7 @@ impl Store for ClockStore {
                     out.push(StoreOutcome::TooLarge);
                     continue;
                 };
-                if let Some(old) = self.cache.get(h) {
-                    if old.key() == c.key && expired(old.expires_at, now) {
-                        self.cache.delete(h);
-                        self.cache.record_expiration();
-                    }
-                }
+                self.reap_if_expired(h, c.key, now);
                 pairs.push((h, entry));
                 out.push(StoreOutcome::Stored { cas, expires_at });
             }
@@ -387,10 +414,7 @@ impl Store for ClockStore {
     fn delete(&self, key: &[u8]) -> bool {
         let h = self.hash_key(key);
         // Only delete what the client named: verify the resident key.
-        match self.cache.get(h) {
-            Some(e) if e.key() == key => self.cache.delete(h).is_some(),
-            _ => false,
-        }
+        self.resident(h, key, |_| true) && self.cache.delete(h).is_some()
     }
 
     fn flush_all(&self) -> u64 {
@@ -512,70 +536,43 @@ impl CuckooStore {
         }
     }
 
-    /// Fetches the live (unexpired) item, reaping it lazily otherwise.
-    fn live(&self, key: &[u8], now: u32) -> Option<Arc<StoredItem>> {
-        let owned: Box<[u8]> = key.into();
-        let item = self.map.get(&owned)?;
+    /// `item` (what the map holds under `key`) if it is still live at
+    /// `now`; an expired one is reaped instead, and counted when the
+    /// removal took something out — once per item, not per observer.
+    fn live_or_reap(
+        &self,
+        key: &[u8],
+        item: Option<Arc<StoredItem>>,
+        now: u32,
+    ) -> Option<Arc<StoredItem>> {
+        let item = item?;
         if expired(item.expires_at, now) {
-            self.map.remove(&owned);
-            self.expirations.fetch_add(1, Ordering::Relaxed);
+            if self.map.remove(&key.into()).is_some() {
+                self.expirations.fetch_add(1, Ordering::Relaxed);
+            }
             return None;
         }
         Some(item)
     }
+
+    /// Fetches the live (unexpired) item, reaping it lazily otherwise:
+    /// the uncounted look `add` and `replace` take before they write.
+    fn live(&self, key: &[u8], now: u32) -> Option<Arc<StoredItem>> {
+        self.live_or_reap(key, self.map.get(&key.into()), now)
+    }
 }
 
 impl Store for CuckooStore {
-    fn get(&self, key: &[u8], now: u32) -> Option<ItemOut> {
-        match self.live(key, now) {
-            Some(item) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(ItemOut { flags: item.flags, cas: item.cas, data: item.data.to_vec() })
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn get_many(&self, keys: &[&[u8]], now: u32, out: &mut Vec<Option<ItemOut>>) {
+    fn read_many(&self, keys: &[&[u8]], now: u32, visit: &mut dyn FnMut(usize, Option<ItemRef<'_>>)) {
         let owned: Vec<Box<[u8]>> = keys.iter().map(|&k| k.into()).collect();
-        let items = self.map.get_many(&owned);
-        out.clear();
-        out.reserve(keys.len());
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for (key, item) in owned.iter().zip(items) {
-            let live = item.filter(|item| {
-                if expired(item.expires_at, now) {
-                    self.map.remove(key);
-                    self.expirations.fetch_add(1, Ordering::Relaxed);
-                    false
-                } else {
-                    true
-                }
-            });
-            match live {
-                Some(item) => {
-                    hits += 1;
-                    out.push(Some(ItemOut {
-                        flags: item.flags,
-                        cas: item.cas,
-                        data: item.data.to_vec(),
-                    }));
-                }
-                None => {
-                    misses += 1;
-                    out.push(None);
-                }
-            }
+        let mut hits = 0;
+        for (i, item) in self.map.get_many(&owned).into_iter().enumerate() {
+            let live = self.live_or_reap(keys[i], item, now);
+            hits += live.is_some() as u64;
+            visit(i, live.as_deref().map(|item| ItemRef { flags: item.flags, cas: item.cas, data: &item.data }));
         }
-        if hits != 0 {
-            self.hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if misses != 0 {
-            self.misses.fetch_add(misses, Ordering::Relaxed);
-        }
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(keys.len() as u64 - hits, Ordering::Relaxed);
     }
 
     fn store(
@@ -771,8 +768,36 @@ mod tests {
         matches!(outcome, StoreOutcome::Stored { .. })
     }
 
+    /// `(get_hits, get_misses, expired)` as `stats` would print them.
+    fn read_counters(store: &dyn Store) -> (u64, u64, u64) {
+        let c = store.stats().cache;
+        (c.hits, c.misses, c.expirations)
+    }
+
     fn check_common(store: &dyn Store) {
         let now = 1000;
+
+        // Writes are not reads: however a storage command or a delete
+        // looks at the incumbent, `get_hits`/`get_misses` stay put.
+        for i in 0..20 {
+            let key = format!("w{i}");
+            assert!(stored(store.store(StoreVerb::Set, key.as_bytes(), 0, 0, b"v", now)));
+            assert!(stored(store.store(StoreVerb::Set, key.as_bytes(), 0, 0, b"v2", now)));
+        }
+        assert_eq!(store.store(StoreVerb::Add, b"w0", 0, 0, b"x", now), StoreOutcome::NotStored);
+        assert_eq!(store.store(StoreVerb::Replace, b"w-absent", 0, 0, b"x", now), StoreOutcome::NotStored);
+        let burst: Vec<StoreCmd<'_>> = [b"w1".as_slice(), b"w2", b"w-new"]
+            .iter()
+            .map(|key| StoreCmd { verb: StoreVerb::Set, key, flags: 0, exptime: 0, data: b"v3" })
+            .collect();
+        store.store_many(&burst, now, &mut Vec::new());
+        for i in 0..20 {
+            assert!(store.delete(format!("w{i}").as_bytes()));
+        }
+        assert!(store.delete(b"w-new"));
+        assert!(!store.delete(b"w-absent"));
+        assert_eq!(read_counters(store), (0, 0, 0), "a write or a delete was counted as a get");
+
         assert!(store.get(b"k", now).is_none());
         let outcome = store.store(StoreVerb::Set, b"k", 7, 0, b"value", now);
         let item = store.get(b"k", now).expect("stored item readable");
@@ -829,32 +854,50 @@ mod tests {
         let c2 = store.get(b"c2", now).unwrap().cas;
         assert!(c2 > c1);
 
-        // Batched get: per-key results (hits, misses, duplicates, cas)
-        // match the single-key path, in request order.
+        // read_many, the one read path: every key shown exactly once,
+        // in request order — hits, a miss, a duplicate — and counted by
+        // what was shown.
         let keys: Vec<&[u8]> = vec![b"c1", b"no-such-key", b"c2", b"c1", b"fresh"];
+        let before = read_counters(store);
+        let mut shown = Vec::new();
+        store.read_many(&keys, now, &mut |i, item| {
+            shown.push((i, item.map(|item| (item.flags, item.cas, item.data.to_vec()))));
+        });
+        assert_eq!(
+            shown.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+            (0..keys.len()).collect::<Vec<_>>(),
+            "read_many must visit every key once, in order"
+        );
+        assert_eq!(read_counters(store), (before.0 + 4, before.1 + 1, before.2));
+        assert!(shown[1].1.is_none());
+        assert_eq!(shown[0].1, shown[3].1, "duplicate keys see the same item");
+        assert_eq!(shown[2].1.as_ref().map(|item| item.1), Some(c2));
+
+        // The wrappers are that path and nothing else.
         let mut many = Vec::new();
         store.get_many(&keys, now, &mut many);
         assert_eq!(many.len(), keys.len());
-        for (key, got) in keys.iter().zip(&many) {
-            let single = store.get(key, now);
-            assert_eq!(
-                got.as_ref().map(|i| (i.flags, i.cas, i.data.clone())),
-                single.map(|i| (i.flags, i.cas, i.data)),
-                "get_many diverged from get for {:?}",
-                String::from_utf8_lossy(key)
-            );
+        for ((key, (_, shown)), many) in keys.iter().zip(&shown).zip(many) {
+            let owned = |item: ItemOut| (item.flags, item.cas, item.data);
+            assert_eq!(many.map(owned), *shown, "get_many diverged for {:?}", String::from_utf8_lossy(key));
+            assert_eq!(store.get(key, now).map(owned), *shown, "get diverged for {:?}", String::from_utf8_lossy(key));
         }
 
-        // Batched get applies (and counts) lazy expiry like single get.
+        // An expired read is one miss and one expiry.
         store.store(StoreVerb::Set, b"ttl3", 0, 10, b"v", now);
-        let exp_before = store.stats().cache.expirations;
-        let mut many = Vec::new();
-        store.get_many(&[b"ttl3".as_slice()], now + 11, &mut many);
-        assert!(
-            many.len() == 1 && many[0].is_none(),
-            "expired item served by get_many"
-        );
-        assert!(store.stats().cache.expirations > exp_before);
+        let before = read_counters(store);
+        assert!(store.get(b"ttl3", now + 10).is_none(), "expired item served");
+        assert_eq!(read_counters(store), (before.0, before.1 + 1, before.2 + 1));
+
+        // A batch applies lazy expiry to every occurrence of the key
+        // (each is a miss) and counts the item's expiry once.
+        store.store(StoreVerb::Set, b"ttl4", 0, 10, b"v", now);
+        let before = read_counters(store);
+        let mut live = Vec::new();
+        let keys: Vec<&[u8]> = vec![b"ttl4", b"c1", b"ttl4"];
+        store.read_many(&keys, now + 11, &mut |_, item| live.push(item.is_some()));
+        assert_eq!(live, [false, true, false], "expired item served by read_many");
+        assert_eq!(read_counters(store), (before.0 + 1, before.1 + 2, before.2 + 1));
 
         // scan_entries sees exactly the live items, with their cas.
         let mut entries = Vec::new();
@@ -894,6 +937,47 @@ mod tests {
     #[test]
     fn cuckoo_store_semantics() {
         check_common(&CuckooStore::new(1024));
+    }
+
+    /// The durability decorator answers reads with its engine's one
+    /// read path: the same contract holds through it, over each engine.
+    #[test]
+    fn persistent_store_semantics() {
+        let engines: [(&str, Arc<dyn Store>); 2] = [
+            ("clock", Arc::new(ClockStore::new(1024))),
+            ("cuckoo", Arc::new(CuckooStore::new(1024))),
+        ];
+        for (tag, engine) in engines {
+            let dir = std::env::temp_dir()
+                .join(format!("store-contract-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let (store, _) = crate::persist_store::PersistentStore::open(
+                engine,
+                persist::PersistConfig::new(&dir),
+                Arc::new(metrics::persist::PersistMetrics::new()),
+            )
+            .unwrap();
+            check_common(store.as_ref());
+            drop(store);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Two distinct keys under one 64-bit hash: the resident stranger
+    /// answers a read of the other key as a miss (and is tallied), and
+    /// survives a delete that did not name it.
+    #[test]
+    fn clock_store_hash_collision_reads_as_miss() {
+        let s = ClockStore::new(64);
+        let stranger = InlineEntry::new(b"stranger", 0, 0, 1, b"v").unwrap();
+        s.cache.put(s.hash_key(b"mine"), stranger);
+        let mut shown = Vec::new();
+        s.read_many(&[b"mine".as_slice(), b"mine"], 0, &mut |_, item| shown.push(item.is_some()));
+        assert_eq!(shown, [false, false]);
+        let st = s.stats();
+        assert_eq!((st.cache.hits, st.cache.misses, st.hash_collisions), (0, 2, 2));
+        assert!(!s.delete(b"mine"));
+        assert_eq!(s.stats().len, 1);
     }
 
     /// Drives the same mixed burst through `store_many` on one fresh

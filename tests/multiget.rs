@@ -1,4 +1,5 @@
-//! Property-based equivalence: `get_many` ≡ N independent `get`s.
+//! Property-based equivalence: `get_many` (and the visitor under it,
+//! `visit_many`) ≡ N independent `get`s.
 //!
 //! The batched engine takes a different code path (software-pipelined
 //! prefetch + shared-stamp validation, per-key fallback) but must be
@@ -35,6 +36,26 @@ proptest! {
         }
     }
 
+    /// The visitor form with a four-line value: `visit_many` shows each
+    /// key exactly once, in order, exactly what `get` returns.
+    #[test]
+    fn optimistic_visit_many_shows_what_get_returns(
+        fill in proptest::collection::vec(any::<u16>(), 0..300),
+        queries in proptest::collection::vec(any::<u16>(), 0..80),
+    ) {
+        let m: OptimisticCuckooMap<u64, Wide, 8> = OptimisticCuckooMap::with_capacity(2048);
+        for &k in &fill {
+            let _ = m.insert(k as u64, wide(k as u64, 1));
+        }
+        let keys: Vec<u64> = queries.iter().map(|&k| k as u64).collect();
+        let mut shown = Vec::new();
+        m.visit_many(&keys, |i, v| shown.push((i, v.copied())));
+        prop_assert_eq!(shown.len(), keys.len());
+        for (j, k) in keys.iter().enumerate() {
+            prop_assert_eq!(shown[j], (j, m.get(k)), "key {}", k);
+        }
+    }
+
     /// General map: same equivalence, including `get_with_many` closure
     /// results, against the locked single-key path.
     #[test]
@@ -57,6 +78,91 @@ proptest! {
         for (j, k) in keys.iter().enumerate() {
             prop_assert_eq!(mapped[j], m.get(k).map(|v| v + 1));
         }
+    }
+}
+
+/// A 256-byte value — four cache lines of copy-out, the shape of the
+/// server's inline items — whose every 8-byte chunk says the same thing:
+/// which key it belongs to and which version of it this is.
+type Wide = [u64; 32];
+
+fn wide(key: u64, version: u64) -> Wide {
+    [key << 32 | version; 32]
+}
+
+/// `visit_many` racing overwriters of the very keys it reads and an
+/// inserter whose fresh keys keep displacing them: the closure must
+/// never be shown a value mixing two versions (or another key's), never
+/// a miss for a key that is always resident, never a hit for a key
+/// that never is, and per key never an older version after a newer one.
+#[test]
+fn visit_many_under_writers_shows_only_whole_current_values() {
+    const HOT: u64 = 64;
+    const ROUNDS: u64 = 300;
+    let m: OptimisticCuckooMap<u64, Wide, 4> = OptimisticCuckooMap::with_capacity(1 << 10);
+    for k in 0..HOT {
+        m.insert(k, wide(k, 0)).unwrap();
+    }
+    // Resident keys interleaved with keys nobody ever inserts, over
+    // several pipeline groups with a ragged tail.
+    let keys: Vec<u64> = (0..HOT).flat_map(|k| [k, 1 << 40 | k]).chain([3, 3, 5]).collect();
+    let writers_left = std::sync::atomic::AtomicUsize::new(2);
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        let (m, keys, writers_left, start) = (&m, &keys, &writers_left, &start);
+        for w in 0..2 {
+            s.spawn(move || {
+                start.wait();
+                for version in 1..=ROUNDS {
+                    for k in (w..HOT).step_by(2) {
+                        m.upsert(k, wide(k, version)).unwrap();
+                    }
+                }
+                writers_left.fetch_sub(1, std::sync::atomic::Ordering::Release);
+            });
+        }
+        s.spawn(move || {
+            start.wait();
+            // Fill the table with strangers until it refuses, empty it
+            // again: every pass walks cuckoo paths through the hot keys'
+            // buckets.
+            while writers_left.load(std::sync::atomic::Ordering::Acquire) != 0 {
+                let mut fresh = 1 << 20;
+                while m.insert(fresh, wide(fresh, 0)).is_ok() {
+                    fresh += 1;
+                }
+                for k in 1 << 20..fresh {
+                    m.remove(&k);
+                }
+            }
+        });
+        start.wait();
+        let mut newest = [0u64; HOT as usize];
+        let mut passes = 0;
+        while writers_left.load(std::sync::atomic::Ordering::Acquire) != 0 || passes < 10 {
+            let mut next = 0;
+            m.visit_many(keys, |i, v| {
+                assert_eq!(i, next, "keys are visited in order, each once");
+                next += 1;
+                let key = keys[i];
+                let Some(v) = v else {
+                    assert!(key >= HOT, "resident key {key} shown as a miss");
+                    return;
+                };
+                assert!(v.iter().all(|&chunk| chunk == v[0]), "torn value for key {key}: {v:?}");
+                assert_eq!(v[0] >> 32, key, "key {key} shown another key's value");
+                let version = v[0] & u32::MAX as u64;
+                assert!(version >= newest[key as usize], "key {key} went back in time");
+                newest[key as usize] = version;
+            });
+            assert_eq!(next, keys.len());
+            passes += 1;
+        }
+    });
+    // Quiescent: the visitor and `get` agree on every key.
+    m.visit_many(&keys, |i, v| assert_eq!(v.copied(), m.get(&keys[i]), "key {}", keys[i]));
+    for k in 0..HOT {
+        assert_eq!(m.get(&k), Some(wide(k, ROUNDS)));
     }
 }
 

@@ -319,6 +319,79 @@ fn pipelined_set_burst_coalesces_with_exact_replies() {
     handle.shutdown();
 }
 
+/// The read-side twin: pipelined `get`/`gets` requests in one TCP write
+/// coalesce into batched store reads, a run ending wherever a `set`
+/// stands between them — so every read observes every write that
+/// precedes it on the connection — and the reply stream is the one
+/// sequential execution produces.
+#[test]
+fn pipelined_get_burst_coalesces_with_exact_replies() {
+    let handle = server::spawn(server::Config {
+        port: 0,
+        capacity: 1 << 14,
+        workers: 1,
+        ..Default::default()
+    })
+    .expect("spawn");
+    let mut client = Client::connect(handle.local_addr());
+    client.set("rk2", b"other");
+
+    client
+        .writer
+        .write_all(
+            b"set rk 0 0 2\r\nv1\r\n\
+              get rk\r\n\
+              set rk 5 0 2\r\nv2\r\n\
+              gets rk rk2 missing\r\n\
+              get rk\r\n\
+              get missing rk rk\r\n",
+        )
+        .unwrap();
+
+    assert_eq!(client.line(), "STORED");
+    // The read between the two sets sees the first.
+    assert_eq!(client.line(), "VALUE rk 0 2");
+    assert_eq!(client.line(), "v1");
+    assert_eq!(client.line(), "END");
+    assert_eq!(client.line(), "STORED");
+    // The run after the second set sees the second — per request, in
+    // key order, misses silent, cas only where `gets` asked for it.
+    let cas_of = |line: String, prefix: &str| -> u64 {
+        line.strip_prefix(prefix).unwrap_or_else(|| panic!("{line:?}")).parse().unwrap()
+    };
+    let rk_cas = cas_of(client.line(), "VALUE rk 5 2 ");
+    assert_eq!(client.line(), "v2");
+    let rk2_cas = cas_of(client.line(), "VALUE rk2 0 5 ");
+    assert_eq!(client.line(), "other");
+    assert_eq!(client.line(), "END");
+    assert!(rk_cas > rk2_cas, "cas {rk_cas} of the later write must exceed {rk2_cas}");
+    let rest = ["VALUE rk 5 2", "v2", "END", "VALUE rk 5 2", "v2", "VALUE rk 5 2", "v2", "END"];
+    for expect in rest {
+        assert_eq!(client.line(), expect, "`get rk`, then `get missing rk rk`");
+    }
+
+    write!(client.writer, "stats\r\n").unwrap();
+    let mut stats = std::collections::HashMap::new();
+    loop {
+        let line = client.line();
+        if line == "END" {
+            break;
+        }
+        let mut parts = line.splitn(3, ' ');
+        assert_eq!(parts.next(), Some("STAT"));
+        stats.insert(parts.next().unwrap().to_string(), parts.next().unwrap().to_string());
+    }
+    let stat = |name: &str| -> u64 { stats[name].parse().unwrap() };
+    // One write, one pump: the lone `get rk` is a run of one, the last
+    // three requests one run of 3 + 1 + 3 keys.
+    assert_eq!((stat("multiget_batches"), stat("multiget_keys")), (1, 7));
+    assert_eq!(stat("cmd_get"), 4, "cmd_get counts requests, not runs");
+    assert_eq!((stat("get_hits"), stat("get_misses")), (6, 2));
+    assert_eq!(stat("cmd_set"), 3);
+
+    handle.shutdown();
+}
+
 #[test]
 fn no_evict_mode_serves_large_values() {
     let handle = server::spawn(server::Config {
