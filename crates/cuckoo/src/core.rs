@@ -3,8 +3,8 @@
 //! An insert is four steps (§4.3–4.4; SNIPPETS.md §3):
 //!
 //! 1. **claim** — with writer exclusion over the key's two candidate
-//!    buckets, find a duplicate (overwrite or reject it) or take an
-//!    empty slot ([`claim`]);
+//!    buckets, find a duplicate ([`crate::read::probe`]; overwrite or
+//!    reject it) or take an empty slot ([`claim`]);
 //! 2. **find a path** — with no locks held, over atomic metadata only
 //!    ([`WriteCtx::plan_and_record`]; the kick-out policy varies only
 //!    this step);
@@ -33,6 +33,7 @@ use crate::counter::ShardedCounter;
 use crate::error::{InsertError, UpsertOutcome};
 use crate::hash::{key_slots, KeySlots};
 use crate::raw::RawTable;
+use crate::read::probe;
 use crate::search::exec::{self, Mover};
 use crate::search::{self, EvictionPolicy, PathEntry, SearchFailure, SearchScratch};
 use crate::stats::TableMetrics;
@@ -61,11 +62,21 @@ pub const WRITE_GROUP: usize = 8;
 /// pipelined write group × two candidate buckets each.
 pub(crate) const MAX_BATCH_BUCKETS: usize = 2 * WRITE_GROUP;
 
-/// How a writer stores into a bucket it holds exclusively — what the
-/// readers' protocol demands of it.
-pub(crate) trait Stores<K, V, const B: usize> {
+/// How a bucket's entries are stored by a writer that holds it
+/// exclusively, and loaded by the probe — what the readers' protocol
+/// demands of both.
+pub(crate) trait Stores<K: Eq, V, const B: usize> {
     /// The matching per-step mover for the hole-backwards executor.
     const MOVER: Mover<K, V, B>;
+
+    /// Whether `(bucket, slot)` holds `key` — the probe's load.
+    ///
+    /// # Safety
+    ///
+    /// `slot < B`, and the matching protection is in force: exclusion
+    /// over an occupied slot ([`PlainStore`]), or a stripe stamp that
+    /// must validate before the answer is trusted ([`RacyStore`]).
+    unsafe fn key_is(raw: &RawTable<K, V, B>, bucket: usize, slot: usize, key: &K) -> bool;
 
     /// Writes a full entry into the empty `(bucket, slot)`.
     ///
@@ -89,8 +100,16 @@ pub(crate) trait Stores<K, V, const B: usize> {
 /// dropped in place.
 pub(crate) struct PlainStore;
 
-impl<K, V, const B: usize> Stores<K, V, B> for PlainStore {
+impl<K: Eq, V, const B: usize> Stores<K, V, B> for PlainStore {
     const MOVER: Mover<K, V, B> = RawTable::move_entry;
+
+    // SAFETY: (contract) as documented on `Stores::key_is`.
+    #[inline]
+    unsafe fn key_is(raw: &RawTable<K, V, B>, bucket: usize, slot: usize, key: &K) -> bool {
+        // SAFETY: exclusion held and slot occupied, so no concurrent
+        // writer can mutate the key; a plain read is race-free.
+        unsafe { &*raw.bucket(bucket).key_ptr(slot) == key }
+    }
 
     // SAFETY: (contract) as documented on `Stores::write`.
     #[inline]
@@ -114,8 +133,16 @@ impl<K, V, const B: usize> Stores<K, V, B> for PlainStore {
 /// stripe version is odd while the writer holds it), hence `Plain`.
 pub(crate) struct RacyStore;
 
-impl<K: Plain, V: Plain, const B: usize> Stores<K, V, B> for RacyStore {
+impl<K: Plain + Eq, V: Plain, const B: usize> Stores<K, V, B> for RacyStore {
     const MOVER: Mover<K, V, B> = RawTable::move_entry_racy;
+
+    // SAFETY: (contract) as documented on `Stores::key_is`.
+    #[inline]
+    unsafe fn key_is(raw: &RawTable<K, V, B>, bucket: usize, slot: usize, key: &K) -> bool {
+        // SAFETY: `slot < B`; the copy may be torn, and the caller
+        // discards the answer unless its stamps validate.
+        unsafe { raw.read_key_racy(bucket, slot) == *key }
+    }
 
     // SAFETY: (contract) as documented on `Stores::write`.
     #[inline]
@@ -138,34 +165,6 @@ impl<K: Plain, V: Plain, const B: usize> Stores<K, V, B> for RacyStore {
             );
         }
     }
-}
-
-/// Finds `key` in its candidate buckets. Writer exclusion over both must
-/// be held (a stripe pair/batch/full lock, or exclusive access).
-#[inline]
-pub(crate) fn locked_find<K: Eq, V, const B: usize>(
-    raw: &RawTable<K, V, B>,
-    ks: KeySlots,
-    key: &K,
-) -> Option<(usize, usize)> {
-    for bi in [ks.i1, ks.i2] {
-        let b = raw.bucket(bi);
-        let m = raw.meta(bi);
-        let mut cand = m.match_tag_mask(ks.tag) & m.occupied_mask();
-        while cand != 0 {
-            let s = cand.trailing_zeros() as usize;
-            cand &= cand - 1;
-            // SAFETY: exclusion held and slot occupied, so no concurrent
-            // writer can mutate the key; a plain read is race-free.
-            if unsafe { &*b.key_ptr(s) } == key {
-                return Some((bi, s));
-            }
-        }
-        if ks.i2 == ks.i1 {
-            break;
-        }
-    }
-    None
 }
 
 /// First empty slot in either candidate bucket; writer exclusion over
@@ -237,7 +236,7 @@ pub(crate) unsafe fn claim<W: Stores<K, V, B>, K: Eq, V, const B: usize>(
     val: V,
     upsert: bool,
 ) -> Claim<K, V> {
-    if let Some((bi, slot)) = locked_find(raw, ks, &key) {
+    if let Some((bi, slot)) = probe::<PlainStore, K, V, B>(raw, ks, &key) {
         if !upsert {
             return Claim::Exists;
         }
@@ -306,7 +305,7 @@ impl<S> WriteCtx<'_, S> {
     /// Step 3 on a shared table: executes `path` one pair-locked,
     /// validated displacement at a time. `false` means the path went
     /// stale (or `valid`, re-checked inside every pair lock, failed).
-    pub(crate) fn displace<W: Stores<K, V, B>, K, V, const B: usize>(
+    pub(crate) fn displace<W: Stores<K, V, B>, K: Eq, V, const B: usize>(
         &self,
         raw: &RawTable<K, V, B>,
         path: &[PathEntry],
@@ -326,7 +325,7 @@ impl<S> WriteCtx<'_, S> {
     /// path exists (step 4 is the caller's); `Some(false)`: the path went
     /// stale mid-execution. Either way the caller re-enters step 1, which
     /// re-checks duplicates and claims whatever slot was freed.
-    pub(crate) fn search_and_displace<W: Stores<K, V, B>, K, V, const B: usize>(
+    pub(crate) fn search_and_displace<W: Stores<K, V, B>, K: Eq, V, const B: usize>(
         &self,
         raw: &RawTable<K, V, B>,
         ks: KeySlots,
@@ -591,7 +590,7 @@ mod tests {
             let (want, stored) =
                 if upsert { (Ok(UpsertOutcome::Updated), 11) } else { (Err(InsertError::KeyExists), 10) };
             assert_eq!(go(1, 11).settle(&count, ks), Ok(want));
-            let (bi, slot) = locked_find(&raw, ks, &k(1)).expect("claimed above");
+            let (bi, slot) = probe::<PlainStore, T, T, 4>(&raw, ks, &k(1)).expect("claimed above");
             // SAFETY: private table; the slot is occupied (just found).
             assert_eq!(unsafe { &*raw.bucket(bi).val_ptr(slot) }, &k(stored));
             assert_eq!(count.sum(), 1);

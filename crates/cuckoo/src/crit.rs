@@ -200,34 +200,6 @@ where
     Ok(None)
 }
 
-/// Reads the value of `key` under the critical section (for tables whose
-/// readers take the writer lock, or for read-modify-write ops).
-// Exercised by unit tests and kept for read-modify-write extensions.
-#[allow(dead_code)]
-pub(crate) fn get_key<C, K, V, const B: usize>(
-    ctx: &mut C,
-    raw: &RawTable<K, V, B>,
-    ks: KeySlots,
-    key: &K,
-) -> Result<Option<V>, Abort>
-where
-    C: MemCtx,
-    K: Plain + Eq,
-    V: Plain,
-{
-    for bucket_idx in [ks.i1, ks.i2] {
-        if let Some(slot) = find_key(ctx, raw, bucket_idx, ks.tag, key)? {
-            let b = raw.bucket(bucket_idx);
-            // SAFETY: bucket storage outlives the critical section.
-            return Ok(Some(unsafe { ctx.load(b.val_ptr(slot) as *const V)? }));
-        }
-        if ks.i2 == ks.i1 {
-            break;
-        }
-    }
-    Ok(None)
-}
-
 /// Updates the value of an existing `key`, returning whether it was found.
 pub(crate) fn update_key<C, K, V, const B: usize>(
     ctx: &mut C,
@@ -489,6 +461,11 @@ mod tests {
         key_slots(hb, &key, raw.mask())
     }
 
+    /// What an optimistic reader of these tables sees for `key`.
+    fn get(raw: &Raw, stripes: &LockStripes, ks: KeySlots, key: u64) -> Option<u64> {
+        crate::read::get(raw, stripes, &crate::stats::TableMetrics::new(), ks, &key)
+    }
+
     #[test]
     fn insert_find_remove_roundtrip() {
         let (raw, stripes, hb) = setup();
@@ -502,7 +479,7 @@ mod tests {
         }
         for key in 0..100u64 {
             let ks = ks_for(&raw, &hb, key);
-            assert_eq!(get_key(&mut ctx, &raw, ks, &key).unwrap(), Some(key * 2));
+            assert_eq!(get(&raw, &stripes, ks, key), Some(key * 2));
         }
         for key in (0..100u64).step_by(2) {
             let ks = ks_for(&raw, &hb, key);
@@ -515,7 +492,7 @@ mod tests {
         for key in 0..100u64 {
             let ks = ks_for(&raw, &hb, key);
             let expect = if key % 2 == 0 { None } else { Some(key * 2) };
-            assert_eq!(get_key(&mut ctx, &raw, ks, &key).unwrap(), expect);
+            assert_eq!(get(&raw, &stripes, ks, key), expect);
         }
     }
 
@@ -534,7 +511,7 @@ mod tests {
             CritOutcome::Exists
         );
         ctx.finish();
-        assert_eq!(get_key(&mut ctx, &raw, ks, &7u64).unwrap(), Some(1));
+        assert_eq!(get(&raw, &stripes, ks, 7u64), Some(1));
     }
 
     #[test]
@@ -546,7 +523,7 @@ mod tests {
         ctx.finish();
         assert!(update_key(&mut ctx, &raw, &stripes, ks, &5u64, 55u64).unwrap());
         ctx.finish();
-        assert_eq!(get_key(&mut ctx, &raw, ks, &5u64).unwrap(), Some(55));
+        assert_eq!(get(&raw, &stripes, ks, 5u64), Some(55));
         let ks9 = ks_for(&raw, &hb, 9);
         assert!(!update_key(&mut ctx, &raw, &stripes, ks9, &9u64, 1u64).unwrap());
         ctx.finish();
@@ -578,7 +555,7 @@ mod tests {
         .unwrap();
         assert_eq!(out, CritOutcome::Inserted);
         ctx.finish();
-        assert_eq!(get_key(&mut ctx, &raw, ks, &1000u64).unwrap(), Some(1));
+        assert_eq!(get(&raw, &stripes, ks, 1000u64), Some(1));
         // Every displaced fake key must still be findable via its tag's
         // alternate-bucket relation: total occupancy is conserved + 1.
         assert_eq!(raw.count_occupied(), 9);
@@ -624,10 +601,9 @@ mod tests {
                 .unwrap();
             assert_eq!(out, CritOutcome::Inserted, "key {key}");
         }
-        let mut ctx = DirectCtx::new();
         for key in 0..200u64 {
             let ks = ks_for(&raw, &hb, key);
-            assert_eq!(get_key(&mut ctx, &raw, ks, &key).unwrap(), Some(key + 1));
+            assert_eq!(get(&raw, &stripes, ks, key), Some(key + 1));
         }
         // Stripe versions must be even (all publications completed).
         for i in 0..64 {

@@ -12,11 +12,10 @@
 //! lock-later + BFS + prefetch configuration and an elided writer lock;
 //! only the default set-associativity differs (8-way, §4.3.3).
 
-use crate::error::InsertError;
 use crate::hash::DefaultHashBuilder;
 use crate::memc3::{MemC3Config, MemC3Cuckoo, WriterLockKind};
-use core::hash::{BuildHasher, Hash};
-use htm::{HtmDomain, Plain, StatsSnapshot};
+use core::hash::Hash;
+use htm::{HtmDomain, Plain};
 use std::sync::Arc;
 
 /// cuckoo+ under an elided global lock: all of §4.3's algorithmic
@@ -78,73 +77,21 @@ where
     }
 }
 
-impl<K, V, const B: usize, S> ElidedCuckooMap<K, V, B, S>
-where
-    K: Plain + Eq + Hash,
-    V: Plain,
-    S: BuildHasher,
-{
-    /// Lock-free optimistic lookup.
+/// Every table operation is [`MemC3Cuckoo`]'s, under the configuration
+/// the constructors chose.
+impl<K, V, const B: usize, S> core::ops::Deref for ElidedCuckooMap<K, V, B, S> {
+    type Target = MemC3Cuckoo<K, V, B, S>;
+
     #[inline]
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.inner.get(key)
-    }
-
-    /// Lock-free presence check.
-    #[inline]
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.inner.contains_key(key)
-    }
-
-    /// Inserts `key → val` through an elided critical section.
-    pub fn insert(&self, key: K, val: V) -> Result<(), InsertError> {
-        self.inner.insert(key, val)
-    }
-
-    /// Removes `key`, returning its value.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        self.inner.remove(key)
-    }
-
-    /// Replaces the value of an existing key.
-    pub fn update(&self, key: &K, val: V) -> bool {
-        self.inner.update(key, val)
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Total slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity()
-    }
-
-    /// Fraction of slots occupied.
-    pub fn load_factor(&self) -> f64 {
-        self.inner.load_factor()
-    }
-
-    /// Bytes used by buckets, stripes, and counters.
-    pub fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
-    }
-
-    /// Transactional commit/abort statistics.
-    pub fn htm_stats(&self) -> Option<StatsSnapshot> {
-        self.inner.htm_stats()
+    fn deref(&self) -> &Self::Target {
+        &self.inner
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InsertError;
 
     #[test]
     fn crud_through_elision() {

@@ -31,8 +31,6 @@
 //! size. XOR with a value derived only from the tag makes the mapping an
 //! involution: `alt_index(alt_index(i, t), t) == i`, which is exactly what
 //! lets displacement move an item *back* as well as forward.
-//!
-//! The geometry functions are also reachable as `cuckoo::hashing::*`.
 
 use core::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};

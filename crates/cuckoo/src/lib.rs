@@ -59,13 +59,6 @@ mod memc3;
 mod optimistic;
 mod read;
 
-/// Slot geometry under its historical path; the code lives in [`hash`].
-pub mod hashing {
-    pub use crate::hash::{
-        alt_index, hash_of, index_of, key_slots, slots_from_hash, tag_of, KeySlots,
-    };
-}
-
 pub use crate::core::WRITE_GROUP;
 pub use elided::ElidedCuckooMap;
 pub use error::{InsertError, UpsertOutcome};

@@ -37,11 +37,12 @@
 //!   fail validation) and long-running processes no longer leak one
 //!   table per doubling.
 
-use crate::core::{claim, locked_empty_slot, locked_find, PlainStore, WriteCtx, MULTIGET_GROUP};
+use crate::core::{claim, locked_empty_slot, PlainStore, WriteCtx, MULTIGET_GROUP};
 use crate::counter::ShardedCounter;
 use crate::error::{InsertError, UpsertOutcome};
 use crate::hash::{hash_of, key_slots, slots_from_hash, DefaultHashBuilder, KeySlots};
 use crate::raw::RawTable;
+use crate::read::{probe, read_group, Locked, ReadProtocol};
 use crate::search::{self, EvictionPolicy};
 use crate::sync::{EpochRegistry, LockStripes, DEFAULT_STRIPES};
 use crate::stats::TableMetrics;
@@ -160,11 +161,6 @@ impl<K, V, const B: usize> Retired<K, V, B> {
 /// m.insert("a".into(), vec![1, 2])?;
 /// m.modify(&"a".to_string(), |v| v.push(3));
 /// assert_eq!(m.get_with(&"a".to_string(), |v| v.len()), Some(3));
-///
-/// // Consistent whole-table iteration under the table lock:
-/// let locked = m.lock_table();
-/// assert_eq!(locked.iter().count(), 1);
-/// # drop(locked);
 /// # Ok::<(), cuckoo::InsertError>(())
 /// ```
 pub struct CuckooMap<K, V, const B: usize = 8, S = DefaultHashBuilder> {
@@ -429,133 +425,112 @@ where
     /// ever move old → new, atomically under both tables' stripe locks.
     pub fn get_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
         let _pin = self.epochs.pin();
+        let mut f = Some(f);
         // Hash exactly once: retries and the two-table migration path
         // re-derive per-mask slots from this hash instead of rehashing.
-        let h = hash_of(&self.hash_builder, key);
-        self.get_with_hashed(h, key, f)
+        self.visit_hashed(hash_of(&self.hash_builder, key), key, |v| {
+            v.map(f.take().expect("a locked read shows its key once"))
+        })
     }
 
-    /// [`get_with`](Self::get_with) body, reusing an already-computed
-    /// hash. Caller must hold an epoch pin.
-    fn get_with_hashed<R>(&self, h: u64, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
+    /// One [`Locked`] read of `key` in `raw`: `f` sees the value (or the
+    /// miss) under the pair lock; `None` when `valid` failed under it.
+    #[inline]
+    fn read_in<T>(
+        &self,
+        raw: &RawTable<K, V, B>,
+        h: u64,
+        key: &K,
+        valid: impl Fn() -> bool,
+        mut f: impl FnMut(Option<&V>) -> T,
+    ) -> Option<T> {
+        let p = Locked { raw, stripes: &self.stripes, valid };
+        p.read_one(slots_from_hash(h, raw.mask()), key, |at| {
+            // SAFETY: pair lock held; the slot is occupied.
+            f(at.map(|(bi, s)| unsafe { &*raw.bucket(bi).val_ptr(s) }))
+        })
+    }
+
+    /// The single-key read, by hash: shows `f` the value, or the miss,
+    /// exactly once, under a pair lock of the table that settles it.
+    /// Caller must hold an epoch pin.
+    fn visit_hashed<R>(&self, h: u64, key: &K, mut f: impl FnMut(Option<&V>) -> R) -> R {
         loop {
             let m = self.migration.load(Ordering::SeqCst);
+            let mut raw = self.current();
             if !m.is_null() {
-                // SAFETY: pinned; the descriptor and both tables outlive
-                // this operation even if the migration resolves.
+                // SAFETY: (all three derefs) pinned; the descriptor and
+                // both tables outlive this operation even if the
+                // migration resolves.
                 let mig = unsafe { &*m };
                 let old = unsafe { &*mig.old };
-                let new = unsafe { &*mig.new };
+                raw = unsafe { &*mig.new };
                 let ks_old = slots_from_hash(h, old.mask());
-                let both_done = mig.chunk_done(Migration::<K, V, B>::chunk_of(ks_old.i1))
-                    && mig.chunk_done(Migration::<K, V, B>::chunk_of(ks_old.i2));
-                if !both_done {
-                    let _g = self.stripes.lock_pair(ks_old.i1, ks_old.i2);
-                    if self.migration.load(Ordering::SeqCst) != m {
-                        continue; // emergency rebuild resolved it; retry
+                if !(mig.chunk_done(Migration::<K, V, B>::chunk_of(ks_old.i1))
+                    && mig.chunk_done(Migration::<K, V, B>::chunk_of(ks_old.i2)))
+                {
+                    // Chunk movers need these stripes too, so a hit is
+                    // stable; a miss means the entry is in new or absent,
+                    // and can never move back, so new settles it.
+                    let still_migrating = || self.migration.load(Ordering::SeqCst) == m;
+                    match self.read_in(old, h, key, still_migrating, |v| v.map(|v| f(Some(v)))) {
+                        None => continue, // emergency rebuild resolved it
+                        Some(Some(shown)) => return shown,
+                        Some(None) => {}
                     }
-                    if let Some((bi, s)) = locked_find(old, ks_old, key) {
-                        // SAFETY: pair lock held; chunk movers need these
-                        // stripes too, so the slot is stable.
-                        return Some(f(unsafe { &*old.bucket(bi).val_ptr(s) }));
-                    }
-                    // Miss in old: the entry is in new or absent, and can
-                    // never move back, so checking new second is sound.
                 }
-                let ks = slots_from_hash(h, new.mask());
-                let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-                if !self.migration_still_targets(m) {
-                    continue;
-                }
-                return locked_find(new, ks, key)
-                    // SAFETY: pair lock held; the slot is occupied.
-                    .map(|(bi, s)| f(unsafe { &*new.bucket(bi).val_ptr(s) }));
             }
-            let raw = self.current();
-            let ks = slots_from_hash(h, raw.mask());
-            let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-            if !self.table_is_stable(raw) {
-                continue; // expanded or migration began while locking
+            // `None`: expanded, or a migration began or resolved, while
+            // locking.
+            if let Some(shown) = self.read_in(raw, h, key, || self.view_valid(raw, m), &mut f) {
+                return shown;
             }
-            return locked_find(raw, ks, key)
-                // SAFETY: pair lock held; the slot is occupied.
-                .map(|(bi, s)| f(unsafe { &*raw.bucket(bi).val_ptr(s) }));
         }
     }
 
-    /// Batched lookup applying `f` to each found value under its bucket
-    /// lock: one result per key, in order (`None` = miss). Equivalent to
-    /// [`get_with`](Self::get_with) per key, but groups of
-    /// `MULTIGET_GROUP` (8) keys are
+    /// The batched lookup: calls `f(i, value)` exactly once per key, in
+    /// order, with what [`get_with`](Self::get_with) would show for
+    /// `keys[i]` — under that key's bucket lock, so `f` must not call
+    /// back into the map. Groups of `MULTIGET_GROUP` (8) keys are
     /// software-pipelined — all hashes computed up front, candidate
-    /// metadata then tag-hit data buckets prefetched — so the per-key
-    /// cache misses overlap before the (serializing) per-key lock
-    /// acquisitions. During an in-flight migration keys fall back to the
-    /// two-table single-key path individually.
-    pub fn get_with_many<R>(
-        &self,
-        keys: &[K],
-        mut f: impl FnMut(&V) -> R,
-    ) -> Vec<Option<R>> {
+    /// metadata then tag-hit buckets prefetched — so the per-key cache
+    /// misses overlap before the (serializing) per-key lock
+    /// acquisitions. A key that finds a migration in flight, or the
+    /// table swapped mid-group, falls back to the two-table single-key
+    /// path on its own.
+    pub fn visit_many(&self, keys: &[K], mut f: impl FnMut(usize, Option<&V>)) {
         let _pin = self.epochs.pin();
-        let mut out = Vec::with_capacity(keys.len());
         let mut hashes = [0u64; MULTIGET_GROUP];
         let mut ks_buf = [KeySlots { i1: 0, i2: 0, tag: 1 }; MULTIGET_GROUP];
-        for group in keys.chunks(MULTIGET_GROUP) {
+        for (g, group) in keys.chunks(MULTIGET_GROUP).enumerate() {
             let raw = self.current();
-            let migrating = !self.migration.load(Ordering::SeqCst).is_null();
-            // Stage 1: hash every key; on the stable path also prefetch
-            // both candidate metadata words.
             for (j, key) in group.iter().enumerate() {
-                let h = hash_of(&self.hash_builder, key);
-                hashes[j] = h;
-                if !migrating {
-                    let ks = slots_from_hash(h, raw.mask());
-                    ks_buf[j] = ks;
-                    raw.prefetch_meta(ks.i1);
-                    raw.prefetch_meta(ks.i2);
-                }
+                hashes[j] = hash_of(&self.hash_builder, key);
+                ks_buf[j] = slots_from_hash(hashes[j], raw.mask());
             }
-            if migrating {
-                // Two-table lookups take locks per table anyway; the
-                // single-key path already orders those correctly.
-                for (j, key) in group.iter().enumerate() {
-                    out.push(self.get_with_hashed(hashes[j], key, &mut f));
-                }
-                continue;
-            }
-            // Stage 2: SWAR-probe the (warm) metadata and prefetch entry
-            // storage for buckets reporting a candidate. The masks are
-            // only prefetch hints — the stage-3 probe re-reads metadata
-            // under the pair lock — so racing writers cost at most a
-            // wasted hint.
-            for ks in ks_buf.iter().take(group.len()) {
-                let m1 = raw.meta(ks.i1);
-                if m1.match_tag_mask(ks.tag) & m1.occupied_mask() != 0 {
-                    raw.prefetch_data(ks.i1);
-                }
-                let m2 = raw.meta(ks.i2);
-                if ks.i2 != ks.i1 && m2.match_tag_mask(ks.tag) & m2.occupied_mask() != 0 {
-                    raw.prefetch_data(ks.i2);
-                }
-            }
-            // Stage 3: per-key locked probe; a table swap or migration
-            // begun mid-group demotes that key to the single-key path.
-            for (j, key) in group.iter().enumerate() {
-                let ks = ks_buf[j];
-                let g = self.stripes.lock_pair(ks.i1, ks.i2);
-                if !self.table_is_stable(raw) {
-                    drop(g);
-                    out.push(self.get_with_hashed(hashes[j], key, &mut f));
-                    continue;
-                }
-                out.push(
-                    locked_find(raw, ks, key)
-                        // SAFETY: pair lock held; the slot is occupied.
-                        .map(|(bi, s)| f(unsafe { &*raw.bucket(bi).val_ptr(s) })),
-                );
+            // Mid-migration `valid` fails for the whole group: two-table
+            // lookups take locks per table anyway, and the single-key
+            // path already orders those.
+            let p = Locked { raw, stripes: &self.stripes, valid: || self.table_is_stable(raw) };
+            let first = g * MULTIGET_GROUP;
+            let failed = read_group(&p, &self.table_metrics, &ks_buf[..group.len()], group, |j, at| {
+                // SAFETY: pair lock held; the slot is occupied.
+                f(first + j, at.map(|(bi, s)| unsafe { &*raw.bucket(bi).val_ptr(s) }))
+            });
+            // A table that failed `valid` stays failed, so the keys left
+            // are the group's tail and `f` still sees every key in order.
+            debug_assert!(failed == 0 || (failed.trailing_zeros() + failed.count_ones()) as usize == group.len());
+            for j in (0..group.len()).filter(|j| failed & (1 << j) != 0) {
+                self.visit_hashed(hashes[j], &group[j], |v| f(first + j, v));
             }
         }
+    }
+
+    /// Batched [`get_with`](Self::get_with): one result per key, in
+    /// order (`None` = miss).
+    pub fn get_with_many<R>(&self, keys: &[K], mut f: impl FnMut(&V) -> R) -> Vec<Option<R>> {
+        let mut out = Vec::with_capacity(keys.len());
+        self.visit_many(keys, |_, v| out.push(v.map(&mut f)));
         out
     }
 
@@ -575,7 +550,8 @@ where
         V: Clone,
     {
         out.clear();
-        out.append(&mut self.get_with_many(keys, V::clone));
+        out.reserve(keys.len());
+        self.visit_many(keys, |_, v| out.push(v.cloned()));
     }
 
     /// Looks up `key`, returning a clone of its value.
@@ -650,7 +626,7 @@ where
     pub fn remove(&self, key: &K) -> Option<V> {
         let _pin = self.epochs.pin();
         self.with_locked_pair(hash_of(&self.hash_builder, key), |raw, ks| {
-            let (bi, s) = locked_find(raw, ks, key)?;
+            let (bi, s) = probe::<PlainStore, K, V, B>(raw, ks, key)?;
             // SAFETY: pair lock held; slot occupied.
             let (_, v) = unsafe { raw.take_entry(bi, s) };
             self.count.add(bi, -1);
@@ -662,7 +638,7 @@ where
     pub fn update(&self, key: &K, val: V) -> Option<V> {
         let _pin = self.epochs.pin();
         self.with_locked_pair(hash_of(&self.hash_builder, key), |raw, ks| {
-            let (bi, s) = locked_find(raw, ks, key)?;
+            let (bi, s) = probe::<PlainStore, K, V, B>(raw, ks, key)?;
             // SAFETY: pair lock held; slot occupied.
             Some(std::mem::replace(unsafe { &mut *raw.bucket(bi).val_ptr(s) }, val))
         })
@@ -1302,15 +1278,6 @@ where
     K: Hash + Eq,
     S: BuildHasher,
 {
-    /// Locks the whole table and returns a guard providing consistent
-    /// iteration — libcuckoo's `lock_table()`. All concurrent operations
-    /// block until the guard drops. Any in-flight migration is driven to
-    /// completion first, so every entry is in one table.
-    pub fn lock_table(&self) -> LockedTable<'_, K, V, B, S> {
-        let guard = self.lock_all_quiesced();
-        LockedTable { map: self, _guard: guard }
-    }
-
     /// Returns a clone of `key`'s value, inserting `make()` first if the
     /// key is absent.
     ///
@@ -1346,7 +1313,7 @@ where
     pub fn modify(&self, key: &K, f: impl FnOnce(&mut V)) -> bool {
         let _pin = self.epochs.pin();
         self.with_locked_pair(hash_of(&self.hash_builder, key), |raw, ks| {
-            let found = locked_find(raw, ks, key);
+            let found = probe::<PlainStore, K, V, B>(raw, ks, key);
             if let Some((bi, s)) = found {
                 // SAFETY: pair lock held; slot occupied.
                 f(unsafe { &mut *raw.bucket(bi).val_ptr(s) });
@@ -1403,84 +1370,6 @@ where
             let _ = map.insert(k, v); // later duplicates lose, like libcuckoo
         }
         map
-    }
-}
-
-/// Full-table lock guard with consistent iteration (libcuckoo's
-/// `locked_table`).
-pub struct LockedTable<'a, K, V, const B: usize, S> {
-    map: &'a CuckooMap<K, V, B, S>,
-    _guard: crate::sync::AllGuard<'a>,
-}
-
-impl<'a, K, V, const B: usize, S> LockedTable<'a, K, V, B, S>
-where
-    K: Hash + Eq,
-    S: BuildHasher,
-{
-    /// Iterates over `(&K, &V)` pairs.
-    pub fn iter(&self) -> LockedIter<'_, K, V, B> {
-        // SAFETY: the full-table guard excludes all writers for the
-        // iterator's lifetime.
-        LockedIter {
-            raw: self.map.current(),
-            bucket: 0,
-            slot: 0,
-        }
-    }
-
-    /// Number of entries (exact under the lock).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<'a, 'g, K, V, const B: usize, S> IntoIterator for &'g LockedTable<'a, K, V, B, S>
-where
-    K: Hash + Eq,
-    S: BuildHasher,
-{
-    type Item = (&'g K, &'g V);
-    type IntoIter = LockedIter<'g, K, V, B>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-/// Iterator over a [`LockedTable`].
-pub struct LockedIter<'g, K, V, const B: usize> {
-    raw: &'g RawTable<K, V, B>,
-    bucket: usize,
-    slot: usize,
-}
-
-impl<'g, K, V, const B: usize> Iterator for LockedIter<'g, K, V, B> {
-    type Item = (&'g K, &'g V);
-
-    fn next(&mut self) -> Option<(&'g K, &'g V)> {
-        while self.bucket < self.raw.n_buckets() {
-            let b = self.raw.bucket(self.bucket);
-            let m = self.raw.meta(self.bucket);
-            while self.slot < B {
-                let s = self.slot;
-                self.slot += 1;
-                if m.is_occupied(s) {
-                    // SAFETY: the enclosing LockedTable holds every
-                    // stripe, so occupied slots are stable and
-                    // initialized for the iterator's lifetime.
-                    return Some(unsafe { (&*b.key_ptr(s), &*b.val_ptr(s)) });
-                }
-            }
-            self.slot = 0;
-            self.bucket += 1;
-        }
-        None
     }
 }
 
@@ -1654,25 +1543,6 @@ mod tests {
         snap.sort_unstable();
         assert_eq!(snap[0], (0, 1));
         assert_eq!(snap.len(), 50);
-    }
-
-    #[test]
-    fn locked_table_iterates_consistently() {
-        let m: CuckooMap<u64, u64> = CuckooMap::with_capacity(1000);
-        for k in 0..200u64 {
-            m.insert(k, k * 2).unwrap();
-        }
-        let locked = m.lock_table();
-        assert_eq!(locked.len(), 200);
-        let mut seen: Vec<u64> = locked.iter().map(|(k, _)| *k).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..200).collect::<Vec<_>>());
-        for (k, v) in &locked {
-            assert_eq!(*v, *k * 2);
-        }
-        drop(locked);
-        // Operations work again after the guard drops.
-        m.insert(1000, 1).unwrap();
     }
 
     #[test]

@@ -27,11 +27,12 @@
 //!
 //! [`bfs_max_path_len`]: crate::search::bfs::bfs_max_path_len
 
-use crate::core::{claim, locked_find, RacyStore, Stores, WriteCtx, MULTIGET_GROUP};
+use crate::core::{claim, PlainStore, RacyStore, Stores, WriteCtx, MULTIGET_GROUP};
 use crate::counter::ShardedCounter;
 use crate::error::{InsertError, UpsertOutcome};
 use crate::hash::{key_slots, DefaultHashBuilder, KeySlots};
 use crate::raw::RawTable;
+use crate::read::probe;
 use crate::search::{self, EvictionPolicy};
 use crate::stats::{PathStats, PathStatsSnapshot, TableMetrics};
 use crate::sync::{LockStripes, DEFAULT_STRIPES};
@@ -46,7 +47,6 @@ pub struct Builder<S = DefaultHashBuilder> {
     capacity: usize,
     n_stripes: usize,
     max_search_slots: usize,
-    prefetch: bool,
     path_retries: usize,
     eviction: EvictionPolicy,
     hasher: S,
@@ -59,7 +59,6 @@ impl Builder<DefaultHashBuilder> {
             capacity,
             n_stripes: DEFAULT_STRIPES,
             max_search_slots: DEFAULT_MAX_SEARCH_SLOTS,
-            prefetch: true,
             path_retries: 16,
             eviction: EvictionPolicy::Bfs,
             hasher: DefaultHashBuilder::new(),
@@ -77,12 +76,6 @@ impl<S> Builder<S> {
     /// Sets the search budget `M` (max slots examined per path search).
     pub fn search_budget(mut self, m: usize) -> Self {
         self.max_search_slots = m;
-        self
-    }
-
-    /// Enables or disables BFS bucket prefetching.
-    pub fn prefetch(mut self, on: bool) -> Self {
-        self.prefetch = on;
         self
     }
 
@@ -106,7 +99,6 @@ impl<S> Builder<S> {
             capacity: self.capacity,
             n_stripes: self.n_stripes,
             max_search_slots: self.max_search_slots,
-            prefetch: self.prefetch,
             path_retries: self.path_retries,
             eviction: self.eviction,
             hasher,
@@ -126,7 +118,6 @@ impl<S> Builder<S> {
             hash_builder: self.hasher,
             count: ShardedCounter::new(),
             max_search_slots: self.max_search_slots,
-            prefetch: self.prefetch,
             path_retries: self.path_retries,
             eviction: self.eviction,
             path_stats: PathStats::new(),
@@ -144,7 +135,6 @@ pub struct OptimisticCuckooMap<K, V, const B: usize = 8, S = DefaultHashBuilder>
     hash_builder: S,
     count: ShardedCounter,
     max_search_slots: usize,
-    prefetch: bool,
     path_retries: usize,
     eviction: EvictionPolicy,
     path_stats: PathStats,
@@ -200,7 +190,7 @@ where
             displacements: &self.displacements,
             eviction: self.eviction,
             max_search_slots: self.max_search_slots,
-            prefetch: self.prefetch,
+            prefetch: true,
         }
     }
 
@@ -209,14 +199,12 @@ where
     /// front the map with their own write pipeline (e.g. the CLOCK
     /// cache's `put_many`): hash a whole group, hint every line, then
     /// write — the group's cache misses overlap instead of serializing.
-    /// Pure hint; honors the builder's prefetch switch.
+    /// Pure hint.
     #[inline]
     pub fn prefetch_write_for(&self, key: &K) {
-        if self.prefetch {
-            let ks = self.slots_of(key);
-            self.raw.prefetch_meta_write(ks.i1);
-            self.raw.prefetch_meta_write(ks.i2);
-        }
+        let ks = self.slots_of(key);
+        self.raw.prefetch_meta_write(ks.i1);
+        self.raw.prefetch_meta_write(ks.i2);
     }
 
     /// Looks up `key`, returning a copy of its value. Lock-free.
@@ -355,7 +343,7 @@ where
     pub fn remove_if(&self, key: &K, pred: impl FnOnce(&V) -> bool) -> Option<V> {
         let ks = self.slots_of(key);
         let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-        let (bi, slot) = locked_find(&self.raw, ks, key)?;
+        let (bi, slot) = probe::<PlainStore, K, V, B>(&self.raw, ks, key)?;
         // SAFETY: pair lock held → plain read of locked data.
         let v = unsafe { self.raw.bucket(bi).val_ptr(slot).read() };
         if !pred(&v) {
@@ -490,7 +478,7 @@ where
     pub fn read_modify_write(&self, key: &K, f: impl FnOnce(V) -> V) -> Option<V> {
         let ks = self.slots_of(key);
         let _g = self.stripes.lock_pair(ks.i1, ks.i2);
-        let (bi, slot) = locked_find(&self.raw, ks, key)?;
+        let (bi, slot) = probe::<PlainStore, K, V, B>(&self.raw, ks, key)?;
         let b = self.raw.bucket(bi);
         // SAFETY: pair lock held → no concurrent writer; a plain read of
         // locked data is race-free, and publication via the atomic store

@@ -1,28 +1,35 @@
-//! Lock-free optimistic reads (paper §4.2).
+//! The read core: the paper's lookup, written once for every table.
 //!
-//! Readers take no locks and dirty no cache lines: they stamp the version
-//! counters of both candidate buckets' stripes, scan the buckets with
-//! racy-but-race-free copies, and re-validate the stamps. Any concurrent
-//! writer — fine-grained locker (odd version while held), global-lock
-//! holder, or committing transaction (seqlock bumps around publication) —
-//! moves a stamp and sends the reader around again. Because writers move
-//! *holes* backwards rather than items forwards (§4.2), a present key is
-//! never missing mid-displacement; at worst it is momentarily duplicated,
-//! which a reader resolves to either copy (both carry the same value).
+//! A lookup is one [`probe`] — tag-match both candidate buckets,
+//! full-key compare the candidates — made trustworthy by one of two
+//! [`ReadProtocol`]s:
 //!
-//! Retries are **bounded**: under a writer storm (a stripe whose version
-//! never stops moving) the optimistic loop abandons after
-//! [`MAX_OPTIMISTIC_RETRIES`] attempts and takes the stripe pair locks,
-//! which guarantees one consistent scan in bounded time instead of
-//! retrying forever. The model checker surfaced the unbounded loop: a
-//! schedule that always interleaves a version bump between `read_begin`
-//! and `read_validate` starves the reader permanently.
+//! - [`Optimistic`] (§4.2, §4.4): no locks and no cache-line writes.
+//!   Stamp both buckets' stripe versions, probe with racy-but-race-free
+//!   copies, re-validate the stamps. Any concurrent writer — pair
+//!   locker (odd version while held), global-lock holder, committing
+//!   transaction (seqlock bumps around publication) — moves a stamp and
+//!   sends the reader around again. Writers move *holes* backwards, so
+//!   a present key is never missing mid-displacement, at worst
+//!   momentarily duplicated with the same value. Retries are bounded:
+//!   the model checker found the schedule that always interleaves a
+//!   version bump between stamp and validation and starves an unbounded
+//!   loop, so after [`MAX_OPTIMISTIC_RETRIES`] the reader takes the
+//!   pair lock.
+//! - [`Locked`] (§7, `CuckooMap`): take the pair lock, re-check under it
+//!   that the table is still the one to read, probe with plain loads,
+//!   and lend `&V` while the lock is held — any `K`/`V`.
+//!
+//! [`ReadProtocol::read_one`] is the single-key read and [`read_group`]
+//! the software-pipelined batch; [`get`] / [`contains`] / [`get_group`]
+//! are their optimistic instantiations for the `Plain` tables.
 
-use crate::core::MULTIGET_GROUP;
+use crate::core::{PlainStore, RacyStore, Stores, MULTIGET_GROUP};
 use crate::hash::KeySlots;
+use crate::prefetch::prefetch_read;
 use crate::raw::RawTable;
 use crate::stats::TableMetrics;
-use crate::sync::{LockStripes, ReadStamp};
+use crate::sync::LockStripes;
 use htm::Plain;
 
 /// Optimistic validation attempts before falling back to the locked
@@ -32,106 +39,219 @@ use htm::Plain;
 /// queueing on the lock is both faster and fair.
 const MAX_OPTIMISTIC_RETRIES: u32 = 64;
 
-/// Probes one bucket's candidate slots (a SWAR tag-match mask) for
-/// `key`, returning the racy value copy on a full-key match.
-///
-/// # Safety contract (internal)
-///
-/// The mask must come from `meta(bucket_idx)` (so every set bit is
-/// `< B`); the copies may be torn and the caller discards them unless
-/// its stripe stamps validate or it holds the pair lock.
+/// The slots of `bucket` that may hold a key tagged `tag` (tag match AND
+/// occupied, two SWAR loads).
 #[inline]
-fn probe_mask<K, V, const B: usize>(
-    raw: &RawTable<K, V, B>,
-    bucket_idx: usize,
-    mut cand: u16,
-    key: &K,
-) -> Option<V>
-where
-    K: Plain + Eq,
-    V: Plain,
-{
-    while cand != 0 {
-        let slot = cand.trailing_zeros() as usize;
-        cand &= cand - 1;
-        // SAFETY: `slot < B` (from the B-bit candidate mask); the
-        // copy may be torn, and the caller discards it unless the
-        // stamps validate / the pair lock was held (seqlock ordering
-        // argument: DESIGN.md §5d).
-        let k = unsafe { raw.read_key_racy(bucket_idx, slot) };
-        if k == *key {
-            // SAFETY: as above.
-            return Some(unsafe { raw.read_val_racy(bucket_idx, slot) });
-        }
-    }
-    None
+fn candidates<K, V, const B: usize>(raw: &RawTable<K, V, B>, bucket: usize, tag: u8) -> u16 {
+    let m = raw.meta(bucket);
+    m.match_tag_mask(tag) & m.occupied_mask()
 }
 
-/// Scans both candidate buckets for `key`, returning the value copy.
+/// What a [`probe`] finds: the `(bucket, slot)` holding the key.
+pub(crate) type Slot = Option<(usize, usize)>;
+
+/// The lookup: `key`'s [`Slot`] in its candidate buckets, `i1` before
+/// `i2` (once when they coincide).
 ///
-/// The copies are racy; the caller makes them trustworthy either by
-/// validating stripe stamps around the call (optimistic path) or by
-/// holding the stripe pair locks across it (fallback path).
-fn scan_value<K, V, const B: usize>(
+/// What `W` loads is only trustworthy under its protection — writer
+/// exclusion over both buckets for [`PlainStore`]; for [`RacyStore`],
+/// stripe stamps that validate afterwards (or the pair lock). Inlined
+/// into every caller: handing the slot back through memory costs a
+/// cache-resident `get` a quarter of its time.
+#[inline(always)]
+pub(crate) fn probe<W: Stores<K, V, B>, K: Eq, V, const B: usize>(
     raw: &RawTable<K, V, B>,
     ks: KeySlots,
     key: &K,
-) -> Option<V>
-where
-    K: Plain + Eq,
-    V: Plain,
-{
-    let m1 = raw.meta(ks.i1);
-    // SWAR: all candidate slots (tag match AND occupied) in two loads.
-    let cand1 = m1.match_tag_mask(ks.tag) & m1.occupied_mask();
-    if ks.i2 == ks.i1 {
-        return probe_mask(raw, ks.i1, cand1, key);
-    }
-    if cand1 == 0 {
-        // Tag miss in the primary: the lookup is headed for the
-        // alternate bucket, so start pulling its entry storage now —
-        // the data-line fetch overlaps the alternate metadata check
-        // that decides whether to probe it.
-        raw.prefetch_data(ks.i2);
-    }
-    if let Some(v) = probe_mask(raw, ks.i1, cand1, key) {
-        return Some(v);
-    }
-    let m2 = raw.meta(ks.i2);
-    let cand2 = m2.match_tag_mask(ks.tag) & m2.occupied_mask();
-    probe_mask(raw, ks.i2, cand2, key)
-}
-
-/// Presence-only variant of [`scan_value`] (no value copy).
-fn scan_present<K, V, const B: usize>(
-    raw: &RawTable<K, V, B>,
-    ks: KeySlots,
-    key: &K,
-) -> bool
-where
-    K: Plain + Eq,
-{
-    for bucket_idx in [ks.i1, ks.i2] {
-        let m = raw.meta(bucket_idx);
-        let mut cand = m.match_tag_mask(ks.tag) & m.occupied_mask();
+) -> Slot {
+    for bucket in [ks.i1, ks.i2] {
+        let mut cand = candidates(raw, bucket, ks.tag);
+        if cand == 0 && bucket != ks.i2 {
+            // Tag miss in the primary: the lookup is headed for the
+            // alternate bucket, so start pulling its entry storage now —
+            // the data-line fetch overlaps the alternate metadata check
+            // that decides whether to probe it.
+            raw.prefetch_data(ks.i2);
+        }
         while cand != 0 {
             let slot = cand.trailing_zeros() as usize;
             cand &= cand - 1;
-            // SAFETY: `slot < B`; racy copy, validated or locked by the
-            // caller as in [`scan_value`].
-            if unsafe { raw.read_key_racy(bucket_idx, slot) } == *key {
-                return true;
+            // SAFETY: `slot < B` (a bit of the B-bit candidate mask, so
+            // also occupied when read under exclusion); the caller has
+            // `W`'s protection in force.
+            if unsafe { W::key_is(raw, bucket, slot, key) } {
+                return Some((bucket, slot));
             }
         }
         if ks.i2 == ks.i1 {
             break;
         }
     }
-    false
+    None
 }
 
-/// Optimistically reads `key`'s value, falling back to the stripe locks
-/// after [`MAX_OPTIMISTIC_RETRIES`] failed validations.
+/// How a reader makes one [`probe`] of a key's bucket pair trustworthy.
+pub(crate) trait ReadProtocol<K: Eq, V, const B: usize> {
+    /// The table read, and the stripes stamped or locked over it.
+    fn table(&self) -> (&RawTable<K, V, B>, &LockStripes);
+
+    /// One protected probe for `key`: `look` is handed its slot inside
+    /// the protection; `None` when the protocol cannot vouch for what
+    /// `look` saw.
+    fn attempt<T>(&self, ks: KeySlots, key: &K, look: impl FnOnce(Slot) -> T) -> Option<T>;
+
+    /// The single-key read: [`attempt`](Self::attempt)s until one holds
+    /// — `look` may run more than once, and only the returned result is
+    /// vouched for. `None` when trying again cannot help and the caller
+    /// must find the right table.
+    #[inline]
+    fn read_one<T>(&self, ks: KeySlots, key: &K, look: impl FnMut(Slot) -> T) -> Option<T> {
+        self.attempt(ks, key, look)
+    }
+}
+
+/// Stamp → probe → validate; `look` may see torn bytes, hence `Plain`
+/// and [`RacyStore`] loads, and its result counts only once validated.
+pub(crate) struct Optimistic<'a, K, V, const B: usize> {
+    pub raw: &'a RawTable<K, V, B>,
+    pub stripes: &'a LockStripes,
+    pub metrics: &'a TableMetrics,
+}
+
+impl<K: Plain + Eq, V: Plain, const B: usize> ReadProtocol<K, V, B> for Optimistic<'_, K, V, B> {
+    #[inline]
+    fn table(&self) -> (&RawTable<K, V, B>, &LockStripes) {
+        (self.raw, self.stripes)
+    }
+
+    #[inline]
+    fn attempt<T>(&self, ks: KeySlots, key: &K, look: impl FnOnce(Slot) -> T) -> Option<T> {
+        let s1 = self.stripes.stripe(ks.i1);
+        let s2 = self.stripes.stripe(ks.i2);
+        let same_stripe = self.stripes.stripe_of(ks.i1) == self.stripes.stripe_of(ks.i2);
+        let st1 = s1.read_begin();
+        let st2 = if same_stripe { st1 } else { s2.read_begin() };
+        let seen = look(probe::<RacyStore, K, V, B>(self.raw, ks, key));
+        (s1.read_validate(st1) && (same_stripe || s2.read_validate(st2))).then_some(seen)
+    }
+
+    /// Never `None`: bounded retries, then the [`Locked`] protocol.
+    #[inline]
+    fn read_one<T>(&self, ks: KeySlots, key: &K, mut look: impl FnMut(Slot) -> T) -> Option<T> {
+        let mut spins = 0u32;
+        for _ in 0..MAX_OPTIMISTIC_RETRIES {
+            let held = self.attempt(ks, key, &mut look);
+            if held.is_some() {
+                return held;
+            }
+            // A failed validation means a writer holds (or bumped) a
+            // stripe; hammering the version counters only slows that
+            // writer down. (Metrics are bumped only here on the failure
+            // path — a first-attempt success never touches a shared
+            // counter line.)
+            self.metrics.read_retries.inc();
+            crate::sync::backoff(&mut spins);
+        }
+        // Writer storm on this stripe pair: take the locks. Writers
+        // mutating these buckets hold the same pair, so the probe is
+        // consistent and `look`'s racy copies cannot tear.
+        self.metrics.read_lock_fallbacks.inc();
+        Locked { raw: self.raw, stripes: self.stripes, valid: || true }.attempt(ks, key, look)
+    }
+}
+
+/// Pair lock → `valid` → probe; `look` may borrow from the buckets for
+/// as long as it runs. `valid` says, under the lock, whether the table
+/// is still the one to read; it cannot turn true again, so
+/// [`read_one`](ReadProtocol::read_one) is a single attempt.
+pub(crate) struct Locked<'a, K, V, const B: usize, F> {
+    pub raw: &'a RawTable<K, V, B>,
+    pub stripes: &'a LockStripes,
+    pub valid: F,
+}
+
+impl<K: Eq, V, const B: usize, F: Fn() -> bool> ReadProtocol<K, V, B> for Locked<'_, K, V, B, F> {
+    #[inline]
+    fn table(&self) -> (&RawTable<K, V, B>, &LockStripes) {
+        (self.raw, self.stripes)
+    }
+
+    #[inline]
+    fn attempt<T>(&self, ks: KeySlots, key: &K, look: impl FnOnce(Slot) -> T) -> Option<T> {
+        let _g = self.stripes.lock_pair(ks.i1, ks.i2);
+        (self.valid)().then(|| look(probe::<PlainStore, K, V, B>(self.raw, ks, key)))
+    }
+}
+
+/// Software-pipelined lookup of one group of at most [`MULTIGET_GROUP`]
+/// keys (`ks` and `keys` are parallel), under `p`. The stages
+/// interleave *across* keys so each key's cache misses overlap the
+/// others':
+///
+/// 1. **prefetch metadata** — both candidate `BucketMeta` words and
+///    stripe words of every key are requested before any is read;
+/// 2. **prefetch data** — per key: tag-match the (now warm) metadata
+///    and request the key array of buckets reporting a candidate plus
+///    every line of each candidate slot's value. Nothing here is
+///    trusted: a racing writer costs at most a wasted hint;
+/// 3. **probe** — per key, in order: one [`ReadProtocol::attempt`] over
+///    lines that are now warm, handing `each(j, slot)` the result
+///    inside the protection.
+///
+/// A key whose attempt fails — a writer moved one of its stripes, or the
+/// table went stale — is counted in `multiget_fallbacks` and reported
+/// in the returned mask (bit `j`) for the caller's single-key path,
+/// whatever `each` did with it; only that key pays. Correctness is the
+/// single-key argument unchanged, key by key.
+pub(crate) fn read_group<K: Eq, V, const B: usize>(
+    p: &impl ReadProtocol<K, V, B>,
+    metrics: &TableMetrics,
+    ks: &[KeySlots],
+    keys: &[K],
+    mut each: impl FnMut(usize, Slot),
+) -> u32 {
+    debug_assert!(ks.len() <= MULTIGET_GROUP && ks.len() == keys.len());
+    let (raw, stripes) = p.table();
+    for k in ks {
+        for bucket in [k.i1, k.i2] {
+            raw.prefetch_meta(bucket);
+            prefetch_read(stripes.stripe(bucket));
+        }
+    }
+    for k in ks {
+        for bucket in [k.i1, k.i2] {
+            let mut cand = candidates(raw, bucket, k.tag);
+            if cand != 0 {
+                raw.prefetch_data(bucket);
+            }
+            while cand != 0 {
+                raw.prefetch_val(bucket, cand.trailing_zeros() as usize);
+                cand &= cand - 1;
+            }
+        }
+    }
+    let mut failed = 0;
+    for (j, (k, key)) in ks.iter().zip(keys).enumerate() {
+        if p.attempt(*k, key, |at| each(j, at)).is_none() {
+            metrics.multiget_fallbacks.inc();
+            failed |= 1 << j;
+        }
+    }
+    failed
+}
+
+/// The racy copy of the value at a probed slot, for [`Optimistic`]'s
+/// `look`.
+#[inline]
+fn copy_out<K, V: Plain, const B: usize>(raw: &RawTable<K, V, B>, at: Slot) -> Option<V> {
+    // SAFETY: `slot < B` (from the probe); the copy may be torn, and
+    // the protocol discards it unless the stamps validate / the pair
+    // lock was held (seqlock ordering argument: DESIGN.md §5d).
+    at.map(|(bucket, slot)| unsafe { raw.read_val_racy(bucket, slot) })
+}
+
+/// Optimistically reads `key`'s value.
+#[inline]
 pub(crate) fn get<K, V, const B: usize>(
     raw: &RawTable<K, V, B>,
     stripes: &LockStripes,
@@ -143,74 +263,32 @@ where
     K: Plain + Eq,
     V: Plain,
 {
-    let mut spins = 0u32;
-    for _ in 0..MAX_OPTIMISTIC_RETRIES {
-        if let Some(result) = try_get(raw, stripes, ks, key) {
-            return result;
-        }
-        // A failed validation means a writer holds (or bumped) a stripe;
-        // hammering the version counters only slows that writer down.
-        // (Metrics are bumped only here on the failure path — a
-        // first-attempt success never touches a shared counter line.)
-        m.read_retries.inc();
-        crate::sync::backoff(&mut spins);
-    }
-    // Writer storm on this stripe pair: take the locks. Writers mutating
-    // these buckets hold the same pair, so the scan below is consistent
-    // and the racy copies cannot tear.
-    m.read_lock_fallbacks.inc();
-    let _g = stripes.lock_pair(ks.i1, ks.i2);
-    scan_value(raw, ks, key)
+    Optimistic { raw, stripes, metrics: m }
+        .read_one(ks, key, |at| copy_out(raw, at))
+        .expect("the optimistic protocol ends under the pair lock")
 }
 
-/// Per-key state the batched pipeline carries from the stamping stage to
-/// the probing stage.
-#[derive(Clone, Copy)]
-struct Staged {
-    st1: ReadStamp,
-    st2: ReadStamp,
-    same_stripe: bool,
-    cand1: u16,
-    cand2: u16,
-}
-
-/// Stage-2 hint for one bucket of a batched lookup: when its tag probe
-/// reported candidates, the key array and each candidate slot's value
-/// storage — everything stage 3's compare and copy-out will touch.
+/// Optimistically checks for `key`'s presence: a [`get`] that copies
+/// nothing.
 #[inline]
-fn prefetch_candidates<K, V, const B: usize>(raw: &RawTable<K, V, B>, bucket_idx: usize, mut cand: u16) {
-    if cand != 0 {
-        raw.prefetch_data(bucket_idx);
-    }
-    while cand != 0 {
-        raw.prefetch_val(bucket_idx, cand.trailing_zeros() as usize);
-        cand &= cand - 1;
-    }
+pub(crate) fn contains<K, V, const B: usize>(
+    raw: &RawTable<K, V, B>,
+    stripes: &LockStripes,
+    m: &TableMetrics,
+    ks: KeySlots,
+    key: &K,
+) -> bool
+where
+    K: Plain + Eq,
+    V: Plain,
+{
+    Optimistic { raw, stripes, metrics: m }
+        .read_one(ks, key, |at| at.is_some())
+        .expect("the optimistic protocol ends under the pair lock")
 }
 
-/// Software-pipelined batched lookup over one group of at most
-/// [`MULTIGET_GROUP`] keys (`ks`, `keys`, and `out` are parallel).
-///
-/// The stages interleave *across* keys so each key's cache misses
-/// overlap the others':
-///
-/// 1. **prefetch metadata** — both candidate `BucketMeta` words for
-///    every key are requested before any is read;
-/// 2. **stamp + tag-match + prefetch data** — per key: stamp the stripe
-///    versions, SWAR-probe the (now warm) metadata, and prefetch the key
-///    array of buckets reporting a candidate and every line of each
-///    candidate slot's value;
-/// 3. **probe + validate** — per key: full-key compare the candidates
-///    and copy the value out (key and value lines now warm), then
-///    validate the stamps. Stamp movement
-///    means a writer touched the pair mid-pipeline; that key alone
-///    falls back to the single-key path (bounded retries, then locks).
-///
-/// Correctness is the single-key argument unchanged: the candidate
-/// masks read in stage 2 and the entries probed in stage 3 are all
-/// loads between `read_begin` and `read_validate` on the same stamps,
-/// so a passing validation proves none of it was concurrently written.
-/// Prefetches are hints and carry no ordering obligations.
+/// Optimistic [`read_group`] into `out` (parallel to `ks` and `keys`);
+/// a key invalidated mid-pipeline falls back to [`get`].
 pub(crate) fn get_group<K, V, const B: usize>(
     raw: &RawTable<K, V, B>,
     stripes: &LockStripes,
@@ -222,119 +300,14 @@ pub(crate) fn get_group<K, V, const B: usize>(
     K: Plain + Eq,
     V: Plain,
 {
-    debug_assert!(keys.len() <= MULTIGET_GROUP);
-    debug_assert!(ks.len() == keys.len() && out.len() == keys.len());
-    // Stage 1: issue every key's metadata prefetches back-to-back.
-    for k in ks {
-        raw.prefetch_meta(k.i1);
-        raw.prefetch_meta(k.i2);
+    debug_assert!(out.len() == keys.len());
+    let p = Optimistic { raw, stripes, metrics: m };
+    let mut failed = read_group(&p, m, ks, keys, |j, at| out[j] = copy_out(raw, at));
+    while failed != 0 {
+        let j = failed.trailing_zeros() as usize;
+        failed &= failed - 1;
+        out[j] = get(raw, stripes, m, ks[j], &keys[j]);
     }
-    // Stage 2: stamp stripes, SWAR-match tags, prefetch hit buckets.
-    let mut staged = [Staged {
-        st1: ReadStamp::default(),
-        st2: ReadStamp::default(),
-        same_stripe: true,
-        cand1: 0,
-        cand2: 0,
-    }; MULTIGET_GROUP];
-    for (j, k) in ks.iter().enumerate() {
-        let s1 = stripes.stripe(k.i1);
-        let s2 = stripes.stripe(k.i2);
-        let same_stripe = stripes.stripe_of(k.i1) == stripes.stripe_of(k.i2);
-        let st1 = s1.read_begin();
-        let st2 = if same_stripe { st1 } else { s2.read_begin() };
-        let m1 = raw.meta(k.i1);
-        let cand1 = m1.match_tag_mask(k.tag) & m1.occupied_mask();
-        let cand2 = if k.i2 == k.i1 {
-            0
-        } else {
-            let m2 = raw.meta(k.i2);
-            m2.match_tag_mask(k.tag) & m2.occupied_mask()
-        };
-        prefetch_candidates(raw, k.i1, cand1);
-        prefetch_candidates(raw, k.i2, cand2);
-        staged[j] = Staged { st1, st2, same_stripe, cand1, cand2 };
-    }
-    // Stage 3: full-key probes under the captured stamps.
-    for (j, k) in ks.iter().enumerate() {
-        let st = staged[j];
-        let key = &keys[j];
-        let found = match probe_mask(raw, k.i1, st.cand1, key) {
-            Some(v) => Some(v),
-            None => probe_mask(raw, k.i2, st.cand2, key),
-        };
-        let valid = stripes.stripe(k.i1).read_validate(st.st1)
-            && (st.same_stripe || stripes.stripe(k.i2).read_validate(st.st2));
-        out[j] = if valid {
-            found
-        } else {
-            // A writer moved one of this key's stripes mid-pipeline;
-            // only this key pays for the slow path.
-            m.multiget_fallbacks.inc();
-            get(raw, stripes, m, *k, key)
-        };
-    }
-}
-
-/// One validated attempt; `None` means a writer interfered — retry.
-fn try_get<K, V, const B: usize>(
-    raw: &RawTable<K, V, B>,
-    stripes: &LockStripes,
-    ks: KeySlots,
-    key: &K,
-) -> Option<Option<V>>
-where
-    K: Plain + Eq,
-    V: Plain,
-{
-    let s1 = stripes.stripe(ks.i1);
-    let s2 = stripes.stripe(ks.i2);
-    let same_stripe = stripes.stripe_of(ks.i1) == stripes.stripe_of(ks.i2);
-
-    let st1 = s1.read_begin();
-    let st2 = if same_stripe { st1 } else { s2.read_begin() };
-
-    let found = scan_value(raw, ks, key);
-
-    let valid = s1.read_validate(st1) && (same_stripe || s2.read_validate(st2));
-    if valid {
-        Some(found)
-    } else {
-        None
-    }
-}
-
-/// Optimistically checks for `key`'s presence (a value-copy-free `get`),
-/// with the same bounded-retry locked fallback as [`get`].
-pub(crate) fn contains<K, V, const B: usize>(
-    raw: &RawTable<K, V, B>,
-    stripes: &LockStripes,
-    m: &TableMetrics,
-    ks: KeySlots,
-    key: &K,
-) -> bool
-where
-    K: Plain + Eq,
-{
-    let mut spins = 0u32;
-    for _ in 0..MAX_OPTIMISTIC_RETRIES {
-        let s1 = stripes.stripe(ks.i1);
-        let s2 = stripes.stripe(ks.i2);
-        let same_stripe = stripes.stripe_of(ks.i1) == stripes.stripe_of(ks.i2);
-        let st1 = s1.read_begin();
-        let st2 = if same_stripe { st1 } else { s2.read_begin() };
-
-        let found = scan_present(raw, ks, key);
-
-        if s1.read_validate(st1) && (same_stripe || s2.read_validate(st2)) {
-            return found;
-        }
-        m.read_retries.inc();
-        crate::sync::backoff(&mut spins);
-    }
-    m.read_lock_fallbacks.inc();
-    let _g = stripes.lock_pair(ks.i1, ks.i2);
-    scan_present(raw, ks, key)
 }
 
 #[cfg(test)]
@@ -543,5 +516,95 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// A key whose candidate buckets sit under two different stripes of
+    /// a 16-stripe set, placed in its primary bucket.
+    fn two_stripe_fixture() -> (RawTable<u64, u64, 8>, LockStripes, KeySlots, u64) {
+        let raw: RawTable<u64, u64, 8> = RawTable::with_capacity(4096);
+        let stripes = LockStripes::new(16);
+        let hb = RandomState::with_seed(17);
+        let (key, ks) = (0..)
+            .map(|key: u64| (key, key_slots(&hb, &key, raw.mask())))
+            .find(|(_, ks)| stripes.stripe_of(ks.i1) != stripes.stripe_of(ks.i2))
+            .expect("some key spans two stripes");
+        // SAFETY: single-threaded.
+        unsafe { raw.write_entry_racy(ks.i1, 0, ks.tag, key, 5u64) };
+        (raw, stripes, ks, key)
+    }
+
+    /// The optimistic window closes on *both* stripes: a writer that
+    /// touches only the alternate bucket's stripe — where a displaced
+    /// key lands — must fail the attempt as surely as one in the
+    /// primary's. (Pinned by the `read-skip-second-validate` mutant.)
+    #[test]
+    fn optimistic_attempt_validates_both_stripes() {
+        let (raw, stripes, ks, key) = two_stripe_fixture();
+        let tm = TableMetrics::new();
+        let p = Optimistic { raw: &raw, stripes: &stripes, metrics: &tm };
+        assert_eq!(p.attempt(ks, &key, |at| at), Some(Some((ks.i1, 0))));
+        for bumped in [ks.i1, ks.i2] {
+            let seen = p.attempt(ks, &key, |at| {
+                // A writer locks and unlocks one stripe mid-window.
+                drop(stripes.lock_pair(bumped, bumped));
+                at
+            });
+            assert_eq!(seen, None, "stripe of bucket {bumped} moved inside the window");
+        }
+        assert_eq!(get(&raw, &stripes, &tm, ks, &key), Some(5));
+    }
+
+    /// The locked protocol re-checks `valid` *under* the pair lock and
+    /// never probes a table that failed it: a `CuckooMap` reader that
+    /// trusted a table swapped (or drained by a migration) while it
+    /// waited for the lock would report a false miss. (Pinned by the
+    /// `read-locked-skip-valid` mutant.)
+    #[test]
+    fn locked_attempt_rechecks_valid_under_the_lock() {
+        let (raw, stripes, ks, key) = two_stripe_fixture();
+        let held = || stripes.stripe(ks.i1).is_locked() && stripes.stripe(ks.i2).is_locked();
+        let stale = Locked { raw: &raw, stripes: &stripes, valid: || !held() };
+        assert_eq!(stale.attempt(ks, &key, |_| unreachable!("probed a stale table")), None::<()>);
+        assert_eq!(stale.read_one(ks, &key, |at| at), None);
+        let live = Locked { raw: &raw, stripes: &stripes, valid: held };
+        assert_eq!(live.read_one(ks, &key, |at| at), Some(Some((ks.i1, 0))));
+        assert_eq!(live.read_one(ks, &(key + 1), |at| at), Some(None));
+        assert!(!held(), "the pair lock is released");
+    }
+
+    /// The one probe gives the same answer under both key loads, for
+    /// every shape of candidate pair: distinct buckets, coinciding
+    /// buckets (probed once), the key in either bucket, and strangers
+    /// sharing its tag in the same bucket.
+    #[test]
+    fn probe_agrees_under_plain_and_racy_key_loads() {
+        let raw: RawTable<u64, u64, 4> = RawTable::with_capacity(1024);
+        let tag = 9u8;
+        // Buckets 3 and 7: strangers with the probed tag before the
+        // real keys; bucket 5 doubles as a coinciding pair.
+        // SAFETY: single-threaded; slots unoccupied.
+        unsafe {
+            raw.write_entry_racy(3, 0, tag, 100, 0);
+            raw.write_entry_racy(3, 2, tag, 1, 0);
+            raw.write_entry_racy(7, 1, tag, 101, 0);
+            raw.write_entry_racy(7, 3, tag, 2, 0);
+            raw.write_entry_racy(7, 0, tag + 1, 3, 0);
+            raw.write_entry_racy(5, 3, tag, 4, 0);
+        }
+        let pair = KeySlots { i1: 3, i2: 7, tag };
+        let same = KeySlots { i1: 5, i2: 5, tag };
+        for (ks, key, want) in [
+            (pair, 1u64, Some((3, 2))),
+            (pair, 2, Some((7, 3))),
+            (pair, 3, None), // present, but under another tag
+            (pair, 9, None),
+            (KeySlots { i1: 7, i2: 3, tag }, 1, Some((3, 2))),
+            (same, 4, Some((5, 3))),
+            (same, 1, None),
+            (KeySlots { i1: 11, i2: 13, tag }, 1, None), // empty buckets
+        ] {
+            assert_eq!(probe::<PlainStore, u64, u64, 4>(&raw, ks, &key), want, "{ks:?} key {key}");
+            assert_eq!(probe::<RacyStore, u64, u64, 4>(&raw, ks, &key), want, "{ks:?} key {key}");
+        }
     }
 }

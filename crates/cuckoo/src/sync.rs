@@ -54,9 +54,7 @@ pub struct VersionLock {
 }
 
 /// A validated snapshot of a stripe's version, for optimistic reads.
-/// The `Default` stamp (version 0) is a placeholder for pre-sized
-/// pipeline buffers, not a valid observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadStamp(u64);
 
 impl VersionLock {

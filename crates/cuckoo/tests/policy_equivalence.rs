@@ -15,6 +15,13 @@
 //!    lose nothing under the walk policies, and end with the same
 //!    membership a sequential BFS fill of the surviving keys produces.
 //!
+//! 3. **Read protocols**: the optimistic (seqlock) and locked-pair read
+//!    protocols run one probe, so on the same contents `visit_many` ≡
+//!    per-key `get` ≡ `contains_key`, on both maps and against the
+//!    oracle. (The probe's two key loads are compared slot for slot —
+//!    coinciding buckets included, which real geometry never produces —
+//!    by `read.rs`'s `probe_agrees_under_plain_and_racy_key_loads`.)
+//!
 //! Load is kept at ~70% of capacity so no policy legitimately reports
 //! `TableFull` — any divergence is a policy bug, not saturation skew.
 //! Case count respects `PROPTEST_CASES` (CI runs 64).
@@ -154,6 +161,52 @@ proptest! {
                 prop_assert_eq!(map.get(&k), oracle.get(&k).copied());
             }
         }
+    }
+}
+
+proptest! {
+    /// Both read protocols, single-key and grouped, show the same thing
+    /// for the same contents. Keys come from a 12-bit domain over a
+    /// 1024-slot 4-way table, so buckets routinely hold several keys —
+    /// and absent keys routinely tag-collide with a resident stranger in
+    /// one of their candidate buckets (~2 % of probes) — while the query
+    /// stream repeats keys within a group and runs longer than the
+    /// table.
+    #[test]
+    fn read_protocols_agree_single_key_and_grouped(
+        fill in collection::vec(0u64..4096, 0..600),
+        queries in collection::vec(0u64..4096, 0..1500),
+        hash_seed in any::<u64>(),
+    ) {
+        let optimistic: OptimisticCuckooMap<u64, u64, 4, RandomState> =
+            OptimisticBuilder::new(1024).hasher(RandomState::with_seed(hash_seed)).build();
+        let locked: CuckooMap<u64, u64, 4, RandomState> =
+            CuckooMap::with_capacity_and_hasher(1024, RandomState::with_seed(hash_seed));
+        let mut oracle: HashMap<u64, u64> = HashMap::new();
+        for &k in &fill {
+            let fresh = oracle.insert(k, k ^ 0x5bd1).is_none();
+            prop_assert_eq!(optimistic.insert(k, k ^ 0x5bd1).is_ok(), fresh);
+            prop_assert_eq!(locked.insert(k, k ^ 0x5bd1).is_ok(), fresh);
+        }
+        // Every key twice in a row: duplicates land inside one group and
+        // across group boundaries.
+        let keys: Vec<u64> = queries.iter().flat_map(|&k| [k, k]).collect();
+
+        let mut shown = Vec::with_capacity(keys.len());
+        optimistic.visit_many(&keys, |i, v| shown.push((i, v.copied())));
+        let mut lent = Vec::with_capacity(keys.len());
+        locked.visit_many(&keys, |i, v| lent.push((i, v.copied())));
+        prop_assert_eq!(shown.len(), keys.len());
+        prop_assert_eq!(&shown, &lent);
+        for (i, k) in keys.iter().enumerate() {
+            let want = oracle.get(k).copied();
+            prop_assert_eq!(shown[i], (i, want), "visit_many, key {}", k);
+            prop_assert_eq!(optimistic.get(k), want, "optimistic get({})", k);
+            prop_assert_eq!(locked.get(k), want, "locked get({})", k);
+            prop_assert_eq!(optimistic.contains_key(k), want.is_some());
+            prop_assert_eq!(locked.contains_key(k), want.is_some());
+        }
+        prop_assert_eq!(locked.get_many(&keys), optimistic.get_many(&keys));
     }
 }
 

@@ -200,7 +200,7 @@ impl<V: BenchValue + cuckoo::Plain, const B: usize> ConcurrentMap<V>
     }
 
     fn htm_stats(&self) -> Option<StatsSnapshot> {
-        ElidedCuckooMap::htm_stats(self)
+        MemC3Cuckoo::htm_stats(self)
     }
 }
 

@@ -9,6 +9,34 @@
 
 use cuckoo_repro::cuckoo::{CuckooMap, OptimisticCuckooMap};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts this thread's heap allocations, so a test can show a call
+/// makes none.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: defers to `System`; the counter is a destructor-free
+// thread-local, so touching it never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's contract is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract is `System::dealloc`'s.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 proptest! {
     /// Optimistic map: batched lookups agree with single-key gets for
@@ -240,4 +268,39 @@ fn get_many_sees_all_keys_across_live_expansion() {
     for (k, v) in keys.iter().zip(out) {
         assert_eq!(v, Some(k * 7 + 5), "key {k} lost");
     }
+}
+
+/// A batch that finds an expansion in flight is counted and still
+/// right: every key demotes to the two-table single-key path, bumps
+/// `multiget_fallbacks` (which used to stay 0 on this map), and returns
+/// what `get` returns; once the migration is driven home the same batch
+/// pipelines again. Either way `get_many_into` fills the caller's buffer
+/// without allocating one of its own.
+#[test]
+fn get_many_mid_expansion_is_counted_and_correct() {
+    let m: CuckooMap<u64, u64, 8> = CuckooMap::with_capacity(1 << 10);
+    let mut keys = Vec::new();
+    while !m.is_migrating() {
+        let k = keys.len() as u64;
+        m.insert(k, k * 7 + 5).unwrap();
+        keys.push(k);
+    }
+    keys.extend([1 << 40, 3, 3]); // a miss and a duplicate, mid-group
+    let want: Vec<Option<u64>> = keys.iter().map(|k| m.get(k)).collect();
+    assert!(m.is_migrating(), "reads never help a migration along");
+    assert_eq!(m.metrics().multiget_fallbacks.get(), 0);
+
+    let mut out = Vec::with_capacity(keys.len());
+    let allocations = ALLOCATIONS.with(Cell::get);
+    m.get_many_into(&keys, &mut out);
+    assert_eq!(ALLOCATIONS.with(Cell::get), allocations, "get_many_into allocated mid-migration");
+    assert_eq!(out, want);
+    assert_eq!(m.metrics().multiget_fallbacks.get(), keys.len() as u64);
+
+    while m.help_migrate(usize::MAX) {}
+    let allocations = ALLOCATIONS.with(Cell::get);
+    m.get_many_into(&keys, &mut out);
+    assert_eq!(ALLOCATIONS.with(Cell::get), allocations, "get_many_into allocated");
+    assert_eq!(out, want);
+    assert_eq!(m.metrics().multiget_fallbacks.get(), keys.len() as u64, "a stable table pipelines");
 }

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the core invariants.
 
 use cuckoo_repro::cuckoo::analysis::{p_invalid_exact, p_invalid_max};
-use cuckoo_repro::cuckoo::hashing::{alt_index, key_slots, tag_of};
+use cuckoo_repro::cuckoo::hash::{alt_index, key_slots, tag_of};
 use cuckoo_repro::cuckoo::hash::RandomState;
 use cuckoo_repro::cuckoo::raw::RawTable;
 use cuckoo_repro::cuckoo::search::bfs::{bfs_max_path_len, search as bfs_search};

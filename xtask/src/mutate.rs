@@ -27,6 +27,9 @@
 //!   stamp instead of odd, erasing the reader-visible write window.
 //! * **Fence removal** — drops the `read_validate` Acquire fence.
 //! * **Bounds off-by-one** — the path executor walks one step too far.
+//! * **Read-protocol check removal** — the optimistic protocol skips
+//!   its second stripe's validation; the locked protocol skips its
+//!   `valid` re-check under the pair lock.
 //! * **SAFETY-comment strip** — the SAFETY lint must notice its
 //!   comments disappearing (the old first sed smoke).
 //!
@@ -420,6 +423,32 @@ pub fn pinned() -> Vec<Mutant> {
             },
             Kill::Orderings,
             "scan's displacement counter loses SeqCst (fuzzy snapshots tear)",
+        ),
+        m(
+            "read-skip-second-validate",
+            "crates/cuckoo/src/read.rs",
+            Op::Replace {
+                find: "(same_stripe || s2.read_validate(st2))".into(),
+                replace: "(same_stripe || true)".into(),
+            },
+            Kill::Test {
+                pkg: "cuckoo",
+                filter: "optimistic_attempt_validates_both_stripes",
+            },
+            "optimistic protocol ignores the alternate bucket's stripe (torn reads of displaced keys)",
+        ),
+        m(
+            "read-locked-skip-valid",
+            "crates/cuckoo/src/read.rs",
+            Op::Replace {
+                find: "(self.valid)().then(".into(),
+                replace: "true.then(".into(),
+            },
+            Kill::Test {
+                pkg: "cuckoo",
+                filter: "locked_attempt_rechecks_valid_under_the_lock",
+            },
+            "locked protocol trusts a table swapped or drained while it waited for the pair lock",
         ),
     ]
 }
