@@ -231,6 +231,7 @@ where
     type Key = K;
     type Val = V;
 
+    // SAFETY: (contract) as documented on `CtxTable::insert_ctx`.
     unsafe fn insert_ctx<C: MemCtx>(
         &self,
         ctx: &mut C,
@@ -241,11 +242,13 @@ where
         unsafe { DenseTable::insert_ctx(self, ctx, key, val) }
     }
 
+    // SAFETY: (contract) as documented on `CtxTable::get_ctx`.
     unsafe fn get_ctx<C: MemCtx>(&self, ctx: &mut C, key: &K) -> Result<Option<V>, Abort> {
         // SAFETY: forwarded contract.
         unsafe { DenseTable::get_ctx(self, ctx, key) }
     }
 
+    // SAFETY: (contract) as documented on `CtxTable::remove_ctx`.
     unsafe fn remove_ctx<C: MemCtx>(&self, ctx: &mut C, key: &K) -> Result<Option<V>, Abort> {
         // SAFETY: forwarded contract.
         unsafe { DenseTable::remove_ctx(self, ctx, key) }

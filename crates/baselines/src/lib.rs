@@ -1,4 +1,4 @@
-//! Baseline hash tables from the paper's evaluation (§2, §6).
+//! Baseline hash tables from the paper's evaluation (§2, §5, §6).
 //!
 //! The paper compares its cuckoo tables against three other designs; this
 //! crate implements all of them from scratch:
@@ -22,19 +22,54 @@
 //! [`htm::MemCtx`], so their global-lock wrappers can elide the lock with
 //! genuine conflict detection — reproducing the paper's §2.3 experiment
 //! where naive lock elision fails to scale single-writer tables.
+//!
+//! # The cuckoo ladder
+//!
+//! The paper's own starting point and its steps towards cuckoo+ live here
+//! too, on the storage and read path of [`cuckoo::OptimisticCuckooMap`]:
+//!
+//! - [`MemC3Cuckoo`] — MemC3's optimistic multi-reader / *single*-writer
+//!   table (§4.2): cuckoo+'s lock-free reads, writers serialized through
+//!   one global lock. Its [`MemC3Config`] is Figure 5's cumulative
+//!   optimization ladder:
+//!
+//!   | figure label      | config                                            |
+//!   |-------------------|---------------------------------------------------|
+//!   | `cuckoo`          | [`MemC3Config::baseline`] — Algorithm 1: DFS search *inside* the critical section |
+//!   | `+lock later`     | `.plus_lock_later()` — Algorithm 2: search first, lock for validate-execute only |
+//!   | `+BFS`            | `.plus_bfs()` — breadth-first path search          |
+//!   | `+prefetch`       | `.plus_prefetch()` — prefetch the BFS frontier     |
+//!   | `+TSX-glibc`      | `.with_lock(WriterLockKind::ElidedGlibc)`          |
+//!   | `+TSX*`           | `.with_lock(WriterLockKind::ElidedOptimized)`      |
+//!
+//! - [`ElidedCuckooMap`] — cuckoo+ under (simulated) TSX lock elision
+//!   (§5): the top rung with 8-way buckets.
+//! - [`search::dfs`] — MemC3's two-way random-walk path search, and
+//!   [`analysis`] — Eq. 1's closed forms for path invalidation.
 
+pub mod analysis;
 pub mod chaining;
+mod crit;
 pub mod dense;
+mod elided;
 pub mod locked;
+mod memc3;
 pub mod node_chain;
+
+/// Cuckoo-path search for the ladder's DFS rungs.
+pub mod search {
+    pub mod dfs;
+}
 
 pub use chaining::ChainingMap;
 pub use dense::{ConcurrentDense, DenseMap};
+pub use elided::ElidedCuckooMap;
 pub use locked::LockKind;
+pub use memc3::{MemC3Config, MemC3Cuckoo, SearchKind, SpinGuard, SpinLock, WriterLockKind};
 pub use node_chain::{ConcurrentNodeChain, NodeChainMap};
 
-/// Insert error shared by the baseline tables (mirrors
-/// `cuckoo::InsertError` without a dependency cycle).
+/// Insert error shared by the non-cuckoo baseline tables (the same two
+/// outcomes as `cuckoo::InsertError`, which the ladder tables return).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertError {
     /// The table cannot accept more items (fixed-capacity variants).

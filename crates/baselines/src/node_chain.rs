@@ -114,6 +114,7 @@ where
     type Key = K;
     type Val = V;
 
+    // SAFETY: (contract) as documented on `CtxTable::insert_ctx`.
     unsafe fn insert_ctx<C: MemCtx>(
         &self,
         ctx: &mut C,
@@ -157,6 +158,7 @@ where
         Ok(Ok(()))
     }
 
+    // SAFETY: (contract) as documented on `CtxTable::get_ctx`.
     unsafe fn get_ctx<C: MemCtx>(&self, ctx: &mut C, key: &K) -> Result<Option<V>, Abort> {
         let bucket = self.bucket_of(key);
         // SAFETY: as in `insert_ctx`.
@@ -175,6 +177,7 @@ where
         Ok(None)
     }
 
+    // SAFETY: (contract) as documented on `CtxTable::remove_ctx`.
     unsafe fn remove_ctx<C: MemCtx>(&self, ctx: &mut C, key: &K) -> Result<Option<V>, Abort> {
         let bucket = self.bucket_of(key);
         // SAFETY: as in `insert_ctx`.

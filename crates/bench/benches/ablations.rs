@@ -14,7 +14,8 @@
 
 use bench::{banner, slots};
 use cuckoo::raw::RawTable;
-use cuckoo::search::{bfs, dfs, SearchScratch};
+use baselines::search::dfs;
+use cuckoo::search::{bfs, SearchScratch};
 use cuckoo::OptimisticCuckooMap;
 use workload::driver::{run_fill, run_lookup_only, FillSpec, LookupSpec};
 use workload::keygen::key_of;

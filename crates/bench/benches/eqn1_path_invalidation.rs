@@ -4,9 +4,10 @@
 //! upper bound — plus the Eq. 2 (Appendix C) BFS path-length table.
 
 use bench::{banner, slots};
-use cuckoo::analysis::{p_invalid_max, p_invalid_exact};
+use baselines::analysis::{p_invalid_max, p_invalid_exact};
 use cuckoo::search::bfs::bfs_max_path_len;
-use cuckoo::{MemC3Config, MemC3Cuckoo, OptimisticCuckooMap, SearchKind};
+use baselines::{MemC3Config, MemC3Cuckoo, SearchKind};
+use cuckoo::OptimisticCuckooMap;
 use workload::driver::{run_fill, FillSpec};
 use workload::report::Table;
 use workload::ConcurrentMap;

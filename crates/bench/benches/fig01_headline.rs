@@ -5,7 +5,8 @@
 use baselines::locked::{LockKind, Locked};
 use baselines::{dense::DenseTable, node_chain::NodeChainTable, ChainingMap};
 use bench::{banner, fill_avg, slots, thread_counts};
-use cuckoo::{ElidedCuckooMap, MemC3Config, MemC3Cuckoo, OptimisticCuckooMap};
+use baselines::{ElidedCuckooMap, MemC3Config, MemC3Cuckoo};
+use cuckoo::OptimisticCuckooMap;
 use std::collections::hash_map::RandomState;
 use workload::driver::FillSpec;
 use workload::report::{mib, mops, Table};

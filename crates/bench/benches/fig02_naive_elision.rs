@@ -8,7 +8,7 @@
 use baselines::locked::{LockKind, Locked};
 use baselines::{dense::DenseTable, node_chain::NodeChainTable};
 use bench::{banner, fill_avg, slots, thread_counts};
-use cuckoo::{MemC3Config, MemC3Cuckoo, WriterLockKind};
+use baselines::{MemC3Config, MemC3Cuckoo, WriterLockKind};
 use std::collections::hash_map::RandomState;
 use workload::driver::FillSpec;
 use workload::report::{mops, pct, Table};

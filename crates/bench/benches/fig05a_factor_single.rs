@@ -3,7 +3,7 @@
 //! load windows 0–0.95 (overall), 0.75–0.9, and 0.9–0.95.
 
 use bench::{banner, reps, slots};
-use cuckoo::{MemC3Config, MemC3Cuckoo};
+use baselines::{MemC3Config, MemC3Cuckoo};
 use std::time::Instant;
 use workload::keygen::key_of;
 use workload::report::{mops, Table};

@@ -11,7 +11,7 @@
 //! to achieve almost 30 million."
 
 use bench::{banner, fill_avg, slots};
-use cuckoo::{MemC3Config, MemC3Cuckoo, WriterLockKind};
+use baselines::{MemC3Config, MemC3Cuckoo, WriterLockKind};
 use workload::driver::FillSpec;
 use workload::report::{mops, Table};
 

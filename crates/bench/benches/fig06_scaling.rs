@@ -5,7 +5,8 @@
 
 use baselines::ChainingMap;
 use bench::{banner, fill_avg, slots, thread_counts};
-use cuckoo::{MemC3Config, MemC3Cuckoo, OptimisticCuckooMap, WriterLockKind};
+use baselines::{MemC3Config, MemC3Cuckoo, WriterLockKind};
+use cuckoo::OptimisticCuckooMap;
 use workload::driver::FillSpec;
 use workload::report::{mops, Table};
 use workload::{BenchValue, ConcurrentMap};

@@ -3,7 +3,7 @@
 //! TSX lock elision).
 
 use bench::{banner, slots};
-use cuckoo::ElidedCuckooMap;
+use baselines::ElidedCuckooMap;
 use workload::driver::{run_fill, run_lookup_only, FillSpec, LookupSpec};
 use workload::report::{mops, Table};
 use workload::ConcurrentMap;

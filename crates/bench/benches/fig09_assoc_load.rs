@@ -3,7 +3,7 @@
 //! (optimized cuckoo with TSX lock elision).
 
 use bench::{banner, fill_avg, slots};
-use cuckoo::ElidedCuckooMap;
+use baselines::ElidedCuckooMap;
 use workload::driver::FillSpec;
 use workload::report::{mops, Table};
 

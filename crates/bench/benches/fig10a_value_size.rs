@@ -6,7 +6,7 @@
 //! insert, 8-thread 10% insert, 1-thread 10% insert.
 
 use bench::{banner, fill_avg, slots};
-use cuckoo::ElidedCuckooMap;
+use baselines::ElidedCuckooMap;
 use workload::driver::FillSpec;
 use workload::report::{mops, Table};
 

@@ -8,7 +8,8 @@
 //! rate.
 
 use bench::{banner, fill_avg, slots};
-use cuckoo::{ElidedCuckooMap, OptimisticCuckooMap, WriterLockKind};
+use baselines::{ElidedCuckooMap, WriterLockKind};
+use cuckoo::OptimisticCuckooMap;
 use htm::{HtmConfig, HtmDomain};
 use std::sync::Arc;
 use workload::driver::FillSpec;

@@ -15,7 +15,7 @@ use bench::{banner, slots};
 use cuckoo::{CuckooMap, OptimisticCuckooMap};
 use workload::keygen::{key_of, SplitMix64};
 use workload::report::Table;
-use workload::LatencyHistogram;
+use metrics::latency::LatencyHistogram;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 

@@ -8,8 +8,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cuckoo::hash::{FxHasher64, SipHasher13};
 use cuckoo::raw::RawTable;
-use cuckoo::search::{bfs, dfs, SearchScratch};
-use cuckoo::sync::SpinLock;
+use baselines::search::dfs;
+use baselines::SpinLock;
+use cuckoo::search::{bfs, SearchScratch};
 use cuckoo::{CuckooMap, OptimisticCuckooMap};
 use std::hash::Hasher;
 use std::hint::black_box;

@@ -22,7 +22,7 @@ use bench::banner;
 use cuckoo::{CuckooMap, ResizeMode};
 use workload::keygen::key_of;
 use workload::report::Table;
-use workload::LatencyHistogram;
+use metrics::latency::LatencyHistogram;
 use std::time::{Duration, Instant};
 
 /// Starting capacity (slots). Small enough that the fill crosses

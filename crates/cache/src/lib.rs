@@ -28,8 +28,7 @@
 //! locking".
 
 // ORDERING-FILE: stats.counter — hit/miss/eviction counters for the stats contract.
-use cuckoo::{InsertError, OptimisticCuckooMap};
-use htm::Plain;
+use cuckoo::{InsertError, OptimisticCuckooMap, Plain};
 use cuckoo::sync2::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use cuckoo::sync2::Mutex;
 

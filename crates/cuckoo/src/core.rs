@@ -32,6 +32,7 @@
 use crate::counter::ShardedCounter;
 use crate::error::{InsertError, UpsertOutcome};
 use crate::hash::{key_slots, KeySlots};
+use crate::racy::Plain;
 use crate::raw::RawTable;
 use crate::read::probe;
 use crate::search::exec::{self, Mover};
@@ -40,7 +41,6 @@ use crate::stats::TableMetrics;
 use crate::sync::LockStripes;
 use crate::sync2::atomic::{AtomicU64, Ordering};
 use core::hash::{BuildHasher, Hash};
-use htm::Plain;
 
 /// Keys per software-pipelined lookup group (the batched `get_many`
 /// engine). Sized like the paper's prefetch argument (§4.3.2) sizes the
@@ -158,7 +158,7 @@ impl<K: Plain + Eq, V: Plain, const B: usize> Stores<K, V, B> for RacyStore {
         // bytes and covered by the caller's exclusion; the atomic-chunk
         // store keeps racing optimistic readers race-free.
         unsafe {
-            htm::mem::store_bytes(
+            crate::racy::store_bytes(
                 raw.bucket(bucket).val_ptr(slot) as usize,
                 &val as *const V as *const u8,
                 core::mem::size_of::<V>(),

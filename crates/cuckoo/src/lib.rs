@@ -3,25 +3,21 @@
 //! This crate reproduces the data structures from *Algorithmic
 //! Improvements for Fast Concurrent Cuckoo Hashing* (Li, Andersen,
 //! Kaminsky, Freedman — EuroSys 2014), the design that became
-//! [libcuckoo]. Three table flavors share the same storage, hashing, and
-//! path-search machinery:
+//! [libcuckoo]. Two maps share one storage layout, one write core
+//! (`core.rs`) and one read core (`read.rs`):
 //!
 //! - [`OptimisticCuckooMap`] — **cuckoo+ with fine-grained locking**, the
 //!   paper's headline table (§4): optimistic lock-free reads validated by
 //!   striped version counters, BFS cuckoo-path discovery outside the
 //!   critical section, and per-displacement pair locking with striped
 //!   spinlocks.
-//! - [`ElidedCuckooMap`] — **cuckoo+ with (simulated) TSX lock elision**
-//!   (§5): the same algorithmic optimizations with a single elided global
-//!   lock; critical sections execute as transactions with genuine
-//!   conflict detection via the [`htm`] crate.
-//! - [`MemC3Cuckoo`] — the **baseline** multi-reader/*single*-writer
-//!   optimistic cuckoo table from MemC3, with configuration knobs
-//!   reproducing every step of the paper's factor analysis (Figure 5):
-//!   lock-later, BFS vs DFS, prefetch, and glibc vs optimized elision.
 //! - [`CuckooMap`] — a libcuckoo-style general-purpose map (§7):
 //!   arbitrary key/value types, locks for reads as well as writes, and
 //!   dynamic expansion.
+//!
+//! The reproduction apparatus — MemC3's single-writer table and Figure
+//! 5's optimization ladder, TSX lock elision (§5), DFS path search and
+//! Eq. 1's closed forms — lives in the `baselines` crate.
 //!
 //! [libcuckoo]: https://github.com/efficient/libcuckoo
 //!
@@ -39,11 +35,11 @@
 //! assert_eq!(map.get(&2), None);
 //! ```
 
-pub mod analysis;
 pub mod bucket;
 pub mod error;
 pub mod hash;
 pub mod prefetch;
+pub mod racy;
 pub mod raw;
 pub mod search;
 pub mod stats;
@@ -52,21 +48,16 @@ pub mod sync2;
 
 mod core;
 mod counter;
-mod crit;
-mod elided;
 mod map;
-mod memc3;
 mod optimistic;
 mod read;
 
 pub use crate::core::WRITE_GROUP;
-pub use elided::ElidedCuckooMap;
 pub use error::{InsertError, UpsertOutcome};
 pub use hash::{DefaultHashBuilder, FxHasher64, RandomState, SipHashBuilder, SipHasher13};
-pub use htm::Plain;
 pub use map::{CuckooMap, ResizeMode};
-pub use memc3::{MemC3Config, MemC3Cuckoo, SearchKind, WriterLockKind};
 pub use optimistic::{Builder as OptimisticBuilder, OptimisticCuckooMap};
+pub use racy::Plain;
 pub use search::EvictionPolicy;
 pub use stats::{PathStats, PathStatsSnapshot, TableMetrics};
 
@@ -105,7 +96,7 @@ mod miri_smoke {
     #[test]
     fn miri_optimistic_map_displacement_paths() {
         // Small table + enough keys to force cuckoo displacement chains
-        // (and thus the BFS/DFS search and raw slot moves).
+        // (and thus the BFS search and raw slot moves).
         let map: OptimisticCuckooMap<u64, u64, 4> = OptimisticCuckooMap::with_capacity(32);
         let mut inserted = Vec::new();
         for k in 0..24u64 {

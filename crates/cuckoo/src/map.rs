@@ -1,7 +1,7 @@
 //! A libcuckoo-style general-purpose concurrent map (paper §7).
 //!
 //! The paper's research table trades generality for speed: fixed-size
-//! [`Plain`](htm::Plain) keys and values, no growth. §7 describes the
+//! [`Plain`](crate::Plain) keys and values, no growth. §7 describes the
 //! production descendant, libcuckoo: "an easy-to-use interface that
 //! supports variable length key value pairs of arbitrary types, including
 //! those with pointers or strings, provides iterators, and dynamically

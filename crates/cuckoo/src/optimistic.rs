@@ -31,15 +31,15 @@ use crate::core::{claim, PlainStore, RacyStore, Stores, WriteCtx, MULTIGET_GROUP
 use crate::counter::ShardedCounter;
 use crate::error::{InsertError, UpsertOutcome};
 use crate::hash::{key_slots, DefaultHashBuilder, KeySlots};
+use crate::racy::Plain;
 use crate::raw::RawTable;
 use crate::read::probe;
-use crate::search::{self, EvictionPolicy};
+use crate::search::{self, EvictionPolicy, SearchScratch};
 use crate::stats::{PathStats, PathStatsSnapshot, TableMetrics};
 use crate::sync::{LockStripes, DEFAULT_STRIPES};
 use crate::sync2::atomic::AtomicU64;
 use crate::DEFAULT_MAX_SEARCH_SLOTS;
 use core::hash::{BuildHasher, Hash};
-use htm::Plain;
 
 /// Builder for [`OptimisticCuckooMap`].
 #[derive(Debug, Clone)]
@@ -556,6 +556,86 @@ where
         })
         .settle(&self.count, ks)
         .unwrap_or(Err(InsertError::TableFull))
+    }
+}
+
+/// The paper ladder's seam, not API. `baselines::MemC3Cuckoo` (MemC3's
+/// single-writer table, §4.2, and Figure 5's rungs) wraps this map: it
+/// reads through the optimistic protocol above, and writes with its own
+/// protocol under one global writer lock. These methods, plus
+/// [`SearchScratch::next_random`] for its DFS, are every internal that
+/// write protocol reaches.
+#[doc(hidden)]
+impl<K, V, const B: usize, S> OptimisticCuckooMap<K, V, B, S>
+where
+    K: Plain + Eq + Hash,
+    V: Plain,
+    S: BuildHasher,
+{
+    /// The bucket array.
+    pub fn raw(&self) -> &RawTable<K, V, B> {
+        &self.raw
+    }
+
+    /// The stripe locks whose versions the optimistic readers validate.
+    pub fn stripes(&self) -> &LockStripes {
+        &self.stripes
+    }
+
+    /// `key`'s candidate buckets and tag.
+    pub fn key_slots(&self, key: &K) -> KeySlots {
+        self.slots_of(key)
+    }
+
+    /// Counts `delta` items placed into (or taken out of) `ks`'s buckets.
+    pub fn count_add(&self, ks: KeySlots, delta: isize) {
+        self.count.add(ks.i1, delta);
+    }
+
+    /// Counts one path search in [`path_stats`](Self::path_stats).
+    pub fn record_search(&self) {
+        self.path_stats.record_search();
+    }
+
+    /// Counts one path execution, and whether it went stale.
+    pub fn record_execution(&self, stale: bool) {
+        self.path_stats.record_execution(stale);
+    }
+
+    /// Step 2 of the write core under this table's eviction policy and
+    /// search budget: leaves a path for `ks` in `scratch.path`, or
+    /// reports none. `prefetch` hints each BFS frontier.
+    pub fn plan_path(&self, ks: KeySlots, scratch: &mut SearchScratch, prefetch: bool) -> bool {
+        WriteCtx { prefetch, ..self.write_ctx() }.plan_and_record(&self.raw, ks, scratch).is_ok()
+    }
+
+    /// Steps 1–3 of the write core with no lock taken — `&mut self` is
+    /// the exclusion — and `find_path` as step 2.
+    pub fn insert_exclusive(
+        &mut self,
+        key: K,
+        val: V,
+        mut find_path: impl FnMut(&Self, KeySlots, &mut SearchScratch) -> bool,
+    ) -> Result<(), InsertError> {
+        let this = &*self;
+        let ks = this.slots_of(&key);
+        search::with_scratch(|scratch| {
+            // SAFETY: `&mut self` — exclusive access to the whole table.
+            unsafe {
+                this.write_ctx().insert_exclusive::<PlainStore, K, V, B>(
+                    &this.raw,
+                    ks,
+                    key,
+                    val,
+                    false,
+                    scratch,
+                    |s| find_path(this, ks, s),
+                )
+            }
+        })
+        .settle(&this.count, ks)
+        .unwrap_or(Err(InsertError::TableFull))
+        .map(|_| ())
     }
 }
 

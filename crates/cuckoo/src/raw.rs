@@ -8,7 +8,7 @@
 
 use crate::bucket::{Bucket, BucketMeta};
 use crate::hash;
-use htm::Plain;
+use crate::racy::Plain;
 
 /// Power-of-two array of B-way buckets plus their metadata.
 pub struct RawTable<K, V, const B: usize> {
@@ -284,7 +284,7 @@ impl<K: Plain, V, const B: usize> RawTable<K, V, B> {
         // SAFETY: key storage is always valid bucket memory; racing
         // writers are tolerated because the copy is per-chunk atomic.
         unsafe {
-            htm::mem::load_bytes(
+            crate::racy::load_bytes(
                 self.bucket(bucket).key_ptr(slot) as usize,
                 out.as_mut_ptr().cast::<u8>(),
                 core::mem::size_of::<K>(),
@@ -306,7 +306,7 @@ impl<K, V: Plain, const B: usize> RawTable<K, V, B> {
         let mut out = core::mem::MaybeUninit::<V>::uninit();
         // SAFETY: as for `read_key_racy`.
         unsafe {
-            htm::mem::load_bytes(
+            crate::racy::load_bytes(
                 self.bucket(bucket).val_ptr(slot) as usize,
                 out.as_mut_ptr().cast::<u8>(),
                 core::mem::size_of::<V>(),
@@ -334,12 +334,12 @@ impl<K: Plain, V: Plain, const B: usize> RawTable<K, V, B> {
         // SAFETY: exclusive writer per contract; destination is bucket
         // storage valid for K/V bytes.
         unsafe {
-            htm::mem::store_bytes(
+            crate::racy::store_bytes(
                 b.key_ptr(slot) as usize,
                 &key as *const K as *const u8,
                 core::mem::size_of::<K>(),
             );
-            htm::mem::store_bytes(
+            crate::racy::store_bytes(
                 b.val_ptr(slot) as usize,
                 &val as *const V as *const u8,
                 core::mem::size_of::<V>(),

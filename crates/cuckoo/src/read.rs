@@ -27,10 +27,10 @@
 use crate::core::{PlainStore, RacyStore, Stores, MULTIGET_GROUP};
 use crate::hash::KeySlots;
 use crate::prefetch::prefetch_read;
+use crate::racy::Plain;
 use crate::raw::RawTable;
 use crate::stats::TableMetrics;
 use crate::sync::LockStripes;
-use htm::Plain;
 
 /// Optimistic validation attempts before falling back to the locked
 /// path. Failed validations are rare (a writer touched one of the two
@@ -494,7 +494,7 @@ mod tests {
                     let b = raw.bucket(ks.i1);
                     // SAFETY: pair lock held; slot 0 occupied.
                     unsafe {
-                        htm::mem::store_bytes(
+                        crate::racy::store_bytes(
                             b.val_ptr(0) as usize,
                             [i; 4].as_ptr().cast(),
                             32,

@@ -1,14 +1,14 @@
-//! Cuckoo-path search: BFS (the paper's contribution) and DFS (baseline).
+//! Cuckoo-path search: BFS (the paper's contribution) and the
+//! high-density random walk.
 //!
 //! A *cuckoo path* is the sequence of displacements that frees a slot in
-//! one of a key's two candidate buckets (paper §4.1, Figure 3). Both
-//! searchers run **without any locks held** (§4.3.1): they read only the
+//! one of a key's two candidate buckets (paper §4.1, Figure 3). Every
+//! searcher runs **without any locks held** (§4.3.1): it reads only the
 //! atomic occupancy bitmaps and partial-key bytes, so a discovered path is
 //! merely a *plan* that execution re-validates displacement by
 //! displacement.
 
 pub mod bfs;
-pub mod dfs;
 pub(crate) mod exec;
 pub mod random_walk;
 
@@ -62,7 +62,7 @@ pub enum EvictionPolicy {
 /// [`exec`] executes). `max_slots` and `prefetch` parameterize the BFS
 /// phases; random-walk phases are bounded by their own kick budgets.
 ///
-/// Like [`bfs::search`] and [`dfs::search`], this runs with **no locks
+/// Like [`bfs::search`], this runs with **no locks
 /// held** and reads only atomic metadata: the result is a plan that
 /// execution re-validates step by step.
 pub fn plan<K, V, const B: usize>(
@@ -156,9 +156,11 @@ impl SearchScratch {
         }
     }
 
-    /// SplitMix64 step for DFS victim selection.
+    /// SplitMix64 step for random victim selection. Part of the paper
+    /// ladder's seam (see `OptimisticCuckooMap`'s hidden impl block).
+    #[doc(hidden)]
     #[inline]
-    pub(crate) fn next_random(&mut self) -> u64 {
+    pub fn next_random(&mut self) -> u64 {
         self.rng_state = self.rng_state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         mix64(self.rng_state)
     }

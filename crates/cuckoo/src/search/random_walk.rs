@@ -24,7 +24,7 @@
 //! (an earlier displacement emptying a slot a later step expects full),
 //! so validated execution needs no special-casing for repeats.
 //!
-//! Like [`bfs`](super::bfs) and [`dfs`](super::dfs), the walk is
+//! Like [`bfs`](super::bfs) and MemC3's DFS, the walk is
 //! lock-free and read-only: it plans displacements over the atomic
 //! metadata for later validated execution. Two walks run in parallel
 //! (one per candidate bucket, the MemC3 refinement) and the first to

@@ -614,45 +614,6 @@ impl Drop for AllGuard<'_> {
     }
 }
 
-/// A plain global spinlock (for the single-writer baseline's whole-table
-/// write lock).
-#[derive(Debug, Default)]
-pub struct SpinLock {
-    lock: VersionLock,
-}
-
-impl SpinLock {
-    /// Creates an unlocked spinlock.
-    pub const fn new() -> Self {
-        SpinLock {
-            lock: VersionLock::new(),
-        }
-    }
-
-    /// Acquires the lock.
-    pub fn lock(&self) -> SpinGuard<'_> {
-        self.lock.lock();
-        SpinGuard { lock: &self.lock }
-    }
-
-    /// Whether the lock is held.
-    pub fn is_locked(&self) -> bool {
-        self.lock.is_locked()
-    }
-}
-
-/// Guard for [`SpinLock`].
-#[derive(Debug)]
-pub struct SpinGuard<'a> {
-    lock: &'a VersionLock,
-}
-
-impl Drop for SpinGuard<'_> {
-    fn drop(&mut self) {
-        self.lock.unlock();
-    }
-}
-
 /// Number of reader-registration stripes in an [`EpochRegistry`].
 const EPOCH_SLOTS: usize = 64;
 
@@ -1001,16 +962,6 @@ mod tests {
         assert_eq!(st.contended, 1);
         assert_eq!(st.spin_waits.count(), 1);
         assert!(st.contended <= st.acquisitions);
-    }
-
-    #[test]
-    fn spinlock_guards() {
-        let l = SpinLock::new();
-        {
-            let _g = l.lock();
-            assert!(l.is_locked());
-        }
-        assert!(!l.is_locked());
     }
 
     #[derive(Clone, Copy)]

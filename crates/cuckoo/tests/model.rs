@@ -44,7 +44,7 @@ fn seqlock_validation_blocks_torn_reads() {
                 // SAFETY: `buf` outlives both threads (Arc) and the
                 // writer lock excludes other writers.
                 unsafe {
-                    htm::mem::store_bytes(buf.as_ptr() as usize, v.as_ptr().cast(), 16);
+                    cuckoo::racy::store_bytes(buf.as_ptr() as usize, v.as_ptr().cast(), 16);
                 }
                 lock.unlock();
             })
@@ -56,7 +56,7 @@ fn seqlock_validation_blocks_torn_reads() {
                 let mut out = [0u64; 2];
                 // SAFETY: the source is live (Arc'd by the closure via
                 // `addr`'s owner) and tearing is validated away below.
-                unsafe { htm::mem::load_bytes(addr, out.as_mut_ptr().cast(), 16) };
+                unsafe { cuckoo::racy::load_bytes(addr, out.as_mut_ptr().cast(), 16) };
                 if lock.read_validate(stamp) {
                     assert_eq!(out[0], out[1], "torn read escaped seqlock validation");
                 }

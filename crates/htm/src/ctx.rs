@@ -16,8 +16,8 @@
 //! with no transactional overhead.
 
 use crate::abort::Abort;
-use crate::plain::Plain;
-use crate::mem::{load_bytes as atomic_load_bytes, store_bytes as atomic_store_bytes};
+use cuckoo::Plain;
+use cuckoo::racy::{load_bytes as atomic_load_bytes, store_bytes as atomic_store_bytes};
 use crate::txn::Transaction;
 use std::sync::atomic::{AtomicU64, Ordering};
 

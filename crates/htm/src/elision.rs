@@ -25,7 +25,7 @@
 use crate::abort::Abort;
 use crate::ctx::{DirectCtx, MemCtx, TxCtx};
 use crate::orec::HtmDomain;
-use crate::plain::Plain;
+use cuckoo::Plain;
 use crate::stats::HtmStats;
 use crate::txn::TxScratch;
 use std::cell::RefCell;

@@ -50,16 +50,14 @@ pub mod abort;
 pub mod ctx;
 pub mod elision;
 pub mod lineset;
-pub mod mem;
 pub mod orec;
-pub mod plain;
 pub mod stats;
 pub mod txn;
 
 pub use abort::{Abort, AbortCode};
 pub use ctx::{DirectCtx, MemCtx, TxCtx};
 pub use elision::{ElidedLock, ElisionConfig, ElisionPolicy, ExecCtx};
+pub use cuckoo::Plain;
 pub use orec::{HtmConfig, HtmDomain};
-pub use plain::Plain;
 pub use stats::{HtmStats, StatsSnapshot};
 pub use txn::Transaction;

@@ -40,31 +40,26 @@ impl HtmStats {
     #[inline]
     pub(crate) fn record_start(&self) {
         self.starts.fetch_add(1, Ordering::Relaxed);
-        rollup_shard().starts.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
     pub(crate) fn record_commit(&self) {
         self.commits.fetch_add(1, Ordering::Relaxed);
-        rollup_shard().commits.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
     pub(crate) fn record_abort(&self, code: crate::AbortCode) {
-        let shard = rollup_shard();
-        let (counter, global) = match code {
-            crate::AbortCode::Conflict => (&self.conflict_aborts, &shard.conflict_aborts),
-            crate::AbortCode::Capacity => (&self.capacity_aborts, &shard.capacity_aborts),
-            crate::AbortCode::Explicit(_) => (&self.explicit_aborts, &shard.explicit_aborts),
+        let counter = match code {
+            crate::AbortCode::Conflict => &self.conflict_aborts,
+            crate::AbortCode::Capacity => &self.capacity_aborts,
+            crate::AbortCode::Explicit(_) => &self.explicit_aborts,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        global.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
     pub(crate) fn record_fallback(&self) {
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        rollup_shard().fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Takes a consistent-enough snapshot for reporting.
@@ -154,88 +149,6 @@ impl core::ops::Sub for StatsSnapshot {
     }
 }
 
-/// Number of padded shards the process-global rollup spreads across (so
-/// unrelated locks' transactions do not contend on one statistics line).
-const ROLLUP_SHARDS: usize = 16;
-
-/// One rollup shard: the six counters fit a single 64-byte line, and a
-/// thread always hits the same shard, so the line mostly stays in that
-/// core's cache.
-#[derive(Debug)]
-#[repr(align(64))]
-struct RollupShard {
-    starts: AtomicU64,
-    commits: AtomicU64,
-    conflict_aborts: AtomicU64,
-    capacity_aborts: AtomicU64,
-    explicit_aborts: AtomicU64,
-    fallbacks: AtomicU64,
-}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_SHARD: RollupShard = RollupShard {
-    starts: AtomicU64::new(0),
-    commits: AtomicU64::new(0),
-    conflict_aborts: AtomicU64::new(0),
-    capacity_aborts: AtomicU64::new(0),
-    explicit_aborts: AtomicU64::new(0),
-    fallbacks: AtomicU64::new(0),
-};
-
-/// Process-global rollup across every [`HtmStats`] instance, so the
-/// observability layer can report HTM behavior without enumerating
-/// individual elided locks.
-static ROLLUP: [RollupShard; ROLLUP_SHARDS] = [ZERO_SHARD; ROLLUP_SHARDS];
-
-#[inline]
-fn rollup_shard() -> &'static RollupShard {
-    use std::sync::atomic::AtomicUsize;
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-    }
-    let idx = SHARD.with(|s| {
-        let mut v = s.get();
-        if v == usize::MAX {
-            v = NEXT.fetch_add(1, Ordering::Relaxed) % ROLLUP_SHARDS;
-            s.set(v);
-        }
-        v
-    });
-    &ROLLUP[idx]
-}
-
-/// Snapshot of the process-global HTM rollup (sum over all elided locks
-/// that ever ran in this process).
-pub fn global_snapshot() -> StatsSnapshot {
-    let mut s = StatsSnapshot::default();
-    for shard in &ROLLUP {
-        s.starts = s.starts.saturating_add(shard.starts.load(Ordering::Relaxed));
-        s.commits = s.commits.saturating_add(shard.commits.load(Ordering::Relaxed));
-        s.conflict_aborts =
-            s.conflict_aborts.saturating_add(shard.conflict_aborts.load(Ordering::Relaxed));
-        s.capacity_aborts =
-            s.capacity_aborts.saturating_add(shard.capacity_aborts.load(Ordering::Relaxed));
-        s.explicit_aborts =
-            s.explicit_aborts.saturating_add(shard.explicit_aborts.load(Ordering::Relaxed));
-        s.fallbacks = s.fallbacks.saturating_add(shard.fallbacks.load(Ordering::Relaxed));
-    }
-    s
-}
-
-/// Zeroes the process-global rollup (per-instance [`HtmStats`] are
-/// unaffected). Not atomic with respect to running transactions.
-pub fn reset_global() {
-    for shard in &ROLLUP {
-        shard.starts.store(0, Ordering::Relaxed);
-        shard.commits.store(0, Ordering::Relaxed);
-        shard.conflict_aborts.store(0, Ordering::Relaxed);
-        shard.capacity_aborts.store(0, Ordering::Relaxed);
-        shard.explicit_aborts.store(0, Ordering::Relaxed);
-        shard.fallbacks.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,22 +210,5 @@ mod tests {
         let w = newer - older;
         assert_eq!(w.starts, 0, "torn field clamps instead of underflowing");
         assert_eq!(w.commits, 0);
-    }
-
-    #[test]
-    fn global_rollup_accumulates_across_instances() {
-        let before = global_snapshot();
-        let a = HtmStats::new();
-        let b = HtmStats::new();
-        a.record_start();
-        a.record_abort(AbortCode::Conflict);
-        b.record_start();
-        b.record_commit();
-        b.record_fallback();
-        let w = global_snapshot() - before;
-        assert_eq!(w.starts, 2);
-        assert_eq!(w.conflict_aborts, 1);
-        assert_eq!(w.commits, 1);
-        assert_eq!(w.fallbacks, 1);
     }
 }

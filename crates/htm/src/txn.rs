@@ -29,9 +29,9 @@
 
 use crate::abort::Abort;
 use crate::lineset::LineSet;
-use crate::mem::{load_bytes as atomic_load_bytes, store_bytes as atomic_store_bytes};
+use cuckoo::racy::{load_bytes as atomic_load_bytes, store_bytes as atomic_store_bytes};
 use crate::orec::{HtmDomain, CACHE_LINE, OREC_LOCKED};
-use crate::plain::Plain;
+use cuckoo::Plain;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
 

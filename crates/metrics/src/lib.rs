@@ -27,6 +27,12 @@
 //! concurrent writers; it is intended for quiescent or
 //! operator-initiated use (`stats reset`), where losing a handful of
 //! in-flight increments is acceptable.
+//!
+//! [`latency::LatencyHistogram`] is the fine-grained (≤ ~3 % error)
+//! nanosecond histogram behind `cuckood`'s per-class latency tails and
+//! the benchmark drivers.
+
+pub mod latency;
 
 // ORDERING-FILE: stats.counter — the metrics registry is reporting counters by design (PR 5).
 

@@ -395,7 +395,7 @@ fn execute<'a>(
                 }
                 proto::StatsArg::Cuckoo => {
                     let mut samples = Vec::new();
-                    crate::stats::collect_metric_samples(ctx.store.as_ref(), &mut samples);
+                    ctx.store.metrics(&mut samples);
                     metrics::render_stat_lines(&samples, out);
                     proto::encode_end(out);
                 }
@@ -404,14 +404,13 @@ fn execute<'a>(
                     // ASCII-protocol clients know where the body stops
                     // (scrapers strip the last line: `... | sed '$d'`).
                     let mut samples = Vec::new();
-                    crate::stats::collect_metric_samples(ctx.store.as_ref(), &mut samples);
+                    ctx.store.metrics(&mut samples);
                     metrics::render_prometheus(&samples, out);
                     proto::encode_end(out);
                 }
                 proto::StatsArg::Reset => {
                     ctx.stats.reset();
                     ctx.store.metrics_reset();
-                    htm::stats::reset_global();
                     proto::encode_line(out, "RESET");
                 }
             }

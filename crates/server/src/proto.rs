@@ -58,13 +58,13 @@ pub enum StatsArg {
     General,
     /// `stats cuckoo` — the cuckoo observability counters as `STAT`
     /// lines (stripe contention, BFS path lengths, seqlock retries,
-    /// migration progress, HTM rollup).
+    /// migration progress).
     Cuckoo,
     /// `stats prometheus` — the same series in Prometheus text
     /// exposition format (for scraping through `nc`/`curl` pipes).
     Prometheus,
     /// `stats reset` — zero the resettable counters (latency
-    /// histograms, cuckoo metric families, HTM rollup).
+    /// histograms, cuckoo metric families).
     Reset,
 }
 

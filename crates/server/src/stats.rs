@@ -1,12 +1,12 @@
 //! Server-side operation statistics: per-op-class latency histograms
-//! (from `workload::latency`) and connection counters, rendered as
+//! (from `metrics::latency`) and connection counters, rendered as
 //! memcached `STAT` lines.
 
 // ORDERING-FILE: stats.counter — every atomic here is a monotonic reporting counter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use workload::latency::LatencyHistogram;
+use metrics::latency::LatencyHistogram;
 
 use crate::proto::{encode_stat, encode_stat_u64};
 use crate::store::{Store, StoreStats};
@@ -185,21 +185,6 @@ impl ServerStats {
         self.multiset_batches.store(0, Ordering::Relaxed);
         self.multiset_keys.store(0, Ordering::Relaxed);
     }
-}
-
-/// Assembles the complete observability sample set: the storage
-/// backend's cuckoo families plus the process-global HTM rollup. Both
-/// `stats cuckoo` (STAT lines) and `stats prometheus` (text exposition)
-/// render from this one collection, so the two views can never drift.
-pub fn collect_metric_samples(store: &dyn Store, out: &mut Vec<metrics::Sample>) {
-    store.metrics(out);
-    let h = htm::stats::global_snapshot();
-    out.push(metrics::Sample::counter("htm_starts_total", h.starts));
-    out.push(metrics::Sample::counter("htm_commits_total", h.commits));
-    out.push(metrics::Sample::counter_with("htm_aborts_total", "code", "conflict", h.conflict_aborts));
-    out.push(metrics::Sample::counter_with("htm_aborts_total", "code", "capacity", h.capacity_aborts));
-    out.push(metrics::Sample::counter_with("htm_aborts_total", "code", "explicit", h.explicit_aborts));
-    out.push(metrics::Sample::counter("htm_fallbacks_total", h.fallbacks));
 }
 
 impl Default for ServerStats {

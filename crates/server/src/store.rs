@@ -25,8 +25,7 @@
 
 use cache::{CacheStats, ClockCache};
 use cuckoo::hash::SipHashBuilder;
-use cuckoo::CuckooMap;
-use htm::Plain;
+use cuckoo::{CuckooMap, Plain};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -5,8 +5,11 @@
 //! driver produces comparable numbers for all of them (one adapter per
 //! paper configuration).
 
-use baselines::{ChainingMap, ConcurrentDense, ConcurrentNodeChain};
-use cuckoo::{CuckooMap, ElidedCuckooMap, MemC3Cuckoo, OptimisticCuckooMap};
+use baselines::{
+    ChainingMap, ConcurrentDense, ConcurrentNodeChain, ElidedCuckooMap, MemC3Cuckoo, SearchKind,
+    WriterLockKind,
+};
+use cuckoo::{CuckooMap, OptimisticCuckooMap};
 use htm::StatsSnapshot;
 
 /// What an insert did.
@@ -237,8 +240,8 @@ impl<V: BenchValue + cuckoo::Plain, const B: usize> ConcurrentMap<V> for MemC3Cu
         }
         parts.push(
             match c.search {
-                cuckoo::SearchKind::Dfs => "dfs".to_string(),
-                cuckoo::SearchKind::Bfs => format!("bfs{}", eviction_suffix(c.eviction)),
+                SearchKind::Dfs => "dfs".to_string(),
+                SearchKind::Bfs => format!("bfs{}", eviction_suffix(c.eviction)),
             },
         );
         if c.prefetch {
@@ -246,9 +249,9 @@ impl<V: BenchValue + cuckoo::Plain, const B: usize> ConcurrentMap<V> for MemC3Cu
         }
         parts.push(
             match c.lock {
-                cuckoo::WriterLockKind::Global => "global",
-                cuckoo::WriterLockKind::ElidedGlibc => "tsx-glibc",
-                cuckoo::WriterLockKind::ElidedOptimized => "tsx*",
+                WriterLockKind::Global => "global",
+                WriterLockKind::ElidedGlibc => "tsx-glibc",
+                WriterLockKind::ElidedOptimized => "tsx*",
             }
             .into(),
         );
@@ -465,7 +468,7 @@ mod tests {
         exercise::<u64>(&ElidedCuckooMap::<u64, u64, 8>::with_capacity(4096));
         exercise::<u64>(&MemC3Cuckoo::<u64, u64, 4>::with_capacity(
             4096,
-            cuckoo::MemC3Config::baseline(),
+            baselines::MemC3Config::baseline(),
         ));
         exercise::<u64>(&CuckooMap::<u64, u64, 8>::with_capacity(4096));
         exercise::<u64>(&ChainingMap::with_capacity(4096));

@@ -19,7 +19,7 @@
 // ORDERING-FILE: stats.counter — measurement counters read after the workers join.
 use crate::adapter::{BenchValue, ConcurrentMap, PutResult};
 use crate::keygen::{key_of, SplitMix64};
-use crate::latency::LatencyHistogram;
+use metrics::latency::LatencyHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 

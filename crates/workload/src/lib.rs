@@ -21,7 +21,6 @@
 pub mod adapter;
 pub mod driver;
 pub mod keygen;
-pub mod latency;
 pub mod net;
 pub mod report;
 pub mod snapshot;
@@ -29,7 +28,6 @@ pub mod zipf;
 
 pub use adapter::{BenchValue, ConcurrentMap, PutResult};
 pub use driver::{FillLatencyReport, FillLatencySpec, FillReport, FillSpec, LookupSpec};
-pub use latency::LatencyHistogram;
 pub use report::Table;
 pub use snapshot::MetricSnapshot;
 pub use zipf::Zipf;

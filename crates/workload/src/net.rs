@@ -20,8 +20,8 @@
 //! rather than importing the server's parser.
 
 use crate::keygen::{key_of, SplitMix64};
-use crate::latency::LatencyHistogram;
 use crate::zipf::Zipf;
+use metrics::latency::LatencyHistogram;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};

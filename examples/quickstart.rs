@@ -2,9 +2,8 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use cuckoo_repro::cuckoo::{
-    CuckooMap, ElidedCuckooMap, InsertError, OptimisticCuckooMap, UpsertOutcome,
-};
+use cuckoo_repro::baselines::ElidedCuckooMap;
+use cuckoo_repro::cuckoo::{CuckooMap, InsertError, OptimisticCuckooMap, UpsertOutcome};
 
 fn main() {
     // 1. cuckoo+ with fine-grained locking: the paper's headline table.

@@ -3,9 +3,8 @@
 //! window throughput matters (§6.3: "Others may issue inserts and
 //! deletes to a table at high occupancy").
 
-use cuckoo_repro::cuckoo::{
-    CuckooMap, ElidedCuckooMap, MemC3Config, MemC3Cuckoo, OptimisticCuckooMap,
-};
+use cuckoo_repro::baselines::{ElidedCuckooMap, MemC3Config, MemC3Cuckoo};
+use cuckoo_repro::cuckoo::{CuckooMap, OptimisticCuckooMap};
 use cuckoo_repro::workload::keygen::{key_of, SplitMix64};
 
 /// Fills to ~93%, then each thread repeatedly deletes one of its own keys

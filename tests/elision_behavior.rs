@@ -2,7 +2,7 @@
 //! footprint size drives abort rates, glibc vs TSX* fallback behavior,
 //! and the interplay of elided tables with optimistic readers.
 
-use cuckoo_repro::cuckoo::{ElidedCuckooMap, MemC3Config, MemC3Cuckoo, WriterLockKind};
+use cuckoo_repro::baselines::{ElidedCuckooMap, MemC3Config, MemC3Cuckoo, WriterLockKind};
 use cuckoo_repro::htm::{AbortCode, ElidedLock, ElisionConfig, HtmConfig, HtmDomain, MemCtx};
 use cuckoo_repro::workload::keygen::key_of;
 use std::sync::Arc;

@@ -2,7 +2,8 @@
 //! storms, full tables — and check the system degrades the way the paper
 //! says it should.
 
-use cuckoo_repro::cuckoo::{ElidedCuckooMap, InsertError, OptimisticCuckooMap};
+use cuckoo_repro::baselines::ElidedCuckooMap;
+use cuckoo_repro::cuckoo::{InsertError, OptimisticCuckooMap};
 use cuckoo_repro::htm::{Abort, ElidedLock, ElisionConfig, HtmDomain};
 use cuckoo_repro::workload::keygen::{key_of, SplitMix64};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -2,9 +2,8 @@
 //! occupancy under concurrent writers with nothing lost, matching the
 //! paper's experimental procedure ("fills it to 95% capacity").
 
-use cuckoo_repro::cuckoo::{
-    CuckooMap, ElidedCuckooMap, MemC3Config, MemC3Cuckoo, OptimisticCuckooMap, WriterLockKind,
-};
+use cuckoo_repro::baselines::{ElidedCuckooMap, MemC3Config, MemC3Cuckoo, WriterLockKind};
+use cuckoo_repro::cuckoo::{CuckooMap, OptimisticCuckooMap};
 use cuckoo_repro::workload::keygen::key_of;
 
 const THREADS: u64 = 4;

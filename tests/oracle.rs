@@ -3,9 +3,8 @@
 
 use cuckoo_repro::baselines::locked::{LockKind, Locked};
 use cuckoo_repro::baselines::{dense::DenseTable, node_chain::NodeChainTable, ChainingMap};
-use cuckoo_repro::cuckoo::{
-    CuckooMap, ElidedCuckooMap, MemC3Config, MemC3Cuckoo, OptimisticCuckooMap, WriterLockKind,
-};
+use cuckoo_repro::baselines::{ElidedCuckooMap, MemC3Config, MemC3Cuckoo, WriterLockKind};
+use cuckoo_repro::cuckoo::{CuckooMap, OptimisticCuckooMap};
 use cuckoo_repro::workload::keygen::SplitMix64;
 use cuckoo_repro::workload::{ConcurrentMap, PutResult};
 use std::collections::hash_map::RandomState;

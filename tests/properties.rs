@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) over the core invariants.
 
-use cuckoo_repro::cuckoo::analysis::{p_invalid_exact, p_invalid_max};
+use cuckoo_repro::baselines::analysis::{p_invalid_exact, p_invalid_max};
 use cuckoo_repro::cuckoo::hash::{alt_index, key_slots, tag_of};
 use cuckoo_repro::cuckoo::hash::RandomState;
 use cuckoo_repro::cuckoo::raw::RawTable;

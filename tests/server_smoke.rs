@@ -200,17 +200,17 @@ fn observability_sections_expose_and_reset() {
         "cuckoo_path_searches_total",
         "cuckoo_migration_chunks_total",
         "cuckoo_graveyard_depth",
-        "htm_starts_total",
-        "htm_fallbacks_total",
     ] {
         assert!(stats.contains_key(family), "missing family {family}");
     }
+    // No served path runs an elided lock: no transactional families.
+    assert!(!stats.keys().any(|name| name.starts_with("htm_")), "{stats:?}");
     assert!(stats["cuckoo_lock_acquisitions_total"] >= 500, "{stats:?}");
     assert!(stats["cuckoo_lock_contended_total"] <= stats["cuckoo_lock_acquisitions_total"]);
     assert_eq!(stats["cuckoo_bfs_path_len_count"], stats["cuckoo_bfs_path_len_le_inf"]);
 
-    // `stats prometheus`: text exposition with TYPE headers, cumulative
-    // histogram buckets, and labeled HTM abort series.
+    // `stats prometheus`: text exposition with TYPE headers and
+    // cumulative histogram buckets.
     write!(client.writer, "stats prometheus\r\n").unwrap();
     let mut body = String::new();
     loop {
@@ -228,10 +228,10 @@ fn observability_sections_expose_and_reset() {
         "cuckoo_bfs_path_len_sum",
         "cuckoo_bfs_path_len_count",
         "# TYPE cuckoo_graveyard_depth gauge",
-        "htm_aborts_total{code=\"conflict\"}",
     ] {
         assert!(body.contains(needle), "missing {needle:?} in:\n{body}");
     }
+    assert!(!body.contains("htm_"), "transactional family emitted:\n{body}");
 
     // Unknown subcommand: recoverable CLIENT_ERROR, connection usable.
     write!(client.writer, "stats bogus\r\n").unwrap();

@@ -39,24 +39,15 @@ use std::process::{Command, ExitCode};
 
 use lexer::{blank_test_mods, find_word, is_ident, lex_lines, LexedLine};
 
-/// Directories exempt from the SAFETY-comment discipline:
-/// `crates/baselines` vendors reference baseline tables (chaining,
-/// dense probing) kept close to their upstream shape for fair
-/// comparison, and the non-loom shims mimic third-party crates'
-/// shapes. Everything else under `crates/*/src`, `shims/loom/src`,
-/// the root `src/`, and `xtask/src` is covered — newly added crates
-/// are picked up automatically instead of rotting off a hand-kept
-/// list (which is how `persist` and `metrics` escaped coverage).
-const SAFETY_EXEMPT: &[&str] = &["crates/baselines"];
-
+/// Roots the SAFETY-comment discipline covers: every `crates/*/src`,
+/// `shims/loom/src`, the root `src/`, and `xtask/src` (the other shims
+/// mimic third-party crates' shapes). Newly added crates are picked up
+/// automatically instead of rotting off a hand-kept list (which is how
+/// `persist` and `metrics` once escaped coverage).
 fn safety_roots(root: &Path) -> Vec<PathBuf> {
     let mut roots = vec![root.join("src"), root.join("xtask/src"), root.join("shims/loom/src")];
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
         for entry in entries.flatten() {
-            let rel = format!("crates/{}", entry.file_name().to_string_lossy());
-            if SAFETY_EXEMPT.contains(&rel.as_str()) {
-                continue;
-            }
             let src = entry.path().join("src");
             if src.is_dir() {
                 roots.push(src);
@@ -458,10 +449,18 @@ fn unwrap_forbid_in_source(path: &str, src: &str) -> Vec<String> {
 // Lint-config audit
 // ---------------------------------------------------------------------
 
+/// The product crates — the served table, the cache, the server,
+/// durability and metrics — and the reproduction apparatus they must not
+/// depend on: the transactional-memory simulator and the baselines /
+/// MemC3 ladder built on it. Dev-dependencies are not checked.
+const PRODUCT_CRATES: &[&str] = &["cuckoo", "cache", "server", "persist", "metrics"];
+const LADDER_CRATES: &[&str] = &["htm", "baselines"];
+
 /// Every workspace member must opt into the shared lint table, and the
 /// workspace table must keep `unsafe_op_in_unsafe_fn = "deny"` — this is
 /// what makes every implicit unsafe operation inside an `unsafe fn`
-/// surface as its own block (and thus its own SAFETY comment).
+/// surface as its own block (and thus its own SAFETY comment). The
+/// product crates must not list a ladder crate under `[dependencies]`.
 fn lint_config_audit(root: &Path) -> Vec<String> {
     let mut violations = Vec::new();
     let ws = root.join("Cargo.toml");
@@ -488,6 +487,18 @@ fn lint_config_audit(root: &Path) -> Vec<String> {
                     violations.push(format!(
                         "{rel}: missing `[lints]\\nworkspace = true` (workspace lint opt-in)"
                     ));
+                }
+                let product = manifest.parent().is_some_and(|dir| {
+                    dir.parent() == Some(root.join("crates").as_path())
+                        && dir.file_name().is_some_and(|n| PRODUCT_CRATES.iter().any(|p| n == *p))
+                });
+                for dep in LADDER_CRATES {
+                    if product && toml_section_has(&text, "dependencies", dep) {
+                        violations.push(format!(
+                            "{rel}: product crate depends on `{dep}` (the reproduction \
+                             apparatus stays out of the product crates)"
+                        ));
+                    }
                 }
             }
             Err(e) => violations.push(format!("{rel}: unreadable: {e}")),
@@ -520,8 +531,9 @@ fn member_manifests(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Minimal TOML poke: does `[section]` contain a line starting with
-/// `key`? (Good enough for manifests we control; avoids a TOML dep.)
+/// Minimal TOML poke: does `[section]` set `key` (as `key = …` or a
+/// dotted `key.sub = …`)? Good enough for manifests we control; avoids a
+/// TOML dep.
 fn toml_section_has(text: &str, section: &str, key: &str) -> bool {
     let header = format!("[{section}]");
     let mut in_section = false;
@@ -531,7 +543,11 @@ fn toml_section_has(text: &str, section: &str, key: &str) -> bool {
             in_section = line == header;
             continue;
         }
-        if in_section && line.starts_with(key) {
+        if in_section
+            && line
+                .strip_prefix(key)
+                .is_some_and(|rest| rest.trim_start().starts_with(['=', '.']))
+        {
             return true;
         }
     }
@@ -631,6 +647,7 @@ fn run_selftest() -> bool {
     }
     ok &= selftest_unwrap_forbid();
     ok &= selftest_unlisted_member();
+    ok &= selftest_layering();
     ok &= selftest_orderings();
     if ok {
         println!("selftest: the gate gates");
@@ -701,6 +718,39 @@ fn selftest_unlisted_member() -> bool {
         println!("selftest ok   [lint-config audit flags a member missing [lints]]");
     }
     ok
+}
+
+/// The layering rule must fail a product crate that lists a ladder crate
+/// under `[dependencies]`, and pass the same edge as a dev-dependency.
+fn selftest_layering() -> bool {
+    let dir = std::env::temp_dir().join(format!("xtask-layering-selftest-{}", std::process::id()));
+    let member = dir.join("crates/cuckoo");
+    let ws = "[workspace]\nmembers = [\"crates/*\"]\n\n[workspace.lints.rust]\nunsafe_op_in_unsafe_fn = \"deny\"\n";
+    let manifest = |section: &str| {
+        format!("[package]\nname = \"cuckoo\"\n\n[{section}]\nhtm.workspace = true\n\n[lints]\nworkspace = true\n")
+    };
+    let flagged = |section: &str| {
+        std::fs::write(member.join("Cargo.toml"), manifest(section))
+            .map(|()| lint_config_audit(&dir).iter().any(|v| v.contains("`htm`")))
+    };
+    let result = std::fs::create_dir_all(&member)
+        .and_then(|()| std::fs::write(dir.join("Cargo.toml"), ws))
+        .and_then(|()| Ok((flagged("dependencies")?, flagged("dev-dependencies")?)));
+    let _ = std::fs::remove_dir_all(&dir);
+    match result {
+        Ok((true, false)) => {
+            println!("selftest ok   [lint-config audit flags a product crate depending on htm]");
+            true
+        }
+        Ok((dep, dev)) => {
+            eprintln!("selftest FAILED [layering]: [dependencies] flagged {dep} (want true), [dev-dependencies] flagged {dev} (want false)");
+            false
+        }
+        Err(e) => {
+            eprintln!("selftest FAILED [layering]: cannot write temp workspace: {e}");
+            false
+        }
+    }
 }
 
 /// Smoke fixtures for the ordering lint (full coverage lives in
