@@ -20,7 +20,13 @@
 //!   bits do;
 //! - `SET` allocates a slab slot from a freelist; when the cache is at
 //!   capacity the CLOCK hand sweeps the slab: recency bit set → clear
-//!   and advance (second chance), clear → evict that slot's key.
+//!   and advance (second chance), clear → evict that slot's key. The
+//!   table has only as many slots as the cache has entries (rounded up
+//!   to its bucket grid), and the slab holds at most
+//!   [`MAX_LOAD_PERCENT`] of them, so the slab binds before the table's
+//!   load limit and eviction stays on this path. An insert that still
+//!   finds no cuckoo path evicts the same way until it lands, which is
+//!   MemC3's answer to a failed insert.
 //!
 //! Recency is approximate under races (a `GET` may mark a slot that was
 //! just recycled) — which is CLOCK's nature and why MemC3 chose it: "a
@@ -39,6 +45,14 @@ const FREE: u8 = 0;
 const SETUP: u8 = 1;
 const USED: u8 = 2;
 const EVICTING: u8 = 3;
+
+/// The most of its table's slots a cache fills, in percent. Filling an
+/// empty table, the insert search first fails at load 0.977–0.986
+/// (2^12–2^21 slots), and a failed search escalates to the full-table
+/// lock. A cache allowed up to that limit pays this on nearly every new
+/// key once full; at 95 % (the paper's occupancy, §6.2), 2 threads
+/// churning 4× a 2^18-slot cache's keys took no full-table fallback.
+pub const MAX_LOAD_PERCENT: usize = 95;
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -112,16 +126,23 @@ pub struct ClockCache<V: Plain> {
 }
 
 impl<V: Plain> ClockCache<V> {
-    /// Creates a cache holding at most `capacity` entries.
+    /// Creates a cache holding at most `capacity` entries, or fewer when
+    /// `capacity` lies within 5 % of its table's size.
     ///
-    /// The underlying table is sized at twice the capacity so inserts
-    /// essentially never hit cuckoo-path exhaustion before the CLOCK
-    /// hand bounds the population.
+    /// The underlying table has `capacity` slots rounded up to its
+    /// power-of-two bucket grid ([`table_slots`](Self::table_slots)), so
+    /// it runs as dense as the paper's table does. The cache's
+    /// [`capacity`](Self::capacity) is at most [`MAX_LOAD_PERCENT`] of
+    /// those slots: a `capacity` of exactly 2^20 holds 996,147 entries.
+    /// The CLOCK hand then evicts before the table nears its load limit,
+    /// where a failed insert search would take the full-table lock.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(8);
         assert!(capacity < u32::MAX as usize, "slab indices are u32");
+        let map = OptimisticCuckooMap::with_capacity(capacity);
+        let capacity = capacity.min(map.capacity() * MAX_LOAD_PERCENT / 100);
         ClockCache {
-            map: OptimisticCuckooMap::with_capacity(capacity * 2),
+            map,
             slab_keys: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             recency: (0..capacity).map(|_| AtomicU8::new(0)).collect(),
             state: (0..capacity).map(|_| AtomicU8::new(FREE)).collect(),
@@ -149,6 +170,13 @@ impl<V: Plain> ClockCache<V> {
     /// Current resident entries.
     pub fn len(&self) -> usize {
         self.map.len()
+    }
+
+    /// Item slots in the underlying table: the capacity asked of
+    /// [`new`](Self::new), rounded up to the table's power-of-two bucket
+    /// grid.
+    pub fn table_slots(&self) -> usize {
+        self.map.capacity()
     }
 
     /// Whether the cache is empty.
@@ -270,18 +298,9 @@ impl<V: Plain> ClockCache<V> {
     /// Inserts or replaces `key → value`, evicting via CLOCK when at
     /// capacity.
     pub fn put(&self, key: u64, value: V) {
-        loop {
-            if self.replace(key, value) {
-                return;
-            }
-            match self.insert_absent(key, value) {
-                Some(true) => return,
-                // Racing put of the same key won; retry as a replace.
-                Some(false) => continue,
-                // Transient table-full squeeze; retry from the top.
-                None => continue,
-            }
-        }
+        // A racing put of the same key may win the insert; then retry as
+        // a replace.
+        while !self.replace(key, value) && !self.put_if_absent(key, value) {}
     }
 
     /// Batched [`put`](Self::put): stores every pair in order, with
@@ -325,56 +344,32 @@ impl<V: Plain> ClockCache<V> {
     /// and `put` of the same key: exactly one writer wins, the rest see
     /// `false`.
     pub fn put_if_absent(&self, key: u64, value: V) -> bool {
-        loop {
-            match self.insert_absent(key, value) {
-                Some(stored) => return stored,
-                None => continue,
-            }
-        }
-    }
-
-    /// One attempt to insert an absent key. `Some(true)`: inserted;
-    /// `Some(false)`: the key exists; `None`: the table was full even
-    /// after an eviction round (caller retries).
-    fn insert_absent(&self, key: u64, value: V) -> Option<bool> {
         let slot = self.alloc_slot();
         // ORDERING: publish.release-store
         self.slab_keys[slot as usize].store(key, Ordering::Release);
         // ORDERING: advisory.relaxed
         self.recency[slot as usize].store(1, Ordering::Relaxed);
-        match self.map.insert(key, (slot, value)) {
-            Ok(()) => {
-                // Publish to the CLOCK hand only once the entry is
-                // resident.
-                // ORDERING: publish.release-store
-                self.state[slot as usize].store(USED, Ordering::Release);
-                self.inserts.fetch_add(1, Ordering::Relaxed); // ORDERING: stats.counter
-                Some(true)
-            }
-            Err(InsertError::KeyExists) => {
-                self.abandon_slot(slot);
-                Some(false)
-            }
-            Err(InsertError::TableFull) => {
-                // 2x headroom makes this rare; make room and retry
-                // with the same slot.
-                self.evict_one();
-                match self.map.insert(key, (slot, value)) {
-                    Ok(()) => {
-                        // ORDERING: publish.release-store
-                        self.state[slot as usize].store(USED, Ordering::Release);
-                        self.inserts.fetch_add(1, Ordering::Relaxed); // ORDERING: stats.counter
-                        Some(true)
-                    }
-                    Err(InsertError::KeyExists) => {
-                        self.abandon_slot(slot);
-                        Some(false)
-                    }
-                    Err(InsertError::TableFull) => {
-                        self.abandon_slot(slot);
-                        None
-                    }
+        loop {
+            match self.map.insert(key, (slot, value)) {
+                Ok(()) => {
+                    // Publish to the CLOCK hand only once the entry is
+                    // resident.
+                    // ORDERING: publish.release-store
+                    self.state[slot as usize].store(USED, Ordering::Release);
+                    self.inserts.fetch_add(1, Ordering::Relaxed); // ORDERING: stats.counter
+                    return true;
                 }
+                Err(InsertError::KeyExists) => {
+                    self.abandon_slot(slot);
+                    return false;
+                }
+                // No cuckoo path (MemC3's failed insert). The slab keeps
+                // the load below the search's limit, so this takes keys
+                // crowding one bucket pair: keep the slot, and evict
+                // until the insert finds a path. Abandoning the slot
+                // instead would re-allocate it and fail again at the
+                // same load.
+                Err(InsertError::TableFull) => self.evict_one(),
             }
         }
     }
@@ -754,6 +749,106 @@ mod tests {
         assert_eq!(used, c.len(), "slab/map divergence");
         let free = c.free.lock().unwrap().len();
         assert_eq!(used + free, c.capacity);
+    }
+
+    /// A capacity equal to the table's slot count: the slab holds
+    /// [`MAX_LOAD_PERCENT`] of the slots, so a full cache evicts through
+    /// the CLOCK hand and its inserts stay off the full-table lock.
+    #[test]
+    fn writers_fill_a_cache_sized_to_its_table() {
+        use std::collections::HashMap;
+        use std::time::{Duration, Instant};
+        const CAP: usize = 1 << 12;
+        const THREADS: u64 = 2;
+        const KEYS_PER_THREAD: u64 = 2 * CAP as u64; // 4× capacity in all
+        let c: std::sync::Arc<ClockCache<u64>> = std::sync::Arc::new(ClockCache::new(CAP));
+        assert_eq!(c.table_slots(), CAP);
+        assert_eq!(c.capacity(), CAP * MAX_LOAD_PERCENT / 100);
+        // Threads of their own rather than a scope, so that a livelocked
+        // writer fails the test at the deadline instead of hanging it.
+        let (done, finished) = std::sync::mpsc::channel();
+        let writers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (c, done) = (c.clone(), done.clone());
+                std::thread::spawn(move || {
+                    // Each key's last written value; `None` once a
+                    // `replace` found it evicted (no one writes it again).
+                    let mut last = HashMap::new();
+                    let keys: Vec<u64> = (0..KEYS_PER_THREAD).map(|i| t << 32 | i).collect();
+                    for (j, group) in keys.chunks(16).enumerate() {
+                        match j % 3 {
+                            0 => group.iter().for_each(|&k| c.put(k, k)),
+                            1 => c.put_many(&group.iter().map(|&k| (k, k)).collect::<Vec<_>>()),
+                            _ => {
+                                for &k in group {
+                                    assert!(c.put_if_absent(k, k), "fresh key {k} refused");
+                                }
+                            }
+                        }
+                        for &k in group {
+                            let v = if k % 4 == 0 { c.replace(k, !k).then_some(!k) } else { Some(k) };
+                            last.insert(k, v);
+                        }
+                    }
+                    let _ = done.send(());
+                    last
+                })
+            })
+            .collect();
+        drop(done);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        for _ in 0..THREADS {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            match finished.recv_timeout(wait) {
+                Ok(()) => {}
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                    panic!("writers still busy after 60 s: livelock in a full cache")
+                }
+                // A writer panicked; joining it reports why.
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        let last: HashMap<u64, Option<u64>> =
+            writers.into_iter().flat_map(|w| w.join().expect("writer panicked")).collect();
+        let (len, s) = (c.len(), c.stats());
+        assert!(len <= c.capacity(), "resident {len} > capacity");
+        assert!(len as f64 >= 0.9 * c.table_slots() as f64, "resident {len}: the table ran sparse");
+        assert_eq!(s.evictions, s.inserts - s.deletes - len as u64, "{s:?}");
+        // At the table's own load limit nearly every insert escalated to
+        // the full-table lock; below it, next to none do.
+        let fallbacks = c.map.path_stats().full_table_fallbacks;
+        assert!(fallbacks * 100 < s.inserts, "{fallbacks} full-table inserts of {}", s.inserts);
+        let mut resident = 0;
+        assert!(c.scan(|k, &v| {
+            resident += 1;
+            assert_eq!(last[&k], Some(v), "key {k} holds a stale value");
+        }));
+        assert_eq!(resident, len);
+    }
+
+    /// Keys crowding one bucket pair leave an insert no cuckoo path at
+    /// any load: it keeps its slab slot and evicts until it lands.
+    #[test]
+    fn an_insert_with_no_cuckoo_path_evicts_until_it_lands() {
+        let c: ClockCache<u64> = ClockCache::new(64);
+        let pair = |k: u64| {
+            let ks = c.map.key_slots(&k);
+            (ks.i1.min(ks.i2), ks.i1.max(ks.i2))
+        };
+        // One more key than the pair's two 8-way buckets hold.
+        let crowd: Vec<u64> = (1..).filter(|&k| pair(k) == pair(0)).take(16).collect();
+        let crowd: Vec<u64> = std::iter::once(0).chain(crowd).collect();
+        for &k in &crowd[..16] {
+            c.put(k, k);
+        }
+        assert_eq!(c.stats().evictions, 0);
+        c.put(crowd[16], crowd[16]);
+        assert!(c.map.path_stats().full_table_fallbacks >= 1, "the insert found a path");
+        // The hand clears every recency bit once, then takes the oldest.
+        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.get(crowd[0]), None);
+        assert_eq!(c.get(crowd[16]), Some(crowd[16]));
+        assert_eq!(c.len(), 16);
     }
 
     #[test]

@@ -10,6 +10,60 @@ use crate::bucket::{Bucket, BucketMeta};
 use crate::hash;
 use crate::racy::Plain;
 
+/// A transparent huge page (x86-64, and arm64 with 4 KiB base pages).
+const HUGE_PAGE: usize = 2 << 20;
+
+/// Arrays below two huge pages get no huge-page advice: only whole
+/// aligned 2 MiB extents can become huge pages, and a smaller array may
+/// hold none.
+const HUGE_PAGE_MIN_BYTES: usize = 2 * HUGE_PAGE;
+
+/// Advises the kernel to back the whole 2 MiB extents inside `array`
+/// with transparent huge pages. `Ok(false)`: nothing was asked, because
+/// the array is below [`HUGE_PAGE_MIN_BYTES`] or the platform has no
+/// such advice.
+fn advise_huge_pages<T>(array: &[T]) -> std::io::Result<bool> {
+    let start = array.as_ptr() as usize;
+    let len = core::mem::size_of_val(array);
+    if len < HUGE_PAGE_MIN_BYTES {
+        return Ok(false);
+    }
+    // At least one whole extent lies inside: `len` spans two.
+    let first = start.next_multiple_of(HUGE_PAGE);
+    let end = (start + len) / HUGE_PAGE * HUGE_PAGE;
+    thp::advise(first, end - first)
+}
+
+#[cfg(all(target_os = "linux", not(miri)))]
+mod thp {
+    /// `MADV_HUGEPAGE`, from the kernel's `asm-generic/mman-common.h`.
+    const MADV_HUGEPAGE: i32 = 14;
+
+    extern "C" {
+        /// `int madvise(void *addr, size_t length, int advice);` — std
+        /// links the C library, and no `libc` crate resolves offline.
+        fn madvise(addr: *mut core::ffi::c_void, length: usize, advice: i32) -> i32;
+    }
+
+    pub(super) fn advise(addr: usize, len: usize) -> std::io::Result<bool> {
+        // SAFETY: advice changes no memory contents or protections; the
+        // range is page-aligned and lies inside one live allocation of
+        // the caller's, so the call cannot disturb memory it does not own.
+        if unsafe { madvise(addr as *mut core::ffi::c_void, len, MADV_HUGEPAGE) } == 0 {
+            Ok(true)
+        } else {
+            Err(std::io::Error::last_os_error())
+        }
+    }
+}
+
+#[cfg(not(all(target_os = "linux", not(miri))))]
+mod thp {
+    pub(super) fn advise(_addr: usize, _len: usize) -> std::io::Result<bool> {
+        Ok(false)
+    }
+}
+
 /// Power-of-two array of B-way buckets plus their metadata.
 pub struct RawTable<K, V, const B: usize> {
     buckets: Box<[Bucket<K, V, B>]>,
@@ -40,6 +94,14 @@ impl<K, V, const B: usize> RawTable<K, V, B> {
     /// buckets are first used. This keeps `begin_migration` — which
     /// allocates the doubled table inline in whichever insert trips the
     /// expansion — off the latency tail.
+    ///
+    /// Each array of at least 4 MiB is then advised onto transparent
+    /// huge pages (`madvise(MADV_HUGEPAGE)` over the whole 2 MiB extents
+    /// inside it) before anything touches it, so the pages its first
+    /// uses fault in are 2 MiB ones wherever the kernel has them: a
+    /// lookup then needs one TLB entry per 2 MiB of table instead of one
+    /// per 4 KiB. Off Linux, under Miri, or where the kernel refuses the
+    /// advice, the table is allocated exactly as without it.
     pub fn with_capacity(capacity: usize) -> Self {
         // Bucket::new() carries the associativity bound; keep it here.
         assert!(B > 0 && B <= crate::bucket::MAX_WAYS, "set-associativity must be 1..=16");
@@ -51,6 +113,9 @@ impl<K, V, const B: usize> RawTable<K, V, B> {
         let buckets = unsafe { Box::new_zeroed_slice(n).assume_init() };
         // SAFETY: as above.
         let meta = unsafe { Box::new_zeroed_slice(n).assume_init() };
+        // Best effort: a refused advice leaves ordinary 4 KiB pages.
+        let _ = advise_huge_pages(&buckets);
+        let _ = advise_huge_pages(&meta);
         RawTable { buckets, meta, mask: n - 1 }
     }
 
@@ -537,6 +602,55 @@ mod tests {
             assert_eq!(t.read_key_racy(200, 0), 99);
             assert_eq!(t.read_val_racy(200, 0), 77);
         }
+    }
+
+    /// Whether some `/proc/self/smaps` mapping overlapping `array` carries
+    /// the `hg` (`MADV_HUGEPAGE`) flag.
+    #[cfg(all(target_os = "linux", not(miri)))]
+    fn huge_page_advised<T>(array: &[T]) -> bool {
+        let (start, end) = (array.as_ptr() as usize, array.as_ptr_range().end as usize);
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read /proc/self/smaps");
+        let mut overlaps = false;
+        for line in smaps.lines() {
+            if let Some(flags) = line.strip_prefix("VmFlags:") {
+                if overlaps && flags.split_whitespace().any(|f| f == "hg") {
+                    return true;
+                }
+            } else if let Some((lo, hi)) = line.split(' ').next().and_then(|r| r.split_once('-')) {
+                // A mapping header: `lo-hi perms offset dev inode [path]`.
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    overlaps = lo < end && start < hi;
+                }
+            }
+        }
+        false
+    }
+
+    /// The advice is deterministic where the kernel has THP at all;
+    /// whether 2 MiB pages then back the table depends on fragmentation,
+    /// so the flag is asserted, not `AnonHugePages`.
+    #[cfg(all(target_os = "linux", not(miri)))]
+    #[test]
+    fn large_tables_are_advised_onto_huge_pages() {
+        // 2^21 slots of 16-byte entries: 32 MiB of buckets, 4 MiB of
+        // metadata.
+        let big: RawTable<u64, u64, 8> = RawTable::with_capacity(1 << 21);
+        if !huge_page_advised(&big.buckets) {
+            // The only excuse: a kernel built without THP refuses it.
+            const EINVAL: i32 = 22;
+            match advise_huge_pages(&big.buckets) {
+                Err(e) if e.raw_os_error() == Some(EINVAL) => return,
+                other => panic!("a 32 MiB bucket array was not advised ({other:?})"),
+            }
+        }
+        assert!(huge_page_advised(&big.meta), "a 4 MiB metadata array unadvised");
+        // 2^16 slots: 1 MiB of buckets, 128 KiB of metadata.
+        let small: RawTable<u64, u64, 8> = RawTable::with_capacity(1 << 16);
+        assert_eq!(core::mem::size_of_val(&*small.buckets), 1 << 20);
+        assert!(matches!(advise_huge_pages(&small.buckets), Ok(false)));
+        assert!(matches!(advise_huge_pages(&small.meta), Ok(false)));
     }
 
     #[test]

@@ -119,7 +119,10 @@ USAGE: cuckood [OPTIONS]
 OPTIONS:
   -p, --port <PORT>       TCP port (default 11211; 0 = ephemeral)
   -l, --listen <ADDR>     bind address (default 127.0.0.1)
-  -c, --capacity <N>      max resident items (default 1048576)
+  -c, --capacity <N>      max resident items (default 1048576); the
+                          table has N slots rounded up to a power of
+                          two and holds at most 95% of them, so the
+                          default holds 996147 (--no-evict: initial size)
   -t, --threads <N>       worker threads (default: one per core)
       --no-evict          unbounded CuckooMap store instead of the
                           CLOCK cache (arbitrary value sizes)

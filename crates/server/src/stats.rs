@@ -135,6 +135,8 @@ impl ServerStats {
         encode_stat_u64(out, "total_connections", self.total_connections.load(Ordering::Relaxed));
         encode_stat_u64(out, "curr_items", s.len as u64);
         encode_stat_u64(out, "max_items", s.capacity as u64);
+        encode_stat_u64(out, "table_bytes", s.table_bytes as u64);
+        encode_stat_u64(out, "table_slots", s.table_slots as u64);
         encode_stat_u64(out, "cmd_get", self.get_latency.len());
         encode_stat_u64(out, "cmd_set", self.store_latency.len());
         encode_stat_u64(out, "cmd_delete", self.delete_latency.len());

@@ -114,6 +114,15 @@ pub struct StoreStats {
     pub cache: CacheStats,
     pub len: usize,
     pub capacity: usize,
+    /// Bytes the engine's index occupies: the cuckoo table (buckets,
+    /// metadata, lock stripes, counters) and, for the clock engine, the
+    /// CLOCK slab beside it; for the growing engine, also any expansion
+    /// target and retired table not yet freed.
+    pub table_bytes: usize,
+    /// Item slots in the engine's cuckoo table. The clock engine fills at
+    /// most 95 % of them, so `capacity` is below this; for the growing
+    /// engine the two are equal.
+    pub table_slots: usize,
     /// ClockStore only: gets whose 64-bit key hash collided with a
     /// different resident key (answered as a miss).
     pub hash_collisions: u64,
@@ -451,6 +460,8 @@ impl Store for ClockStore {
             cache: self.cache.stats(),
             len: self.cache.len(),
             capacity: self.cache.capacity(),
+            table_bytes: self.cache.memory_bytes(),
+            table_slots: self.cache.table_slots(),
             hash_collisions: self.collisions.load(Ordering::Relaxed),
         }
     }
@@ -742,6 +753,8 @@ impl Store for CuckooStore {
             },
             len: self.map.len(),
             capacity: self.map.capacity(),
+            table_bytes: self.map.memory_bytes(),
+            table_slots: self.map.capacity(),
             hash_collisions: 0,
         }
     }

@@ -53,6 +53,21 @@ impl Client {
         Some(data)
     }
 
+    /// `stats`: every `STAT name value` line, by name.
+    fn stats(&mut self) -> std::collections::HashMap<String, String> {
+        write!(self.writer, "stats\r\n").unwrap();
+        let mut stats = std::collections::HashMap::new();
+        loop {
+            let line = self.line();
+            if line == "END" {
+                return stats;
+            }
+            let rest = line.strip_prefix("STAT ").unwrap_or_else(|| panic!("stats line {line:?}"));
+            let (name, value) = rest.split_once(' ').unwrap();
+            stats.insert(name.to_string(), value.to_string());
+        }
+    }
+
     fn delete(&mut self, key: &str) -> bool {
         write!(self.writer, "delete {}\r\n", key).unwrap();
         match self.line().as_str() {
@@ -121,24 +136,12 @@ fn concurrent_clients_set_get_delete_and_drain() {
     );
 
     // stats reflects the traffic.
-    write!(checker.writer, "stats\r\n").unwrap();
-    let mut saw_get_hits = false;
-    loop {
-        let line = checker.line();
-        if line == "END" {
-            break;
-        }
-        assert!(line.starts_with("STAT "), "stats line {line:?}");
-        if let Some(rest) = line.strip_prefix("STAT cmd_get ") {
-            let n: u64 = rest.parse().unwrap();
-            assert!(n >= (CLIENTS * KEYS_PER_CLIENT) as u64, "cmd_get {n}");
-        }
-        if let Some(rest) = line.strip_prefix("STAT get_hits ") {
-            saw_get_hits = true;
-            assert!(rest.parse::<u64>().unwrap() > 0);
-        }
-    }
-    assert!(saw_get_hits, "stats must include get_hits");
+    let stats = checker.stats();
+    let cmd_get: u64 = stats["cmd_get"].parse().unwrap();
+    assert!(cmd_get >= (CLIENTS * KEYS_PER_CLIENT) as u64, "cmd_get {cmd_get}");
+    let get_hits = stats.get("get_hits").expect("stats must include get_hits");
+    assert!(get_hits.parse::<u64>().unwrap() > 0);
+    assert!(stats["table_bytes"].parse::<u64>().unwrap() > 0);
 
     // version answers; quit closes cleanly.
     write!(checker.writer, "version\r\n").unwrap();
@@ -299,20 +302,9 @@ fn pipelined_set_burst_coalesces_with_exact_replies() {
     assert_eq!(client.get("bmiss"), None);
 
     // The server saw at least one coalesced burst covering the sets.
-    write!(client.writer, "stats\r\n").unwrap();
-    let (mut batches, mut keys) = (0u64, 0u64);
-    loop {
-        let line = client.line();
-        if line == "END" {
-            break;
-        }
-        if let Some(rest) = line.strip_prefix("STAT multiset_batches ") {
-            batches = rest.parse().unwrap();
-        }
-        if let Some(rest) = line.strip_prefix("STAT multiset_keys ") {
-            keys = rest.parse().unwrap();
-        }
-    }
+    let stats = client.stats();
+    let (batches, keys): (u64, u64) =
+        (stats["multiset_batches"].parse().unwrap(), stats["multiset_keys"].parse().unwrap());
     assert!(batches >= 1, "burst was not coalesced (multiset_batches {batches})");
     assert!(keys >= 32, "coalesced burst lost commands (multiset_keys {keys})");
 
@@ -370,17 +362,7 @@ fn pipelined_get_burst_coalesces_with_exact_replies() {
         assert_eq!(client.line(), expect, "`get rk`, then `get missing rk rk`");
     }
 
-    write!(client.writer, "stats\r\n").unwrap();
-    let mut stats = std::collections::HashMap::new();
-    loop {
-        let line = client.line();
-        if line == "END" {
-            break;
-        }
-        let mut parts = line.splitn(3, ' ');
-        assert_eq!(parts.next(), Some("STAT"));
-        stats.insert(parts.next().unwrap().to_string(), parts.next().unwrap().to_string());
-    }
+    let stats = client.stats();
     let stat = |name: &str| -> u64 { stats[name].parse().unwrap() };
     // One write, one pump: the lone `get rk` is a run of one, the last
     // three requests one run of 3 + 1 + 3 keys.
@@ -407,5 +389,35 @@ fn no_evict_mode_serves_large_values() {
     let big = vec![b'x'; 64 * 1024];
     client.set("big", &big);
     assert_eq!(client.get("big"), Some(big));
+    // The growing table reports its footprint too.
+    let stats = client.stats();
+    assert_eq!(stats["table_slots"], (1 << 12).to_string());
+    assert!(stats["table_bytes"].parse::<u64>().unwrap() > 0);
+    handle.shutdown();
+}
+
+/// `stats` reports the table's footprint: the clock engine's table is
+/// its capacity rounded up to the bucket grid, with no headroom factor,
+/// and a capacity at the grid holds 95 % of the slots.
+#[test]
+fn stats_report_table_footprint() {
+    const CAPACITY: u64 = 1 << 21;
+    let handle = server::spawn(server::Config {
+        port: 0,
+        capacity: CAPACITY as usize,
+        workers: 1,
+        ..Default::default()
+    })
+    .expect("spawn");
+    let mut client = Client::connect(handle.local_addr());
+    client.set("k", b"v");
+    let stats = client.stats();
+    let stat = |name: &str| -> u64 {
+        stats.get(name).unwrap_or_else(|| panic!("no STAT {name}")).parse().unwrap()
+    };
+    assert_eq!(stat("table_slots"), CAPACITY);
+    assert_eq!(stat("max_items"), CAPACITY * cache::MAX_LOAD_PERCENT as u64 / 100);
+    // Every slot holds at least its 8-byte key hash.
+    assert!(stat("table_bytes") > CAPACITY * 8, "table_bytes {}", stat("table_bytes"));
     handle.shutdown();
 }
