@@ -9,24 +9,37 @@
 //! memcache" application built on this repository's
 //! [`OptimisticCuckooMap`].
 //!
-//! Design (mirroring MemC3's separation of index and recency state):
+//! Design (MemC3's layout: a small index over an item slab):
 //!
-//! - the cuckoo map stores `key → (slot, value)` where `slot` indexes a
-//!   fixed-size side **slab** of per-entry metadata;
-//! - `GET` is the map's lock-free optimistic read plus one relaxed store
-//!   to the slab's recency bit — reads never touch the table's cache
-//!   lines for writing (preserving the paper's read path) and the
-//!   recency bits live in a dense side array exactly as MemC3's CLOCK
-//!   bits do;
-//! - `SET` allocates a slab slot from a freelist; when the cache is at
-//!   capacity the CLOCK hand sweeps the slab: recency bit set → clear
-//!   and advance (second chance), clear → evict that slot's key. The
-//!   table has only as many slots as the cache has entries (rounded up
-//!   to its bucket grid), and the slab holds at most
-//!   [`MAX_LOAD_PERCENT`] of them, so the slab binds before the table's
-//!   load limit and eviction stays on this path. An insert that still
-//!   finds no cuckoo path evicts the same way until it lands, which is
-//!   MemC3's answer to a failed insert.
+//! - the cuckoo map stores `key → slot`, about 12 bytes per table slot,
+//!   where `slot` indexes a fixed-size side **slab**. A slab slot holds
+//!   the value on cache lines of its own, under a 16-byte header: the
+//!   owning key, and one word that combines the slot's lifecycle with a
+//!   seqlock version (the idiom of `cuckoo::sync`). An 8-way bucket is
+//!   1.5 lines whatever the value size, and a cuckoo displacement moves
+//!   12 bytes, not the item;
+//! - `GET` is the map's lock-free optimistic read of the slot, then a
+//!   copy of the slab slot validated against its word: the slot must be
+//!   live, unwritten across the copy, and still owned by the key probed.
+//!   A slot recycled since the probe reads as a miss — its key left the
+//!   table before the slot could be reused. A hit costs one relaxed store
+//!   to the slot's recency bit; reads never write the table's or the
+//!   items' cache lines, and the recency bits live in a dense side array
+//!   exactly as MemC3's CLOCK bits do;
+//! - `SET` of a present key rewrites its slab slot in place, inside the
+//!   word's write window; the table is not written. A new key takes a
+//!   slab slot — a returned one, else the next never-used one — fills
+//!   it, and publishes it with the table insert. When the slab is full
+//!   the CLOCK hand sweeps it: recency bit set → clear and advance
+//!   (second chance), clear → evict that slot's key. The table has only
+//!   as many slots as the cache has entries (rounded up to its bucket
+//!   grid), and the slab holds at most [`MAX_LOAD_PERCENT`] of them, so
+//!   the slab binds before the table's load limit and eviction stays on
+//!   this path. An insert that still finds no cuckoo path evicts the
+//!   same way until it lands, which is MemC3's answer to a failed insert;
+//! - the slab's arrays are allocated zeroed and mapped lazily, and slots
+//!   are handed out densely from index 0, so resident memory follows the
+//!   resident items, not the capacity.
 //!
 //! Recency is approximate under races (a `GET` may mark a slot that was
 //! just recycled) — which is CLOCK's nature and why MemC3 chose it: "a
@@ -34,17 +47,33 @@
 //! locking".
 
 // ORDERING-FILE: stats.counter — hit/miss/eviction counters for the stats contract.
-use cuckoo::{InsertError, OptimisticCuckooMap, Plain};
-use cuckoo::sync2::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use cuckoo::sync2::Mutex;
+use core::marker::PhantomData;
+use core::mem::{size_of, MaybeUninit};
 
-/// Slab slot states.
-const FREE: u8 = 0;
+use cuckoo::prefetch::{prefetch_read, prefetch_write};
+use cuckoo::raw::zeroed_slice;
+use cuckoo::sync::backoff;
+use cuckoo::sync2::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use cuckoo::sync2::Mutex;
+use cuckoo::{InsertError, OptimisticCuckooMap, Plain, MULTIGET_GROUP};
+
+/// A slab slot's lifecycle, in the low two bits of its word.
+const STATE: u64 = 0b11;
+/// Never used, or back on the free stack.
+const FREE: u64 = 0;
 /// Allocated by a `put` whose map insert has not landed yet; invisible to
 /// the CLOCK hand.
-const SETUP: u8 = 1;
-const USED: u8 = 2;
-const EVICTING: u8 = 3;
+const SETUP: u64 = 1;
+const USED: u64 = 2;
+/// Claimed by the CLOCK hand or a `delete`, the only ones that remove a
+/// slot's key from the table.
+const EVICTING: u64 = 3;
+/// One step of the version above the state bits. The version is odd
+/// while the slot's item or owner is being written.
+const WRITING: u64 = 1 << 2;
+
+/// A cache line.
+const LINE: usize = 64;
 
 /// The most of its table's slots a cache fills, in percent. Filling an
 /// empty table, the insert search first fails at load 0.977–0.986
@@ -53,6 +82,103 @@ const EVICTING: u8 = 3;
 /// key once full; at 95 % (the paper's occupancy, §6.2), 2 threads
 /// churning 4× a 2^18-slot cache's keys took no full-table fallback.
 pub const MAX_LOAD_PERCENT: usize = 95;
+
+/// A slab slot's header.
+///
+/// Invariant: a USED slot's owner maps to the slot in the table. The
+/// insert lands before the slot turns USED, and only a claimant — the
+/// one that moved the word to EVICTING — removes the entry, before it
+/// frees the slot.
+#[derive(Debug)]
+#[repr(C)]
+struct Head {
+    /// Seqlock version (bits 2..) | lifecycle (bits 0..2). Each write
+    /// window advances the version by two, so a reader that sees one
+    /// word before and after its copy saw no write and no reuse.
+    word: AtomicU64,
+    /// The owning key, written only inside a write window.
+    owner: AtomicU64,
+}
+
+/// The slab's items: one `V` per slot, each starting a cache line.
+///
+/// Stored as 8-byte words: std zero-fills an allocation aligned beyond
+/// 16 bytes by hand, touching every page, while a zeroed array of words
+/// stays lazily mapped. The items start at the first line boundary
+/// inside it. Every access is a racy per-chunk copy (`cuckoo::racy`), so
+/// concurrent readers and writers are defined behavior; the slot's word
+/// says whether a copy is whole.
+struct Items<V> {
+    words: Box<[std::sync::atomic::AtomicU64]>,
+    /// Index of the first line-aligned word.
+    first: usize,
+    item: PhantomData<fn() -> V>,
+}
+
+impl<V: Plain> Items<V> {
+    /// Bytes from one item to the next.
+    const STRIDE: usize = size_of::<V>().next_multiple_of(LINE);
+
+    fn new(n: usize) -> Self {
+        // SAFETY: zero bytes are a valid atomic word.
+        let words: Box<[std::sync::atomic::AtomicU64]> =
+            unsafe { zeroed_slice((n * Self::STRIDE + LINE) / 8) };
+        let first = words.as_ptr().cast::<u8>().align_offset(LINE) / 8;
+        Items { words, first, item: PhantomData }
+    }
+
+    /// Address of slot `s`'s item.
+    #[inline]
+    fn addr(&self, s: usize) -> usize {
+        let words = &self.words[self.first + s * Self::STRIDE / 8..];
+        debug_assert!(size_of_val(words) >= size_of::<V>());
+        words.as_ptr() as usize
+    }
+
+    /// A copy that a concurrent writer may have torn: the caller's word
+    /// validation decides whether it is kept.
+    #[inline]
+    fn load(&self, s: usize) -> V {
+        let mut out = MaybeUninit::<V>::uninit();
+        // SAFETY: `addr(s)` starts `size_of::<V>()` bytes of this array
+        // (bounds-checked above), `out` is valid for as many writes, and
+        // the copy is per-chunk atomic, so racing writers are defined
+        // behavior; any bytes are a valid `V` (`Plain`).
+        unsafe {
+            cuckoo::racy::load_bytes(self.addr(s), out.as_mut_ptr().cast::<u8>(), size_of::<V>());
+            out.assume_init()
+        }
+    }
+
+    /// Writes slot `s`'s item. The caller holds the slot's write window,
+    /// so no other writer races it.
+    #[inline]
+    fn store(&self, s: usize, v: &V) {
+        // SAFETY: as for `load`; `v` is valid for `size_of::<V>()` reads.
+        unsafe {
+            cuckoo::racy::store_bytes(self.addr(s), (v as *const V).cast::<u8>(), size_of::<V>())
+        }
+    }
+
+    /// Applies `hint` (a prefetch) to every line of slot `s`'s item.
+    #[inline]
+    fn prefetch(&self, s: usize, hint: fn(*const u8)) {
+        let item = self.addr(s) as *const u8;
+        for line in (0..size_of::<V>()).step_by(LINE) {
+            hint(item.wrapping_add(line));
+        }
+    }
+}
+
+/// What one validated look at a slab slot found.
+enum Seen<V> {
+    /// The key's item, copied whole.
+    Hit(V),
+    /// The key has left the table since it was probed.
+    Gone,
+    /// Mid-write, mid-claim, or just inserted: resolves promptly.
+    Busy,
+}
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -98,15 +224,19 @@ pub struct CacheStats {
 /// assert!(cache.len() <= cache.capacity());
 /// ```
 pub struct ClockCache<V: Plain> {
-    map: OptimisticCuckooMap<u64, (u32, V), 8>,
-    /// Slab: per-slot owning key (valid while state == USED).
-    slab_keys: Box<[AtomicU64]>,
+    /// The index: key → slab slot.
+    map: OptimisticCuckooMap<u64, u32, 8>,
+    /// Slab: per-slot header (word + owner).
+    heads: Box<[Head]>,
+    /// Slab: per-slot item.
+    items: Items<V>,
     /// Slab: CLOCK recency bits.
     recency: Box<[AtomicU8]>,
-    /// Slab: slot lifecycle (FREE / USED / EVICTING).
-    state: Box<[AtomicU8]>,
-    /// Free slot stack.
+    /// Slots returned by evictions and deletes; reused before fresh ones.
     free: Mutex<Vec<u32>>,
+    /// Slots below this have been handed out. Raised only under the
+    /// `free` lock; the CLOCK hand sweeps below it.
+    bump: AtomicUsize,
     /// The CLOCK hand.
     hand: AtomicUsize,
     capacity: usize,
@@ -136,6 +266,9 @@ impl<V: Plain> ClockCache<V> {
     /// those slots: a `capacity` of exactly 2^20 holds 996,147 entries.
     /// The CLOCK hand then evicts before the table nears its load limit,
     /// where a failed insert search would take the full-table lock.
+    ///
+    /// Nothing is touched per slot: the slab's arrays come zeroed and are
+    /// mapped as slots are first handed out.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(8);
         assert!(capacity < u32::MAX as usize, "slab indices are u32");
@@ -143,10 +276,13 @@ impl<V: Plain> ClockCache<V> {
         let capacity = capacity.min(map.capacity() * MAX_LOAD_PERCENT / 100);
         ClockCache {
             map,
-            slab_keys: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            recency: (0..capacity).map(|_| AtomicU8::new(0)).collect(),
-            state: (0..capacity).map(|_| AtomicU8::new(FREE)).collect(),
-            free: Mutex::new((0..capacity as u32).rev().collect()),
+            // SAFETY: zero bytes are a FREE header at version 0.
+            heads: unsafe { zeroed_slice(capacity) },
+            items: Items::new(capacity),
+            // SAFETY: zero bytes are a clear recency bit.
+            recency: unsafe { zeroed_slice(capacity) },
+            free: Mutex::new(Vec::with_capacity(capacity)),
+            bump: AtomicUsize::new(0),
             hand: AtomicUsize::new(0),
             capacity,
             hits: AtomicU64::new(0),
@@ -184,17 +320,15 @@ impl<V: Plain> ClockCache<V> {
         self.len() == 0
     }
 
-    /// Approximate resident heap footprint: the cuckoo table (buckets,
-    /// lock stripes, sharded counter) plus the CLOCK slab arrays and
-    /// free stack. Fixed at construction — the cache never resizes — so
-    /// owners can report it (e.g. `cuckood`'s `stats`) without taking
-    /// any locks.
+    /// Heap footprint of a full cache: the cuckoo table (buckets, lock
+    /// stripes, sharded counter) plus the slab (headers, items, recency
+    /// bits, free stack). Fixed at construction — the cache never
+    /// resizes — so owners can report it (e.g. `cuckood`'s `stats`)
+    /// without taking any locks. The slab is reserved, not resident: its
+    /// pages are mapped as slots are first handed out.
     pub fn memory_bytes(&self) -> usize {
-        self.map.memory_bytes()
-            + self.slab_keys.len() * core::mem::size_of::<AtomicU64>()
-            + self.recency.len() * core::mem::size_of::<AtomicU8>()
-            + self.state.len() * core::mem::size_of::<AtomicU8>()
-            + self.capacity * core::mem::size_of::<u32>()
+        let per_slot = size_of::<Head>() + Items::<V>::STRIDE + size_of::<AtomicU8>() + size_of::<u32>();
+        self.map.memory_bytes() + self.capacity * per_slot
     }
 
     /// Point-in-time statistics.
@@ -245,21 +379,12 @@ impl<V: Plain> ClockCache<V> {
 
     /// Looks up `key`, marking it recently used on a hit.
     pub fn get(&self, key: u64) -> Option<V> {
-        match self.map.get(&key) {
-            Some((slot, v)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                // Benign approximation: the slot may have been recycled
-                // by a racing eviction; marking a stranger's slot recent
-                // only delays its eviction by one sweep.
-                // ORDERING: advisory.relaxed
-                self.recency[slot as usize].store(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let v = self.read(key, self.map.get(&key));
+        match v {
+            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
+        v
     }
 
     /// Batched [`get`](Self::get): one result per key, in order. Hits
@@ -273,26 +398,91 @@ impl<V: Plain> ClockCache<V> {
         self.record_gets(hits, keys.len() as u64 - hits);
     }
 
-    /// The batched read itself, via the table's software-pipelined
-    /// multi-key path: calls `f(i, value)` exactly once per key, in
-    /// order, with the resident value borrowed from the pipeline's
-    /// validated copy. Marks every found entry recently used and counts
-    /// nothing: an owner that only peeks stays out of `hits`/`misses`,
-    /// and one that decides for itself what a hit is reports through
+    /// The batched read itself: calls `f(i, value)` exactly once per key,
+    /// in order, with the resident value borrowed from a validated copy.
+    /// Each group of keys goes through the table's software-pipelined
+    /// probe; once the group's slots resolve, every hit's slab lines are
+    /// requested before any is copied, so the items' misses overlap too.
+    /// Marks every found entry recently used and counts nothing: an
+    /// owner that only peeks stays out of `hits`/`misses`, and one that
+    /// decides for itself what a hit is reports through
     /// [`record_gets`](Self::record_gets).
     pub fn visit_many(&self, keys: &[u64], mut f: impl FnMut(usize, Option<&V>)) {
-        self.map.visit_many(keys, |i, entry| {
-            f(
-                i,
-                entry.map(|(slot, v)| {
-                    // Same benign race as `get`: marking a recycled slot
-                    // recent only delays one eviction.
+        let mut slots = [None; MULTIGET_GROUP];
+        for (g, group) in keys.chunks(MULTIGET_GROUP).enumerate() {
+            let slots = &mut slots[..group.len()];
+            self.probe_group(group, slots, prefetch_read::<u8>);
+            for (j, (&key, &s)) in group.iter().zip(slots.iter()).enumerate() {
+                f(g * MULTIGET_GROUP + j, self.read(key, s).as_ref());
+            }
+        }
+    }
+
+    /// The table's pipelined probe of one group of keys into `slots`,
+    /// then `hint` (a prefetch) over every hit's slab lines — header and
+    /// item — before any is touched.
+    fn probe_group(&self, keys: &[u64], slots: &mut [Option<u32>], hint: fn(*const u8)) {
+        self.map.visit_many(keys, |j, s| slots[j] = s.copied());
+        for &s in slots.iter().flatten() {
+            hint((&self.heads[s as usize] as *const Head).cast());
+            self.items.prefetch(s as usize, hint);
+        }
+    }
+
+    /// The slab half of a lookup: `key`'s value, given the slot the table
+    /// mapped it to (`None`: the table has no `key`). Marks a hit
+    /// recently used.
+    fn read(&self, key: u64, mut slot: Option<u32>) -> Option<V> {
+        let mut spins = 0;
+        loop {
+            let s = slot? as usize;
+            match self.look(s, key) {
+                Seen::Hit(v) => {
+                    // Benign approximation: the slot may be recycled
+                    // right after; marking a stranger's slot recent only
+                    // delays its eviction by one sweep.
                     // ORDERING: advisory.relaxed
-                    self.recency[*slot as usize].store(1, Ordering::Relaxed);
-                    v
-                }),
-            )
-        });
+                    self.recency[s].store(1, Ordering::Relaxed);
+                    return Some(v);
+                }
+                Seen::Gone => return None,
+                // The claim under way may remove the key, so the table is
+                // probed again.
+                Seen::Busy => {
+                    backoff(&mut spins);
+                    slot = self.map.get(&key);
+                }
+            }
+        }
+    }
+
+    /// One validated look at slot `s` for `key`: stamp the word, copy,
+    /// re-check the word. The copy counts only if the slot was USED and
+    /// outside a write window throughout, and owned by `key`.
+    fn look(&self, s: usize, key: u64) -> Seen<V> {
+        let hdr = &self.heads[s];
+        // ORDERING: seqlock.read-begin
+        let w = hdr.word.load(Ordering::Acquire);
+        match w & (STATE | WRITING) {
+            USED => {}
+            // Released: the table maps a key here only until then.
+            FREE => return Seen::Gone,
+            _ => return Seen::Busy,
+        }
+        // ORDERING: advisory.relaxed
+        let owner = hdr.owner.load(Ordering::Relaxed);
+        let v = self.items.load(s);
+        // ORDERING: seqlock.validate
+        fence(Ordering::Acquire);
+        let stable = hdr.word.load(Ordering::Acquire) == w;
+        if !stable {
+            Seen::Busy
+        } else if owner != key {
+            // Recycled: `key` left the table before its slot was reused.
+            Seen::Gone
+        } else {
+            Seen::Hit(v)
+        }
     }
 
     /// Inserts or replaces `key → value`, evicting via CLOCK when at
@@ -305,17 +495,24 @@ impl<V: Plain> ClockCache<V> {
 
     /// Batched [`put`](Self::put): stores every pair in order, with
     /// per-pair semantics (and counter updates) identical to `put` —
-    /// duplicates within a batch included, last write wins. Stage 1 of
-    /// the table's batched write pipeline is applied here: each group
-    /// of keys has both candidate bucket metadata lines prefetched
-    /// with write intent before any is written, so the group's cache
-    /// misses overlap instead of serializing. Slot allocation and
-    /// CLOCK eviction stay per-pair — the hand is inherently serial.
+    /// duplicates within a batch included, last write wins. Each group
+    /// of keys is pipelined before any is written: both candidate
+    /// bucket metadata lines of every key are requested with write
+    /// intent, the group's table probe finds the present keys' slots,
+    /// and those slots' slab lines are requested with write intent, so
+    /// the group's misses overlap instead of serializing. Slot
+    /// allocation and CLOCK eviction stay per-pair — the hand is
+    /// inherently serial.
     pub fn put_many(&self, pairs: &[(u64, V)]) {
+        let mut keys = [0; cuckoo::WRITE_GROUP];
+        let mut slots = [None; cuckoo::WRITE_GROUP];
         for group in pairs.chunks(cuckoo::WRITE_GROUP) {
-            for (key, _) in group {
+            let (keys, slots) = (&mut keys[..group.len()], &mut slots[..group.len()]);
+            for (k, (key, _)) in keys.iter_mut().zip(group) {
                 self.map.prefetch_write_for(key);
+                *k = *key;
             }
+            self.probe_group(keys, slots, prefetch_write::<u8>);
             for (key, value) in group {
                 self.put(*key, *value);
             }
@@ -329,30 +526,27 @@ impl<V: Plain> ClockCache<V> {
     }
 
     /// [`replace`](Self::replace) only if `key`'s current value passes
-    /// `keep`, decided under the same lock as the write — so an owner
-    /// that stores lifetimes or full keys inside its values can refuse
-    /// to overwrite an expired item or a hash-colliding stranger without
-    /// a separate look first. Returns whether it stored.
+    /// `keep`, decided inside the same write window as the write — so an
+    /// owner that stores lifetimes or full keys inside its values can
+    /// refuse to overwrite an expired item or a hash-colliding stranger
+    /// without a separate look first. Returns whether it stored.
+    ///
+    /// The item is rewritten in place in its slab slot; the table is not
+    /// written.
     pub fn replace_if(&self, key: u64, value: V, keep: impl FnOnce(&V) -> bool) -> bool {
-        // Replace in place when present: the read-modify-write runs
-        // under the table's pair lock, so the slot index we mark
-        // recent is the entry's *current* slot (a stale get+update
-        // pair could resurrect a recycled slot index). A refused value
-        // is written back unchanged.
-        let mut stored = None;
-        self.map.read_modify_write(&key, |(s, old)| {
-            if keep(&old) {
-                stored = Some(s);
-                (s, value)
-            } else {
-                (s, old)
-            }
-        });
-        let Some(slot) = stored else { return false };
-        // ORDERING: advisory.relaxed
-        self.recency[slot as usize].store(1, Ordering::Relaxed);
-        self.updates.fetch_add(1, Ordering::Relaxed);
-        true
+        let Some((s, w)) = self.claim(key, |w| w + WRITING) else { return false };
+        let stored = keep(&self.items.load(s));
+        if stored {
+            self.items.store(s, &value);
+        }
+        // ORDERING: seqlock.unlock-release
+        self.heads[s].word.store(w + 2 * WRITING, Ordering::Release);
+        if stored {
+            // ORDERING: advisory.relaxed
+            self.recency[s].store(1, Ordering::Relaxed);
+            self.updates.fetch_add(1, Ordering::Relaxed);
+        }
+        stored
     }
 
     /// Stores `key → value` only if the key is absent (memcached `add`).
@@ -360,23 +554,28 @@ impl<V: Plain> ClockCache<V> {
     /// and `put` of the same key: exactly one writer wins, the rest see
     /// `false`.
     pub fn put_if_absent(&self, key: u64, value: V) -> bool {
-        let slot = self.alloc_slot();
-        // ORDERING: publish.release-store
-        self.slab_keys[slot as usize].store(key, Ordering::Release);
+        let (s, w) = self.alloc_slot();
+        let hdr = &self.heads[s];
         // ORDERING: advisory.relaxed
-        self.recency[slot as usize].store(1, Ordering::Relaxed);
+        hdr.owner.store(key, Ordering::Relaxed);
+        self.items.store(s, &value);
+        let w = w + WRITING;
+        // ORDERING: seqlock.unlock-release
+        hdr.word.store(w, Ordering::Release);
+        // ORDERING: advisory.relaxed
+        self.recency[s].store(1, Ordering::Relaxed);
         loop {
-            match self.map.insert(key, (slot, value)) {
+            match self.map.insert(key, s as u32) {
                 Ok(()) => {
                     // Publish to the CLOCK hand only once the entry is
                     // resident.
                     // ORDERING: publish.release-store
-                    self.state[slot as usize].store(USED, Ordering::Release);
+                    hdr.word.store(w & !STATE | USED, Ordering::Release);
                     self.inserts.fetch_add(1, Ordering::Relaxed); // ORDERING: stats.counter
                     return true;
                 }
                 Err(InsertError::KeyExists) => {
-                    self.abandon_slot(slot);
+                    self.release_slot(s, w);
                     return false;
                 }
                 // No cuckoo path (MemC3's failed insert). The slab keeps
@@ -391,6 +590,15 @@ impl<V: Plain> ClockCache<V> {
     }
 
     /// Removes `key`, returning its value.
+    pub fn delete(&self, key: u64) -> Option<V> {
+        self.delete_if(key, |_| true)
+    }
+
+    /// [`delete`](Self::delete) only if `key`'s current value passes
+    /// `pred`, decided under the claim that removes it — so an owner that
+    /// stores full keys or lifetimes inside its values can delete exactly
+    /// the item it named, or only one still expired, without a separate
+    /// look first.
     ///
     /// Claims the slot (`USED → EVICTING`) *before* removing the map
     /// entry. The reverse order (remove, then flip the state) is an ABA
@@ -400,43 +608,47 @@ impl<V: Plain> ClockCache<V> {
     /// slot the new entry still owns, the freelist holds it twice, and
     /// two live entries end up sharing one slot (caught by the churn
     /// test as `len() > capacity`).
-    pub fn delete(&self, key: u64) -> Option<V> {
+    pub fn delete_if(&self, key: u64, pred: impl FnOnce(&V) -> bool) -> Option<V> {
         #[cfg(cuckoo_model)]
         if self.aba_mutation {
             return self.delete_aba_buggy(key);
         }
+        let (s, w) = self.claim(key, |w| w & !STATE | EVICTING)?;
+        let v = self.items.load(s);
+        if !pred(&v) {
+            // ORDERING: publish.release-store
+            self.heads[s].word.store(w, Ordering::Release);
+            return None;
+        }
+        // The claim keeps the entry in the table until this removal.
+        let removed = self.map.remove_if(&key, |&t| t as usize == s);
+        debug_assert!(removed.is_some(), "USED slot {s} was not in the table");
+        self.deletes.fetch_add(1, Ordering::Relaxed);
+        self.release_slot(s, w);
+        Some(v)
+    }
+
+    /// Claims `key`'s slot by moving its word from a stable USED `w`, owned
+    /// by `key`, to `claimed(w)`: into a write window, or to EVICTING.
+    /// Returns the slot and `w`; `None` once the table has no `key`.
+    fn claim(&self, key: u64, claimed: impl Fn(u64) -> u64) -> Option<(usize, u64)> {
+        let mut spins = 0;
         loop {
-            let (slot, _) = self.map.get(&key)?;
-            let si = slot as usize;
-            if self.state[si]
-                // ORDERING: handoff.acqrel-rmw
-                .compare_exchange(USED, EVICTING, Ordering::AcqRel, Ordering::Relaxed)
-                .is_err()
-            {
-                // SETUP (its put is between insert and publish) or
-                // EVICTING (the hand owns it); the owner resolves the
-                // state promptly — re-read and retry.
-                std::hint::spin_loop();
-                continue;
-            }
-            // Exclusive reclamation right on `slot`. Remove only while
-            // the entry still references it: the lookup above is
-            // optimistic, and the entry may have been re-keyed onto a
-            // different slot in between.
-            match self.map.remove_if(&key, |(s, _)| *s == slot) {
-                Some((_, v)) => {
-                    self.deletes.fetch_add(1, Ordering::Relaxed);
-                    self.release_slot(slot);
-                    return Some(v);
-                }
-                None => {
-                    // The entry moved or a racing delete/evictor got it;
-                    // give the slot back to its current owner and
-                    // re-examine the key.
-                    // ORDERING: publish.release-store
-                    self.state[si].store(USED, Ordering::Release);
+            let s = self.map.get(&key)? as usize;
+            let hdr = &self.heads[s];
+            // ORDERING: seqlock.read-begin
+            let w = hdr.word.load(Ordering::Acquire);
+            // ORDERING: advisory.relaxed
+            if w & (STATE | WRITING) == USED && hdr.owner.load(Ordering::Relaxed) == key {
+                // ORDERING: slab.word
+                if hdr.word.compare_exchange(w, claimed(w), Ordering::AcqRel, Ordering::Relaxed).is_ok() {
+                    return Some((s, w));
                 }
             }
+            // Mid-write, mid-claim, just inserted, or reused since the
+            // probe: the first three resolve promptly, and the table is
+            // probed again since the key may have left it.
+            backoff(&mut spins);
         }
     }
 
@@ -449,9 +661,12 @@ impl<V: Plain> ClockCache<V> {
     /// bug that proves the model checker catches this class of race.
     #[cfg(cuckoo_model)]
     fn delete_aba_buggy(&self, key: u64) -> Option<V> {
-        let (slot, v) = self.map.remove(&key)?;
+        let s = self.map.remove(&key)? as usize;
+        let v = self.items.load(s);
         self.deletes.fetch_add(1, Ordering::Relaxed);
-        self.release_slot(slot);
+        // ORDERING: publish.acquire-load
+        let w = self.heads[s].word.load(Ordering::Acquire);
+        self.release_slot(s, w);
         Some(v)
     }
 
@@ -490,7 +705,7 @@ impl<V: Plain> ClockCache<V> {
                 "slot {slot} on the freelist twice (double free)"
             );
             assert_eq!(
-                self.state[slot as usize].load(Ordering::SeqCst),
+                self.heads[slot as usize].word.load(Ordering::SeqCst) & STATE,
                 FREE,
                 "freelist slot {slot} not in FREE state"
             );
@@ -505,7 +720,30 @@ impl<V: Plain> ClockCache<V> {
     /// may have hidden an entry from this pass; the caller must discard
     /// what `f` accumulated and retry.
     pub fn scan(&self, mut f: impl FnMut(u64, &V)) -> bool {
-        self.map.scan(|k, entry| f(*k, &entry.1))
+        self.map.scan(|&key, &s| f(key, &self.stable_item(s as usize)))
+    }
+
+    /// Slot `s`'s item, copied outside any write window. The caller holds
+    /// the table stripe of an entry that maps here, so no claimant can
+    /// remove it and release the slot: only an in-place writer can be
+    /// mid-write, and it takes no table lock, so waiting it out cannot
+    /// deadlock.
+    fn stable_item(&self, s: usize) -> V {
+        let hdr = &self.heads[s];
+        let mut spins = 0;
+        loop {
+            // ORDERING: seqlock.read-begin
+            let w = hdr.word.load(Ordering::Acquire);
+            if w & WRITING == 0 {
+                let v = self.items.load(s);
+                // ORDERING: seqlock.validate
+                fence(Ordering::Acquire);
+                if hdr.word.load(Ordering::Acquire) == w {
+                    return v;
+                }
+            }
+            backoff(&mut spins);
+        }
     }
 
     /// Deletes every resident entry (memcached `flush_all`), returning
@@ -519,7 +757,7 @@ impl<V: Plain> ClockCache<V> {
             let mut keys = Vec::new();
             // A displacement can hide a key from one pass; the loop only
             // exits on a clean pass that found nothing.
-            let clean = self.scan(|k, _| keys.push(k));
+            let clean = self.map.scan(|&k, _| keys.push(k));
             if keys.is_empty() && clean {
                 return flushed;
             }
@@ -531,76 +769,80 @@ impl<V: Plain> ClockCache<V> {
         }
     }
 
-    /// Pops a free slot (in SETUP state, invisible to the hand), evicting
-    /// until one is available.
-    fn alloc_slot(&self) -> u32 {
+    /// Takes a slot for a new item — a returned one, else the next
+    /// never-used one, else one the CLOCK hand frees — and opens its
+    /// write window (SETUP, odd version), invisible to the hand. Returns
+    /// the slot and its word.
+    fn alloc_slot(&self) -> (usize, u64) {
         loop {
-            if let Some(slot) = self.free.lock().expect("freelist mutex poisoned").pop() {
+            let slot = {
+                let mut free = self.free.lock().expect("freelist mutex poisoned");
+                free.pop().map(|s| s as usize).or_else(|| {
+                    // ORDERING: advisory.relaxed
+                    let fresh = self.bump.load(Ordering::Relaxed);
+                    let take = fresh < self.capacity;
+                    if take {
+                        // ORDERING: advisory.relaxed
+                        self.bump.store(fresh + 1, Ordering::Relaxed);
+                    }
+                    take.then_some(fresh)
+                })
+            };
+            if let Some(s) = slot {
                 // ORDERING: handoff.acqrel-rmw
-                let prev = self.state[slot as usize].swap(SETUP, Ordering::AcqRel);
-                debug_assert_eq!(prev, FREE);
-                return slot;
+                let prev = self.heads[s].word.fetch_add(WRITING | SETUP, Ordering::AcqRel);
+                debug_assert_eq!(prev & (STATE | WRITING), FREE);
+                return (s, prev + (WRITING | SETUP));
             }
             self.evict_one();
         }
     }
 
-    /// Returns a slot to the freelist (caller owns it as USED or
-    /// EVICTING).
-    fn release_slot(&self, slot: u32) {
+    /// Returns slot `s`, claimed or still in SETUP at word `w`, to the
+    /// free stack.
+    fn release_slot(&self, s: usize, w: u64) {
         // ORDERING: publish.release-store
-        self.state[slot as usize].store(FREE, Ordering::Release);
-        self.free.lock().expect("freelist mutex poisoned").push(slot);
-    }
-
-    /// Gives up a SETUP slot we own (the hand cannot see SETUP slots, so
-    /// the release is unconditional).
-    fn abandon_slot(&self, slot: u32) {
-        // ORDERING: handoff.acqrel-rmw
-        let prev = self.state[slot as usize].swap(FREE, Ordering::AcqRel);
-        debug_assert_eq!(prev, SETUP);
-        self.free.lock().expect("freelist mutex poisoned").push(slot);
+        self.heads[s].word.store(w & !STATE | FREE, Ordering::Release);
+        self.free.lock().expect("freelist mutex poisoned").push(s as u32);
     }
 
     /// One CLOCK sweep step that frees exactly one slot (or discovers
     /// another thread already did).
     fn evict_one(&self) {
+        // ORDERING: advisory.relaxed
+        let used = self.bump.load(Ordering::Relaxed);
         // Bound the sweep: after two full revolutions every recency bit
         // has been cleared once, so a USED slot must yield.
-        for _ in 0..self.capacity * 2 + 1 {
+        for _ in 0..used * 2 {
             // ORDERING: alloc.unique-id
-            let h = self.hand.fetch_add(1, Ordering::Relaxed) % self.capacity;
-            if self.state[h]
-                // ORDERING: handoff.acqrel-rmw
-                .compare_exchange(USED, EVICTING, Ordering::AcqRel, Ordering::Relaxed)
-                .is_err()
+            let s = self.hand.fetch_add(1, Ordering::Relaxed) % used;
+            let hdr = &self.heads[s];
+            // ORDERING: seqlock.advisory-probe
+            let w = hdr.word.load(Ordering::Relaxed);
+            if w & (STATE | WRITING) != USED
+                // ORDERING: slab.word
+                || hdr.word.compare_exchange(w, w & !STATE | EVICTING, Ordering::AcqRel, Ordering::Relaxed).is_err()
             {
-                continue; // free, or another evictor owns it
+                continue; // free, being written, or another claimant has it
             }
             // ORDERING: handoff.acqrel-rmw
-            if self.recency[h].swap(0, Ordering::AcqRel) != 0 {
+            if self.recency[s].swap(0, Ordering::AcqRel) != 0 {
                 // Second chance.
                 self.second_chances.fetch_add(1, Ordering::Relaxed); // ORDERING: stats.counter
                 // ORDERING: publish.release-store
-                self.state[h].store(USED, Ordering::Release);
+                hdr.word.store(w, Ordering::Release);
                 continue;
             }
-            // ORDERING: publish.acquire-load
-            let key = self.slab_keys[h].load(Ordering::Acquire);
-            // Remove only while the entry still references this slot: a
-            // racing delete + re-put may have re-keyed the entry onto a
-            // different slot, and evicting that one would strand it.
-            if self
-                .map
-                .remove_if(&key, |(s, _)| *s == h as u32)
-                .is_some()
-            {
+            // ORDERING: advisory.relaxed
+            let key = hdr.owner.load(Ordering::Relaxed);
+            // The claim keeps the entry in the table until this removal;
+            // it can be missing only if a delete skipped the claim (the
+            // model checker's seeded ABA bug). The slot is ours to
+            // reclaim either way.
+            if self.map.remove_if(&key, |&t| t as usize == s).is_some() {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            // Either we evicted the entry, or its owner died (delete or
-            // failed put) and left the release to us: the slot is ours
-            // to reclaim in both cases.
-            self.release_slot(h as u32);
+            self.release_slot(s, w);
             return;
         }
         // All slots raced away (deleted/evicted concurrently); let the
@@ -758,13 +1000,13 @@ mod tests {
         assert!(c.len() <= 256);
         // Slab bookkeeping is consistent: resident entries == used slots.
         let used = c
-            .state
+            .heads
             .iter()
-            .filter(|s| s.load(Ordering::Relaxed) == USED)
+            .filter(|h| h.word.load(Ordering::Relaxed) & STATE == USED)
             .count();
         assert_eq!(used, c.len(), "slab/map divergence");
         let free = c.free.lock().unwrap().len();
-        assert_eq!(used + free, c.capacity);
+        assert_eq!(used + free, c.bump.load(Ordering::Relaxed));
     }
 
     /// A capacity equal to the table's slot count: the slab holds
@@ -930,7 +1172,7 @@ mod tests {
     fn memory_footprint_is_fixed() {
         let c: ClockCache<[u8; 64]> = ClockCache::new(1024);
         let empty = c.memory_bytes();
-        // At least the table's inline entries plus the slab arrays.
+        // At least the slab's items.
         assert!(empty > 1024 * 64);
         for k in 0..10_000u64 {
             c.put(k, [0; 64]);
@@ -938,5 +1180,104 @@ mod tests {
         // The cache never allocates after construction: same footprint
         // at full occupancy (with evictions churning) as when empty.
         assert_eq!(c.memory_bytes(), empty);
+    }
+
+    /// Slots are handed out densely from index 0, and a returned slot is
+    /// reused before a fresh one: the slab's touched prefix follows the
+    /// resident items, not the capacity.
+    #[test]
+    fn slots_are_handed_out_densely_and_reused() {
+        let c: ClockCache<u64> = ClockCache::new(1 << 12);
+        for k in 0..100u64 {
+            c.put(k, k);
+            c.put(k, k + 1); // in place: no second slot
+        }
+        assert_eq!(c.bump.load(Ordering::Relaxed), 100);
+        for k in 0..10u64 {
+            assert_eq!(c.delete(k), Some(k + 1));
+        }
+        for k in 100..110u64 {
+            c.put(k, k);
+        }
+        assert_eq!(c.bump.load(Ordering::Relaxed), 100, "returned slots are reused first");
+        assert!(c.free.lock().unwrap().is_empty());
+        assert_eq!(c.len(), 100);
+    }
+
+    /// `delete_if` decides on the value under the claim that removes it:
+    /// a refused delete leaves the item readable and in place.
+    #[test]
+    fn delete_if_decides_under_the_claim() {
+        let c: ClockCache<u64> = ClockCache::new(64);
+        c.put(1, 10);
+        assert_eq!(c.delete_if(1, |&v| v == 11), None);
+        assert_eq!(c.get(1), Some(10));
+        assert_eq!(c.stats().deletes, 0);
+        assert_eq!(c.delete_if(1, |&v| v == 10), Some(10));
+        assert_eq!(c.get(1), None);
+        assert_eq!(c.delete_if(1, |_| true), None, "absent key");
+        assert_eq!(c.stats().deletes, 1);
+        assert!(c.is_empty());
+    }
+
+    /// Readers through `visit_many` race two in-place overwriters of the
+    /// keys they read and a churner whose fresh keys evict those keys and
+    /// reuse their slab slots. Every value shown must be whole (its 32
+    /// words equal) and the key's own. (Pinned by the
+    /// `cache-skip-slot-revalidate` mutant.)
+    #[test]
+    fn visit_many_shows_only_whole_values_of_the_key_read() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        const HOT: u64 = 16;
+        let item = |key: u64, n: u64| [key << 32 | (n & 0xffff_ffff); 32];
+        let c: ClockCache<[u64; 32]> = ClockCache::new(64);
+        let stop = AtomicBool::new(false);
+        let hot: Vec<u64> = (0..HOT).collect();
+        let shown = std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut n = 0;
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        for &k in &hot {
+                            c.put(k, item(k, n));
+                            n += 1;
+                        }
+                    }
+                });
+            }
+            s.spawn(|| {
+                for k in HOT.. {
+                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        break;
+                    }
+                    c.put(k, item(k, 0));
+                }
+            });
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let deadline = Instant::now() + Duration::from_millis(400);
+                        let mut shown = 0u64;
+                        while Instant::now() < deadline {
+                            c.visit_many(&hot, |i, v| {
+                                let Some(v) = v else { return };
+                                assert!(v.iter().all(|&x| x == v[0]), "torn value for key {i}: {v:x?}");
+                                assert_eq!(v[0] >> 32, hot[i], "key {i} showed a stranger's value");
+                                shown += 1;
+                            });
+                        }
+                        shown
+                    })
+                })
+                .collect();
+            let joined: Vec<_> = readers.into_iter().map(|r| r.join()).collect();
+            // Stop the writers before a reader's panic resumes: the scope
+            // joins them.
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            joined.into_iter().map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e))).sum::<u64>()
+        });
+        assert!(shown > 0, "no read ever hit");
+        assert!(c.stats().evictions > 0, "the churner never evicted");
     }
 }

@@ -10,6 +10,7 @@
 #![cfg(cuckoo_model)]
 
 use cache::ClockCache;
+use loom::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const EXPLORATION_SEED: u64 = 0xc10c_aba0;
@@ -91,6 +92,99 @@ fn fixed_delete_ordering_passes_same_exploration() {
         delete_vs_hand_sweep(false),
     )
     .expect("the fixed delete ordering must survive every explored schedule");
+}
+
+/// A `visit_many` of keys 10 and 1 racing `writer`, over a cache
+/// holding `[key; 4]` under each: key 1 in slab slot 0, where the CLOCK
+/// hand starts (every recency bit cleared, so its next sweep evicts key
+/// 1). The writer starts once the reader's group has probed the table,
+/// and the reader's visitor dawdles after key 10, before its slab copy
+/// of key 1, as a slow visitor may — for up to `dawdle` scheduling
+/// points, so the writer acts on the slot the reader already holds and
+/// may still be at it when the copy starts. Key 1 must
+/// show a value from `allowed` or a miss, and key 10 its own value:
+/// never another key's value, never a torn one (an item is copied in
+/// four chunks, each a scheduling point).
+fn read_racing(
+    writer: fn(&ClockCache<[u64; 4]>),
+    allowed: &'static [[u64; 4]],
+    dawdle: usize,
+) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let cache: Arc<ClockCache<[u64; 4]>> = Arc::new(ClockCache::new(8));
+        cache.put(1, [1; 4]);
+        cache.put(10, [10; 4]);
+        cache.force_clear_recency();
+        // Set by the reader once its group's table probes are done, and by
+        // the writer once it is.
+        let probed = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicBool::new(false));
+        let r = {
+            let (cache, probed, done) = (Arc::clone(&cache), Arc::clone(&probed), Arc::clone(&done));
+            loom::thread::spawn(move || {
+                let mut seen = None;
+                cache.visit_many(&[10, 1], |i, v| {
+                    if i == 0 {
+                        assert_eq!(v, Some(&[10; 4]), "key 10 was shown {v:?}");
+                        probed.store(true, Ordering::SeqCst);
+                        for _ in 0..dawdle {
+                            if done.load(Ordering::SeqCst) {
+                                break;
+                            }
+                            loom::thread::yield_now();
+                        }
+                    } else {
+                        seen = v.copied();
+                    }
+                });
+                seen
+            })
+        };
+        let w = {
+            let cache = Arc::clone(&cache);
+            loom::thread::spawn(move || {
+                while !probed.load(Ordering::SeqCst) {
+                    loom::thread::yield_now();
+                }
+                writer(&cache);
+                done.store(true, Ordering::SeqCst);
+            })
+        };
+        w.join().unwrap();
+        if let Some(v) = r.join().unwrap() {
+            assert!(allowed.contains(&v), "the reader of key 1 was shown {v:?}");
+        }
+        cache.check_slab_invariants();
+    }
+}
+
+/// The CLOCK hand evicts key 1 and a `put` of key 2 reuses its slab slot
+/// while the reader holds the slot index from its table probe: the
+/// recycled slot must read as a miss, not as key 2's value.
+#[test]
+fn visit_many_racing_evict_and_reuse_of_its_slot() {
+    loom::model_with(
+        loom::Config::random(0x51ab_0001, 600),
+        read_racing(
+            |cache| {
+                cache.force_evict_one();
+                cache.put(2, [2; 4]);
+                assert_eq!(cache.get(2), Some([2; 4]));
+            },
+            &[[1; 4]],
+            32,
+        ),
+    );
+}
+
+/// An in-place `put` rewrites key 1's slot while the reader copies it:
+/// the reader shows the old value or the new one, whole.
+#[test]
+fn visit_many_racing_an_in_place_put() {
+    loom::model_with(
+        loom::Config::random(0x51ab_0002, 600),
+        read_racing(|cache| cache.put(1, [7; 4]), &[[1; 4], [7; 4]], 4),
+    );
 }
 
 /// Delete racing delete of the same key: exactly one wins, the slab

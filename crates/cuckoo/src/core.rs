@@ -50,7 +50,7 @@ use core::hash::{BuildHasher, Hash};
 /// latency and ≈10 ns/line of pipeline work), small enough that G keys'
 /// staged state (stamps + candidate masks) stays register/L1-resident
 /// and the earliest prefetched lines are not evicted before use.
-pub(crate) const MULTIGET_GROUP: usize = 8;
+pub const MULTIGET_GROUP: usize = 8;
 
 /// Keys per pipelined write group (`insert_many`/`upsert_many`), sized
 /// like the read path's multiget group: large enough to overlap a

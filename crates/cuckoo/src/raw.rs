@@ -64,6 +64,28 @@ mod thp {
     }
 }
 
+/// Allocates `n` zero-filled `T`s, then advises the array onto
+/// transparent huge pages when it spans at least 4 MiB.
+///
+/// The allocation is not touched: for large arrays the allocator maps
+/// zeroed pages lazily, so construction is O(1) and a page becomes
+/// resident when something first writes to it. The advice comes before
+/// any such write, so those first faults take 2 MiB pages wherever the
+/// kernel has them: a random access then needs one TLB entry per 2 MiB
+/// instead of one per 4 KiB. Off Linux, under Miri, or where the kernel
+/// refuses the advice, the array is allocated exactly as without it.
+///
+/// # Safety
+///
+/// The all-zero bit pattern must be a valid `T`.
+pub unsafe fn zeroed_slice<T>(n: usize) -> Box<[T]> {
+    // SAFETY: zero bytes are a valid `T`, per this function's contract.
+    let array = unsafe { Box::new_zeroed_slice(n).assume_init() };
+    // Best effort: a refused advice leaves ordinary 4 KiB pages.
+    let _ = advise_huge_pages(&array);
+    array
+}
+
 /// Power-of-two array of B-way buckets plus their metadata.
 pub struct RawTable<K, V, const B: usize> {
     buckets: Box<[Bucket<K, V, B>]>,
@@ -88,34 +110,23 @@ impl<K, V, const B: usize> RawTable<K, V, B> {
     /// Creates a table with at least `capacity` item slots, rounding the
     /// bucket count up to a power of two.
     ///
-    /// Both arrays come from zeroed allocations rather than per-element
-    /// construction: for large tables the allocator serves zeroed pages
-    /// lazily, so construction is O(1) and the touch cost is paid as
+    /// Both arrays come from [`zeroed_slice`] rather than per-element
+    /// construction: construction is O(1), and the touch cost is paid as
     /// buckets are first used. This keeps `begin_migration` — which
     /// allocates the doubled table inline in whichever insert trips the
-    /// expansion — off the latency tail.
-    ///
-    /// Each array of at least 4 MiB is then advised onto transparent
-    /// huge pages (`madvise(MADV_HUGEPAGE)` over the whole 2 MiB extents
-    /// inside it) before anything touches it, so the pages its first
-    /// uses fault in are 2 MiB ones wherever the kernel has them: a
-    /// lookup then needs one TLB entry per 2 MiB of table instead of one
-    /// per 4 KiB. Off Linux, under Miri, or where the kernel refuses the
-    /// advice, the table is allocated exactly as without it.
+    /// expansion — off the latency tail. Each array of at least 4 MiB is
+    /// advised onto transparent huge pages before anything touches it.
     pub fn with_capacity(capacity: usize) -> Self {
         // Bucket::new() carries the associativity bound; keep it here.
         assert!(B > 0 && B <= crate::bucket::MAX_WAYS, "set-associativity must be 1..=16");
         let want_buckets = capacity.div_ceil(B).max(Self::MIN_BUCKETS);
         let n = want_buckets.next_power_of_two();
+        // SAFETY: all-zero bytes are a valid `Bucket` (entry storage is
+        // `MaybeUninit`; occupancy lives solely in the metadata).
+        let buckets = unsafe { zeroed_slice(n) };
         // SAFETY: all-zero bytes are a valid `BucketMeta` (atomics at 0 =
-        // nothing occupied, no tags) and a valid `Bucket` (entry storage
-        // is `MaybeUninit`; occupancy lives solely in the metadata).
-        let buckets = unsafe { Box::new_zeroed_slice(n).assume_init() };
-        // SAFETY: as above.
-        let meta = unsafe { Box::new_zeroed_slice(n).assume_init() };
-        // Best effort: a refused advice leaves ordinary 4 KiB pages.
-        let _ = advise_huge_pages(&buckets);
-        let _ = advise_huge_pages(&meta);
+        // nothing occupied, no tags).
+        let meta = unsafe { zeroed_slice(n) };
         RawTable { buckets, meta, mask: n - 1 }
     }
 

@@ -184,7 +184,7 @@ impl Default for VersionLock {
 /// cores, pure spinning wastes whole quanta waiting for a preempted lock
 /// holder.
 #[inline]
-pub(crate) fn backoff(spins: &mut u32) {
+pub fn backoff(spins: &mut u32) {
     if *spins < 64 {
         crate::sync2::hint::spin_loop();
         *spins += 1;

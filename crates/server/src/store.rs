@@ -6,8 +6,10 @@
 //!   MemC3-style bounded cache. Byte-string keys are mapped onto the
 //!   table's `u64` key space with the workspace's SipHash-1-3 (seeded per
 //!   process), and the full key + value + metadata are packed into a
-//!   fixed [`InlineEntry`] so the table's optimistic read path serves
-//!   whole items with zero locking. This mirrors the paper's §6 MemC3
+//!   fixed [`InlineEntry`]. The cuckoo table maps the key hash to a slab
+//!   slot, and the entry lives in that slot of the cache's CLOCK slab,
+//!   so a read is the table's optimistic probe plus one validated copy
+//!   of the slot, with zero locking. This mirrors the paper's §6 MemC3
 //!   evaluation, which uses small fixed-size items; items that do not
 //!   fit the inline budget are refused with `SERVER_ERROR object too
 //!   large for cache`.
@@ -116,8 +118,9 @@ pub struct StoreStats {
     pub capacity: usize,
     /// Bytes the engine's index occupies: the cuckoo table (buckets,
     /// metadata, lock stripes, counters) and, for the clock engine, the
-    /// CLOCK slab beside it; for the growing engine, also any expansion
-    /// target and retired table not yet freed.
+    /// CLOCK slab beside it, which holds the items (reserved for a full
+    /// cache, resident as slots are first used); for the growing engine,
+    /// also any expansion target and retired table not yet freed.
     pub table_bytes: usize,
     /// Item slots in the engine's cuckoo table. The clock engine fills at
     /// most 95 % of them, so `capacity` is below this; for the growing
@@ -217,16 +220,16 @@ pub trait Store: Send + Sync + 'static {
 }
 
 // ---------------------------------------------------------------------------
-// ClockStore: bounded cache, inline fixed-size items
+// ClockStore: bounded cache, fixed-size items in the CLOCK slab
 // ---------------------------------------------------------------------------
 
 /// Inline item budget: key + value together. With the 24-byte header the
-/// whole entry is 256 bytes — four cache lines per optimistic copy-out.
+/// whole entry is 256 bytes: one slab slot of four cache lines.
 pub const INLINE_DATA: usize = 232;
 
 /// A complete item (key, value, metadata) packed into a POD block so it
-/// can live *inside* the cuckoo table and be read via the paper's
-/// lock-free optimistic path.
+/// fills one slot of the CLOCK slab, where readers copy it lock-free and
+/// validate the copy against the slot's version word.
 #[derive(Clone, Copy)]
 #[repr(C)]
 pub struct InlineEntry {
@@ -304,20 +307,13 @@ impl ClockStore {
         self.cas.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Whether `key` itself — not a stranger sharing its 64-bit hash —
-    /// is resident under `h`. An uncounted look: the `delete` that takes
-    /// it is not tallied as a `get`.
-    fn resident(&self, h: u64, key: &[u8]) -> bool {
-        let mut found = false;
-        self.cache.visit_many(&[h], |_, e| found = e.is_some_and(|e| e.key() == key));
-        found
-    }
-
-    /// Drops the item under `h`, found past its deadline. Counted when
-    /// the delete removed something, so an item expires once however
-    /// many readers (or duplicates within one batch) notice.
-    fn reap(&self, h: u64) {
-        if self.cache.delete(h).is_some() {
+    /// Drops `key`'s item under `h`, found past its deadline at `now`.
+    /// The deadline is checked again under the claim that removes it, so
+    /// a fresh `set` that landed since is kept. Counted when the delete
+    /// removed something, so an item expires once however many readers
+    /// (or duplicates within one batch) notice.
+    fn reap(&self, h: u64, key: &[u8], now: u32) {
+        if self.cache.delete_if(h, |e| e.key() == key && expired(e.expires_at, now)).is_some() {
             self.cache.record_expiration();
         }
     }
@@ -361,7 +357,7 @@ impl Store for ClockStore {
                     return None;
                 }
                 if expired(e.expires_at, now) {
-                    self.reap(hashes[i]);
+                    self.reap(hashes[i], keys[i], now);
                     return None;
                 }
                 Some(ItemRef { flags: e.flags, cas: e.cas, data: e.value() })
@@ -408,9 +404,10 @@ impl Store for ClockStore {
     }
 
     fn delete(&self, key: &[u8]) -> bool {
-        let h = self.hash_key(key);
-        // Only delete what the client named: verify the resident key.
-        self.resident(h, key) && self.cache.delete(h).is_some()
+        // Only delete what the client named: the resident key is checked
+        // under the claim that removes it, so a stranger sharing its
+        // 64-bit hash stays.
+        self.cache.delete_if(self.hash_key(key), |e| e.key() == key).is_some()
     }
 
     fn flush_all(&self) -> u64 {
@@ -964,7 +961,9 @@ mod tests {
         assert_eq!(s.store(StoreVerb::Replace, b"mine", 0, 0, b"w", 0), StoreOutcome::NotStored);
         assert_eq!(s.store(StoreVerb::Add, b"mine", 0, 0, b"w", 0), StoreOutcome::NotStored);
         assert_eq!(s.stats().len, 1);
-        assert!(s.resident(s.hash_key(b"mine"), b"stranger"), "the stranger was overwritten");
+        let mut kept = false;
+        s.cache.visit_many(&[s.hash_key(b"mine")], |_, e| kept = e.is_some_and(|e| e.key() == b"stranger"));
+        assert!(kept, "the stranger was overwritten");
     }
 
     /// Drives the same mixed burst through one `write_many` on one fresh

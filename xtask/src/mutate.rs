@@ -29,7 +29,8 @@
 //! * **Bounds off-by-one** — the path executor walks one step too far.
 //! * **Read-protocol check removal** — the optimistic protocol skips
 //!   its second stripe's validation; the locked protocol skips its
-//!   `valid` re-check under the pair lock.
+//!   `valid` re-check under the pair lock; the CLOCK cache keeps a slab
+//!   copy without re-checking the slot's word.
 //! * **SAFETY-comment strip** — the SAFETY lint must notice its
 //!   comments disappearing (the old first sed smoke).
 //!
@@ -449,6 +450,19 @@ pub fn pinned() -> Vec<Mutant> {
                 filter: "locked_attempt_rechecks_valid_under_the_lock",
             },
             "locked protocol trusts a table swapped or drained while it waited for the pair lock",
+        ),
+        m(
+            "cache-skip-slot-revalidate",
+            "crates/cache/src/lib.rs",
+            Op::Replace {
+                find: "let stable = hdr.word.load(Ordering::Acquire) == w;".into(),
+                replace: "let stable = true;".into(),
+            },
+            Kill::Test {
+                pkg: "cache",
+                filter: "visit_many_shows_only_whole_values_of_the_key_read",
+            },
+            "cache read keeps a slab copy without re-checking the slot word (torn or recycled items)",
         ),
     ]
 }

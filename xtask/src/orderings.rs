@@ -831,6 +831,7 @@ seqcst = true
             "publish.acquire-load",
             "handoff.acqrel-rmw",
             "advisory.relaxed",
+            "slab.word",
             "stats.counter",
             "htm.racy-chunk",
             "simd_probe",
