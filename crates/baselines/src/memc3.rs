@@ -17,7 +17,7 @@ use crate::crit::{self, CritOutcome};
 use crate::search::dfs;
 use core::hash::{BuildHasher, Hash};
 use cuckoo::hash::KeySlots;
-use cuckoo::search::{self, EvictionPolicy, SearchScratch};
+use cuckoo::search::{self, SearchScratch};
 use cuckoo::stats::PathStatsSnapshot;
 use cuckoo::sync::{VersionLock, DEFAULT_STRIPES};
 use cuckoo::{
@@ -67,12 +67,6 @@ pub struct MemC3Config {
     /// Stale-path retries before falling back to an in-critical-section
     /// search (lock-later mode only).
     pub path_retries: usize,
-    /// Kick-out eviction policy for [`SearchKind::Bfs`] configurations:
-    /// `Bfs` keeps the ladder's plain breadth-first search, while
-    /// `RandomWalk`/`Hybrid` substitute the high-density planners for
-    /// A/B factor analysis. Ignored by [`SearchKind::Dfs`] rungs (DFS
-    /// *is* a legacy random walk; the ladder keeps it verbatim).
-    pub eviction: EvictionPolicy,
 }
 
 impl MemC3Config {
@@ -86,7 +80,6 @@ impl MemC3Config {
             max_search_slots: DEFAULT_MAX_SEARCH_SLOTS,
             n_stripes: DEFAULT_STRIPES,
             path_retries: 16,
-            eviction: EvictionPolicy::Bfs,
         }
     }
 
@@ -117,12 +110,6 @@ impl MemC3Config {
     /// Overrides the search budget.
     pub fn with_search_budget(mut self, m: usize) -> Self {
         self.max_search_slots = m;
-        self
-    }
-
-    /// Selects the kick-out eviction policy (BFS configurations only).
-    pub fn with_eviction(mut self, policy: EvictionPolicy) -> Self {
-        self.eviction = policy;
         self
     }
 
@@ -253,7 +240,6 @@ where
             .stripes(config.n_stripes)
             .search_budget(config.max_search_slots)
             .path_retries(config.path_retries)
-            .eviction(config.eviction)
             .hasher(hasher)
             .build();
         MemC3Cuckoo {

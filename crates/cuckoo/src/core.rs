@@ -5,9 +5,8 @@
 //! 1. **claim** — with writer exclusion over the key's two candidate
 //!    buckets, find a duplicate ([`crate::read::probe`]; overwrite or
 //!    reject it) or take an empty slot ([`claim`]);
-//! 2. **find a path** — with no locks held, over atomic metadata only
-//!    ([`WriteCtx::plan_and_record`]; the kick-out policy varies only
-//!    this step);
+//! 2. **find a path** — a BFS with no locks held, over atomic metadata
+//!    only ([`WriteCtx::plan_and_record`]);
 //! 3. **execute it hole-backwards** — one validated displacement at a
 //!    time ([`crate::search::exec`]), then claim again;
 //! 4. **grow**, or report `TableFull`, when no path exists — the
@@ -36,7 +35,7 @@ use crate::racy::Plain;
 use crate::raw::RawTable;
 use crate::read::probe;
 use crate::search::exec::{self, Mover};
-use crate::search::{self, EvictionPolicy, PathEntry, SearchFailure, SearchScratch};
+use crate::search::{self, bfs, PathEntry, SearchFailure, SearchScratch};
 use crate::stats::TableMetrics;
 use crate::sync::LockStripes;
 use crate::sync2::atomic::{AtomicU64, Ordering};
@@ -266,7 +265,6 @@ pub(crate) struct WriteCtx<'a, S> {
     /// Bumped per executed displacement; see
     /// [`exec::execute_hole_backwards`].
     pub displacements: &'a AtomicU64,
-    pub eviction: EvictionPolicy,
     pub max_search_slots: usize,
     pub prefetch: bool,
 }
@@ -280,22 +278,12 @@ impl<S> WriteCtx<'_, S> {
         ks: KeySlots,
         scratch: &mut SearchScratch,
     ) -> Result<(), SearchFailure> {
-        let searched = search::plan(
-            self.eviction,
-            raw,
-            ks.i1,
-            ks.i2,
-            self.max_search_slots,
-            self.prefetch,
-            scratch,
-        );
+        let searched =
+            bfs::search(raw, ks.i1, ks.i2, self.max_search_slots, self.prefetch, scratch);
         // One histogram sample per search (success or failure): the
         // search itself examined hundreds of slots, so the relative cost
         // of recording is negligible (P1 budget).
         self.metrics.bfs_examined_slots.record(scratch.examined as u64);
-        if self.eviction != EvictionPolicy::Bfs {
-            self.metrics.record_eviction(scratch, searched.is_err());
-        }
         if searched.is_ok() {
             self.metrics.bfs_path_len.record(scratch.path.len() as u64);
         }
@@ -321,10 +309,12 @@ impl<S> WriteCtx<'_, S> {
         )
     }
 
-    /// Steps 2–3 on a shared table, no lock held on entry. `None`: no
-    /// path exists (step 4 is the caller's); `Some(false)`: the path went
-    /// stale mid-execution. Either way the caller re-enters step 1, which
-    /// re-checks duplicates and claims whatever slot was freed.
+    /// Steps 2–3 on a shared table, no lock held on entry, counted in the
+    /// table's path statistics (one search; one execution, and whether it
+    /// went stale). `None`: no path exists (step 4 is the caller's);
+    /// `Some(false)`: the path went stale mid-execution. Either way the
+    /// caller re-enters step 1, which re-checks duplicates and claims
+    /// whatever slot was freed.
     pub(crate) fn search_and_displace<W: Stores<K, V, B>, K: Eq, V, const B: usize>(
         &self,
         raw: &RawTable<K, V, B>,
@@ -332,16 +322,20 @@ impl<S> WriteCtx<'_, S> {
         scratch: &mut SearchScratch,
         valid: impl Fn() -> bool,
     ) -> Option<bool> {
+        self.metrics.record_search();
         self.plan_and_record(raw, ks, scratch).ok()?;
-        Some(self.displace::<W, K, V, B>(raw, &scratch.path, valid))
+        let executed = self.displace::<W, K, V, B>(raw, &scratch.path, valid);
+        self.metrics.record_execution(!executed);
+        Some(executed)
     }
 
     /// Steps 1–3 on a table the caller holds exclusively, looping until
     /// the entry is placed or `find_path` (step 2, leaving its result in
     /// the scratch's `path`) reports none — then `Full` hands it back.
     ///
-    /// Paths are validated even here: a DFS random walk may revisit a
-    /// `(bucket, slot)`, so a later step of its own path can be stale.
+    /// Paths are validated even here: the ladder's DFS random walk may
+    /// revisit a `(bucket, slot)`, so a later step of its own path can be
+    /// stale.
     /// Each applied displacement is individually valid, so the loop just
     /// claims — and if need be searches — again.
     ///

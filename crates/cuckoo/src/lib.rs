@@ -58,8 +58,7 @@ pub use hash::{DefaultHashBuilder, FxHasher64, RandomState, SipHashBuilder, SipH
 pub use map::{CuckooMap, ResizeMode};
 pub use optimistic::{Builder as OptimisticBuilder, OptimisticCuckooMap};
 pub use racy::Plain;
-pub use search::EvictionPolicy;
-pub use stats::{PathStats, PathStatsSnapshot, TableMetrics};
+pub use stats::{PathStatsSnapshot, TableMetrics};
 
 /// The paper's default search budget `M`: maximum slots examined while
 /// looking for an empty slot before declaring the table too full

@@ -43,7 +43,7 @@ use crate::error::{InsertError, UpsertOutcome};
 use crate::hash::{hash_of, key_slots, slots_from_hash, DefaultHashBuilder, KeySlots};
 use crate::raw::RawTable;
 use crate::read::{probe, read_group, Locked, ReadProtocol};
-use crate::search::{self, EvictionPolicy};
+use crate::search;
 use crate::sync::{EpochRegistry, LockStripes, DEFAULT_STRIPES};
 use crate::stats::TableMetrics;
 use crate::DEFAULT_MAX_SEARCH_SLOTS;
@@ -176,8 +176,6 @@ pub struct CuckooMap<K, V, const B: usize = 8, S = DefaultHashBuilder> {
     /// each migration wins. Always acquired *before* any stripe lock.
     resize_lock: Mutex<()>,
     resize_mode: ResizeMode,
-    /// How the insert slow path plans kick-out eviction (default BFS).
-    eviction: EvictionPolicy,
     stripes: LockStripes,
     hash_builder: S,
     count: ShardedCounter,
@@ -237,14 +235,6 @@ where
         map.resize_mode = mode;
         map
     }
-
-    /// Creates a map with an explicit [`EvictionPolicy`] for the insert
-    /// slow path (the default is [`EvictionPolicy::Bfs`]).
-    pub fn with_capacity_and_eviction(capacity: usize, policy: EvictionPolicy) -> Self {
-        let mut map = Self::with_capacity(capacity);
-        map.eviction = policy;
-        map
-    }
 }
 
 impl<K, V, const B: usize> Default for CuckooMap<K, V, B, DefaultHashBuilder>
@@ -269,7 +259,6 @@ where
             migration: AtomicPtr::new(std::ptr::null_mut()),
             resize_lock: Mutex::new(()),
             resize_mode: ResizeMode::Incremental,
-            eviction: EvictionPolicy::Bfs,
             stripes: LockStripes::new(DEFAULT_STRIPES),
             hash_builder: hasher,
             count: ShardedCounter::new(),
@@ -287,31 +276,24 @@ where
         self.resize_mode
     }
 
-    /// How the insert slow path plans kick-out eviction.
-    pub fn eviction(&self) -> EvictionPolicy {
-        self.eviction
-    }
-
     /// Whether an incremental expansion is currently in flight.
     pub fn is_migrating(&self) -> bool {
         !self.migration.load(Ordering::SeqCst).is_null()
     }
 
-    /// The observability counters (migration progress, graveyard depth).
+    /// The observability counters (migration progress, graveyard depth,
+    /// path searches).
     pub fn metrics(&self) -> &TableMetrics {
         &self.table_metrics
     }
 
     /// Appends this map's metric sample set under the stable `cuckoo_*`
     /// exposition names. This map's reads are lock-based (no seqlock
-    /// retries) and it keeps no path stats, so those families report
-    /// zero; the migration and lock-stripe families are live.
+    /// retries) and it never escalates to a full-table insert, so those
+    /// families report zero; the path, migration and lock-stripe families
+    /// are live.
     pub fn metric_samples(&self, out: &mut Vec<metrics::Sample>) {
-        self.table_metrics.collect(
-            &self.stripes.lock_stats(),
-            &crate::stats::PathStatsSnapshot::default(),
-            out,
-        );
+        self.table_metrics.collect(&self.stripes.lock_stats(), out);
     }
 
     /// Resets every metric family this map exports (not atomic with
@@ -394,7 +376,6 @@ where
             count: &self.count,
             metrics: &self.table_metrics,
             displacements: &self.displacements,
-            eviction: self.eviction,
             max_search_slots: self.max_search_slots,
             prefetch: true,
         }
@@ -1470,6 +1451,28 @@ mod tests {
         for k in 0..n {
             assert_eq!(m.get(&k), Some(k * 2), "key {k} lost in expansion");
         }
+    }
+
+    #[test]
+    fn metric_samples_count_the_path_searches_of_a_growing_map() {
+        let m: CuckooMap<u64, u64, 4> = CuckooMap::with_capacity(1 << 10);
+        let initial_cap = m.capacity();
+        for k in 0..(initial_cap * 3) as u64 {
+            m.insert(k, k).unwrap();
+        }
+        assert!(m.capacity() > initial_cap, "table must have doubled");
+        let mut samples = Vec::new();
+        m.metric_samples(&mut samples);
+        let counter = |name: &str| match samples.iter().find(|s| s.name == name).map(|s| &s.value) {
+            Some(metrics::Value::Counter(n)) => *n,
+            other => panic!("{name}: {other:?}"),
+        };
+        let searches = counter("cuckoo_path_searches_total");
+        let executions = counter("cuckoo_path_executions_total");
+        let stale = counter("cuckoo_path_stale_total");
+        assert!(searches > 0, "filling past a doubling must search for paths");
+        assert!(stale <= executions && executions <= searches, "{stale}/{executions}/{searches}");
+        assert_eq!(m.metrics().path_stats().searches, searches);
     }
 
     #[test]

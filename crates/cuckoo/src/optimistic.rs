@@ -34,8 +34,8 @@ use crate::hash::{key_slots, DefaultHashBuilder, KeySlots};
 use crate::racy::Plain;
 use crate::raw::RawTable;
 use crate::read::probe;
-use crate::search::{self, EvictionPolicy, SearchScratch};
-use crate::stats::{PathStats, PathStatsSnapshot, TableMetrics};
+use crate::search::{self, SearchScratch};
+use crate::stats::{PathStatsSnapshot, TableMetrics};
 use crate::sync::{LockStripes, DEFAULT_STRIPES};
 use crate::sync2::atomic::AtomicU64;
 use crate::DEFAULT_MAX_SEARCH_SLOTS;
@@ -48,7 +48,6 @@ pub struct Builder<S = DefaultHashBuilder> {
     n_stripes: usize,
     max_search_slots: usize,
     path_retries: usize,
-    eviction: EvictionPolicy,
     hasher: S,
 }
 
@@ -60,7 +59,6 @@ impl Builder<DefaultHashBuilder> {
             n_stripes: DEFAULT_STRIPES,
             max_search_slots: DEFAULT_MAX_SEARCH_SLOTS,
             path_retries: 16,
-            eviction: EvictionPolicy::Bfs,
             hasher: DefaultHashBuilder::new(),
         }
     }
@@ -85,14 +83,6 @@ impl<S> Builder<S> {
         self
     }
 
-    /// Selects the kick-out eviction policy for the insert slow path
-    /// (default [`EvictionPolicy::Bfs`]). See [`EvictionPolicy`] for the
-    /// density/latency trade-off.
-    pub fn eviction(mut self, policy: EvictionPolicy) -> Self {
-        self.eviction = policy;
-        self
-    }
-
     /// Replaces the hash builder.
     pub fn hasher<S2>(self, hasher: S2) -> Builder<S2> {
         Builder {
@@ -100,7 +90,6 @@ impl<S> Builder<S> {
             n_stripes: self.n_stripes,
             max_search_slots: self.max_search_slots,
             path_retries: self.path_retries,
-            eviction: self.eviction,
             hasher,
         }
     }
@@ -119,8 +108,6 @@ impl<S> Builder<S> {
             count: ShardedCounter::new(),
             max_search_slots: self.max_search_slots,
             path_retries: self.path_retries,
-            eviction: self.eviction,
-            path_stats: PathStats::new(),
             displacements: AtomicU64::new(0),
             table_metrics: Box::new(TableMetrics::new()),
         }
@@ -136,8 +123,6 @@ pub struct OptimisticCuckooMap<K, V, const B: usize = 8, S = DefaultHashBuilder>
     count: ShardedCounter,
     max_search_slots: usize,
     path_retries: usize,
-    eviction: EvictionPolicy,
-    path_stats: PathStats,
     /// Total cuckoo-path displacement steps ever executed. Correctness-
     /// bearing (not a resettable metric): [`scan`](Self::scan) validates
     /// it to detect an entry hopping between stripes mid-scan, which
@@ -188,7 +173,6 @@ where
             count: &self.count,
             metrics: &self.table_metrics,
             displacements: &self.displacements,
-            eviction: self.eviction,
             max_search_slots: self.max_search_slots,
             prefetch: true,
         }
@@ -380,15 +364,10 @@ where
         self.len() as f64 / self.capacity() as f64
     }
 
-    /// How the insert slow path plans kick-out eviction.
-    pub fn eviction(&self) -> EvictionPolicy {
-        self.eviction
-    }
-
     /// Slow-path statistics: searches, path executions, stale paths
     /// (Appendix B validation), full-table-lock escalations.
     pub fn path_stats(&self) -> PathStatsSnapshot {
-        self.path_stats.snapshot()
+        self.table_metrics.path_stats()
     }
 
     /// The hot-path metrics block (read retries, multiget fallbacks,
@@ -401,7 +380,7 @@ where
     /// counters, read/multiget fallbacks, BFS histograms, path stats —
     /// under the stable `cuckoo_*` exposition names.
     pub fn metric_samples(&self, out: &mut Vec<metrics::Sample>) {
-        self.table_metrics.collect(&self.stripes.lock_stats(), &self.path_stats.snapshot(), out);
+        self.table_metrics.collect(&self.stripes.lock_stats(), out);
     }
 
     /// Resets every metric family this table exports (table counters,
@@ -411,7 +390,6 @@ where
     /// relaxed-consistency contract in [`crate::stats`].
     pub fn reset_metrics(&self) {
         self.table_metrics.reset();
-        self.path_stats.reset();
         self.stripes.reset_lock_stats();
     }
 
@@ -513,7 +491,6 @@ where
             if let Ok(result) = claimed.settle(&self.count, ks) {
                 return result;
             }
-            self.path_stats.record_search();
             let executed = search::with_scratch(|scratch| {
                 self.write_ctx()
                     .search_and_displace::<RacyStore, K, V, B>(&self.raw, ks, scratch, || true)
@@ -521,7 +498,6 @@ where
             let Some(executed) = executed else {
                 return self.full_table_insert(ks, key, val, upsert);
             };
-            self.path_stats.record_execution(!executed);
             if !executed {
                 stale_retries += 1;
                 if stale_retries > self.path_retries {
@@ -543,7 +519,7 @@ where
         val: V,
         upsert: bool,
     ) -> Result<UpsertOutcome, InsertError> {
-        self.path_stats.record_full_table_fallback();
+        self.table_metrics.full_table_fallbacks.inc();
         let ctx = self.write_ctx();
         let _g = self.stripes.lock_all();
         search::with_scratch(|scratch| {
@@ -594,17 +570,17 @@ where
 
     /// Counts one path search in [`path_stats`](Self::path_stats).
     pub fn record_search(&self) {
-        self.path_stats.record_search();
+        self.table_metrics.record_search();
     }
 
     /// Counts one path execution, and whether it went stale.
     pub fn record_execution(&self, stale: bool) {
-        self.path_stats.record_execution(stale);
+        self.table_metrics.record_execution(stale);
     }
 
-    /// Step 2 of the write core under this table's eviction policy and
-    /// search budget: leaves a path for `ks` in `scratch.path`, or
-    /// reports none. `prefetch` hints each BFS frontier.
+    /// Step 2 of the write core — a BFS under this table's search budget:
+    /// leaves a path for `ks` in `scratch.path`, or reports none.
+    /// `prefetch` hints each BFS frontier.
     pub fn plan_path(&self, ks: KeySlots, scratch: &mut SearchScratch, prefetch: bool) -> bool {
         WriteCtx { prefetch, ..self.write_ctx() }.plan_and_record(&self.raw, ks, scratch).is_ok()
     }
@@ -1206,7 +1182,7 @@ mod tests {
             "execution must reject the stale path"
         );
         // And the public insert path records such rejections.
-        m.path_stats.record_execution(true);
+        m.record_execution(true);
         assert!(m.path_stats().stale >= 1);
     }
 

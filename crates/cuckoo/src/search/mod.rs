@@ -1,98 +1,17 @@
-//! Cuckoo-path search: BFS (the paper's contribution) and the
-//! high-density random walk.
+//! Cuckoo-path search: BFS, the paper's planner (§4.3.2), and the one
+//! every table uses.
 //!
 //! A *cuckoo path* is the sequence of displacements that frees a slot in
-//! one of a key's two candidate buckets (paper §4.1, Figure 3). Every
-//! searcher runs **without any locks held** (§4.3.1): it reads only the
+//! one of a key's two candidate buckets (paper §4.1, Figure 3). The
+//! search runs **without any locks held** (§4.3.1): it reads only the
 //! atomic occupancy bitmaps and partial-key bytes, so a discovered path is
-//! merely a *plan* that execution re-validates displacement by
+//! merely a *plan* that execution (`exec`) re-validates displacement by
 //! displacement.
 
 pub mod bfs;
 pub(crate) mod exec;
-pub mod random_walk;
 
 use crate::hash::mix64;
-use crate::raw::RawTable;
-
-/// How the insert slow path plans kick-out eviction when both candidate
-/// buckets are full.
-///
-/// The policy only selects how a cuckoo *path* is discovered; execution
-/// is always the shared validated hole-backwards routine
-/// (`search::exec`), so every policy provides the same reader-visibility
-/// guarantees. The trade-off is density versus tail latency:
-///
-/// - [`Bfs`](EvictionPolicy::Bfs) finds *shortest* paths (≈5 steps at
-///   95% load, Eq. 2) but declares the table full once its breadth
-///   budget `M` is exhausted — in practice ~95-97% sustainable load.
-/// - [`RandomWalk`](EvictionPolicy::RandomWalk) follows Kuszmaul's
-///   high-density kick-out schemes: a bounded random walk that keeps
-///   kicking far past BFS's give-up point, with loop detection via
-///   visited-slot fingerprints so the walk never revisits (and thus
-///   never self-invalidates) a slot. Longer paths, higher sustainable
-///   density (98%+).
-/// - [`Hybrid`](EvictionPolicy::Hybrid) is the breadth-bounded
-///   compromise: a small BFS first (short paths for the common case),
-///   falling back to the random walk only when the bounded breadth
-///   search fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Breadth-first search with the configured budget `M` (§4.3.2) —
-    /// the paper's scheme and this crate's default.
-    #[default]
-    Bfs,
-    /// Bounded random-walk kick-out with fingerprint loop detection.
-    RandomWalk {
-        /// Maximum victim kicks before the insert gives up.
-        max_kicks: usize,
-    },
-    /// Breadth-bounded hybrid: BFS over at most `bfs_slots` slots, then
-    /// random walk on failure.
-    Hybrid {
-        /// BFS slot budget for the first phase.
-        bfs_slots: usize,
-        /// Random-walk kick budget for the fallback phase.
-        max_kicks: usize,
-    },
-}
-
-/// Discovers a cuckoo path from `(i1, i2)` under `policy`, leaving it in
-/// `scratch.path` (root first, vacancy last — the format
-/// [`exec`] executes). `max_slots` and `prefetch` parameterize the BFS
-/// phases; random-walk phases are bounded by their own kick budgets.
-///
-/// Like [`bfs::search`], this runs with **no locks
-/// held** and reads only atomic metadata: the result is a plan that
-/// execution re-validates step by step.
-pub fn plan<K, V, const B: usize>(
-    policy: EvictionPolicy,
-    raw: &RawTable<K, V, B>,
-    i1: usize,
-    i2: usize,
-    max_slots: usize,
-    prefetch: bool,
-    scratch: &mut SearchScratch,
-) -> Result<(), SearchFailure> {
-    scratch.kicks = 0;
-    scratch.loops_detected = 0;
-    match policy {
-        EvictionPolicy::Bfs => bfs::search(raw, i1, i2, max_slots, prefetch, scratch),
-        EvictionPolicy::RandomWalk { max_kicks } => {
-            random_walk::search(raw, i1, i2, max_kicks, scratch)
-        }
-        EvictionPolicy::Hybrid { bfs_slots, max_kicks } => {
-            if bfs::search(raw, i1, i2, bfs_slots.min(max_slots), prefetch, scratch).is_ok() {
-                return Ok(());
-            }
-            let bfs_examined = scratch.examined;
-            let r = random_walk::search(raw, i1, i2, max_kicks, scratch);
-            // Report the whole search's cost, both phases.
-            scratch.examined += bfs_examined;
-            r
-        }
-    }
-}
 
 /// One step of a cuckoo path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,15 +36,8 @@ pub struct SearchScratch {
     /// Slots examined by the most recent search (success or failure) —
     /// the observability layer's search-depth sample.
     pub examined: usize,
-    /// Victim kicks performed by the most recent random-walk search
-    /// (0 for BFS/DFS) — the eviction-engine kick-count sample.
-    pub kicks: usize,
-    /// Walk steps the most recent random-walk search rejected because
-    /// their slot fingerprint was already visited (loop detection).
-    pub loops_detected: usize,
-    /// Fingerprints of `(bucket, slot)` coordinates visited by the
-    /// current random-walk search (see `random_walk::fingerprint`).
-    pub(crate) fingerprints: Vec<u32>,
+    /// Victim-selection state for the paper ladder's DFS baseline; see
+    /// [`next_random`](Self::next_random).
     rng_state: u64,
 }
 
@@ -149,9 +61,6 @@ impl SearchScratch {
             visited: Vec::with_capacity(512),
             path: Vec::with_capacity(16),
             examined: 0,
-            kicks: 0,
-            loops_detected: 0,
-            fingerprints: Vec::with_capacity(128),
             rng_state: mix64(seed | 1),
         }
     }

@@ -12,7 +12,7 @@
 //!
 //! All counters use relaxed atomics and snapshots are taken with
 //! independent loads while writers may be running, so a snapshot is
-//! *per-field atomic but not mutually consistent*. [`PathStats::snapshot`]
+//! *per-field atomic but not mutually consistent*. [`TableMetrics::path_stats`]
 //! loads `stale` before `executions` and clamps, so the documented
 //! invariant `stale <= executions` always holds in a snapshot; all
 //! derived rates saturate instead of trusting cross-field invariants.
@@ -20,25 +20,10 @@
 //! it is for quiescent or operator-initiated use (`stats reset`), where
 //! losing a handful of in-flight increments is acceptable.
 
-// ORDERING-FILE: stats.counter — every atomic here is a monotonic reporting counter.
-
 use metrics::{Counter, Gauge, Histogram};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters for cuckoo-path discovery and execution.
-#[derive(Debug, Default)]
-pub struct PathStats {
-    /// Path searches performed.
-    pub searches: AtomicU64,
-    /// Path executions attempted.
-    pub executions: AtomicU64,
-    /// Executions aborted because validation found the path stale.
-    pub stale: AtomicU64,
-    /// Inserts that escalated to the pessimistic full-table lock.
-    pub full_table_fallbacks: AtomicU64,
-}
-
-/// Snapshot of [`PathStats`].
+/// Snapshot of a table's cuckoo-path counters
+/// ([`TableMetrics::path_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathStatsSnapshot {
     /// Path searches performed.
@@ -49,56 +34,6 @@ pub struct PathStatsSnapshot {
     pub stale: u64,
     /// Full-table-lock escalations.
     pub full_table_fallbacks: u64,
-}
-
-impl PathStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    pub(crate) fn record_search(&self) {
-        self.searches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn record_execution(&self, stale: bool) {
-        self.executions.fetch_add(1, Ordering::Relaxed);
-        if stale {
-            self.stale.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn record_full_table_fallback(&self) {
-        self.full_table_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot.
-    ///
-    /// Writers bump `executions` before `stale`, so loading `stale`
-    /// *first* biases any tear toward `stale <= executions`; the clamp
-    /// makes the invariant unconditional even if the relaxed stores are
-    /// observed out of order (see the module-level contract).
-    pub fn snapshot(&self) -> PathStatsSnapshot {
-        let stale = self.stale.load(Ordering::Relaxed);
-        let executions = self.executions.load(Ordering::Relaxed);
-        PathStatsSnapshot {
-            searches: self.searches.load(Ordering::Relaxed),
-            executions,
-            stale: stale.min(executions),
-            full_table_fallbacks: self.full_table_fallbacks.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Resets all counters.
-    pub fn reset(&self) {
-        self.searches.store(0, Ordering::Relaxed);
-        self.executions.store(0, Ordering::Relaxed);
-        self.stale.store(0, Ordering::Relaxed);
-        self.full_table_fallbacks.store(0, Ordering::Relaxed);
-    }
 }
 
 impl PathStatsSnapshot {
@@ -160,13 +95,14 @@ pub struct TableMetrics {
     pub graveyard_depth: Gauge,
     /// Stop-the-world emergency rebuilds (insert failed mid-migration).
     pub emergency_rebuilds: Counter,
-    /// Victim kicks per non-BFS eviction search (random-walk/hybrid) —
-    /// the per-policy effort distribution the density bench A/Bs.
-    pub eviction_kicks: Histogram,
-    /// Walk steps rejected by fingerprint loop detection.
-    pub eviction_loops_detected: Counter,
-    /// Non-BFS eviction searches that exhausted their kick budget.
-    pub eviction_give_ups: Counter,
+    /// Cuckoo-path searches performed by the insert slow path.
+    pub path_searches: Counter,
+    /// Path executions attempted.
+    pub path_executions: Counter,
+    /// Executions aborted because validation found the path stale.
+    pub path_stale: Counter,
+    /// Inserts that escalated to the pessimistic full-table lock.
+    pub full_table_fallbacks: Counter,
 }
 
 impl TableMetrics {
@@ -174,17 +110,44 @@ impl TableMetrics {
         Self::default()
     }
 
-    /// Flattens this table's full metric set — hot-path counters plus
-    /// the caller-supplied lock and path snapshots — into exposition
-    /// samples. The emitted names are a stable API (golden-tested);
-    /// extend, never rename.
-    pub fn collect(
-        &self,
-        locks: &crate::sync::LockStats,
-        path: &PathStatsSnapshot,
-        out: &mut Vec<metrics::Sample>,
-    ) {
+    #[inline]
+    pub(crate) fn record_search(&self) {
+        self.path_searches.inc();
+    }
+
+    #[inline]
+    pub(crate) fn record_execution(&self, stale: bool) {
+        self.path_executions.inc();
+        if stale {
+            self.path_stale.inc();
+        }
+    }
+
+    /// The cuckoo-path counters (Appendix B's validation: path executions
+    /// versus paths found stale).
+    ///
+    /// Writers bump `executions` before `stale`, so loading `stale`
+    /// *first* biases any tear toward `stale <= executions`; the clamp
+    /// makes the invariant unconditional even if the relaxed stores are
+    /// observed out of order (see the module-level contract).
+    pub fn path_stats(&self) -> PathStatsSnapshot {
+        let stale = self.path_stale.get();
+        let executions = self.path_executions.get();
+        PathStatsSnapshot {
+            searches: self.path_searches.get(),
+            executions,
+            stale: stale.min(executions),
+            full_table_fallbacks: self.full_table_fallbacks.get(),
+        }
+    }
+
+    /// Flattens this table's full metric set — these counters plus the
+    /// caller-supplied lock snapshot — into exposition samples. The
+    /// emitted names are a stable API (golden-tested): extend them, and
+    /// rename or delete one only as a change recorded in CHANGES.md.
+    pub fn collect(&self, locks: &crate::sync::LockStats, out: &mut Vec<metrics::Sample>) {
         use metrics::Sample;
+        let path = self.path_stats();
         out.push(Sample::counter("cuckoo_lock_acquisitions_total", locks.acquisitions));
         out.push(Sample::counter("cuckoo_lock_contended_total", locks.contended));
         out.push(Sample::histogram("cuckoo_lock_spin_waits", locks.spin_waits));
@@ -227,29 +190,10 @@ impl TableMetrics {
             "cuckoo_emergency_rebuilds_total",
             self.emergency_rebuilds.get(),
         ));
-        out.push(Sample::histogram("cuckoo_eviction_kicks", self.eviction_kicks.snapshot()));
-        out.push(Sample::counter(
-            "cuckoo_eviction_loops_detected_total",
-            self.eviction_loops_detected.get(),
-        ));
-        out.push(Sample::counter("cuckoo_eviction_give_ups_total", self.eviction_give_ups.get()));
     }
 
-    /// Records one non-BFS eviction search's effort: kick count, loop-
-    /// detection events, and whether the search exhausted its budget.
-    /// Called from the insert slow path only when the table's policy is
-    /// not plain BFS, so the default configuration pays nothing.
-    pub(crate) fn record_eviction(&self, scratch: &crate::search::SearchScratch, gave_up: bool) {
-        self.eviction_kicks.record(scratch.kicks as u64);
-        if scratch.loops_detected > 0 {
-            self.eviction_loops_detected.add(scratch.loops_detected as u64);
-        }
-        if gave_up {
-            self.eviction_give_ups.inc();
-        }
-    }
-
-    /// Zeroes every series (same non-atomic caveat as [`PathStats::reset`]).
+    /// Zeroes every series (not atomic with respect to concurrent
+    /// writers; see the module-level contract).
     pub fn reset(&self) {
         self.read_retries.reset();
         self.read_lock_fallbacks.reset();
@@ -265,9 +209,10 @@ impl TableMetrics {
         self.help_sweeps.reset();
         self.graveyard_depth.reset();
         self.emergency_rebuilds.reset();
-        self.eviction_kicks.reset();
-        self.eviction_loops_detected.reset();
-        self.eviction_give_ups.reset();
+        self.path_searches.reset();
+        self.path_executions.reset();
+        self.path_stale.reset();
+        self.full_table_fallbacks.reset();
     }
 }
 
@@ -277,31 +222,31 @@ mod tests {
 
     #[test]
     fn rates_and_reset() {
-        let s = PathStats::new();
-        s.record_search();
-        s.record_execution(false);
-        s.record_execution(true);
-        s.record_execution(true);
-        s.record_full_table_fallback();
-        let snap = s.snapshot();
+        let m = TableMetrics::new();
+        m.record_search();
+        m.record_execution(false);
+        m.record_execution(true);
+        m.record_execution(true);
+        m.full_table_fallbacks.inc();
+        let snap = m.path_stats();
         assert_eq!(snap.searches, 1);
         assert_eq!(snap.executions, 3);
         assert_eq!(snap.stale, 2);
         assert_eq!(snap.full_table_fallbacks, 1);
         assert!((snap.invalidation_rate() - 2.0 / 3.0).abs() < 1e-12);
-        s.reset();
-        assert_eq!(s.snapshot(), PathStatsSnapshot::default());
-        assert_eq!(s.snapshot().invalidation_rate(), 0.0);
+        m.reset();
+        assert_eq!(m.path_stats(), PathStatsSnapshot::default());
+        assert_eq!(m.path_stats().invalidation_rate(), 0.0);
     }
 
     #[test]
     fn snapshot_clamps_torn_stale_reading() {
         // Simulate the torn interleaving the clamp defends against:
         // `stale` observed ahead of `executions`.
-        let s = PathStats::new();
-        s.stale.store(5, Ordering::Relaxed);
-        s.executions.store(2, Ordering::Relaxed);
-        let snap = s.snapshot();
+        let m = TableMetrics::new();
+        m.path_stale.add(5);
+        m.path_executions.add(2);
+        let snap = m.path_stats();
         assert_eq!(snap.stale, 2, "clamped to executions");
         assert!(snap.invalidation_rate() <= 1.0);
         // And a hand-built inconsistent snapshot still saturates.
@@ -313,11 +258,12 @@ mod tests {
     fn collect_emits_the_golden_name_set() {
         // The exposition names are a stable external API: monitoring
         // dashboards and the CI scrape test grep for them. This golden
-        // list may be extended, but an existing entry changing (name,
-        // kind, or order) is a breaking change — fail loudly here.
+        // list may be extended; an existing entry changing (name, kind,
+        // or order) or disappearing is a breaking change, made only as a
+        // deletion recorded in CHANGES.md — fail loudly here otherwise.
         let m = TableMetrics::new();
         let mut out = Vec::new();
-        m.collect(&crate::sync::LockStats::default(), &PathStatsSnapshot::default(), &mut out);
+        m.collect(&crate::sync::LockStats::default(), &mut out);
         let got: Vec<(&str, &str)> = out
             .iter()
             .map(|s| {
@@ -351,9 +297,6 @@ mod tests {
             ("cuckoo_help_sweeps_total", "counter"),
             ("cuckoo_graveyard_depth", "gauge"),
             ("cuckoo_emergency_rebuilds_total", "counter"),
-            ("cuckoo_eviction_kicks", "histogram"),
-            ("cuckoo_eviction_loops_detected_total", "counter"),
-            ("cuckoo_eviction_give_ups_total", "counter"),
         ];
         assert_eq!(got, golden);
     }
@@ -375,9 +318,9 @@ mod tests {
         m.help_sweeps.inc();
         m.graveyard_depth.set(2);
         m.emergency_rebuilds.inc();
-        m.eviction_kicks.record(12);
-        m.eviction_loops_detected.add(3);
-        m.eviction_give_ups.inc();
+        m.record_search();
+        m.record_execution(true);
+        m.full_table_fallbacks.inc();
         m.reset();
         assert_eq!(m.read_retries.get(), 0);
         assert_eq!(m.multiget_fallbacks.get(), 0);
@@ -389,8 +332,6 @@ mod tests {
         assert_eq!(m.migration_chunks.get(), 0);
         assert_eq!(m.graveyard_depth.get(), 0);
         assert_eq!(m.emergency_rebuilds.get(), 0);
-        assert_eq!(m.eviction_kicks.snapshot().count(), 0);
-        assert_eq!(m.eviction_loops_detected.get(), 0);
-        assert_eq!(m.eviction_give_ups.get(), 0);
+        assert_eq!(m.path_stats(), PathStatsSnapshot::default());
     }
 }

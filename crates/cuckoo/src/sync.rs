@@ -337,7 +337,7 @@ pub struct LockStripes {
 /// approximation, not a linearizable cut. [`LockStripes::lock_stats`]
 /// loads `contended` before `acquisitions` and clamps, so the invariant
 /// `contended <= acquisitions` holds in every snapshot regardless of
-/// tearing (same discipline as `PathStats::snapshot`).
+/// tearing (same discipline as `TableMetrics::path_stats`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LockStats {
     /// Total writer-side stripe acquisitions.

@@ -98,18 +98,6 @@ pub trait ConcurrentMap<V: BenchValue>: Sync {
     }
 }
 
-/// Label suffix describing a non-default eviction policy, so A/B reports
-/// distinguish the planner variants at a glance.
-fn eviction_suffix(policy: cuckoo::EvictionPolicy) -> String {
-    match policy {
-        cuckoo::EvictionPolicy::Bfs => String::new(),
-        cuckoo::EvictionPolicy::RandomWalk { max_kicks } => format!("+walk{max_kicks}"),
-        cuckoo::EvictionPolicy::Hybrid { bfs_slots, max_kicks } => {
-            format!("+hybrid{bfs_slots}/{max_kicks}")
-        }
-    }
-}
-
 fn put_from_cuckoo(r: Result<(), cuckoo::InsertError>) -> PutResult {
     match r {
         Ok(()) => PutResult::Inserted,
@@ -163,7 +151,7 @@ impl<V: BenchValue + cuckoo::Plain, const B: usize> ConcurrentMap<V>
     }
 
     fn label(&self) -> String {
-        format!("cuckoo+ FG {B}-way{}", eviction_suffix(self.eviction()))
+        format!("cuckoo+ FG {B}-way")
     }
 
     fn metric_samples(&self, out: &mut Vec<metrics::Sample>) {
@@ -240,9 +228,10 @@ impl<V: BenchValue + cuckoo::Plain, const B: usize> ConcurrentMap<V> for MemC3Cu
         }
         parts.push(
             match c.search {
-                SearchKind::Dfs => "dfs".to_string(),
-                SearchKind::Bfs => format!("bfs{}", eviction_suffix(c.eviction)),
-            },
+                SearchKind::Dfs => "dfs",
+                SearchKind::Bfs => "bfs",
+            }
+            .into(),
         );
         if c.prefetch {
             parts.push("prefetch".into());

@@ -19,7 +19,6 @@
 // ORDERING-FILE: stats.counter — measurement counters read after the workers join.
 use crate::adapter::{BenchValue, ConcurrentMap, PutResult};
 use crate::keygen::{key_of, SplitMix64};
-use metrics::latency::LatencyHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -261,130 +260,6 @@ pub fn run_fill<V: BenchValue, M: ConcurrentMap<V> + ?Sized>(map: &M, spec: &Fil
     }
 }
 
-/// An insert-latency fill experiment: insert-only, recording each
-/// insert's wall-clock latency into load-factor-windowed histograms.
-///
-/// This is the eviction-policy A/B instrument: BFS and random-walk fills
-/// have indistinguishable *throughput* until the table is nearly full,
-/// and then differ precisely in how the insert tail stretches per load
-/// window (see the `density` bench).
-#[derive(Debug, Clone)]
-pub struct FillLatencySpec {
-    /// Worker threads.
-    pub threads: usize,
-    /// Target occupancy as a fraction of the table's fill capacity.
-    pub fill_to: f64,
-    /// Load-factor windows whose inserts are recorded separately, e.g.
-    /// `[(0.0, 0.95), (0.95, 0.98), (0.98, 0.99)]`. Windows may overlap;
-    /// an insert lands in every window containing the load factor at
-    /// which it started.
-    pub windows: Vec<(f64, f64)>,
-}
-
-/// Results of a [`run_fill_latency`] experiment.
-#[derive(Debug)]
-pub struct FillLatencyReport {
-    /// Total successful inserts.
-    pub inserts: u64,
-    /// Load factor actually reached.
-    pub achieved_load: f64,
-    /// `true` when some thread hit `TableFull` before its quota.
-    pub hit_full: bool,
-    /// Every insert's latency.
-    pub overall: LatencyHistogram,
-    /// Per-window latency histograms, parallel to `spec.windows`.
-    pub window_latencies: Vec<LatencyHistogram>,
-}
-
-/// Fills `map` insert-only per `spec`, timing every insert individually.
-///
-/// Window attribution uses the shared progress counter (batch-updated,
-/// like [`run_fill`]) — load factors are accurate to one progress batch,
-/// which is ≤1% of the table for the sizes the density bench uses.
-pub fn run_fill_latency<V: BenchValue, M: ConcurrentMap<V> + ?Sized>(
-    map: &M,
-    spec: &FillLatencySpec,
-) -> FillLatencyReport {
-    let capacity = map.fill_capacity();
-    let target_inserts = ((capacity as f64) * spec.fill_to) as u64;
-    let per_thread = target_inserts / spec.threads as u64;
-
-    let batch_size = (per_thread / 128).clamp(1, PROGRESS_BATCH_MAX.min(256));
-    let progress = AtomicU64::new(0);
-    let hit_full = std::sync::atomic::AtomicBool::new(false);
-    let overall = LatencyHistogram::new();
-    let window_latencies: Vec<LatencyHistogram> =
-        spec.windows.iter().map(|_| LatencyHistogram::new()).collect();
-    // Window bounds in insert counts, so the hot loop compares integers.
-    let bounds: Vec<(u64, u64)> = spec
-        .windows
-        .iter()
-        .map(|&(lo, hi)| ((capacity as f64 * lo) as u64, (capacity as f64 * hi) as u64))
-        .collect();
-
-    std::thread::scope(|s| {
-        for t in 0..spec.threads as u64 {
-            let progress = &progress;
-            let hit_full = &hit_full;
-            let overall = &overall;
-            let window_latencies = &window_latencies;
-            let bounds = &bounds;
-            let map = &*map;
-            s.spawn(move || {
-                let mut inserted = 0u64;
-                let mut local_batch = 0u64;
-                let mut global = progress.load(Ordering::Relaxed);
-                while inserted < per_thread {
-                    let key = key_of(t, inserted);
-                    let start = Instant::now();
-                    let outcome = map.put(key, V::from_key(key));
-                    let nanos = start.elapsed().as_nanos() as u64;
-                    match outcome {
-                        PutResult::Inserted => {}
-                        PutResult::Exists => {
-                            debug_assert!(false, "duplicate in disjoint stream");
-                        }
-                        PutResult::Full => {
-                            hit_full.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    overall.record(nanos);
-                    for (w, &(lo, hi)) in bounds.iter().enumerate() {
-                        if global >= lo && global < hi {
-                            window_latencies[w].record(nanos);
-                        }
-                    }
-                    inserted += 1;
-                    local_batch += 1;
-                    if local_batch >= batch_size || inserted == per_thread {
-                        // ORDERING: handoff.acqrel-rmw
-                        global = progress.fetch_add(local_batch, Ordering::AcqRel) + local_batch;
-                        local_batch = 0;
-                    } else {
-                        global += 1;
-                    }
-                }
-                if local_batch > 0 {
-                    // Flush the tail batch (a `TableFull` break) so the
-                    // achieved-load accounting stays exact.
-                    // ORDERING: handoff.acqrel-rmw
-                    progress.fetch_add(local_batch, Ordering::AcqRel);
-                }
-            });
-        }
-    });
-
-    let inserts = progress.load(Ordering::Relaxed);
-    FillLatencyReport {
-        inserts,
-        achieved_load: inserts as f64 / capacity as f64,
-        hit_full: hit_full.load(Ordering::Relaxed),
-        overall,
-        window_latencies,
-    }
-}
-
 /// A fixed-occupancy lookup experiment (Figure 8).
 #[derive(Debug, Clone)]
 pub struct LookupSpec {
@@ -502,41 +377,6 @@ mod tests {
         // ~2x as many ops as inserts at a 50% ratio.
         let ratio = report.total_ops as f64 / report.inserts as f64;
         assert!(ratio > 1.5 && ratio < 3.0, "ratio {ratio}");
-    }
-
-    #[test]
-    fn fill_latency_windows_accumulate() {
-        let map: OptimisticCuckooMap<u64, u64, 8> = OptimisticCuckooMap::with_capacity(1 << 12);
-        let spec = FillLatencySpec {
-            threads: 2,
-            fill_to: 0.9,
-            windows: vec![(0.0, 0.5), (0.5, 0.9)],
-        };
-        let report = run_fill_latency(&map, &spec);
-        assert!(!report.hit_full);
-        assert!(report.achieved_load > 0.89, "{}", report.achieved_load);
-        assert_eq!(report.overall.len(), report.inserts);
-        for (w, h) in report.window_latencies.iter().enumerate() {
-            assert!(!h.is_empty(), "window {w} collected no samples");
-            assert!(h.percentile(99.9) >= h.percentile(50.0));
-        }
-        let windowed: u64 = report.window_latencies.iter().map(|h| h.len()).sum();
-        assert!(windowed <= report.overall.len());
-    }
-
-    #[test]
-    fn fill_latency_drives_random_walk_tables_too() {
-        // The A/B instrument must work against a non-default policy; the
-        // walk planner sustains the same 90% fill BFS does.
-        let map: OptimisticCuckooMap<u64, u64, 8> =
-            cuckoo::OptimisticBuilder::new(1 << 12)
-                .eviction(cuckoo::EvictionPolicy::RandomWalk { max_kicks: 500 })
-                .build();
-        let spec = FillLatencySpec { threads: 2, fill_to: 0.9, windows: vec![] };
-        let report = run_fill_latency(&map, &spec);
-        assert!(!report.hit_full);
-        assert!(report.achieved_load > 0.89, "{}", report.achieved_load);
-        assert!(ConcurrentMap::<u64>::label(&map).contains("walk500"));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod snapshot;
 pub mod zipf;
 
 pub use adapter::{BenchValue, ConcurrentMap, PutResult};
-pub use driver::{FillLatencyReport, FillLatencySpec, FillReport, FillSpec, LookupSpec};
+pub use driver::{FillReport, FillSpec, LookupSpec};
 pub use report::Table;
 pub use snapshot::MetricSnapshot;
 pub use zipf::Zipf;

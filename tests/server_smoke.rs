@@ -206,8 +206,11 @@ fn observability_sections_expose_and_reset() {
     ] {
         assert!(stats.contains_key(family), "missing family {family}");
     }
-    // No served path runs an elided lock: no transactional families.
-    assert!(!stats.keys().any(|name| name.starts_with("htm_")), "{stats:?}");
+    // No served path runs an elided lock or a second path planner: no
+    // transactional or eviction-policy families.
+    for gone in ["htm_", "cuckoo_evict"] {
+        assert!(!stats.keys().any(|name| name.starts_with(gone)), "{gone}: {stats:?}");
+    }
     assert!(stats["cuckoo_lock_acquisitions_total"] >= 500, "{stats:?}");
     assert!(stats["cuckoo_lock_contended_total"] <= stats["cuckoo_lock_acquisitions_total"]);
     assert_eq!(stats["cuckoo_bfs_path_len_count"], stats["cuckoo_bfs_path_len_le_inf"]);
@@ -234,7 +237,9 @@ fn observability_sections_expose_and_reset() {
     ] {
         assert!(body.contains(needle), "missing {needle:?} in:\n{body}");
     }
-    assert!(!body.contains("htm_"), "transactional family emitted:\n{body}");
+    for gone in ["htm_", "cuckoo_evict"] {
+        assert!(!body.contains(gone), "{gone} family emitted:\n{body}");
+    }
 
     // Unknown subcommand: recoverable CLIENT_ERROR, connection usable.
     write!(client.writer, "stats bogus\r\n").unwrap();
