@@ -163,10 +163,7 @@ impl<V: Plain> Items<V> {
     /// Applies `hint` (a prefetch) to every line of slot `s`'s item.
     #[inline]
     fn prefetch(&self, s: usize, hint: fn(*const u8)) {
-        let item = self.addr(s) as *const u8;
-        for line in (0..size_of::<V>()).step_by(LINE) {
-            hint(item.wrapping_add(line));
-        }
+        cuckoo::prefetch::lines(self.addr(s) as *const u8, size_of::<V>(), hint);
     }
 }
 

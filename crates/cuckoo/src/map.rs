@@ -41,8 +41,9 @@ use crate::core::{claim, locked_empty_slot, PlainStore, WriteCtx, MULTIGET_GROUP
 use crate::counter::ShardedCounter;
 use crate::error::{InsertError, UpsertOutcome};
 use crate::hash::{hash_of, key_slots, slots_from_hash, DefaultHashBuilder, KeySlots};
+use crate::prefetch::prefetch_write;
 use crate::raw::RawTable;
-use crate::read::{probe, read_group, Locked, ReadProtocol};
+use crate::read::{probe, read_group, warm, Locked, ReadProtocol};
 use crate::search;
 use crate::sync::{EpochRegistry, LockStripes, DEFAULT_STRIPES};
 use crate::stats::TableMetrics;
@@ -392,6 +393,7 @@ where
         loop {
             let (raw, m) = self.writer_table(h);
             let ks = slots_from_hash(h, raw.mask());
+            warm(raw, &self.stripes, ks, prefetch_write::<u8>);
             let _g = self.stripes.lock_pair(ks.i1, ks.i2);
             if self.view_valid(raw, m) {
                 return f(raw, ks);
@@ -825,6 +827,7 @@ where
             let (raw, m) = self.writer_table(h);
             let valid = || self.view_valid(raw, m);
             let ks = slots_from_hash(h, raw.mask());
+            warm(raw, &self.stripes, ks, prefetch_write::<u8>);
             {
                 let _g = self.stripes.lock_pair(ks.i1, ks.i2);
                 if !valid() {

@@ -31,9 +31,10 @@ use crate::core::{claim, PlainStore, RacyStore, Stores, WriteCtx, MULTIGET_GROUP
 use crate::counter::ShardedCounter;
 use crate::error::{InsertError, UpsertOutcome};
 use crate::hash::{key_slots, DefaultHashBuilder, KeySlots};
+use crate::prefetch::prefetch_write;
 use crate::racy::Plain;
 use crate::raw::RawTable;
-use crate::read::probe;
+use crate::read::{probe, warm};
 use crate::search::{self, SearchScratch};
 use crate::stats::{PathStatsSnapshot, TableMetrics};
 use crate::sync::{LockStripes, DEFAULT_STRIPES};
@@ -326,6 +327,7 @@ where
     /// entry only while it still references a side-structure slot).
     pub fn remove_if(&self, key: &K, pred: impl FnOnce(&V) -> bool) -> Option<V> {
         let ks = self.slots_of(key);
+        warm(&self.raw, &self.stripes, ks, prefetch_write::<u8>);
         let _g = self.stripes.lock_pair(ks.i1, ks.i2);
         let (bi, slot) = probe::<PlainStore, K, V, B>(&self.raw, ks, key)?;
         // SAFETY: pair lock held → plain read of locked data.
@@ -455,6 +457,7 @@ where
     /// ```
     pub fn read_modify_write(&self, key: &K, f: impl FnOnce(V) -> V) -> Option<V> {
         let ks = self.slots_of(key);
+        warm(&self.raw, &self.stripes, ks, prefetch_write::<u8>);
         let _g = self.stripes.lock_pair(ks.i1, ks.i2);
         let (bi, slot) = probe::<PlainStore, K, V, B>(&self.raw, ks, key)?;
         let b = self.raw.bucket(bi);
@@ -480,6 +483,7 @@ where
 
     fn insert_inner(&self, key: K, val: V, upsert: bool) -> Result<UpsertOutcome, InsertError> {
         let ks = self.slots_of(&key);
+        warm(&self.raw, &self.stripes, ks, prefetch_write::<u8>);
         let mut stale_retries = 0usize;
         loop {
             let claimed = {

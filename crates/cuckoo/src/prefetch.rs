@@ -5,7 +5,11 @@
 //! next_neighbor in cache". The same predictability argument powers the
 //! batched lookup pipeline ([`crate::OptimisticCuckooMap::get_many`]):
 //! a group of keys' candidate buckets are all known after hashing, so
-//! their cache lines can be requested before any is scanned.
+//! their cache lines can be requested before any is scanned. A
+//! single-key read or write applies it to one key: its stripe words,
+//! both metadata lines and both buckets' entry lines are hinted before
+//! the first dependent load or lock (`read::warm`), and the CLOCK cache
+//! hints the slab items its batches are about to copy.
 //!
 //! Per-architecture lowering:
 //!
@@ -94,9 +98,51 @@ pub fn prefetch_write<T>(ptr: *const T) {
     }
 }
 
+/// The cache-line size the hints below walk in: 64 bytes on every
+/// supported target.
+const LINE: usize = 64;
+
+/// Applies `hint` ([`prefetch_read`] or [`prefetch_write`]) once to
+/// every 64-byte cache line that overlaps `[addr, addr + len)`; to none
+/// when `len` is 0. `addr` need not be line-aligned: an object of one
+/// line's size straddles two lines unless it starts on a boundary.
+#[inline]
+pub fn lines(addr: *const u8, len: usize, mut hint: impl FnMut(*const u8)) {
+    if len == 0 {
+        return;
+    }
+    let lead = addr as usize % LINE;
+    let first = addr.wrapping_sub(lead);
+    for offset in (0..lead + len).step_by(LINE) {
+        hint(first.wrapping_add(offset));
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::{prefetch_read, prefetch_write};
+    use super::{lines, prefetch_read, prefetch_write};
+
+    /// The line addresses `lines(base + at, len, _)` hints, relative to
+    /// a line-aligned `base`.
+    fn hinted(at: usize, len: usize) -> Vec<usize> {
+        let base = 64 * 1024usize;
+        let mut seen = Vec::new();
+        let addr = (base + at) as *const u8;
+        lines(addr, len, |p| seen.push(p as usize - base));
+        seen
+    }
+
+    #[test]
+    fn lines_hints_every_overlapping_line_once() {
+        assert_eq!(hinted(0, 0), []);
+        assert_eq!(hinted(40, 0), []);
+        assert_eq!(hinted(0, 64), [0]);
+        assert_eq!(hinted(128, 64), [128]);
+        // A 96-byte `u64 -> u32` bucket covers 2 or 3 lines by offset.
+        assert_eq!(hinted(32, 96), [0, 64]);
+        assert_eq!(hinted(48, 96), [0, 64, 128]);
+        assert_eq!(hinted(63, 2), [0, 64]);
+    }
 
     #[test]
     fn prefetch_never_faults() {

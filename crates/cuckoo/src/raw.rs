@@ -199,13 +199,7 @@ impl<K, V, const B: usize> RawTable<K, V, B> {
     #[inline]
     pub fn prefetch_val(&self, index: usize, slot: usize) {
         let val = self.bucket(index).val_ptr(slot).cast_const().cast::<u8>();
-        // The value need not start on a (64-byte) line boundary: walk
-        // from the start of its first line to its last byte.
-        let lead = val as usize % 64;
-        let first_line = val.wrapping_sub(lead);
-        for offset in (0..lead + core::mem::size_of::<V>()).step_by(64) {
-            crate::prefetch::prefetch_read(first_line.wrapping_add(offset));
-        }
+        crate::prefetch::lines(val, size_of::<V>(), crate::prefetch::prefetch_read);
     }
 
     /// Writes a full entry into `(bucket, slot)` and publishes it,

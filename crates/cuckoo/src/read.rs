@@ -24,13 +24,14 @@
 //! the software-pipelined batch; [`get`] / [`contains`] / [`get_group`]
 //! are their optimistic instantiations for the `Plain` tables.
 
+use crate::bucket::{Bucket, BucketMeta};
 use crate::core::{PlainStore, RacyStore, Stores, MULTIGET_GROUP};
 use crate::hash::KeySlots;
-use crate::prefetch::prefetch_read;
+use crate::prefetch::{lines, prefetch_read};
 use crate::racy::Plain;
 use crate::raw::RawTable;
 use crate::stats::TableMetrics;
-use crate::sync::LockStripes;
+use crate::sync::{LockStripes, VersionLock};
 
 /// Optimistic validation attempts before falling back to the locked
 /// path. Failed validations are rare (a writer touched one of the two
@@ -70,7 +71,11 @@ pub(crate) fn probe<W: Stores<K, V, B>, K: Eq, V, const B: usize>(
             // Tag miss in the primary: the lookup is headed for the
             // alternate bucket, so start pulling its entry storage now —
             // the data-line fetch overlaps the alternate metadata check
-            // that decides whether to probe it.
+            // that decides whether to probe it. The single-key paths
+            // have already `warm`ed it; this serves the probes that run
+            // unwarmed: `read_group`'s stage 3, the batched writes'
+            // claims, and `insert_exclusive` (the full-table fallback
+            // and `rebuild`).
             raw.prefetch_data(ks.i2);
         }
         while cand != 0 {
@@ -90,6 +95,33 @@ pub(crate) fn probe<W: Stores<K, V, B>, K: Eq, V, const B: usize>(
     None
 }
 
+/// Hints every line a single-key operation on `ks` goes on to touch:
+/// both stripe words, both buckets' metadata lines and every line of
+/// both buckets' entries, with `hint` = [`prefetch_read`] for a reader
+/// and [`prefetch_write`](crate::prefetch::prefetch_write) for a writer,
+/// which is about to store to them. All of them are known once the key
+/// is hashed (§4.3.2), so issued together their misses overlap instead
+/// of following one another through stamp or lock, tag match and key
+/// compare — and a writer takes them before its lock, not inside it.
+///
+/// Single-key paths only: [`read_group`] and the batched write pipeline
+/// hint in stages across a whole group, and a group's worth of this
+/// line set would exceed the misses a core keeps in flight.
+#[inline(always)]
+pub(crate) fn warm<K, V, const B: usize>(
+    raw: &RawTable<K, V, B>,
+    stripes: &LockStripes,
+    ks: KeySlots,
+    hint: fn(*const u8),
+) {
+    for bucket in [ks.i1, ks.i2] {
+        hint((stripes.stripe(bucket) as *const VersionLock).cast());
+        hint((raw.meta(bucket) as *const BucketMeta<B>).cast());
+        let entries: *const Bucket<K, V, B> = raw.bucket(bucket);
+        lines(entries.cast(), size_of::<Bucket<K, V, B>>(), hint);
+    }
+}
+
 /// How a reader makes one [`probe`] of a key's bucket pair trustworthy.
 pub(crate) trait ReadProtocol<K: Eq, V, const B: usize> {
     /// The table read, and the stripes stamped or locked over it.
@@ -100,12 +132,15 @@ pub(crate) trait ReadProtocol<K: Eq, V, const B: usize> {
     /// `look` saw.
     fn attempt<T>(&self, ks: KeySlots, key: &K, look: impl FnOnce(Slot) -> T) -> Option<T>;
 
-    /// The single-key read: [`attempt`](Self::attempt)s until one holds
-    /// — `look` may run more than once, and only the returned result is
+    /// The single-key read: [`warm`]s the key's lines, then
+    /// [`attempt`](Self::attempt)s until one holds — `look` may run
+    /// more than once, and only the returned result is
     /// vouched for. `None` when trying again cannot help and the caller
     /// must find the right table.
     #[inline]
     fn read_one<T>(&self, ks: KeySlots, key: &K, look: impl FnMut(Slot) -> T) -> Option<T> {
+        let (raw, stripes) = self.table();
+        warm(raw, stripes, ks, prefetch_read::<u8>);
         self.attempt(ks, key, look)
     }
 }
@@ -138,6 +173,7 @@ impl<K: Plain + Eq, V: Plain, const B: usize> ReadProtocol<K, V, B> for Optimist
     /// Never `None`: bounded retries, then the [`Locked`] protocol.
     #[inline]
     fn read_one<T>(&self, ks: KeySlots, key: &K, mut look: impl FnMut(Slot) -> T) -> Option<T> {
+        warm(self.raw, self.stripes, ks, prefetch_read::<u8>);
         let mut spins = 0u32;
         for _ in 0..MAX_OPTIMISTIC_RETRIES {
             let held = self.attempt(ks, key, &mut look);
