@@ -34,7 +34,6 @@ fn stripes_ablation() {
                 .stripes(stripes)
                 .build();
         let spec = FillSpec {
-            write_batch: 1,
             threads: 4,
             insert_ratio: 1.0,
             fill_to: 0.95,
@@ -58,7 +57,6 @@ fn search_budget_ablation() {
                 .search_budget(m)
                 .build();
         let spec = FillSpec {
-            write_batch: 1,
             threads: 1,
             insert_ratio: 1.0,
             fill_to: 0.99,
@@ -135,7 +133,6 @@ fn path_length_distribution() {
 fn delete_vs_lookup() {
     let map: OptimisticCuckooMap<u64, u64, 8> = OptimisticCuckooMap::with_capacity(slots());
     let spec = FillSpec {
-            write_batch: 1,
         threads: 2,
         insert_ratio: 1.0,
         fill_to: 0.9,

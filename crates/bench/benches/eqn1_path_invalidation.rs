@@ -54,7 +54,6 @@ fn main() {
     // BFS paths (cuckoo+ fine-grained): L = L_BFS.
     let map: OptimisticCuckooMap<u64, u64, 4> = OptimisticCuckooMap::with_capacity(slots());
     let spec = FillSpec {
-            write_batch: 1,
         threads: THREADS,
         insert_ratio: 1.0,
         fill_to: 0.95,

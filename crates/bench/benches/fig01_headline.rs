@@ -25,7 +25,6 @@ where
     let _ = workload::driver::run_fill(
         &filled,
         &FillSpec {
-            write_batch: 1,
             threads: 2,
             insert_ratio: 1.0,
             fill_to: 0.9,
@@ -36,7 +35,6 @@ where
     drop(filled);
     for &t in &thread_counts() {
         let spec = FillSpec {
-            write_batch: 1,
             threads: t,
             insert_ratio: 0.5,
             fill_to: 0.9,

@@ -22,7 +22,6 @@ where
 {
     for &t in &thread_counts() {
         let spec = FillSpec {
-            write_batch: 1,
             threads: t,
             insert_ratio: 1.0,
             fill_to: 0.45, // all tables support this occupancy (dense caps at 0.5)

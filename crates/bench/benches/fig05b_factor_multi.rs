@@ -19,7 +19,6 @@ const THREADS: usize = 8;
 
 fn measure(config: MemC3Config) -> (f64, f64, f64) {
     let spec = FillSpec {
-            write_batch: 1,
         threads: THREADS,
         insert_ratio: 1.0,
         fill_to: 0.95,

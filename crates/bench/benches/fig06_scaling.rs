@@ -20,7 +20,6 @@ where
     for ratio in [1.0, 0.5, 0.1] {
         for &t in &thread_counts() {
             let spec = FillSpec {
-            write_batch: 1,
                 threads: t,
                 insert_ratio: ratio,
                 fill_to: 0.95,

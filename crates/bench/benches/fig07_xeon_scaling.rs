@@ -21,7 +21,6 @@ where
     for ratio in [1.0, 0.5, 0.1] {
         for t in [1usize, 2, 4, 8, 16] {
             let spec = FillSpec {
-            write_batch: 1,
                 threads: t,
                 insert_ratio: ratio,
                 fill_to: 0.95,

@@ -13,7 +13,6 @@ const THREADS: usize = 8;
 fn run<const B: usize>() -> f64 {
     let map: ElidedCuckooMap<u64, u64, B> = ElidedCuckooMap::with_capacity(slots());
     let fill = FillSpec {
-            write_batch: 1,
         threads: 2,
         insert_ratio: 1.0,
         fill_to: 0.95,

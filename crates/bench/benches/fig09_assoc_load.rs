@@ -19,7 +19,6 @@ fn windows() -> Vec<(f64, f64)> {
 fn sweep<const B: usize>(table: &mut Table) {
     for ratio in [1.0, 0.5, 0.1] {
         let spec = FillSpec {
-            write_batch: 1,
             threads: THREADS,
             insert_ratio: ratio,
             fill_to: 0.95,

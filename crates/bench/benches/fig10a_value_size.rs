@@ -22,7 +22,6 @@ fn run_size<const N: usize>(table: &mut Table) {
         (1, 0.1, "1-thr 10% ins"),
     ] {
         let spec = FillSpec {
-            write_batch: 1,
             threads,
             insert_ratio: ratio,
             fill_to: 0.95,

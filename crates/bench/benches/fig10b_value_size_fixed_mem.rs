@@ -30,7 +30,6 @@ fn run_size<const N: usize>(table: &mut Table) {
         (8, 0.1, "8-thr 10% ins"),
     ] {
         let spec = FillSpec {
-            write_batch: 1,
             threads,
             insert_ratio: ratio,
             fill_to: 0.9,
@@ -78,7 +77,6 @@ fn constrained_domain_sweep(table: &mut Table) {
         let entry = 8 + N;
         let entries = (budget_bytes() / entry).max(1 << 12);
         let spec = FillSpec {
-            write_batch: 1,
             threads: 8,
             insert_ratio: 1.0,
             fill_to: 0.9,

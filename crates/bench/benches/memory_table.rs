@@ -18,7 +18,6 @@ where
     M: ConcurrentMap<V>,
 {
     let spec = FillSpec {
-            write_batch: 1,
         threads: 2,
         insert_ratio: 1.0,
         fill_to,

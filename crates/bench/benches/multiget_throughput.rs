@@ -67,7 +67,6 @@ fn main() {
         let map: OptimisticCuckooMap<u64, u64, 8> =
             OptimisticCuckooMap::with_capacity(1 << table_bits);
         let fill = FillSpec {
-            write_batch: 1,
             threads: FILL_THREADS,
             insert_ratio: 1.0,
             fill_to: load,

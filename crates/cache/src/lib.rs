@@ -493,7 +493,8 @@ impl<V: Plain> ClockCache<V> {
     /// Batched [`put`](Self::put): stores every pair in order, with
     /// per-pair semantics (and counter updates) identical to `put` —
     /// duplicates within a batch included, last write wins. Each group
-    /// of keys is pipelined before any is written: both candidate
+    /// of [`cuckoo::MULTIGET_GROUP`] keys — the group the probe below
+    /// runs in — is pipelined before any is written: both candidate
     /// bucket metadata lines of every key are requested with write
     /// intent, the group's table probe finds the present keys' slots,
     /// and those slots' slab lines are requested with write intent, so
@@ -501,9 +502,9 @@ impl<V: Plain> ClockCache<V> {
     /// allocation and CLOCK eviction stay per-pair — the hand is
     /// inherently serial.
     pub fn put_many(&self, pairs: &[(u64, V)]) {
-        let mut keys = [0; cuckoo::WRITE_GROUP];
-        let mut slots = [None; cuckoo::WRITE_GROUP];
-        for group in pairs.chunks(cuckoo::WRITE_GROUP) {
+        let mut keys = [0; cuckoo::MULTIGET_GROUP];
+        let mut slots = [None; cuckoo::MULTIGET_GROUP];
+        for group in pairs.chunks(cuckoo::MULTIGET_GROUP) {
             let (keys, slots) = (&mut keys[..group.len()], &mut slots[..group.len()]);
             for (k, (key, _)) in keys.iter_mut().zip(group) {
                 self.map.prefetch_write_for(key);

@@ -14,8 +14,7 @@
 //!
 //! [`WriteCtx::search_and_displace`] is steps 2–3 for a shared table,
 //! [`WriteCtx::insert_exclusive`] is steps 1–3 for a table the caller
-//! holds exclusively (every stripe, `&mut`, or a private rebuild target),
-//! and [`WriteCtx::write_many`] is the batch pipeline around step 1.
+//! holds exclusively (every stripe, `&mut`, or a private rebuild target).
 //!
 //! The two things that differ between the maps are passed in, the way
 //! [`crate::search::exec`] takes its mover: *how* a writer stores into a
@@ -23,10 +22,6 @@
 //! [`RacyStore`] under optimistic ones), and `CuckooMap`'s "is this table
 //! still the one to write to" check (a `valid` closure). Both are
 //! monomorphised away.
-//!
-//! The batch group sizes — read and write — are defined here too, so
-//! the pipelines and the lock layer size their stack arrays from one
-//! place.
 
 use crate::counter::ShardedCounter;
 use crate::error::{InsertError, UpsertOutcome};
@@ -50,16 +45,6 @@ use core::hash::{BuildHasher, Hash};
 /// staged state (stamps + candidate masks) stays register/L1-resident
 /// and the earliest prefetched lines are not evicted before use.
 pub const MULTIGET_GROUP: usize = 8;
-
-/// Keys per pipelined write group (`insert_many`/`upsert_many`), sized
-/// like the read path's multiget group: large enough to overlap a
-/// group's DRAM misses, small enough that stage-1 prefetches survive
-/// until stage 3 probes them.
-pub const WRITE_GROUP: usize = 8;
-
-/// Most buckets one [`LockStripes::lock_batch`] call may cover: a full
-/// pipelined write group × two candidate buckets each.
-pub(crate) const MAX_BATCH_BUCKETS: usize = 2 * WRITE_GROUP;
 
 /// How a bucket's entries are stored by a writer that holds it
 /// exclusively, and loaded by the probe — what the readers' protocol
@@ -260,7 +245,6 @@ pub(crate) unsafe fn claim<W: Stores<K, V, B>, K: Eq, V, const B: usize>(
 pub(crate) struct WriteCtx<'a, S> {
     pub stripes: &'a LockStripes,
     pub hash_builder: &'a S,
-    pub count: &'a ShardedCounter,
     pub metrics: &'a TableMetrics,
     /// Bumped per executed displacement; see
     /// [`exec::execute_hole_backwards`].
@@ -456,107 +440,6 @@ impl<S> WriteCtx<'_, S> {
             unsafe { table.drain_into(&mut entries) };
             slots *= 2;
         })
-    }
-
-    /// The write-group pipeline behind `insert_many`/`upsert_many`: one
-    /// result per entry, in order, equivalent to calling `single` per
-    /// entry. Per group of [`WRITE_GROUP`] entries:
-    ///
-    /// 1. hash every key and prefetch both candidate metadata lines with
-    ///    write intent, so the group's cache misses overlap;
-    /// 2. take the group's stripe set in one ascending, deduplicated
-    ///    [`lock_batch`](LockStripes::lock_batch) pass;
-    /// 3. [`claim`] each entry in request order, so duplicate keys within
-    ///    the group observe one another exactly like a loop of single
-    ///    inserts would.
-    ///
-    /// The first entry whose candidate pair is full demotes itself AND
-    /// the rest of its group to `single`, in order, once the batch lock
-    /// drops: its path search displaces entries that later keys' outcomes
-    /// may depend on, so finishing the group under the batch lock first
-    /// would not be loop-equivalent.
-    ///
-    /// `table` names the table a group may batch against — `None` sends
-    /// the whole group through `single` (`CuckooMap` mid-migration: the
-    /// two-table single-key writer already orders its per-chunk work) —
-    /// and `valid` re-checks it under the batch lock.
-    pub(crate) fn write_many<'t, W: Stores<K, V, B>, K: Hash + Eq + 't, V: 't, const B: usize>(
-        &self,
-        entries: impl IntoIterator<Item = (K, V)>,
-        upsert: bool,
-        table: impl Fn() -> Option<&'t RawTable<K, V, B>>,
-        valid: impl Fn(&RawTable<K, V, B>) -> bool,
-        single: impl Fn(K, V) -> Result<UpsertOutcome, InsertError>,
-    ) -> Vec<Result<UpsertOutcome, InsertError>>
-    where
-        S: BuildHasher,
-    {
-        let mut entries = entries.into_iter();
-        let mut out = Vec::with_capacity(entries.size_hint().0);
-        // `Option` slots so each entry moves exactly once: into a bucket,
-        // or into `single`.
-        let mut group: [Option<(K, V)>; WRITE_GROUP] = core::array::from_fn(|_| None);
-        let mut ks_buf = [KeySlots { i1: 0, i2: 0, tag: 1 }; WRITE_GROUP];
-        let mut buckets = [0usize; MAX_BATCH_BUCKETS];
-        loop {
-            let mut glen = 0;
-            while glen < WRITE_GROUP {
-                let Some(entry) = entries.next() else { break };
-                group[glen] = Some(entry);
-                glen += 1;
-            }
-            if glen == 0 {
-                return out;
-            }
-            let group = &mut group[..glen];
-            self.metrics.insert_batch_groups.inc();
-            self.metrics.insert_batch_keys.add(glen as u64);
-            let demote_from = match table() {
-                None => 0,
-                Some(raw) => {
-                    for (j, entry) in group.iter().enumerate() {
-                        let (key, _) = entry.as_ref().expect("group slot filled above");
-                        let ks = key_slots(self.hash_builder, key, raw.mask());
-                        ks_buf[j] = ks;
-                        buckets[2 * j] = ks.i1;
-                        buckets[2 * j + 1] = ks.i2;
-                        if self.prefetch {
-                            raw.prefetch_meta_write(ks.i1);
-                            raw.prefetch_meta_write(ks.i2);
-                        }
-                    }
-                    let _g = self.stripes.lock_batch(&buckets[..glen * 2]);
-                    // An invalid table (swapped, or a migration began,
-                    // between `table()` and the lock) demotes everyone.
-                    let batchable = if valid(raw) { glen } else { 0 };
-                    let mut claimed = 0;
-                    for (entry, &ks) in group[..batchable].iter_mut().zip(&ks_buf) {
-                        let (key, val) = entry.take().expect("group slot filled above");
-                        // SAFETY: the batch lock covers every candidate
-                        // bucket of the group (stripe versions odd, so
-                        // optimistic readers retry).
-                        match unsafe { claim::<W, K, V, B>(raw, ks, key, val, upsert) }
-                            .settle(self.count, ks)
-                        {
-                            Ok(result) => out.push(result),
-                            Err(unplaced) => {
-                                *entry = Some(unplaced);
-                                break;
-                            }
-                        }
-                        claimed += 1;
-                    }
-                    claimed
-                }
-            };
-            if demote_from < glen {
-                self.metrics.insert_batch_fallbacks.add((glen - demote_from) as u64);
-                for entry in &mut group[demote_from..] {
-                    let (key, val) = entry.take().expect("demoted entries are unconsumed");
-                    out.push(single(key, val));
-                }
-            }
-        }
     }
 }
 

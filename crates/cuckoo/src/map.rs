@@ -374,7 +374,6 @@ where
         WriteCtx {
             stripes: &self.stripes,
             hash_builder: &self.hash_builder,
-            count: &self.count,
             metrics: &self.table_metrics,
             displacements: &self.displacements,
             max_search_slots: self.max_search_slots,
@@ -562,47 +561,6 @@ where
     pub fn upsert(&self, key: K, val: V) -> UpsertOutcome {
         self.insert_inner(key, val, true)
             .expect("upsert cannot fail: expansion handles fullness")
-    }
-
-    /// Batched insert: one result per entry, in order, equivalent to
-    /// calling [`insert`](Self::insert) per entry (duplicates within a
-    /// batch included) — but groups of entries are software-pipelined
-    /// (hash all + write-intent prefetch → one coalesced batch lock →
-    /// in-order claim). Entries needing a cuckoo path search — or hitting
-    /// an in-flight migration — fall back, in order, to the single-key
-    /// insert.
-    pub fn insert_many(
-        &self,
-        entries: impl IntoIterator<Item = (K, V)>,
-    ) -> Vec<Result<(), InsertError>> {
-        self.write_many(entries, false).into_iter().map(|r| r.map(|_| ())).collect()
-    }
-
-    /// Batched [`upsert`](Self::upsert): same pipeline and equivalence
-    /// contract as [`insert_many`](Self::insert_many), reporting which of
-    /// insert/update happened per entry. Never `Err` on this map
-    /// (expansion handles fullness); the type matches
-    /// `OptimisticCuckooMap::upsert_many`.
-    pub fn upsert_many(
-        &self,
-        entries: impl IntoIterator<Item = (K, V)>,
-    ) -> Vec<Result<UpsertOutcome, InsertError>> {
-        self.write_many(entries, true)
-    }
-
-    fn write_many(
-        &self,
-        entries: impl IntoIterator<Item = (K, V)>,
-        upsert: bool,
-    ) -> Vec<Result<UpsertOutcome, InsertError>> {
-        let _pin = self.epochs.pin();
-        self.write_ctx().write_many::<PlainStore, K, V, B>(
-            entries,
-            upsert,
-            || (!self.is_migrating()).then(|| self.current()),
-            |raw| self.table_is_stable(raw),
-            |key, val| self.insert_inner(key, val, upsert),
-        )
     }
 
     /// Removes `key`, returning its value.
@@ -1397,39 +1355,6 @@ mod tests {
         assert_eq!(m.update(&"foo".to_string(), "baz".into()), Some("bar".into()));
         assert_eq!(m.remove(&"foo".to_string()), Some("baz".to_string()));
         assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn insert_many_batch_semantics_with_owned_types() {
-        // Non-`Plain` keys/values: every rejected or replaced entry must
-        // be dropped exactly once (no leaks, no double frees).
-        let m: CuckooMap<String, String, 8> = CuckooMap::with_capacity(512);
-        let entries: Vec<(String, String)> =
-            (0..100).map(|i| (format!("k{i}"), format!("v{i}"))).collect();
-        assert!(m.insert_many(entries.clone()).into_iter().all(|r| r.is_ok()));
-        let dup = m.insert_many(entries);
-        assert!(dup.into_iter().all(|r| r == Err(InsertError::KeyExists)));
-        let ups = m.upsert_many((0..100).map(|i| (format!("k{i}"), format!("w{i}"))));
-        assert!(ups.into_iter().all(|o| o == Ok(UpsertOutcome::Updated)));
-        assert_eq!(m.get(&"k7".to_string()), Some("w7".to_string()));
-        assert_eq!(m.len(), 100);
-        assert!(m.metrics().insert_batch_groups.get() >= 3 * (100 / 8) as u64);
-        assert_eq!(m.metrics().insert_batch_keys.get(), 300);
-    }
-
-    #[test]
-    fn insert_many_expands_automatically_like_single_inserts() {
-        // A batch far beyond capacity forces expansion mid-stream; the
-        // group path must hand keys to the migrating single-key writer
-        // without losing or duplicating any.
-        let m: CuckooMap<u64, u64, 8> = CuckooMap::with_capacity(64);
-        let entries: Vec<(u64, u64)> = (0..1000).map(|k| (k, k ^ 0xabcd)).collect();
-        assert!(m.insert_many(entries).into_iter().all(|r| r.is_ok()));
-        assert_eq!(m.len(), 1000);
-        for k in 0..1000 {
-            assert_eq!(m.get(&k), Some(k ^ 0xabcd), "key {k}");
-        }
-        assert!(m.capacity() >= 1000);
     }
 
     #[test]

@@ -171,7 +171,6 @@ where
         WriteCtx {
             stripes: &self.stripes,
             hash_builder: &self.hash_builder,
-            count: &self.count,
             metrics: &self.table_metrics,
             displacements: &self.displacements,
             max_search_slots: self.max_search_slots,
@@ -180,11 +179,11 @@ where
     }
 
     /// Issues prefetch-for-store hints for both of `key`'s candidate
-    /// bucket metadata lines. This is the stage-1 hook for callers that
-    /// front the map with their own write pipeline (e.g. the CLOCK
-    /// cache's `put_many`): hash a whole group, hint every line, then
-    /// write — the group's cache misses overlap instead of serializing.
-    /// Pure hint.
+    /// bucket metadata lines. This is the stage-1 hook for a caller that
+    /// fronts the map with its own write pipeline (the CLOCK cache's
+    /// `put_many`, in groups of [`MULTIGET_GROUP`] keys): hash a whole
+    /// group, hint every line, then write — the group's cache misses
+    /// overlap instead of serializing. Pure hint.
     #[inline]
     pub fn prefetch_write_for(&self, key: &K) {
         let ks = self.slots_of(key);
@@ -271,44 +270,6 @@ where
     /// full (paper §2.1 semantics).
     pub fn insert(&self, key: K, val: V) -> Result<(), InsertError> {
         self.insert_inner(key, val, false).map(|_| ())
-    }
-
-    /// Batched insert: one result per entry, in order, equivalent to
-    /// calling [`insert`](Self::insert) per entry (duplicates within a
-    /// batch included) — but groups of entries are software-pipelined
-    /// (hash all + write-intent prefetch → one coalesced batch lock →
-    /// in-order claim). The first entry whose candidate buckets are full
-    /// demotes itself and the rest of its group to in-order single-key
-    /// path-search inserts after the batch lock drops.
-    pub fn insert_many(
-        &self,
-        entries: impl IntoIterator<Item = (K, V)>,
-    ) -> Vec<Result<(), InsertError>> {
-        self.write_many(entries, false).into_iter().map(|r| r.map(|_| ())).collect()
-    }
-
-    /// Batched [`upsert`](Self::upsert): same pipeline and equivalence
-    /// contract as [`insert_many`](Self::insert_many), reporting which of
-    /// insert/update happened per entry.
-    pub fn upsert_many(
-        &self,
-        entries: impl IntoIterator<Item = (K, V)>,
-    ) -> Vec<Result<UpsertOutcome, InsertError>> {
-        self.write_many(entries, true)
-    }
-
-    fn write_many(
-        &self,
-        entries: impl IntoIterator<Item = (K, V)>,
-        upsert: bool,
-    ) -> Vec<Result<UpsertOutcome, InsertError>> {
-        self.write_ctx().write_many::<RacyStore, K, V, B>(
-            entries,
-            upsert,
-            || Some(&self.raw),
-            |_| true,
-            |key, val| self.insert_inner(key, val, upsert),
-        )
     }
 
     /// Inserts or replaces, reporting which happened. Fails only when the
@@ -737,48 +698,6 @@ mod tests {
         for k in 0..target as u64 {
             assert_eq!(m.get(&k), Some(k), "key {k} lost");
         }
-    }
-
-    #[test]
-    fn insert_many_matches_loop_semantics() {
-        let m = Map::with_capacity(1024);
-        m.insert(3, 30).unwrap();
-        let results = m.insert_many([(1, 10), (2, 20), (3, 99), (1, 11)]);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_ok());
-        assert_eq!(results[2], Err(InsertError::KeyExists));
-        assert_eq!(results[3], Err(InsertError::KeyExists), "in-batch duplicate");
-        assert_eq!(m.get(&1), Some(10));
-        assert_eq!(m.get(&3), Some(30));
-        let ups = m.upsert_many([(3, 300), (4, 40), (4, 44)]);
-        assert_eq!(ups[0], Ok(UpsertOutcome::Updated));
-        assert_eq!(ups[1], Ok(UpsertOutcome::Inserted));
-        assert_eq!(ups[2], Ok(UpsertOutcome::Updated), "in-batch duplicate updates");
-        assert_eq!(m.get(&3), Some(300));
-        assert_eq!(m.get(&4), Some(44));
-        assert_eq!(m.len(), 4);
-        assert!(m.metrics().insert_batch_groups.get() >= 2);
-        assert_eq!(m.metrics().insert_batch_keys.get(), 7);
-    }
-
-    #[test]
-    fn insert_many_falls_back_to_path_search_when_buckets_fill() {
-        // 90% fill of a 4-way table cannot complete on candidate-pair
-        // fast paths alone: some keys must take the single-key
-        // path-search fallback, and none may be lost or duplicated.
-        let m: OptimisticCuckooMap<u64, u64, 4> = Builder::new(256).build();
-        let n = (m.capacity() * 9 / 10) as u64;
-        let entries: Vec<(u64, u64)> = (0..n).map(|k| (k, k * 2 + 1)).collect();
-        for r in m.insert_many(entries) {
-            r.unwrap();
-        }
-        assert_eq!(m.len(), n as usize);
-        for k in 0..n {
-            assert_eq!(m.get(&k), Some(k * 2 + 1), "key {k}");
-        }
-        let fb = m.metrics().insert_batch_fallbacks.get();
-        assert!(fb > 0, "dense fill must overflow some candidate pairs");
-        assert_eq!(m.metrics().insert_batch_keys.get(), n);
     }
 
     #[test]

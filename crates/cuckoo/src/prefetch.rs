@@ -60,8 +60,8 @@ pub fn prefetch_read<T>(ptr: *const T) {
 }
 
 /// Hints the CPU to pull the cache line(s) at `ptr` in anticipation of a
-/// *store* — the batched write pipeline's stage-1 hint for the candidate
-/// `BucketMeta` lines it is about to lock and mutate.
+/// *store*: a writer's hint for the lines it is about to lock and
+/// mutate.
 ///
 /// On x86-64 this still lowers to `prefetcht0` (portable across vendors;
 /// `prefetchw` requires a separate feature probe for marginal gain — the

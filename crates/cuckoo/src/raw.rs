@@ -176,8 +176,8 @@ impl<K, V, const B: usize> RawTable<K, V, B> {
     }
 
     /// Write-intent variant of [`prefetch_meta`](Self::prefetch_meta)
-    /// for the batched insert pipeline: the metadata line is about to be
-    /// locked and stored to, so prime it for ownership.
+    /// for a write pipeline fronting the table: the metadata line is
+    /// about to be locked and stored to, so prime it for ownership.
     #[inline]
     pub fn prefetch_meta_write(&self, index: usize) {
         crate::prefetch::prefetch_write(self.meta(index) as *const BucketMeta<B>);

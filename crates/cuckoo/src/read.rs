@@ -73,9 +73,8 @@ pub(crate) fn probe<W: Stores<K, V, B>, K: Eq, V, const B: usize>(
             // the data-line fetch overlaps the alternate metadata check
             // that decides whether to probe it. The single-key paths
             // have already `warm`ed it; this serves the probes that run
-            // unwarmed: `read_group`'s stage 3, the batched writes'
-            // claims, and `insert_exclusive` (the full-table fallback
-            // and `rebuild`).
+            // unwarmed: `read_group`'s stage 3 and `insert_exclusive`
+            // (the full-table fallback and `rebuild`).
             raw.prefetch_data(ks.i2);
         }
         while cand != 0 {
@@ -104,9 +103,9 @@ pub(crate) fn probe<W: Stores<K, V, B>, K: Eq, V, const B: usize>(
 /// of following one another through stamp or lock, tag match and key
 /// compare — and a writer takes them before its lock, not inside it.
 ///
-/// Single-key paths only: [`read_group`] and the batched write pipeline
-/// hint in stages across a whole group, and a group's worth of this
-/// line set would exceed the misses a core keeps in flight.
+/// Single-key paths only: [`read_group`] hints in stages across a whole
+/// group, and a group's worth of this line set would exceed the misses
+/// a core keeps in flight.
 #[inline(always)]
 pub(crate) fn warm<K, V, const B: usize>(
     raw: &RawTable<K, V, B>,

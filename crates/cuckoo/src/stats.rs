@@ -67,16 +67,6 @@ pub struct TableMetrics {
     /// Multiget keys whose pipelined group probe failed validation and
     /// were re-fetched through the single-key path.
     pub multiget_fallbacks: Counter,
-    /// Pipelined write groups executed by `insert_many`/`upsert_many`
-    /// (one batch-lock acquisition each).
-    pub insert_batch_groups: Counter,
-    /// Keys submitted through the batched write path (group fast path
-    /// *and* fallbacks; `keys - fallbacks` completed under the group
-    /// lock).
-    pub insert_batch_keys: Counter,
-    /// Batched-write keys that left the group fast path for the single-
-    /// key insert (path search, migration, or full candidate buckets).
-    pub insert_batch_fallbacks: Counter,
     /// BFS cuckoo path length in slots (path entries, i.e. displacements
     /// + 1 for the vacancy) — the Eq. 2 distribution.
     pub bfs_path_len: Histogram,
@@ -157,15 +147,6 @@ impl TableMetrics {
             self.read_lock_fallbacks.get(),
         ));
         out.push(Sample::counter("cuckoo_multiget_fallbacks_total", self.multiget_fallbacks.get()));
-        out.push(Sample::counter(
-            "cuckoo_insert_batch_groups_total",
-            self.insert_batch_groups.get(),
-        ));
-        out.push(Sample::counter("cuckoo_insert_batch_keys_total", self.insert_batch_keys.get()));
-        out.push(Sample::counter(
-            "cuckoo_insert_batch_fallbacks_total",
-            self.insert_batch_fallbacks.get(),
-        ));
         out.push(Sample::histogram("cuckoo_bfs_path_len", self.bfs_path_len.snapshot()));
         out.push(Sample::histogram(
             "cuckoo_bfs_examined_slots",
@@ -198,9 +179,6 @@ impl TableMetrics {
         self.read_retries.reset();
         self.read_lock_fallbacks.reset();
         self.multiget_fallbacks.reset();
-        self.insert_batch_groups.reset();
-        self.insert_batch_keys.reset();
-        self.insert_batch_fallbacks.reset();
         self.bfs_path_len.reset();
         self.bfs_examined_slots.reset();
         self.migrations_started.reset();
@@ -282,9 +260,6 @@ mod tests {
             ("cuckoo_read_retries_total", "counter"),
             ("cuckoo_read_lock_fallbacks_total", "counter"),
             ("cuckoo_multiget_fallbacks_total", "counter"),
-            ("cuckoo_insert_batch_groups_total", "counter"),
-            ("cuckoo_insert_batch_keys_total", "counter"),
-            ("cuckoo_insert_batch_fallbacks_total", "counter"),
             ("cuckoo_bfs_path_len", "histogram"),
             ("cuckoo_bfs_examined_slots", "histogram"),
             ("cuckoo_path_searches_total", "counter"),
@@ -307,9 +282,6 @@ mod tests {
         m.read_retries.inc();
         m.read_lock_fallbacks.inc();
         m.multiget_fallbacks.inc();
-        m.insert_batch_groups.inc();
-        m.insert_batch_keys.add(8);
-        m.insert_batch_fallbacks.inc();
         m.bfs_path_len.record(3);
         m.bfs_examined_slots.record(40);
         m.migrations_started.inc();
@@ -324,9 +296,6 @@ mod tests {
         m.reset();
         assert_eq!(m.read_retries.get(), 0);
         assert_eq!(m.multiget_fallbacks.get(), 0);
-        assert_eq!(m.insert_batch_groups.get(), 0);
-        assert_eq!(m.insert_batch_keys.get(), 0);
-        assert_eq!(m.insert_batch_fallbacks.get(), 0);
         assert_eq!(m.bfs_path_len.snapshot().count(), 0);
         assert_eq!(m.bfs_examined_slots.snapshot().count(), 0);
         assert_eq!(m.migration_chunks.get(), 0);

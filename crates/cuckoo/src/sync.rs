@@ -23,9 +23,8 @@
 //!   the paper describes as the probabilistic-livelock escape hatch
 //!   ("acquiring each of the 2048 locks in the lock-striped table").
 //! - [`LockStripes::lock_batch`] — ordered, deduplicated acquisition of
-//!   a small set of stripes at once: a pipelined write group's candidate
-//!   pairs, or (incremental expansion) an old-table bucket plus its
-//!   entry's two new-table candidate buckets.
+//!   up to three stripes at once: incremental expansion's move of an
+//!   old-table bucket's entry into its two new-table candidate buckets.
 //! - [`EpochRegistry`] — striped epoch counters for quiescence-based
 //!   reclamation of retired bucket arrays: every table operation pins
 //!   the current epoch in a padded per-thread stripe, and a retired
@@ -33,11 +32,15 @@
 //!   retirement epoch (so no in-flight lock-free search can still hold
 //!   the pointer).
 
-use crate::core::MAX_BATCH_BUCKETS;
 use crate::sync2::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Number of lock stripes the paper's implementation uses by default.
 pub const DEFAULT_STRIPES: usize = 2048;
+
+/// Most buckets one [`LockStripes::lock_batch`] call may cover: the
+/// migration move's old-table bucket and its entry's two new-table
+/// candidates.
+const MAX_BATCH_BUCKETS: usize = 3;
 
 /// Bit 63 marks the stripe write-locked.
 const LOCKED: u64 = 1 << 63;
@@ -453,16 +456,13 @@ impl LockStripes {
         AllGuard { stripes: self }
     }
 
-    /// Locks the stripes covering an arbitrary set of up to
-    /// `2 *` [`WRITE_GROUP`](crate::WRITE_GROUP) buckets — one pipelined
-    /// write group's candidate pairs — in ascending stripe-index order
-    /// (deadlock-free with [`LockStripes::lock_pair`] and itself). Buckets
-    /// sharing a stripe are coalesced under a single acquisition, so a
-    /// group of G keys costs at most `2·G` lock words and usually far
-    /// fewer.
+    /// Locks the stripes covering up to three buckets in ascending
+    /// stripe-index order (deadlock-free with [`LockStripes::lock_pair`]
+    /// and itself). Buckets sharing a stripe are coalesced under a single
+    /// acquisition.
     ///
-    /// Incremental expansion also moves one entry atomically with it:
-    /// the old-table bucket and both new-table candidate buckets are held
+    /// Incremental expansion moves one entry atomically with it: the
+    /// old-table bucket and both new-table candidate buckets are held
     /// together, so no reader or writer can observe the entry absent from
     /// both tables or present in both.
     pub fn lock_batch(&self, buckets: &[usize]) -> BatchGuard<'_> {
@@ -817,20 +817,26 @@ mod tests {
 
     #[test]
     fn lock_batch_coalesces_and_acquires_in_ascending_stripe_order() {
-        // Shuffled buckets with stripe-sharing duplicates: the guard must
-        // coalesce shared stripes, acquire the distinct set ascending
-        // (the debug auditor panics otherwise — this test is the kill for
-        // the batch-sort mutation operator), and release everything.
+        // Shuffled buckets, with and without a shared stripe: the guard
+        // must coalesce shared stripes, acquire the distinct set
+        // ascending (the debug auditor panics otherwise — this test is
+        // the kill for the batch-sort mutation operator), and release
+        // everything.
         let s = LockStripes::new(8);
         {
-            let g = s.lock_batch(&[6, 1, 14, 3, 9, 6, 0]); // stripes {6,1,3,0}; 14≡6, 9≡1
-            assert_eq!(g.stripes_held(), 4);
-            for b in [6, 1, 14, 3, 9, 0] {
+            let g = s.lock_batch(&[6, 1, 14]); // stripes {6, 1}; 14≡6
+            assert_eq!(g.stripes_held(), 2);
+            for b in [6, 1, 14] {
                 assert!(g.covers(b), "bucket {b}");
                 assert!(s.stripe(b).is_locked());
             }
+            assert!(!g.covers(3));
+            assert!(!s.stripe(3).is_locked());
+        }
+        {
+            let g = s.lock_batch(&[6, 1, 3]);
+            assert_eq!(g.stripes_held(), 3);
             assert!(!g.covers(2));
-            assert!(!s.stripe(2).is_locked());
         }
         for b in 0..8 {
             assert!(!s.stripe(b).is_locked(), "released {b}");
@@ -838,15 +844,14 @@ mod tests {
         // Empty and full-width batches are legal.
         assert_eq!(s.lock_batch(&[]).stripes_held(), 0);
         let all: Vec<usize> = (0..MAX_BATCH_BUCKETS).collect();
-        assert_eq!(s.lock_batch(&all).stripes_held(), 8);
+        assert_eq!(s.lock_batch(&all).stripes_held(), MAX_BATCH_BUCKETS);
     }
 
     #[test]
     fn lock_batch_composes_with_pair_and_multi_ordering() {
         // Nested acquisition above the batch's highest stripe stays legal
-        // under the auditor, mirroring how the write pipeline's per-key
-        // fallback (batch guard dropped first) and independent pair
-        // lockers interleave.
+        // under the auditor, as for a pair locker that runs while a
+        // migration move holds its three buckets.
         let s = LockStripes::new(16);
         let g = s.lock_batch(&[1, 4, 2]);
         let _h = s.lock_pair(9, 12);

@@ -297,15 +297,13 @@ fn get_many_during_forced_migration() {
     });
 }
 
-/// Batched writes vs. batched reads on overlapping keys: an
-/// `upsert_many` group (stripe-sorted batch locking, direct slot
-/// claim) racing a `get_many` over the same keys must deliver, per
-/// key, either the old or the new complete value — the batch lock
-/// makes writers mutually exclusive, and optimistic readers that
-/// land inside a batched write's critical section must fail stamp
+/// Single-key writes vs. batched reads on overlapping keys: a writer's
+/// `upsert`s racing a `get_many` over the same keys must deliver, per
+/// key, either the old or the new complete value — optimistic readers
+/// that land inside a write's critical section must fail stamp
 /// validation and retry, never surfacing a torn or phantom value.
 #[test]
-fn upsert_many_vs_get_many_overlapping_keys() {
+fn upsert_vs_get_many_overlapping_keys() {
     loom::model_with(loom::Config::random(0x5eed_0006, 120), || {
         let map: Arc<OptimisticCuckooMap<u64, [u64; 2], 8>> =
             Arc::new(OptimisticCuckooMap::with_capacity(64));
@@ -315,12 +313,9 @@ fn upsert_many_vs_get_many_overlapping_keys() {
         let writer = {
             let map = Arc::clone(&map);
             loom::thread::spawn(move || {
-                // One group: an overwrite of a racing key, a fresh
-                // insert, and an untouched-key overwrite — all under a
-                // single batch acquisition.
-                let out = map.upsert_many([(1, [20, 20]), (5, [50, 50])]);
-                assert_eq!(out[0], Ok(cuckoo::UpsertOutcome::Updated));
-                assert_eq!(out[1], Ok(cuckoo::UpsertOutcome::Inserted));
+                // An overwrite of a racing key, then a fresh insert.
+                assert_eq!(map.upsert(1, [20, 20]), Ok(cuckoo::UpsertOutcome::Updated));
+                assert_eq!(map.upsert(5, [50, 50]), Ok(cuckoo::UpsertOutcome::Inserted));
             })
         };
         let reader = {
@@ -328,7 +323,7 @@ fn upsert_many_vs_get_many_overlapping_keys() {
             loom::thread::spawn(move || {
                 let out = map.get_many(&[1, 2, 5, 99]);
                 let v = out[0].expect("key 1 never absent");
-                assert_eq!(v[0], v[1], "torn value escaped batched write");
+                assert_eq!(v[0], v[1], "torn value escaped a write");
                 assert!(v[0] == 10 || v[0] == 20, "phantom value {v:?}");
                 assert_eq!(out[1], Some([30, 30]), "bystander key disturbed");
                 if let Some(v) = out[2] {
@@ -344,14 +339,13 @@ fn upsert_many_vs_get_many_overlapping_keys() {
     });
 }
 
-/// Batched writes vs. chunk migration: an `insert_many` burst lands
-/// while another thread drives a forced incremental migration. The
-/// batch path must demote to the per-key migration-aware insert the
-/// moment the table is unstable (the stage-2 stability check and the
-/// stage-3 revalidation both guard this), so every pre-migration key
-/// and every batched key is present with its exact value afterwards.
+/// Single-key writes vs. chunk migration: a run of `insert`s lands
+/// while another thread drives a forced incremental migration. Each
+/// insert must take the migration-aware path the moment the table is
+/// unstable, so every pre-migration key and every inserted key is
+/// present with its exact value afterwards.
 #[test]
-fn insert_many_during_forced_migration() {
+fn inserts_during_forced_migration() {
     loom::model_with(loom::Config::random(0x5eed_0009, 60), || {
         let map: Arc<CuckooMap<u64, u64>> = Arc::new(CuckooMap::with_capacity(16));
         for k in 0..4u64 {
@@ -368,10 +362,8 @@ fn insert_many_during_forced_migration() {
         let writer = {
             let map = Arc::clone(&map);
             loom::thread::spawn(move || {
-                let entries: Vec<(u64, u64)> =
-                    (10..14u64).map(|k| (k, k * 10 + 1)).collect();
-                for r in map.insert_many(entries) {
-                    r.expect("insert_many must succeed mid-migration");
+                for k in 10..14u64 {
+                    map.insert(k, k * 10 + 1).expect("insert must succeed mid-migration");
                 }
             })
         };

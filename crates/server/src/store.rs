@@ -158,8 +158,9 @@ pub trait Store: Send + Sync + 'static {
     /// The engine's one write path: applies `cmds` in order, each
     /// observing every earlier one (duplicate keys included), with one
     /// cas allocated per command in command order, and calls
-    /// `done(i, outcome)` exactly once per command, in order. A run of
-    /// `set`s goes through the table's pipelined multi-key write; one
+    /// `done(i, outcome)` exactly once per command, in order. The CLOCK
+    /// engine lands a run of `set`s through the cache's pipelined
+    /// `put_many`; the `--no-evict` engine writes one key at a time. One
     /// command is a burst of one. `add` and `replace` decide on the
     /// incumbent (present, expired) under the lock that writes it. Every
     /// write has landed when the call returns, though `done` may see a
@@ -550,21 +551,14 @@ impl CuckooStore {
         Some(item)
     }
 
-    /// Lands a run of `set`s through the map's pipelined `upsert_many`:
-    /// duplicates within the run resolve last-wins, as one at a time.
-    fn upsert_run(&self, sets: &mut Vec<(Box<[u8]>, Arc<StoredItem>)>) {
-        if sets.is_empty() {
-            return;
+    /// Stores `item` under `key` (`set`, `restore`), replacing any
+    /// incumbent.
+    fn upsert(&self, key: &[u8], item: Arc<StoredItem>) {
+        if matches!(self.map.upsert(key.into(), item), cuckoo::UpsertOutcome::Inserted) {
+            self.inserts.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.updates.fetch_add(1, Ordering::Relaxed);
         }
-        let (mut ins, mut upd) = (0u64, 0u64);
-        for outcome in self.map.upsert_many(sets.drain(..)) {
-            match outcome.expect("CuckooMap grows instead of reporting full") {
-                cuckoo::UpsertOutcome::Inserted => ins += 1,
-                cuckoo::UpsertOutcome::Updated => upd += 1,
-            }
-        }
-        self.inserts.fetch_add(ins, Ordering::Relaxed);
-        self.updates.fetch_add(upd, Ordering::Relaxed);
     }
 
     /// `add`: stores `item` when `key` is absent, or takes over its
@@ -623,19 +617,13 @@ impl Store for CuckooStore {
     }
 
     fn write_many(&self, cmds: &[StoreCmd<'_>], now: u32, done: &mut dyn FnMut(usize, StoreOutcome)) {
-        // As in `ClockStore`: a run of `set`s lands in one batched
-        // upsert, and an `add` or `replace` lands the run before it.
-        let mut sets = Vec::with_capacity(cmds.len());
         for (i, c) in cmds.iter().enumerate() {
             let expires_at = deadline(c.exptime, now);
             let cas = self.cas.fetch_add(1, Ordering::Relaxed);
             let item = Arc::new(StoredItem { flags: c.flags, expires_at, cas, data: c.data.into() });
-            if c.verb != StoreVerb::Set {
-                self.upsert_run(&mut sets);
-            }
             let stored = match c.verb {
                 StoreVerb::Set => {
-                    sets.push((c.key.into(), item));
+                    self.upsert(c.key, item);
                     true
                 }
                 StoreVerb::Add => self.add(c.key, item, now),
@@ -643,7 +631,6 @@ impl Store for CuckooStore {
             };
             done(i, if stored { StoreOutcome::Stored { cas, expires_at } } else { StoreOutcome::NotStored });
         }
-        self.upsert_run(&mut sets);
     }
 
     fn delete(&self, key: &[u8]) -> bool {
@@ -678,12 +665,7 @@ impl Store for CuckooStore {
     }
 
     fn restore(&self, key: &[u8], flags: u32, expires_at: u32, cas: u64, value: &[u8]) {
-        let item = Arc::new(StoredItem { flags, expires_at, cas, data: value.into() });
-        if matches!(self.map.upsert(key.into(), item), cuckoo::UpsertOutcome::Inserted) {
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.updates.fetch_add(1, Ordering::Relaxed);
-        }
+        self.upsert(key, Arc::new(StoredItem { flags, expires_at, cas, data: value.into() }));
         // Future allocations must stay above every restored cas.
         self.cas.fetch_max(cas + 1, Ordering::Relaxed);
     }

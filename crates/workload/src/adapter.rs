@@ -65,15 +65,6 @@ pub trait ConcurrentMap<V: BenchValue>: Sync {
         out.clear();
         out.extend(keys.iter().map(|k| self.read(k)));
     }
-    /// Batched insert: one result per pair, in order, equivalent to
-    /// calling [`put`](Self::put) per pair (duplicates within a batch
-    /// included). The default loops `put`; tables with a pipelined
-    /// multi-key write path override it so the driver's write-batch
-    /// mode measures the real engine.
-    fn write_many(&self, pairs: &[(u64, V)], out: &mut Vec<PutResult>) {
-        out.clear();
-        out.extend(pairs.iter().map(|(k, v)| self.put(*k, *v)));
-    }
     /// Removes `key`, reporting whether it was present.
     fn del(&self, key: &u64) -> bool;
     /// Current item count.
@@ -127,11 +118,6 @@ impl<V: BenchValue + cuckoo::Plain, const B: usize> ConcurrentMap<V>
 
     fn read_many(&self, keys: &[u64], out: &mut Vec<Option<V>>) {
         self.get_many_into(keys, out);
-    }
-
-    fn write_many(&self, pairs: &[(u64, V)], out: &mut Vec<PutResult>) {
-        out.clear();
-        out.extend(self.insert_many(pairs.iter().copied()).into_iter().map(put_from_cuckoo));
     }
 
     fn del(&self, key: &u64) -> bool {
@@ -267,11 +253,6 @@ impl<V: BenchValue, const B: usize> ConcurrentMap<V> for CuckooMap<u64, V, B> {
 
     fn read_many(&self, keys: &[u64], out: &mut Vec<Option<V>>) {
         self.get_many_into(keys, out);
-    }
-
-    fn write_many(&self, pairs: &[(u64, V)], out: &mut Vec<PutResult>) {
-        out.clear();
-        out.extend(self.insert_many(pairs.iter().copied()).into_iter().map(put_from_cuckoo));
     }
 
     fn del(&self, key: &u64) -> bool {
@@ -426,23 +407,9 @@ mod tests {
         for (k, got) in keys.iter().zip(&many) {
             assert_eq!(*got, m.read(k), "{} key {k}", m.label());
         }
-        // Batched write (pipelined override or default loop) matches the
-        // per-key loop, duplicates included.
-        let pairs: Vec<(u64, V)> =
-            (200..220).map(|k| (k, V::from_key(k))).chain([(5, V::from_key(5))]).collect();
-        let mut results = Vec::new();
-        m.write_many(&pairs, &mut results);
-        assert_eq!(results.len(), pairs.len());
-        for (i, r) in results[..20].iter().enumerate() {
-            assert_eq!(*r, PutResult::Inserted, "{} pair {i}", m.label());
-        }
-        assert_eq!(results[20], PutResult::Exists, "{}", m.label());
-        for k in 200..220u64 {
-            assert_eq!(m.read(&k), Some(V::from_key(k)), "{} key {k}", m.label());
-        }
         assert!(m.del(&0));
         assert!(!m.del(&0));
-        assert_eq!(m.items(), 219);
+        assert_eq!(m.items(), 199);
         assert!(m.mem_bytes() > 0);
         assert!(m.fill_capacity() > 0);
     }

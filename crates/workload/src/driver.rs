@@ -40,12 +40,6 @@ pub struct FillSpec {
     /// Load-factor windows to time, e.g. `[(0.0, 0.95), (0.75, 0.9),
     /// (0.9, 0.95)]`.
     pub windows: Vec<(f64, f64)>,
-    /// Keys per [`ConcurrentMap::write_many`] call on the insert side.
-    /// `0` or `1` measures the single-key `put` path; larger values
-    /// drive inserts in bursts of this size through the table's batched
-    /// write pipeline (lookups stay single-key), modeling a pipelining
-    /// client's coalesced storage bursts.
-    pub write_batch: usize,
 }
 
 impl FillSpec {
@@ -57,7 +51,6 @@ impl FillSpec {
             insert_ratio,
             fill_to: 0.95,
             windows: vec![(0.0, 0.95), (0.75, 0.90), (0.90, 0.95)],
-            write_batch: 1,
         }
     }
 }
@@ -119,51 +112,16 @@ pub fn run_fill<V: BenchValue, M: ConcurrentMap<V> + ?Sized>(map: &M, spec: &Fil
             let boundaries = &boundaries;
             let map = &*map;
             let spec_ratio = spec.insert_ratio;
-            let write_batch = spec.write_batch.max(1);
             s.spawn(move || {
                 let batch_size = batch_size;
                 let mut rng = SplitMix64::new(0xabcd ^ t);
                 let mut inserted = 0u64;
                 let mut ops = 0u64;
                 let mut local_batch = 0u64;
-                let mut pairs: Vec<(u64, V)> = Vec::with_capacity(write_batch);
-                let mut results: Vec<PutResult> = Vec::with_capacity(write_batch);
                 while inserted < per_thread {
                     let do_insert = spec_ratio >= 1.0
                         || (rng.next_u64() as f64 / u64::MAX as f64) < spec_ratio;
-                    if do_insert && write_batch > 1 {
-                        // Batch mode: a burst of the stream's next keys
-                        // through the pipelined write path.
-                        let n = write_batch.min((per_thread - inserted) as usize);
-                        pairs.clear();
-                        pairs.extend((0..n as u64).map(|j| {
-                            let key = key_of(t, inserted + j);
-                            (key, V::from_key(key))
-                        }));
-                        map.write_many(&pairs, &mut results);
-                        let mut full = false;
-                        for r in &results {
-                            match r {
-                                PutResult::Inserted => {
-                                    inserted += 1;
-                                    local_batch += 1;
-                                }
-                                PutResult::Exists => {
-                                    // Disjoint streams: cannot happen.
-                                    debug_assert!(false, "duplicate in disjoint stream");
-                                    inserted += 1;
-                                }
-                                PutResult::Full => full = true,
-                            }
-                        }
-                        // The shared `ops += 1` below covers one op of
-                        // the burst; add the rest here.
-                        ops += n as u64 - 1;
-                        if full {
-                            hit_full.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    } else if do_insert {
+                    if do_insert {
                         let key = key_of(t, inserted);
                         match map.put(key, V::from_key(key)) {
                             PutResult::Inserted => {
@@ -367,7 +325,6 @@ mod tests {
     fn mixed_ratio_performs_lookups_too() {
         let map: OptimisticCuckooMap<u64, u64, 8> = OptimisticCuckooMap::with_capacity(1 << 12);
         let spec = FillSpec {
-            write_batch: 1,
             threads: 2,
             insert_ratio: 0.5,
             fill_to: 0.5,
@@ -383,7 +340,6 @@ mod tests {
     fn lookup_only_throughput_is_positive() {
         let map: OptimisticCuckooMap<u64, u64, 8> = OptimisticCuckooMap::with_capacity(1 << 12);
         let fill = FillSpec {
-            write_batch: 1,
             threads: 2,
             insert_ratio: 1.0,
             fill_to: 0.9,
@@ -400,38 +356,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_fill_reaches_target_load() {
-        // The write-batch knob drives inserts through `write_many` in
-        // bursts; the fill must land exactly like the single-key path.
-        for write_batch in [4, 8, 16] {
-            let map: OptimisticCuckooMap<u64, u64, 8> = OptimisticCuckooMap::with_capacity(1 << 12);
-            let spec = FillSpec {
-                write_batch,
-                threads: 2,
-                insert_ratio: 1.0,
-                fill_to: 0.9,
-                windows: vec![(0.0, 0.9)],
-            };
-            let report = run_fill(&map, &spec);
-            assert!(!report.hit_full, "batch {write_batch}");
-            assert!(report.achieved_load > 0.89, "batch {write_batch}: {}", report.achieved_load);
-            assert_eq!(report.inserts as usize, ConcurrentMap::<u64>::items(&map));
-            // Every key of every thread's stream is present.
-            let per_thread = report.inserts / 2;
-            for t in 0..2u64 {
-                for i in (0..per_thread).step_by(97) {
-                    let key = key_of(t, i);
-                    assert_eq!(ConcurrentMap::<u64>::read(&map, &key), Some(u64::from_key(key)));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn batched_lookup_throughput_is_positive() {
         let map: OptimisticCuckooMap<u64, u64, 8> = OptimisticCuckooMap::with_capacity(1 << 12);
         let fill = FillSpec {
-            write_batch: 1,
             threads: 2,
             insert_ratio: 1.0,
             fill_to: 0.9,

@@ -251,3 +251,33 @@ fn memory_stays_flat_across_eight_consecutive_doublings() {
         leak_factor
     );
 }
+
+/// Single-key writes racing a migration: one writer drives the whole
+/// key space through `insert` while the map expands underneath it
+/// (capacity overflow triggers expansion; a helper thread keeps
+/// migration moving). Every entry must land exactly once.
+#[test]
+fn inserts_land_all_keys_across_live_expansion() {
+    let m: CuckooMap<u64, u64, 8> = CuckooMap::with_capacity(1 << 10);
+    let n = m.capacity() as u64; // > capacity * fill threshold → expands
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let (m_ref, stop_ref) = (&m, &stop);
+        let helper = s.spawn(move || {
+            while !stop_ref.load(Ordering::Acquire) {
+                while m_ref.help_migrate(usize::MAX) {}
+                std::hint::spin_loop();
+            }
+        });
+        for k in 0..n {
+            m.insert(k, k * 7 + 5).unwrap();
+        }
+        stop.store(true, Ordering::Release);
+        helper.join().unwrap();
+    });
+    assert_eq!(m.len() as u64, n);
+    let keys: Vec<u64> = (0..n).collect();
+    for (k, v) in keys.iter().zip(m.get_many(&keys)) {
+        assert_eq!(v, Some(k * 7 + 5), "key {k} lost");
+    }
+}

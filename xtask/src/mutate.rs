@@ -19,7 +19,7 @@
 //!   grants acquire/release semantics for free — the lint is the only
 //!   honest judge we have without a weaker-memory CI host.)
 //! * **Pair-lock sort inversion** — the deadlock-avoidance total order.
-//! * **Batch stripe-sort inversion** — the write-group `lock_batch`
+//! * **Batch stripe-sort inversion** — the migration move's `lock_batch`
 //!   acquisition order flipped to descending, breaking the shared
 //!   total order with `lock_pair`.
 //! * **`.rev()` stripping** — hole-backwards → items-forward execution.
@@ -412,7 +412,7 @@ pub fn pinned() -> Vec<Mutant> {
                 pkg: "cuckoo",
                 filter: "lock_batch",
             },
-            "batched write-group stripe sort inverted (deadlock seed vs pair/multi order)",
+            "migration-move stripe sort inverted (deadlock seed vs pair/multi order)",
         ),
         m(
             "weaken-exec-displacements",
