@@ -358,6 +358,9 @@ pub mod persist {
         pub log_records: Counter,
         /// Framed bytes appended to the op log.
         pub log_bytes: Counter,
+        /// `write(2)` calls the group-commit writer issued to the op log:
+        /// one per drained batch, however many records it carries.
+        pub log_writes: Counter,
         /// `fsync` calls issued by the group-commit writer.
         pub fsyncs: Counter,
         /// Group-commit latency in microseconds: age of the oldest
@@ -398,6 +401,7 @@ pub mod persist {
         pub fn samples(&self, out: &mut Vec<Sample>) {
             out.push(Sample::counter("cuckoo_persist_log_records_total", self.log_records.get()));
             out.push(Sample::counter("cuckoo_persist_log_bytes_total", self.log_bytes.get()));
+            out.push(Sample::counter("cuckoo_persist_log_writes_total", self.log_writes.get()));
             out.push(Sample::counter("cuckoo_persist_fsyncs_total", self.fsyncs.get()));
             out.push(Sample::histogram(
                 "cuckoo_persist_group_commit_us",
@@ -443,6 +447,7 @@ pub mod persist {
         pub fn reset(&self) {
             self.log_records.reset();
             self.log_bytes.reset();
+            self.log_writes.reset();
             self.fsyncs.reset();
             self.group_commit_us.reset();
             self.backpressure_waits.reset();
@@ -474,6 +479,7 @@ mod tests {
             [
                 "cuckoo_persist_log_records_total",
                 "cuckoo_persist_log_bytes_total",
+                "cuckoo_persist_log_writes_total",
                 "cuckoo_persist_fsyncs_total",
                 "cuckoo_persist_group_commit_us",
                 "cuckoo_persist_backpressure_waits_total",

@@ -7,8 +7,11 @@
 //! protocol it owns:
 //!
 //! - **LSN assignment and enqueue are one atomic step** (both under the
-//!   queue mutex), so the buffer is always in LSN order and two racing
-//!   appends can never enqueue out of order.
+//!   queue mutex): each record is encoded straight onto the end of one
+//!   contiguous byte run in the critical section that assigns its LSN,
+//!   so the run is always LSN-ordered frames and two racing appends can
+//!   never enqueue out of order. The run *is* what the writer puts on
+//!   disk: a drained batch is one write.
 //! - **Backpressure never blocks on disk**: when the buffer is at its
 //!   byte bound the appender spin-yields until the writer drains it —
 //!   it waits on *memory*, not on `fsync`.
@@ -25,21 +28,29 @@ use crate::record::{encode_op, Op};
 use cuckoo::sync2::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use cuckoo::sync2::{thread, Mutex};
 use metrics::persist::PersistMetrics;
-
-/// One encoded record waiting for the writer thread.
-pub struct PendingRecord {
-    pub lsn: u64,
-    /// The complete on-disk frame (header + payload).
-    pub frame: Vec<u8>,
-    /// When the record entered the queue; the writer turns the age at
-    /// fsync time into the group-commit latency histogram. Not part of
-    /// the modeled protocol.
-    pub enqueued: std::time::Instant,
-}
+use std::time::Instant;
 
 struct Pending {
-    buf: Vec<PendingRecord>,
+    /// Encoded frames (header + payload each), back to back in LSN
+    /// order: exactly the bytes the writer appends to the log.
+    buf: Vec<u8>,
+    /// When the oldest frame in `buf` was enqueued; the writer turns its
+    /// age at fsync time into the group-commit latency histogram. Not
+    /// part of the modeled protocol.
+    first_enqueued: Option<Instant>,
     next_lsn: u64,
+}
+
+/// One drained run of frames, as [`CommitQueue::pop_batch`] hands it
+/// to the writer.
+pub struct Batch {
+    /// Whole frames, LSN-ordered and dense; empty if nothing was queued.
+    pub frames: Vec<u8>,
+    /// LSN of the last frame in `frames` (the highest LSN assigned so
+    /// far, so already written when `frames` is empty).
+    pub last_lsn: u64,
+    /// When the first frame in `frames` was enqueued.
+    pub enqueued: Option<Instant>,
 }
 
 /// See the module docs.
@@ -67,7 +78,11 @@ impl CommitQueue {
     /// the in-flight buffer.
     pub fn new(start_lsn: u64, max_pending_bytes: usize) -> Self {
         CommitQueue {
-            pending: Mutex::new(Pending { buf: Vec::new(), next_lsn: start_lsn + 1 }),
+            pending: Mutex::new(Pending {
+                buf: Vec::new(),
+                first_enqueued: None,
+                next_lsn: start_lsn + 1,
+            }),
             pending_bytes: AtomicUsize::new(0),
             last_lsn: AtomicU64::new(start_lsn),
             written_lsn: AtomicU64::new(start_lsn),
@@ -86,13 +101,13 @@ impl CommitQueue {
             !matches!(op, Op::Heartbeat { .. }),
             "heartbeats are wire-only, never logged"
         );
-        self.append_many(1, |_, lsn, frame| encode_op(op, lsn, frame), metrics)
+        self.append_many(1, |_, lsn, buf| encode_op(op, lsn, buf), metrics)
     }
 
     /// Enqueues `n` records under consecutive LSNs in one step, as
-    /// [`append`](Self::append) enqueues one: `encode(i, lsn, frame)`
-    /// writes record `i`'s frame and returns its size. Returns the last
-    /// LSN assigned (`last_lsn()` unchanged when `n` is 0).
+    /// [`append`](Self::append) enqueues one: `encode(i, lsn, buf)`
+    /// appends record `i`'s frame to `buf` and returns its size. Returns
+    /// the last LSN assigned (`last_lsn()` unchanged when `n` is 0).
     pub fn append_many(
         &self,
         n: usize,
@@ -132,14 +147,14 @@ impl CommitQueue {
                 thread::yield_now();
                 continue;
             }
-            let enqueued = std::time::Instant::now();
+            let st = &mut *st;
+            if st.buf.is_empty() {
+                st.first_enqueued = Some(Instant::now());
+            }
             let mut bytes = 0;
             for i in 0..n {
-                let lsn = st.next_lsn;
+                bytes += encode(i, st.next_lsn, &mut st.buf);
                 st.next_lsn += 1;
-                let mut frame = Vec::new();
-                bytes += encode(i, lsn, &mut frame);
-                st.buf.push(PendingRecord { lsn, frame, enqueued });
             }
             let lsn = st.next_lsn - 1;
             // ORDERING: publish.release-store
@@ -152,17 +167,21 @@ impl CommitQueue {
         }
     }
 
-    /// Takes the whole buffered batch (LSN-ordered, possibly empty).
-    pub fn pop_batch(&self) -> Vec<PendingRecord> {
+    /// Takes the whole buffered run of frames (possibly empty) and
+    /// leaves `spare`, cleared, in its place: the writer hands back the
+    /// run it last wrote, so steady state allocates nothing.
+    pub fn pop_batch(&self, mut spare: Vec<u8>) -> Batch {
+        spare.clear();
         let mut st = self.pending.lock().expect("commit queue poisoned");
-        let batch = std::mem::take(&mut st.buf);
-        let bytes: usize = batch.iter().map(|r| r.frame.len()).sum();
+        let frames = std::mem::replace(&mut st.buf, spare);
+        let enqueued = st.first_enqueued.take();
+        let last_lsn = st.next_lsn - 1;
         drop(st);
-        if bytes != 0 {
+        if !frames.is_empty() {
             // ORDERING: publish.release-store
-            self.pending_bytes.fetch_sub(bytes, Ordering::Release);
+            self.pending_bytes.fetch_sub(frames.len(), Ordering::Release);
         }
-        batch
+        Batch { frames, last_lsn, enqueued }
     }
 
     /// Writer: the batch up to `lsn` has been handed to the OS.
@@ -227,6 +246,7 @@ impl CommitQueue {
 #[cfg(all(test, not(cuckoo_model)))]
 mod tests {
     use super::*;
+    use crate::record::decode_all;
 
     fn set(i: u64) -> Op {
         Op::Set {
@@ -238,6 +258,14 @@ mod tests {
         }
     }
 
+    /// The LSNs of the whole frames in `frames`, in byte order; any
+    /// torn or corrupt frame fails the test.
+    fn lsns(frames: &[u8]) -> Vec<u64> {
+        let (records, valid) = decode_all(frames);
+        assert_eq!(valid, frames.len(), "torn or corrupt frame in the run");
+        records.iter().map(|r| r.lsn).collect()
+    }
+
     #[test]
     fn lsns_are_dense_and_batches_ordered() {
         let q = CommitQueue::new(0, 1 << 20);
@@ -245,12 +273,14 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.append(&set(i), &m), i + 1);
         }
-        let batch = q.pop_batch();
-        assert_eq!(batch.len(), 100);
-        for (i, r) in batch.iter().enumerate() {
-            assert_eq!(r.lsn, i as u64 + 1);
-        }
-        assert!(q.pop_batch().is_empty());
+        let batch = q.pop_batch(Vec::new());
+        assert_eq!(lsns(&batch.frames), (1..=100).collect::<Vec<_>>());
+        assert_eq!(batch.last_lsn, 100);
+        assert!(batch.enqueued.is_some());
+        assert_eq!(batch.frames.len() as u64, m.log_bytes.get());
+        let empty = q.pop_batch(batch.frames);
+        assert!(empty.frames.is_empty());
+        assert!(empty.enqueued.is_none());
         assert_eq!(m.log_records.get(), 100);
     }
 
@@ -268,11 +298,12 @@ mod tests {
                 });
             }
         });
-        let batch = q.pop_batch();
-        assert_eq!(batch.len(), 2000);
-        for (i, r) in batch.iter().enumerate() {
-            assert_eq!(r.lsn, i as u64 + 1, "buffer must be LSN-ordered");
-        }
+        let batch = q.pop_batch(Vec::new());
+        assert_eq!(
+            lsns(&batch.frames),
+            (1..=2000).collect::<Vec<_>>(),
+            "the byte run must be LSN-ordered"
+        );
     }
 
     #[test]
@@ -289,17 +320,20 @@ mod tests {
         };
         // Drain slowly; the appender must block (on memory, not disk)
         // whenever the buffer is over bound.
-        let mut drained = 0;
-        while drained < 200 {
+        let mut drained = Vec::new();
+        let mut spare = Vec::new();
+        while drained.len() < 200 {
             std::thread::sleep(std::time::Duration::from_millis(1));
-            let batch = q.pop_batch();
+            let batch = q.pop_batch(spare);
             assert!(
-                batch.iter().map(|r| r.frame.len()).sum::<usize>() <= 2_000 + 100,
+                batch.frames.len() <= 2_000 + 100,
                 "buffer exceeded its bound by more than one record"
             );
-            drained += batch.len();
+            drained.extend(lsns(&batch.frames));
+            spare = batch.frames;
         }
         appender.join().unwrap();
+        assert_eq!(drained, (1..=200).collect::<Vec<_>>());
         assert!(m.backpressure_waits.get() > 0, "the bound was never hit");
     }
 
@@ -310,7 +344,7 @@ mod tests {
         assert_eq!(q.durable_lsn(), 10);
         let lsn = q.append(&set(1), &m);
         assert_eq!(lsn, 11);
-        q.pop_batch();
+        assert_eq!(q.pop_batch(Vec::new()).last_lsn, 11);
         q.mark_written(11);
         assert_eq!(q.written_lsn(), 11);
         q.mark_durable(11);

@@ -2,6 +2,12 @@
 //! commit queue to disk, the rotation protocol the snapshotter uses to
 //! carve off a compactable prefix, and the recovery-time file scanner.
 //!
+//! Each drain takes the queue's whole run of frames and appends it with
+//! one `write(2)` (`cuckoo_persist_log_writes_total` counts them), then
+//! hands the emptied buffer back as the queue's next run. A crash in
+//! that write can tear any frame of the batch; recovery truncates at the
+//! first torn frame as it would at any other.
+//!
 //! Everything here runs on real files and real time, so it is *not*
 //! compiled under the model checker — the protocol it drives (the
 //! commit queue) is modeled separately with a test thread standing in
@@ -17,7 +23,7 @@
 //!   so no crash point tears `oplog.old`.
 
 use crate::commit::CommitQueue;
-use crate::record::{decode, Decoded, Record};
+use crate::record::{decode_all, Record};
 use metrics::persist::PersistMetrics;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -96,23 +102,25 @@ fn writer_loop(
     // Oldest record written since the last fsync; its age *at* the fsync
     // is the group-commit latency for that batch.
     let mut oldest_unsynced: Option<Instant> = None;
+    // The run written last time round, handed back to the queue to fill.
+    let mut spare = Vec::new();
 
     loop {
-        let batch = queue.pop_batch();
+        let batch = queue.pop_batch(spare);
         let shutting_down = queue.is_shutdown();
+        let drained = !batch.frames.is_empty();
 
-        if let Some(last) = batch.last() {
-            let max_lsn = last.lsn;
+        if drained {
             if oldest_unsynced.is_none() {
-                oldest_unsynced = Some(batch[0].enqueued);
+                oldest_unsynced = batch.enqueued;
             }
-            for r in &batch {
-                file.write_all(&r.frame).expect("persist: op log write failed");
-            }
+            file.write_all(&batch.frames).expect("persist: op log write failed");
+            metrics.log_writes.inc();
             // Written (visible to a tailing replica feeder) but not yet
             // durable until the next fsync below.
-            queue.mark_written(max_lsn);
+            queue.mark_written(batch.last_lsn);
         }
+        spare = batch.frames;
 
         let sync_now = queue.take_sync_request();
         let dirty = oldest_unsynced.is_some();
@@ -148,7 +156,7 @@ fn writer_loop(
             rotate.rotations.fetch_add(1, Ordering::Release);
         }
 
-        if shutting_down && batch.is_empty() {
+        if shutting_down && !drained {
             // One extra empty pop after the flag means the queue is
             // drained (appenders are quiesced before shutdown); the
             // fsync above already ran because `dirty` pairs with
@@ -156,7 +164,7 @@ fn writer_loop(
             debug_assert_eq!(queue.durable_lsn(), queue.last_lsn());
             return;
         }
-        if batch.is_empty() {
+        if !drained {
             std::thread::sleep(POLL);
         }
     }
@@ -186,22 +194,8 @@ pub fn scan_file(path: &Path) -> io::Result<Option<ScannedFile>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     }
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    let mut torn = false;
-    while pos < buf.len() {
-        match decode(&buf[pos..]) {
-            Decoded::Frame { record, consumed } => {
-                records.push(record);
-                pos += consumed;
-            }
-            Decoded::Incomplete | Decoded::Corrupt => {
-                torn = true;
-                break;
-            }
-        }
-    }
-    Ok(Some(ScannedFile { records, valid_bytes: pos as u64, torn }))
+    let (records, valid) = decode_all(&buf);
+    Ok(Some(ScannedFile { records, valid_bytes: valid as u64, torn: valid < buf.len() }))
 }
 
 /// Truncates a torn tail off `path`, keeping exactly `valid_bytes`.

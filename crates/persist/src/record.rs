@@ -65,10 +65,15 @@ pub struct Record {
     pub op: Op,
 }
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven, vendored —
-/// the container has no crates.io access.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, the zlib polynomial), slicing-by-8, vendored so
+/// the codec has no dependencies. `CRC_TABLES[0]` is the classic
+/// bytewise table; `CRC_TABLES[k][b]` is `CRC_TABLES[0][b]` carried
+/// through `k` more zero bytes, so eight lookups fold eight input bytes
+/// at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -77,17 +82,41 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
-};
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
 
 /// CRC-32/IEEE of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -255,6 +284,25 @@ pub fn decode(buf: &[u8]) -> Decoded {
     Decoded::Frame { record: Record { lsn, op }, consumed: FRAME_HEADER + len }
 }
 
+/// Decodes every whole frame from the front of `buf`, in order, and
+/// returns them with the bytes they occupy. Stops at the first
+/// incomplete or corrupt frame, so a result shorter than `buf` means
+/// `buf` ends torn.
+pub fn decode_all(buf: &[u8]) -> (Vec<Record>, usize) {
+    let mut records = Vec::new();
+    let mut pos = 0usize;
+    while pos < buf.len() {
+        match decode(&buf[pos..]) {
+            Decoded::Frame { record, consumed } => {
+                records.push(record);
+                pos += consumed;
+            }
+            Decoded::Incomplete | Decoded::Corrupt => break,
+        }
+    }
+    (records, pos)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,6 +402,28 @@ mod tests {
         assert_eq!(decode(&buf), Decoded::Corrupt);
         buf[4..8].copy_from_slice(&0u32.to_le_bytes());
         assert_eq!(decode(&buf), Decoded::Corrupt, "zero-length payload");
+    }
+
+    #[test]
+    fn sliced_crc_matches_bytewise_reference() {
+        // The textbook one-byte-per-step CRC-32/IEEE, bit by bit.
+        fn reference(data: &[u8]) -> u32 {
+            let mut c = 0xffff_ffffu32;
+            for &b in data {
+                c ^= b as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+                }
+            }
+            c ^ 0xffff_ffff
+        }
+        let data: Vec<u8> = (0..308u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=300 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), reference(s), "start {start} len {len}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! `loom::explore` walks the interleavings of the *real* protocol code:
 //!
 //! - LSN assignment under concurrent appenders stays dense and the
-//!   buffer stays LSN-ordered (the property replica replay relies on);
+//!   byte run the writer puts on disk stays LSN-ordered (the property
+//!   replica replay relies on);
 //! - the `durable ≤ written ≤ last` watermark chain holds at every
 //!   observable point while a writer thread drains concurrently;
 //! - shutdown cannot deadlock an appender parked in backpressure;
@@ -19,7 +20,7 @@ use cuckoo::sync2::atomic::{AtomicU64, Ordering};
 use cuckoo::sync2::Mutex;
 use metrics::persist::PersistMetrics;
 use persist::commit::CommitQueue;
-use persist::record::Op;
+use persist::record::{decode_all, Op};
 use persist::WriteStripes;
 use std::sync::Arc;
 
@@ -33,9 +34,17 @@ fn set(tag: u64) -> Op {
     }
 }
 
+/// The LSNs of the frames in a drained byte run, in byte order — what
+/// the writer would put in the file.
+fn lsns(frames: &[u8]) -> Vec<u64> {
+    let (records, valid) = decode_all(frames);
+    assert_eq!(valid, frames.len(), "torn or corrupt frame in the run");
+    records.iter().map(|r| r.lsn).collect()
+}
+
 /// Two racing appenders: every schedule must hand out exactly LSNs
-/// {1, 2} with the buffer in LSN order — assignment and enqueue are one
-/// atomic step, so replica replay can trust file order. Bounded DFS.
+/// {1, 2} with the byte run in LSN order — assignment and enqueue are
+/// one atomic step, so replica replay can trust file order. Bounded DFS.
 #[test]
 fn concurrent_appends_stay_dense_and_ordered() {
     loom::explore(loom::Config::dfs(4_000), || {
@@ -47,14 +56,14 @@ fn concurrent_appends_stay_dense_and_ordered() {
                 loom::thread::spawn(move || q.append(&set(t), &m))
             })
             .collect();
-        let mut lsns: Vec<u64> =
+        let mut assigned: Vec<u64> =
             threads.into_iter().map(|h| h.join().unwrap()).collect();
-        lsns.sort_unstable();
-        assert_eq!(lsns, [1, 2], "LSNs must be dense, no gap and no dup");
+        assigned.sort_unstable();
+        assert_eq!(assigned, [1, 2], "LSNs must be dense, no gap and no dup");
         assert_eq!(q.last_lsn(), 2);
-        let batch = q.pop_batch();
-        assert_eq!(batch.len(), 2);
-        assert!(batch[0].lsn < batch[1].lsn, "buffer out of LSN order");
+        let batch = q.pop_batch(Vec::new());
+        assert_eq!(lsns(&batch.frames), [1, 2], "byte run out of LSN order");
+        assert_eq!(batch.last_lsn, 2);
     })
     .expect("no schedule may tear LSN assignment");
 }
@@ -78,12 +87,15 @@ fn watermarks_never_cross_under_a_racing_writer() {
         let writer = {
             let q = Arc::clone(&q);
             loom::thread::spawn(move || {
+                let mut spare = Vec::new();
                 for _ in 0..2 {
-                    let batch = q.pop_batch();
-                    if let Some(last) = batch.last() {
-                        q.mark_written(last.lsn);
-                        q.mark_durable(last.lsn);
+                    let batch = q.pop_batch(spare);
+                    if let Some(&last) = lsns(&batch.frames).last() {
+                        assert_eq!(last, batch.last_lsn);
+                        q.mark_written(last);
+                        q.mark_durable(last);
                     }
+                    spare = batch.frames;
                     let (d, w, l) = (q.durable_lsn(), q.written_lsn(), q.last_lsn());
                     assert!(d <= w && w <= l, "watermarks crossed: {d} {w} {l}");
                 }
@@ -118,8 +130,7 @@ fn shutdown_releases_backpressured_appenders() {
         };
         closer.join().unwrap();
         appender.join().unwrap();
-        let drained: Vec<u64> = q.pop_batch().iter().map(|r| r.lsn).collect();
-        assert_eq!(drained, [1, 2]);
+        assert_eq!(lsns(&q.pop_batch(Vec::new()).frames), [1, 2]);
     })
     .expect("shutdown must release appenders parked on the byte bound");
 }

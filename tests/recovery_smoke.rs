@@ -231,6 +231,7 @@ fn persist_metric_families_are_exposed() {
     for family in [
         "cuckoo_persist_log_records_total",
         "cuckoo_persist_log_bytes_total",
+        "cuckoo_persist_log_writes_total",
         "cuckoo_persist_fsyncs_total",
         "cuckoo_persist_group_commit_us_count",
         "cuckoo_persist_backpressure_waits_total",
