@@ -154,7 +154,7 @@ impl<K: Plain + Eq, V: Plain, const B: usize> Stores<K, V, B> for RacyStore {
 /// First empty slot in either candidate bucket; writer exclusion over
 /// both must be held for the answer to stay true.
 #[inline]
-pub(crate) fn locked_empty_slot<K, V, const B: usize>(
+fn locked_empty_slot<K, V, const B: usize>(
     raw: &RawTable<K, V, B>,
     ks: KeySlots,
 ) -> Option<(usize, usize)> {
@@ -299,15 +299,25 @@ impl<S> WriteCtx<'_, S> {
     /// `Some(false)`: the path went stale mid-execution. Either way the
     /// caller re-enters step 1, which re-checks duplicates and claims
     /// whatever slot was freed.
+    ///
+    /// `ready` sees each planned path before it executes, still with no
+    /// lock held; `false` plans again (`CuckooMap` first migrates the
+    /// chunks the path would write into).
     pub(crate) fn search_and_displace<W: Stores<K, V, B>, K: Eq, V, const B: usize>(
         &self,
         raw: &RawTable<K, V, B>,
         ks: KeySlots,
         scratch: &mut SearchScratch,
+        mut ready: impl FnMut(&[PathEntry]) -> bool,
         valid: impl Fn() -> bool,
     ) -> Option<bool> {
         self.metrics.record_search();
-        self.plan_and_record(raw, ks, scratch).ok()?;
+        loop {
+            self.plan_and_record(raw, ks, scratch).ok()?;
+            if ready(&scratch.path) {
+                break;
+            }
+        }
         let executed = self.displace::<W, K, V, B>(raw, &scratch.path, valid);
         self.metrics.record_execution(!executed);
         Some(executed)

@@ -20,15 +20,20 @@
 //!   per-displacement pair-locked validated execution, exactly like
 //!   `cuckoo+`;
 //! - **incremental expansion** (default): when a path search fails, a
-//!   doubled table is allocated and buckets migrate in fixed-size chunks
-//!   under their stripe locks only. Writers help-migrate the chunks
-//!   covering their own candidate buckets before operating (and sweep one
-//!   extra chunk so the tail completes); readers route through a
-//!   two-table lookup gated by per-chunk migration watermarks and never
-//!   block on migration. No operation ever stalls for a whole-table
-//!   rehash. [`ResizeMode::StopTheWorld`] keeps the old behavior — the
-//!   table doubles under the full-stripe lock — as a baseline and
-//!   fallback.
+//!   doubled table is allocated and buckets migrate in fixed-size chunks.
+//!   Doubling the mask keeps a key's low index bits, so each old bucket
+//!   `ob` *splits*: every entry moves, in its own slot, to whichever of
+//!   `ob` and `ob + old_n` is its new candidate, under the one pair lock
+//!   that covers the old bucket and both images — no path search, no
+//!   failure. Writers help-migrate the chunks covering their own
+//!   candidate buckets before operating, and those a cuckoo path would
+//!   write into before executing it (a new bucket is written only after
+//!   its old image's chunk is done); one write in eight sweeps an extra
+//!   chunk so the tail completes. Readers route through a two-table
+//!   lookup gated by per-chunk migration watermarks and never block on
+//!   migration. No operation ever stalls for a whole-table rehash.
+//!   [`ResizeMode::StopTheWorld`] keeps the old behavior — the table
+//!   doubles under the full-stripe lock — as a baseline and fallback.
 //! - **quiescence-based reclamation**: retired bucket arrays go to a
 //!   graveyard stamped with an epoch from a striped
 //!   [`EpochRegistry`]; they are freed once every in-flight operation
@@ -37,14 +42,14 @@
 //!   fail validation) and long-running processes no longer leak one
 //!   table per doubling.
 
-use crate::core::{claim, locked_empty_slot, PlainStore, WriteCtx, MULTIGET_GROUP};
+use crate::core::{claim, PlainStore, WriteCtx, MULTIGET_GROUP};
 use crate::counter::ShardedCounter;
 use crate::error::{InsertError, UpsertOutcome};
 use crate::hash::{hash_of, key_slots, slots_from_hash, DefaultHashBuilder, KeySlots};
 use crate::prefetch::prefetch_write;
 use crate::raw::RawTable;
 use crate::read::{probe, read_group, warm, Locked, ReadProtocol};
-use crate::search;
+use crate::search::{self, PathEntry};
 use crate::sync::{EpochRegistry, LockStripes, DEFAULT_STRIPES};
 use crate::stats::TableMetrics;
 use crate::DEFAULT_MAX_SEARCH_SLOTS;
@@ -65,15 +70,15 @@ pub enum ResizeMode {
     StopTheWorld,
 }
 
-/// Buckets migrated per claimed chunk. Bounds the pause any single
-/// operation can absorb while helping: one chunk is at most
-/// `MIGRATION_CHUNK * B` entry moves, each under briefly-held stripe
-/// locks. Kept small — a write that lands on a not-yet-migrated bucket
-/// must drive that bucket's chunk to DONE before it can proceed, so the
-/// chunk *is* the write-latency tax during an expansion; at 4 buckets
-/// (≤32 entries, single-digit microseconds) the tax stays well under
-/// typical arrival gaps, while a near-full doubling still finishes
-/// within a few thousand writes.
+/// Buckets split per claimed chunk. Bounds the pause any single
+/// operation can absorb while helping: one chunk is `MIGRATION_CHUNK`
+/// bucket splits, each at most `B` hash-and-move steps under one pair
+/// lock. Kept small — a write that lands on a not-yet-migrated bucket
+/// (or whose cuckoo path would) must drive that bucket's chunk to DONE
+/// before it can proceed, so the chunk *is* the write-latency tax during
+/// an expansion; at 4 buckets (≤32 entries, about a microsecond) the
+/// tax stays well under typical arrival gaps, while a near-full doubling
+/// still finishes within a few thousand writes.
 const MIGRATION_CHUNK: usize = 4;
 
 /// One in this many writes (that land during a migration) volunteers to
@@ -804,7 +809,13 @@ where
             // Lock-free path search over atomic metadata only (safe even
             // for non-`Plain` keys — keys are never read).
             let executed = search::with_scratch(|scratch| {
-                self.write_ctx().search_and_displace::<PlainStore, K, V, B>(raw, ks, scratch, valid)
+                self.write_ctx().search_and_displace::<PlainStore, K, V, B>(
+                    raw,
+                    ks,
+                    scratch,
+                    |path| self.path_images_done(m, path),
+                    valid,
+                )
             });
             match executed {
                 Some(true) => stale_retries = 0,
@@ -899,6 +910,28 @@ where
         self.begin_migration(self.current());
     }
 
+    /// Model-only: every key stored in either table of an in-flight
+    /// migration, read under every stripe lock — a key listed twice is in
+    /// both tables, or twice in one.
+    #[cfg(cuckoo_model)]
+    pub fn stored_keys(&self) -> Vec<K>
+    where
+        K: Clone,
+    {
+        let _pin = self.epochs.pin();
+        let _all = self.stripes.lock_all();
+        let m = self.migration.load(Ordering::SeqCst);
+        // SAFETY: pinned; a descriptor loaded under the pin keeps both of
+        // its tables live.
+        let tables = if m.is_null() { vec![self.current()] } else { unsafe { vec![&*(*m).old, &*(*m).new] } };
+        let mut keys = Vec::new();
+        for raw in tables {
+            // SAFETY: every stripe held; the slots are occupied.
+            keys.extend(raw.occupied_coords().map(|(bi, s)| unsafe { (*raw.bucket(bi).key_ptr(s)).clone() }));
+        }
+        keys
+    }
+
     /// Migrates (or waits out) the chunks covering old-table buckets
     /// `b1`/`b2`. `false` means the migration resolved underneath us.
     fn ensure_chunks_done(
@@ -917,7 +950,7 @@ where
     }
 
     /// Drives chunk `c` to `DONE`: claims it if pending, else spins until
-    /// its owner finishes. Spinners hold no locks, so an owner escalating
+    /// its owner finishes. Spinners hold no locks, so a writer escalating
     /// to the full-table emergency rebuild cannot deadlock against them.
     fn wait_chunk_done(&self, mig: &Migration<K, V, B>, m: *mut Migration<K, V, B>, c: usize) -> bool {
         let mut spins = 0u32;
@@ -1008,11 +1041,15 @@ where
         }
     }
 
-    /// Moves every entry of one owned chunk from the old table into the
-    /// new. Each entry moves atomically under the stripes of its old
-    /// bucket and both new-table candidate buckets, so no concurrent
-    /// operation can observe it absent from both tables or present in
-    /// both. `false` means the migration resolved underneath us.
+    /// Splits every bucket of one owned chunk into its two images in the
+    /// new table. The doubled mask keeps a key's low index bits, so an
+    /// entry of old bucket `ob` has exactly one new candidate among `ob`
+    /// and `ob + old_n`, and it keeps its slot there. One pair lock covers
+    /// the old bucket and both images (old and new bucket `ob` share a
+    /// stripe), so no concurrent operation can observe an entry absent
+    /// from both tables or present in both. The destinations are empty: a new bucket is
+    /// written only after its old image's chunk is `DONE`. `false` means
+    /// the migration resolved underneath us.
     fn migrate_chunk(
         &self,
         mig: &Migration<K, V, B>,
@@ -1024,91 +1061,79 @@ where
         // DESIGN.md §5d).
         let old = unsafe { &*mig.old };
         let new = unsafe { &*mig.new };
+        let (old_n, old_mask) = (old.n_buckets(), old.mask());
         let lo = chunk * MIGRATION_CHUNK;
-        let hi = (lo + MIGRATION_CHUNK).min(old.n_buckets());
+        let hi = (lo + MIGRATION_CHUNK).min(old_n);
+        // The chunk's old buckets and each half of their images are
+        // contiguous runs: hint all three up front, so their misses
+        // overlap rather than queue one bucket at a time.
+        old.prefetch_run_write(lo, hi - lo);
+        new.prefetch_run_write(lo, hi - lo);
+        new.prefetch_run_write(lo + old_n, hi - lo);
         for ob in lo..hi {
-            let mut room_attempts = 0u32;
-            loop {
-                // Phase 1: pick the bucket's next entry and hash its key
-                // for the new table, under the old bucket's stripe only.
-                // Owning the chunk means only we (or an emergency
-                // rebuild, which the validation below catches) can touch
-                // this bucket's entries.
-                let (slot, ks_new);
-                {
-                    let _g = self.stripes.lock_pair(ob, ob);
-                    if self.migration.load(Ordering::SeqCst) != m {
-                        return false;
-                    }
-                    match old.first_occupied_slot(ob) {
-                        None => break, // bucket drained; next bucket
-                        Some(s) => {
-                            // SAFETY: stripe lock held; slot occupied.
-                            let key = unsafe { &*old.bucket(ob).key_ptr(s) };
-                            slot = s;
-                            ks_new = key_slots(&self.hash_builder, key, new.mask());
-                        }
-                    }
-                }
-                // Phase 2: move the entry under all three stripes.
-                let moved = {
-                    let _g = self.stripes.lock_batch(&[ob, ks_new.i1, ks_new.i2]);
-                    if self.migration.load(Ordering::SeqCst) != m {
-                        return false;
-                    }
-                    debug_assert!(
-                        old.meta(ob).is_occupied(slot),
-                        "only the chunk owner may drain its buckets"
-                    );
-                    match locked_empty_slot(new, ks_new) {
-                        Some((nbi, ns)) => {
-                            // SAFETY: all three stripes held; source
-                            // occupied, destination empty.
-                            unsafe {
-                                let (k, v) = old.take_entry(ob, slot);
-                                new.write_entry(nbi, ns, ks_new.tag, k, v);
-                            }
-                            true
-                        }
-                        None => false,
-                    }
-                };
-                if !moved {
-                    // Both new candidate buckets are full: displace
-                    // within the new table, then retry this entry.
-                    room_attempts += 1;
-                    if room_attempts > 8 || !self.make_room_in_new(mig, m, ks_new) {
-                        if self.migration.load(Ordering::SeqCst) != m {
-                            return false;
-                        }
-                        self.emergency_rebuild(m);
-                        return false;
-                    }
+            let _g = self.stripes.lock_pair(ob, ob + old_n);
+            if self.migration.load(Ordering::SeqCst) != m {
+                return false; // resolved by an emergency rebuild
+            }
+            let occ = old.meta(ob).occupied_mask();
+            let occupied = || (0..B).filter(move |&s| occ & (1 << s) != 0);
+            // Every entry's image first, then the moves: a move's atomic
+            // metadata stores serialize the core, while the hashes' key
+            // loads (a miss each when keys live behind pointers) overlap.
+            let mut to = [(0, 0); B];
+            for s in occupied() {
+                // SAFETY: pair lock held; the slot is occupied.
+                let ks = key_slots(&self.hash_builder, unsafe { &*old.bucket(ob).key_ptr(s) }, new.mask());
+                let d = if ks.i1 & old_mask == ob { ks.i1 } else { ks.i2 };
+                debug_assert_eq!(d & old_mask, ob, "an entry of bucket {ob} has an image among its candidates");
+                to[s] = (d, ks.tag);
+            }
+            for s in occupied() {
+                let (d, tag) = to[s];
+                debug_assert!(
+                    !new.meta(d).is_occupied(s),
+                    "split destination ({d}, {s}) written before its old image's chunk was DONE"
+                );
+                // SAFETY: pair lock held over `ob` and both its images;
+                // the source is occupied, the destination empty.
+                unsafe {
+                    let (k, v) = old.take_entry(ob, s);
+                    new.write_entry(d, s, tag, k, v);
                 }
             }
         }
         true
     }
 
-    /// Displaces entries inside the new table to open a slot in one of
-    /// `ks`'s candidate buckets. `false` only when the search finds no
-    /// path (the new table is effectively full).
-    fn make_room_in_new(
-        &self,
-        mig: &Migration<K, V, B>,
-        m: *mut Migration<K, V, B>,
-        ks: KeySlots,
-    ) -> bool {
-        // SAFETY: caller is pinned; the new table is live.
-        let new = unsafe { &*mig.new };
-        // A stale path just means a concurrent writer got there first;
-        // the caller re-examines the buckets either way.
-        search::with_scratch(|scratch| {
-            self.write_ctx().search_and_displace::<PlainStore, K, V, B>(new, ks, scratch, || {
-                self.migration.load(Ordering::SeqCst) == m
-            })
-        })
-        .is_some()
+    /// The new-table half of the split invariant for a cuckoo path: a
+    /// direct claim writes only buckets whose old images
+    /// [`writer_table`](Self::writer_table) already drove to `DONE`, but a
+    /// path may end in the image of a chunk still `PENDING`, where a later
+    /// split would land on the path's slot. Drives every such chunk to
+    /// `DONE` first, with no lock held, and returns `false` when it had
+    /// to: the splits may have filled the slots the path planned on, so
+    /// the caller plans again. A migration that resolved underneath
+    /// returns `true`; the path then fails `view_valid`.
+    fn path_images_done(&self, m: *mut Migration<K, V, B>, path: &[PathEntry]) -> bool {
+        if m.is_null() {
+            return true;
+        }
+        // SAFETY: (both derefs) the caller is pinned and observed `m`
+        // live, so the descriptor and its old table are at worst
+        // retired-but-not-freed.
+        let mig = unsafe { &*m };
+        let old_mask = unsafe { &*mig.old }.mask();
+        let mut done = true;
+        for p in path {
+            let c = Migration::<K, V, B>::chunk_of(p.bucket & old_mask);
+            if !mig.chunk_done(c) {
+                done = false;
+                if !self.wait_chunk_done(mig, m, c) {
+                    return true;
+                }
+            }
+        }
+        done
     }
 
     /// Publishes the fully-migrated new table and retires the old one.
@@ -1580,6 +1605,92 @@ mod tests {
         assert_eq!(m.get(&1_000), Some(1));
         assert_eq!(m.get(&1_001), Some(2));
         assert_eq!(m.len(), 402);
+    }
+
+    /// Where every key sits, read single-threaded from `raw`.
+    fn positions(raw: &RawTable<u64, u64, 4>) -> Vec<(u64, usize, usize)> {
+        // SAFETY: single-threaded test; the slots are occupied.
+        raw.occupied_coords().map(|(bi, s)| (unsafe { *raw.bucket(bi).key_ptr(s) }, bi, s)).collect()
+    }
+
+    #[test]
+    fn migration_splits_each_bucket_into_its_two_images() {
+        let m: CuckooMap<u64, u64, 4> = CuckooMap::with_capacity(0);
+        let old_n = m.current().n_buckets();
+        let n = (m.capacity() * 3 / 4) as u64;
+        for k in 0..n {
+            m.insert(k, k + 1).unwrap();
+        }
+        assert!(!m.is_migrating() && m.current().n_buckets() == old_n, "the fill must not grow the table");
+        let mut before = positions(m.current());
+        let searches = m.metrics().path_stats().searches;
+        m.begin_migration(m.current());
+        while m.help_migrate(usize::MAX) {}
+        assert_eq!(m.current().n_buckets(), old_n * 2);
+        assert_eq!(m.len(), n as usize);
+        assert_eq!(m.metrics().path_stats().searches, searches, "a split never searches for a path");
+        let mut after = positions(m.current());
+        before.sort_unstable();
+        after.sort_unstable();
+        assert_eq!(before.len(), after.len());
+        for (&(k, ob, s), &(k2, d, s2)) in before.iter().zip(&after) {
+            assert_eq!((k, s), (k2, s2), "key {k} keeps its slot");
+            assert!(d == ob || d == ob + old_n, "key {k}: bucket {ob} split into {d}");
+            let ks = slots_from_hash(hash_of(&m.hash_builder, &k), m.current().mask());
+            assert!(d == ks.i1 || d == ks.i2, "key {k} landed outside its candidates");
+            assert_eq!(m.get(&k), Some(k + 1));
+        }
+    }
+
+    #[test]
+    fn cuckoo_paths_into_pending_images_wait_for_their_split() {
+        // Key `w`'s new candidate pair is full of fillers split from its
+        // own old images; each filler's other candidate is the image of a
+        // chunk still PENDING, whose old bucket holds, at slot 0, a key
+        // `p` that its split will put at slot 0 of that very image. A path
+        // for `w` that wrote there before the split would collide with it.
+        let m: CuckooMap<u64, u64, 4> = CuckooMap::with_capacity(0);
+        let old_mask = m.current().mask();
+        let new_mask = old_mask * 2 + 1;
+        let at = |k: u64| slots_from_hash(hash_of(&m.hash_builder, &k), new_mask);
+        let chunk = |b: usize| Migration::<u64, u64, 4>::chunk_of(b & old_mask);
+        let mut keys = 1u64..;
+        let w = keys.by_ref().find(|&k| chunk(at(k).i1) != chunk(at(k).i2)).unwrap();
+        let mut used = vec![chunk(at(w).i1), chunk(at(w).i2)];
+        let (mut fillers, mut images) = (Vec::new(), Vec::new());
+        for target in [at(w).i1, at(w).i2] {
+            let want = fillers.len() + 4;
+            while fillers.len() < want {
+                let f = keys.next().unwrap();
+                let ks = at(f);
+                if ks.i1 == target && !used.contains(&chunk(ks.i2)) {
+                    used.push(chunk(ks.i2));
+                    fillers.push(f);
+                    images.push(ks.i2);
+                }
+            }
+        }
+        let ps: Vec<u64> = images.iter().map(|&a| keys.by_ref().find(|&k| at(k).i1 == a).unwrap()).collect();
+        for &k in fillers.iter().chain(&ps) {
+            m.insert(k, k + 1).unwrap();
+        }
+        assert!(!m.is_migrating());
+        m.begin_migration(m.current());
+        // SAFETY: single-threaded; the descriptor lives until the last
+        // chunk is DONE.
+        let mig = unsafe { &*m.migration.load(Ordering::SeqCst) };
+        // No volunteer sweep: only the chunks this test names move.
+        m.help_tick.store(1, Ordering::Relaxed);
+        let searches = m.metrics().path_stats().searches;
+        m.insert(w, w + 1).unwrap();
+        assert_eq!(m.metrics().path_stats().searches, searches + 1, "w's candidate pair is full");
+        assert!(images.iter().any(|&a| mig.chunk_done(chunk(a))), "the path's image chunk was split first");
+        while m.help_migrate(usize::MAX) {}
+        let all: Vec<u64> = fillers.iter().chain(&ps).copied().chain([w]).collect();
+        assert_eq!(m.len(), all.len());
+        for k in all {
+            assert_eq!(m.get(&k), Some(k + 1), "key {k} lost");
+        }
     }
 
     #[test]

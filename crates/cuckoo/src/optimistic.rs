@@ -458,7 +458,7 @@ where
             }
             let executed = search::with_scratch(|scratch| {
                 self.write_ctx()
-                    .search_and_displace::<RacyStore, K, V, B>(&self.raw, ks, scratch, || true)
+                    .search_and_displace::<RacyStore, K, V, B>(&self.raw, ks, scratch, |_| true, || true)
             });
             let Some(executed) = executed else {
                 return self.full_table_insert(ks, key, val, upsert);

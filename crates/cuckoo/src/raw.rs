@@ -191,6 +191,16 @@ impl<K, V, const B: usize> RawTable<K, V, B> {
         crate::prefetch::prefetch_read(self.bucket(index) as *const Bucket<K, V, B>);
     }
 
+    /// Write-intent hints for every line of buckets `first..first + n`,
+    /// metadata and entries: a run a migration is about to drain or fill.
+    #[inline]
+    pub(crate) fn prefetch_run_write(&self, first: usize, n: usize) {
+        let meta: *const BucketMeta<B> = self.meta(first);
+        crate::prefetch::lines(meta.cast(), n * size_of::<BucketMeta<B>>(), crate::prefetch::prefetch_write::<u8>);
+        let entries: *const Bucket<K, V, B> = self.bucket(first);
+        crate::prefetch::lines(entries.cast(), n * size_of::<Bucket<K, V, B>>(), crate::prefetch::prefetch_write::<u8>);
+    }
+
     /// Hints every cache line of `(index, slot)`'s value storage into
     /// cache, for batched lookups whose tag probe named that slot: a
     /// value wider than a line is otherwise copied out one demand miss
@@ -290,9 +300,7 @@ impl<K, V, const B: usize> RawTable<K, V, B> {
             + self.meta.len() * core::mem::size_of::<BucketMeta<B>>()
     }
 
-    /// Lowest occupied slot index in `bucket`, if any. Incremental
-    /// migration drains buckets one entry at a time with this, so each
-    /// move holds its stripe locks only briefly.
+    /// Lowest occupied slot index in `bucket`, if any.
     #[inline]
     pub fn first_occupied_slot(&self, bucket: usize) -> Option<usize> {
         let mask = self.meta(bucket).occupied_mask();

@@ -22,9 +22,6 @@
 //! - [`LockStripes::lock_all`] — the pessimistic full-table acquisition
 //!   the paper describes as the probabilistic-livelock escape hatch
 //!   ("acquiring each of the 2048 locks in the lock-striped table").
-//! - [`LockStripes::lock_batch`] — ordered, deduplicated acquisition of
-//!   up to three stripes at once: incremental expansion's move of an
-//!   old-table bucket's entry into its two new-table candidate buckets.
 //! - [`EpochRegistry`] — striped epoch counters for quiescence-based
 //!   reclamation of retired bucket arrays: every table operation pins
 //!   the current epoch in a padded per-thread stripe, and a retired
@@ -36,11 +33,6 @@ use crate::sync2::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Number of lock stripes the paper's implementation uses by default.
 pub const DEFAULT_STRIPES: usize = 2048;
-
-/// Most buckets one [`LockStripes::lock_batch`] call may cover: the
-/// migration move's old-table bucket and its entry's two new-table
-/// candidates.
-const MAX_BATCH_BUCKETS: usize = 3;
 
 /// Bit 63 marks the stripe write-locked.
 const LOCKED: u64 = 1 << 63;
@@ -202,10 +194,10 @@ pub fn backoff(spins: &mut u32) {
 /// the type system cannot express:
 ///
 /// 1. **Ascending stripe order** — every multi-stripe acquisition
-///    ([`LockStripes::lock_pair`], [`LockStripes::lock_batch`],
-///    [`LockStripes::lock_all`]) takes stripes of one table in strictly
-///    increasing index order, and no thread starts a new acquisition at
-///    an index at or below one it already holds in that table.
+///    ([`LockStripes::lock_pair`], [`LockStripes::lock_all`]) takes
+///    stripes of one table in strictly increasing index order, and no
+///    thread starts a new acquisition at an index at or below one it
+///    already holds in that table.
 /// 2. **Pin before lock** — a thread must not establish an epoch pin
 ///    ([`EpochRegistry::pin`]) while holding stripe locks: a pinned
 ///    thread blocked on a stripe would pin the reclamation epoch in
@@ -456,45 +448,6 @@ impl LockStripes {
         AllGuard { stripes: self }
     }
 
-    /// Locks the stripes covering up to three buckets in ascending
-    /// stripe-index order (deadlock-free with [`LockStripes::lock_pair`]
-    /// and itself). Buckets sharing a stripe are coalesced under a single
-    /// acquisition.
-    ///
-    /// Incremental expansion moves one entry atomically with it: the
-    /// old-table bucket and both new-table candidate buckets are held
-    /// together, so no reader or writer can observe the entry absent from
-    /// both tables or present in both.
-    pub fn lock_batch(&self, buckets: &[usize]) -> BatchGuard<'_> {
-        assert!(
-            buckets.len() <= MAX_BATCH_BUCKETS,
-            "lock_batch covers at most {MAX_BATCH_BUCKETS} buckets"
-        );
-        let mut stripes = [usize::MAX; MAX_BATCH_BUCKETS];
-        let m = buckets.len();
-        for (s, &b) in stripes.iter_mut().zip(buckets) {
-            *s = self.stripe_of(b);
-        }
-        stripes[..m].sort_unstable();
-        let mut held = [usize::MAX; MAX_BATCH_BUCKETS];
-        let mut n = 0;
-        for &idx in &stripes[..m] {
-            if n > 0 && held[n - 1] == idx {
-                continue; // shared stripe: lock once
-            }
-            #[cfg(debug_assertions)]
-            audit::acquiring(self.audit_id(), idx);
-            self.lock_counted(idx);
-            held[n] = idx;
-            n += 1;
-        }
-        BatchGuard {
-            stripes: self,
-            held,
-            n,
-        }
-    }
-
     /// Bytes of memory the stripe table occupies (for the paper's memory
     /// accounting: "the efficiency of the basic table plus the small
     /// additional lock-striping table").
@@ -561,40 +514,6 @@ impl Drop for PairGuard<'_> {
         self.stripes.stripes[self.lo].lock.unlock();
         #[cfg(debug_assertions)]
         audit::released(self.stripes.audit_id(), self.lo);
-    }
-}
-
-/// Guard holding a deduplicated stripe set (see
-/// [`LockStripes::lock_batch`]); releases in reverse acquisition order.
-#[derive(Debug)]
-pub struct BatchGuard<'a> {
-    stripes: &'a LockStripes,
-    held: [usize; MAX_BATCH_BUCKETS],
-    n: usize,
-}
-
-impl BatchGuard<'_> {
-    /// Whether this guard covers the stripe of `bucket`.
-    #[inline]
-    pub fn covers(&self, bucket: usize) -> bool {
-        let s = self.stripes.stripe_of(bucket);
-        self.held[..self.n].contains(&s)
-    }
-
-    /// Distinct stripes actually locked (after coalescing).
-    #[inline]
-    pub fn stripes_held(&self) -> usize {
-        self.n
-    }
-}
-
-impl Drop for BatchGuard<'_> {
-    fn drop(&mut self) {
-        for &idx in self.held[..self.n].iter().rev() {
-            self.stripes.stripes[idx].lock.unlock();
-            #[cfg(debug_assertions)]
-            audit::released(self.stripes.audit_id(), idx);
-        }
     }
 }
 
@@ -816,58 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_batch_coalesces_and_acquires_in_ascending_stripe_order() {
-        // Shuffled buckets, with and without a shared stripe: the guard
-        // must coalesce shared stripes, acquire the distinct set
-        // ascending (the debug auditor panics otherwise — this test is
-        // the kill for the batch-sort mutation operator), and release
-        // everything.
-        let s = LockStripes::new(8);
-        {
-            let g = s.lock_batch(&[6, 1, 14]); // stripes {6, 1}; 14≡6
-            assert_eq!(g.stripes_held(), 2);
-            for b in [6, 1, 14] {
-                assert!(g.covers(b), "bucket {b}");
-                assert!(s.stripe(b).is_locked());
-            }
-            assert!(!g.covers(3));
-            assert!(!s.stripe(3).is_locked());
-        }
-        {
-            let g = s.lock_batch(&[6, 1, 3]);
-            assert_eq!(g.stripes_held(), 3);
-            assert!(!g.covers(2));
-        }
-        for b in 0..8 {
-            assert!(!s.stripe(b).is_locked(), "released {b}");
-        }
-        // Empty and full-width batches are legal.
-        assert_eq!(s.lock_batch(&[]).stripes_held(), 0);
-        let all: Vec<usize> = (0..MAX_BATCH_BUCKETS).collect();
-        assert_eq!(s.lock_batch(&all).stripes_held(), MAX_BATCH_BUCKETS);
-    }
-
-    #[test]
-    fn lock_batch_composes_with_pair_and_multi_ordering() {
-        // Nested acquisition above the batch's highest stripe stays legal
-        // under the auditor, as for a pair locker that runs while a
-        // migration move holds its three buckets.
-        let s = LockStripes::new(16);
-        let g = s.lock_batch(&[1, 4, 2]);
-        let _h = s.lock_pair(9, 12);
-        drop(g);
-    }
-
-    #[test]
-    #[should_panic(expected = "lock-order violation")]
-    #[cfg(debug_assertions)]
-    fn auditor_rejects_pair_below_held_batch() {
-        let s = LockStripes::new(16);
-        let _g = s.lock_batch(&[5, 9]);
-        let _bad = s.lock_pair(2, 3);
-    }
-
-    #[test]
     fn rounds_stripe_count_to_power_of_two() {
         assert_eq!(LockStripes::new(5).len(), 8);
         assert_eq!(LockStripes::new(2048).len(), 2048);
@@ -937,9 +804,8 @@ mod tests {
         drop(s.lock_pair(0, 1)); // two stripes
         drop(s.lock_pair(2, 2)); // one stripe
         drop(s.lock_all()); // four stripes
-        drop(s.lock_batch(&[0, 1, 2])); // three stripes
         let st = s.lock_stats();
-        assert_eq!(st.acquisitions, 2 + 1 + 4 + 3);
+        assert_eq!(st.acquisitions, 2 + 1 + 4);
         assert_eq!(st.contended, 0, "single-threaded: no contention");
         assert_eq!(st.spin_waits.count(), 0);
         s.reset_lock_stats();
@@ -974,53 +840,6 @@ mod tests {
     // SAFETY: test-only; the pointee outlives the scope and access is
     // serialized by the lock under test.
     unsafe impl Send for SendPtr {}
-
-    #[test]
-    fn multi_lock_dedupes_shared_stripes() {
-        let s = LockStripes::new(8);
-        {
-            let g = s.lock_batch(&[1, 9, 3]); // 1 and 9 share a stripe
-            assert!(g.covers(1));
-            assert!(g.covers(9));
-            assert!(g.covers(3));
-            assert!(!g.covers(4));
-            assert!(s.stripe(1).is_locked());
-            assert!(s.stripe(3).is_locked());
-        }
-        assert!(!s.stripe(1).is_locked());
-        assert!(!s.stripe(3).is_locked());
-        {
-            let _g = s.lock_batch(&[5, 5, 5]);
-            assert!(s.stripe(5).is_locked());
-        }
-        assert!(!s.stripe(5).is_locked());
-    }
-
-    #[test]
-    fn multi_lock_orders_against_pair_lock() {
-        // Interleave lock_batch and lock_pair over overlapping stripes
-        // from several threads; ordered acquisition must not deadlock.
-        let s = LockStripes::new(4);
-        let hits = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let s = &s;
-                let hits = &hits;
-                scope.spawn(move || {
-                    for i in 0..500 {
-                        if (t + i) % 2 == 0 {
-                            let _g = s.lock_batch(&[i % 4, (i + 1) % 4, (i + 3) % 4]);
-                            hits.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            let _g = s.lock_pair((i + 2) % 4, i % 4);
-                            hits.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 2000);
-    }
 
     #[test]
     fn epoch_pin_blocks_reclamation_until_dropped() {
@@ -1062,8 +881,6 @@ mod tests {
         let stripes = LockStripes::new(8);
         let g = stripes.lock_pair(7, 3);
         assert!(g.covers(7) && g.covers(3));
-        drop(g);
-        let g = stripes.lock_batch(&[6, 1, 4]);
         drop(g);
         let _all = stripes.lock_all();
     }

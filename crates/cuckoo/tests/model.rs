@@ -16,7 +16,7 @@
 //! the whole suite in CI-friendly single-digit seconds.
 #![cfg(cuckoo_model)]
 
-use cuckoo::hash::RandomState;
+use cuckoo::hash::{hash_of, slots_from_hash, RandomState};
 use cuckoo::search::PathEntry;
 use cuckoo::sync::{EpochRegistry, LockStripes, VersionLock};
 use cuckoo::{CuckooMap, OptimisticBuilder, OptimisticCuckooMap};
@@ -371,6 +371,97 @@ fn inserts_during_forced_migration() {
         writer.join().unwrap();
         for k in (0..4u64).chain(10..14) {
             assert_eq!(map.get(&k), Some(k * 10 + 1), "key {k} lost across migration");
+        }
+    });
+}
+
+/// Fixed hash seed of [`split_fixture`]'s map.
+const SPLIT_HASH_SEED: u64 = 0x5b11_7000;
+
+/// Keys for a 4-way map of 256 buckets that doubles to 512, found with
+/// its own hash: `w`, whose two new candidate buckets lie in distinct
+/// chunks; four fillers per candidate, whose first new candidate it is;
+/// and per filler a key `p` whose first new candidate is the filler's
+/// other one, each in a chunk of its own. Inserted before the migration,
+/// every filler and `p` sits at its first old candidate, `p` at slot 0,
+/// and the split puts each at its first new candidate in the same slot.
+fn split_fixture() -> (u64, Vec<u64>, Vec<u64>) {
+    const OLD_MASK: usize = 255;
+    let hasher = RandomState::with_seed(SPLIT_HASH_SEED);
+    let at = |k: u64| slots_from_hash(hash_of(&hasher, &k), OLD_MASK * 2 + 1);
+    let chunk = |b: usize| (b & OLD_MASK) / 4;
+    let mut keys = 1u64..;
+    let w = keys.by_ref().find(|&k| chunk(at(k).i1) != chunk(at(k).i2)).unwrap();
+    let mut used = vec![chunk(at(w).i1), chunk(at(w).i2)];
+    let (mut fillers, mut images) = (Vec::new(), Vec::new());
+    for target in [at(w).i1, at(w).i2] {
+        let want = fillers.len() + 4;
+        while fillers.len() < want {
+            let f = keys.next().unwrap();
+            if at(f).i1 == target && !used.contains(&chunk(at(f).i2)) {
+                used.push(chunk(at(f).i2));
+                fillers.push(f);
+                images.push(at(f).i2);
+            }
+        }
+    }
+    let ps = images.iter().map(|&a| keys.by_ref().find(|&k| at(k).i1 == a).unwrap()).collect();
+    (w, fillers, ps)
+}
+
+/// Bucket split vs. a cuckoo path into a split's destination: `w`'s new
+/// candidate pair is full of fillers, so its insert plans a path that
+/// moves a filler into the new image of a chunk still `PENDING` — the
+/// very slot that chunk's split will fill with `p`. A second writer
+/// rewrites every `p`, so its checkpoint splits those chunks meanwhile,
+/// and a reader looks up the keys that move. The path must wait for the
+/// split and plan again: with the migration still in flight, no key may
+/// be lost, and none may be in both tables or twice in one.
+#[test]
+fn displacement_into_pending_image_vs_split() {
+    let (w, fillers, ps) = split_fixture();
+    let val = |k: u64| k * 10 + 1;
+    loom::model_with(loom::Config::random(0x5eed_000d, 80), move || {
+        let map: Arc<CuckooMap<u64, u64, 4, RandomState>> =
+            Arc::new(CuckooMap::with_capacity_and_hasher(16, RandomState::with_seed(SPLIT_HASH_SEED)));
+        for &k in fillers.iter().chain(&ps) {
+            map.insert(k, val(k)).unwrap();
+        }
+        map.force_migration();
+
+        let writer = {
+            let map = Arc::clone(&map);
+            loom::thread::spawn(move || map.insert(w, val(w)).expect("insert must succeed mid-migration"))
+        };
+        let splitter = {
+            let (map, ps) = (Arc::clone(&map), ps.clone());
+            loom::thread::spawn(move || {
+                // `ps[0]` last: the path most likely ends in its image.
+                for &p in ps.iter().rev() {
+                    assert_eq!(map.update(&p, val(p)), Some(val(p)), "key {p} lost before its split");
+                }
+            })
+        };
+        let reader = {
+            let (map, moved) = (Arc::clone(&map), [fillers[0], ps[0]]);
+            loom::thread::spawn(move || {
+                for k in moved {
+                    assert_eq!(map.get(&k), Some(val(k)), "key {k} lost mid-split");
+                }
+            })
+        };
+        writer.join().unwrap();
+        splitter.join().unwrap();
+        reader.join().unwrap();
+        let mut want: Vec<u64> = fillers.iter().chain(&ps).copied().chain([w]).collect();
+        want.sort_unstable();
+        assert!(map.is_migrating(), "the checks below look at both tables");
+        let mut stored = map.stored_keys();
+        stored.sort_unstable();
+        assert_eq!(stored, want, "keys lost, or in both tables, mid-migration");
+        while map.help_migrate(usize::MAX) {}
+        for k in want {
+            assert_eq!(map.get(&k), Some(val(k)), "key {k} lost across the migration");
         }
     });
 }

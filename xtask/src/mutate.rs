@@ -19,9 +19,9 @@
 //!   grants acquire/release semantics for free — the lint is the only
 //!   honest judge we have without a weaker-memory CI host.)
 //! * **Pair-lock sort inversion** — the deadlock-avoidance total order.
-//! * **Batch stripe-sort inversion** — the migration move's `lock_batch`
-//!   acquisition order flipped to descending, breaking the shared
-//!   total order with `lock_pair`.
+//! * **Split to the low image** — incremental migration puts every entry
+//!   of old bucket `ob` into new bucket `ob`, ignoring the index bit the
+//!   doubled mask adds, so half the entries leave their candidate pair.
 //! * **`.rev()` stripping** — hole-backwards → items-forward execution.
 //! * **Seqlock stamp flip** — `try_lock` acquires with an even (+2)
 //!   stamp instead of odd, erasing the reader-visible write window.
@@ -402,17 +402,17 @@ pub fn pinned() -> Vec<Mutant> {
             "migration chunk-done store weakened: helpers could read a torn chunk",
         ),
         m(
-            "batch-stripe-sort-invert",
-            "crates/cuckoo/src/sync.rs",
+            "split-low-image",
+            "crates/cuckoo/src/map.rs",
             Op::Replace {
-                find: "stripes[..m].sort_unstable();".into(),
-                replace: "stripes[..m].sort_unstable_by(|a, b| b.cmp(a));".into(),
+                find: "let d = if ks.i1 & old_mask == ob { ks.i1 } else { ks.i2 };".into(),
+                replace: "let d = ob;".into(),
             },
             Kill::Test {
                 pkg: "cuckoo",
-                filter: "lock_batch",
+                filter: "migration_splits_each_bucket_into_its_two_images",
             },
-            "migration-move stripe sort inverted (deadlock seed vs pair/multi order)",
+            "bucket split ignores the new index bit: entries land outside their candidate pair",
         ),
         m(
             "weaken-exec-displacements",
