@@ -1,11 +1,11 @@
 //! Extension experiment: batched (multi-key) lookup throughput.
 //!
-//! The paper's §4.3.2 prefetch argument — issue the second bucket's
-//! load before the first is consumed so the two misses overlap — is
-//! applied here *across keys*: `get_many` software-pipelines groups of
-//! G lookups (hash all, prefetch all metadata, prefetch tag-hit data
-//! lines, then probe), so up to G independent DRAM misses are in
-//! flight instead of one. This bench sweeps the group size at two load
+//! The paper's §4.3.2 prefetch argument — a key's buckets are known
+//! once it is hashed, so their lines can be requested before they are
+//! needed — is applied here *across keys*: `get_many` reads each key
+//! with the single-key read while the lines of the keys a few places
+//! ahead are already being fetched, so several keys' DRAM misses are in
+//! flight instead of one. This bench sweeps the batch size G at two load
 //! factors and reports speedup over the single-key `get` loop.
 //!
 //! Outputs `multiget_throughput.csv`, `BENCH_multiget.json` (the
@@ -19,8 +19,8 @@
 //!   at the higher load factor is slower than this multiple of the
 //!   single-get baseline (CI regression gate).
 //! - `BENCH_COUNTERS`: set to `0` to omit the per-load observability
-//!   counter deltas (seqlock retries, multiget fallbacks, lock
-//!   contention...) from the JSON artifacts; on by default.
+//!   counter deltas (seqlock retries, lock contention...) from the JSON
+//!   artifacts; on by default.
 
 use bench::banner;
 use cuckoo::OptimisticCuckooMap;
@@ -51,7 +51,7 @@ fn main() {
 
     banner(
         "Extension: multiget throughput",
-        "software-pipelined get_many vs single-key get, by group size and load",
+        "read-ahead get_many vs single-key get, by batch size and load",
     );
     let mut out = Table::new(
         "Lookup throughput (Mops/s) by batch size",

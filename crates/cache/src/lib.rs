@@ -55,7 +55,7 @@ use cuckoo::raw::zeroed_slice;
 use cuckoo::sync::backoff;
 use cuckoo::sync2::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use cuckoo::sync2::Mutex;
-use cuckoo::{InsertError, OptimisticCuckooMap, Plain, MULTIGET_GROUP};
+use cuckoo::{InsertError, OptimisticCuckooMap, Plain};
 
 /// A slab slot's lifecycle, in the low two bits of its word.
 const STATE: u64 = 0b11;
@@ -71,6 +71,13 @@ const EVICTING: u64 = 3;
 /// One step of the version above the state bits. The version is odd
 /// while the slot's item or owner is being written.
 const WRITING: u64 = 1 << 2;
+
+/// Keys per batch group of [`ClockCache::visit_many`] and
+/// [`ClockCache::put_many`]: a group's table reads resolve first, then
+/// every hit's slab lines are requested before any is copied, so the
+/// items' misses overlap. Kept because a plain loop loses end to end
+/// (CHANGES.md has the rows).
+const MULTIGET_GROUP: usize = 8;
 
 /// A cache line.
 const LINE: usize = 64;
@@ -397,9 +404,10 @@ impl<V: Plain> ClockCache<V> {
 
     /// The batched read itself: calls `f(i, value)` exactly once per key,
     /// in order, with the resident value borrowed from a validated copy.
-    /// Each group of keys goes through the table's software-pipelined
-    /// probe; once the group's slots resolve, every hit's slab lines are
-    /// requested before any is copied, so the items' misses overlap too.
+    /// Each group of `MULTIGET_GROUP` keys goes through the table's
+    /// multi-key read; once the group's slots resolve, every hit's slab
+    /// lines are requested before any is copied, so the items' misses
+    /// overlap too.
     /// Marks every found entry recently used and counts nothing: an
     /// owner that only peeks stays out of `hits`/`misses`, and one that
     /// decides for itself what a hit is reports through
@@ -415,7 +423,7 @@ impl<V: Plain> ClockCache<V> {
         }
     }
 
-    /// The table's pipelined probe of one group of keys into `slots`,
+    /// The table's multi-key read of one group of keys into `slots`,
     /// then `hint` (a prefetch) over every hit's slab lines — header and
     /// item — before any is touched.
     fn probe_group(&self, keys: &[u64], slots: &mut [Option<u32>], hint: fn(*const u8)) {
@@ -493,18 +501,17 @@ impl<V: Plain> ClockCache<V> {
     /// Batched [`put`](Self::put): stores every pair in order, with
     /// per-pair semantics (and counter updates) identical to `put` —
     /// duplicates within a batch included, last write wins. Each group
-    /// of [`cuckoo::MULTIGET_GROUP`] keys — the group the probe below
-    /// runs in — is pipelined before any is written: both candidate
-    /// bucket metadata lines of every key are requested with write
-    /// intent, the group's table probe finds the present keys' slots,
-    /// and those slots' slab lines are requested with write intent, so
-    /// the group's misses overlap instead of serializing. Slot
-    /// allocation and CLOCK eviction stay per-pair — the hand is
-    /// inherently serial.
+    /// of `MULTIGET_GROUP` keys is pipelined before any is written:
+    /// both candidate bucket metadata lines of every key are requested
+    /// with write intent, the group's table read finds the present
+    /// keys' slots, and those slots' slab lines are requested with
+    /// write intent, so the group's misses overlap instead of
+    /// serializing. Slot allocation and CLOCK eviction stay per-pair —
+    /// the hand is inherently serial.
     pub fn put_many(&self, pairs: &[(u64, V)]) {
-        let mut keys = [0; cuckoo::MULTIGET_GROUP];
-        let mut slots = [None; cuckoo::MULTIGET_GROUP];
-        for group in pairs.chunks(cuckoo::MULTIGET_GROUP) {
+        let mut keys = [0; MULTIGET_GROUP];
+        let mut slots = [None; MULTIGET_GROUP];
+        for group in pairs.chunks(MULTIGET_GROUP) {
             let (keys, slots) = (&mut keys[..group.len()], &mut slots[..group.len()]);
             for (k, (key, _)) in keys.iter_mut().zip(group) {
                 self.map.prefetch_write_for(key);

@@ -36,16 +36,6 @@ use crate::sync::LockStripes;
 use crate::sync2::atomic::{AtomicU64, Ordering};
 use core::hash::{BuildHasher, Hash};
 
-/// Keys per software-pipelined lookup group (the batched `get_many`
-/// engine). Sized like the paper's prefetch argument (§4.3.2) sizes the
-/// BFS frontier: large enough that by the time the first key's bucket
-/// lines are demanded the later keys' prefetches are in flight (covering
-/// a DRAM-latency's worth of independent misses — ~8 lines at ≈80 ns
-/// latency and ≈10 ns/line of pipeline work), small enough that G keys'
-/// staged state (stamps + candidate masks) stays register/L1-resident
-/// and the earliest prefetched lines are not evicted before use.
-pub const MULTIGET_GROUP: usize = 8;
-
 /// How a bucket's entries are stored by a writer that holds it
 /// exclusively, and loaded by the probe — what the readers' protocol
 /// demands of both.

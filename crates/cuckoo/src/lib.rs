@@ -52,7 +52,6 @@ mod map;
 mod optimistic;
 mod read;
 
-pub use crate::core::MULTIGET_GROUP;
 pub use error::{InsertError, UpsertOutcome};
 pub use hash::{DefaultHashBuilder, FxHasher64, RandomState, SipHashBuilder, SipHasher13};
 pub use map::{CuckooMap, ResizeMode};

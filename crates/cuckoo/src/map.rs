@@ -42,13 +42,13 @@
 //!   fail validation) and long-running processes no longer leak one
 //!   table per doubling.
 
-use crate::core::{claim, PlainStore, WriteCtx, MULTIGET_GROUP};
+use crate::core::{claim, PlainStore, WriteCtx};
 use crate::counter::ShardedCounter;
 use crate::error::{InsertError, UpsertOutcome};
 use crate::hash::{hash_of, key_slots, slots_from_hash, DefaultHashBuilder, KeySlots};
-use crate::prefetch::prefetch_write;
+use crate::prefetch::{prefetch_read, prefetch_write};
 use crate::raw::RawTable;
-use crate::read::{probe, read_group, warm, Locked, ReadProtocol};
+use crate::read::{probe, read_ahead, warm, Locked, ReadProtocol};
 use crate::search::{self, PathEntry};
 use crate::sync::{EpochRegistry, LockStripes, DEFAULT_STRIPES};
 use crate::stats::TableMetrics;
@@ -415,24 +415,31 @@ where
         let mut f = Some(f);
         // Hash exactly once: retries and the two-table migration path
         // re-derive per-mask slots from this hash instead of rehashing.
-        self.visit_hashed(hash_of(&self.hash_builder, key), key, |v| {
+        self.visit_hashed(hash_of(&self.hash_builder, key), key, core::ptr::null(), |v| {
             v.map(f.take().expect("a locked read shows its key once"))
         })
     }
 
     /// One [`Locked`] read of `key` in `raw`: `f` sees the value (or the
     /// miss) under the pair lock; `None` when `valid` failed under it.
+    /// The key's lines are [`warm`]ed first unless `raw` is the table
+    /// `warmed` they already were in.
     #[inline]
     fn read_in<T>(
         &self,
         raw: &RawTable<K, V, B>,
         h: u64,
         key: &K,
+        warmed: *const RawTable<K, V, B>,
         valid: impl Fn() -> bool,
         mut f: impl FnMut(Option<&V>) -> T,
     ) -> Option<T> {
+        let ks = slots_from_hash(h, raw.mask());
+        if !core::ptr::eq(raw, warmed) {
+            warm(raw, &self.stripes, ks, prefetch_read::<u8>);
+        }
         let p = Locked { raw, stripes: &self.stripes, valid };
-        p.read_one(slots_from_hash(h, raw.mask()), key, |at| {
+        p.read_warmed(ks, key, |at| {
             // SAFETY: pair lock held; the slot is occupied.
             f(at.map(|(bi, s)| unsafe { &*raw.bucket(bi).val_ptr(s) }))
         })
@@ -440,8 +447,15 @@ where
 
     /// The single-key read, by hash: shows `f` the value, or the miss,
     /// exactly once, under a pair lock of the table that settles it.
-    /// Caller must hold an epoch pin.
-    fn visit_hashed<R>(&self, h: u64, key: &K, mut f: impl FnMut(Option<&V>) -> R) -> R {
+    /// `warmed` is the table whose lines for `h` the caller has already
+    /// [`warm`]ed, or null. Caller must hold an epoch pin.
+    fn visit_hashed<R>(
+        &self,
+        h: u64,
+        key: &K,
+        warmed: *const RawTable<K, V, B>,
+        mut f: impl FnMut(Option<&V>) -> R,
+    ) -> R {
         loop {
             let m = self.migration.load(Ordering::SeqCst);
             let mut raw = self.current();
@@ -460,7 +474,8 @@ where
                     // stable; a miss means the entry is in new or absent,
                     // and can never move back, so new settles it.
                     let still_migrating = || self.migration.load(Ordering::SeqCst) == m;
-                    match self.read_in(old, h, key, still_migrating, |v| v.map(|v| f(Some(v)))) {
+                    let hit = |v: Option<&V>| v.map(|v| f(Some(v)));
+                    match self.read_in(old, h, key, warmed, still_migrating, hit) {
                         None => continue, // emergency rebuild resolved it
                         Some(Some(shown)) => return shown,
                         Some(None) => {}
@@ -469,7 +484,8 @@ where
             }
             // `None`: expanded, or a migration began or resolved, while
             // locking.
-            if let Some(shown) = self.read_in(raw, h, key, || self.view_valid(raw, m), &mut f) {
+            let valid = || self.view_valid(raw, m);
+            if let Some(shown) = self.read_in(raw, h, key, warmed, valid, &mut f) {
                 return shown;
             }
         }
@@ -478,47 +494,20 @@ where
     /// The batched lookup: calls `f(i, value)` exactly once per key, in
     /// order, with what [`get_with`](Self::get_with) would show for
     /// `keys[i]` — under that key's bucket lock, so `f` must not call
-    /// back into the map. Groups of `MULTIGET_GROUP` (8) keys are
-    /// software-pipelined — all hashes computed up front, candidate
-    /// metadata then tag-hit buckets prefetched — so the per-key cache
-    /// misses overlap before the (serializing) per-key lock
-    /// acquisitions. A key that finds a migration in flight, or the
-    /// table swapped mid-group, falls back to the two-table single-key
-    /// path on its own.
+    /// back into the map. Each key is read by `get_with`'s own
+    /// two-table read, with the lines of the next few keys warming in
+    /// the current table meanwhile, so their cache misses overlap
+    /// before the (serializing) per-key lock acquisitions.
     pub fn visit_many(&self, keys: &[K], mut f: impl FnMut(usize, Option<&V>)) {
         let _pin = self.epochs.pin();
-        let mut hashes = [0u64; MULTIGET_GROUP];
-        let mut ks_buf = [KeySlots { i1: 0, i2: 0, tag: 1 }; MULTIGET_GROUP];
-        for (g, group) in keys.chunks(MULTIGET_GROUP).enumerate() {
-            let raw = self.current();
-            for (j, key) in group.iter().enumerate() {
-                hashes[j] = hash_of(&self.hash_builder, key);
-                ks_buf[j] = slots_from_hash(hashes[j], raw.mask());
-            }
-            // Mid-migration `valid` fails for the whole group: two-table
-            // lookups take locks per table anyway, and the single-key
-            // path already orders those.
-            let p = Locked { raw, stripes: &self.stripes, valid: || self.table_is_stable(raw) };
-            let first = g * MULTIGET_GROUP;
-            let failed = read_group(&p, &self.table_metrics, &ks_buf[..group.len()], group, |j, at| {
-                // SAFETY: pair lock held; the slot is occupied.
-                f(first + j, at.map(|(bi, s)| unsafe { &*raw.bucket(bi).val_ptr(s) }))
-            });
-            // A table that failed `valid` stays failed, so the keys left
-            // are the group's tail and `f` still sees every key in order.
-            debug_assert!(failed == 0 || (failed.trailing_zeros() + failed.count_ones()) as usize == group.len());
-            for j in (0..group.len()).filter(|j| failed & (1 << j) != 0) {
-                self.visit_hashed(hashes[j], &group[j], |v| f(first + j, v));
-            }
-        }
-    }
-
-    /// Batched [`get_with`](Self::get_with): one result per key, in
-    /// order (`None` = miss).
-    pub fn get_with_many<R>(&self, keys: &[K], mut f: impl FnMut(&V) -> R) -> Vec<Option<R>> {
-        let mut out = Vec::with_capacity(keys.len());
-        self.visit_many(keys, |_, v| out.push(v.map(&mut f)));
-        out
+        let prep = |key: &K| {
+            let (h, raw) = (hash_of(&self.hash_builder, key), self.current());
+            warm(raw, &self.stripes, slots_from_hash(h, raw.mask()), prefetch_read::<u8>);
+            (h, raw as *const RawTable<K, V, B>)
+        };
+        read_ahead(keys, prep, |i, key, (h, warmed)| {
+            self.visit_hashed(h, key, warmed, |v| f(i, v))
+        });
     }
 
     /// Batched [`get`](Self::get): one cloned value per key, in order.
@@ -526,7 +515,9 @@ where
     where
         V: Clone,
     {
-        self.get_with_many(keys, V::clone)
+        let mut out = Vec::new();
+        self.get_many_into(keys, &mut out);
+        out
     }
 
     /// [`get_many`](Self::get_many) into a caller-provided buffer
@@ -1288,28 +1279,6 @@ where
             found.is_some()
         })
     }
-
-    /// Removes every entry for which `f` returns `false`, under the
-    /// full-table lock. Returns how many entries were removed.
-    pub fn retain(&self, mut f: impl FnMut(&K, &V) -> bool) -> usize {
-        let _pin = self.epochs.pin();
-        let _g = self.lock_all_quiesced();
-        let raw = self.current();
-        let coords: Vec<(usize, usize)> = raw.occupied_coords().collect();
-        let mut removed = 0;
-        for (bi, s) in coords {
-            let b = raw.bucket(bi);
-            // SAFETY: all stripes held; slots stable and occupied.
-            let keep = unsafe { f(&*b.key_ptr(s), &*b.val_ptr(s)) };
-            if !keep {
-                // SAFETY: as above.
-                drop(unsafe { raw.take_entry(bi, s) });
-                self.count.add(bi, -1);
-                removed += 1;
-            }
-        }
-        removed
-    }
 }
 
 impl<K, V, const B: usize, S> core::fmt::Debug for CuckooMap<K, V, B, S>
@@ -1519,19 +1488,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_filters_and_counts() {
-        let m: CuckooMap<u64, u64> = CuckooMap::with_capacity(1000);
-        for k in 0..100u64 {
-            m.insert(k, k).unwrap();
-        }
-        let removed = m.retain(|k, _| k % 2 == 0);
-        assert_eq!(removed, 50);
-        assert_eq!(m.len(), 50);
-        assert_eq!(m.get(&2), Some(2));
-        assert_eq!(m.get(&3), None);
-    }
-
-    #[test]
     fn from_iterator_and_debug() {
         let m: CuckooMap<u64, u64> = (0..50u64).map(|k| (k, k + 1)).collect();
         assert_eq!(m.len(), 50);
@@ -1539,18 +1495,6 @@ mod tests {
         let dbg = format!("{m:?}");
         assert!(dbg.contains("CuckooMap"));
         assert!(dbg.contains("len: 50"));
-    }
-
-    #[test]
-    fn retain_drops_removed_values() {
-        use std::sync::Arc;
-        let sentinel = Arc::new(());
-        let m: CuckooMap<u64, Arc<()>> = CuckooMap::with_capacity(100);
-        for k in 0..20 {
-            m.insert(k, Arc::clone(&sentinel)).unwrap();
-        }
-        m.retain(|k, _| *k < 5);
-        assert_eq!(Arc::strong_count(&sentinel), 6);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!
 //! [`bfs_max_path_len`]: crate::search::bfs::bfs_max_path_len
 
-use crate::core::{claim, PlainStore, RacyStore, Stores, WriteCtx, MULTIGET_GROUP};
+use crate::core::{claim, PlainStore, RacyStore, Stores, WriteCtx};
 use crate::counter::ShardedCounter;
 use crate::error::{InsertError, UpsertOutcome};
 use crate::hash::{key_slots, DefaultHashBuilder, KeySlots};
@@ -181,7 +181,7 @@ where
     /// Issues prefetch-for-store hints for both of `key`'s candidate
     /// bucket metadata lines. This is the stage-1 hook for a caller that
     /// fronts the map with its own write pipeline (the CLOCK cache's
-    /// `put_many`, in groups of [`MULTIGET_GROUP`] keys): hash a whole
+    /// `put_many`, in groups of keys): hash a whole
     /// group, hint every line, then write — the group's cache misses
     /// overlap instead of serializing. Pure hint.
     #[inline]
@@ -205,11 +205,7 @@ where
 
     /// Batched lookup: one result per key, in order (`None` = miss).
     /// Lock-free, like [`get`](Self::get), and equivalent to calling it
-    /// per key — but groups of keys are software-pipelined (hash all →
-    /// prefetch metadata → prefetch tag-hit buckets → probe under
-    /// seqlock validation) so their cache misses overlap instead of
-    /// serializing. Keys invalidated by concurrent writers individually
-    /// fall back to the single-key path.
+    /// per key; see [`visit_many`](Self::visit_many).
     pub fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {
         let mut out = Vec::new();
         self.get_many_into(keys, &mut out);
@@ -225,45 +221,18 @@ where
         self.visit_many(keys, |_, v| out.push(v.copied()));
     }
 
-    /// Batched [`get_many`](Self::get_many) applying `f` to each found
-    /// value (values are `Plain` copies, so `f` observes a validated
-    /// copy, exactly like `get`'s return value).
-    pub fn get_with_many<R>(&self, keys: &[K], mut f: impl FnMut(&V) -> R) -> Vec<Option<R>> {
-        let mut out = Vec::with_capacity(keys.len());
-        self.visit_many(keys, |_, v| out.push(v.map(&mut f)));
-        out
-    }
-
     /// The batched lookup itself: calls `f(i, value)` exactly once per
     /// key, in order, with what [`get`](Self::get) would return for
     /// `keys[i]` — borrowed, so a caller that only reads part of a wide
     /// value, or encodes it straight into its own buffer, pays no
-    /// second copy. Each group's validated copies land in a stack
-    /// buffer and `f` runs after the group's pipeline, outside every
-    /// seqlock window: it may be slow, or call back into the map,
-    /// without costing the group's other keys a retry.
-    pub fn visit_many(&self, keys: &[K], mut f: impl FnMut(usize, Option<&V>)) {
-        let mut ks_buf = [KeySlots { i1: 0, i2: 0, tag: 1 }; MULTIGET_GROUP];
-        let mut found = [None; MULTIGET_GROUP];
-        for (g, group) in keys.chunks(MULTIGET_GROUP).enumerate() {
-            // Stage 1 (hashing) lives here: the engine below is
-            // hash-agnostic and consumes precomputed slots.
-            for (j, key) in group.iter().enumerate() {
-                ks_buf[j] = self.slots_of(key);
-            }
-            let found = &mut found[..group.len()];
-            crate::read::get_group(
-                &self.raw,
-                &self.stripes,
-                &self.table_metrics,
-                &ks_buf[..group.len()],
-                group,
-                found,
-            );
-            for (j, v) in found.iter().enumerate() {
-                f(g * MULTIGET_GROUP + j, v.as_ref());
-            }
-        }
+    /// second copy. Each key is read by `get`'s own read, with the
+    /// lines of the next few keys warming meanwhile so their cache
+    /// misses overlap instead of serializing. `f` runs on the validated
+    /// copy, outside every seqlock window: it may be slow, or call back
+    /// into the map, without costing another key a retry.
+    pub fn visit_many(&self, keys: &[K], f: impl FnMut(usize, Option<&V>)) {
+        let slots_of = |k: &K| self.slots_of(k);
+        crate::read::visit_many(&self.raw, &self.stripes, &self.table_metrics, keys, slots_of, f);
     }
 
     /// Inserts `key → val`; errors if the key exists or the table is too

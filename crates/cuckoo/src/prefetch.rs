@@ -2,14 +2,13 @@
 //!
 //! BFS path search makes the schedule of buckets to visit predictable, so
 //! "before scanning one neighbor, the processor can load the
-//! next_neighbor in cache". The same predictability argument powers the
-//! batched lookup pipeline ([`crate::OptimisticCuckooMap::get_many`]):
-//! a group of keys' candidate buckets are all known after hashing, so
-//! their cache lines can be requested before any is scanned. A
-//! single-key read or write applies it to one key: its stripe words,
-//! both metadata lines and both buckets' entry lines are hinted before
-//! the first dependent load or lock (`read::warm`), and the CLOCK cache
-//! hints the slab items its batches are about to copy.
+//! next_neighbor in cache". The same predictability argument holds for
+//! every key: its candidate buckets are known once it is hashed. A
+//! single-key read or write hints its stripe words, both metadata lines
+//! and both buckets' entry lines before the first dependent load or
+//! lock (`read::warm`); a multi-key read warms each key a few keys
+//! before it reads it (`read::read_ahead`), and the CLOCK cache hints
+//! the slab items its batches are about to copy.
 //!
 //! Per-architecture lowering:
 //!

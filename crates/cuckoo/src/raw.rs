@@ -166,17 +166,8 @@ impl<K, V, const B: usize> RawTable<K, V, B> {
         hash::alt_index(index, tag, self.mask)
     }
 
-    /// Hints bucket `index`'s metadata word (tags + occupancy) into
-    /// cache. The SWAR tag probe touches only this line, so prefetching
-    /// it for a whole batch of keys overlaps their (usually-missing)
-    /// metadata loads.
-    #[inline]
-    pub fn prefetch_meta(&self, index: usize) {
-        crate::prefetch::prefetch_read(self.meta(index) as *const BucketMeta<B>);
-    }
-
-    /// Write-intent variant of [`prefetch_meta`](Self::prefetch_meta)
-    /// for a write pipeline fronting the table: the metadata line is
+    /// Write-intent hint for bucket `index`'s metadata word (tags +
+    /// occupancy), for a write pipeline fronting the table: the line is
     /// about to be locked and stored to, so prime it for ownership.
     #[inline]
     pub fn prefetch_meta_write(&self, index: usize) {
@@ -184,8 +175,8 @@ impl<K, V, const B: usize> RawTable<K, V, B> {
     }
 
     /// Hints the start of bucket `index`'s entry storage (the key array)
-    /// into cache, for lookups whose tag probe reported a candidate and
-    /// will follow up with full-key comparisons.
+    /// into cache, for an unwarmed probe headed for that bucket's
+    /// full-key comparisons.
     #[inline]
     pub fn prefetch_data(&self, index: usize) {
         crate::prefetch::prefetch_read(self.bucket(index) as *const Bucket<K, V, B>);
@@ -199,17 +190,6 @@ impl<K, V, const B: usize> RawTable<K, V, B> {
         crate::prefetch::lines(meta.cast(), n * size_of::<BucketMeta<B>>(), crate::prefetch::prefetch_write::<u8>);
         let entries: *const Bucket<K, V, B> = self.bucket(first);
         crate::prefetch::lines(entries.cast(), n * size_of::<Bucket<K, V, B>>(), crate::prefetch::prefetch_write::<u8>);
-    }
-
-    /// Hints every cache line of `(index, slot)`'s value storage into
-    /// cache, for batched lookups whose tag probe named that slot: a
-    /// value wider than a line is otherwise copied out one demand miss
-    /// after another, and even a narrow one sits on a different line
-    /// than the key array [`prefetch_data`](Self::prefetch_data) covers.
-    #[inline]
-    pub fn prefetch_val(&self, index: usize, slot: usize) {
-        let val = self.bucket(index).val_ptr(slot).cast_const().cast::<u8>();
-        crate::prefetch::lines(val, size_of::<V>(), crate::prefetch::prefetch_read);
     }
 
     /// Writes a full entry into `(bucket, slot)` and publishes it,

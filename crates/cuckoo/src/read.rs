@@ -20,12 +20,13 @@
 //!   that the table is still the one to read, probe with plain loads,
 //!   and lend `&V` while the lock is held — any `K`/`V`.
 //!
-//! [`ReadProtocol::read_one`] is the single-key read and [`read_group`]
-//! the software-pipelined batch; [`get`] / [`contains`] / [`get_group`]
-//! are their optimistic instantiations for the `Plain` tables.
+//! [`ReadProtocol::read_one`] is the single-key read, and [`read_ahead`]
+//! runs it over many keys with the next few keys' lines warming; [`get`]
+//! / [`contains`] / [`visit_many`] are their optimistic instantiations
+//! for the `Plain` tables.
 
 use crate::bucket::{Bucket, BucketMeta};
-use crate::core::{PlainStore, RacyStore, Stores, MULTIGET_GROUP};
+use crate::core::{PlainStore, RacyStore, Stores};
 use crate::hash::KeySlots;
 use crate::prefetch::{lines, prefetch_read};
 use crate::racy::Plain;
@@ -39,6 +40,13 @@ use crate::sync::{LockStripes, VersionLock};
 /// means sustained writer pressure on this stripe pair, at which point
 /// queueing on the lock is both faster and fair.
 const MAX_OPTIMISTIC_RETRIES: u32 = 64;
+
+/// Keys [`read_ahead`] hashes and [`warm`]s ahead of the one it reads:
+/// enough that a key's DRAM misses are served while the keys before it
+/// are read, few enough that the lines warmed ahead are still cached
+/// when their key's turn comes. Chosen on `multiget_throughput` at 2¹⁶
+/// and 2²² slots; the sweep over 2, 4 and 8 is in CHANGES.md.
+const READ_AHEAD: usize = 4;
 
 /// The slots of `bucket` that may hold a key tagged `tag` (tag match AND
 /// occupied, two SWAR loads).
@@ -71,10 +79,9 @@ pub(crate) fn probe<W: Stores<K, V, B>, K: Eq, V, const B: usize>(
             // Tag miss in the primary: the lookup is headed for the
             // alternate bucket, so start pulling its entry storage now —
             // the data-line fetch overlaps the alternate metadata check
-            // that decides whether to probe it. The single-key paths
-            // have already `warm`ed it; this serves the probes that run
-            // unwarmed: `read_group`'s stage 3 and `insert_exclusive`
-            // (the full-table fallback and `rebuild`).
+            // that decides whether to probe it. Reads have already
+            // `warm`ed it; this serves the probes that run unwarmed:
+            // `insert_exclusive` (the full-table fallback and `rebuild`).
             raw.prefetch_data(ks.i2);
         }
         while cand != 0 {
@@ -103,9 +110,8 @@ pub(crate) fn probe<W: Stores<K, V, B>, K: Eq, V, const B: usize>(
 /// of following one another through stamp or lock, tag match and key
 /// compare — and a writer takes them before its lock, not inside it.
 ///
-/// Single-key paths only: [`read_group`] hints in stages across a whole
-/// group, and a group's worth of this line set would exceed the misses
-/// a core keeps in flight.
+/// Once per key: [`read_ahead`] warms a key [`READ_AHEAD`] keys before
+/// it reads it, and reads it through [`ReadProtocol::read_warmed`].
 #[inline(always)]
 pub(crate) fn warm<K, V, const B: usize>(
     raw: &RawTable<K, V, B>,
@@ -131,16 +137,23 @@ pub(crate) trait ReadProtocol<K: Eq, V, const B: usize> {
     /// `look` saw.
     fn attempt<T>(&self, ks: KeySlots, key: &K, look: impl FnOnce(Slot) -> T) -> Option<T>;
 
-    /// The single-key read: [`warm`]s the key's lines, then
+    /// The single-key read of a key whose lines are already [`warm`]:
     /// [`attempt`](Self::attempt)s until one holds — `look` may run
-    /// more than once, and only the returned result is
-    /// vouched for. `None` when trying again cannot help and the caller
-    /// must find the right table.
+    /// more than once, and only the returned result is vouched for.
+    /// `None` when trying again cannot help and the caller must find
+    /// the right table.
+    #[inline]
+    fn read_warmed<T>(&self, ks: KeySlots, key: &K, look: impl FnMut(Slot) -> T) -> Option<T> {
+        self.attempt(ks, key, look)
+    }
+
+    /// The single-key read: [`warm`]s the key's lines, then
+    /// [`read_warmed`](Self::read_warmed).
     #[inline]
     fn read_one<T>(&self, ks: KeySlots, key: &K, look: impl FnMut(Slot) -> T) -> Option<T> {
         let (raw, stripes) = self.table();
         warm(raw, stripes, ks, prefetch_read::<u8>);
-        self.attempt(ks, key, look)
+        self.read_warmed(ks, key, look)
     }
 }
 
@@ -171,8 +184,7 @@ impl<K: Plain + Eq, V: Plain, const B: usize> ReadProtocol<K, V, B> for Optimist
 
     /// Never `None`: bounded retries, then the [`Locked`] protocol.
     #[inline]
-    fn read_one<T>(&self, ks: KeySlots, key: &K, mut look: impl FnMut(Slot) -> T) -> Option<T> {
-        warm(self.raw, self.stripes, ks, prefetch_read::<u8>);
+    fn read_warmed<T>(&self, ks: KeySlots, key: &K, mut look: impl FnMut(Slot) -> T) -> Option<T> {
         let mut spins = 0u32;
         for _ in 0..MAX_OPTIMISTIC_RETRIES {
             let held = self.attempt(ks, key, &mut look);
@@ -198,7 +210,7 @@ impl<K: Plain + Eq, V: Plain, const B: usize> ReadProtocol<K, V, B> for Optimist
 /// Pair lock → `valid` → probe; `look` may borrow from the buckets for
 /// as long as it runs. `valid` says, under the lock, whether the table
 /// is still the one to read; it cannot turn true again, so
-/// [`read_one`](ReadProtocol::read_one) is a single attempt.
+/// [`read_warmed`](ReadProtocol::read_warmed) is a single attempt.
 pub(crate) struct Locked<'a, K, V, const B: usize, F> {
     pub raw: &'a RawTable<K, V, B>,
     pub stripes: &'a LockStripes,
@@ -218,61 +230,30 @@ impl<K: Eq, V, const B: usize, F: Fn() -> bool> ReadProtocol<K, V, B> for Locked
     }
 }
 
-/// Software-pipelined lookup of one group of at most [`MULTIGET_GROUP`]
-/// keys (`ks` and `keys` are parallel), under `p`. The stages
-/// interleave *across* keys so each key's cache misses overlap the
-/// others':
-///
-/// 1. **prefetch metadata** — both candidate `BucketMeta` words and
-///    stripe words of every key are requested before any is read;
-/// 2. **prefetch data** — per key: tag-match the (now warm) metadata
-///    and request the key array of buckets reporting a candidate plus
-///    every line of each candidate slot's value. Nothing here is
-///    trusted: a racing writer costs at most a wasted hint;
-/// 3. **probe** — per key, in order: one [`ReadProtocol::attempt`] over
-///    lines that are now warm, handing `each(j, slot)` the result
-///    inside the protection.
-///
-/// A key whose attempt fails — a writer moved one of its stripes, or the
-/// table went stale — is counted in `multiget_fallbacks` and reported
-/// in the returned mask (bit `j`) for the caller's single-key path,
-/// whatever `each` did with it; only that key pays. Correctness is the
-/// single-key argument unchanged, key by key.
-pub(crate) fn read_group<K: Eq, V, const B: usize>(
-    p: &impl ReadProtocol<K, V, B>,
-    metrics: &TableMetrics,
-    ks: &[KeySlots],
+/// The multi-key read: `read(i, key, h)` for every key in order, where
+/// `h = prep(key)` hashes the key and [`warm`]s its lines — called
+/// [`READ_AHEAD`] keys before the key's `read`, so each key's misses
+/// overlap the reads of the keys before it. Every key is prepared once
+/// and read by the single-key read; nothing is staged across keys, so
+/// there is no group to fall back from.
+#[inline]
+pub(crate) fn read_ahead<K, H: Copy>(
     keys: &[K],
-    mut each: impl FnMut(usize, Slot),
-) -> u32 {
-    debug_assert!(ks.len() <= MULTIGET_GROUP && ks.len() == keys.len());
-    let (raw, stripes) = p.table();
-    for k in ks {
-        for bucket in [k.i1, k.i2] {
-            raw.prefetch_meta(bucket);
-            prefetch_read(stripes.stripe(bucket));
-        }
+    mut prep: impl FnMut(&K) -> H,
+    mut read: impl FnMut(usize, &K, H),
+) {
+    let Some(first) = keys.first() else { return };
+    let mut ahead = [prep(first); READ_AHEAD];
+    for (j, key) in keys.iter().enumerate().take(READ_AHEAD).skip(1) {
+        ahead[j] = prep(key);
     }
-    for k in ks {
-        for bucket in [k.i1, k.i2] {
-            let mut cand = candidates(raw, bucket, k.tag);
-            if cand != 0 {
-                raw.prefetch_data(bucket);
-            }
-            while cand != 0 {
-                raw.prefetch_val(bucket, cand.trailing_zeros() as usize);
-                cand &= cand - 1;
-            }
+    for (i, key) in keys.iter().enumerate() {
+        let h = ahead[i % READ_AHEAD];
+        if let Some(next) = keys.get(i + READ_AHEAD) {
+            ahead[i % READ_AHEAD] = prep(next);
         }
+        read(i, key, h);
     }
-    let mut failed = 0;
-    for (j, (k, key)) in ks.iter().zip(keys).enumerate() {
-        if p.attempt(*k, key, |at| each(j, at)).is_none() {
-            metrics.multiget_fallbacks.inc();
-            failed |= 1 << j;
-        }
-    }
-    failed
 }
 
 /// The racy copy of the value at a probed slot, for [`Optimistic`]'s
@@ -322,27 +303,30 @@ where
         .expect("the optimistic protocol ends under the pair lock")
 }
 
-/// Optimistic [`read_group`] into `out` (parallel to `ks` and `keys`);
-/// a key invalidated mid-pipeline falls back to [`get`].
-pub(crate) fn get_group<K, V, const B: usize>(
+/// Optimistic [`read_ahead`]: `f(i, v)` for every key in order, with
+/// `v` what [`get`] returns for `keys[i]`. `f` runs outside every
+/// seqlock window, on a validated copy.
+pub(crate) fn visit_many<K, V, const B: usize>(
     raw: &RawTable<K, V, B>,
     stripes: &LockStripes,
     m: &TableMetrics,
-    ks: &[KeySlots],
     keys: &[K],
-    out: &mut [Option<V>],
+    slots_of: impl Fn(&K) -> KeySlots,
+    mut f: impl FnMut(usize, Option<&V>),
 ) where
     K: Plain + Eq,
     V: Plain,
 {
-    debug_assert!(out.len() == keys.len());
     let p = Optimistic { raw, stripes, metrics: m };
-    let mut failed = read_group(&p, m, ks, keys, |j, at| out[j] = copy_out(raw, at));
-    while failed != 0 {
-        let j = failed.trailing_zeros() as usize;
-        failed &= failed - 1;
-        out[j] = get(raw, stripes, m, ks[j], &keys[j]);
-    }
+    let prep = |key: &K| {
+        let ks = slots_of(key);
+        warm(raw, stripes, ks, prefetch_read::<u8>);
+        ks
+    };
+    read_ahead(keys, prep, |i, key, ks| {
+        let v = p.read_warmed(ks, key, |at| copy_out(raw, at));
+        f(i, v.expect("the optimistic protocol ends under the pair lock").as_ref());
+    });
 }
 
 #[cfg(test)]
@@ -377,8 +361,23 @@ mod tests {
         }
     }
 
+    /// `visit_many` over `keys`, collected.
+    fn visit_all(
+        raw: &RawTable<u64, u64, 8>,
+        stripes: &LockStripes,
+        tm: &TableMetrics,
+        hb: &RandomState,
+        keys: &[u64],
+    ) -> Vec<(usize, Option<u64>)> {
+        let mut shown = Vec::new();
+        visit_many(raw, stripes, tm, keys, |k| key_slots(hb, k, raw.mask()), |i, v| {
+            shown.push((i, v.copied()))
+        });
+        shown
+    }
+
     #[test]
-    fn get_group_matches_single_gets() {
+    fn visit_many_matches_single_gets() {
         let raw: RawTable<u64, u64, 8> = RawTable::with_capacity(1 << 12);
         let stripes = LockStripes::new(64);
         let hb = RandomState::with_seed(21);
@@ -391,25 +390,25 @@ mod tests {
             unsafe { raw.write_entry_racy(ks.i1, slot, ks.tag, key, key ^ 0xdead) };
             drop(g);
         }
-        // Hits, misses, and duplicates within one group.
-        let keys: Vec<u64> = vec![0, 1, 999_999, 2, 2, 888_888, 3, 0];
-        let ks: Vec<KeySlots> = keys.iter().map(|k| key_slots(&hb, k, raw.mask())).collect();
-        let mut out = vec![None; keys.len()];
-        get_group(&raw, &stripes, &tm, &ks, &keys, &mut out);
-        for (j, key) in keys.iter().enumerate() {
-            assert_eq!(out[j], get(&raw, &stripes, &tm, ks[j], key), "key {key}");
+        // Hits, misses and duplicates, at every length around the
+        // read-ahead window: shorter than it, filling it, and past it.
+        let pool: Vec<u64> = vec![0, 1, 999_999, 2, 2, 888_888, 3, 0, 399, 7, 400, 7];
+        for n in 0..=2 * READ_AHEAD + 1 {
+            let keys: Vec<u64> = pool.iter().cycle().take(n).copied().collect();
+            let want: Vec<(usize, Option<u64>)> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| (i, get(&raw, &stripes, &tm, key_slots(&hb, k, raw.mask()), k)))
+                .collect();
+            assert_eq!(visit_all(&raw, &stripes, &tm, &hb, &keys), want, "{n} keys");
         }
-        // Short (partial) group.
-        let mut short = vec![None; 3];
-        get_group(&raw, &stripes, &tm, &ks[..3], &keys[..3], &mut short);
-        assert_eq!(short, out[..3].to_vec());
     }
 
     #[test]
-    fn get_group_falls_back_under_writer_pressure() {
-        // Hold a stripe's version odd-adjacent behavior via a lock/unlock
-        // storm while the group pipeline runs: invalidated keys must take
-        // the single-key fallback and still return correct results.
+    fn visit_many_is_correct_under_a_lock_storm() {
+        // A lock/unlock storm over every stripe while `visit_many` runs:
+        // keys whose validation fails retry, or fall back to the pair
+        // lock, and still show their values.
         let raw: RawTable<u64, u64, 8> = RawTable::with_capacity(4096);
         let stripes = LockStripes::new(16);
         let hb = RandomState::with_seed(31);
@@ -423,7 +422,8 @@ mod tests {
             unsafe { raw.write_entry_racy(ks.i1, slot, ks.tag, *key, key * 7) };
             drop(g);
         }
-        let ks: Vec<KeySlots> = keys.iter().map(|k| key_slots(&hb, k, raw.mask())).collect();
+        let want: Vec<(usize, Option<u64>)> =
+            keys.iter().map(|k| (*k as usize, Some(k * 7))).collect();
         let stop = std::sync::atomic::AtomicBool::new(false);
         let stop = &stop;
         let stripes = &stripes;
@@ -437,19 +437,10 @@ mod tests {
                 }
             });
             for _ in 0..300 {
-                for (kc, oc) in ks.chunks(MULTIGET_GROUP).zip(keys.chunks(MULTIGET_GROUP)) {
-                    let mut out = vec![None; kc.len()];
-                    get_group(raw, stripes, &tm, kc, oc, &mut out);
-                    for (j, key) in oc.iter().enumerate() {
-                        assert_eq!(out[j], Some(key * 7), "key {key}");
-                    }
-                }
+                assert_eq!(visit_all(raw, stripes, &tm, &hb, &keys), want);
             }
             stop.store(true, std::sync::atomic::Ordering::Release);
         });
-        // With a lock storm running, some keys must have paid a retry or
-        // fallback; whatever happened, the counters stay consistent.
-        assert!(tm.multiget_fallbacks.get() <= 300 * 64);
     }
 
     #[test]

@@ -64,9 +64,6 @@ pub struct TableMetrics {
     /// Reads that exhausted the optimistic retry budget and fell back to
     /// taking the bucket pair's stripe locks.
     pub read_lock_fallbacks: Counter,
-    /// Multiget keys whose pipelined group probe failed validation and
-    /// were re-fetched through the single-key path.
-    pub multiget_fallbacks: Counter,
     /// BFS cuckoo path length in slots (path entries, i.e. displacements
     /// + 1 for the vacancy) — the Eq. 2 distribution.
     pub bfs_path_len: Histogram,
@@ -146,7 +143,6 @@ impl TableMetrics {
             "cuckoo_read_lock_fallbacks_total",
             self.read_lock_fallbacks.get(),
         ));
-        out.push(Sample::counter("cuckoo_multiget_fallbacks_total", self.multiget_fallbacks.get()));
         out.push(Sample::histogram("cuckoo_bfs_path_len", self.bfs_path_len.snapshot()));
         out.push(Sample::histogram(
             "cuckoo_bfs_examined_slots",
@@ -178,7 +174,6 @@ impl TableMetrics {
     pub fn reset(&self) {
         self.read_retries.reset();
         self.read_lock_fallbacks.reset();
-        self.multiget_fallbacks.reset();
         self.bfs_path_len.reset();
         self.bfs_examined_slots.reset();
         self.migrations_started.reset();
@@ -259,7 +254,6 @@ mod tests {
             ("cuckoo_lock_spin_waits", "histogram"),
             ("cuckoo_read_retries_total", "counter"),
             ("cuckoo_read_lock_fallbacks_total", "counter"),
-            ("cuckoo_multiget_fallbacks_total", "counter"),
             ("cuckoo_bfs_path_len", "histogram"),
             ("cuckoo_bfs_examined_slots", "histogram"),
             ("cuckoo_path_searches_total", "counter"),
@@ -281,7 +275,6 @@ mod tests {
         let m = TableMetrics::new();
         m.read_retries.inc();
         m.read_lock_fallbacks.inc();
-        m.multiget_fallbacks.inc();
         m.bfs_path_len.record(3);
         m.bfs_examined_slots.record(40);
         m.migrations_started.inc();
@@ -295,7 +288,6 @@ mod tests {
         m.full_table_fallbacks.inc();
         m.reset();
         assert_eq!(m.read_retries.get(), 0);
-        assert_eq!(m.multiget_fallbacks.get(), 0);
         assert_eq!(m.bfs_path_len.snapshot().count(), 0);
         assert_eq!(m.bfs_examined_slots.snapshot().count(), 0);
         assert_eq!(m.migration_chunks.get(), 0);

@@ -138,7 +138,7 @@ pub trait Store: Send + Sync + 'static {
     /// per key, in order, with the live item under `keys[i]` (`None` =
     /// miss) borrowed from the engine, so the connection encodes a hit
     /// straight into its reply buffer. A batch goes through the table's
-    /// pipelined multi-key lookup; one key is a batch of one. An item
+    /// multi-key read; one key is a batch of one. An item
     /// found expired at `now` is reaped and shown as a miss; each key
     /// counts as one `get_hits` or `get_misses` by what was shown.
     fn read_many(&self, keys: &[&[u8]], now: u32, visit: &mut dyn FnMut(usize, Option<ItemRef<'_>>));

@@ -58,9 +58,9 @@ pub trait ConcurrentMap<V: BenchValue>: Sync {
     /// Looks up `key`.
     fn read(&self, key: &u64) -> Option<V>;
     /// Batched lookup: one result per key, in order (`None` = miss).
-    /// The default loops [`read`](Self::read); tables with a pipelined
-    /// multi-key path override it so the driver's batch mode measures
-    /// the real engine.
+    /// The default loops [`read`](Self::read); tables with a multi-key
+    /// read of their own override it so the driver's batch mode
+    /// measures the real engine.
     fn read_many(&self, keys: &[u64], out: &mut Vec<Option<V>>) {
         out.clear();
         out.extend(keys.iter().map(|k| self.read(k)));

@@ -229,7 +229,7 @@ pub struct LookupSpec {
     pub miss_ratio: f64,
     /// Keys per [`ConcurrentMap::read_many`] call. `0` or `1` measures
     /// the single-key `read` path; larger values exercise the batched
-    /// (software-pipelined) engine with this group size.
+    /// (read-ahead) engine with this batch size.
     pub batch: usize,
 }
 

@@ -418,6 +418,53 @@ mod tests {
         .expect("trivial spawn/join");
     }
 
+    /// A schedule that runs out of `max_steps` while a model thread
+    /// holds a guard whose `Drop` stores to an instrumented atomic is
+    /// pruned and counted, not turned into a process abort: the guard
+    /// drops during the [`sched::ModelAbort`] unwind.
+    #[test]
+    fn pruned_schedule_unwinds_through_a_guard_that_touches_an_atomic() {
+        struct Guard(Arc<sync::atomic::AtomicUsize>);
+        impl Drop for Guard {
+            fn drop(&mut self) {
+                self.0.store(0, Ordering::SeqCst);
+            }
+        }
+        let spin = |flag: &sync::atomic::AtomicUsize| {
+            while flag.load(Ordering::SeqCst) != usize::MAX {}
+        };
+        let stats = explore(Config { max_steps: 200, ..Config::random(0x9a4d, 8) }, move || {
+            let flag = Arc::new(sync::atomic::AtomicUsize::new(1));
+            let t = {
+                let flag = Arc::clone(&flag);
+                thread::spawn(move || {
+                    let _held = Guard(Arc::clone(&flag));
+                    spin(&flag);
+                })
+            };
+            spin(&flag);
+            let _ = t.join();
+        })
+        .expect("a pruned schedule is not a failure");
+        assert_eq!(stats.pruned, 8, "{stats:?}");
+    }
+
+    /// A schedule pruned before a spawned thread was ever granted the
+    /// CPU still finishes that thread: DFS's first schedule keeps
+    /// choosing the spinning root, so the child meets the teardown while
+    /// it waits for its first grant.
+    #[test]
+    fn pruned_schedule_finishes_a_thread_never_granted() {
+        let stats = explore(Config { max_steps: 200, ..Config::dfs(1) }, || {
+            let flag = Arc::new(sync::atomic::AtomicUsize::new(0));
+            let t = thread::spawn(|| ());
+            while flag.load(Ordering::SeqCst) == 0 {}
+            let _ = t.join();
+        })
+        .expect("a pruned schedule is not a failure");
+        assert_eq!(stats.pruned, 1, "{stats:?}");
+    }
+
     /// A three-thread interleaving bug: needs depth, exercises the
     /// scheduler beyond pairs.
     #[test]

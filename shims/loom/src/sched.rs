@@ -68,8 +68,17 @@ fn current() -> Option<(Arc<Shared>, usize)> {
 /// the scheduler grants it the next step; outside any model it is a
 /// no-op. Instrumented primitives call this before every shared-memory
 /// operation.
+///
+/// A thread that is unwinding — a [`ModelAbort`] tearing its schedule
+/// down, or a model failure — does not yield: a guard whose `Drop`
+/// touches an instrumented atomic would otherwise re-enter the
+/// scheduler, meet the abort, and panic inside a panic, which aborts
+/// the process.
 #[inline]
 pub fn yield_point() {
+    if std::thread::panicking() {
+        return;
+    }
     if let Some((shared, id)) = current() {
         shared.pause_and_wait(id);
     }
@@ -220,14 +229,15 @@ impl Shared {
     /// Body executed by every model OS thread.
     pub(crate) fn run_thread_body<F: FnOnce()>(self: Arc<Self>, id: usize, f: F) {
         CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(&self), id)));
-        // Wait for the first grant before touching any shared state.
-        {
-            let st = self.lock_state();
-            // A freshly spawned thread is not yet running; wait without
-            // reporting a pause (we never had the CPU).
-            self.wait_for_grant(st, id);
-        }
-        let result = catch_unwind(AssertUnwindSafe(f));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            // Wait for the first grant before touching any shared state:
+            // a freshly spawned thread is not yet running, so it waits
+            // without reporting a pause (it never had the CPU). A
+            // schedule torn down before the grant unwinds from here, and
+            // the thread still finishes.
+            self.wait_for_grant(self.lock_state(), id);
+            f()
+        }));
         let mut st = self.lock_state();
         st.threads[id] = Status::Finished;
         if let Err(payload) = result {

@@ -1,11 +1,11 @@
 //! Property-based equivalence: `get_many` (and the visitor under it,
 //! `visit_many`) ≡ N independent `get`s.
 //!
-//! The batched engine takes a different code path (software-pipelined
-//! prefetch + shared-stamp validation, per-key fallback) but must be
-//! observationally identical to looping the single-key read: same hits,
-//! same misses, same values, in request order — for duplicates within a
-//! group, batches longer than the table, and any group-boundary split.
+//! The batched read runs the single-key read per key, with the next few
+//! keys' lines warmed ahead, and must be observationally identical to
+//! looping `get`: same hits, same misses, same values, in request order
+//! — for duplicate keys, batches longer than the table, and batches
+//! that meet a live expansion.
 
 use cuckoo_repro::cuckoo::{CuckooMap, OptimisticCuckooMap};
 use proptest::prelude::*;
@@ -57,11 +57,6 @@ proptest! {
         for (j, k) in keys.iter().enumerate() {
             prop_assert_eq!(batched[j], m.get(k), "key {}", k);
         }
-        // And through the mapping variant.
-        let doubled = m.get_with_many(&keys, |v| v * 2);
-        for (j, k) in keys.iter().enumerate() {
-            prop_assert_eq!(doubled[j], m.get(k).map(|v| v * 2));
-        }
     }
 
     /// The visitor form with a four-line value: `visit_many` shows each
@@ -84,8 +79,8 @@ proptest! {
         }
     }
 
-    /// General map: same equivalence, including `get_with_many` closure
-    /// results, against the locked single-key path.
+    /// General map: same equivalence, against the locked single-key
+    /// path.
     #[test]
     fn cuckoo_map_get_many_equals_single_gets(
         fill in proptest::collection::vec(any::<u16>(), 0..300),
@@ -101,10 +96,6 @@ proptest! {
         for (j, k) in keys.iter().enumerate() {
             let single = m.get(k);
             prop_assert_eq!(batched[j].as_ref(), single.as_ref(), "key {}", k);
-        }
-        let mapped = m.get_with_many(&keys, |v| v + 1);
-        for (j, k) in keys.iter().enumerate() {
-            prop_assert_eq!(mapped[j], m.get(k).map(|v| v + 1));
         }
     }
 }
@@ -131,8 +122,8 @@ fn visit_many_under_writers_shows_only_whole_current_values() {
     for k in 0..HOT {
         m.insert(k, wide(k, 0)).unwrap();
     }
-    // Resident keys interleaved with keys nobody ever inserts, over
-    // several pipeline groups with a ragged tail.
+    // Resident keys interleaved with keys nobody ever inserts, and a
+    // duplicate-heavy tail inside the read-ahead window.
     let keys: Vec<u64> = (0..HOT).flat_map(|k| [k, 1 << 40 | k]).chain([3, 3, 5]).collect();
     let writers_left = std::sync::atomic::AtomicUsize::new(2);
     let start = std::sync::Barrier::new(4);
@@ -194,9 +185,8 @@ fn visit_many_under_writers_shows_only_whole_current_values() {
     }
 }
 
-/// A batch far longer than the table's population (and capacity) walks
-/// every group-boundary case: full groups, a ragged tail, all-miss
-/// groups, and duplicate-heavy groups.
+/// A batch far longer than the table's population (and capacity),
+/// cycling hits, misses and one key read over and over.
 #[test]
 fn batch_longer_than_table() {
     let m: OptimisticCuckooMap<u64, u64, 4> = OptimisticCuckooMap::with_capacity(64);
@@ -270,12 +260,11 @@ fn get_many_sees_all_keys_across_live_expansion() {
     }
 }
 
-/// A batch that finds an expansion in flight is counted and still
-/// right: every key demotes to the two-table single-key path, bumps
-/// `multiget_fallbacks` (which used to stay 0 on this map), and returns
-/// what `get` returns; once the migration is driven home the same batch
-/// pipelines again. Either way `get_many_into` fills the caller's buffer
-/// without allocating one of its own.
+/// A batch that finds an expansion in flight is still right: every key
+/// takes the two-table single-key read and returns what `get` returns,
+/// and once the migration is driven home the same batch reads the one
+/// table. Either way `get_many_into` fills the caller's buffer without
+/// allocating one of its own.
 #[test]
 fn get_many_mid_expansion_is_counted_and_correct() {
     let m: CuckooMap<u64, u64, 8> = CuckooMap::with_capacity(1 << 10);
@@ -285,22 +274,19 @@ fn get_many_mid_expansion_is_counted_and_correct() {
         m.insert(k, k * 7 + 5).unwrap();
         keys.push(k);
     }
-    keys.extend([1 << 40, 3, 3]); // a miss and a duplicate, mid-group
+    keys.extend([1 << 40, 3, 3]); // a miss and a duplicate
     let want: Vec<Option<u64>> = keys.iter().map(|k| m.get(k)).collect();
     assert!(m.is_migrating(), "reads never help a migration along");
-    assert_eq!(m.metrics().multiget_fallbacks.get(), 0);
 
     let mut out = Vec::with_capacity(keys.len());
     let allocations = ALLOCATIONS.with(Cell::get);
     m.get_many_into(&keys, &mut out);
     assert_eq!(ALLOCATIONS.with(Cell::get), allocations, "get_many_into allocated mid-migration");
     assert_eq!(out, want);
-    assert_eq!(m.metrics().multiget_fallbacks.get(), keys.len() as u64);
 
     while m.help_migrate(usize::MAX) {}
     let allocations = ALLOCATIONS.with(Cell::get);
     m.get_many_into(&keys, &mut out);
     assert_eq!(ALLOCATIONS.with(Cell::get), allocations, "get_many_into allocated");
     assert_eq!(out, want);
-    assert_eq!(m.metrics().multiget_fallbacks.get(), keys.len() as u64, "a stable table pipelines");
 }

@@ -197,7 +197,6 @@ fn observability_sections_expose_and_reset() {
         "cuckoo_lock_spin_waits_count",
         "cuckoo_read_retries_total",
         "cuckoo_read_lock_fallbacks_total",
-        "cuckoo_multiget_fallbacks_total",
         "cuckoo_bfs_path_len_count",
         "cuckoo_bfs_examined_slots_count",
         "cuckoo_path_searches_total",
@@ -206,9 +205,10 @@ fn observability_sections_expose_and_reset() {
     ] {
         assert!(stats.contains_key(family), "missing family {family}");
     }
-    // No served path runs an elided lock or a second path planner: no
-    // transactional or eviction-policy families.
-    for gone in ["htm_", "cuckoo_evict"] {
+    // No served path runs an elided lock, a second path planner or a
+    // second read path: no transactional, eviction-policy or multiget
+    // families.
+    for gone in ["htm_", "cuckoo_evict", "cuckoo_multiget"] {
         assert!(!stats.keys().any(|name| name.starts_with(gone)), "{gone}: {stats:?}");
     }
     assert!(stats["cuckoo_lock_acquisitions_total"] >= 500, "{stats:?}");
