@@ -559,16 +559,27 @@ where
             .expect("upsert cannot fail: expansion handles fullness")
     }
 
-    /// Removes `key`, returning its value.
-    pub fn remove(&self, key: &K) -> Option<V> {
+    /// Removes `key` if `pred` accepts its value, returning that value.
+    /// `pred` sees the value under the pair lock that removes it, so no
+    /// write can land between the check and the removal.
+    pub fn remove_if(&self, key: &K, pred: impl FnOnce(&V) -> bool) -> Option<V> {
         let _pin = self.epochs.pin();
         self.with_locked_pair(hash_of(&self.hash_builder, key), |raw, ks| {
             let (bi, s) = probe::<PlainStore, K, V, B>(raw, ks, key)?;
+            // SAFETY: pair lock held; slot occupied.
+            if !pred(unsafe { &*raw.bucket(bi).val_ptr(s) }) {
+                return None;
+            }
             // SAFETY: pair lock held; slot occupied.
             let (_, v) = unsafe { raw.take_entry(bi, s) };
             self.count.add(bi, -1);
             Some(v)
         })
+    }
+
+    /// Removes `key`, returning its value.
+    pub fn remove(&self, key: &K) -> Option<V> {
+        self.remove_if(key, |_| true)
     }
 
     /// Replaces the value of an existing key, returning the old value.
@@ -1485,6 +1496,20 @@ mod tests {
         assert!(m.modify(&1, |v| v.push(9)));
         assert_eq!(m.get(&1), Some(vec![1, 9]));
         assert!(!m.modify(&2, |_| unreachable!("absent key")));
+    }
+
+    #[test]
+    fn remove_if_removes_only_what_the_predicate_accepts() {
+        let m: CuckooMap<u64, u64> = CuckooMap::new();
+        m.insert(1, 10).unwrap();
+        m.insert(2, 20).unwrap();
+        assert_eq!(m.remove_if(&1, |v| *v == 11), None, "a false predicate removed the entry");
+        assert_eq!(m.get(&1), Some(10));
+        assert_eq!(m.remove_if(&1, |v| *v == 10), Some(10));
+        assert_eq!(m.get(&1), None);
+        assert_eq!(m.remove_if(&3, |_| unreachable!("absent key")), None);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.get(&2), Some(20));
     }
 
     #[test]

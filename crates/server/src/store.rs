@@ -16,7 +16,10 @@
 //! - [`CuckooStore`] (`--no-evict`) fronts [`cuckoo::CuckooMap`] — the
 //!   general auto-resizing table. Arbitrary item sizes, no eviction:
 //!   the working set is bounded only by memory, as when `cuckood` is
-//!   used as a plain key-value store rather than a cache.
+//!   used as a plain key-value store rather than a cache. The table
+//!   maps the same 64-bit key hash to a shared item that holds key,
+//!   value and metadata; keys whose hashes collide chain behind one
+//!   another in that hash's one entry, so both are kept and served.
 //!
 //! Expiry (`exptime`) follows memcached: `0` never expires, values up to
 //! thirty days are relative seconds, larger values are absolute unix
@@ -29,7 +32,7 @@ use cache::{CacheStats, ClockCache};
 use cuckoo::hash::SipHashBuilder;
 use cuckoo::{CuckooMap, Plain};
 use std::hash::{BuildHasher, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -469,11 +472,56 @@ impl Store for ClockStore {
 // CuckooStore: unbounded (resizing) table, arbitrary item sizes
 // ---------------------------------------------------------------------------
 
+/// One item of the growing engine: its key and value in one buffer, and
+/// the items whose keys share its 64-bit key hash chained behind it.
+/// Items are immutable once shared; a chain edit builds a new chain.
 struct StoredItem {
     flags: u32,
     expires_at: u32,
     cas: u64,
-    data: Box<[u8]>,
+    /// Where `bytes` splits into key and value.
+    key_len: usize,
+    /// The key, then the value.
+    bytes: Box<[u8]>,
+    /// The next item under the same key hash (`None` but for a collision).
+    next: Option<Arc<StoredItem>>,
+}
+
+impl StoredItem {
+    fn new(key: &[u8], flags: u32, expires_at: u32, cas: u64, value: &[u8]) -> Arc<Self> {
+        let mut bytes = Vec::with_capacity(key.len() + value.len());
+        bytes.extend_from_slice(key);
+        bytes.extend_from_slice(value);
+        Arc::new(StoredItem { flags, expires_at, cas, key_len: key.len(), bytes: bytes.into(), next: None })
+    }
+
+    fn key(&self) -> &[u8] {
+        &self.bytes[..self.key_len]
+    }
+
+    fn value(&self) -> &[u8] {
+        &self.bytes[self.key_len..]
+    }
+
+    /// This item, then the ones chained behind it.
+    fn chain(self: &Arc<Self>) -> impl Iterator<Item = &Arc<StoredItem>> {
+        std::iter::successors(Some(self), |item| item.next.as_ref())
+    }
+
+    /// The item with `key` in this chain.
+    fn find(self: &Arc<Self>, key: &[u8]) -> Option<&Arc<StoredItem>> {
+        self.chain().find(|item| item.key() == key)
+    }
+
+    /// A copy of this item with `next` chained behind it.
+    fn relink(&self, next: Option<Arc<StoredItem>>) -> Arc<StoredItem> {
+        Arc::new(StoredItem { bytes: self.bytes.clone(), next, ..*self })
+    }
+}
+
+/// A new chain of copies of `items`, in order, ending in `tail`.
+fn rechain(items: &[&Arc<StoredItem>], tail: Option<Arc<StoredItem>>) -> Option<Arc<StoredItem>> {
+    items.iter().rev().fold(tail, |next, item| Some(item.relink(next)))
 }
 
 /// Chunks the background sweeper migrates per pass. Small enough that a
@@ -486,6 +534,14 @@ const SWEEP_IDLE: std::time::Duration = std::time::Duration::from_millis(2);
 
 /// No-eviction store over the general `cuckoo::CuckooMap`.
 ///
+/// The table is keyed by the key's 64-bit keyed SipHash-1-3 (the hash
+/// [`ClockStore`] uses), so a slot is a `u64` and an `Arc`, and a bucket
+/// split rehashes the inline `u64` without touching an item. Keys that
+/// share a hash chain behind one another in that hash's one entry (see
+/// `StoredItem`), so every operation on a colliding key still runs
+/// under one pair lock. A `set` makes two allocations: the item and its
+/// key + value buffer.
+///
 /// The map expands incrementally: writers that land on an unmigrated
 /// bucket move a chunk themselves, so expansion progresses with the
 /// write load. A read-mostly workload, however, could leave a migration
@@ -493,8 +549,14 @@ const SWEEP_IDLE: std::time::Duration = std::time::Duration::from_millis(2);
 /// each store spawns a detached background sweeper that drains pending
 /// chunks whenever a migration is in flight. The sweeper holds only a
 /// [`Weak`] reference and exits when the store is dropped.
-pub struct CuckooStore {
-    map: Arc<CuckooMap<Box<[u8]>, Arc<StoredItem>, 8>>,
+pub struct CuckooStore<S = SipHashBuilder> {
+    map: Arc<CuckooMap<u64, Arc<StoredItem>, 8>>,
+    hasher: S,
+    /// Items chained behind another under a shared hash: `stats().len`
+    /// is the map's entry count plus these. Raised under the lock that
+    /// chains an item, lowered only once it is unchained, so it never
+    /// wraps.
+    chained: AtomicUsize,
     cas: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -506,6 +568,14 @@ pub struct CuckooStore {
 
 impl CuckooStore {
     pub fn new(capacity: usize) -> Self {
+        Self::with_hasher(capacity, SipHashBuilder::new())
+    }
+}
+
+impl<S: BuildHasher> CuckooStore<S> {
+    /// A store that hashes keys with `hasher`; the product uses
+    /// [`new`](CuckooStore::new), tests a colliding hasher.
+    fn with_hasher(capacity: usize, hasher: S) -> Self {
         let map = Arc::new(CuckooMap::with_capacity(capacity));
         let weak = Arc::downgrade(&map);
         std::thread::Builder::new()
@@ -522,6 +592,8 @@ impl CuckooStore {
             .expect("failed to spawn cuckoo-sweeper thread");
         CuckooStore {
             map,
+            hasher,
+            chained: AtomicUsize::new(0),
             cas: AtomicU64::new(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -532,18 +604,27 @@ impl CuckooStore {
         }
     }
 
-    /// `item` (what the map holds under `key`) if it is still live at
-    /// `now`; an expired one is reaped instead, and counted when the
-    /// removal took something out — once per item, not per observer.
+    fn hash_key(&self, key: &[u8]) -> u64 {
+        let mut h = self.hasher.build_hasher();
+        h.write(key);
+        h.finish()
+    }
+
+    /// `item` (what the map holds under `key`, hash `h`) if it is still
+    /// live at `now`; an expired one is reaped instead. The deadline is
+    /// checked again under the lock that removes it, so a fresh `set`
+    /// that landed since is kept. Counted when the removal took something
+    /// out — once per item, not per observer.
     fn live_or_reap(
         &self,
+        h: u64,
         key: &[u8],
         item: Option<Arc<StoredItem>>,
         now: u32,
     ) -> Option<Arc<StoredItem>> {
         let item = item?;
         if expired(item.expires_at, now) {
-            if self.map.remove(&key.into()).is_some() {
+            if self.take(h, |i| i.key() == key && expired(i.expires_at, now)) {
                 self.expirations.fetch_add(1, Ordering::Relaxed);
             }
             return None;
@@ -551,48 +632,112 @@ impl CuckooStore {
         Some(item)
     }
 
-    /// Stores `item` under `key` (`set`, `restore`), replacing any
-    /// incumbent.
-    fn upsert(&self, key: &[u8], item: Arc<StoredItem>) {
-        if matches!(self.map.upsert(key.into(), item), cuckoo::UpsertOutcome::Inserted) {
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.updates.fetch_add(1, Ordering::Relaxed);
+    /// Takes the item under `h` that `pick` accepts (at most one does)
+    /// out of its chain: the entry goes when the item is alone in it,
+    /// else the chain is rebuilt without it. Whether one was taken.
+    fn take(&self, h: u64, pick: impl Fn(&StoredItem) -> bool) -> bool {
+        loop {
+            let (mut found, mut alone) = (false, false);
+            let removed = self.map.remove_if(&h, |head| {
+                found = head.chain().any(|i| pick(i));
+                alone = head.next.is_none();
+                found && alone
+            });
+            if removed.is_some() {
+                return true;
+            }
+            if !found {
+                return false;
+            }
+            let mut taken = false;
+            self.map.modify(&h, |head| {
+                if head.next.is_some() && head.chain().any(|i| pick(i)) {
+                    let rest: Vec<_> = head.chain().filter(|i| !pick(i)).collect();
+                    *head = rechain(&rest, None).expect("a chain of two keeps one");
+                    self.chained.fetch_sub(1, Ordering::Relaxed);
+                    taken = true;
+                }
+            });
+            if taken {
+                return true;
+            }
+            // The chain changed between the two calls: decide again.
         }
     }
 
-    /// `add`: stores `item` when `key` is absent, or takes over its
-    /// incumbent in place when that has expired (counted as expired).
-    fn add(&self, key: &[u8], item: Arc<StoredItem>, now: u32) -> bool {
+    /// Puts `item` into the chain at `head`: in place of the item with
+    /// its key (`true`), or behind the strangers that share its hash.
+    /// Caller holds the entry's lock.
+    fn put(&self, head: &mut Arc<StoredItem>, item: &Arc<StoredItem>) -> bool {
+        let key = item.key();
+        let others: Vec<_> = head.chain().filter(|i| i.key() != key).collect();
+        let replaced = head.chain().count() > others.len();
+        *head = rechain(&others, Some(Arc::clone(item))).expect("the chain holds `item`");
+        if !replaced {
+            self.chained.fetch_add(1, Ordering::Relaxed);
+        }
+        replaced
+    }
+
+    /// Stores `item` under `h` (`set`, `restore`), replacing its key's
+    /// incumbent. A fresh hash is one `insert`.
+    fn set(&self, h: u64, item: Arc<StoredItem>) {
         loop {
-            if self.map.insert(key.into(), Arc::clone(&item)).is_ok() {
+            if self.map.insert(h, Arc::clone(&item)).is_ok() {
+                self.inserts.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            let mut replaced = false;
+            if self.map.modify(&h, |head| replaced = self.put(head, &item)) {
+                let counter = if replaced { &self.updates } else { &self.inserts };
+                counter.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            // The entry went between the two calls: try again.
+        }
+    }
+
+    /// `add`: stores `item` when its key is absent under `h` (strangers
+    /// sharing the hash do not block it), or takes over its incumbent
+    /// when that has expired (counted as expired).
+    fn add(&self, h: u64, item: Arc<StoredItem>, now: u32) -> bool {
+        loop {
+            if self.map.insert(h, Arc::clone(&item)).is_ok() {
                 self.inserts.fetch_add(1, Ordering::Relaxed);
                 return true;
             }
-            let mut live = false;
-            let found = self.map.modify(&key.into(), |cur| {
-                live = !expired(cur.expires_at, now);
-                if !live {
-                    *cur = Arc::clone(&item);
+            // `Some(live)` for an incumbent with the key.
+            let mut incumbent = None;
+            let found = self.map.modify(&h, |head| {
+                incumbent = head.find(item.key()).map(|cur| !expired(cur.expires_at, now));
+                if incumbent != Some(true) {
+                    self.put(head, &item);
                 }
             });
             if found {
-                if !live {
-                    self.expirations.fetch_add(1, Ordering::Relaxed);
-                    self.updates.fetch_add(1, Ordering::Relaxed);
+                match incumbent {
+                    Some(true) => return false,
+                    Some(false) => {
+                        self.expirations.fetch_add(1, Ordering::Relaxed);
+                        self.updates.fetch_add(1, Ordering::Relaxed);
+                    }
+                    None => {
+                        self.inserts.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
-                return !live;
+                return true;
             }
-            // The incumbent went between the two calls: try again.
+            // The entry went between the two calls: try again.
         }
     }
 
-    /// `replace`: overwrites `key`'s item in place if it is live.
-    fn replace(&self, key: &[u8], item: Arc<StoredItem>, now: u32) -> bool {
+    /// `replace`: puts `item` in place of its key's incumbent if that is
+    /// live.
+    fn replace(&self, h: u64, item: Arc<StoredItem>, now: u32) -> bool {
         let mut stored = false;
-        self.map.modify(&key.into(), |cur| {
-            if !expired(cur.expires_at, now) {
-                *cur = item;
+        self.map.modify(&h, |head| {
+            if head.find(item.key()).is_some_and(|cur| !expired(cur.expires_at, now)) {
+                self.put(head, &item);
                 stored = true;
             }
         });
@@ -603,14 +748,16 @@ impl CuckooStore {
     }
 }
 
-impl Store for CuckooStore {
+impl<S: BuildHasher + Send + Sync + 'static> Store for CuckooStore<S> {
     fn read_many(&self, keys: &[&[u8]], now: u32, visit: &mut dyn FnMut(usize, Option<ItemRef<'_>>)) {
-        let owned: Vec<Box<[u8]>> = keys.iter().map(|&k| k.into()).collect();
+        let hashes: Vec<u64> = keys.iter().map(|k| self.hash_key(k)).collect();
+        let mut found = Vec::with_capacity(keys.len());
+        self.map.visit_many(&hashes, |i, head| found.push(head.and_then(|head| head.find(keys[i])).cloned()));
         let mut hits = 0;
-        for (i, item) in self.map.get_many(&owned).into_iter().enumerate() {
-            let live = self.live_or_reap(keys[i], item, now);
+        for (i, item) in found.into_iter().enumerate() {
+            let live = self.live_or_reap(hashes[i], keys[i], item, now);
             hits += live.is_some() as u64;
-            visit(i, live.as_deref().map(|item| ItemRef { flags: item.flags, cas: item.cas, data: &item.data }));
+            visit(i, live.as_deref().map(|item| ItemRef { flags: item.flags, cas: item.cas, data: item.value() }));
         }
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses.fetch_add(keys.len() as u64 - hits, Ordering::Relaxed);
@@ -618,29 +765,28 @@ impl Store for CuckooStore {
 
     fn write_many(&self, cmds: &[StoreCmd<'_>], now: u32, done: &mut dyn FnMut(usize, StoreOutcome)) {
         for (i, c) in cmds.iter().enumerate() {
+            let h = self.hash_key(c.key);
             let expires_at = deadline(c.exptime, now);
             let cas = self.cas.fetch_add(1, Ordering::Relaxed);
-            let item = Arc::new(StoredItem { flags: c.flags, expires_at, cas, data: c.data.into() });
+            let item = StoredItem::new(c.key, c.flags, expires_at, cas, c.data);
             let stored = match c.verb {
                 StoreVerb::Set => {
-                    self.upsert(c.key, item);
+                    self.set(h, item);
                     true
                 }
-                StoreVerb::Add => self.add(c.key, item, now),
-                StoreVerb::Replace => self.replace(c.key, item, now),
+                StoreVerb::Add => self.add(h, item, now),
+                StoreVerb::Replace => self.replace(h, item, now),
             };
             done(i, if stored { StoreOutcome::Stored { cas, expires_at } } else { StoreOutcome::NotStored });
         }
     }
 
     fn delete(&self, key: &[u8]) -> bool {
-        let owned: Box<[u8]> = key.into();
-        if self.map.remove(&owned).is_some() {
+        let taken = self.take(self.hash_key(key), |i| i.key() == key);
+        if taken {
             self.deletes.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
         }
+        taken
     }
 
     fn flush_all(&self) -> u64 {
@@ -650,35 +796,37 @@ impl Store for CuckooStore {
         // `ClockCache::flush` runs — see there for why a dirty empty
         // pass cannot be trusted).
         loop {
-            let mut keys: Vec<Box<[u8]>> = Vec::new();
-            let clean = self.map.scan(|k, _| keys.push(k.clone()));
-            if keys.is_empty() && clean {
+            let mut hashes = Vec::new();
+            let clean = self.map.scan(|&h, _| hashes.push(h));
+            if hashes.is_empty() && clean {
                 return flushed;
             }
-            for k in keys {
-                if self.map.remove(&k).is_some() {
-                    self.deletes.fetch_add(1, Ordering::Relaxed);
-                    flushed += 1;
+            for h in hashes {
+                if let Some(head) = self.map.remove(&h) {
+                    let n = head.chain().count();
+                    self.chained.fetch_sub(n - 1, Ordering::Relaxed);
+                    self.deletes.fetch_add(n as u64, Ordering::Relaxed);
+                    flushed += n as u64;
                 }
             }
         }
     }
 
     fn restore(&self, key: &[u8], flags: u32, expires_at: u32, cas: u64, value: &[u8]) {
-        self.upsert(key, Arc::new(StoredItem { flags, expires_at, cas, data: value.into() }));
+        self.set(self.hash_key(key), StoredItem::new(key, flags, expires_at, cas, value));
         // Future allocations must stay above every restored cas.
         self.cas.fetch_max(cas + 1, Ordering::Relaxed);
     }
 
     fn scan_entries(&self, now: u32, out: &mut Vec<persist::Entry>) -> bool {
-        self.map.scan(|k, item| {
-            if !expired(item.expires_at, now) {
+        self.map.scan(|_, head| {
+            for item in head.chain().filter(|item| !expired(item.expires_at, now)) {
                 out.push(persist::Entry {
-                    key: k.to_vec(),
+                    key: item.key().to_vec(),
                     flags: item.flags,
                     expires_at: item.expires_at,
                     cas: item.cas,
-                    value: item.data.to_vec(),
+                    value: item.value().to_vec(),
                 });
             }
         })
@@ -696,7 +844,7 @@ impl Store for CuckooStore {
                 deletes: self.deletes.load(Ordering::Relaxed),
                 expirations: self.expirations.load(Ordering::Relaxed),
             },
-            len: self.map.len(),
+            len: self.map.len() + self.chained.load(Ordering::Relaxed),
             capacity: self.map.capacity(),
             table_bytes: self.map.memory_bytes(),
             table_slots: self.map.capacity(),
@@ -900,6 +1048,168 @@ mod tests {
     #[test]
     fn cuckoo_store_semantics() {
         check_common(&CuckooStore::new(1024));
+    }
+
+    /// Maps every key to one of two hashes (the parity of its bytes), so
+    /// most keys share a hash with many others.
+    #[derive(Clone, Copy, Default)]
+    struct TwoHashes;
+
+    struct TwoHasher(u8);
+
+    impl Hasher for TwoHasher {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0 = bytes.iter().fold(self.0, |acc, b| acc ^ b);
+        }
+        fn finish(&self) -> u64 {
+            (self.0.count_ones() & 1) as u64
+        }
+    }
+
+    impl BuildHasher for TwoHashes {
+        type Hasher = TwoHasher;
+        fn build_hasher(&self) -> TwoHasher {
+            TwoHasher(0)
+        }
+    }
+
+    /// The whole contract again with colliding keys chained under two
+    /// hashes: a chain edit must keep every other key's item.
+    #[test]
+    fn cuckoo_store_semantics_under_colliding_hashes() {
+        check_common(&CuckooStore::with_hasher(1024, TwoHashes));
+        check_store_many(|| Box::new(CuckooStore::with_hasher(1024, TwoHashes)));
+    }
+
+    /// Four threads own 16 keys each, all 64 keys under two hashes, and
+    /// mix every verb on their own keys. Whatever the others do to the
+    /// shared chains, each thread sees exactly its own history, and after
+    /// the join the store holds each owner's last write once.
+    #[test]
+    fn cuckoo_store_colliding_keys_race() {
+        const THREADS: usize = 4;
+        const KEYS: usize = 16;
+        let store = CuckooStore::with_hasher(64, TwoHashes);
+        let key = |t: usize, k: usize| format!("t{t}-key{k}").into_bytes();
+        let models: Vec<Vec<Option<Vec<u8>>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let store = &store;
+                    s.spawn(move || {
+                        let mut model: Vec<Option<Vec<u8>>> = vec![None; KEYS];
+                        let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ t as u64;
+                        for step in 0..4000 {
+                            rng ^= rng << 13;
+                            rng ^= rng >> 7;
+                            rng ^= rng << 17;
+                            let k = (rng >> 8) as usize % KEYS;
+                            let key = key(t, k);
+                            let value = format!("{t}.{k}.{step}").into_bytes();
+                            let was = model[k].is_some();
+                            match rng % 5 {
+                                0 => {
+                                    assert!(stored(store.store(StoreVerb::Set, &key, 0, 0, &value, 0)));
+                                    model[k] = Some(value);
+                                }
+                                1 => {
+                                    assert_eq!(stored(store.store(StoreVerb::Add, &key, 0, 0, &value, 0)), !was, "add");
+                                    model[k].get_or_insert(value);
+                                }
+                                2 => {
+                                    assert_eq!(stored(store.store(StoreVerb::Replace, &key, 0, 0, &value, 0)), was, "replace");
+                                    if was {
+                                        model[k] = Some(value);
+                                    }
+                                }
+                                3 => {
+                                    assert_eq!(store.delete(&key), was, "delete");
+                                    model[k] = None;
+                                }
+                                _ => assert_eq!(store.get(&key, 0).map(|item| item.data), model[k], "get"),
+                            }
+                        }
+                        model
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut live = Vec::new();
+        for (t, model) in models.iter().enumerate() {
+            for (k, want) in model.iter().enumerate() {
+                assert_eq!(store.get(&key(t, k), 0).map(|item| item.data), *want, "key t{t}-key{k}");
+                live.extend(want.is_some().then(|| key(t, k)));
+            }
+        }
+        assert_eq!(store.stats().len, live.len());
+        let mut entries = Vec::new();
+        while !{
+            entries.clear();
+            store.scan_entries(0, &mut entries)
+        } {}
+        let mut scanned: Vec<Vec<u8>> = entries.into_iter().map(|e| e.key).collect();
+        scanned.sort();
+        live.sort();
+        assert_eq!(scanned, live, "scan_entries must yield each live key once");
+    }
+
+    /// Readers keep finding `key` expired and reaping it while a writer
+    /// re-`set`s it: a `set` acknowledged `STORED` must never be reaped
+    /// as the expired item a reader saw before it landed. With
+    /// `strangers`, live keys share the hash, so reaping edits a chain.
+    fn check_reap_race(store: &dyn Store, strangers: &[&[u8]]) {
+        let now = 1000;
+        let key: &[u8] = b"reaped";
+        for s in strangers {
+            assert!(stored(store.store(StoreVerb::Set, s, 0, 0, b"stranger", now)));
+        }
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        /// Stops the readers however the writer leaves, a failed assert
+        /// included.
+        struct StopOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        // Repeats of the key reap it one after another,
+                        // which widens the window a stale reap acts in.
+                        store.read_many(&[key; 32], now, &mut |_, _| {});
+                    }
+                });
+            }
+            let _stop = StopOnDrop(&stop);
+            for round in 0..200u32 {
+                // An item set a while ago with a one-second lifetime;
+                // wait until a reader reaps it, with its repeats still to go.
+                let reaped = store.stats().cache.expirations;
+                store.store(StoreVerb::Set, key, 0, 1, b"old", now - 10);
+                while store.stats().cache.expirations == reaped {
+                    std::hint::spin_loop();
+                }
+                let value = round.to_le_bytes();
+                assert!(stored(store.store(StoreVerb::Set, key, 0, 0, &value, now)));
+                for _ in 0..4 {
+                    let got = store.get(key, now).map(|item| item.data);
+                    assert_eq!(got.as_deref(), Some(value.as_slice()), "round {round}: an acknowledged set was reaped");
+                    std::thread::yield_now();
+                }
+            }
+        });
+        for s in strangers {
+            assert_eq!(store.get(s, now).unwrap().data, b"stranger");
+        }
+    }
+
+    #[test]
+    fn cuckoo_store_reaping_keeps_a_fresh_set() {
+        check_reap_race(&CuckooStore::new(64), &[]);
+        let strangers: Vec<&[u8]> = vec![b"s1", b"s2", b"s3", b"s4"];
+        check_reap_race(&CuckooStore::with_hasher(64, TwoHashes), &strangers);
     }
 
     /// The durability decorator answers reads with its engine's one

@@ -281,3 +281,51 @@ fn inserts_land_all_keys_across_live_expansion() {
         assert_eq!(v, Some(k * 7 + 5), "key {k} lost");
     }
 }
+
+/// `remove_if` racing bucket splits: a filler's inserts double the map
+/// again and again while a remover, paced to spread its work over the
+/// whole fill, takes every even key out with an accepting predicate and
+/// leaves every odd key with a refusing one. A removed key must stay gone
+/// (no split may copy it back), and a refused one must stay put (no split
+/// may drop it), during the race and after.
+#[test]
+fn remove_if_races_bucket_splits() {
+    const GROWTH: u64 = 16;
+    let m: CuckooMap<u64, u64, 8> = CuckooMap::with_capacity(1 << 9);
+    let n: u64 = (1 << 12) * stress_scale();
+    for k in 0..n {
+        m.insert(k, value_of(k)).unwrap();
+    }
+    let start = m.capacity();
+    let inserted = AtomicU64::new(0);
+    let mut mid_split = 0;
+    std::thread::scope(|s| {
+        let (m, inserted) = (&m, &inserted);
+        s.spawn(move || {
+            for k in n..GROWTH * n {
+                m.insert(k, value_of(k)).unwrap();
+                inserted.fetch_add(1, Ordering::Release);
+            }
+        });
+        for k in 0..n {
+            while inserted.load(Ordering::Acquire) < k * (GROWTH - 1) {
+                std::thread::yield_now();
+            }
+            mid_split += m.is_migrating() as u64;
+            if k % 2 == 0 {
+                assert_eq!(m.remove_if(&k, |&v| v == value_of(k)), Some(value_of(k)), "key {k} lost before its removal");
+                assert_eq!(m.get(&k), None, "key {k} resurrected");
+            } else {
+                assert_eq!(m.remove_if(&k, |_| false), None, "a refusing predicate removed key {k}");
+                assert_eq!(m.get(&k), Some(value_of(k)), "key {k} lost");
+            }
+        }
+    });
+    assert!(m.capacity() >= start << 2, "the fill did not double the map twice");
+    assert!(mid_split > 0, "no removal raced a split");
+    for k in 0..GROWTH * n {
+        let want = (k >= n || k % 2 == 1).then(|| value_of(k));
+        assert_eq!(m.get(&k), want, "key {k}");
+    }
+    assert_eq!(m.len() as u64, GROWTH * n - n / 2);
+}
