@@ -164,7 +164,9 @@ fn dirty_case(dir: &Path, n: usize, value_len: usize) -> Row {
         let mut cfg = PersistConfig::new(dir);
         cfg.fsync_interval = Duration::from_millis(1);
         cfg.snapshot_interval = Duration::ZERO;
-        let (p, _) = Persister::open(cfg, Arc::new(PersistMetrics::new())).expect("open log");
+        // An empty directory: nothing streams in, nothing is snapshotted.
+        let (p, _) = Persister::open(cfg, Arc::new(PersistMetrics::new()), Arc::new(Vec::new), &mut |_| {})
+            .expect("open log");
         let value = vec![b'v'; value_len];
         for i in 0..n {
             p.append(&Op::Set {

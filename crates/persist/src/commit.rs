@@ -246,7 +246,7 @@ impl CommitQueue {
 #[cfg(all(test, not(cuckoo_model)))]
 mod tests {
     use super::*;
-    use crate::record::decode_all;
+    use crate::record::decode_each;
 
     fn set(i: u64) -> Op {
         Op::Set {
@@ -261,9 +261,13 @@ mod tests {
     /// The LSNs of the whole frames in `frames`, in byte order; any
     /// torn or corrupt frame fails the test.
     fn lsns(frames: &[u8]) -> Vec<u64> {
-        let (records, valid) = decode_all(frames);
-        assert_eq!(valid, frames.len(), "torn or corrupt frame in the run");
-        records.iter().map(|r| r.lsn).collect()
+        let mut lsns = Vec::new();
+        let valid = decode_each(frames, |r| {
+            lsns.push(r.lsn);
+            Ok(())
+        });
+        assert_eq!(valid.unwrap(), frames.len(), "torn or corrupt frame in the run");
+        lsns
     }
 
     #[test]

@@ -24,19 +24,23 @@
 //!
 //! # Recovery
 //!
-//! [`Persister::open`] merges `snapshot` + `oplog.old` + `oplog` (in LSN
-//! order, torn tail truncated), then *normalizes*: writes a fresh
-//! snapshot covering everything and truncates the logs, so a running
-//! directory always looks like {recent snapshot, short live log}. A
-//! clean shutdown additionally leaves a `clean` marker; when the marker
-//! matches, startup is a straight snapshot load with no replay.
+//! Recovery keeps no table of its own: the caller's last-writer-wins
+//! table is the merge map. [`Persister::open`] streams into the caller's
+//! sink the snapshot's entries, then `oplog.old` + `oplog` above the
+//! snapshot's cover (LSN order, torn tail dropped), then *normalizes*:
+//! publishes a fresh snapshot scanned from that table and removes the
+//! logs, so a running directory always looks like {recent snapshot,
+//! short live log}. Nothing is written before that snapshot publishes,
+//! so a crash mid-recovery replays the same files again. A clean
+//! shutdown additionally leaves a `clean` marker; when the marker
+//! matches, startup streams the snapshot alone, with no replay.
 
 pub mod commit;
 pub mod log;
 pub mod record;
 pub mod snapshot;
 
-pub use record::{Op, Record, SetRef};
+pub use record::{Op, OpRef, Record, SetRef};
 pub use snapshot::Entry;
 
 use commit::CommitQueue;
@@ -44,7 +48,6 @@ use cuckoo::sync2::{Mutex, MutexGuard};
 use log::RotateCtl;
 use metrics::persist::PersistMetrics;
 use record::encode_set;
-use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -81,11 +84,9 @@ impl PersistConfig {
     }
 }
 
-/// What [`Persister::open`] reconstructed from the data directory.
+/// What [`Persister::open`] streamed out of the data directory.
 #[derive(Debug)]
 pub struct Recovered {
-    /// The merged table image; feed it to the engine before serving.
-    pub entries: Vec<Entry>,
     /// Highest LSN recovered; new appends continue right after it.
     pub last_lsn: u64,
     /// True when a clean-shutdown marker matched and no replay was
@@ -147,14 +148,6 @@ impl WriteStripes {
     pub fn lock_all(&self) -> Vec<MutexGuard<'_, ()>> {
         self.locks.iter().map(|m| m.lock().expect("write stripe poisoned")).collect()
     }
-
-    pub fn len(&self) -> usize {
-        self.locks.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        false
-    }
 }
 
 /// Scans the live table for a snapshot. Implementations must retry
@@ -177,8 +170,7 @@ impl Drop for CompactionPause<'_> {
 }
 
 /// One open data directory: the commit queue, its writer thread, and
-/// (once [`start_snapshots`](Persister::start_snapshots) is called) the
-/// compaction thread.
+/// the compaction thread.
 pub struct Persister {
     cfg: PersistConfig,
     queue: Arc<CommitQueue>,
@@ -189,54 +181,51 @@ pub struct Persister {
     writer: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
     snapshotter: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
     snap_stop: Arc<AtomicBool>,
-    provider: std::sync::Mutex<Option<EntryProvider>>,
+    provider: EntryProvider,
     finished: AtomicBool,
 }
 
 impl Persister {
-    /// Recovers the directory (creating it if needed), normalizes it to
-    /// {fresh snapshot, empty log}, and starts the writer thread.
+    /// Recovers the directory (creating it if needed) into `sink`,
+    /// normalizes it to {snapshot of `provider`'s scan, no log}, and
+    /// starts the writer and (unless `snapshot_interval` is zero) the
+    /// compaction thread. `provider` must scan the table `sink` fills.
+    /// An error, or a panic in `sink`, leaves every file as it was.
     pub fn open(
         cfg: PersistConfig,
         metrics: Arc<PersistMetrics>,
+        provider: EntryProvider,
+        sink: &mut dyn FnMut(OpRef<'_>),
     ) -> io::Result<(Persister, Recovered)> {
         fs::create_dir_all(&cfg.dir)?;
         let marker = read_clean_marker(&cfg.dir);
-        // A corrupt snapshot is fatal: it is published atomically, so a
-        // bad one means real damage, unlike an expected torn log tail.
-        let snap = snapshot::load(&cfg.dir)?;
-        let covers = snap.as_ref().map_or(0, |s| s.covers_lsn);
-
-        let log_paths =
-            [cfg.dir.join(log::OPLOG_OLD), cfg.dir.join(log::OPLOG)];
+        let log_paths = [cfg.dir.join(log::OPLOG_OLD), cfg.dir.join(log::OPLOG)];
         let logs_empty = log_paths
             .iter()
             .all(|p| fs::metadata(p).map(|m| m.len() == 0).unwrap_or(true));
-
-        let clean = marker == Some(covers) && logs_empty;
-        let recovered = if clean {
-            Recovered {
-                entries: snap.map(|s| s.entries).unwrap_or_default(),
-                last_lsn: covers,
-                clean: true,
-                replayed: 0,
+        // A corrupt snapshot is fatal: it is published atomically, so a
+        // bad one means real damage, unlike an expected torn log tail.
+        let covers = match snapshot::load(&cfg.dir)? {
+            Some(snap) => {
+                snap.for_each(|set| sink(OpRef::Set(set)))?;
+                Some(snap.covers_lsn)
             }
+            None => None,
+        };
+
+        let clean = marker == Some(covers.unwrap_or(0)) && logs_empty;
+        let recovered = if clean || (covers.is_none() && logs_empty) {
+            Recovered { last_lsn: covers.unwrap_or(0), clean, replayed: 0 }
         } else {
-            Self::replay(snap, covers, &log_paths, &metrics)?
+            let recovered = replay(covers.unwrap_or(0), &log_paths, &metrics, sink)?;
+            // Normalize: everything recovered is now in one fresh
+            // snapshot, and the logs restart empty. Replay work is thus
+            // bounded by one crash, not a lifetime of appends.
+            publish(&cfg.dir, recovered.last_lsn, &provider, &metrics, &[log::OPLOG_OLD, log::OPLOG])?;
+            recovered
         };
         // The marker only ever describes the shutdown that wrote it.
         let _ = fs::remove_file(cfg.dir.join(CLEAN_MARKER));
-
-        // Normalize: everything recovered is now in one fresh snapshot,
-        // and the logs restart empty. Replay work is thus bounded by one
-        // crash, not a lifetime of appends.
-        if !recovered.clean {
-            snapshot::write(&cfg.dir, recovered.last_lsn, &recovered.entries)?;
-            metrics.snapshot_entries.set(recovered.entries.len() as u64);
-        }
-        for p in &log_paths {
-            let _ = fs::remove_file(p);
-        }
 
         metrics.replayed_records.add(recovered.replayed);
         metrics.durable_lsn.set(recovered.last_lsn);
@@ -250,93 +239,19 @@ impl Persister {
             Arc::clone(&metrics),
             cfg.fsync_interval,
         );
-        Ok((
-            Persister {
-                cfg,
-                queue,
-                rotate,
-                metrics,
-                writer: std::sync::Mutex::new(Some(writer)),
-                snapshotter: std::sync::Mutex::new(None),
-                snap_stop: Arc::new(AtomicBool::new(false)),
-                provider: std::sync::Mutex::new(None),
-                finished: AtomicBool::new(false),
-            },
-            recovered,
-        ))
-    }
-
-    fn replay(
-        snap: Option<snapshot::Snapshot>,
-        covers: u64,
-        log_paths: &[PathBuf; 2],
-        metrics: &PersistMetrics,
-    ) -> io::Result<Recovered> {
-        let mut map: HashMap<Vec<u8>, Entry> = snap
-            .map(|s| s.entries)
-            .unwrap_or_default()
-            .into_iter()
-            .map(|e| (e.key.clone(), e))
-            .collect();
-        let mut last_lsn = covers;
-        let mut replayed = 0u64;
-
-        let last_present = log_paths.iter().rposition(|p| p.exists());
-        for (i, path) in log_paths.iter().enumerate() {
-            let Some(scan) = log::scan_file(path)? else {
-                continue;
-            };
-            if scan.torn {
-                if Some(i) != last_present {
-                    // Rotation renames a complete fsync'd file, so an
-                    // interior generation can never legitimately tear.
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}: corrupt frame mid-log", path.display()),
-                    ));
-                }
-                metrics.torn_tails.inc();
-            }
-            for rec in scan.records {
-                if rec.lsn <= covers {
-                    // Already folded into the snapshot (crash landed
-                    // between snapshot publish and oplog.old deletion).
-                    continue;
-                }
-                if rec.lsn <= last_lsn {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}: LSN {} out of order", path.display(), rec.lsn),
-                    ));
-                }
-                last_lsn = rec.lsn;
-                replayed += 1;
-                match rec.op {
-                    Op::Set { key, flags, expires_at, cas, value } => {
-                        map.insert(
-                            key.clone(),
-                            Entry { key, flags, expires_at, cas, value },
-                        );
-                    }
-                    Op::Delete { key } => {
-                        map.remove(&key);
-                    }
-                    Op::FlushAll => map.clear(),
-                    Op::Heartbeat { .. } => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "wire-only heartbeat found in log file",
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(Recovered {
-            entries: map.into_values().collect(),
-            last_lsn,
-            clean: false,
-            replayed,
-        })
+        let p = Persister {
+            cfg,
+            queue,
+            rotate,
+            metrics,
+            writer: std::sync::Mutex::new(Some(writer)),
+            snapshotter: std::sync::Mutex::new(None),
+            snap_stop: Arc::new(AtomicBool::new(false)),
+            provider,
+            finished: AtomicBool::new(false),
+        };
+        p.start_snapshots();
+        Ok((p, recovered))
     }
 
     /// Assigns the next LSN to `op` and buffers it for the writer.
@@ -409,13 +324,9 @@ impl Persister {
         CompactionPause { ctl: &self.rotate }
     }
 
-    /// Starts the background compaction thread (and remembers the
-    /// provider for the shutdown snapshot). With a zero
-    /// `snapshot_interval` only the provider is recorded.
-    pub fn start_snapshots(&self, provider: EntryProvider) {
-        *self.provider.lock().expect("provider mutex poisoned") = Some(Arc::clone(&provider));
-        let mut snapshotter = self.snapshotter.lock().expect("snapshotter mutex poisoned");
-        if self.cfg.snapshot_interval.is_zero() || snapshotter.is_some() {
+    /// Starts the compaction thread, unless `snapshot_interval` is zero.
+    fn start_snapshots(&self) {
+        if self.cfg.snapshot_interval.is_zero() {
             return;
         }
         let dir = self.cfg.dir.clone();
@@ -423,6 +334,7 @@ impl Persister {
         let rotate = Arc::clone(&self.rotate);
         let metrics = Arc::clone(&self.metrics);
         let stop = Arc::clone(&self.snap_stop);
+        let provider = Arc::clone(&self.provider);
         let interval = self.cfg.snapshot_interval;
         let h = std::thread::Builder::new()
             .name("persist-snapshot".into())
@@ -455,30 +367,24 @@ impl Persister {
                 }
             })
             .expect("spawn persist snapshotter");
-        *snapshotter = Some(h);
+        *self.snapshotter.lock().expect("snapshotter mutex poisoned") = Some(h);
     }
 
     /// Runs one rotate-scan-publish-compact cycle synchronously (tests,
     /// benches, and admin tooling).
     pub fn snapshot_now(&self) -> io::Result<()> {
-        let provider = self
-            .provider
-            .lock()
-            .expect("provider mutex poisoned")
-            .clone()
-            .ok_or_else(|| io::Error::other("no entry provider registered"))?;
         snapshot_cycle(
             &self.cfg.dir,
             &self.queue,
             &self.rotate,
             &self.metrics,
-            &provider,
+            &self.provider,
             &self.snap_stop,
         )
     }
 
     /// Graceful drain: stops the background threads, fsyncs everything,
-    /// publishes a final snapshot, truncates the logs, and writes the
+    /// publishes a final snapshot, removes the logs, and writes the
     /// clean-shutdown marker so the next start skips replay entirely.
     ///
     /// All appenders must be quiesced first (the server drains
@@ -491,20 +397,8 @@ impl Persister {
         self.stop_threads();
         let last = self.queue.durable_lsn();
         debug_assert_eq!(last, self.queue.last_lsn());
-        let provider = self.provider.lock().expect("provider mutex poisoned").clone();
-        if let Some(p) = &provider {
-            let entries = p();
-            snapshot::write(&self.cfg.dir, last, &entries)?;
-            self.metrics.snapshots.inc();
-            self.metrics.snapshot_entries.set(entries.len() as u64);
-            let _ = fs::remove_file(self.cfg.dir.join(log::OPLOG_OLD));
-            let _ = fs::remove_file(self.cfg.dir.join(log::OPLOG));
-            write_clean_marker(&self.cfg.dir, last)?;
-        }
-        // Without a provider we cannot compact, so no marker: the next
-        // start replays the (fully fsync'd) log, which is merely slower,
-        // never wrong.
-        Ok(())
+        publish(&self.cfg.dir, last, &self.provider, &self.metrics, &[log::OPLOG_OLD, log::OPLOG])?;
+        write_clean_marker(&self.cfg.dir, last)
     }
 
     fn stop_threads(&self) {
@@ -555,18 +449,77 @@ fn snapshot_cycle(
     // ORDERING: publish.acquire-load
     let r = rotate.rotate_lsn.load(Ordering::Acquire);
 
-    // 2. Scan the live table *after* the rotation. Apply-before-append
-    // under the write stripes means any op missing from this scan has
-    // an LSN above `r`, so {snapshot@r} + {oplog} still replays to the
-    // exact table.
-    let entries = provider();
+    // 2. Scan the live table *after* the rotation, publish, then drop
+    // the covered generation. Apply-before-append under the write
+    // stripes means any op missing from this scan has an LSN above `r`,
+    // so {snapshot@r} + {oplog} still replays to the exact table.
+    publish(dir, r, provider, metrics, &[log::OPLOG_OLD])
+}
 
-    // 3. Publish, then drop the covered generation.
-    snapshot::write(dir, r, &entries)?;
+/// Publishes a snapshot of `provider`'s table covering `lsn`, then
+/// removes the log files `logs`, which it covers. Every snapshot is
+/// written here: compaction's, recovery's normalizing one, shutdown's.
+fn publish(
+    dir: &Path,
+    lsn: u64,
+    provider: &EntryProvider,
+    metrics: &PersistMetrics,
+    logs: &[&str],
+) -> io::Result<()> {
+    let entries = provider();
+    snapshot::write(dir, lsn, &entries)?;
     metrics.snapshots.inc();
     metrics.snapshot_entries.set(entries.len() as u64);
-    let _ = fs::remove_file(dir.join(log::OPLOG_OLD));
+    for name in logs {
+        let _ = fs::remove_file(dir.join(name));
+    }
     Ok(())
+}
+
+/// Streams every record of `log_paths` above `covers` into `sink`, in
+/// LSN order, and checks the files as it goes: strictly increasing
+/// LSNs, no heartbeat, and a torn tail only in the last file present.
+fn replay(
+    covers: u64,
+    log_paths: &[PathBuf; 2],
+    metrics: &PersistMetrics,
+    sink: &mut dyn FnMut(OpRef<'_>),
+) -> io::Result<Recovered> {
+    let mut last_lsn = covers;
+    let mut replayed = 0u64;
+    let last_present = log_paths.iter().rposition(|p| p.exists());
+    for (i, path) in log_paths.iter().enumerate() {
+        let scan = log::scan_file(path, |rec| {
+            if rec.lsn <= covers {
+                // Already folded into the snapshot (crash landed between
+                // snapshot publish and oplog.old deletion).
+                return Ok(());
+            }
+            if rec.lsn <= last_lsn {
+                return Err(invalid(format!("{}: LSN {} out of order", path.display(), rec.lsn)));
+            }
+            let Some(op) = rec.op.borrowed() else {
+                return Err(invalid(format!("{}: wire-only heartbeat in a log file", path.display())));
+            };
+            last_lsn = rec.lsn;
+            replayed += 1;
+            sink(op);
+            Ok(())
+        })?;
+        if scan.is_some_and(|s| s.torn) {
+            if Some(i) != last_present {
+                // Rotation renames a complete fsync'd file, so an
+                // interior generation can never legitimately tear.
+                return Err(invalid(format!("{}: corrupt frame mid-log", path.display())));
+            }
+            metrics.torn_tails.inc();
+        }
+    }
+    Ok(Recovered { last_lsn, clean: false, replayed })
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 fn clean_marker_bytes(lsn: u64) -> [u8; 12] {
@@ -597,6 +550,7 @@ fn read_clean_marker(dir: &Path) -> Option<u64> {
 #[cfg(all(test, not(cuckoo_model)))]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("persist-lib-{tag}-{}", std::process::id()));
@@ -621,16 +575,40 @@ mod tests {
         }
     }
 
-    fn table(entries: &[Entry]) -> HashMap<Vec<u8>, Vec<u8>> {
-        entries.iter().map(|e| (e.key.clone(), e.value.clone())).collect()
+    type Table = Arc<std::sync::Mutex<HashMap<Vec<u8>, Entry>>>;
+
+    /// Opens `dir` into a fresh last-writer-wins map: the table recovery
+    /// streams into and every snapshot scans.
+    fn open_map(dir: &Path, metrics: Arc<PersistMetrics>) -> (Persister, Recovered, Table) {
+        let table = Table::default();
+        let scanned = Arc::clone(&table);
+        let provider: EntryProvider = Arc::new(move || scanned.lock().unwrap().values().cloned().collect());
+        let (p, rec) = Persister::open(cfg(dir), metrics, provider, &mut |op| {
+            let mut map = table.lock().unwrap();
+            match op {
+                OpRef::Set(s) => {
+                    let e = Entry { key: s.key.to_vec(), flags: s.flags, expires_at: s.expires_at, cas: s.cas, value: s.value.to_vec() };
+                    map.insert(e.key.clone(), e);
+                }
+                OpRef::Delete(key) => {
+                    map.remove(key);
+                }
+                OpRef::FlushAll => map.clear(),
+            }
+        })
+        .unwrap();
+        (p, rec, table)
+    }
+
+    fn values(table: &Table) -> HashMap<Vec<u8>, Vec<u8>> {
+        table.lock().unwrap().values().map(|e| (e.key.clone(), e.value.clone())).collect()
     }
 
     #[test]
     fn dirty_restart_replays_the_log() {
         let d = tmpdir("dirty");
         {
-            let (p, rec) =
-                Persister::open(cfg(&d), Arc::new(PersistMetrics::new())).unwrap();
+            let (p, rec, _) = open_map(&d, Arc::new(PersistMetrics::new()));
             assert_eq!(rec.last_lsn, 0);
             assert!(!rec.clean);
             p.append(&set_op("a", "1", 1));
@@ -641,11 +619,11 @@ mod tests {
             // Dropped without shutdown(): no marker, log left in place.
         }
         let m = Arc::new(PersistMetrics::new());
-        let (_p, rec) = Persister::open(cfg(&d), Arc::clone(&m)).unwrap();
+        let (_p, rec, t) = open_map(&d, Arc::clone(&m));
         assert!(!rec.clean);
         assert_eq!(rec.last_lsn, 4);
         assert_eq!(rec.replayed, 4);
-        let t = table(&rec.entries);
+        let t = values(&t);
         assert_eq!(t.len(), 2);
         assert_eq!(t[b"b".as_slice()], b"2");
         assert_eq!(t[b"c".as_slice()], b"3");
@@ -662,7 +640,7 @@ mod tests {
         let set = |key: &'static [u8], value: &'static [u8], cas| SetRef { key, flags: 5, expires_at: 0, cas, value };
         {
             let m = Arc::new(PersistMetrics::new());
-            let (p, _) = Persister::open(cfg(&d), Arc::clone(&m)).unwrap();
+            let (p, _, _) = open_map(&d, Arc::clone(&m));
             p.append(&set_op("before", "0", 1));
             assert_eq!(p.append_sets(&[]), 1, "an empty burst logs nothing");
             let burst = [set(b"a", b"1", 2), set(b"b", b"2", 3), set(b"a", b"3", 4)];
@@ -670,12 +648,15 @@ mod tests {
             assert_eq!(m.log_records.get(), 4);
             p.sync();
         }
-        let (_p, rec) = Persister::open(cfg(&d), Arc::new(PersistMetrics::new())).unwrap();
+        let (_p, rec, t) = open_map(&d, Arc::new(PersistMetrics::new()));
         assert_eq!((rec.last_lsn, rec.replayed), (4, 4));
-        let mut entries: Vec<_> = rec.entries.iter().map(|e| (e.key.as_slice(), e.flags, e.cas, e.value.as_slice())).collect();
+        let t = t.lock().unwrap();
+        let mut entries: Vec<_> = t.values().map(|e| (e.key.as_slice(), e.flags, e.cas, e.value.as_slice())).collect();
         entries.sort();
         let expect: [(&[u8], u32, u64, &[u8]); 3] = [(b"a", 5, 4, b"3"), (b"b", 5, 3, b"2"), (b"before", 0, 1, b"0")];
         assert_eq!(entries, expect);
+        drop(entries);
+        drop(t);
         drop(_p);
         fs::remove_dir_all(&d).unwrap();
     }
@@ -686,7 +667,7 @@ mod tests {
     fn racing_bursts_reach_the_log_dense_and_coalesced() {
         let d = tmpdir("coalesce");
         let m = Arc::new(PersistMetrics::new());
-        let (p, _) = Persister::open(cfg(&d), Arc::clone(&m)).unwrap();
+        let (p, _, _) = open_map(&d, Arc::clone(&m));
         std::thread::scope(|s| {
             for t in 0..2u32 {
                 let p = &p;
@@ -704,9 +685,15 @@ mod tests {
                 });
             }
         });
-        let scan = log::scan_file(&p.oplog_path()).unwrap().unwrap();
+        let mut lsns = Vec::new();
+        let scan = log::scan_file(&p.oplog_path(), |r| {
+            lsns.push(r.lsn);
+            Ok(())
+        })
+        .unwrap()
+        .unwrap();
         assert!(!scan.torn);
-        assert_eq!(scan.records.iter().map(|r| r.lsn).collect::<Vec<_>>(), (1..=16_000).collect::<Vec<_>>());
+        assert_eq!(lsns, (1..=16_000).collect::<Vec<_>>());
         assert_eq!(scan.valid_bytes, m.log_bytes.get());
         assert_eq!(m.log_records.get(), 16_000);
         assert!(
@@ -723,25 +710,18 @@ mod tests {
     fn clean_shutdown_skips_replay_and_lsns_continue() {
         let d = tmpdir("clean");
         {
-            let (p, _) =
-                Persister::open(cfg(&d), Arc::new(PersistMetrics::new())).unwrap();
+            let (p, _, t) = open_map(&d, Arc::new(PersistMetrics::new()));
+            let e = Entry { key: b"k".to_vec(), flags: 0, expires_at: 0, cas: 1, value: b"v".to_vec() };
+            t.lock().unwrap().insert(e.key.clone(), e);
             p.append(&set_op("k", "v", 1));
-            let entries = vec![Entry {
-                key: b"k".to_vec(),
-                flags: 0,
-                expires_at: 0,
-                cas: 1,
-                value: b"v".to_vec(),
-            }];
-            p.start_snapshots(Arc::new(move || entries.clone()));
             p.shutdown().unwrap();
         }
         let m = Arc::new(PersistMetrics::new());
-        let (p, rec) = Persister::open(cfg(&d), Arc::clone(&m)).unwrap();
+        let (p, rec, t) = open_map(&d, Arc::clone(&m));
         assert!(rec.clean, "marker + covering snapshot must skip replay");
         assert_eq!(rec.replayed, 0);
         assert_eq!(rec.last_lsn, 1);
-        assert_eq!(table(&rec.entries)[b"k".as_slice()], b"v");
+        assert_eq!(values(&t)[b"k".as_slice()], b"v");
         // The marker is single-use: a crash now must not read as clean.
         assert!(!d.join(CLEAN_MARKER).exists());
         assert_eq!(p.append(&set_op("k2", "v2", 2)), 2, "LSNs continue after restart");
@@ -753,8 +733,7 @@ mod tests {
     fn restart_normalizes_and_replay_is_bounded_by_one_crash() {
         let d = tmpdir("normalize");
         for round in 0u64..3 {
-            let (p, rec) =
-                Persister::open(cfg(&d), Arc::new(PersistMetrics::new())).unwrap();
+            let (p, rec, _) = open_map(&d, Arc::new(PersistMetrics::new()));
             // Each dirty restart folds the previous log into the
             // snapshot, so replay never exceeds one round's appends.
             assert_eq!(rec.replayed, if round == 0 { 0 } else { 10 });
@@ -763,8 +742,8 @@ mod tests {
             }
             p.sync();
         }
-        let (_p, rec) = Persister::open(cfg(&d), Arc::new(PersistMetrics::new())).unwrap();
-        assert_eq!(rec.entries.len(), 30);
+        let (_p, rec, t) = open_map(&d, Arc::new(PersistMetrics::new()));
+        assert_eq!(t.lock().unwrap().len(), 30);
         assert_eq!(rec.last_lsn, 30);
         drop(_p);
         fs::remove_dir_all(&d).unwrap();
@@ -774,7 +753,7 @@ mod tests {
     fn torn_tail_is_truncated_not_fatal() {
         let d = tmpdir("torn");
         {
-            let (p, _) = Persister::open(cfg(&d), Arc::new(PersistMetrics::new())).unwrap();
+            let (p, _, _) = open_map(&d, Arc::new(PersistMetrics::new()));
             p.append(&set_op("a", "1", 1));
             p.append(&set_op("b", "2", 2));
             p.sync();
@@ -785,11 +764,11 @@ mod tests {
         fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
 
         let m = Arc::new(PersistMetrics::new());
-        let (_p, rec) = Persister::open(cfg(&d), Arc::clone(&m)).unwrap();
+        let (_p, rec, t) = open_map(&d, Arc::clone(&m));
         assert_eq!(rec.replayed, 1, "only the intact prefix replays");
         assert_eq!(rec.last_lsn, 1);
         assert_eq!(m.torn_tails.get(), 1);
-        assert!(table(&rec.entries).contains_key(b"a".as_slice()));
+        assert!(values(&t).contains_key(b"a".as_slice()));
         drop(_p);
         fs::remove_dir_all(&d).unwrap();
     }
@@ -797,11 +776,7 @@ mod tests {
     #[test]
     fn snapshot_cycle_compacts_and_preserves_contents() {
         let d = tmpdir("compact");
-        let live: Arc<std::sync::Mutex<HashMap<Vec<u8>, Entry>>> =
-            Arc::new(std::sync::Mutex::new(HashMap::new()));
-        let (p, _) = Persister::open(cfg(&d), Arc::new(PersistMetrics::new())).unwrap();
-        let lp = Arc::clone(&live);
-        p.start_snapshots(Arc::new(move || lp.lock().unwrap().values().cloned().collect()));
+        let (p, _, live) = open_map(&d, Arc::new(PersistMetrics::new()));
         for i in 0..20u64 {
             let e = Entry {
                 key: format!("k{i}").into_bytes(),
@@ -831,9 +806,9 @@ mod tests {
         p.sync();
         drop(p);
 
-        let (_p, rec) = Persister::open(cfg(&d), Arc::new(PersistMetrics::new())).unwrap();
+        let (_p, rec, t) = open_map(&d, Arc::new(PersistMetrics::new()));
         assert_eq!(rec.replayed, 1, "snapshot covered everything before it");
-        let t = table(&rec.entries);
+        let t = values(&t);
         assert_eq!(t.len(), 19);
         assert!(!t.contains_key(b"k0".as_slice()));
         drop(_p);
@@ -843,8 +818,7 @@ mod tests {
     #[test]
     fn pause_compaction_blocks_rotation_until_dropped() {
         let d = tmpdir("pauseguard");
-        let (p, _) = Persister::open(cfg(&d), Arc::new(PersistMetrics::new())).unwrap();
-        p.start_snapshots(Arc::new(Vec::new));
+        let (p, _, _) = open_map(&d, Arc::new(PersistMetrics::new()));
         p.append(&set_op("a", "1", 1));
         p.sync();
         let guard = p.pause_compaction();
@@ -867,15 +841,15 @@ mod tests {
     fn flush_all_replays_to_empty() {
         let d = tmpdir("flush");
         {
-            let (p, _) = Persister::open(cfg(&d), Arc::new(PersistMetrics::new())).unwrap();
+            let (p, _, _) = open_map(&d, Arc::new(PersistMetrics::new()));
             p.append(&set_op("a", "1", 1));
             p.append(&set_op("b", "2", 2));
             p.append(&Op::FlushAll);
             p.append(&set_op("c", "3", 3));
             p.sync();
         }
-        let (_p, rec) = Persister::open(cfg(&d), Arc::new(PersistMetrics::new())).unwrap();
-        let t = table(&rec.entries);
+        let (_p, _, t) = open_map(&d, Arc::new(PersistMetrics::new()));
+        let t = values(&t);
         assert_eq!(t.len(), 1, "flush wipes everything logged before it");
         assert!(t.contains_key(b"c".as_slice()));
         drop(_p);
@@ -885,7 +859,6 @@ mod tests {
     #[test]
     fn write_stripes_same_key_same_lock() {
         let s = WriteStripes::new(64);
-        assert_eq!(s.len(), 64);
         let g = s.lock_key(b"alpha");
         drop(g);
         // A burst naming one key twice takes its stripe once.

@@ -23,7 +23,7 @@
 //!   so no crash point tears `oplog.old`.
 
 use crate::commit::CommitQueue;
-use crate::record::{decode_all, Record};
+use crate::record::{decode_each, Record};
 use metrics::persist::PersistMetrics;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -170,22 +170,21 @@ fn writer_loop(
     }
 }
 
-/// Result of scanning one log file at recovery.
+/// What [`scan_file`] found in one log file.
 #[derive(Debug)]
 pub struct ScannedFile {
-    pub records: Vec<Record>,
     /// Bytes up to the end of the last intact frame.
     pub valid_bytes: u64,
     /// True if the file ended in a partial or corrupt frame (torn tail).
     pub torn: bool,
 }
 
-/// Decodes every intact frame from the front of `path`. Stops at the
-/// first incomplete or corrupt frame and reports it as a torn tail —
-/// the caller decides whether that is acceptable (last file on disk)
-/// or fatal (an interior file, which rotation guarantees is complete).
-/// Returns `None` if the file does not exist.
-pub fn scan_file(path: &Path) -> io::Result<Option<ScannedFile>> {
+/// [`decode_each`] over the file at `path`: hands `f` every intact frame
+/// and reports a torn tail — the caller decides whether that is
+/// acceptable (last file on disk) or fatal (an interior file, which
+/// rotation guarantees is complete). Returns `None` if the file does
+/// not exist.
+pub fn scan_file(path: &Path, f: impl FnMut(Record) -> io::Result<()>) -> io::Result<Option<ScannedFile>> {
     let mut buf = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
@@ -194,15 +193,8 @@ pub fn scan_file(path: &Path) -> io::Result<Option<ScannedFile>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     }
-    let (records, valid) = decode_all(&buf);
-    Ok(Some(ScannedFile { records, valid_bytes: valid as u64, torn: valid < buf.len() }))
-}
-
-/// Truncates a torn tail off `path`, keeping exactly `valid_bytes`.
-pub fn truncate_to(path: &Path, valid_bytes: u64) -> io::Result<()> {
-    let f = OpenOptions::new().write(true).open(path)?;
-    f.set_len(valid_bytes)?;
-    f.sync_all()
+    let valid = decode_each(&buf, f)?;
+    Ok(Some(ScannedFile { valid_bytes: valid as u64, torn: valid < buf.len() }))
 }
 
 #[cfg(all(test, not(cuckoo_model)))]
@@ -225,6 +217,18 @@ mod tests {
             cas: i,
             value: vec![b'v'; 8],
         }
+    }
+
+    /// The LSNs of `path`'s intact frames, with what the scan found.
+    fn lsns(path: &Path) -> (Vec<u64>, ScannedFile) {
+        let mut lsns = Vec::new();
+        let scan = scan_file(path, |r| {
+            lsns.push(r.lsn);
+            Ok(())
+        })
+        .unwrap()
+        .unwrap();
+        (lsns, scan)
     }
 
     #[test]
@@ -253,20 +257,16 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(rotate.rotate_lsn.load(Ordering::Acquire), 20);
-        let old = scan_file(&d.join(OPLOG_OLD)).unwrap().unwrap();
-        assert_eq!(old.records.len(), 20);
-        assert!(!old.torn);
+        let (old, scan) = lsns(&d.join(OPLOG_OLD));
+        assert_eq!(old.len(), 20);
+        assert!(!scan.torn);
 
         for i in 20..25 {
             queue.append(&set(i), &metrics);
         }
         queue.begin_shutdown();
         h.join().unwrap();
-        let live = scan_file(&d.join(OPLOG)).unwrap().unwrap();
-        assert_eq!(
-            live.records.iter().map(|r| r.lsn).collect::<Vec<_>>(),
-            (21..=25).collect::<Vec<_>>()
-        );
+        assert_eq!(lsns(&d.join(OPLOG)).0, (21..=25).collect::<Vec<_>>());
         assert_eq!(queue.durable_lsn(), 25);
         fs::remove_dir_all(&d).unwrap();
     }
@@ -311,17 +311,18 @@ mod tests {
         bytes.extend_from_slice(&bytes.clone()[..13]); // partial sixth frame
         fs::write(&path, &bytes).unwrap();
 
-        let scan = scan_file(&path).unwrap().unwrap();
+        let (found, scan) = lsns(&path);
         assert!(scan.torn);
-        assert_eq!(scan.records.len(), 5);
+        assert_eq!(found, (1..=5).collect::<Vec<_>>());
         assert_eq!(scan.valid_bytes, full as u64);
 
-        truncate_to(&path, scan.valid_bytes).unwrap();
-        let scan = scan_file(&path).unwrap().unwrap();
+        // Cutting the file at `valid_bytes` leaves exactly the intact frames.
+        fs::write(&path, &bytes[..scan.valid_bytes as usize]).unwrap();
+        let (found, scan) = lsns(&path);
         assert!(!scan.torn);
-        assert_eq!(scan.records.len(), 5);
+        assert_eq!(found.len(), 5);
 
-        assert!(scan_file(&d.join("nope")).unwrap().is_none());
+        assert!(scan_file(&d.join("nope"), |_| Ok(())).unwrap().is_none());
         fs::remove_dir_all(&d).unwrap();
     }
 }

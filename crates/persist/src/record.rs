@@ -17,6 +17,8 @@
 //! [`MAX_RECORD`] *before* the CRC is checked so a corrupt length can
 //! never drive a huge allocation.
 
+use std::io;
+
 /// Frame header size: crc32 + len.
 pub const FRAME_HEADER: usize = 8;
 
@@ -56,6 +58,31 @@ pub struct SetRef<'a> {
     pub expires_at: u32,
     pub cas: u64,
     pub value: &'a [u8],
+}
+
+/// An [`Op`] that changes the table, over borrowed bytes: what recovery
+/// streams into its sink, and what the server applies, whether the op
+/// came from a snapshot, a log file or the replication stream.
+#[derive(Debug, Clone, Copy)]
+pub enum OpRef<'a> {
+    Set(SetRef<'a>),
+    Delete(&'a [u8]),
+    FlushAll,
+}
+
+impl Op {
+    /// The op as the table change it makes; `None` for a heartbeat,
+    /// which changes nothing.
+    pub fn borrowed(&self) -> Option<OpRef<'_>> {
+        Some(match self {
+            Op::Set { key, flags, expires_at, cas, value } => {
+                OpRef::Set(SetRef { key, flags: *flags, expires_at: *expires_at, cas: *cas, value })
+            }
+            Op::Delete { key } => OpRef::Delete(key),
+            Op::FlushAll => OpRef::FlushAll,
+            Op::Heartbeat { .. } => return None,
+        })
+    }
 }
 
 /// An [`Op`] with its log sequence number.
@@ -164,12 +191,18 @@ pub fn encode_set(set: &SetRef<'_>, lsn: u64, out: &mut Vec<u8>) -> usize {
     frame(out, |out| {
         out.push(TAG_SET);
         put_u64(out, lsn);
-        put_bytes(out, set.key);
-        put_u32(out, set.flags);
-        put_u32(out, set.expires_at);
-        put_u64(out, set.cas);
-        put_bytes(out, set.value);
+        put_set(out, set);
     })
+}
+
+/// A `Set`'s fields as both a `Set` payload and a snapshot entry hold
+/// them (read back by `Reader::set`).
+pub(crate) fn put_set(out: &mut Vec<u8>, set: &SetRef<'_>) {
+    put_bytes(out, set.key);
+    put_u32(out, set.flags);
+    put_u32(out, set.expires_at);
+    put_u64(out, set.cas);
+    put_bytes(out, set.value);
 }
 
 /// Appends the frame whose payload `payload` writes, returning the
@@ -201,12 +234,20 @@ pub enum Decoded {
     Corrupt,
 }
 
-struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
+    }
+
+    pub(crate) fn is_done(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let s = self.buf.get(self.pos..end)?;
@@ -222,9 +263,20 @@ impl<'a> Reader<'a> {
         self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("take(8) is 8 bytes")))
     }
 
-    fn bytes(&mut self) -> Option<Vec<u8>> {
+    fn slice(&mut self) -> Option<&'a [u8]> {
         let n = self.u32()? as usize;
-        self.take(n).map(|b| b.to_vec())
+        self.take(n)
+    }
+
+    /// The fields [`put_set`] wrote, borrowed from the buffer.
+    pub(crate) fn set(&mut self) -> Option<SetRef<'a>> {
+        Some(SetRef {
+            key: self.slice()?,
+            flags: self.u32()?,
+            expires_at: self.u32()?,
+            cas: self.u64()?,
+            value: self.slice()?,
+        })
     }
 }
 
@@ -245,7 +297,7 @@ pub fn decode(buf: &[u8]) -> Decoded {
     if crc32(payload) != crc {
         return Decoded::Corrupt;
     }
-    let mut r = Reader { buf: payload, pos: 0 };
+    let mut r = Reader::new(payload);
     let Some(tag) = r.take(1).map(|b| b[0]) else {
         return Decoded::Corrupt;
     };
@@ -254,18 +306,16 @@ pub fn decode(buf: &[u8]) -> Decoded {
     };
     let op = match tag {
         TAG_SET => {
-            let (Some(key), Some(flags), Some(expires_at), Some(cas), Some(value)) =
-                (r.bytes(), r.u32(), r.u32(), r.u64(), r.bytes())
-            else {
+            let Some(s) = r.set() else {
                 return Decoded::Corrupt;
             };
-            Op::Set { key, flags, expires_at, cas, value }
+            Op::Set { key: s.key.to_vec(), flags: s.flags, expires_at: s.expires_at, cas: s.cas, value: s.value.to_vec() }
         }
         TAG_DELETE => {
-            let Some(key) = r.bytes() else {
+            let Some(key) = r.slice() else {
                 return Decoded::Corrupt;
             };
-            Op::Delete { key }
+            Op::Delete { key: key.to_vec() }
         }
         TAG_FLUSH_ALL => Op::FlushAll,
         TAG_HEARTBEAT => {
@@ -276,7 +326,7 @@ pub fn decode(buf: &[u8]) -> Decoded {
         }
         _ => return Decoded::Corrupt,
     };
-    if r.pos != payload.len() {
+    if !r.is_done() {
         // Trailing garbage inside a CRC-valid payload: still corrupt —
         // a valid encoder never produces it.
         return Decoded::Corrupt;
@@ -284,23 +334,17 @@ pub fn decode(buf: &[u8]) -> Decoded {
     Decoded::Frame { record: Record { lsn, op }, consumed: FRAME_HEADER + len }
 }
 
-/// Decodes every whole frame from the front of `buf`, in order, and
-/// returns them with the bytes they occupy. Stops at the first
-/// incomplete or corrupt frame, so a result shorter than `buf` means
-/// `buf` ends torn.
-pub fn decode_all(buf: &[u8]) -> (Vec<Record>, usize) {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < buf.len() {
-        match decode(&buf[pos..]) {
-            Decoded::Frame { record, consumed } => {
-                records.push(record);
-                pos += consumed;
-            }
-            Decoded::Incomplete | Decoded::Corrupt => break,
-        }
+/// Hands every whole frame at the front of `buf` to `f`, in order, as
+/// each one decodes, and returns the bytes they occupy. Stops at the
+/// first incomplete or corrupt frame, so a result shorter than `buf`
+/// means `buf` ends torn; an error from `f` stops it too.
+pub fn decode_each(buf: &[u8], mut f: impl FnMut(Record) -> io::Result<()>) -> io::Result<usize> {
+    let mut pos = 0;
+    while let Decoded::Frame { record, consumed } = decode(&buf[pos..]) {
+        f(record)?;
+        pos += consumed;
     }
-    (records, pos)
+    Ok(pos)
 }
 
 #[cfg(test)]

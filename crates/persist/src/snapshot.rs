@@ -14,7 +14,7 @@
 //! renamed over `snapshot` — a crash mid-write leaves the previous
 //! snapshot untouched.
 
-use crate::record::crc32;
+use crate::record::{crc32, put_set, Reader, SetRef};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -22,6 +22,8 @@ use std::path::Path;
 pub const MAGIC: &[u8; 8] = b"CKSNAP1\n";
 pub const SNAPSHOT_FILE: &str = "snapshot";
 const TMP_FILE: &str = "snapshot.tmp";
+/// Magic, `covers_lsn` and `n_entries`.
+const HEADER: usize = MAGIC.len() + 16;
 
 /// One key's durable state, exactly as the engine stores it
 /// (`expires_at` absolute, cas preserved).
@@ -34,11 +36,38 @@ pub struct Entry {
     pub value: Vec<u8>,
 }
 
-/// A parsed snapshot.
-#[derive(Debug, Default)]
+impl Entry {
+    /// The entry as the `Set` that stores it.
+    pub fn as_set(&self) -> SetRef<'_> {
+        SetRef { key: &self.key, flags: self.flags, expires_at: self.expires_at, cas: self.cas, value: &self.value }
+    }
+}
+
+/// A snapshot file, read whole and CRC-checked. Its entries are decoded
+/// on demand by [`for_each`](Snapshot::for_each), borrowed from the
+/// file buffer.
+#[derive(Debug)]
 pub struct Snapshot {
     pub covers_lsn: u64,
-    pub entries: Vec<Entry>,
+    n_entries: u64,
+    /// The file without its CRC trailer.
+    body: Vec<u8>,
+}
+
+impl Snapshot {
+    /// Hands every entry to `f`, in file order. The CRC already covered
+    /// the whole file, so a malformed entry is an encoder bug; it still
+    /// fails as `InvalidData` rather than a panic.
+    pub fn for_each(&self, mut f: impl FnMut(SetRef<'_>)) -> io::Result<()> {
+        let mut r = Reader::new(&self.body[HEADER..]);
+        for _ in 0..self.n_entries {
+            f(r.set().ok_or_else(|| bad("truncated entry"))?);
+        }
+        if !r.is_done() {
+            return Err(bad("trailing bytes"));
+        }
+        Ok(())
+    }
 }
 
 /// Serializes `entries` covering `covers_lsn` and atomically publishes
@@ -49,13 +78,7 @@ pub fn write(dir: &Path, covers_lsn: u64, entries: &[Entry]) -> io::Result<usize
     buf.extend_from_slice(&covers_lsn.to_le_bytes());
     buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     for e in entries {
-        buf.extend_from_slice(&(e.key.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&e.key);
-        buf.extend_from_slice(&e.flags.to_le_bytes());
-        buf.extend_from_slice(&e.expires_at.to_le_bytes());
-        buf.extend_from_slice(&e.cas.to_le_bytes());
-        buf.extend_from_slice(&(e.value.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&e.value);
+        put_set(&mut buf, &e.as_set());
     }
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
@@ -74,10 +97,11 @@ pub fn write(dir: &Path, covers_lsn: u64, entries: &[Entry]) -> io::Result<usize
     Ok(buf.len())
 }
 
-/// Loads `<dir>/snapshot`. `Ok(None)` if no snapshot exists; an error
-/// if one exists but fails validation (the caller decides whether a
-/// corrupt snapshot is fatal — it is, unlike a torn log tail, because a
-/// snapshot is published atomically and should never be half-written).
+/// Loads `<dir>/snapshot` and checks its CRC and header. `Ok(None)` if
+/// no snapshot exists; an error if one exists but fails validation (the
+/// caller decides whether a corrupt snapshot is fatal — it is, unlike a
+/// torn log tail, because a snapshot is published atomically and should
+/// never be half-written).
 pub fn load(dir: &Path) -> io::Result<Option<Snapshot>> {
     let path = dir.join(SNAPSHOT_FILE);
     let mut buf = Vec::new();
@@ -88,62 +112,29 @@ pub fn load(dir: &Path) -> io::Result<Option<Snapshot>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     }
-    parse(&buf).map(Some)
+    parse(buf).map(Some)
 }
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("snapshot: {msg}"))
 }
 
-fn parse(buf: &[u8]) -> io::Result<Snapshot> {
-    if buf.len() < MAGIC.len() + 16 + 4 {
+fn parse(mut buf: Vec<u8>) -> io::Result<Snapshot> {
+    if buf.len() < HEADER + 4 {
         return Err(bad("too short"));
     }
-    let (body, trailer) = buf.split_at(buf.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().expect("split_at leaves a 4-byte trailer"));
-    if crc32(body) != stored {
+    let body_len = buf.len() - 4;
+    let stored = u32::from_le_bytes(buf[body_len..].try_into().expect("a 4-byte trailer"));
+    if crc32(&buf[..body_len]) != stored {
         return Err(bad("crc mismatch"));
     }
-    if &body[..MAGIC.len()] != MAGIC {
+    if &buf[..MAGIC.len()] != MAGIC {
         return Err(bad("bad magic"));
     }
-    let mut pos = MAGIC.len();
-    let u32_at = |buf: &[u8], pos: &mut usize| -> io::Result<u32> {
-        let end = *pos + 4;
-        let b = buf.get(*pos..end).ok_or_else(|| bad("truncated field"))?;
-        *pos = end;
-        Ok(u32::from_le_bytes(b.try_into().expect("get(pos..pos + 4) is 4 bytes")))
-    };
-    let u64_at = |buf: &[u8], pos: &mut usize| -> io::Result<u64> {
-        let end = *pos + 8;
-        let b = buf.get(*pos..end).ok_or_else(|| bad("truncated field"))?;
-        *pos = end;
-        Ok(u64::from_le_bytes(b.try_into().expect("get(pos..pos + 8) is 8 bytes")))
-    };
-    let covers_lsn = u64_at(body, &mut pos)?;
-    let n = u64_at(body, &mut pos)?;
-    // CRC passed, so n is trustworthy, but still bound the preallocation
-    // by what could physically fit in the body.
-    if n > (body.len() as u64) / 24 + 1 {
-        return Err(bad("entry count exceeds file size"));
-    }
-    let mut entries = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let klen = u32_at(body, &mut pos)? as usize;
-        let key = body.get(pos..pos + klen).ok_or_else(|| bad("truncated key"))?.to_vec();
-        pos += klen;
-        let flags = u32_at(body, &mut pos)?;
-        let expires_at = u32_at(body, &mut pos)?;
-        let cas = u64_at(body, &mut pos)?;
-        let vlen = u32_at(body, &mut pos)? as usize;
-        let value = body.get(pos..pos + vlen).ok_or_else(|| bad("truncated value"))?.to_vec();
-        pos += vlen;
-        entries.push(Entry { key, flags, expires_at, cas, value });
-    }
-    if pos != body.len() {
-        return Err(bad("trailing bytes"));
-    }
-    Ok(Snapshot { covers_lsn, entries })
+    buf.truncate(body_len);
+    let u64_at = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("8-byte range"));
+    let (covers_lsn, n_entries) = (u64_at(MAGIC.len()), u64_at(MAGIC.len() + 8));
+    Ok(Snapshot { covers_lsn, n_entries, body: buf })
 }
 
 #[cfg(all(test, not(cuckoo_model)))]
@@ -172,6 +163,15 @@ mod tests {
             .collect()
     }
 
+    fn entries_of(snap: &Snapshot) -> Vec<Entry> {
+        let mut out = Vec::new();
+        snap.for_each(|s| {
+            out.push(Entry { key: s.key.to_vec(), flags: s.flags, expires_at: s.expires_at, cas: s.cas, value: s.value.to_vec() })
+        })
+        .unwrap();
+        out
+    }
+
     #[test]
     fn roundtrip() {
         let d = tmpdir("roundtrip");
@@ -179,7 +179,7 @@ mod tests {
         write(&d, 123, &entries).unwrap();
         let snap = load(&d).unwrap().unwrap();
         assert_eq!(snap.covers_lsn, 123);
-        assert_eq!(snap.entries, entries);
+        assert_eq!(entries_of(&snap), entries);
         fs::remove_dir_all(&d).unwrap();
     }
 
@@ -189,7 +189,7 @@ mod tests {
         write(&d, 0, &[]).unwrap();
         let snap = load(&d).unwrap().unwrap();
         assert_eq!(snap.covers_lsn, 0);
-        assert!(snap.entries.is_empty());
+        assert!(entries_of(&snap).is_empty());
         fs::remove_dir_all(&d).unwrap();
     }
 
@@ -218,7 +218,7 @@ mod tests {
         write(&d, 2, &[]).unwrap();
         let snap = load(&d).unwrap().unwrap();
         assert_eq!(snap.covers_lsn, 2);
-        assert!(snap.entries.is_empty());
+        assert!(entries_of(&snap).is_empty());
         assert!(!d.join(TMP_FILE).exists());
         fs::remove_dir_all(&d).unwrap();
     }

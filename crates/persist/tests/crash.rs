@@ -5,19 +5,20 @@
 //! disk: the log truncated at an arbitrary byte offset (kill -9 mid
 //! `write(2)`), or with a flipped byte in its final record (a torn
 //! sector). Seeds are fixed unless `PROPTEST_SEED` overrides them, so CI
-//! runs are reproducible.
+//! runs are reproducible. Recovery streams into a map that each test's
+//! sink builds, and that map is what is compared with the oracle.
 
 #![cfg(not(cuckoo_model))]
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use metrics::persist::PersistMetrics;
 use persist::record::{self, Op};
-use persist::{snapshot, Entry, PersistConfig, Persister};
+use persist::{snapshot, Entry, OpRef, PersistConfig, Persister, Recovered};
 use proptest::prelude::*;
 
 /// `(kind, key, val)` triple → a concrete op over an 8-key space.
@@ -78,8 +79,54 @@ fn oracle(base: &HashMap<Vec<u8>, Entry>, ops: &[Op], first_lsn: u64) -> HashMap
     map
 }
 
-fn by_key(entries: &[Entry]) -> HashMap<Vec<u8>, Entry> {
-    entries.iter().map(|e| (e.key.clone(), e.clone())).collect()
+/// Last-writer-wins application of one streamed op: what a sink does.
+fn apply(map: &mut HashMap<Vec<u8>, Entry>, op: OpRef<'_>) {
+    match op {
+        OpRef::Set(s) => {
+            let e = Entry { key: s.key.to_vec(), flags: s.flags, expires_at: s.expires_at, cas: s.cas, value: s.value.to_vec() };
+            map.insert(e.key.clone(), e);
+        }
+        OpRef::Delete(key) => {
+            map.remove(key);
+        }
+        OpRef::FlushAll => map.clear(),
+    }
+}
+
+/// Opens `dir`, streaming recovery into a fresh map that also backs the
+/// persister's snapshots; `before(i)` runs ahead of the `i`th op. Returns
+/// the map as recovery left it.
+fn open_with(
+    dir: &Path,
+    metrics: Arc<PersistMetrics>,
+    mut before: impl FnMut(usize),
+) -> std::io::Result<(Persister, Recovered, HashMap<Vec<u8>, Entry>)> {
+    let table: Arc<Mutex<HashMap<Vec<u8>, Entry>>> = Arc::default();
+    let scanned = Arc::clone(&table);
+    let provider = Arc::new(move || scanned.lock().unwrap().values().cloned().collect());
+    let mut seen = 0;
+    let (p, rec) = Persister::open(cfg(dir), metrics, provider, &mut |op| {
+        before(seen);
+        seen += 1;
+        apply(&mut table.lock().unwrap(), op);
+    })?;
+    let map = table.lock().unwrap().clone();
+    Ok((p, rec, map))
+}
+
+fn open(dir: &Path, metrics: Arc<PersistMetrics>) -> std::io::Result<(Persister, Recovered, HashMap<Vec<u8>, Entry>)> {
+    open_with(dir, metrics, |_| {})
+}
+
+/// Every file in `dir`, by name, with its bytes.
+fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|f| {
+            let f = f.unwrap();
+            (f.file_name().into_string().unwrap(), fs::read(f.path()).unwrap())
+        })
+        .collect()
 }
 
 fn tmpdir(tag: &str, case: u64) -> PathBuf {
@@ -128,12 +175,12 @@ proptest! {
         fs::write(d.join(persist::log::OPLOG), &bytes[..cut]).unwrap();
 
         let m = Arc::new(PersistMetrics::new());
-        let (p, rec) = Persister::open(cfg(&d), Arc::clone(&m)).unwrap();
+        let (p, rec, got) = open(&d, Arc::clone(&m)).unwrap();
         prop_assert!(!rec.clean);
         prop_assert_eq!(rec.replayed, intact as u64);
         prop_assert_eq!(rec.last_lsn, intact as u64);
         let want = oracle(&HashMap::new(), &ops[..intact], 1);
-        prop_assert_eq!(by_key(&rec.entries), want);
+        prop_assert_eq!(got, want);
         // Partial trailing bytes — and only those — count a torn tail.
         let torn = cut > 0 && !ends.contains(&cut);
         prop_assert_eq!(m.torn_tails.get(), u64::from(torn));
@@ -168,12 +215,12 @@ proptest! {
         snapshot::write(&d, covers, &snap_entries).unwrap();
         fs::write(d.join(persist::log::OPLOG), &bytes[..cut]).unwrap();
 
-        let (p, rec) = Persister::open(cfg(&d), Arc::new(PersistMetrics::new())).unwrap();
+        let (p, rec, got) = open(&d, Arc::new(PersistMetrics::new())).unwrap();
         prop_assert!(!rec.clean, "no marker: must take the replay path");
         prop_assert_eq!(rec.replayed, intact as u64);
         prop_assert_eq!(rec.last_lsn, covers + intact as u64);
         let want = oracle(&base, &tail[..intact], covers + 1);
-        prop_assert_eq!(by_key(&rec.entries), want);
+        prop_assert_eq!(got, want);
         drop(p);
         fs::remove_dir_all(&d).unwrap();
     }
@@ -202,11 +249,11 @@ proptest! {
         fs::write(d.join(persist::log::OPLOG), &bytes).unwrap();
 
         let m = Arc::new(PersistMetrics::new());
-        let (p, rec) = Persister::open(cfg(&d), Arc::clone(&m)).unwrap();
+        let (p, rec, got) = open(&d, Arc::clone(&m)).unwrap();
         let intact = ops.len() - 1;
         prop_assert_eq!(rec.replayed, intact as u64);
         prop_assert_eq!(rec.last_lsn, intact as u64);
-        prop_assert_eq!(by_key(&rec.entries), oracle(&HashMap::new(), &ops[..intact], 1));
+        prop_assert_eq!(got, oracle(&HashMap::new(), &ops[..intact], 1));
         prop_assert_eq!(m.torn_tails.get(), 1);
         drop(p);
         fs::remove_dir_all(&d).unwrap();
@@ -215,7 +262,8 @@ proptest! {
 
 /// Rotation renames a *complete, fsync'd* file, so a torn frame in
 /// `oplog.old` while a newer `oplog` generation exists can only mean
-/// real corruption — recovery must refuse, not guess.
+/// real corruption — recovery must refuse, not guess, and must leave
+/// the directory exactly as it found it.
 #[test]
 fn corruption_in_an_interior_generation_is_fatal() {
     let ops: Vec<Op> = (0..3).map(|i| make_op(0, i, 7, u64::from(i) + 1)).collect();
@@ -225,13 +273,54 @@ fn corruption_in_an_interior_generation_is_fatal() {
     let (new_bytes, _) = encode_log(&[make_op(0, 3, 7, 4)], 4);
 
     let d = tmpdir("interior", case_id());
+    let base = oracle(&HashMap::new(), &[make_op(0, 5, 1, 0)], 0);
+    snapshot::write(&d, 0, &base.into_values().collect::<Vec<_>>()).unwrap();
     fs::write(d.join(persist::log::OPLOG_OLD), &old_bytes).unwrap();
     fs::write(d.join(persist::log::OPLOG), &new_bytes).unwrap();
+    let before = files(&d);
 
-    let err = Persister::open(cfg(&d), Arc::new(PersistMetrics::new()))
-        .err()
-        .expect("interior corruption must refuse to open");
+    let err = open(&d, Arc::new(PersistMetrics::new())).err().expect("interior corruption must refuse to open");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(files(&d), before, "a refused open must leave snapshot, oplog.old and oplog untouched");
+    fs::remove_dir_all(&d).unwrap();
+}
+
+/// A sink that dies mid-stream — here it panics, at every op in turn —
+/// stops recovery before the normalizing snapshot publishes: every file
+/// stays byte-identical, and the next open recovers the full state.
+#[test]
+fn a_sink_that_dies_mid_stream_leaves_the_directory_as_it_found_it() {
+    // kinds: sets, a delete (7) and a flush (9), over lsns 1..=9.
+    let ops: Vec<Op> =
+        [0u8, 0, 7, 0, 9, 0, 0, 7, 0].iter().enumerate().map(|(i, &k)| make_op(k, i as u8 % 3, i as u16, i as u64 + 1)).collect();
+    let base = oracle(&HashMap::new(), &ops[..3], 1);
+    let (old_bytes, _) = encode_log(&ops[3..6], 4);
+    let (new_bytes, _) = encode_log(&ops[6..], 7);
+
+    let d = tmpdir("sinkdies", case_id());
+    snapshot::write(&d, 3, &base.values().cloned().collect::<Vec<_>>()).unwrap();
+    fs::write(d.join(persist::log::OPLOG_OLD), &old_bytes).unwrap();
+    fs::write(d.join(persist::log::OPLOG), &new_bytes).unwrap();
+    let before = files(&d);
+
+    let streamed = base.len() + 6;
+    for dies_at in 0..streamed {
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            open_with(&d, Arc::new(PersistMetrics::new()), |i| {
+                if i == dies_at {
+                    // Unwind without the panic hook's report.
+                    std::panic::resume_unwind(Box::new("sink died"));
+                }
+            })
+        }));
+        assert!(r.is_err(), "the sink dies at op {dies_at} of {streamed}");
+        assert_eq!(files(&d), before, "sink died at op {dies_at}: the directory changed");
+    }
+
+    let (p, rec, got) = open(&d, Arc::new(PersistMetrics::new())).unwrap();
+    assert_eq!((rec.last_lsn, rec.replayed), (9, 6));
+    assert_eq!(got, oracle(&base, &ops[3..], 4));
+    drop(p);
     fs::remove_dir_all(&d).unwrap();
 }
 
@@ -247,7 +336,7 @@ fn corruption_in_the_live_tail_truncates() {
     fs::write(d.join(persist::log::OPLOG), &bytes).unwrap();
 
     let m = Arc::new(PersistMetrics::new());
-    let (p, rec) = Persister::open(cfg(&d), Arc::clone(&m)).unwrap();
+    let (p, rec, _) = open(&d, Arc::clone(&m)).unwrap();
     assert_eq!(rec.replayed, 2);
     assert_eq!(rec.last_lsn, 2);
     assert_eq!(m.torn_tails.get(), 1);

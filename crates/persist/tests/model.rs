@@ -20,7 +20,7 @@ use cuckoo::sync2::atomic::{AtomicU64, Ordering};
 use cuckoo::sync2::Mutex;
 use metrics::persist::PersistMetrics;
 use persist::commit::CommitQueue;
-use persist::record::{decode_all, Op};
+use persist::record::{decode_each, Op};
 use persist::WriteStripes;
 use std::sync::Arc;
 
@@ -37,9 +37,13 @@ fn set(tag: u64) -> Op {
 /// The LSNs of the frames in a drained byte run, in byte order — what
 /// the writer would put in the file.
 fn lsns(frames: &[u8]) -> Vec<u64> {
-    let (records, valid) = decode_all(frames);
-    assert_eq!(valid, frames.len(), "torn or corrupt frame in the run");
-    records.iter().map(|r| r.lsn).collect()
+    let mut lsns = Vec::new();
+    let valid = decode_each(frames, |r| {
+        lsns.push(r.lsn);
+        Ok(())
+    });
+    assert_eq!(valid.unwrap(), frames.len(), "torn or corrupt frame in the run");
+    lsns
 }
 
 /// Two racing appenders: every schedule must hand out exactly LSNs

@@ -13,16 +13,17 @@
 //! group commit happens on the writer thread).
 //!
 //! Reads bypass the stripes entirely; they are exactly as concurrent as
-//! the undecorated engine.
+//! the undecorated engine. Restart and the replica land records one way,
+//! `apply`: the engine itself is recovery's merge map.
 
 use std::io;
 use std::sync::Arc;
 
 use metrics::persist::PersistMetrics;
 use persist::record::Op;
-use persist::{Entry, PersistConfig, Persister, Recovered, SetRef, WriteStripes};
+use persist::{Entry, OpRef, PersistConfig, Persister, Recovered, SetRef, WriteStripes};
 
-use crate::store::{now_secs, ItemRef, Store, StoreCmd, StoreOutcome, StoreStats};
+use crate::store::{expired, now_secs, ItemRef, Store, StoreCmd, StoreOutcome, StoreStats};
 
 /// Stripe count: enough dispersion that unrelated keys essentially never
 /// share a lock, small enough that `flush_all`'s lock-all sweep is cheap.
@@ -34,77 +35,100 @@ pub struct PersistentStore {
     stripes: WriteStripes,
 }
 
+/// What [`PersistentStore::open`] did: the data directory's recovery
+/// summary, and how many entries the rebuilt table holds.
+#[derive(Debug)]
+pub struct Restored {
+    pub recovered: Recovered,
+    pub entries: Resident,
+}
+
+/// An entry count, read like a collection's length.
+#[derive(Debug, Clone, Copy)]
+pub struct Resident(pub usize);
+
+impl Resident {
+    pub fn len(self) -> usize {
+        self.0
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+}
+
 impl PersistentStore {
-    /// Opens (or creates) the data directory, replays it into `inner`,
-    /// and starts the background snapshot thread with a provider that
-    /// scans `inner` (retrying until the displacement-race check says
-    /// the pass was consistent).
+    /// Opens (or creates) the data directory, streams it straight into
+    /// `inner`, and hands the persister a provider that scans `inner`
+    /// (retrying until the displacement-race check says the pass was
+    /// consistent) for the normalizing snapshot and every later one.
     pub fn open(
         inner: Arc<dyn Store>,
         cfg: PersistConfig,
         metrics: Arc<PersistMetrics>,
-    ) -> io::Result<(Arc<Self>, Recovered)> {
-        let (persister, recovered) = Persister::open(cfg, metrics)?;
-        let now = now_secs();
-        for e in &recovered.entries {
-            if e.expires_at != 0 && now >= e.expires_at {
-                continue; // died while we were down; don't resurrect it
-            }
-            inner.restore(&e.key, e.flags, e.expires_at, e.cas, &e.value);
-        }
-        persister.start_snapshots(scan_provider(Arc::clone(&inner)));
+    ) -> io::Result<(Arc<Self>, Restored)> {
+        let (scanned, now) = (Arc::clone(&inner), now_secs());
+        let provider = Arc::new(move || scan_all(&*scanned));
+        let (persister, recovered) = Persister::open(cfg, metrics, provider, &mut |op| apply(&*inner, op, now))?;
+        let entries = Resident(inner.stats().len);
         let store = Arc::new(PersistentStore {
             inner,
             persister,
             stripes: WriteStripes::new(STRIPES),
         });
-        Ok((store, recovered))
+        Ok((store, Restored { recovered, entries }))
     }
 
     pub fn persister(&self) -> &Persister {
         &self.persister
     }
 
-    /// Applies one replicated record from the primary and relogs it into
-    /// this node's own op log (a replica is durable in its own right —
-    /// local LSNs, not the primary's). Same stripe discipline as the
-    /// client write path, so replication and recovery stay convergent.
+    /// Applies one replicated record from the primary and relogs it, as
+    /// received, into this node's own op log (a replica is durable in
+    /// its own right — local LSNs, not the primary's). Same stripe
+    /// discipline as the client write path, so replication and recovery
+    /// stay convergent.
     pub fn apply_replicated(&self, op: &Op) {
-        match op {
-            Op::Set { key, flags, expires_at, cas, value } => {
-                let _g = self.stripes.lock_key(key);
-                self.inner.restore(key, *flags, *expires_at, *cas, value);
-                self.persister.append(op);
-            }
-            Op::Delete { key } => {
-                let _g = self.stripes.lock_key(key);
-                self.inner.delete(key);
-                self.persister.append(op);
-            }
-            Op::FlushAll => {
-                let _g = self.stripes.lock_all();
-                self.inner.flush_all();
-                self.persister.append(op);
-            }
-            Op::Heartbeat { .. } => {}
+        let Some(change) = op.borrowed() else {
+            return; // a heartbeat changes nothing
+        };
+        let _g = match change {
+            OpRef::Set(SetRef { key, .. }) | OpRef::Delete(key) => self.stripes.lock_keys([key]),
+            OpRef::FlushAll => self.stripes.lock_all(),
+        };
+        apply(&*self.inner, change, now_secs());
+        self.persister.append(op);
+    }
+}
+
+/// Lands one recovered or replicated op in `store`. A `Set` already
+/// expired at `now` lands as a `Delete` of its key, so it still hides
+/// an earlier live value of that key.
+fn apply(store: &dyn Store, op: OpRef<'_>, now: u32) {
+    match op {
+        OpRef::Set(s) if !expired(s.expires_at, now) => store.restore(s.key, s.flags, s.expires_at, s.cas, s.value),
+        OpRef::Set(SetRef { key, .. }) | OpRef::Delete(key) => {
+            store.delete(key);
+        }
+        OpRef::FlushAll => {
+            store.flush_all();
         }
     }
 }
 
-/// Builds the snapshot thread's table scanner over `inner`.
-fn scan_provider(inner: Arc<dyn Store>) -> persist::EntryProvider {
-    Arc::new(move || {
-        let mut entries = Vec::new();
-        loop {
-            entries.clear();
-            if inner.scan_entries(now_secs(), &mut entries) {
-                return entries;
-            }
-            // A concurrent displacement may have hidden an entry from
-            // that pass; scan again.
-            std::thread::yield_now();
+/// Every entry of `store` live now, from one consistent pass: what a
+/// snapshot or a replica bootstrap holds.
+pub(crate) fn scan_all(store: &dyn Store) -> Vec<Entry> {
+    let mut entries = Vec::new();
+    loop {
+        entries.clear();
+        if store.scan_entries(now_secs(), &mut entries) {
+            return entries;
         }
-    })
+        // A concurrent displacement may have hidden an entry from that
+        // pass; scan again.
+        std::thread::yield_now();
+    }
 }
 
 impl Store for PersistentStore {
@@ -150,8 +174,7 @@ impl Store for PersistentStore {
     }
 
     fn restore(&self, key: &[u8], flags: u32, expires_at: u32, cas: u64, value: &[u8]) {
-        // Warm-restart path only; the recovered state is already durable,
-        // so nothing is logged.
+        // A restored item is already durable, so nothing is logged.
         self.inner.restore(key, flags, expires_at, cas, value)
     }
 
@@ -205,12 +228,9 @@ mod tests {
     }
 
     fn open(dir: &Path) -> (Arc<PersistentStore>, Recovered) {
-        PersistentStore::open(
-            Arc::new(CuckooStore::new(1024)),
-            cfg(dir),
-            Arc::new(PersistMetrics::new()),
-        )
-        .unwrap()
+        let (s, restored) =
+            PersistentStore::open(Arc::new(CuckooStore::new(1024)), cfg(dir), Arc::new(PersistMetrics::new())).unwrap();
+        (s, restored.recovered)
     }
 
     fn get_val(s: &PersistentStore, key: &[u8]) -> Option<Vec<u8>> {
@@ -279,10 +299,98 @@ mod tests {
             };
             assert_eq!(live.len(), 3 * ROUNDS as usize, "{tag}");
             let (s, rec) = open();
-            assert!(!rec.clean);
+            assert!(!rec.recovered.clean);
             assert_eq!(items(&s), live, "{tag}: replay diverged from the live table");
             drop(s);
             fs::remove_dir_all(&d).unwrap();
+        }
+    }
+
+    /// Restart applies snapshot and log in stream order, on each engine.
+    /// The cases come in two directories, because a `flush_all` hides
+    /// everything logged before it:
+    /// - a snapshot key deleted in the log stays deleted;
+    /// - a key set live and then re-set with a deadline already past at
+    ///   restart reads as a miss, not as its earlier live value;
+    /// - a `flush_all` mid-log drops what came before it, but not the
+    ///   sets after it.
+    #[test]
+    fn restart_applies_the_stream_in_order_on_both_engines() {
+        let now = now_secs();
+        let set = |key: &str, value: &str, expires_at: u32, cas: u64| Op::Set {
+            key: key.into(),
+            flags: cas as u32,
+            expires_at,
+            cas,
+            value: value.into(),
+        };
+        let delete = |key: &str| Op::Delete { key: key.into() };
+        // (snapshot covering LSN 3, log from LSN 4)
+        let cases: [(Vec<Op>, Vec<Op>); 2] = [
+            (
+                vec![set("kept", "a", 0, 1), set("deleted", "b", 0, 2), set("expired", "c", 0, 3)],
+                vec![delete("deleted"), set("expired", "live", 0, 5), set("expired", "dead", now - 10, 6)],
+            ),
+            (
+                vec![set("old", "a", 0, 1), set("older", "b", 0, 2), set("oldest", "c", 0, 3)],
+                vec![set("pre", "x", 0, 4), Op::FlushAll, set("post", "y", 0, 6), set("old", "z", 0, 7)],
+            ),
+        ];
+        for tag in ["clock", "cuckoo"] {
+            for (i, (snap, log)) in cases.iter().enumerate() {
+                // The oracle: the same stream, last writer wins, then
+                // what is still live at `now`.
+                let mut oracle = std::collections::BTreeMap::new();
+                for op in snap.iter().chain(log) {
+                    match op {
+                        Op::Set { key, flags, expires_at, cas, value } => {
+                            oracle.insert(key.clone(), (*flags, *cas, value.clone(), *expires_at));
+                        }
+                        Op::Delete { key } => {
+                            oracle.remove(key);
+                        }
+                        _ => oracle.clear(),
+                    }
+                }
+                oracle.retain(|_, (.., expires_at)| !expired(*expires_at, now));
+                let want: Vec<_> = oracle.into_iter().map(|(k, (f, c, v, _))| (k, f, c, v)).collect();
+
+                let d = tmpdir(&format!("order-{tag}-{i}"));
+                fs::create_dir_all(&d).unwrap();
+                let entries: Vec<Entry> = snap
+                    .iter()
+                    .map(|op| match op {
+                        Op::Set { key, flags, expires_at, cas, value } => Entry {
+                            key: key.clone(),
+                            flags: *flags,
+                            expires_at: *expires_at,
+                            cas: *cas,
+                            value: value.clone(),
+                        },
+                        _ => unreachable!("snapshots hold sets"),
+                    })
+                    .collect();
+                persist::snapshot::write(&d, 3, &entries).unwrap();
+                let mut bytes = Vec::new();
+                for (lsn, op) in (4..).zip(log) {
+                    persist::record::encode_op(op, lsn, &mut bytes);
+                }
+                fs::write(d.join(persist::log::OPLOG), &bytes).unwrap();
+
+                let engine: Arc<dyn Store> = match tag {
+                    "clock" => Arc::new(crate::store::ClockStore::new(1 << 10)),
+                    _ => Arc::new(CuckooStore::new(1024)),
+                };
+                let (s, restored) = PersistentStore::open(engine, cfg(&d), Arc::new(PersistMetrics::new())).unwrap();
+                assert_eq!(restored.recovered.replayed, log.len() as u64, "{tag} case {i}");
+                assert_eq!(items(&s), want, "{tag} case {i}: restart diverged from the oracle");
+                assert_eq!(restored.entries.len(), want.len(), "{tag} case {i}");
+                for key in ["deleted", "expired", "pre", "older"] {
+                    assert_eq!(get_val(&s, key.as_bytes()), None, "{tag} case {i}: {key} must read as a miss");
+                }
+                drop(s);
+                fs::remove_dir_all(&d).unwrap();
+            }
         }
     }
 

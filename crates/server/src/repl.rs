@@ -46,8 +46,7 @@ use std::time::{Duration, Instant};
 
 use persist::record::{self, Decoded, Op};
 
-use crate::persist_store::PersistentStore;
-use crate::store::{now_secs, Store};
+use crate::persist_store::{scan_all, PersistentStore};
 use crate::ServerCtx;
 
 /// Idle-feed keep-alive cadence.
@@ -121,26 +120,9 @@ fn feed(
         out.extend_from_slice(format!("OK full {cursor}\r\n").as_bytes());
         // Table bootstrap at LSN `cursor`: a consistent-scan image of
         // every live entry.
-        let mut entries = Vec::new();
-        loop {
-            entries.clear();
-            if store.scan_entries(now_secs(), &mut entries) {
-                break;
-            }
-            std::thread::yield_now();
-        }
+        let entries = scan_all(store);
         for e in &entries {
-            record::encode_op(
-                &Op::Set {
-                    key: e.key.clone(),
-                    flags: e.flags,
-                    expires_at: e.expires_at,
-                    cas: e.cas,
-                    value: e.value.clone(),
-                },
-                cursor,
-                &mut out,
-            );
+            record::encode_set(&e.as_set(), cursor, &mut out);
         }
         m.replication_records_sent.add(entries.len() as u64);
         stream.write_all(&out)?;

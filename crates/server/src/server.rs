@@ -202,13 +202,14 @@ fn make_store(config: &Config) -> std::io::Result<BuiltStore> {
     let mut pcfg = PersistConfig::new(dir);
     pcfg.fsync_interval = Duration::from_millis(config.fsync_interval_ms);
     pcfg.snapshot_interval = Duration::from_secs(config.snapshot_interval_secs);
-    let (store, recovered) =
+    let (store, restored) =
         PersistentStore::open(engine, pcfg, Arc::new(PersistMetrics::new()))?;
-    if recovered.replayed > 0 || !recovered.entries.is_empty() {
+    let recovered = &restored.recovered;
+    if recovered.replayed > 0 || !restored.entries.is_empty() {
         eprintln!(
             "cuckood: warm restart from {}: {} entries, {} log records replayed ({})",
             dir.display(),
-            recovered.entries.len(),
+            restored.entries.len(),
             recovered.replayed,
             if recovered.clean { "clean shutdown" } else { "crash recovery" },
         );

@@ -58,7 +58,7 @@ fn deadline(exptime: u32, now: u32) -> u32 {
     }
 }
 
-fn expired(deadline: u32, now: u32) -> bool {
+pub(crate) fn expired(deadline: u32, now: u32) -> bool {
     deadline != 0 && now >= deadline
 }
 

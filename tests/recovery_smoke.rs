@@ -109,11 +109,21 @@ fn wait_until(what: &str, limit: Duration, mut cond: impl FnMut() -> bool) {
     }
 }
 
+/// The two engines a restart rebuilds: `(tag, --no-evict)`.
+const ENGINES: [(&str, bool); 2] = [("clock", false), ("cuckoo", true)];
+
 #[test]
 fn warm_restart_after_graceful_shutdown_serves_the_full_table() {
-    let dir = tmpdir("clean");
+    for (tag, no_evict) in ENGINES {
+        warm_restart_after_graceful_shutdown(tag, no_evict);
+    }
+}
+
+fn warm_restart_after_graceful_shutdown(tag: &str, no_evict: bool) {
+    let dir = tmpdir(&format!("clean-{tag}"));
+    let config = || server::Config { no_evict, ..persistent_config(&dir) };
     {
-        let handle = server::spawn(persistent_config(&dir)).expect("spawn");
+        let handle = server::spawn(config()).expect("spawn");
         let mut c = Client::connect(handle.local_addr());
         for i in 0..300 {
             c.set(&format!("k{i}"), format!("v{i}").as_bytes());
@@ -123,26 +133,32 @@ fn warm_restart_after_graceful_shutdown_serves_the_full_table() {
         }
         handle.shutdown(); // graceful: snapshot + clean marker
     }
-    let handle = server::spawn(persistent_config(&dir)).expect("respawn");
+    let handle = server::spawn(config()).expect("respawn");
     let mut c = Client::connect(handle.local_addr());
     for i in 0..300 {
         let got = c.get(&format!("k{i}"));
         if i % 3 == 0 {
-            assert_eq!(got, None, "k{i} was deleted before shutdown");
+            assert_eq!(got, None, "{tag}: k{i} was deleted before shutdown");
         } else {
-            assert_eq!(got, Some(format!("v{i}").into_bytes()), "k{i} lost across restart");
+            assert_eq!(got, Some(format!("v{i}").into_bytes()), "{tag}: k{i} lost across restart");
         }
     }
     // A clean restart replays nothing.
     let stats = c.stat_section("cuckoo");
-    assert_eq!(stats["cuckoo_persist_replayed_records_total"], 0, "{stats:?}");
+    assert_eq!(stats["cuckoo_persist_replayed_records_total"], 0, "{tag}: {stats:?}");
     handle.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn warm_restart_after_kill_nine_replays_the_log() {
-    let dir = tmpdir("crash");
+    for (tag, no_evict) in ENGINES {
+        warm_restart_after_kill_nine(tag, no_evict);
+    }
+}
+
+fn warm_restart_after_kill_nine(tag: &str, no_evict: bool) {
+    let dir = tmpdir(&format!("crash-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
     // A real process and a real SIGKILL: no drain, no final snapshot, no
     // clean-shutdown marker — recovery has only the fsynced log to work
@@ -161,6 +177,7 @@ fn warm_restart_after_kill_nine_replays_the_log() {
             "--snapshot-interval-secs",
             "0",
         ])
+        .args(no_evict.then_some("--no-evict"))
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("spawn cuckood binary");
@@ -186,15 +203,15 @@ fn warm_restart_after_kill_nine_replays_the_log() {
     child.kill().expect("SIGKILL");
     child.wait().expect("reap");
 
-    let handle = server::spawn(persistent_config(&dir)).expect("respawn");
+    let handle = server::spawn(server::Config { no_evict, ..persistent_config(&dir) }).expect("respawn");
     let mut c = Client::connect(handle.local_addr());
     for i in 0..100 {
-        assert_eq!(c.get(&format!("k{i}")), Some(b"v".to_vec()), "k{i} lost in crash recovery");
+        assert_eq!(c.get(&format!("k{i}")), Some(b"v".to_vec()), "{tag}: k{i} lost in crash recovery");
     }
     let stats = c.stat_section("cuckoo");
     assert!(
         stats["cuckoo_persist_replayed_records_total"] >= 100,
-        "dirty restart must replay the log: {stats:?}"
+        "{tag}: dirty restart must replay the log: {stats:?}"
     );
     handle.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
