@@ -21,8 +21,7 @@
 
 use bench::banner;
 use metrics::persist::PersistMetrics;
-use persist::record::Op;
-use persist::{PersistConfig, Persister};
+use persist::{OpRef, PersistConfig, Persister, SetRef};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -165,17 +164,12 @@ fn dirty_case(dir: &Path, n: usize, value_len: usize) -> Row {
         cfg.fsync_interval = Duration::from_millis(1);
         cfg.snapshot_interval = Duration::ZERO;
         // An empty directory: nothing streams in, nothing is snapshotted.
-        let (p, _) = Persister::open(cfg, Arc::new(PersistMetrics::new()), Arc::new(Vec::new), &mut |_| {})
-            .expect("open log");
+        let empty = Arc::new(|_: &mut dyn FnMut(SetRef<'_>)| true);
+        let (p, _) = Persister::open(cfg, Arc::new(PersistMetrics::new()), empty, &mut |_| {}).expect("open log");
         let value = vec![b'v'; value_len];
         for i in 0..n {
-            p.append(&Op::Set {
-                key: format!("key{i}").into_bytes(),
-                flags: 0,
-                expires_at: 0,
-                cas: i as u64 + 1,
-                value: value.clone(),
-            });
+            let key = format!("key{i}");
+            p.append(OpRef::Set(SetRef { key: key.as_bytes(), flags: 0, expires_at: 0, cas: i as u64 + 1, value: &value }));
         }
         p.sync();
         // Dropped without shutdown(): the crash shape.

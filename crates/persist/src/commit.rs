@@ -24,7 +24,7 @@
 //! by calling [`CommitQueue::pop_batch`] / [`CommitQueue::mark_durable`]
 //! directly.
 
-use crate::record::{encode_op, Op};
+use crate::record::{encode_op, OpRef};
 use cuckoo::sync2::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use cuckoo::sync2::{thread, Mutex};
 use metrics::persist::PersistMetrics;
@@ -96,11 +96,7 @@ impl CommitQueue {
     /// Assigns the next LSN, encodes `op` under it, and enqueues the
     /// frame. Spin-yields (never touches the disk) while the buffer is
     /// over its bound. Returns the assigned LSN.
-    pub fn append(&self, op: &Op, metrics: &PersistMetrics) -> u64 {
-        debug_assert!(
-            !matches!(op, Op::Heartbeat { .. }),
-            "heartbeats are wire-only, never logged"
-        );
+    pub fn append(&self, op: OpRef<'_>, metrics: &PersistMetrics) -> u64 {
         self.append_many(1, |_, lsn, buf| encode_op(op, lsn, buf), metrics)
     }
 
@@ -246,16 +242,12 @@ impl CommitQueue {
 #[cfg(all(test, not(cuckoo_model)))]
 mod tests {
     use super::*;
-    use crate::record::decode_each;
+    use crate::record::{decode_each, SetRef};
 
-    fn set(i: u64) -> Op {
-        Op::Set {
-            key: format!("k{i}").into_bytes(),
-            flags: 0,
-            expires_at: 0,
-            cas: i,
-            value: vec![0u8; 16],
-        }
+    /// Appends a 16-byte `Set` of key `k{i}`.
+    fn append_set(q: &CommitQueue, i: u64, m: &PersistMetrics) -> u64 {
+        let key = format!("k{i}");
+        q.append(OpRef::Set(SetRef { key: key.as_bytes(), flags: 0, expires_at: 0, cas: i, value: &[0u8; 16] }), m)
     }
 
     /// The LSNs of the whole frames in `frames`, in byte order; any
@@ -275,7 +267,7 @@ mod tests {
         let q = CommitQueue::new(0, 1 << 20);
         let m = PersistMetrics::new();
         for i in 0..100 {
-            assert_eq!(q.append(&set(i), &m), i + 1);
+            assert_eq!(append_set(&q, i, &m), i + 1);
         }
         let batch = q.pop_batch(Vec::new());
         assert_eq!(lsns(&batch.frames), (1..=100).collect::<Vec<_>>());
@@ -297,7 +289,7 @@ mod tests {
                 let (q, m) = (std::sync::Arc::clone(&q), std::sync::Arc::clone(&m));
                 s.spawn(move || {
                     for i in 0..500 {
-                        q.append(&set(t * 1000 + i), &m);
+                        append_set(&q, t * 1000 + i, &m);
                     }
                 });
             }
@@ -318,7 +310,7 @@ mod tests {
             let (q, m) = (std::sync::Arc::clone(&q), std::sync::Arc::clone(&m));
             std::thread::spawn(move || {
                 for i in 0..200 {
-                    q.append(&set(i), &m);
+                    append_set(&q, i, &m);
                 }
             })
         };
@@ -346,7 +338,7 @@ mod tests {
         let q = CommitQueue::new(10, 1 << 20);
         let m = PersistMetrics::new();
         assert_eq!(q.durable_lsn(), 10);
-        let lsn = q.append(&set(1), &m);
+        let lsn = append_set(&q, 1, &m);
         assert_eq!(lsn, 11);
         assert_eq!(q.pop_batch(Vec::new()).last_lsn, 11);
         q.mark_written(11);

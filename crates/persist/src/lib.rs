@@ -2,6 +2,16 @@
 //! commit, periodic compacted snapshots, warm restart, and the building
 //! blocks the server reuses for primary→replica streaming.
 //!
+//! # One record type
+//!
+//! Every record that goes to disk or to the wire, and every record that
+//! comes back, is an [`OpRef`] (`Set(SetRef)` / `Delete` / `FlushAll`)
+//! over borrowed bytes: the write path encodes it from the buffer the
+//! command arrived in, snapshots and replica bootstraps encode it from
+//! the table a scan lends it, and [`record::decode`] lends it from the
+//! file or socket buffer it decodes. Nothing in between copies it into
+//! an owned record.
+//!
 //! # Architecture
 //!
 //! The write hot path calls [`Persister::append`], which assigns an LSN
@@ -12,42 +22,45 @@
 //! appends since the last fsync, and nothing that was reported durable).
 //!
 //! A snapshot thread periodically asks the writer to *rotate* the log
-//! (`oplog` → `oplog.old`, atomically, fully fsync'd), scans the live
-//! table through a caller-supplied provider, and publishes a snapshot
-//! covering the rotation LSN — after which `oplog.old` is garbage and is
-//! deleted. The provider scan runs against the live table without
-//! blocking writers (the maps' epoch-pinned `scan`), so the snapshot is
-//! *fuzzy*; convergence holds because the store applies an op to the map
-//! *before* appending it to the log while holding that key's
-//! [`WriteStripes`] lock — every op the scan missed has an LSN above the
-//! rotation point and replays on top.
+//! (`oplog` → `oplog.old`, atomically, fully fsync'd), runs the
+//! caller's [`TableScan`] over the live table, encoding each entry
+//! straight into the snapshot buffer, and publishes a snapshot covering
+//! the rotation LSN — after which `oplog.old` is garbage and is deleted.
+//! The scan runs against the live table without blocking writers (the
+//! maps' epoch-pinned `scan`), so the snapshot is *fuzzy*; convergence
+//! holds because the store applies an op to the map *before* appending
+//! it to the log while holding that key's [`WriteStripes`] lock — every
+//! op the scan missed has an LSN above the rotation point and replays on
+//! top. A pass the scan reports dirty (a displacement may have hidden an
+//! entry) is cut back off the buffer and scanned again; the entry count
+//! is written into the header once a pass is clean.
 //!
 //! # Recovery
 //!
 //! Recovery keeps no table of its own: the caller's last-writer-wins
 //! table is the merge map. [`Persister::open`] streams into the caller's
 //! sink the snapshot's entries, then `oplog.old` + `oplog` above the
-//! snapshot's cover (LSN order, torn tail dropped), then *normalizes*:
-//! publishes a fresh snapshot scanned from that table and removes the
-//! logs, so a running directory always looks like {recent snapshot,
-//! short live log}. Nothing is written before that snapshot publishes,
-//! so a crash mid-recovery replays the same files again. A clean
-//! shutdown additionally leaves a `clean` marker; when the marker
-//! matches, startup streams the snapshot alone, with no replay.
+//! snapshot's cover (LSN order, torn tail dropped), each borrowed from
+//! the file buffer as it decodes, then *normalizes*: publishes a fresh
+//! snapshot scanned from that table and removes the logs, so a running
+//! directory always looks like {recent snapshot, short live log}.
+//! Nothing is written before that snapshot publishes, so a crash
+//! mid-recovery replays the same files again. A clean shutdown
+//! additionally leaves a `clean` marker; when the marker matches,
+//! startup streams the snapshot alone, with no replay.
 
 pub mod commit;
 pub mod log;
 pub mod record;
 pub mod snapshot;
 
-pub use record::{Op, OpRef, Record, SetRef};
-pub use snapshot::Entry;
+pub use record::{OpRef, SetRef};
 
 use commit::CommitQueue;
 use cuckoo::sync2::{Mutex, MutexGuard};
 use log::RotateCtl;
 use metrics::persist::PersistMetrics;
-use record::encode_set;
+use record::{encode_op, Payload};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -150,10 +163,9 @@ impl WriteStripes {
     }
 }
 
-/// Scans the live table for a snapshot. Implementations must retry
-/// internally until they have a consistent pass (the maps' `scan`
-/// reports displacement races) and may skip already-expired entries.
-pub type EntryProvider = Arc<dyn Fn() -> Vec<Entry> + Send + Sync>;
+/// The live table's [`snapshot::Scan`], shared with the compaction
+/// thread.
+pub type TableScan = Arc<dyn Fn(&mut dyn FnMut(SetRef<'_>)) -> bool + Send + Sync>;
 
 /// Keeps the log writer from rotating (and thus the live `oplog` file
 /// from being renamed away) while held — replication bootstrap pins the
@@ -181,20 +193,20 @@ pub struct Persister {
     writer: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
     snapshotter: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
     snap_stop: Arc<AtomicBool>,
-    provider: EntryProvider,
+    scan: TableScan,
     finished: AtomicBool,
 }
 
 impl Persister {
     /// Recovers the directory (creating it if needed) into `sink`,
-    /// normalizes it to {snapshot of `provider`'s scan, no log}, and
-    /// starts the writer and (unless `snapshot_interval` is zero) the
-    /// compaction thread. `provider` must scan the table `sink` fills.
+    /// normalizes it to {snapshot of `scan`, no log}, and starts the
+    /// writer and (unless `snapshot_interval` is zero) the compaction
+    /// thread. `scan` must scan the table `sink` fills.
     /// An error, or a panic in `sink`, leaves every file as it was.
     pub fn open(
         cfg: PersistConfig,
         metrics: Arc<PersistMetrics>,
-        provider: EntryProvider,
+        scan: TableScan,
         sink: &mut dyn FnMut(OpRef<'_>),
     ) -> io::Result<(Persister, Recovered)> {
         fs::create_dir_all(&cfg.dir)?;
@@ -221,7 +233,7 @@ impl Persister {
             // Normalize: everything recovered is now in one fresh
             // snapshot, and the logs restart empty. Replay work is thus
             // bounded by one crash, not a lifetime of appends.
-            publish(&cfg.dir, recovered.last_lsn, &provider, &metrics, &[log::OPLOG_OLD, log::OPLOG])?;
+            publish(&cfg.dir, recovered.last_lsn, &scan, &metrics, &[log::OPLOG_OLD, log::OPLOG])?;
             recovered
         };
         // The marker only ever describes the shutdown that wrote it.
@@ -247,7 +259,7 @@ impl Persister {
             writer: std::sync::Mutex::new(Some(writer)),
             snapshotter: std::sync::Mutex::new(None),
             snap_stop: Arc::new(AtomicBool::new(false)),
-            provider,
+            scan,
             finished: AtomicBool::new(false),
         };
         p.start_snapshots();
@@ -257,7 +269,7 @@ impl Persister {
     /// Assigns the next LSN to `op` and buffers it for the writer.
     /// Never blocks on disk. Call under the key's
     /// [`WriteStripes`] lock, *after* applying the op to the map.
-    pub fn append(&self, op: &Op) -> u64 {
+    pub fn append(&self, op: OpRef<'_>) -> u64 {
         self.queue.append(op, &self.metrics)
     }
 
@@ -267,7 +279,7 @@ impl Persister {
     /// key's [`WriteStripes`] lock ([`WriteStripes::lock_keys`]), *after*
     /// applying the burst to the map.
     pub fn append_sets(&self, sets: &[SetRef<'_>]) -> u64 {
-        self.queue.append_many(sets.len(), |i, lsn, buf| encode_set(&sets[i], lsn, buf), &self.metrics)
+        self.queue.append_many(sets.len(), |i, lsn, buf| encode_op(OpRef::Set(sets[i]), lsn, buf), &self.metrics)
     }
 
     /// Blocks until everything appended so far is fsync'd.
@@ -334,7 +346,7 @@ impl Persister {
         let rotate = Arc::clone(&self.rotate);
         let metrics = Arc::clone(&self.metrics);
         let stop = Arc::clone(&self.snap_stop);
-        let provider = Arc::clone(&self.provider);
+        let scan = Arc::clone(&self.scan);
         let interval = self.cfg.snapshot_interval;
         let h = std::thread::Builder::new()
             .name("persist-snapshot".into())
@@ -358,7 +370,7 @@ impl Persister {
                         continue;
                     }
                     if let Err(e) =
-                        snapshot_cycle(&dir, &queue, &rotate, &metrics, &provider, &stop)
+                        snapshot_cycle(&dir, &queue, &rotate, &metrics, &scan, &stop)
                     {
                         // Leave the log un-compacted; durability is
                         // unaffected and the next cycle retries.
@@ -378,7 +390,7 @@ impl Persister {
             &self.queue,
             &self.rotate,
             &self.metrics,
-            &self.provider,
+            &self.scan,
             &self.snap_stop,
         )
     }
@@ -397,7 +409,7 @@ impl Persister {
         self.stop_threads();
         let last = self.queue.durable_lsn();
         debug_assert_eq!(last, self.queue.last_lsn());
-        publish(&self.cfg.dir, last, &self.provider, &self.metrics, &[log::OPLOG_OLD, log::OPLOG])?;
+        publish(&self.cfg.dir, last, &self.scan, &self.metrics, &[log::OPLOG_OLD, log::OPLOG])?;
         write_clean_marker(&self.cfg.dir, last)
     }
 
@@ -428,7 +440,7 @@ fn snapshot_cycle(
     queue: &CommitQueue,
     rotate: &RotateCtl,
     metrics: &PersistMetrics,
-    provider: &EntryProvider,
+    scan: &TableScan,
     stop: &AtomicBool,
 ) -> io::Result<()> {
     // 1. Rotate, so the records to be covered sit in a frozen file.
@@ -453,23 +465,22 @@ fn snapshot_cycle(
     // the covered generation. Apply-before-append under the write
     // stripes means any op missing from this scan has an LSN above `r`,
     // so {snapshot@r} + {oplog} still replays to the exact table.
-    publish(dir, r, provider, metrics, &[log::OPLOG_OLD])
+    publish(dir, r, scan, metrics, &[log::OPLOG_OLD])
 }
 
-/// Publishes a snapshot of `provider`'s table covering `lsn`, then
-/// removes the log files `logs`, which it covers. Every snapshot is
-/// written here: compaction's, recovery's normalizing one, shutdown's.
+/// Publishes a snapshot of `scan`'s table covering `lsn`, then removes
+/// the log files `logs`, which it covers. Every snapshot is written
+/// here: compaction's, recovery's normalizing one, shutdown's.
 fn publish(
     dir: &Path,
     lsn: u64,
-    provider: &EntryProvider,
+    scan: &TableScan,
     metrics: &PersistMetrics,
     logs: &[&str],
 ) -> io::Result<()> {
-    let entries = provider();
-    snapshot::write(dir, lsn, &entries)?;
+    let entries = snapshot::write(dir, lsn, &**scan)?;
     metrics.snapshots.inc();
-    metrics.snapshot_entries.set(entries.len() as u64);
+    metrics.snapshot_entries.set(entries);
     for name in logs {
         let _ = fs::remove_file(dir.join(name));
     }
@@ -489,19 +500,19 @@ fn replay(
     let mut replayed = 0u64;
     let last_present = log_paths.iter().rposition(|p| p.exists());
     for (i, path) in log_paths.iter().enumerate() {
-        let scan = log::scan_file(path, |rec| {
-            if rec.lsn <= covers {
+        let scan = log::scan_file(path, |frame| {
+            if frame.lsn <= covers {
                 // Already folded into the snapshot (crash landed between
                 // snapshot publish and oplog.old deletion).
                 return Ok(());
             }
-            if rec.lsn <= last_lsn {
-                return Err(invalid(format!("{}: LSN {} out of order", path.display(), rec.lsn)));
+            if frame.lsn <= last_lsn {
+                return Err(invalid(format!("{}: LSN {} out of order", path.display(), frame.lsn)));
             }
-            let Some(op) = rec.op.borrowed() else {
+            let Payload::Op(op) = frame.payload else {
                 return Err(invalid(format!("{}: wire-only heartbeat in a log file", path.display())));
             };
-            last_lsn = rec.lsn;
+            last_lsn = frame.lsn;
             replayed += 1;
             sink(op);
             Ok(())
@@ -565,30 +576,34 @@ mod tests {
         c
     }
 
-    fn set_op(key: &str, val: &str, cas: u64) -> Op {
-        Op::Set {
-            key: key.as_bytes().to_vec(),
-            flags: 0,
-            expires_at: 0,
-            cas,
-            value: val.as_bytes().to_vec(),
-        }
+    fn set_op<'a>(key: &'a str, val: &'a str, cas: u64) -> OpRef<'a> {
+        OpRef::Set(SetRef { key: key.as_bytes(), flags: 0, expires_at: 0, cas, value: val.as_bytes() })
     }
 
-    type Table = Arc<std::sync::Mutex<HashMap<Vec<u8>, Entry>>>;
+    /// A key's item as the test table holds it:
+    /// `(flags, expires_at, cas, value)`.
+    type Item = (u32, u32, u64, Vec<u8>);
+    type Table = Arc<std::sync::Mutex<HashMap<Vec<u8>, Item>>>;
+
+    /// One clean pass over `table`.
+    fn scan_of(table: Table) -> TableScan {
+        Arc::new(move |f: &mut dyn FnMut(SetRef<'_>)| {
+            for (key, (flags, expires_at, cas, value)) in table.lock().unwrap().iter() {
+                f(SetRef { key, flags: *flags, expires_at: *expires_at, cas: *cas, value });
+            }
+            true
+        })
+    }
 
     /// Opens `dir` into a fresh last-writer-wins map: the table recovery
     /// streams into and every snapshot scans.
     fn open_map(dir: &Path, metrics: Arc<PersistMetrics>) -> (Persister, Recovered, Table) {
         let table = Table::default();
-        let scanned = Arc::clone(&table);
-        let provider: EntryProvider = Arc::new(move || scanned.lock().unwrap().values().cloned().collect());
-        let (p, rec) = Persister::open(cfg(dir), metrics, provider, &mut |op| {
+        let (p, rec) = Persister::open(cfg(dir), metrics, scan_of(Arc::clone(&table)), &mut |op| {
             let mut map = table.lock().unwrap();
             match op {
                 OpRef::Set(s) => {
-                    let e = Entry { key: s.key.to_vec(), flags: s.flags, expires_at: s.expires_at, cas: s.cas, value: s.value.to_vec() };
-                    map.insert(e.key.clone(), e);
+                    map.insert(s.key.to_vec(), (s.flags, s.expires_at, s.cas, s.value.to_vec()));
                 }
                 OpRef::Delete(key) => {
                     map.remove(key);
@@ -601,7 +616,7 @@ mod tests {
     }
 
     fn values(table: &Table) -> HashMap<Vec<u8>, Vec<u8>> {
-        table.lock().unwrap().values().map(|e| (e.key.clone(), e.value.clone())).collect()
+        table.lock().unwrap().iter().map(|(k, e)| (k.clone(), e.3.clone())).collect()
     }
 
     #[test]
@@ -611,10 +626,10 @@ mod tests {
             let (p, rec, _) = open_map(&d, Arc::new(PersistMetrics::new()));
             assert_eq!(rec.last_lsn, 0);
             assert!(!rec.clean);
-            p.append(&set_op("a", "1", 1));
-            p.append(&set_op("b", "2", 2));
-            p.append(&Op::Delete { key: b"a".to_vec() });
-            p.append(&set_op("c", "3", 3));
+            p.append(set_op("a", "1", 1));
+            p.append(set_op("b", "2", 2));
+            p.append(OpRef::Delete(b"a"));
+            p.append(set_op("c", "3", 3));
             p.sync();
             // Dropped without shutdown(): no marker, log left in place.
         }
@@ -641,7 +656,7 @@ mod tests {
         {
             let m = Arc::new(PersistMetrics::new());
             let (p, _, _) = open_map(&d, Arc::clone(&m));
-            p.append(&set_op("before", "0", 1));
+            p.append(set_op("before", "0", 1));
             assert_eq!(p.append_sets(&[]), 1, "an empty burst logs nothing");
             let burst = [set(b"a", b"1", 2), set(b"b", b"2", 3), set(b"a", b"3", 4)];
             assert_eq!(p.append_sets(&burst), 4);
@@ -651,7 +666,7 @@ mod tests {
         let (_p, rec, t) = open_map(&d, Arc::new(PersistMetrics::new()));
         assert_eq!((rec.last_lsn, rec.replayed), (4, 4));
         let t = t.lock().unwrap();
-        let mut entries: Vec<_> = t.values().map(|e| (e.key.as_slice(), e.flags, e.cas, e.value.as_slice())).collect();
+        let mut entries: Vec<_> = t.iter().map(|(k, e)| (k.as_slice(), e.0, e.2, e.3.as_slice())).collect();
         entries.sort();
         let expect: [(&[u8], u32, u64, &[u8]); 3] = [(b"a", 5, 4, b"3"), (b"b", 5, 3, b"2"), (b"before", 0, 1, b"0")];
         assert_eq!(entries, expect);
@@ -711,9 +726,8 @@ mod tests {
         let d = tmpdir("clean");
         {
             let (p, _, t) = open_map(&d, Arc::new(PersistMetrics::new()));
-            let e = Entry { key: b"k".to_vec(), flags: 0, expires_at: 0, cas: 1, value: b"v".to_vec() };
-            t.lock().unwrap().insert(e.key.clone(), e);
-            p.append(&set_op("k", "v", 1));
+            t.lock().unwrap().insert(b"k".to_vec(), (0, 0, 1, b"v".to_vec()));
+            p.append(set_op("k", "v", 1));
             p.shutdown().unwrap();
         }
         let m = Arc::new(PersistMetrics::new());
@@ -724,7 +738,7 @@ mod tests {
         assert_eq!(values(&t)[b"k".as_slice()], b"v");
         // The marker is single-use: a crash now must not read as clean.
         assert!(!d.join(CLEAN_MARKER).exists());
-        assert_eq!(p.append(&set_op("k2", "v2", 2)), 2, "LSNs continue after restart");
+        assert_eq!(p.append(set_op("k2", "v2", 2)), 2, "LSNs continue after restart");
         drop(p);
         fs::remove_dir_all(&d).unwrap();
     }
@@ -738,7 +752,7 @@ mod tests {
             // snapshot, so replay never exceeds one round's appends.
             assert_eq!(rec.replayed, if round == 0 { 0 } else { 10 });
             for i in 0..10 {
-                p.append(&set_op(&format!("r{round}-k{i}"), "x", round * 10 + i + 1));
+                p.append(set_op(&format!("r{round}-k{i}"), "x", round * 10 + i + 1));
             }
             p.sync();
         }
@@ -754,8 +768,8 @@ mod tests {
         let d = tmpdir("torn");
         {
             let (p, _, _) = open_map(&d, Arc::new(PersistMetrics::new()));
-            p.append(&set_op("a", "1", 1));
-            p.append(&set_op("b", "2", 2));
+            p.append(set_op("a", "1", 1));
+            p.append(set_op("b", "2", 2));
             p.sync();
         }
         // Tear the tail the way kill -9 mid-write does.
@@ -778,22 +792,10 @@ mod tests {
         let d = tmpdir("compact");
         let (p, _, live) = open_map(&d, Arc::new(PersistMetrics::new()));
         for i in 0..20u64 {
-            let e = Entry {
-                key: format!("k{i}").into_bytes(),
-                flags: 0,
-                expires_at: 0,
-                cas: i + 1,
-                value: b"v".to_vec(),
-            };
+            let key = format!("k{i}");
             // Apply-to-table THEN append-to-log, as the store does.
-            live.lock().unwrap().insert(e.key.clone(), e.clone());
-            p.append(&Op::Set {
-                key: e.key,
-                flags: 0,
-                expires_at: 0,
-                cas: e.cas,
-                value: e.value,
-            });
+            live.lock().unwrap().insert(key.clone().into_bytes(), (0, 0, i + 1, b"v".to_vec()));
+            p.append(set_op(&key, "v", i + 1));
         }
         p.snapshot_now().unwrap();
         assert_eq!(p.rotations(), 1);
@@ -802,7 +804,7 @@ mod tests {
         assert_eq!(p.metrics().snapshots.get(), 1);
 
         // A few more appends after the snapshot land in the fresh log.
-        p.append(&Op::Delete { key: b"k0".to_vec() });
+        p.append(OpRef::Delete(b"k0"));
         p.sync();
         drop(p);
 
@@ -819,7 +821,7 @@ mod tests {
     fn pause_compaction_blocks_rotation_until_dropped() {
         let d = tmpdir("pauseguard");
         let (p, _, _) = open_map(&d, Arc::new(PersistMetrics::new()));
-        p.append(&set_op("a", "1", 1));
+        p.append(set_op("a", "1", 1));
         p.sync();
         let guard = p.pause_compaction();
         let before = p.rotations();
@@ -842,10 +844,10 @@ mod tests {
         let d = tmpdir("flush");
         {
             let (p, _, _) = open_map(&d, Arc::new(PersistMetrics::new()));
-            p.append(&set_op("a", "1", 1));
-            p.append(&set_op("b", "2", 2));
-            p.append(&Op::FlushAll);
-            p.append(&set_op("c", "3", 3));
+            p.append(set_op("a", "1", 1));
+            p.append(set_op("b", "2", 2));
+            p.append(OpRef::FlushAll);
+            p.append(set_op("c", "3", 3));
             p.sync();
         }
         let (_p, _, t) = open_map(&d, Arc::new(PersistMetrics::new()));
@@ -854,6 +856,47 @@ mod tests {
         assert!(t.contains_key(b"c".as_slice()));
         drop(_p);
         fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// A scan pass that reports dirty is discarded whole: the snapshot
+    /// published after it is byte-identical to one clean pass's, with
+    /// the same `n_entries` and no entry twice.
+    #[test]
+    fn a_dirty_scan_pass_is_discarded_whole() {
+        let (d, reference) = (tmpdir("dirtypass"), tmpdir("cleanpass"));
+        let table = Table::default();
+        for i in 0..40u64 {
+            table.lock().unwrap().insert(format!("k{i}").into_bytes(), (7, 0, i + 1, vec![i as u8; 9]));
+        }
+        let clean = scan_of(Arc::clone(&table));
+        let passes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let flaky: TableScan = {
+            let (table, passes) = (Arc::clone(&table), Arc::clone(&passes));
+            Arc::new(move |f: &mut dyn FnMut(SetRef<'_>)| {
+                if passes.fetch_add(1, Ordering::Relaxed) > 0 {
+                    return clean(f);
+                }
+                // The first pass emits a part of the table, then says a
+                // displacement may have hidden the rest.
+                for (key, (flags, expires_at, cas, value)) in table.lock().unwrap().iter().take(15) {
+                    f(SetRef { key, flags: *flags, expires_at: *expires_at, cas: *cas, value });
+                }
+                false
+            })
+        };
+        let m = Arc::new(PersistMetrics::new());
+        let (p, _) = Persister::open(cfg(&d), Arc::clone(&m), flaky, &mut |_| {}).unwrap();
+        p.shutdown().unwrap();
+        assert_eq!(passes.load(Ordering::Relaxed), 2, "the dirty pass must be retried once");
+        assert_eq!(m.snapshot_entries.get(), 40);
+
+        fs::create_dir_all(&reference).unwrap();
+        assert_eq!(snapshot::write(&reference, 0, &*scan_of(table)).unwrap(), 40);
+        let published = fs::read(d.join(snapshot::SNAPSHOT_FILE)).unwrap();
+        assert_eq!(published, fs::read(reference.join(snapshot::SNAPSHOT_FILE)).unwrap());
+        drop(p);
+        fs::remove_dir_all(&d).unwrap();
+        fs::remove_dir_all(&reference).unwrap();
     }
 
     #[test]

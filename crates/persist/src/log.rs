@@ -23,7 +23,7 @@
 //!   so no crash point tears `oplog.old`.
 
 use crate::commit::CommitQueue;
-use crate::record::{decode_each, Record};
+use crate::record::{decode_each, Frame};
 use metrics::persist::PersistMetrics;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -184,7 +184,7 @@ pub struct ScannedFile {
 /// acceptable (last file on disk) or fatal (an interior file, which
 /// rotation guarantees is complete). Returns `None` if the file does
 /// not exist.
-pub fn scan_file(path: &Path, f: impl FnMut(Record) -> io::Result<()>) -> io::Result<Option<ScannedFile>> {
+pub fn scan_file(path: &Path, f: impl FnMut(Frame<'_>) -> io::Result<()>) -> io::Result<Option<ScannedFile>> {
     let mut buf = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
@@ -200,7 +200,7 @@ pub fn scan_file(path: &Path, f: impl FnMut(Record) -> io::Result<()>) -> io::Re
 #[cfg(all(test, not(cuckoo_model)))]
 mod tests {
     use super::*;
-    use crate::record::{encode_op, Op};
+    use crate::record::{encode_op, OpRef, SetRef};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("persist-log-{tag}-{}", std::process::id()));
@@ -209,14 +209,10 @@ mod tests {
         d
     }
 
-    fn set(i: u64) -> Op {
-        Op::Set {
-            key: format!("k{i}").into_bytes(),
-            flags: 0,
-            expires_at: 0,
-            cas: i,
-            value: vec![b'v'; 8],
-        }
+    /// Appends an 8-byte `Set` of key `k{i}`.
+    fn append_set(queue: &CommitQueue, i: u64, metrics: &PersistMetrics) {
+        let key = format!("k{i}");
+        queue.append(OpRef::Set(SetRef { key: key.as_bytes(), flags: 0, expires_at: 0, cas: i, value: b"vvvvvvvv" }), metrics);
     }
 
     /// The LSNs of `path`'s intact frames, with what the scan found.
@@ -245,7 +241,7 @@ mod tests {
             Duration::from_millis(1),
         );
         for i in 0..20 {
-            queue.append(&set(i), &metrics);
+            append_set(&queue, i, &metrics);
         }
         queue.sync();
         assert_eq!(queue.durable_lsn(), 20);
@@ -262,7 +258,7 @@ mod tests {
         assert!(!scan.torn);
 
         for i in 20..25 {
-            queue.append(&set(i), &metrics);
+            append_set(&queue, i, &metrics);
         }
         queue.begin_shutdown();
         h.join().unwrap();
@@ -284,7 +280,7 @@ mod tests {
             Arc::clone(&metrics),
             Duration::from_millis(1),
         );
-        queue.append(&set(1), &metrics);
+        append_set(&queue, 1, &metrics);
         queue.sync();
         rotate.paused.fetch_add(1, Ordering::AcqRel);
         rotate.requested.store(true, Ordering::Release);
@@ -305,7 +301,8 @@ mod tests {
         let path = d.join(OPLOG);
         let mut bytes = Vec::new();
         for i in 1..=5u64 {
-            encode_op(&set(i), i, &mut bytes);
+            let key = format!("k{i}");
+            encode_op(OpRef::Set(SetRef { key: key.as_bytes(), flags: 0, expires_at: 0, cas: i, value: b"vvvvvvvv" }), i, &mut bytes);
         }
         let full = bytes.len();
         bytes.extend_from_slice(&bytes.clone()[..13]); // partial sixth frame

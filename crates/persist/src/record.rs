@@ -33,25 +33,13 @@ pub const TAG_FLUSH_ALL: u8 = 3;
 /// Wire-only (replication stream): never written to the log file.
 pub const TAG_HEARTBEAT: u8 = 4;
 
-/// One logged (or replicated) operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Op {
-    /// An acknowledged store: the key's durable metadata exactly as the
-    /// engine assigned it (`expires_at` is the *absolute* deadline, so
-    /// replay needs no clock; `cas` is preserved so restart does not
-    /// reissue observed cas values).
-    Set { key: Vec<u8>, flags: u32, expires_at: u32, cas: u64, value: Vec<u8> },
-    Delete { key: Vec<u8> },
-    FlushAll,
-    /// Replication keep-alive carrying the primary's latest assigned
-    /// LSN, so an idle replica can compute its lag. Wire-only.
-    Heartbeat { last_lsn: u64 },
-}
-
-/// An [`Op::Set`] over borrowed bytes: the form the write path logs, so
-/// a burst's keys and values are encoded straight from the buffer they
-/// arrived in, without first being copied into an `Op`.
-#[derive(Debug, Clone, Copy)]
+/// An acknowledged store over borrowed bytes: the key's durable metadata
+/// exactly as the engine assigned it (`expires_at` is the *absolute*
+/// deadline, so replay needs no clock; `cas` is preserved so restart
+/// does not reissue observed cas values). The write path encodes it
+/// straight from the buffer the command arrived in, and decoding
+/// borrows it from the frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SetRef<'a> {
     pub key: &'a [u8],
     pub flags: u32,
@@ -60,36 +48,31 @@ pub struct SetRef<'a> {
     pub value: &'a [u8],
 }
 
-/// An [`Op`] that changes the table, over borrowed bytes: what recovery
-/// streams into its sink, and what the server applies, whether the op
-/// came from a snapshot, a log file or the replication stream.
-#[derive(Debug, Clone, Copy)]
+/// One operation that changes the table, over borrowed bytes: the one
+/// record type. The server logs it, recovery streams it into its sink,
+/// and the replica applies it, whether it came from a snapshot, a log
+/// file or the replication stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpRef<'a> {
     Set(SetRef<'a>),
     Delete(&'a [u8]),
     FlushAll,
 }
 
-impl Op {
-    /// The op as the table change it makes; `None` for a heartbeat,
-    /// which changes nothing.
-    pub fn borrowed(&self) -> Option<OpRef<'_>> {
-        Some(match self {
-            Op::Set { key, flags, expires_at, cas, value } => {
-                OpRef::Set(SetRef { key, flags: *flags, expires_at: *expires_at, cas: *cas, value })
-            }
-            Op::Delete { key } => OpRef::Delete(key),
-            Op::FlushAll => OpRef::FlushAll,
-            Op::Heartbeat { .. } => return None,
-        })
-    }
+/// What one decoded frame carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Payload<'a> {
+    Op(OpRef<'a>),
+    /// Replication keep-alive carrying the primary's latest assigned
+    /// LSN, so an idle replica can compute its lag. Wire-only.
+    Heartbeat { last_lsn: u64 },
 }
 
-/// An [`Op`] with its log sequence number.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
+/// One frame, borrowed from the buffer it was decoded from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
     pub lsn: u64,
-    pub op: Op,
+    pub payload: Payload<'a>,
 }
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial), slicing-by-8, vendored so
@@ -163,35 +146,32 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
 
 /// Appends one framed record for `op` at `lsn` to `out`, returning the
 /// frame's size in bytes.
-pub fn encode_op(op: &Op, lsn: u64, out: &mut Vec<u8>) -> usize {
-    match op {
-        Op::Set { key, flags, expires_at, cas, value } => {
-            let set = SetRef { key, flags: *flags, expires_at: *expires_at, cas: *cas, value };
-            encode_set(&set, lsn, out)
+pub fn encode_op(op: OpRef<'_>, lsn: u64, out: &mut Vec<u8>) -> usize {
+    frame(out, |out| match op {
+        OpRef::Set(set) => {
+            out.push(TAG_SET);
+            put_u64(out, lsn);
+            put_set(out, &set);
         }
-        Op::Delete { key } => frame(out, |out| {
+        OpRef::Delete(key) => {
             out.push(TAG_DELETE);
             put_u64(out, lsn);
             put_bytes(out, key);
-        }),
-        Op::FlushAll => frame(out, |out| {
+        }
+        OpRef::FlushAll => {
             out.push(TAG_FLUSH_ALL);
             put_u64(out, lsn);
-        }),
-        Op::Heartbeat { last_lsn } => frame(out, |out| {
-            out.push(TAG_HEARTBEAT);
-            put_u64(out, lsn);
-            put_u64(out, *last_lsn);
-        }),
-    }
+        }
+    })
 }
 
-/// [`encode_op`] of the `Set` that `set` borrows: the same bytes.
-pub fn encode_set(set: &SetRef<'_>, lsn: u64, out: &mut Vec<u8>) -> usize {
+/// Appends one heartbeat frame carrying `last_lsn` to `out`. Its own
+/// LSN is 0: it is not a record of the log.
+pub fn encode_heartbeat(last_lsn: u64, out: &mut Vec<u8>) -> usize {
     frame(out, |out| {
-        out.push(TAG_SET);
-        put_u64(out, lsn);
-        put_set(out, set);
+        out.push(TAG_HEARTBEAT);
+        put_u64(out, 0);
+        put_u64(out, last_lsn);
     })
 }
 
@@ -223,9 +203,9 @@ fn frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -> usize {
 
 /// Outcome of [`decode`] on the front of a buffer.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Decoded {
-    /// One whole record occupying `consumed` bytes.
-    Frame { record: Record, consumed: usize },
+pub enum Decoded<'a> {
+    /// One whole frame occupying `consumed` bytes.
+    Frame { frame: Frame<'a>, consumed: usize },
     /// The buffer holds only a prefix of a frame (a torn tail on disk,
     /// or "read more" on a stream).
     Incomplete,
@@ -280,8 +260,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes one frame from the front of `buf`.
-pub fn decode(buf: &[u8]) -> Decoded {
+/// Decodes one frame from the front of `buf`, borrowing its keys and
+/// values from `buf`.
+pub fn decode(buf: &[u8]) -> Decoded<'_> {
     if buf.len() < FRAME_HEADER {
         return Decoded::Incomplete;
     }
@@ -297,51 +278,35 @@ pub fn decode(buf: &[u8]) -> Decoded {
     if crc32(payload) != crc {
         return Decoded::Corrupt;
     }
-    let mut r = Reader::new(payload);
-    let Some(tag) = r.take(1).map(|b| b[0]) else {
-        return Decoded::Corrupt;
-    };
-    let Some(lsn) = r.u64() else {
-        return Decoded::Corrupt;
-    };
-    let op = match tag {
-        TAG_SET => {
-            let Some(s) = r.set() else {
-                return Decoded::Corrupt;
-            };
-            Op::Set { key: s.key.to_vec(), flags: s.flags, expires_at: s.expires_at, cas: s.cas, value: s.value.to_vec() }
-        }
-        TAG_DELETE => {
-            let Some(key) = r.slice() else {
-                return Decoded::Corrupt;
-            };
-            Op::Delete { key: key.to_vec() }
-        }
-        TAG_FLUSH_ALL => Op::FlushAll,
-        TAG_HEARTBEAT => {
-            let Some(last_lsn) = r.u64() else {
-                return Decoded::Corrupt;
-            };
-            Op::Heartbeat { last_lsn }
-        }
-        _ => return Decoded::Corrupt,
-    };
-    if !r.is_done() {
-        // Trailing garbage inside a CRC-valid payload: still corrupt —
-        // a valid encoder never produces it.
-        return Decoded::Corrupt;
+    match payload_of(&mut Reader::new(payload)) {
+        Some(frame) => Decoded::Frame { frame, consumed: FRAME_HEADER + len },
+        None => Decoded::Corrupt,
     }
-    Decoded::Frame { record: Record { lsn, op }, consumed: FRAME_HEADER + len }
+}
+
+/// A CRC-valid payload's frame; `None` for an unknown tag, a short
+/// field, or trailing bytes — a valid encoder never produces them.
+fn payload_of<'a>(r: &mut Reader<'a>) -> Option<Frame<'a>> {
+    let tag = r.take(1)?[0];
+    let lsn = r.u64()?;
+    let payload = match tag {
+        TAG_SET => Payload::Op(OpRef::Set(r.set()?)),
+        TAG_DELETE => Payload::Op(OpRef::Delete(r.slice()?)),
+        TAG_FLUSH_ALL => Payload::Op(OpRef::FlushAll),
+        TAG_HEARTBEAT => Payload::Heartbeat { last_lsn: r.u64()? },
+        _ => return None,
+    };
+    r.is_done().then_some(Frame { lsn, payload })
 }
 
 /// Hands every whole frame at the front of `buf` to `f`, in order, as
 /// each one decodes, and returns the bytes they occupy. Stops at the
 /// first incomplete or corrupt frame, so a result shorter than `buf`
 /// means `buf` ends torn; an error from `f` stops it too.
-pub fn decode_each(buf: &[u8], mut f: impl FnMut(Record) -> io::Result<()>) -> io::Result<usize> {
+pub fn decode_each<'a>(buf: &'a [u8], mut f: impl FnMut(Frame<'a>) -> io::Result<()>) -> io::Result<usize> {
     let mut pos = 0;
-    while let Decoded::Frame { record, consumed } = decode(&buf[pos..]) {
-        f(record)?;
+    while let Decoded::Frame { frame, consumed } = decode(&buf[pos..]) {
+        f(frame)?;
         pos += consumed;
     }
     Ok(pos)
@@ -351,33 +316,36 @@ pub fn decode_each(buf: &[u8], mut f: impl FnMut(Record) -> io::Result<()>) -> i
 mod tests {
     use super::*;
 
-    fn sample_ops() -> Vec<Op> {
-        vec![
-            Op::Set {
-                key: b"alpha".to_vec(),
-                flags: 7,
-                expires_at: 123,
-                cas: 42,
-                value: b"the value".to_vec(),
-            },
-            Op::Set { key: vec![], flags: 0, expires_at: 0, cas: 0, value: vec![] },
-            Op::Delete { key: b"beta".to_vec() },
-            Op::FlushAll,
-            Op::Heartbeat { last_lsn: 999 },
-        ]
+    const SET: SetRef<'static> = SetRef { key: b"alpha", flags: 7, expires_at: 123, cas: 42, value: b"the value" };
+
+    /// Every kind of frame, each at LSN `i + 1` but the heartbeat, whose
+    /// LSN is always 0.
+    fn sample_frames() -> Vec<Frame<'static>> {
+        let empty = SetRef { key: b"", flags: 0, expires_at: 0, cas: 0, value: b"" };
+        let ops = [OpRef::Set(SET), OpRef::Set(empty), OpRef::Delete(b"beta"), OpRef::FlushAll];
+        let mut frames: Vec<Frame<'static>> =
+            (1..).zip(ops).map(|(lsn, op)| Frame { lsn, payload: Payload::Op(op) }).collect();
+        frames.push(Frame { lsn: 0, payload: Payload::Heartbeat { last_lsn: 999 } });
+        frames
+    }
+
+    fn encode(frame: &Frame<'_>, out: &mut Vec<u8>) -> usize {
+        match frame.payload {
+            Payload::Op(op) => encode_op(op, frame.lsn, out),
+            Payload::Heartbeat { last_lsn } => encode_heartbeat(last_lsn, out),
+        }
     }
 
     #[test]
     fn roundtrip_every_op() {
-        for (i, op) in sample_ops().into_iter().enumerate() {
+        for want in sample_frames() {
             let mut buf = Vec::new();
-            let n = encode_op(&op, i as u64 + 1, &mut buf);
+            let n = encode(&want, &mut buf);
             assert_eq!(n, buf.len());
             match decode(&buf) {
-                Decoded::Frame { record, consumed } => {
+                Decoded::Frame { frame, consumed } => {
                     assert_eq!(consumed, buf.len());
-                    assert_eq!(record.lsn, i as u64 + 1);
-                    assert_eq!(record.op, op);
+                    assert_eq!(frame, want);
                 }
                 other => panic!("{other:?}"),
             }
@@ -387,37 +355,22 @@ mod tests {
     #[test]
     fn concatenated_frames_decode_in_order() {
         let mut buf = Vec::new();
-        for (i, op) in sample_ops().into_iter().enumerate() {
-            encode_op(&op, i as u64, &mut buf);
+        for frame in sample_frames() {
+            encode(&frame, &mut buf);
         }
-        let mut pos = 0;
-        let mut lsns = Vec::new();
-        while pos < buf.len() {
-            match decode(&buf[pos..]) {
-                Decoded::Frame { record, consumed } => {
-                    lsns.push(record.lsn);
-                    pos += consumed;
-                }
-                other => panic!("{other:?}"),
-            }
-        }
-        assert_eq!(lsns, vec![0, 1, 2, 3, 4]);
+        let mut decoded = Vec::new();
+        let valid = decode_each(&buf, |f| {
+            decoded.push(f);
+            Ok(())
+        });
+        assert_eq!(valid.unwrap(), buf.len());
+        assert_eq!(decoded, sample_frames());
     }
 
     #[test]
     fn every_truncation_is_incomplete_never_panics() {
         let mut buf = Vec::new();
-        encode_op(
-            &Op::Set {
-                key: b"k".to_vec(),
-                flags: 1,
-                expires_at: 2,
-                cas: 3,
-                value: b"vvvv".to_vec(),
-            },
-            9,
-            &mut buf,
-        );
+        encode_op(OpRef::Set(SET), 9, &mut buf);
         for cut in 0..buf.len() {
             assert_eq!(decode(&buf[..cut]), Decoded::Incomplete, "cut at {cut}");
         }
@@ -426,7 +379,7 @@ mod tests {
     #[test]
     fn bit_flips_are_detected() {
         let mut clean = Vec::new();
-        encode_op(&Op::Delete { key: b"victim".to_vec() }, 5, &mut clean);
+        encode_op(OpRef::Delete(b"victim"), 5, &mut clean);
         for byte in 0..clean.len() {
             let mut buf = clean.clone();
             buf[byte] ^= 0x40;
@@ -436,6 +389,30 @@ mod tests {
                 Decoded::Corrupt | Decoded::Incomplete => {}
                 Decoded::Frame { .. } => panic!("flip at byte {byte} went undetected"),
             }
+        }
+    }
+
+    /// A CRC-valid frame whose payload no encoder writes is corrupt:
+    /// an unknown tag, a short field, or bytes after the last field.
+    #[test]
+    fn malformed_payloads_are_corrupt() {
+        let framed = |payload: &[u8]| {
+            let mut out = Vec::new();
+            frame(&mut out, |out| out.extend_from_slice(payload));
+            out
+        };
+        let mut delete = vec![TAG_DELETE];
+        delete.extend_from_slice(&5u64.to_le_bytes());
+        delete.extend_from_slice(&3u32.to_le_bytes());
+        delete.extend_from_slice(b"key");
+        assert!(matches!(decode(&framed(&delete)), Decoded::Frame { .. }), "the well-formed base case");
+        let mut unknown_tag = delete.clone();
+        unknown_tag[0] = 9;
+        let short = &delete[..delete.len() - 1];
+        let mut trailing = delete.clone();
+        trailing.push(0);
+        for (what, payload) in [("unknown tag", &unknown_tag[..]), ("short field", short), ("trailing byte", &trailing[..])] {
+            assert_eq!(decode(&framed(payload)), Decoded::Corrupt, "{what}");
         }
     }
 

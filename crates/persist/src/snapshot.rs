@@ -25,24 +25,6 @@ const TMP_FILE: &str = "snapshot.tmp";
 /// Magic, `covers_lsn` and `n_entries`.
 const HEADER: usize = MAGIC.len() + 16;
 
-/// One key's durable state, exactly as the engine stores it
-/// (`expires_at` absolute, cas preserved).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Entry {
-    pub key: Vec<u8>,
-    pub flags: u32,
-    pub expires_at: u32,
-    pub cas: u64,
-    pub value: Vec<u8>,
-}
-
-impl Entry {
-    /// The entry as the `Set` that stores it.
-    pub fn as_set(&self) -> SetRef<'_> {
-        SetRef { key: &self.key, flags: self.flags, expires_at: self.expires_at, cas: self.cas, value: &self.value }
-    }
-}
-
 /// A snapshot file, read whole and CRC-checked. Its entries are decoded
 /// on demand by [`for_each`](Snapshot::for_each), borrowed from the
 /// file buffer.
@@ -58,7 +40,7 @@ impl Snapshot {
     /// Hands every entry to `f`, in file order. The CRC already covered
     /// the whole file, so a malformed entry is an encoder bug; it still
     /// fails as `InvalidData` rather than a panic.
-    pub fn for_each(&self, mut f: impl FnMut(SetRef<'_>)) -> io::Result<()> {
+    pub fn for_each<'a>(&'a self, mut f: impl FnMut(SetRef<'a>)) -> io::Result<()> {
         let mut r = Reader::new(&self.body[HEADER..]);
         for _ in 0..self.n_entries {
             f(r.set().ok_or_else(|| bad("truncated entry"))?);
@@ -70,16 +52,48 @@ impl Snapshot {
     }
 }
 
-/// Serializes `entries` covering `covers_lsn` and atomically publishes
-/// it as `<dir>/snapshot`. Returns the byte size written.
-pub fn write(dir: &Path, covers_lsn: u64, entries: &[Entry]) -> io::Result<usize> {
-    let mut buf = Vec::with_capacity(64 + entries.iter().map(|e| e.key.len() + e.value.len() + 24).sum::<usize>());
+/// A pass over a table: hands every live entry to the callback and
+/// returns whether the pass was clean. A pass that returns `false` may
+/// have missed an entry (the maps' `scan` reports displacement races);
+/// its output is discarded and the scan runs again. It may skip
+/// already-expired entries.
+pub type Scan<'a> = dyn Fn(&mut dyn FnMut(SetRef<'_>)) -> bool + 'a;
+
+/// Appends to `out` one clean pass of `scan`, each entry as `put`
+/// encodes it, and returns how many entries that pass held. A dirty
+/// pass is cut back off `out` and the scan runs again, so a retry never
+/// leaves an entry twice.
+pub fn encode_clean_pass(
+    scan: &Scan<'_>,
+    out: &mut Vec<u8>,
+    mut put: impl FnMut(&mut Vec<u8>, SetRef<'_>),
+) -> u64 {
+    let mark = out.len();
+    loop {
+        let mut n = 0;
+        if scan(&mut |set| {
+            put(out, set);
+            n += 1;
+        }) {
+            return n;
+        }
+        out.truncate(mark);
+        // A concurrent displacement may have hidden an entry from that
+        // pass; scan again.
+        std::thread::yield_now();
+    }
+}
+
+/// Serializes one clean pass of `scan` covering `covers_lsn` and
+/// atomically publishes it as `<dir>/snapshot`. Returns the entries
+/// written.
+pub fn write(dir: &Path, covers_lsn: u64, scan: &Scan<'_>) -> io::Result<u64> {
+    let mut buf = Vec::new();
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&covers_lsn.to_le_bytes());
-    buf.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for e in entries {
-        put_set(&mut buf, &e.as_set());
-    }
+    buf.extend_from_slice(&0u64.to_le_bytes()); // n_entries, once known
+    let n_entries = encode_clean_pass(scan, &mut buf, |out, set| put_set(out, &set));
+    buf[HEADER - 8..HEADER].copy_from_slice(&n_entries.to_le_bytes());
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
 
@@ -94,7 +108,7 @@ pub fn write(dir: &Path, covers_lsn: u64, entries: &[Entry]) -> io::Result<usize
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
-    Ok(buf.len())
+    Ok(n_entries)
 }
 
 /// Loads `<dir>/snapshot` and checks its CRC and header. `Ok(None)` if
@@ -151,42 +165,47 @@ mod tests {
         d
     }
 
-    fn sample() -> Vec<Entry> {
-        (0..50u32)
-            .map(|i| Entry {
-                key: format!("key-{i}").into_bytes(),
-                flags: i,
-                expires_at: if i % 3 == 0 { 0 } else { 1_000_000 + i },
-                cas: u64::from(i) * 7 + 1,
-                value: vec![i as u8; (i as usize % 40) + 1],
-            })
-            .collect()
+    /// 50 keys and values, owned by the test.
+    fn sample() -> Vec<(Vec<u8>, Vec<u8>)> {
+        (0..50u32).map(|i| (format!("key-{i}").into_bytes(), vec![i as u8; (i as usize % 40) + 1])).collect()
     }
 
-    fn entries_of(snap: &Snapshot) -> Vec<Entry> {
+    /// Item `i` of [`sample`] as the `Set` that stores it.
+    fn set_of(i: usize, (key, value): &(Vec<u8>, Vec<u8>)) -> SetRef<'_> {
+        let i = i as u32;
+        SetRef { key, flags: i, expires_at: if i.is_multiple_of(3) { 0 } else { 1_000_000 + i }, cas: u64::from(i) * 7 + 1, value }
+    }
+
+    /// One clean pass over `items`.
+    fn scan(items: &[(Vec<u8>, Vec<u8>)]) -> impl Fn(&mut dyn FnMut(SetRef<'_>)) -> bool + '_ {
+        move |f| {
+            items.iter().enumerate().for_each(|(i, kv)| f(set_of(i, kv)));
+            true
+        }
+    }
+
+    fn entries_of(snap: &Snapshot) -> Vec<SetRef<'_>> {
         let mut out = Vec::new();
-        snap.for_each(|s| {
-            out.push(Entry { key: s.key.to_vec(), flags: s.flags, expires_at: s.expires_at, cas: s.cas, value: s.value.to_vec() })
-        })
-        .unwrap();
+        snap.for_each(|s| out.push(s)).unwrap();
         out
     }
 
     #[test]
     fn roundtrip() {
         let d = tmpdir("roundtrip");
-        let entries = sample();
-        write(&d, 123, &entries).unwrap();
+        let items = sample();
+        assert_eq!(write(&d, 123, &scan(&items)).unwrap(), 50);
         let snap = load(&d).unwrap().unwrap();
         assert_eq!(snap.covers_lsn, 123);
-        assert_eq!(entries_of(&snap), entries);
+        let want: Vec<_> = items.iter().enumerate().map(|(i, kv)| set_of(i, kv)).collect();
+        assert_eq!(entries_of(&snap), want);
         fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]
     fn empty_table_roundtrips() {
         let d = tmpdir("empty");
-        write(&d, 0, &[]).unwrap();
+        write(&d, 0, &scan(&[])).unwrap();
         let snap = load(&d).unwrap().unwrap();
         assert_eq!(snap.covers_lsn, 0);
         assert!(entries_of(&snap).is_empty());
@@ -197,7 +216,7 @@ mod tests {
     fn missing_is_none_corrupt_is_err() {
         let d = tmpdir("corrupt");
         assert!(load(&d).unwrap().is_none());
-        write(&d, 9, &sample()).unwrap();
+        write(&d, 9, &scan(&sample())).unwrap();
         let path = d.join(SNAPSHOT_FILE);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -214,8 +233,8 @@ mod tests {
     #[test]
     fn rewrite_replaces_atomically() {
         let d = tmpdir("rewrite");
-        write(&d, 1, &sample()).unwrap();
-        write(&d, 2, &[]).unwrap();
+        write(&d, 1, &scan(&sample())).unwrap();
+        write(&d, 2, &scan(&[])).unwrap();
         let snap = load(&d).unwrap().unwrap();
         assert_eq!(snap.covers_lsn, 2);
         assert!(entries_of(&snap).is_empty());

@@ -17,9 +17,45 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use metrics::persist::PersistMetrics;
-use persist::record::{self, Op};
-use persist::{snapshot, Entry, OpRef, PersistConfig, Persister, Recovered};
+use persist::record;
+use persist::{snapshot, OpRef, PersistConfig, Persister, Recovered, SetRef, TableScan};
 use proptest::prelude::*;
+
+/// A generated op, owned by the test.
+#[derive(Debug, Clone)]
+enum Op {
+    Set { key: Vec<u8>, flags: u32, expires_at: u32, cas: u64, value: Vec<u8> },
+    Delete { key: Vec<u8> },
+    FlushAll,
+}
+
+impl Op {
+    fn as_ref(&self) -> OpRef<'_> {
+        match self {
+            Op::Set { key, flags, expires_at, cas, value } => {
+                OpRef::Set(SetRef { key, flags: *flags, expires_at: *expires_at, cas: *cas, value })
+            }
+            Op::Delete { key } => OpRef::Delete(key),
+            Op::FlushAll => OpRef::FlushAll,
+        }
+    }
+}
+
+/// One key's state as the oracle and the recovered map hold it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Entry {
+    key: Vec<u8>,
+    flags: u32,
+    expires_at: u32,
+    cas: u64,
+    value: Vec<u8>,
+}
+
+impl Entry {
+    fn as_set(&self) -> SetRef<'_> {
+        SetRef { key: &self.key, flags: self.flags, expires_at: self.expires_at, cas: self.cas, value: &self.value }
+    }
+}
 
 /// `(kind, key, val)` triple → a concrete op over an 8-key space.
 /// kind 0..7 = Set (heavy), 7..9 = Delete, 9 = FlushAll.
@@ -44,7 +80,7 @@ fn encode_log(ops: &[Op], first_lsn: u64) -> (Vec<u8>, Vec<usize>) {
     let mut bytes = Vec::new();
     let mut ends = Vec::with_capacity(ops.len());
     for (i, op) in ops.iter().enumerate() {
-        record::encode_op(op, first_lsn + i as u64, &mut bytes);
+        record::encode_op(op.as_ref(), first_lsn + i as u64, &mut bytes);
         ends.push(bytes.len());
     }
     (bytes, ends)
@@ -73,7 +109,6 @@ fn oracle(base: &HashMap<Vec<u8>, Entry>, ops: &[Op], first_lsn: u64) -> HashMap
                 map.remove(key);
             }
             Op::FlushAll => map.clear(),
-            Op::Heartbeat { .. } => unreachable!("never generated"),
         }
     }
     map
@@ -103,9 +138,12 @@ fn open_with(
 ) -> std::io::Result<(Persister, Recovered, HashMap<Vec<u8>, Entry>)> {
     let table: Arc<Mutex<HashMap<Vec<u8>, Entry>>> = Arc::default();
     let scanned = Arc::clone(&table);
-    let provider = Arc::new(move || scanned.lock().unwrap().values().cloned().collect());
+    let scan: TableScan = Arc::new(move |f: &mut dyn FnMut(SetRef<'_>)| {
+        scanned.lock().unwrap().values().for_each(|e| f(e.as_set()));
+        true
+    });
     let mut seen = 0;
-    let (p, rec) = Persister::open(cfg(dir), metrics, provider, &mut |op| {
+    let (p, rec) = Persister::open(cfg(dir), metrics, scan, &mut |op| {
         before(seen);
         seen += 1;
         apply(&mut table.lock().unwrap(), op);
@@ -116,6 +154,15 @@ fn open_with(
 
 fn open(dir: &Path, metrics: Arc<PersistMetrics>) -> std::io::Result<(Persister, Recovered, HashMap<Vec<u8>, Entry>)> {
     open_with(dir, metrics, |_| {})
+}
+
+/// Publishes `base` as `dir`'s snapshot covering `covers`.
+fn write_snapshot(dir: &Path, covers: u64, base: &HashMap<Vec<u8>, Entry>) {
+    snapshot::write(dir, covers, &|f: &mut dyn FnMut(SetRef<'_>)| {
+        base.values().for_each(|e| f(e.as_set()));
+        true
+    })
+    .unwrap();
 }
 
 /// Every file in `dir`, by name, with its bytes.
@@ -211,8 +258,7 @@ proptest! {
         let intact = ends.iter().filter(|&&e| e <= cut).count();
 
         let d = tmpdir("snap", case_id());
-        let snap_entries: Vec<Entry> = base.values().cloned().collect();
-        snapshot::write(&d, covers, &snap_entries).unwrap();
+        write_snapshot(&d, covers, &base);
         fs::write(d.join(persist::log::OPLOG), &bytes[..cut]).unwrap();
 
         let (p, rec, got) = open(&d, Arc::new(PersistMetrics::new())).unwrap();
@@ -274,7 +320,7 @@ fn corruption_in_an_interior_generation_is_fatal() {
 
     let d = tmpdir("interior", case_id());
     let base = oracle(&HashMap::new(), &[make_op(0, 5, 1, 0)], 0);
-    snapshot::write(&d, 0, &base.into_values().collect::<Vec<_>>()).unwrap();
+    write_snapshot(&d, 0, &base);
     fs::write(d.join(persist::log::OPLOG_OLD), &old_bytes).unwrap();
     fs::write(d.join(persist::log::OPLOG), &new_bytes).unwrap();
     let before = files(&d);
@@ -298,7 +344,7 @@ fn a_sink_that_dies_mid_stream_leaves_the_directory_as_it_found_it() {
     let (new_bytes, _) = encode_log(&ops[6..], 7);
 
     let d = tmpdir("sinkdies", case_id());
-    snapshot::write(&d, 3, &base.values().cloned().collect::<Vec<_>>()).unwrap();
+    write_snapshot(&d, 3, &base);
     fs::write(d.join(persist::log::OPLOG_OLD), &old_bytes).unwrap();
     fs::write(d.join(persist::log::OPLOG), &new_bytes).unwrap();
     let before = files(&d);

@@ -20,18 +20,14 @@ use cuckoo::sync2::atomic::{AtomicU64, Ordering};
 use cuckoo::sync2::Mutex;
 use metrics::persist::PersistMetrics;
 use persist::commit::CommitQueue;
-use persist::record::{decode_each, Op};
-use persist::WriteStripes;
+use persist::record::decode_each;
+use persist::{OpRef, SetRef, WriteStripes};
 use std::sync::Arc;
 
-fn set(tag: u64) -> Op {
-    Op::Set {
-        key: b"k".to_vec(),
-        flags: 0,
-        expires_at: 0,
-        cas: tag,
-        value: tag.to_le_bytes().to_vec(),
-    }
+/// Appends a `Set` of key `k` whose cas and value are `tag`.
+fn append_set(q: &CommitQueue, tag: u64, m: &PersistMetrics) -> u64 {
+    let value = tag.to_le_bytes();
+    q.append(OpRef::Set(SetRef { key: b"k", flags: 0, expires_at: 0, cas: tag, value: &value }), m)
 }
 
 /// The LSNs of the frames in a drained byte run, in byte order — what
@@ -57,7 +53,7 @@ fn concurrent_appends_stay_dense_and_ordered() {
         let threads: Vec<_> = (0..2u64)
             .map(|t| {
                 let (q, m) = (Arc::clone(&q), Arc::clone(&m));
-                loom::thread::spawn(move || q.append(&set(t), &m))
+                loom::thread::spawn(move || append_set(&q, t, &m))
             })
             .collect();
         let mut assigned: Vec<u64> =
@@ -83,7 +79,7 @@ fn watermarks_never_cross_under_a_racing_writer() {
         let appender = {
             let (q, m) = (Arc::clone(&q), Arc::clone(&m));
             loom::thread::spawn(move || {
-                q.append(&set(1), &m);
+                append_set(&q, 1, &m);
                 let (d, w, l) = (q.durable_lsn(), q.written_lsn(), q.last_lsn());
                 assert!(d <= w && w <= l, "watermarks crossed: {d} {w} {l}");
             })
@@ -124,8 +120,8 @@ fn shutdown_releases_backpressured_appenders() {
         let appender = {
             let (q, m) = (Arc::clone(&q), Arc::clone(&m));
             loom::thread::spawn(move || {
-                q.append(&set(1), &m);
-                q.append(&set(2), &m); // over bound: parks until shutdown
+                append_set(&q, 1, &m);
+                append_set(&q, 2, &m); // over bound: parks until shutdown
             })
         };
         let closer = {

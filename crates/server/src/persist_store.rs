@@ -20,8 +20,7 @@ use std::io;
 use std::sync::Arc;
 
 use metrics::persist::PersistMetrics;
-use persist::record::Op;
-use persist::{Entry, OpRef, PersistConfig, Persister, Recovered, SetRef, WriteStripes};
+use persist::{OpRef, PersistConfig, Persister, Recovered, SetRef, WriteStripes};
 
 use crate::store::{expired, now_secs, ItemRef, Store, StoreCmd, StoreOutcome, StoreStats};
 
@@ -59,17 +58,16 @@ impl Resident {
 
 impl PersistentStore {
     /// Opens (or creates) the data directory, streams it straight into
-    /// `inner`, and hands the persister a provider that scans `inner`
-    /// (retrying until the displacement-race check says the pass was
-    /// consistent) for the normalizing snapshot and every later one.
+    /// `inner`, and hands the persister `inner`'s `scan_entries` for the
+    /// normalizing snapshot and every later one.
     pub fn open(
         inner: Arc<dyn Store>,
         cfg: PersistConfig,
         metrics: Arc<PersistMetrics>,
     ) -> io::Result<(Arc<Self>, Restored)> {
         let (scanned, now) = (Arc::clone(&inner), now_secs());
-        let provider = Arc::new(move || scan_all(&*scanned));
-        let (persister, recovered) = Persister::open(cfg, metrics, provider, &mut |op| apply(&*inner, op, now))?;
+        let scan = Arc::new(move |f: &mut dyn FnMut(SetRef<'_>)| scanned.scan_entries(now_secs(), f));
+        let (persister, recovered) = Persister::open(cfg, metrics, scan, &mut |op| apply(&*inner, op, now))?;
         let entries = Resident(inner.stats().len);
         let store = Arc::new(PersistentStore {
             inner,
@@ -88,15 +86,12 @@ impl PersistentStore {
     /// its own right — local LSNs, not the primary's). Same stripe
     /// discipline as the client write path, so replication and recovery
     /// stay convergent.
-    pub fn apply_replicated(&self, op: &Op) {
-        let Some(change) = op.borrowed() else {
-            return; // a heartbeat changes nothing
-        };
-        let _g = match change {
+    pub fn apply_replicated(&self, op: OpRef<'_>) {
+        let _g = match op {
             OpRef::Set(SetRef { key, .. }) | OpRef::Delete(key) => self.stripes.lock_keys([key]),
             OpRef::FlushAll => self.stripes.lock_all(),
         };
-        apply(&*self.inner, change, now_secs());
+        apply(&*self.inner, op, now_secs());
         self.persister.append(op);
     }
 }
@@ -113,21 +108,6 @@ fn apply(store: &dyn Store, op: OpRef<'_>, now: u32) {
         OpRef::FlushAll => {
             store.flush_all();
         }
-    }
-}
-
-/// Every entry of `store` live now, from one consistent pass: what a
-/// snapshot or a replica bootstrap holds.
-pub(crate) fn scan_all(store: &dyn Store) -> Vec<Entry> {
-    let mut entries = Vec::new();
-    loop {
-        entries.clear();
-        if store.scan_entries(now_secs(), &mut entries) {
-            return entries;
-        }
-        // A concurrent displacement may have hidden an entry from that
-        // pass; scan again.
-        std::thread::yield_now();
     }
 }
 
@@ -158,7 +138,7 @@ impl Store for PersistentStore {
         let _g = self.stripes.lock_key(key);
         let deleted = self.inner.delete(key);
         if deleted {
-            self.persister.append(&Op::Delete { key: key.to_vec() });
+            self.persister.append(OpRef::Delete(key));
         }
         deleted
     }
@@ -169,7 +149,7 @@ impl Store for PersistentStore {
         // reappears after replay — exactly what a replayer reconstructs.
         let _g = self.stripes.lock_all();
         let flushed = self.inner.flush_all();
-        self.persister.append(&Op::FlushAll);
+        self.persister.append(OpRef::FlushAll);
         flushed
     }
 
@@ -178,8 +158,8 @@ impl Store for PersistentStore {
         self.inner.restore(key, flags, expires_at, cas, value)
     }
 
-    fn scan_entries(&self, now: u32, out: &mut Vec<Entry>) -> bool {
-        self.inner.scan_entries(now, out)
+    fn scan_entries(&self, now: u32, f: &mut dyn FnMut(SetRef<'_>)) -> bool {
+        self.inner.scan_entries(now, f)
     }
 
     fn persist_shutdown(&self) -> io::Result<()> {
@@ -239,12 +219,11 @@ mod tests {
 
     /// `(key, flags, cas, value)` of every resident item, sorted.
     fn items(s: &PersistentStore) -> Vec<(Vec<u8>, u32, u64, Vec<u8>)> {
-        let mut entries = Vec::new();
+        let mut items = Vec::new();
         while !{
-            entries.clear();
-            s.scan_entries(now_secs(), &mut entries)
+            items.clear();
+            s.scan_entries(now_secs(), &mut |e| items.push((e.key.to_vec(), e.flags, e.cas, e.value.to_vec())))
         } {}
-        let mut items: Vec<_> = entries.into_iter().map(|e| (e.key, e.flags, e.cas, e.value)).collect();
         items.sort();
         items
     }
@@ -317,23 +296,24 @@ mod tests {
     #[test]
     fn restart_applies_the_stream_in_order_on_both_engines() {
         let now = now_secs();
-        let set = |key: &str, value: &str, expires_at: u32, cas: u64| Op::Set {
-            key: key.into(),
+        let set = |key: &'static str, value: &'static str, expires_at: u32, cas: u64| SetRef {
+            key: key.as_bytes(),
             flags: cas as u32,
             expires_at,
             cas,
-            value: value.into(),
+            value: value.as_bytes(),
         };
-        let delete = |key: &str| Op::Delete { key: key.into() };
+        let log_set = |key, value, expires_at, cas| OpRef::Set(set(key, value, expires_at, cas));
+        let delete = |key: &'static str| OpRef::Delete(key.as_bytes());
         // (snapshot covering LSN 3, log from LSN 4)
-        let cases: [(Vec<Op>, Vec<Op>); 2] = [
+        let cases: [(Vec<SetRef<'_>>, Vec<OpRef<'_>>); 2] = [
             (
                 vec![set("kept", "a", 0, 1), set("deleted", "b", 0, 2), set("expired", "c", 0, 3)],
-                vec![delete("deleted"), set("expired", "live", 0, 5), set("expired", "dead", now - 10, 6)],
+                vec![delete("deleted"), log_set("expired", "live", 0, 5), log_set("expired", "dead", now - 10, 6)],
             ),
             (
                 vec![set("old", "a", 0, 1), set("older", "b", 0, 2), set("oldest", "c", 0, 3)],
-                vec![set("pre", "x", 0, 4), Op::FlushAll, set("post", "y", 0, 6), set("old", "z", 0, 7)],
+                vec![log_set("pre", "x", 0, 4), OpRef::FlushAll, log_set("post", "y", 0, 6), log_set("old", "z", 0, 7)],
             ),
         ];
         for tag in ["clock", "cuckoo"] {
@@ -341,15 +321,15 @@ mod tests {
                 // The oracle: the same stream, last writer wins, then
                 // what is still live at `now`.
                 let mut oracle = std::collections::BTreeMap::new();
-                for op in snap.iter().chain(log) {
+                for op in snap.iter().map(|&s| OpRef::Set(s)).chain(log.iter().copied()) {
                     match op {
-                        Op::Set { key, flags, expires_at, cas, value } => {
-                            oracle.insert(key.clone(), (*flags, *cas, value.clone(), *expires_at));
+                        OpRef::Set(s) => {
+                            oracle.insert(s.key.to_vec(), (s.flags, s.cas, s.value.to_vec(), s.expires_at));
                         }
-                        Op::Delete { key } => {
+                        OpRef::Delete(key) => {
                             oracle.remove(key);
                         }
-                        _ => oracle.clear(),
+                        OpRef::FlushAll => oracle.clear(),
                     }
                 }
                 oracle.retain(|_, (.., expires_at)| !expired(*expires_at, now));
@@ -357,23 +337,14 @@ mod tests {
 
                 let d = tmpdir(&format!("order-{tag}-{i}"));
                 fs::create_dir_all(&d).unwrap();
-                let entries: Vec<Entry> = snap
-                    .iter()
-                    .map(|op| match op {
-                        Op::Set { key, flags, expires_at, cas, value } => Entry {
-                            key: key.clone(),
-                            flags: *flags,
-                            expires_at: *expires_at,
-                            cas: *cas,
-                            value: value.clone(),
-                        },
-                        _ => unreachable!("snapshots hold sets"),
-                    })
-                    .collect();
-                persist::snapshot::write(&d, 3, &entries).unwrap();
+                persist::snapshot::write(&d, 3, &|f: &mut dyn FnMut(SetRef<'_>)| {
+                    snap.iter().for_each(|&s| f(s));
+                    true
+                })
+                .unwrap();
                 let mut bytes = Vec::new();
                 for (lsn, op) in (4..).zip(log) {
-                    persist::record::encode_op(op, lsn, &mut bytes);
+                    persist::record::encode_op(*op, lsn, &mut bytes);
                 }
                 fs::write(d.join(persist::log::OPLOG), &bytes).unwrap();
 
@@ -462,13 +433,7 @@ mod tests {
         let d = tmpdir("applyrep");
         {
             let (s, _) = open(&d);
-            s.apply_replicated(&Op::Set {
-                key: b"r".to_vec(),
-                flags: 3,
-                expires_at: 0,
-                cas: 42,
-                value: b"from-primary".to_vec(),
-            });
+            s.apply_replicated(OpRef::Set(SetRef { key: b"r", flags: 3, expires_at: 0, cas: 42, value: b"from-primary" }));
             assert_eq!(get_val(&s, b"r"), Some(b"from-primary".to_vec()));
             assert_eq!(s.get(b"r", now_secs()).unwrap().cas, 42);
             s.persister().sync();

@@ -14,12 +14,16 @@
 //! after which the connection stops being request/response and becomes a
 //! one-way stream of [`persist::record`] frames — the exact on-disk
 //! format, CRCs and all, so the replica's decoder and its crash recovery
-//! share one codec. Idle feeds carry `Heartbeat` frames (wire-only, tag
-//! never written to a log file) so the replica can compute lag.
+//! share one codec and one record type, [`persist::OpRef`]: the feeder
+//! forwards log frames as read, and the applier applies and relogs each
+//! op borrowed from its receive buffer. Idle feeds carry `Heartbeat`
+//! frames (wire-only, tag never written to a log file) so the replica
+//! can compute lag.
 //!
 //! **Bootstrap correctness.** The feeder reads `S = last_lsn`, scans the
-//! live table (non-blocking, retried until displacement-free), and
-//! streams the scan as `Set` records at LSN `S`. Because the store
+//! live table (non-blocking; a dirty pass is cut back off the send
+//! buffer and retried), and encodes each entry straight from the table
+//! as a `Set` record at LSN `S`. Because the store
 //! applies to the map *before* appending to the log under the key's
 //! write stripe, every op with LSN ≤ S is already reflected in (or
 //! superseded within) that scan, and every op the scan raced with has
@@ -44,9 +48,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use persist::record::{self, Decoded, Op};
+use persist::record::{self, Decoded, Payload};
+use persist::snapshot::{self, Scan};
+use persist::{OpRef, SetRef};
 
-use crate::persist_store::{scan_all, PersistentStore};
+use crate::persist_store::PersistentStore;
+use crate::store::{now_secs, Store};
 use crate::ServerCtx;
 
 /// Idle-feed keep-alive cadence.
@@ -112,21 +119,12 @@ fn feed(
     let mut rotations_seen = p.rotations();
     drop(pause);
 
-    let mut out = Vec::new();
-    if incremental {
-        out.extend_from_slice(format!("OK incr {cursor}\r\n").as_bytes());
-        stream.write_all(&out)?;
-    } else {
-        out.extend_from_slice(format!("OK full {cursor}\r\n").as_bytes());
-        // Table bootstrap at LSN `cursor`: a consistent-scan image of
-        // every live entry.
-        let entries = scan_all(store);
-        for e in &entries {
-            record::encode_set(&e.as_set(), cursor, &mut out);
-        }
-        m.replication_records_sent.add(entries.len() as u64);
-        stream.write_all(&out)?;
+    let mut out = format!("OK {} {cursor}\r\n", if incremental { "incr" } else { "full" }).into_bytes();
+    if !incremental {
+        let scan = |f: &mut dyn FnMut(SetRef<'_>)| store.scan_entries(now_secs(), f);
+        m.replication_records_sent.add(bootstrap(&scan, cursor, &mut out));
     }
+    stream.write_all(&out)?;
 
     // Tail the log file, forwarding frames above the cursor.
     let mut file = match file {
@@ -156,24 +154,24 @@ fn feed(
             let mut sent = 0u64;
             while pos < carry.len() {
                 match record::decode(&carry[pos..]) {
-                    Decoded::Frame { record, consumed } => {
+                    Decoded::Frame { frame, consumed } => {
                         if first_after_reopen {
                             first_after_reopen = false;
-                            if record.lsn > cursor + 1 {
+                            if frame.lsn > cursor + 1 {
                                 // Compaction deleted records this feed
                                 // still needed; force a re-bootstrap.
                                 return Err(io::Error::new(
                                     ErrorKind::UnexpectedEof,
                                     format!(
                                         "lag gap: log resumes at {} but replica is at {}",
-                                        record.lsn, cursor
+                                        frame.lsn, cursor
                                     ),
                                 ));
                             }
                         }
-                        if record.lsn > cursor {
+                        if frame.lsn > cursor {
                             out.extend_from_slice(&carry[pos..pos + consumed]);
-                            cursor = record.lsn;
+                            cursor = frame.lsn;
                             sent += 1;
                         }
                         pos += consumed;
@@ -207,13 +205,19 @@ fn feed(
         }
         if last_write.elapsed() >= HEARTBEAT_EVERY {
             out.clear();
-            record::encode_op(&Op::Heartbeat { last_lsn: p.last_lsn() }, 0, &mut out);
+            record::encode_heartbeat(p.last_lsn(), &mut out);
             stream.write_all(&out)?;
             last_write = Instant::now();
             m.replication_lag.set(p.last_lsn().saturating_sub(cursor));
         }
         std::thread::sleep(IDLE_POLL);
     }
+}
+
+/// Appends one clean pass of `scan` to `out` as `Set` frames at `lsn`:
+/// the table bootstrap. Returns the frames appended.
+fn bootstrap(scan: &Scan<'_>, lsn: u64, out: &mut Vec<u8>) -> u64 {
+    snapshot::encode_clean_pass(scan, out, |out, set| _ = record::encode_op(OpRef::Set(set), lsn, out))
 }
 
 // ---------------------------------------------------------------------------
@@ -276,7 +280,7 @@ fn apply_stream(
             // The bootstrap replaces the whole table: flush locally
             // (logged, so the replica's own recovery agrees) and rebuild
             // from the stream.
-            store.apply_replicated(&Op::FlushAll);
+            store.apply_replicated(OpRef::FlushAll);
             *applied = 0;
         }
         Some((false, _start)) => {}
@@ -307,20 +311,20 @@ fn apply_stream(
         let mut pos = 0;
         while pos < carry.len() {
             match record::decode(&carry[pos..]) {
-                Decoded::Frame { record, consumed } => {
+                Decoded::Frame { frame, consumed } => {
                     pos += consumed;
-                    match &record.op {
-                        Op::Heartbeat { last_lsn } => {
+                    match frame.payload {
+                        Payload::Heartbeat { last_lsn } => {
                             m.replication_lag.set(last_lsn.saturating_sub(*applied));
                         }
-                        op => {
+                        Payload::Op(op) => {
                             // Re-check per frame: once promoted, even
                             // records already in flight must not land.
                             if ctx.draining() || ctx.is_promoted() {
                                 return Ok(());
                             }
                             store.apply_replicated(op);
-                            *applied = (*applied).max(record.lsn);
+                            *applied = (*applied).max(frame.lsn);
                             m.replication_records_applied.inc();
                         }
                     }
@@ -399,5 +403,43 @@ mod tests {
         assert_eq!(parse_handshake(b"ERROR"), None);
         assert_eq!(parse_handshake(b"OK full x"), None);
         assert_eq!(parse_handshake(b"OK full 1 2"), None);
+    }
+
+    /// A bootstrap scan pass that reports dirty is cut back off the
+    /// stream, the handshake line before it kept: what follows is
+    /// byte-identical to one clean pass's, every entry once, as `Set`
+    /// frames at the handshake LSN.
+    #[test]
+    fn a_dirty_bootstrap_pass_is_discarded_whole() {
+        let keys: Vec<Vec<u8>> = (0..30).map(|i| format!("k{i}").into_bytes()).collect();
+        let set = |key| SetRef { key, flags: 1, expires_at: 0, cas: 9, value: b"v" };
+        let clean = |f: &mut dyn FnMut(SetRef<'_>)| {
+            keys.iter().for_each(|k| f(set(k)));
+            true
+        };
+        let passes = std::cell::Cell::new(0);
+        let flaky = |f: &mut dyn FnMut(SetRef<'_>)| {
+            passes.set(passes.get() + 1);
+            if passes.get() > 1 {
+                return clean(f);
+            }
+            keys[..11].iter().for_each(|k| f(set(k)));
+            false
+        };
+        let handshake = b"OK full 17\r\n";
+        let (mut want, mut got) = (handshake.to_vec(), handshake.to_vec());
+        assert_eq!(bootstrap(&clean, 17, &mut want), 30);
+        assert_eq!(bootstrap(&flaky, 17, &mut got), 30);
+        assert_eq!(passes.get(), 2, "the dirty pass must be retried once");
+        assert_eq!(got, want);
+
+        let mut frames = Vec::new();
+        let valid = record::decode_each(&got[handshake.len()..], |f| {
+            frames.push(f);
+            Ok(())
+        });
+        assert_eq!(valid.unwrap(), got.len() - handshake.len());
+        let sets: Vec<_> = keys.iter().map(|k| record::Frame { lsn: 17, payload: Payload::Op(OpRef::Set(set(k))) }).collect();
+        assert_eq!(frames, sets);
     }
 }

@@ -50,8 +50,3 @@ pub fn install() {
 pub fn requested() -> bool {
     REQUESTED.load(Ordering::SeqCst)
 }
-
-/// Test hook: simulate a received signal.
-pub fn request_now() {
-    REQUESTED.store(true, Ordering::SeqCst);
-}

@@ -33,7 +33,8 @@ const LAT_NAMES: [[&str; 5]; 3] = [
     ],
 ];
 
-/// Which histogram an operation's service time lands in.
+/// Which histogram an operation's service time lands in; `Other`
+/// (admin commands, `flush_all`) is timed by none.
 #[derive(Debug, Clone, Copy)]
 pub enum OpClass {
     Get,
@@ -49,7 +50,6 @@ pub struct ServerStats {
     pub get_latency: LatencyHistogram,
     pub store_latency: LatencyHistogram,
     pub delete_latency: LatencyHistogram,
-    pub other_latency: LatencyHistogram,
     pub total_connections: AtomicU64,
     pub curr_connections: AtomicU64,
     pub protocol_errors: AtomicU64,
@@ -76,7 +76,6 @@ impl ServerStats {
             get_latency: LatencyHistogram::new(),
             store_latency: LatencyHistogram::new(),
             delete_latency: LatencyHistogram::new(),
-            other_latency: LatencyHistogram::new(),
             total_connections: AtomicU64::new(0),
             curr_connections: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
@@ -93,9 +92,15 @@ impl ServerStats {
     /// `cmd_get` / `cmd_set` count individual requests and the mean
     /// reflects per-request service time.
     pub fn record_served(&self, class: OpClass, t0: Instant, n: usize) {
+        let histogram = match class {
+            OpClass::Get => &self.get_latency,
+            OpClass::Store => &self.store_latency,
+            OpClass::Delete => &self.delete_latency,
+            OpClass::Other => return,
+        };
         let per_request = t0.elapsed().as_nanos() as u64 / n as u64;
         for _ in 0..n {
-            self.histogram(class).record(per_request);
+            histogram.record(per_request);
         }
     }
 
@@ -109,15 +114,6 @@ impl ServerStats {
     pub fn record_multiset(&self, cmds: usize) {
         self.multiset_batches.fetch_add(1, Ordering::Relaxed);
         self.multiset_keys.fetch_add(cmds as u64, Ordering::Relaxed);
-    }
-
-    fn histogram(&self, class: OpClass) -> &LatencyHistogram {
-        match class {
-            OpClass::Get => &self.get_latency,
-            OpClass::Store => &self.store_latency,
-            OpClass::Delete => &self.delete_latency,
-            OpClass::Other => &self.other_latency,
-        }
     }
 
     /// Renders the full `stats` response body (without the trailing
@@ -179,7 +175,6 @@ impl ServerStats {
         self.get_latency.reset();
         self.store_latency.reset();
         self.delete_latency.reset();
-        self.other_latency.reset();
         self.protocol_errors.store(0, Ordering::Relaxed);
         self.too_large.store(0, Ordering::Relaxed);
         self.multiget_batches.store(0, Ordering::Relaxed);

@@ -31,6 +31,7 @@
 use cache::{CacheStats, ClockCache};
 use cuckoo::hash::SipHashBuilder;
 use cuckoo::{CuckooMap, Plain};
+use persist::SetRef;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -200,11 +201,12 @@ pub trait Store: Send + Sync + 'static {
     /// it. Only called before the server accepts connections (warm
     /// restart) or from the replication applier.
     fn restore(&self, key: &[u8], flags: u32, expires_at: u32, cas: u64, value: &[u8]);
-    /// One non-blocking pass over the table, pushing every live entry.
-    /// Returns `false` if a concurrent cuckoo displacement may have
-    /// hidden an entry from the pass — the caller must discard and
+    /// One non-blocking pass over the table, handing every live entry to
+    /// `f` as the `Set` that stores it, borrowed from the table. Returns
+    /// `false` if a concurrent cuckoo displacement may have hidden an
+    /// entry from the pass — the caller must discard what it saw and
     /// retry. Entries already expired at `now` are skipped.
-    fn scan_entries(&self, now: u32, out: &mut Vec<persist::Entry>) -> bool;
+    fn scan_entries(&self, now: u32, f: &mut dyn FnMut(SetRef<'_>)) -> bool;
     /// Graceful-drain hook: flush and fsync any durability tier. The
     /// default (no persistence) is a no-op.
     fn persist_shutdown(&self) -> std::io::Result<()> {
@@ -430,16 +432,10 @@ impl Store for ClockStore {
         self.cas.fetch_max(cas + 1, Ordering::Relaxed);
     }
 
-    fn scan_entries(&self, now: u32, out: &mut Vec<persist::Entry>) -> bool {
+    fn scan_entries(&self, now: u32, f: &mut dyn FnMut(SetRef<'_>)) -> bool {
         self.cache.scan(|_h, e| {
             if !expired(e.expires_at, now) {
-                out.push(persist::Entry {
-                    key: e.key().to_vec(),
-                    flags: e.flags,
-                    expires_at: e.expires_at,
-                    cas: e.cas,
-                    value: e.value().to_vec(),
-                });
+                f(SetRef { key: e.key(), flags: e.flags, expires_at: e.expires_at, cas: e.cas, value: e.value() });
             }
         })
     }
@@ -818,16 +814,10 @@ impl<S: BuildHasher + Send + Sync + 'static> Store for CuckooStore<S> {
         self.cas.fetch_max(cas + 1, Ordering::Relaxed);
     }
 
-    fn scan_entries(&self, now: u32, out: &mut Vec<persist::Entry>) -> bool {
+    fn scan_entries(&self, now: u32, f: &mut dyn FnMut(SetRef<'_>)) -> bool {
         self.map.scan(|_, head| {
             for item in head.chain().filter(|item| !expired(item.expires_at, now)) {
-                out.push(persist::Entry {
-                    key: item.key().to_vec(),
-                    flags: item.flags,
-                    expires_at: item.expires_at,
-                    cas: item.cas,
-                    value: item.value().to_vec(),
-                });
+                f(SetRef { key: item.key(), flags: item.flags, expires_at: item.expires_at, cas: item.cas, value: item.value() });
             }
         })
     }
@@ -1014,14 +1004,13 @@ mod tests {
         let mut entries = Vec::new();
         while !{
             entries.clear();
-            store.scan_entries(now, &mut entries)
+            store.scan_entries(now, &mut |e| entries.push((e.key.to_vec(), e.cas)))
         } {}
-        let by_key: std::collections::HashMap<_, _> =
-            entries.iter().map(|e| (e.key.clone(), e)).collect();
+        let by_key: std::collections::HashMap<_, _> = entries.into_iter().collect();
         assert!(by_key.contains_key(b"c1".as_slice()));
         assert!(by_key.contains_key(b"fresh".as_slice()));
         assert!(!by_key.contains_key(b"k".as_slice()), "deleted key scanned");
-        assert_eq!(by_key[b"c1".as_slice()].cas, store.get(b"c1", now).unwrap().cas);
+        assert_eq!(by_key[b"c1".as_slice()], store.get(b"c1", now).unwrap().cas);
 
         // restore reinstates an item verbatim and cas allocation resumes
         // above it.
@@ -1142,12 +1131,11 @@ mod tests {
             }
         }
         assert_eq!(store.stats().len, live.len());
-        let mut entries = Vec::new();
+        let mut scanned: Vec<Vec<u8>> = Vec::new();
         while !{
-            entries.clear();
-            store.scan_entries(0, &mut entries)
+            scanned.clear();
+            store.scan_entries(0, &mut |e| scanned.push(e.key.to_vec()))
         } {}
-        let mut scanned: Vec<Vec<u8>> = entries.into_iter().map(|e| e.key).collect();
         scanned.sort();
         live.sort();
         assert_eq!(scanned, live, "scan_entries must yield each live key once");

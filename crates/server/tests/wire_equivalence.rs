@@ -128,13 +128,13 @@ impl Wire {
 
     fn observed(&self) -> Observed {
         let ctx = self.handle.ctx();
-        let mut entries = Vec::new();
+        let mut items = Vec::new();
         while !{
-            entries.clear();
-            ctx.store.scan_entries(now_secs(), &mut entries)
+            items.clear();
+            ctx.store.scan_entries(now_secs(), &mut |e| {
+                items.push((e.key.to_vec(), e.flags, e.cas, e.value.to_vec()))
+            })
         } {}
-        let mut items: Vec<_> =
-            entries.into_iter().map(|e| (e.key, e.flags, e.cas, e.value)).collect();
         items.sort();
         let cache = ctx.store.stats().cache;
         Observed {

@@ -335,6 +335,49 @@ fn replica_bootstraps_mid_stream_converges_and_promotes() {
     std::fs::remove_dir_all(&rdir).unwrap();
 }
 
+/// After the bootstrap, a primary's `flush_all`, then `set`s, then a
+/// `delete` reach the replica in order, and the replica relogs them: it
+/// restarts on its own into the same table.
+#[test]
+fn live_flush_set_delete_replicate_in_order() {
+    let pdir = tmpdir("live-ops-primary");
+    let rdir = tmpdir("live-ops-replica");
+    let primary = server::spawn(persistent_config(&pdir)).expect("spawn primary");
+    let mut pc = Client::connect(primary.local_addr());
+    pc.set("a", b"1");
+    pc.set("b", b"2");
+
+    let mut rcfg = persistent_config(&rdir);
+    rcfg.replica_of = Some(primary.local_addr().to_string());
+    let replica = server::spawn(rcfg).expect("spawn replica");
+    let mut rc = Client::connect(replica.local_addr());
+    wait_until("bootstrap", Duration::from_secs(10), || rc.get("b").is_some());
+
+    // A flush applied late would drop `d`; a delete applied early would
+    // leave `c`. `done` is set last, so once it arrives everything
+    // before it has.
+    assert_eq!(pc.command("flush_all"), "OK");
+    pc.set("c", b"3");
+    pc.set("d", b"4");
+    assert!(pc.delete("c"));
+    pc.set("done", b"5");
+    wait_until("the live ops", Duration::from_secs(10), || rc.get("done").is_some());
+    let expect = |c: &mut Client| {
+        for (key, want) in [("a", None), ("b", None), ("c", None), ("d", Some(b"4".to_vec())), ("done", Some(b"5".to_vec()))] {
+            assert_eq!(c.get(key), want, "{key}");
+        }
+    };
+    expect(&mut rc);
+
+    replica.shutdown();
+    primary.shutdown();
+    let solo = server::spawn(persistent_config(&rdir)).expect("respawn the replica alone");
+    expect(&mut Client::connect(solo.local_addr()));
+    solo.shutdown();
+    std::fs::remove_dir_all(&pdir).unwrap();
+    std::fs::remove_dir_all(&rdir).unwrap();
+}
+
 #[test]
 fn replicate_without_data_dir_is_refused() {
     let handle = server::spawn(server::Config {
