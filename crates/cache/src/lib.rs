@@ -12,34 +12,42 @@
 //! Design (MemC3's layout: a small index over an item slab):
 //!
 //! - the cuckoo map stores `key → slot`, about 12 bytes per table slot,
-//!   where `slot` indexes a fixed-size side **slab**. A slab slot holds
-//!   the value on cache lines of its own, under a 16-byte header: the
-//!   owning key, and one word that combines the slot's lifecycle with a
-//!   seqlock version (the idiom of `cuckoo::sync`). An 8-way bucket is
-//!   1.5 lines whatever the value size, and a cuckoo displacement moves
-//!   12 bytes, not the item;
+//!   where `slot` names a size class of the side **slab** and a slot in
+//!   it. The classes are line multiples (64, 128, … bytes, up to the one
+//!   that holds the largest `V`), and an item takes the smallest slot
+//!   that holds its [used length](Plain::used_len). A slot is a 16-byte
+//!   header — the owning key, and one word that combines the slot's
+//!   lifecycle with a seqlock version (the idiom of `cuckoo::sync`) —
+//!   followed by the item's bytes. An 8-way bucket is 1.5 lines whatever
+//!   the value size, and a cuckoo displacement moves 12 bytes, not the
+//!   item;
 //! - `GET` is the map's lock-free optimistic read of the slot, then a
 //!   copy of the slab slot validated against its word: the slot must be
 //!   live, unwritten across the copy, and still owned by the key probed.
-//!   A slot recycled since the probe reads as a miss — its key left the
-//!   table before the slot could be reused. A hit costs one relaxed store
-//!   to the slot's recency bit; reads never write the table's or the
-//!   items' cache lines, and the recency bits live in a dense side array
-//!   exactly as MemC3's CLOCK bits do;
-//! - `SET` of a present key rewrites its slab slot in place, inside the
-//!   word's write window; the table is not written. A new key takes a
-//!   slab slot — a returned one, else the next never-used one — fills
-//!   it, and publishes it with the table insert. When the slab is full
-//!   the CLOCK hand sweeps it: recency bit set → clear and advance
+//!   A slot freed or recycled since the probe sends the read back to the
+//!   table: the key has left it, or moved to a slot of another class. A
+//!   hit sets the slot's recency bit if it is clear; reads never write
+//!   the table's or the items' cache lines, and the recency bits live in
+//!   dense side arrays exactly as MemC3's CLOCK bits do;
+//! - `SET` of a present key whose new value needs the same class
+//!   rewrites its slab slot in place, inside the word's write window;
+//!   the table is not written. A value that needs another class is
+//!   written to a slot of that class, and the table entry is repointed
+//!   to it before the old slot is freed. A new key takes a slot of its
+//!   class — a returned one, else the next never-used one — fills it,
+//!   and publishes it with the table insert. When the cache holds its
+//!   capacity, a CLOCK hand sweeps the new item's class (another class
+//!   when that one holds nothing): recency bit set → clear and advance
 //!   (second chance), clear → evict that slot's key. The table has only
 //!   as many slots as the cache has entries (rounded up to its bucket
-//!   grid), and the slab holds at most [`MAX_LOAD_PERCENT`] of them, so
-//!   the slab binds before the table's load limit and eviction stays on
-//!   this path. An insert that still finds no cuckoo path evicts the
+//!   grid), and the cache holds at most [`MAX_LOAD_PERCENT`] of them, so
+//!   the capacity binds before the table's load limit and eviction stays
+//!   on this path. An insert that still finds no cuckoo path evicts the
 //!   same way until it lands, which is MemC3's answer to a failed insert;
-//! - the slab's arrays are allocated zeroed and mapped lazily, and slots
-//!   are handed out densely from index 0, so resident memory follows the
-//!   resident items, not the capacity.
+//! - each class reserves room for the whole capacity, allocated zeroed
+//!   and mapped lazily, and hands out slots densely from index 0, so
+//!   resident memory follows the resident items and their sizes, not the
+//!   capacity.
 //!
 //! Recency is approximate under races (a `GET` may mark a slot that was
 //! just recycled) — which is CLOCK's nature and why MemC3 chose it: "a
@@ -47,7 +55,6 @@
 //! locking".
 
 // ORDERING-FILE: stats.counter — hit/miss/eviction counters for the stats contract.
-use core::marker::PhantomData;
 use core::mem::{size_of, MaybeUninit};
 
 use cuckoo::prefetch::{prefetch_read, prefetch_write};
@@ -61,12 +68,12 @@ use cuckoo::{InsertError, OptimisticCuckooMap, Plain};
 const STATE: u64 = 0b11;
 /// Never used, or back on the free stack.
 const FREE: u64 = 0;
-/// Allocated by a `put` whose map insert has not landed yet; invisible to
-/// the CLOCK hand.
+/// Allocated by a `put` whose map insert (or repoint) has not landed
+/// yet; invisible to the CLOCK hand.
 const SETUP: u64 = 1;
 const USED: u64 = 2;
-/// Claimed by the CLOCK hand or a `delete`, the only ones that remove a
-/// slot's key from the table.
+/// Claimed by the CLOCK hand, a `delete`, or a `replace` that moves the
+/// item to another class: the only ones that take a slot's key off it.
 const EVICTING: u64 = 3;
 /// One step of the version above the state bits. The version is odd
 /// while the slot's item or owner is being written.
@@ -79,8 +86,11 @@ const WRITING: u64 = 1 << 2;
 /// (CHANGES.md has the rows).
 const MULTIGET_GROUP: usize = 8;
 
-/// A cache line.
+/// A cache line, and the step between size classes.
 const LINE: usize = 64;
+
+/// Bytes of a slot's header: its word, then its owner.
+const HEAD: usize = 16;
 
 /// The most of its table's slots a cache fills, in percent. Filling an
 /// empty table, the insert search first fails at load 0.977–0.986
@@ -90,87 +100,169 @@ const LINE: usize = 64;
 /// churning 4× a 2^18-slot cache's keys took no full-table fallback.
 pub const MAX_LOAD_PERCENT: usize = 95;
 
-/// A slab slot's header.
-///
-/// Invariant: a USED slot's owner maps to the slot in the table. The
-/// insert lands before the slot turns USED, and only a claimant — the
-/// one that moved the word to EVICTING — removes the entry, before it
-/// frees the slot.
-#[derive(Debug)]
-#[repr(C)]
+/// A slab slot's header, as the model checker sees it: its instrumented
+/// atomics cannot be laid over the slab's words, so model builds keep
+/// the headers in a side array and leave the slot's first 16 bytes
+/// unused.
+#[cfg(cuckoo_model)]
 struct Head {
-    /// Seqlock version (bits 2..) | lifecycle (bits 0..2). Each write
-    /// window advances the version by two, so a reader that sees one
-    /// word before and after its copy saw no write and no reuse.
     word: AtomicU64,
-    /// The owning key, written only inside a write window.
     owner: AtomicU64,
 }
 
-/// The slab's items: one `V` per slot, each starting a cache line.
+/// One size class of the slab: slots of `stride` bytes, each a header
+/// (word, owner) and then the item's bytes.
 ///
-/// Stored as 8-byte words: std zero-fills an allocation aligned beyond
-/// 16 bytes by hand, touching every page, while a zeroed array of words
-/// stays lazily mapped. The items start at the first line boundary
-/// inside it. Every access is a racy per-chunk copy (`cuckoo::racy`), so
-/// concurrent readers and writers are defined behavior; the slot's word
-/// says whether a copy is whole.
-struct Items<V> {
+/// Invariant: a USED slot's owner maps to the slot in the table. The
+/// insert or repoint lands before the slot turns USED, and only a
+/// claimant — the one that moved the word to EVICTING — takes the entry
+/// off the slot, before it frees the slot.
+///
+/// The slots are stored as 8-byte words: std zero-fills an allocation
+/// aligned beyond 16 bytes by hand, touching every page, while a zeroed
+/// array of words stays lazily mapped. The slots start at the first line
+/// boundary inside it. An item access is a racy per-chunk copy
+/// (`cuckoo::racy`), so concurrent readers and writers are defined
+/// behavior; the slot's word says whether a copy is whole.
+struct Class {
     words: Box<[std::sync::atomic::AtomicU64]>,
     /// Index of the first line-aligned word.
     first: usize,
-    item: PhantomData<fn() -> V>,
+    /// Bytes from one slot to the next: a line multiple.
+    stride: usize,
+    #[cfg(cuckoo_model)]
+    heads: Box<[Head]>,
+    /// CLOCK recency bits, one per slot.
+    recency: Box<[AtomicU8]>,
+    /// Slots returned by evictions, deletes and moves; reused before
+    /// fresh ones.
+    free: Mutex<Vec<u32>>,
+    /// Slots below this have been handed out. Raised only under the
+    /// `free` lock; the CLOCK hand sweeps below it.
+    bump: AtomicUsize,
+    /// The class's CLOCK hand.
+    hand: AtomicUsize,
+    /// Slots out of the free stack (SETUP, USED or EVICTING): steers
+    /// eviction to a class that holds items.
+    held: AtomicUsize,
 }
 
-impl<V: Plain> Items<V> {
-    /// Bytes from one item to the next.
-    const STRIDE: usize = size_of::<V>().next_multiple_of(LINE);
-
-    fn new(n: usize) -> Self {
-        // SAFETY: zero bytes are a valid atomic word.
-        let words: Box<[std::sync::atomic::AtomicU64]> =
-            unsafe { zeroed_slice((n * Self::STRIDE + LINE) / 8) };
+impl Class {
+    /// A class of `n` slots of `stride` bytes.
+    fn new(n: usize, stride: usize) -> Self {
+        // SAFETY: zero bytes are a valid atomic word, and a FREE header at
+        // version 0.
+        let words: Box<[std::sync::atomic::AtomicU64]> = unsafe { zeroed_slice((n * stride + LINE) / 8) };
         let first = words.as_ptr().cast::<u8>().align_offset(LINE) / 8;
-        Items { words, first, item: PhantomData }
+        Class {
+            words,
+            first,
+            stride,
+            // SAFETY: zero bytes are a FREE header at version 0.
+            #[cfg(cuckoo_model)]
+            heads: unsafe { zeroed_slice(n) },
+            // SAFETY: zero bytes are a clear recency bit.
+            recency: unsafe { zeroed_slice(n) },
+            free: Mutex::new(Vec::with_capacity(n)),
+            bump: AtomicUsize::new(0),
+            hand: AtomicUsize::new(0),
+            held: AtomicUsize::new(0),
+        }
     }
 
-    /// Address of slot `s`'s item.
+    /// The words of slot `i`, header first (bounds-checked).
     #[inline]
-    fn addr(&self, s: usize) -> usize {
-        let words = &self.words[self.first + s * Self::STRIDE / 8..];
-        debug_assert!(size_of_val(words) >= size_of::<V>());
-        words.as_ptr() as usize
+    fn slot(&self, i: usize) -> &[std::sync::atomic::AtomicU64] {
+        let at = self.first + i * self.stride / 8;
+        &self.words[at..at + self.stride / 8]
     }
 
-    /// A copy that a concurrent writer may have torn: the caller's word
-    /// validation decides whether it is kept.
+    /// Slot `i`'s word: seqlock version (bits 2..) | lifecycle (bits
+    /// 0..2). Each write window advances the version by two, so a reader
+    /// that sees one word before and after its copy saw no write and no
+    /// reuse.
+    #[cfg(not(cuckoo_model))]
     #[inline]
-    fn load(&self, s: usize) -> V {
+    fn word(&self, i: usize) -> &AtomicU64 {
+        &self.slot(i)[0]
+    }
+
+    /// Slot `i`'s owning key, written only inside a write window.
+    #[cfg(not(cuckoo_model))]
+    #[inline]
+    fn owner(&self, i: usize) -> &AtomicU64 {
+        &self.slot(i)[1]
+    }
+
+    #[cfg(cuckoo_model)]
+    fn word(&self, i: usize) -> &AtomicU64 {
+        &self.heads[i].word
+    }
+
+    #[cfg(cuckoo_model)]
+    fn owner(&self, i: usize) -> &AtomicU64 {
+        &self.heads[i].owner
+    }
+
+    /// Bytes a read of a `V` copies from a slot: the slot's item bytes,
+    /// or the whole `V` if that is shorter.
+    #[inline]
+    fn item_len<V>(&self) -> usize {
+        (self.stride - HEAD).min(size_of::<V>())
+    }
+
+    /// A copy of slot `i`'s item that a concurrent writer may have torn:
+    /// the caller's word validation decides whether it is kept. The
+    /// bytes of `V` past the slot are zero.
+    #[inline]
+    fn load<V: Plain>(&self, i: usize) -> V {
+        let n = self.item_len::<V>();
+        let item = &self.slot(i)[HEAD / 8..];
         let mut out = MaybeUninit::<V>::uninit();
-        // SAFETY: `addr(s)` starts `size_of::<V>()` bytes of this array
-        // (bounds-checked above), `out` is valid for as many writes, and
-        // the copy is per-chunk atomic, so racing writers are defined
-        // behavior; any bytes are a valid `V` (`Plain`).
+        // SAFETY: `item` holds `stride - HEAD >= n` bytes, `out` is valid
+        // for `size_of::<V>()` writes, and the copy is per-chunk atomic,
+        // so racing writers are defined behavior; any bytes are a valid
+        // `V` (`Plain`).
         unsafe {
-            cuckoo::racy::load_bytes(self.addr(s), out.as_mut_ptr().cast::<u8>(), size_of::<V>());
+            let dst = out.as_mut_ptr().cast::<u8>();
+            cuckoo::racy::load_bytes(item.as_ptr() as usize, dst, n);
+            dst.add(n).write_bytes(0, size_of::<V>() - n);
             out.assume_init()
         }
     }
 
-    /// Writes slot `s`'s item. The caller holds the slot's write window,
-    /// so no other writer races it.
+    /// Writes `v`'s used bytes (rounded up to whole words, so the copy
+    /// goes a word at a time) into slot `i`. The caller holds the slot's
+    /// write window, so no other writer races it, and chose this class
+    /// for `v`, so they fit.
     #[inline]
-    fn store(&self, s: usize, v: &V) {
-        // SAFETY: as for `load`; `v` is valid for `size_of::<V>()` reads.
-        unsafe {
-            cuckoo::racy::store_bytes(self.addr(s), (v as *const V).cast::<u8>(), size_of::<V>())
-        }
+    fn store<V: Plain>(&self, i: usize, v: &V) {
+        let n = v.used_len().next_multiple_of(8).min(size_of::<V>());
+        let item = &self.slot(i)[HEAD / 8..];
+        assert!(n <= size_of_val(item), "a {n}-byte item in a {}-byte slot", self.stride);
+        // SAFETY: `item` holds at least `n` bytes (checked), and `v` is
+        // valid for `size_of::<V>() >= n` reads.
+        unsafe { cuckoo::racy::store_bytes(item.as_ptr() as usize, (v as *const V).cast::<u8>(), n) }
     }
 
-    /// Applies `hint` (a prefetch) to every line of slot `s`'s item.
+    /// Applies `hint` (a prefetch) to every line a read of a `V` from
+    /// slot `i` touches — header, item and recency bit.
     #[inline]
-    fn prefetch(&self, s: usize, hint: fn(*const u8)) {
-        cuckoo::prefetch::lines(self.addr(s) as *const u8, size_of::<V>(), hint);
+    fn prefetch<V>(&self, i: usize, hint: fn(*const u8)) {
+        cuckoo::prefetch::lines(self.slot(i).as_ptr().cast(), HEAD + self.item_len::<V>(), hint);
+        hint((&self.recency[i] as *const AtomicU8).cast());
+    }
+
+    /// Marks slot `i` recently used. The bit is written only when clear,
+    /// so a hot item's hits leave its line shared.
+    #[inline]
+    fn touch(&self, i: usize) {
+        let r = &self.recency[i];
+        // ORDERING: advisory.relaxed
+        if r.load(Ordering::Relaxed) == 0 {
+            // ORDERING: advisory.relaxed
+            r.store(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -178,7 +270,8 @@ impl<V: Plain> Items<V> {
 enum Seen<V> {
     /// The key's item, copied whole.
     Hit(V),
-    /// The key has left the table since it was probed.
+    /// The slot no longer holds the key: it has left the table, or moved
+    /// to a slot of another class, since it was probed.
     Gone,
     /// Mid-write, mid-claim, or just inserted: resolves promptly.
     Busy,
@@ -198,8 +291,7 @@ pub struct CacheStats {
     /// Entries newly inserted (`put` of an absent key, successful
     /// `put_if_absent`).
     pub inserts: u64,
-    /// In-place replacements (`put` of a present key, successful
-    /// `replace`).
+    /// Replacements (`put` of a present key, successful `replace`).
     pub updates: u64,
     /// Explicit `delete` calls that removed an entry.
     pub deletes: u64,
@@ -211,7 +303,8 @@ pub struct CacheStats {
 
 /// A fixed-capacity concurrent cache with CLOCK eviction over a cuckoo+
 /// table. Keys are `u64` (hash upstream identifiers into them); values
-/// are any [`Plain`] type.
+/// are any [`Plain`] type, each kept in a slab slot sized to its
+/// [`used_len`](Plain::used_len).
 ///
 /// # Examples
 ///
@@ -228,21 +321,12 @@ pub struct CacheStats {
 /// assert!(cache.len() <= cache.capacity());
 /// ```
 pub struct ClockCache<V: Plain> {
-    /// The index: key → slab slot.
+    /// The index: key → slot name (`index << CLASS_BITS | class`).
     map: OptimisticCuckooMap<u64, u32, 8>,
-    /// Slab: per-slot header (word + owner).
-    heads: Box<[Head]>,
-    /// Slab: per-slot item.
-    items: Items<V>,
-    /// Slab: CLOCK recency bits.
-    recency: Box<[AtomicU8]>,
-    /// Slots returned by evictions and deletes; reused before fresh ones.
-    free: Mutex<Vec<u32>>,
-    /// Slots below this have been handed out. Raised only under the
-    /// `free` lock; the CLOCK hand sweeps below it.
-    bump: AtomicUsize,
-    /// The CLOCK hand.
-    hand: AtomicUsize,
+    /// The slab, one class per line multiple up to the largest `V`.
+    classes: Box<[Class]>,
+    /// Slots out of the free stacks, across classes: at most `capacity`.
+    held: AtomicUsize,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -257,9 +341,17 @@ pub struct ClockCache<V: Plain> {
     /// model tests can prove the checker catches the original ABA bug.
     #[cfg(cuckoo_model)]
     aba_mutation: bool,
+    item: core::marker::PhantomData<fn() -> V>,
 }
 
 impl<V: Plain> ClockCache<V> {
+    /// Size classes: line multiples up to the one that holds the largest
+    /// item (header and a whole `V`).
+    const CLASSES: usize = (HEAD + size_of::<V>()).div_ceil(LINE);
+
+    /// Low bits of a slot name that name its class.
+    const CLASS_BITS: u32 = usize::BITS - (Self::CLASSES - 1).leading_zeros();
+
     /// Creates a cache holding at most `capacity` entries, or fewer when
     /// `capacity` lies within 5 % of its table's size.
     ///
@@ -271,23 +363,17 @@ impl<V: Plain> ClockCache<V> {
     /// The CLOCK hand then evicts before the table nears its load limit,
     /// where a failed insert search would take the full-table lock.
     ///
-    /// Nothing is touched per slot: the slab's arrays come zeroed and are
-    /// mapped as slots are first handed out.
+    /// Nothing is touched per slot: each class's arrays come zeroed and
+    /// are mapped as its slots are first handed out.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(8);
-        assert!(capacity < u32::MAX as usize, "slab indices are u32");
+        assert!(capacity < (u32::MAX >> Self::CLASS_BITS) as usize, "slab slot names are u32");
         let map = OptimisticCuckooMap::with_capacity(capacity);
         let capacity = capacity.min(map.capacity() * MAX_LOAD_PERCENT / 100);
         ClockCache {
             map,
-            // SAFETY: zero bytes are a FREE header at version 0.
-            heads: unsafe { zeroed_slice(capacity) },
-            items: Items::new(capacity),
-            // SAFETY: zero bytes are a clear recency bit.
-            recency: unsafe { zeroed_slice(capacity) },
-            free: Mutex::new(Vec::with_capacity(capacity)),
-            bump: AtomicUsize::new(0),
-            hand: AtomicUsize::new(0),
+            classes: (1..=Self::CLASSES).map(|lines| Class::new(capacity, lines * LINE)).collect(),
+            held: AtomicUsize::new(0),
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -299,6 +385,7 @@ impl<V: Plain> ClockCache<V> {
             expirations: AtomicU64::new(0),
             #[cfg(cuckoo_model)]
             aba_mutation: false,
+            item: core::marker::PhantomData,
         }
     }
 
@@ -324,15 +411,18 @@ impl<V: Plain> ClockCache<V> {
         self.len() == 0
     }
 
-    /// Heap footprint of a full cache: the cuckoo table (buckets, lock
-    /// stripes, sharded counter) plus the slab (headers, items, recency
-    /// bits, free stack). Fixed at construction — the cache never
+    /// Heap footprint reserved for the cache: the cuckoo table (buckets,
+    /// lock stripes, sharded counter) plus the slab. Each slab class
+    /// reserves slots, recency bits and free stack for the whole
+    /// capacity, since every item may take the same class, so this is
+    /// the sum over the classes. Fixed at construction — the cache never
     /// resizes — so owners can report it (e.g. `cuckood`'s `stats`)
-    /// without taking any locks. The slab is reserved, not resident: its
-    /// pages are mapped as slots are first handed out.
+    /// without taking any locks. The slab is reserved, not resident: a
+    /// class's pages are mapped as its slots are first handed out, so a
+    /// full cache is resident for its items' classes only.
     pub fn memory_bytes(&self) -> usize {
-        let per_slot = size_of::<Head>() + Items::<V>::STRIDE + size_of::<AtomicU8>() + size_of::<u32>();
-        self.map.memory_bytes() + self.capacity * per_slot
+        let per_slot = |c: &Class| c.stride + size_of::<AtomicU8>() + size_of::<u32>();
+        self.map.memory_bytes() + self.capacity * self.classes.iter().map(per_slot).sum::<usize>()
     }
 
     /// Point-in-time statistics.
@@ -381,6 +471,24 @@ impl<V: Plain> ClockCache<V> {
         self.misses.fetch_add(misses, Ordering::Relaxed);
     }
 
+    /// The class whose slots hold `v`: the smallest line multiple that
+    /// holds the header and `v`'s used bytes.
+    fn class_of(v: &V) -> usize {
+        (HEAD + v.used_len().min(size_of::<V>())).div_ceil(LINE).max(1) - 1
+    }
+
+    /// The name the table stores for slot `i` of class `c`.
+    fn name(c: usize, i: usize) -> u32 {
+        (i << Self::CLASS_BITS | c) as u32
+    }
+
+    /// The class and index a slot name stands for.
+    #[inline]
+    fn at(&self, t: u32) -> (usize, &Class, usize) {
+        let c = t as usize & ((1 << Self::CLASS_BITS) - 1);
+        (c, &self.classes[c], (t >> Self::CLASS_BITS) as usize)
+    }
+
     /// Looks up `key`, marking it recently used on a hit.
     pub fn get(&self, key: u64) -> Option<V> {
         let v = self.read(key, self.map.get(&key));
@@ -424,13 +532,13 @@ impl<V: Plain> ClockCache<V> {
     }
 
     /// The table's multi-key read of one group of keys into `slots`,
-    /// then `hint` (a prefetch) over every hit's slab lines — header and
-    /// item — before any is touched.
+    /// then `hint` (a prefetch) over every hit's slab lines — header,
+    /// item and recency bit — before any is touched.
     fn probe_group(&self, keys: &[u64], slots: &mut [Option<u32>], hint: fn(*const u8)) {
         self.map.visit_many(keys, |j, s| slots[j] = s.copied());
-        for &s in slots.iter().flatten() {
-            hint((&self.heads[s as usize] as *const Head).cast());
-            self.items.prefetch(s as usize, hint);
+        for &t in slots.iter().flatten() {
+            let (_, class, i) = self.at(t);
+            class.prefetch::<V>(i, hint);
         }
     }
 
@@ -440,17 +548,19 @@ impl<V: Plain> ClockCache<V> {
     fn read(&self, key: u64, mut slot: Option<u32>) -> Option<V> {
         let mut spins = 0;
         loop {
-            let s = slot? as usize;
-            match self.look(s, key) {
+            let t = slot?;
+            match self.look(t, key) {
                 Seen::Hit(v) => {
                     // Benign approximation: the slot may be recycled
                     // right after; marking a stranger's slot recent only
                     // delays its eviction by one sweep.
-                    // ORDERING: advisory.relaxed
-                    self.recency[s].store(1, Ordering::Relaxed);
+                    let (_, class, i) = self.at(t);
+                    class.touch(i);
                     return Some(v);
                 }
-                Seen::Gone => return None,
+                // Gone from this slot, not necessarily from the table: a
+                // replace may have moved it to another class.
+                Seen::Gone => slot = self.map.get(&key),
                 // The claim under way may remove the key, so the table is
                 // probed again.
                 Seen::Busy => {
@@ -461,13 +571,14 @@ impl<V: Plain> ClockCache<V> {
         }
     }
 
-    /// One validated look at slot `s` for `key`: stamp the word, copy,
+    /// One validated look at slot `t` for `key`: stamp the word, copy,
     /// re-check the word. The copy counts only if the slot was USED and
     /// outside a write window throughout, and owned by `key`.
-    fn look(&self, s: usize, key: u64) -> Seen<V> {
-        let hdr = &self.heads[s];
+    fn look(&self, t: u32, key: u64) -> Seen<V> {
+        let (_, class, i) = self.at(t);
+        let word = class.word(i);
         // ORDERING: seqlock.read-begin
-        let w = hdr.word.load(Ordering::Acquire);
+        let w = word.load(Ordering::Acquire);
         match w & (STATE | WRITING) {
             USED => {}
             // Released: the table maps a key here only until then.
@@ -475,15 +586,15 @@ impl<V: Plain> ClockCache<V> {
             _ => return Seen::Busy,
         }
         // ORDERING: advisory.relaxed
-        let owner = hdr.owner.load(Ordering::Relaxed);
-        let v = self.items.load(s);
+        let owner = class.owner(i).load(Ordering::Relaxed);
+        let v = class.load(i);
         // ORDERING: seqlock.validate
         fence(Ordering::Acquire);
-        let stable = hdr.word.load(Ordering::Acquire) == w;
+        let stable = word.load(Ordering::Acquire) == w;
         if !stable {
             Seen::Busy
         } else if owner != key {
-            // Recycled: `key` left the table before its slot was reused.
+            // Recycled: `key` left the slot before it was reused.
             Seen::Gone
         } else {
             Seen::Hit(v)
@@ -531,24 +642,70 @@ impl<V: Plain> ClockCache<V> {
     }
 
     /// [`replace`](Self::replace) only if `key`'s current value passes
-    /// `keep`, decided inside the same write window as the write — so an
-    /// owner that stores lifetimes or full keys inside its values can
-    /// refuse to overwrite an expired item or a hash-colliding stranger
-    /// without a separate look first. Returns whether it stored.
+    /// `keep`, decided under the same claim as the write — so an owner
+    /// that stores lifetimes or full keys inside its values can refuse
+    /// to overwrite an expired item or a hash-colliding stranger without
+    /// a separate look first. Returns whether it stored.
     ///
-    /// The item is rewritten in place in its slab slot; the table is not
-    /// written.
+    /// A value of the item's class is rewritten in place in its slab
+    /// slot, inside the slot's write window; the table is not written.
+    /// A value of another class is first written to a free slot of that
+    /// class; then the old slot is claimed, the table entry repointed to
+    /// the new slot under its pair lock, and the old slot freed. The new
+    /// slot is taken before the claim, so a claimant never waits for an
+    /// eviction.
     pub fn replace_if(&self, key: u64, value: V, keep: impl FnOnce(&V) -> bool) -> bool {
-        let Some((s, w)) = self.claim(key, |w| w + WRITING) else { return false };
-        let stored = keep(&self.items.load(s));
-        if stored {
-            self.items.store(s, &value);
+        let c = Self::class_of(&value);
+        // A SETUP slot of class `c` holding `value`, once one is needed.
+        let mut spare: Option<(u32, u64)> = None;
+        let mut spins = 0;
+        let (t, w, moving) = loop {
+            let Some(t) = self.map.get(&key) else {
+                if let Some((s, sw)) = spare {
+                    self.release_slot(s, sw);
+                }
+                return false;
+            };
+            let moving = self.at(t).0 != c;
+            if moving && spare.is_none() {
+                // Filling may evict `key` itself: probe again after.
+                spare = Some(self.fill(c, key, &value));
+                continue;
+            }
+            let claimed = |w| if moving { w & !STATE | EVICTING } else { w + WRITING };
+            if let Some(w) = self.claim_at(t, key, claimed) {
+                break (t, w, moving);
+            }
+            backoff(&mut spins);
+        };
+        let (_, class, i) = self.at(t);
+        let stored = keep(&class.load(i));
+        if !moving {
+            if stored {
+                class.store(i, &value);
+                class.touch(i);
+            }
+            // ORDERING: seqlock.unlock-release
+            class.word(i).store(w + 2 * WRITING, Ordering::Release);
+        } else if stored {
+            let (s, sw) = spare.take().expect("a move claims only with its new slot filled");
+            // The claim keeps the entry on `t` until this repoint.
+            let repointed = self.map.read_modify_write(&key, |cur| {
+                debug_assert_eq!(cur, t, "claimed slot {t} lost its entry");
+                s
+            });
+            debug_assert!(repointed.is_some(), "USED slot {t} was not in the table");
+            self.publish(s, sw);
+            self.release_slot(t, w);
+        } else {
+            // ORDERING: publish.release-store
+            class.word(i).store(w, Ordering::Release);
         }
-        // ORDERING: seqlock.unlock-release
-        self.heads[s].word.store(w + 2 * WRITING, Ordering::Release);
+        // Refused, or the key came to class `c` while the spare was filled.
+        if let Some((s, sw)) = spare {
+            self.release_slot(s, sw);
+        }
         if stored {
-            // ORDERING: advisory.relaxed
-            self.recency[s].store(1, Ordering::Relaxed);
             self.updates.fetch_add(1, Ordering::Relaxed);
         }
         stored
@@ -559,39 +716,54 @@ impl<V: Plain> ClockCache<V> {
     /// and `put` of the same key: exactly one writer wins, the rest see
     /// `false`.
     pub fn put_if_absent(&self, key: u64, value: V) -> bool {
-        let (s, w) = self.alloc_slot();
-        let hdr = &self.heads[s];
-        // ORDERING: advisory.relaxed
-        hdr.owner.store(key, Ordering::Relaxed);
-        self.items.store(s, &value);
-        let w = w + WRITING;
-        // ORDERING: seqlock.unlock-release
-        hdr.word.store(w, Ordering::Release);
-        // ORDERING: advisory.relaxed
-        self.recency[s].store(1, Ordering::Relaxed);
+        let c = Self::class_of(&value);
+        let (t, w) = self.fill(c, key, &value);
         loop {
-            match self.map.insert(key, s as u32) {
+            match self.map.insert(key, t) {
                 Ok(()) => {
-                    // Publish to the CLOCK hand only once the entry is
-                    // resident.
-                    // ORDERING: publish.release-store
-                    hdr.word.store(w & !STATE | USED, Ordering::Release);
+                    self.publish(t, w);
                     self.inserts.fetch_add(1, Ordering::Relaxed); // ORDERING: stats.counter
                     return true;
                 }
                 Err(InsertError::KeyExists) => {
-                    self.release_slot(s, w);
+                    self.release_slot(t, w);
                     return false;
                 }
-                // No cuckoo path (MemC3's failed insert). The slab keeps
-                // the load below the search's limit, so this takes keys
-                // crowding one bucket pair: keep the slot, and evict
+                // No cuckoo path (MemC3's failed insert). The capacity
+                // keeps the load below the search's limit, so this takes
+                // keys crowding one bucket pair: keep the slot, and evict
                 // until the insert finds a path. Abandoning the slot
                 // instead would re-allocate it and fail again at the
                 // same load.
-                Err(InsertError::TableFull) => self.evict_one(),
+                Err(InsertError::TableFull) => {
+                    self.evict_for(c);
+                }
             }
         }
+    }
+
+    /// Takes a slot of class `c` and writes `key → value` into it, in
+    /// SETUP: invisible to the CLOCK hand and to readers until
+    /// [`publish`](Self::publish)ed. Returns the slot and its word.
+    fn fill(&self, c: usize, key: u64, value: &V) -> (u32, u64) {
+        let (t, w) = self.alloc_slot(c);
+        let (_, class, i) = self.at(t);
+        // ORDERING: advisory.relaxed
+        class.owner(i).store(key, Ordering::Relaxed);
+        class.store(i, value);
+        let w = w + WRITING;
+        // ORDERING: seqlock.unlock-release
+        class.word(i).store(w, Ordering::Release);
+        class.touch(i);
+        (t, w)
+    }
+
+    /// Turns slot `t`, filled at word `w`, USED: done once the table maps
+    /// its key to it, and only then visible to the CLOCK hand.
+    fn publish(&self, t: u32, w: u64) {
+        let (_, class, i) = self.at(t);
+        // ORDERING: publish.release-store
+        class.word(i).store(w & !STATE | USED, Ordering::Release);
     }
 
     /// Removes `key`, returning its value.
@@ -618,43 +790,44 @@ impl<V: Plain> ClockCache<V> {
         if self.aba_mutation {
             return self.delete_aba_buggy(key);
         }
-        let (s, w) = self.claim(key, |w| w & !STATE | EVICTING)?;
-        let v = self.items.load(s);
+        let mut spins = 0;
+        let (t, w) = loop {
+            let t = self.map.get(&key)?;
+            if let Some(w) = self.claim_at(t, key, |w| w & !STATE | EVICTING) {
+                break (t, w);
+            }
+            backoff(&mut spins);
+        };
+        let (_, class, i) = self.at(t);
+        let v = class.load(i);
         if !pred(&v) {
             // ORDERING: publish.release-store
-            self.heads[s].word.store(w, Ordering::Release);
+            class.word(i).store(w, Ordering::Release);
             return None;
         }
         // The claim keeps the entry in the table until this removal.
-        let removed = self.map.remove_if(&key, |&t| t as usize == s);
-        debug_assert!(removed.is_some(), "USED slot {s} was not in the table");
+        let removed = self.map.remove_if(&key, |&s| s == t);
+        debug_assert!(removed.is_some(), "USED slot {t} was not in the table");
         self.deletes.fetch_add(1, Ordering::Relaxed);
-        self.release_slot(s, w);
+        self.release_slot(t, w);
         Some(v)
     }
 
-    /// Claims `key`'s slot by moving its word from a stable USED `w`, owned
-    /// by `key`, to `claimed(w)`: into a write window, or to EVICTING.
-    /// Returns the slot and `w`; `None` once the table has no `key`.
-    fn claim(&self, key: u64, claimed: impl Fn(u64) -> u64) -> Option<(usize, u64)> {
-        let mut spins = 0;
-        loop {
-            let s = self.map.get(&key)? as usize;
-            let hdr = &self.heads[s];
-            // ORDERING: seqlock.read-begin
-            let w = hdr.word.load(Ordering::Acquire);
-            // ORDERING: advisory.relaxed
-            if w & (STATE | WRITING) == USED && hdr.owner.load(Ordering::Relaxed) == key {
-                // ORDERING: slab.word
-                if hdr.word.compare_exchange(w, claimed(w), Ordering::AcqRel, Ordering::Relaxed).is_ok() {
-                    return Some((s, w));
-                }
-            }
-            // Mid-write, mid-claim, just inserted, or reused since the
-            // probe: the first three resolve promptly, and the table is
-            // probed again since the key may have left it.
-            backoff(&mut spins);
-        }
+    /// Claims slot `t` for `key` by moving its word from a stable USED
+    /// `w`, owned by `key`, to `claimed(w)`: into a write window, or to
+    /// EVICTING. Returns `w`; `None` if the slot was mid-write, mid-claim,
+    /// just inserted, or no longer `key`'s — the first three resolve
+    /// promptly, and the caller probes the table again since the key may
+    /// have left it or moved.
+    fn claim_at(&self, t: u32, key: u64, claimed: impl Fn(u64) -> u64) -> Option<u64> {
+        let (_, class, i) = self.at(t);
+        let word = class.word(i);
+        // ORDERING: seqlock.read-begin
+        let w = word.load(Ordering::Acquire);
+        // ORDERING: advisory.relaxed
+        let ours = w & (STATE | WRITING) == USED && class.owner(i).load(Ordering::Relaxed) == key;
+        // ORDERING: slab.word
+        (ours && word.compare_exchange(w, claimed(w), Ordering::AcqRel, Ordering::Relaxed).is_ok()).then_some(w)
     }
 
     /// The pre-PR 1 delete: removes the map entry *first* and only then
@@ -666,12 +839,13 @@ impl<V: Plain> ClockCache<V> {
     /// bug that proves the model checker catches this class of race.
     #[cfg(cuckoo_model)]
     fn delete_aba_buggy(&self, key: u64) -> Option<V> {
-        let s = self.map.remove(&key)? as usize;
-        let v = self.items.load(s);
+        let t = self.map.remove(&key)?;
+        let (_, class, i) = self.at(t);
+        let v = class.load(i);
         self.deletes.fetch_add(1, Ordering::Relaxed);
         // ORDERING: publish.acquire-load
-        let w = self.heads[s].word.load(Ordering::Acquire);
-        self.release_slot(s, w);
+        let w = class.word(i).load(Ordering::Acquire);
+        self.release_slot(t, w);
         Some(v)
     }
 
@@ -681,11 +855,12 @@ impl<V: Plain> ClockCache<V> {
         self.aba_mutation = true;
     }
 
-    /// Model-only: one CLOCK sweep, exactly as eviction pressure would
-    /// drive it, without needing `capacity` puts to drain the freelist.
+    /// Model-only: one CLOCK sweep, exactly as eviction pressure for an
+    /// item of the smallest class would drive it, without needing
+    /// `capacity` puts to fill the cache.
     #[cfg(cuckoo_model)]
     pub fn force_evict_one(&self) {
-        self.evict_one();
+        self.evict_for(0);
     }
 
     /// Model-only: clears every recency bit, as a full CLOCK revolution
@@ -693,28 +868,45 @@ impl<V: Plain> ClockCache<V> {
     /// needing the (schedule-deep) second-chance revolution.
     #[cfg(cuckoo_model)]
     pub fn force_clear_recency(&self) {
-        for r in self.recency.iter() {
+        for r in self.classes.iter().flat_map(|c| c.recency.iter()) {
             r.store(0, Ordering::SeqCst);
         }
     }
 
-    /// Model-only invariant check: every freelist slot is FREE and
-    /// appears exactly once (a duplicate means a slot was double-freed).
-    #[cfg(cuckoo_model)]
+    /// Checks the slab's bookkeeping at quiescence (no call in flight),
+    /// for tests: every free-stack slot is FREE, handed out before, and
+    /// on the stack exactly once (a duplicate means a slot was freed
+    /// twice); every other handed-out slot is USED, one per resident
+    /// entry; and the slots held, per class and in all, add up and stay
+    /// within the capacity.
+    #[doc(hidden)]
     pub fn check_slab_invariants(&self) {
-        let free = self.free.lock().expect("freelist mutex poisoned");
-        let mut seen = std::collections::HashSet::new();
-        for &slot in free.iter() {
-            assert!(
-                seen.insert(slot),
-                "slot {slot} on the freelist twice (double free)"
-            );
-            assert_eq!(
-                self.heads[slot as usize].word.load(Ordering::SeqCst) & STATE,
-                FREE,
-                "freelist slot {slot} not in FREE state"
-            );
+        let mut held = 0;
+        let mut used = 0;
+        for (c, class) in self.classes.iter().enumerate() {
+            let free = class.free.lock().expect("freelist mutex poisoned");
+            let bump = class.bump.load(Ordering::SeqCst);
+            let mut seen = std::collections::HashSet::new();
+            for &i in free.iter() {
+                assert!(seen.insert(i), "class {c} slot {i} on the freelist twice (double free)");
+                assert!((i as usize) < bump, "class {c} free slot {i} was never handed out");
+                assert_eq!(
+                    class.word(i as usize).load(Ordering::SeqCst) & STATE,
+                    FREE,
+                    "class {c} freelist slot {i} not in FREE state"
+                );
+            }
+            let class_held = class.held.load(Ordering::SeqCst);
+            assert_eq!(class_held + free.len(), bump, "class {c}: held + free != handed out");
+            let class_used =
+                (0..bump).filter(|&i| class.word(i).load(Ordering::SeqCst) & STATE == USED).count();
+            assert_eq!(class_used, class_held, "class {c}: a held slot is not USED");
+            held += class_held;
+            used += class_used;
         }
+        assert_eq!(self.held.load(Ordering::SeqCst), held, "class counts disagree with the total");
+        assert!(held <= self.capacity, "{held} slots held, capacity {}", self.capacity);
+        assert_eq!(used, self.len(), "USED slots and table entries diverge");
     }
 
     /// Visits every resident entry without blocking readers (the
@@ -725,25 +917,26 @@ impl<V: Plain> ClockCache<V> {
     /// may have hidden an entry from this pass; the caller must discard
     /// what `f` accumulated and retry.
     pub fn scan(&self, mut f: impl FnMut(u64, &V)) -> bool {
-        self.map.scan(|&key, &s| f(key, &self.stable_item(s as usize)))
+        self.map.scan(|&key, &t| f(key, &self.stable_item(t)))
     }
 
-    /// Slot `s`'s item, copied outside any write window. The caller holds
+    /// Slot `t`'s item, copied outside any write window. The caller holds
     /// the table stripe of an entry that maps here, so no claimant can
-    /// remove it and release the slot: only an in-place writer can be
-    /// mid-write, and it takes no table lock, so waiting it out cannot
-    /// deadlock.
-    fn stable_item(&self, s: usize) -> V {
-        let hdr = &self.heads[s];
+    /// remove or repoint it and release the slot: only an in-place
+    /// writer can be mid-write, and it takes no table lock, so waiting it
+    /// out cannot deadlock.
+    fn stable_item(&self, t: u32) -> V {
+        let (_, class, i) = self.at(t);
+        let word = class.word(i);
         let mut spins = 0;
         loop {
             // ORDERING: seqlock.read-begin
-            let w = hdr.word.load(Ordering::Acquire);
+            let w = word.load(Ordering::Acquire);
             if w & WRITING == 0 {
-                let v = self.items.load(s);
+                let v = class.load(i);
                 // ORDERING: seqlock.validate
                 fence(Ordering::Acquire);
-                if hdr.word.load(Ordering::Acquire) == w {
+                if word.load(Ordering::Acquire) == w {
                     return v;
                 }
             }
@@ -774,86 +967,111 @@ impl<V: Plain> ClockCache<V> {
         }
     }
 
-    /// Takes a slot for a new item — a returned one, else the next
-    /// never-used one, else one the CLOCK hand frees — and opens its
-    /// write window (SETUP, odd version), invisible to the hand. Returns
-    /// the slot and its word.
-    fn alloc_slot(&self) -> (usize, u64) {
-        loop {
-            let slot = {
-                let mut free = self.free.lock().expect("freelist mutex poisoned");
-                free.pop().map(|s| s as usize).or_else(|| {
-                    // ORDERING: advisory.relaxed
-                    let fresh = self.bump.load(Ordering::Relaxed);
-                    let take = fresh < self.capacity;
-                    if take {
-                        // ORDERING: advisory.relaxed
-                        self.bump.store(fresh + 1, Ordering::Relaxed);
-                    }
-                    take.then_some(fresh)
-                })
-            };
-            if let Some(s) = slot {
-                // ORDERING: handoff.acqrel-rmw
-                let prev = self.heads[s].word.fetch_add(WRITING | SETUP, Ordering::AcqRel);
-                debug_assert_eq!(prev & (STATE | WRITING), FREE);
-                return (s, prev + (WRITING | SETUP));
+    /// Takes a slot of class `c` for a new item — a returned one, else
+    /// the next never-used one — once the cache holds fewer than
+    /// `capacity`, evicting until it does, and opens its write window
+    /// (SETUP, odd version), invisible to the hand. Returns the slot and
+    /// its word.
+    fn alloc_slot(&self, c: usize) -> (u32, u64) {
+        // ORDERING: handoff.acqrel-rmw
+        while self.held.fetch_update(Ordering::AcqRel, Ordering::Acquire, |h| (h < self.capacity).then_some(h + 1)).is_err() {
+            self.evict_for(c);
+        }
+        let class = &self.classes[c];
+        let i = {
+            let mut free = class.free.lock().expect("freelist mutex poisoned");
+            free.pop().map(|i| i as usize).unwrap_or_else(|| {
+                // Every class has room for the whole capacity.
+                // ORDERING: advisory.relaxed
+                let fresh = class.bump.load(Ordering::Relaxed);
+                debug_assert!(fresh < self.capacity, "class {c} has no fresh slot");
+                // ORDERING: advisory.relaxed
+                class.bump.store(fresh + 1, Ordering::Relaxed);
+                fresh
+            })
+        };
+        // ORDERING: advisory.relaxed
+        class.held.fetch_add(1, Ordering::Relaxed);
+        // ORDERING: handoff.acqrel-rmw
+        let prev = class.word(i).fetch_add(WRITING | SETUP, Ordering::AcqRel);
+        debug_assert_eq!(prev & (STATE | WRITING), FREE);
+        (Self::name(c, i), prev + (WRITING | SETUP))
+    }
+
+    /// Returns slot `t`, claimed or still in SETUP at word `w`, to its
+    /// class's free stack.
+    fn release_slot(&self, t: u32, w: u64) {
+        let (_, class, i) = self.at(t);
+        // ORDERING: publish.release-store
+        class.word(i).store(w & !STATE | FREE, Ordering::Release);
+        class.free.lock().expect("freelist mutex poisoned").push(i as u32);
+        // ORDERING: advisory.relaxed
+        class.held.fetch_sub(1, Ordering::Relaxed);
+        // Only now, with the slot on the stack, may another allocation
+        // count on it.
+        // ORDERING: handoff.acqrel-rmw
+        self.held.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Frees one slot for an item of class `c`: by the CLOCK hand of
+    /// class `c` while it holds items, else of the other classes in
+    /// turn. Frees nothing if every item raced away (deleted or evicted
+    /// concurrently); the caller checks the count again.
+    fn evict_for(&self, c: usize) {
+        for k in 0..Self::CLASSES {
+            let c = (c + k) % Self::CLASSES;
+            // ORDERING: advisory.relaxed
+            if self.classes[c].held.load(Ordering::Relaxed) > 0 && self.evict_one(c) {
+                return;
             }
-            self.evict_one();
         }
     }
 
-    /// Returns slot `s`, claimed or still in SETUP at word `w`, to the
-    /// free stack.
-    fn release_slot(&self, s: usize, w: u64) {
-        // ORDERING: publish.release-store
-        self.heads[s].word.store(w & !STATE | FREE, Ordering::Release);
-        self.free.lock().expect("freelist mutex poisoned").push(s as u32);
-    }
-
-    /// One CLOCK sweep step that frees exactly one slot (or discovers
-    /// another thread already did).
-    fn evict_one(&self) {
+    /// CLOCK sweep steps over class `c` until one slot is freed; `false`
+    /// if none was.
+    fn evict_one(&self, c: usize) -> bool {
+        let class = &self.classes[c];
         // ORDERING: advisory.relaxed
-        let used = self.bump.load(Ordering::Relaxed);
+        let used = class.bump.load(Ordering::Relaxed);
         // Bound the sweep: after two full revolutions every recency bit
         // has been cleared once, so a USED slot must yield.
         for _ in 0..used * 2 {
             // ORDERING: alloc.unique-id
-            let s = self.hand.fetch_add(1, Ordering::Relaxed) % used;
-            let hdr = &self.heads[s];
+            let i = class.hand.fetch_add(1, Ordering::Relaxed) % used;
+            let word = class.word(i);
             // ORDERING: seqlock.advisory-probe
-            let w = hdr.word.load(Ordering::Relaxed);
+            let w = word.load(Ordering::Relaxed);
             if w & (STATE | WRITING) != USED
                 // ORDERING: slab.word
-                || hdr.word.compare_exchange(w, w & !STATE | EVICTING, Ordering::AcqRel, Ordering::Relaxed).is_err()
+                || word.compare_exchange(w, w & !STATE | EVICTING, Ordering::AcqRel, Ordering::Relaxed).is_err()
             {
                 continue; // free, being written, or another claimant has it
             }
             // ORDERING: handoff.acqrel-rmw
-            if self.recency[s].swap(0, Ordering::AcqRel) != 0 {
+            if class.recency[i].swap(0, Ordering::AcqRel) != 0 {
                 // Second chance.
                 self.second_chances.fetch_add(1, Ordering::Relaxed); // ORDERING: stats.counter
                 // ORDERING: publish.release-store
-                hdr.word.store(w, Ordering::Release);
+                word.store(w, Ordering::Release);
                 continue;
             }
             // ORDERING: advisory.relaxed
-            let key = hdr.owner.load(Ordering::Relaxed);
+            let key = class.owner(i).load(Ordering::Relaxed);
+            let t = Self::name(c, i);
             // The claim keeps the entry in the table until this removal;
             // it can be missing only if a delete skipped the claim (the
             // model checker's seeded ABA bug). The slot is ours to
             // reclaim either way.
-            if self.map.remove_if(&key, |&t| t as usize == s).is_some() {
+            if self.map.remove_if(&key, |&s| s == t).is_some() {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-            self.release_slot(s, w);
-            return;
+            self.release_slot(t, w);
+            return true;
         }
-        // All slots raced away (deleted/evicted concurrently); let the
-        // caller re-check the freelist.
+        false
     }
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -1003,15 +1221,9 @@ mod tests {
             }
         });
         assert!(c.len() <= 256);
-        // Slab bookkeeping is consistent: resident entries == used slots.
-        let used = c
-            .heads
-            .iter()
-            .filter(|h| h.word.load(Ordering::Relaxed) & STATE == USED)
-            .count();
-        assert_eq!(used, c.len(), "slab/map divergence");
-        let free = c.free.lock().unwrap().len();
-        assert_eq!(used + free, c.bump.load(Ordering::Relaxed));
+        // Slab bookkeeping is consistent: resident entries == used slots,
+        // and every handed-out slot is either used or free.
+        c.check_slab_invariants();
     }
 
     /// A capacity equal to the table's slot count: the slab holds
@@ -1197,15 +1409,17 @@ mod tests {
             c.put(k, k);
             c.put(k, k + 1); // in place: no second slot
         }
-        assert_eq!(c.bump.load(Ordering::Relaxed), 100);
+        // A `u64` cache has one class.
+        let class = &c.classes[0];
+        assert_eq!(class.bump.load(Ordering::Relaxed), 100);
         for k in 0..10u64 {
             assert_eq!(c.delete(k), Some(k + 1));
         }
         for k in 100..110u64 {
             c.put(k, k);
         }
-        assert_eq!(c.bump.load(Ordering::Relaxed), 100, "returned slots are reused first");
-        assert!(c.free.lock().unwrap().is_empty());
+        assert_eq!(class.bump.load(Ordering::Relaxed), 100, "returned slots are reused first");
+        assert!(class.free.lock().unwrap().is_empty());
         assert_eq!(c.len(), 100);
     }
 
@@ -1284,5 +1498,143 @@ mod tests {
         });
         assert!(shown > 0, "no read ever hit");
         assert!(c.stats().evictions > 0, "the churner never evicted");
+    }
+
+    /// A value whose used length is its own: `len` words after the
+    /// length word, so one type spans every class of its cache.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    #[repr(C)]
+    struct Var {
+        len: u64,
+        words: [u64; 36],
+    }
+
+    // SAFETY: integers only; any bit pattern is a valid value.
+    unsafe impl Plain for Var {
+        fn used_len(&self) -> usize {
+            8 * (1 + self.len as usize)
+        }
+    }
+
+    impl Var {
+        /// `len` words, each `key << 32 | n`.
+        fn new(key: u64, n: u64, len: usize) -> Self {
+            let mut words = [0; 36];
+            words[..len].fill(key << 32 | n);
+            Var { len: len as u64, words }
+        }
+
+        /// The words that carry the value.
+        fn used(&self) -> &[u64] {
+            &self.words[..(self.len as usize).min(36)]
+        }
+    }
+
+    /// The class a key's item sits in.
+    fn class_of_key(c: &ClockCache<Var>, key: u64) -> usize {
+        c.at(c.map.get(&key).expect("resident")).0
+    }
+
+    /// Each item takes the smallest line multiple that holds its header
+    /// and used bytes, and a replace into another class moves it there
+    /// and back, freeing the slot it left.
+    #[test]
+    fn items_take_the_smallest_class_that_holds_them() {
+        let c: ClockCache<Var> = ClockCache::new(64);
+        assert_eq!(ClockCache::<Var>::CLASSES, 5, "16 + 296 bytes: five lines");
+        // Header + length word + `len` words, against 64-byte steps.
+        for (len, class) in [(0, 0), (5, 0), (6, 1), (13, 1), (14, 2), (29, 3), (30, 4), (36, 4)] {
+            let key = 100 + len as u64;
+            c.put(key, Var::new(key, 0, len));
+            assert_eq!(class_of_key(&c, key), class, "{len} words");
+            assert_eq!(c.get(key).unwrap().used(), Var::new(key, 0, len).used());
+        }
+        c.put(1, Var::new(1, 0, 1));
+        for (n, len) in [(1, 30), (2, 2), (3, 13), (4, 13)] {
+            assert!(c.replace(1, Var::new(1, n, len)));
+            assert_eq!(c.get(1).unwrap().used(), Var::new(1, n, len).used());
+        }
+        assert_eq!(class_of_key(&c, 1), 1);
+        // The moves left their old slots free: class 4 holds two items
+        // (the 30- and 36-word ones), class 0 the two small ones.
+        assert_eq!(c.classes[4].held.load(Ordering::Relaxed), 2);
+        assert_eq!(c.classes[0].held.load(Ordering::Relaxed), 2);
+        assert_eq!(c.stats().updates, 4);
+        c.check_slab_invariants();
+    }
+
+    /// `-c` bounds the items of every class together: a full cache evicts
+    /// from the new item's class while it holds items, else from another.
+    #[test]
+    fn a_full_cache_evicts_across_classes() {
+        let c: ClockCache<Var> = ClockCache::new(32);
+        let cap = c.capacity() as u64;
+        for k in 0..cap {
+            c.put(k, Var::new(k, 0, 1));
+        }
+        assert_eq!(c.stats().evictions, 0);
+        // Class 2 holds nothing: its first item evicts one of class 0's.
+        c.put(cap, Var::new(cap, 0, 20));
+        assert_eq!(class_of_key(&c, cap), 2);
+        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.len(), cap as usize);
+        // Now class 2 holds an item: more of them evict their own class,
+        // so the class keeps the share it had when the cache filled.
+        for k in cap + 1..cap + 8 {
+            c.put(k, Var::new(k, 0, 20));
+        }
+        assert_eq!(c.stats().evictions, 8);
+        assert_eq!(c.classes[2].held.load(Ordering::Relaxed), 1);
+        assert_eq!(c.classes[0].held.load(Ordering::Relaxed), cap as usize - 1);
+        // Replacing into a full class moves through a slot of it.
+        let small = (0..cap).find(|&k| c.get(k).is_some()).expect("a class-0 item survives");
+        assert!(c.replace(small, Var::new(small, 1, 20)));
+        assert_eq!(c.get(small).unwrap().used(), Var::new(small, 1, 20).used());
+        assert!(c.len() <= c.capacity());
+        c.check_slab_invariants();
+    }
+
+    /// Readers race writers that move their keys between classes with
+    /// every write: each read shows the key's own whole value, and never
+    /// a miss, since a move repoints the table before it frees the slot
+    /// the reader may hold.
+    #[test]
+    fn readers_follow_items_across_classes() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        const KEYS: u64 = 8;
+        let c: ClockCache<Var> = ClockCache::new(64);
+        let keys: Vec<u64> = (0..KEYS).collect();
+        for &k in &keys {
+            c.put(k, Var::new(k, 0, 1));
+        }
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut n = 1;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    for &k in &keys {
+                        // 1, 8, 16, 24, 32 words: classes 0 to 4.
+                        c.put(k, Var::new(k, n, (n as usize % 5 * 8).max(1)));
+                    }
+                    n += 1;
+                }
+            });
+            let deadline = Instant::now() + Duration::from_millis(300);
+            let mut shown = 0u64;
+            while Instant::now() < deadline {
+                c.visit_many(&keys, |i, v| {
+                    let v = v.unwrap_or_else(|| panic!("key {i} missed while it moved"));
+                    let used = v.used();
+                    assert!(used.iter().all(|&x| x == used[0]), "torn value for key {i}: {used:x?}");
+                    assert_eq!(used[0] >> 32, keys[i], "key {i} showed a stranger's value");
+                    shown += 1;
+                });
+            }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            assert!(shown > 0);
+        });
+        assert!(c.stats().updates > 0);
+        c.check_slab_invariants();
     }
 }

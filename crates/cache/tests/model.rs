@@ -10,6 +10,7 @@
 #![cfg(cuckoo_model)]
 
 use cache::ClockCache;
+use cuckoo::Plain;
 use loom::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -95,25 +96,27 @@ fn fixed_delete_ordering_passes_same_exploration() {
 }
 
 /// A `visit_many` of keys 10 and 1 racing `writer`, over a cache
-/// holding `[key; 4]` under each: key 1 in slab slot 0, where the CLOCK
-/// hand starts (every recency bit cleared, so its next sweep evicts key
-/// 1). The writer starts once the reader's group has probed the table,
-/// and the reader's visitor dawdles after key 10, before its slab copy
-/// of key 1, as a slow visitor may — for up to `dawdle` scheduling
-/// points, so the writer acts on the slot the reader already holds and
-/// may still be at it when the copy starts. Key 1 must
-/// show a value from `allowed` or a miss, and key 10 its own value:
-/// never another key's value, never a torn one (an item is copied in
-/// four chunks, each a scheduling point).
-fn read_racing(
-    writer: fn(&ClockCache<[u64; 4]>),
-    allowed: &'static [[u64; 4]],
+/// holding `items[0]` under key 1 and `items[1]` under key 10: key 1 in
+/// slab slot 0, where the CLOCK hand starts (every recency bit cleared,
+/// so its next sweep evicts key 1). The writer starts once the reader's
+/// group has probed the table, and the reader's visitor dawdles after
+/// key 10, before its slab copy of key 1, as a slow visitor may — for up
+/// to `dawdle` scheduling points, so the writer acts on the slot the
+/// reader already holds and may still be at it when the copy starts.
+/// Key 1 must show a value from `allowed`, or a miss if `may_miss`, and
+/// key 10 its own value: never another key's value, never a torn one (an
+/// item is copied in word chunks, each a scheduling point).
+fn read_racing<V: Plain + PartialEq + std::fmt::Debug + Send + Sync + 'static>(
+    items: [V; 2],
+    writer: fn(&ClockCache<V>),
+    allowed: &'static [V],
     dawdle: usize,
+    may_miss: bool,
 ) -> impl Fn() + Send + Sync + 'static {
     move || {
-        let cache: Arc<ClockCache<[u64; 4]>> = Arc::new(ClockCache::new(8));
-        cache.put(1, [1; 4]);
-        cache.put(10, [10; 4]);
+        let cache: Arc<ClockCache<V>> = Arc::new(ClockCache::new(8));
+        cache.put(1, items[0]);
+        cache.put(10, items[1]);
         cache.force_clear_recency();
         // Set by the reader once its group's table probes are done, and by
         // the writer once it is.
@@ -125,7 +128,7 @@ fn read_racing(
                 let mut seen = None;
                 cache.visit_many(&[10, 1], |i, v| {
                     if i == 0 {
-                        assert_eq!(v, Some(&[10; 4]), "key 10 was shown {v:?}");
+                        assert_eq!(v, Some(&items[1]), "key 10 was shown {v:?}");
                         probed.store(true, Ordering::SeqCst);
                         for _ in 0..dawdle {
                             if done.load(Ordering::SeqCst) {
@@ -134,10 +137,10 @@ fn read_racing(
                             loom::thread::yield_now();
                         }
                     } else {
-                        seen = v.copied();
+                        seen = Some(v.copied());
                     }
                 });
-                seen
+                seen.expect("key 1 visited")
             })
         };
         let w = {
@@ -151,8 +154,9 @@ fn read_racing(
             })
         };
         w.join().unwrap();
-        if let Some(v) = r.join().unwrap() {
-            assert!(allowed.contains(&v), "the reader of key 1 was shown {v:?}");
+        match r.join().unwrap() {
+            Some(v) => assert!(allowed.contains(&v), "the reader of key 1 was shown {v:?}"),
+            None => assert!(may_miss, "the reader of key 1 missed it"),
         }
         cache.check_slab_invariants();
     }
@@ -166,6 +170,7 @@ fn visit_many_racing_evict_and_reuse_of_its_slot() {
     loom::model_with(
         loom::Config::random(0x51ab_0001, 600),
         read_racing(
+            [[1u64; 4], [10; 4]],
             |cache| {
                 cache.force_evict_one();
                 cache.put(2, [2; 4]);
@@ -173,6 +178,7 @@ fn visit_many_racing_evict_and_reuse_of_its_slot() {
             },
             &[[1; 4]],
             32,
+            true,
         ),
     );
 }
@@ -183,7 +189,7 @@ fn visit_many_racing_evict_and_reuse_of_its_slot() {
 fn visit_many_racing_an_in_place_put() {
     loom::model_with(
         loom::Config::random(0x51ab_0002, 600),
-        read_racing(|cache| cache.put(1, [7; 4]), &[[1; 4], [7; 4]], 4),
+        read_racing([[1u64; 4], [10; 4]], |cache| cache.put(1, [7; 4]), &[[1; 4], [7; 4]], 4, false),
     );
 }
 
@@ -208,4 +214,99 @@ fn concurrent_deletes_free_once() {
         assert_eq!(wins, 1, "exactly one delete must win");
         cache.check_slab_invariants();
     });
+}
+
+/// A value whose used length is its own: `len` words after the length
+/// word. Its cache has two classes, and a replace between [`SMALL`]
+/// (class 0) and [`BIG`] (class 1) moves the item.
+#[derive(Clone, Copy, Debug)]
+#[repr(C)]
+struct Var {
+    len: u64,
+    words: [u64; 7],
+}
+
+// SAFETY: integers only; any bit pattern is a valid value.
+unsafe impl Plain for Var {
+    fn used_len(&self) -> usize {
+        8 * (1 + self.len as usize)
+    }
+}
+
+impl Var {
+    /// The words that carry the value.
+    fn used(&self) -> &[u64] {
+        &self.words[..(self.len as usize).min(7)]
+    }
+}
+
+/// Values are equal when the words that carry them are.
+impl PartialEq for Var {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.used() == other.used()
+    }
+}
+
+const SMALL: Var = Var { len: 1, words: [1, 0, 0, 0, 0, 0, 0] };
+const BIG: Var = Var { len: 7, words: [7; 7] };
+
+/// A `replace` that moves key 1 from [`SMALL`]'s class to [`BIG`]'s,
+/// racing a reader of key 1 and `remover` (a `delete` of key 1, or the
+/// CLOCK hand). The reader is shown the old value, the new one, whole,
+/// or a miss — never a stranger's value; key 1 ends up gone or holding
+/// the new value; and no slot is free twice or lost.
+fn move_racing(remover: fn(&ClockCache<Var>)) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let cache: Arc<ClockCache<Var>> = Arc::new(ClockCache::new(8));
+        cache.put(1, SMALL);
+        cache.force_clear_recency();
+        let reader = {
+            let cache = Arc::clone(&cache);
+            loom::thread::spawn(move || cache.get(1))
+        };
+        let mover = {
+            let cache = Arc::clone(&cache);
+            loom::thread::spawn(move || cache.replace(1, BIG))
+        };
+        let other = {
+            let cache = Arc::clone(&cache);
+            loom::thread::spawn(move || remover(&cache))
+        };
+        let moved = mover.join().unwrap();
+        other.join().unwrap();
+        if let Some(v) = reader.join().unwrap() {
+            assert!(v == SMALL || v == BIG, "the reader was shown {v:?}");
+        }
+        let after = cache.get(1);
+        assert!(after.is_none() || (after == Some(BIG) && moved), "key 1 holds {after:?}");
+        cache.check_slab_invariants();
+    }
+}
+
+/// A replace moves key 1 to another class while the reader holds its
+/// old slot from the table probe: the reader follows it to the new slot,
+/// and shows the old value or the new one, whole — never a miss.
+#[test]
+fn visit_many_racing_a_move_to_another_class() {
+    loom::model_with(
+        loom::Config::random(0x51ab_0003, 600),
+        read_racing([SMALL, BIG], |cache| assert!(cache.replace(1, BIG)), &[SMALL, BIG], 48, false),
+    );
+}
+
+/// A cross-class replace racing a reader and a `delete` of the key.
+#[test]
+fn a_move_to_another_class_racing_a_reader_and_a_delete() {
+    loom::model_with(
+        loom::Config::random(0xc1a5_0002, 400),
+        move_racing(|cache| {
+            cache.delete(1);
+        }),
+    );
+}
+
+/// A cross-class replace racing a reader and the CLOCK hand.
+#[test]
+fn a_move_to_another_class_racing_a_reader_and_the_hand() {
+    loom::model_with(loom::Config::random(0xc1a5_0003, 400), move_racing(|cache| cache.force_evict_one()));
 }

@@ -24,7 +24,16 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 /// tolerated for reads we immediately validate, but implementors should
 /// prefer padding-free layouts). `bool`, enums with niches, references,
 /// and `NonZero*` types must **not** implement this trait.
-pub unsafe trait Plain: Copy {}
+pub unsafe trait Plain: Copy {
+    /// How many leading bytes carry this value: the bytes past them may
+    /// be any bytes without changing what it means. A store that sizes
+    /// its slots by the value (the CLOCK cache's slab) keeps only these.
+    /// The whole value unless an implementor says less.
+    #[inline]
+    fn used_len(&self) -> usize {
+        size_of_val(self)
+    }
+}
 
 macro_rules! impl_plain {
     ($($t:ty),* $(,)?) => {

@@ -5,14 +5,14 @@
 //! - [`ClockStore`] (the default) fronts [`cache::ClockCache`] — the
 //!   MemC3-style bounded cache. Byte-string keys are mapped onto the
 //!   table's `u64` key space with the workspace's SipHash-1-3 (seeded per
-//!   process), and the full key + value + metadata are packed into a
-//!   fixed [`InlineEntry`]. The cuckoo table maps the key hash to a slab
-//!   slot, and the entry lives in that slot of the cache's CLOCK slab,
-//!   so a read is the table's optimistic probe plus one validated copy
-//!   of the slot, with zero locking. This mirrors the paper's §6 MemC3
-//!   evaluation, which uses small fixed-size items; items that do not
-//!   fit the inline budget are refused with `SERVER_ERROR object too
-//!   large for cache`.
+//!   process), and the full key + value + metadata are packed into an
+//!   [`InlineEntry`]. The cuckoo table maps the key hash to a slab slot,
+//!   and the entry lives in that slot of the cache's CLOCK slab, in the
+//!   smallest line-multiple size class that holds it, so a read is the
+//!   table's optimistic probe plus one validated copy of the slot, with
+//!   zero locking. This mirrors the paper's §6 MemC3 evaluation, which
+//!   uses small items; items that do not fit the inline budget are
+//!   refused with `SERVER_ERROR object too large for cache`.
 //! - [`CuckooStore`] (`--no-evict`) fronts [`cuckoo::CuckooMap`] — the
 //!   general auto-resizing table. Arbitrary item sizes, no eviction:
 //!   the working set is bounded only by memory, as when `cuckood` is
@@ -122,9 +122,13 @@ pub struct StoreStats {
     pub capacity: usize,
     /// Bytes the engine's index occupies: the cuckoo table (buckets,
     /// metadata, lock stripes, counters) and, for the clock engine, the
-    /// CLOCK slab beside it, which holds the items (reserved for a full
-    /// cache, resident as slots are first used); for the growing engine,
-    /// also any expansion target and retired table not yet freed.
+    /// CLOCK slab beside it, which holds the items. The slab is reserved,
+    /// not resident: each of its five size classes reserves room for a
+    /// full cache of its items (about 1 KB per item in all), and pages
+    /// become resident as slots are first used, so a full cache of
+    /// 49-byte items is resident for about 128 B per item. For the
+    /// growing engine, also any expansion target and retired table not
+    /// yet freed.
     pub table_bytes: usize,
     /// Item slots in the engine's cuckoo table. The clock engine fills at
     /// most 95 % of them, so `capacity` is below this; for the growing
@@ -226,15 +230,18 @@ pub trait Store: Send + Sync + 'static {
 }
 
 // ---------------------------------------------------------------------------
-// ClockStore: bounded cache, fixed-size items in the CLOCK slab
+// ClockStore: bounded cache, items in the size-classed CLOCK slab
 // ---------------------------------------------------------------------------
 
 /// Inline item budget: key + value together. With the 24-byte header the
-/// whole entry is 256 bytes: one slab slot of four cache lines.
+/// largest entry is 256 bytes, which with the slab slot's own 16-byte
+/// header takes the slab's largest class, five cache lines.
 pub const INLINE_DATA: usize = 232;
 
-/// A complete item (key, value, metadata) packed into a POD block so it
-/// fills one slot of the CLOCK slab, where readers copy it lock-free and
+/// A complete item (key, value, metadata) packed into a POD block. The
+/// CLOCK slab keeps its [used bytes](Plain::used_len) in a slot of the
+/// smallest line-multiple class that holds them (17-byte keys with
+/// 32-byte values: two lines), where readers copy it lock-free and
 /// validate the copy against the slot's version word.
 #[derive(Clone, Copy)]
 #[repr(C)]
@@ -251,7 +258,13 @@ pub struct InlineEntry {
 // SAFETY: all fields are integers or byte arrays; every bit pattern is a
 // valid value. Lengths are re-clamped on every read, so even a torn
 // (pre-validation) copy cannot index out of bounds.
-unsafe impl Plain for InlineEntry {}
+unsafe impl Plain for InlineEntry {
+    /// The header, key and value: the CLOCK slab keeps these bytes only,
+    /// in the smallest slot class that holds them.
+    fn used_len(&self) -> usize {
+        core::mem::offset_of!(InlineEntry, bytes) + self.klen as usize + self.vlen as usize
+    }
+}
 
 impl InlineEntry {
     fn new(key: &[u8], flags: u32, expires_at: u32, cas: u64, data: &[u8]) -> Option<Self> {
@@ -1397,5 +1410,67 @@ mod tests {
         let st = s.stats();
         assert!(st.len <= st.capacity);
         assert!(st.cache.evictions > 0);
+    }
+
+    /// An item of `n` key + value bytes: a key of up to four bytes that
+    /// names `n`, the rest value bytes.
+    fn sized_item(n: usize) -> (Vec<u8>, Vec<u8>) {
+        let key = format!("{n:04}").into_bytes()[4 - n.min(4)..].to_vec();
+        let value = vec![n as u8; n - key.len()];
+        (key, value)
+    }
+
+    /// Sets a fresh `n`-byte item under a six-byte key `i`.
+    fn set_filler(s: &ClockStore, i: usize, n: usize) {
+        assert!(stored(s.store(StoreVerb::Set, format!("{i:06}").as_bytes(), 0, 0, &vec![0; n - 6], 0)));
+    }
+
+    /// Every total of key + value bytes, 0 to the 232-byte cap, across
+    /// every class edge of the slab: `set`, read back with its cas,
+    /// `replace` into another class and back, `delete`. With `refill`,
+    /// a fresh item of each of the two classes then takes the room the
+    /// round freed, so a full cache stays full and every class keeps
+    /// its items.
+    fn sweep_item_sizes(s: &ClockStore, refill: bool) {
+        for n in 0..=INLINE_DATA {
+            let (key, value) = sized_item(n);
+            let StoreOutcome::Stored { cas, .. } = s.store(StoreVerb::Set, &key, 7, 0, &value, 0) else {
+                panic!("{n}-byte item refused")
+            };
+            let got = s.get(&key, 0).unwrap_or_else(|| panic!("{n}-byte item missing"));
+            assert_eq!((got.flags, got.cas, &got.data), (7, cas, &value), "{n}-byte item");
+            // 116 bytes away is always another class: the classes are 64
+            // bytes apart.
+            let other = if n <= 116 { n + 116 } else { n - 116 };
+            let moved = vec![!(n as u8); other.saturating_sub(key.len())];
+            for v in [&moved, &value] {
+                assert!(stored(s.store(StoreVerb::Replace, &key, 8, 0, v, 0)), "{n}-byte item");
+                assert_eq!(&s.get(&key, 0).unwrap().data, v, "{n}-byte item");
+            }
+            assert!(s.delete(&key), "{n}-byte item");
+            assert!(s.get(&key, 0).is_none());
+            if refill {
+                set_filler(s, 1000 + 2 * n, n.max(6));
+                set_filler(s, 1001 + 2 * n, other.max(6));
+            }
+            assert!(s.cache.len() <= s.cache.capacity());
+            s.cache.check_slab_invariants();
+        }
+        let (key, value) = sized_item(INLINE_DATA);
+        assert_eq!(s.store(StoreVerb::Set, &key, 0, 0, &[&value[..], b"x"].concat(), 0), StoreOutcome::TooLarge);
+    }
+
+    #[test]
+    fn clock_store_items_of_every_size_cross_every_class() {
+        sweep_item_sizes(&ClockStore::new(1024), false);
+        // Full, holding items of every class, and kept so: each item's
+        // `set` and first move evict.
+        let s = ClockStore::new(64);
+        for i in 0..4 * 64 {
+            set_filler(&s, i, [10, 60, 130, 190, 225][i % 5]);
+        }
+        let evictions = s.stats().cache.evictions;
+        sweep_item_sizes(&s, true);
+        assert!(s.stats().cache.evictions >= evictions + 2 * INLINE_DATA as u64, "{:?}", s.stats().cache);
     }
 }

@@ -455,7 +455,7 @@ pub fn pinned() -> Vec<Mutant> {
             "cache-skip-slot-revalidate",
             "crates/cache/src/lib.rs",
             Op::Replace {
-                find: "let stable = hdr.word.load(Ordering::Acquire) == w;".into(),
+                find: "let stable = word.load(Ordering::Acquire) == w;".into(),
                 replace: "let stable = true;".into(),
             },
             Kill::Test {
