@@ -13,12 +13,12 @@
 //!
 //! - the cuckoo map stores `key → slot`, about 12 bytes per table slot,
 //!   where `slot` names a size class of the side **slab** and a slot in
-//!   it. The classes are line multiples (64, 128, … bytes, up to the one
-//!   that holds the largest `V`), and an item takes the smallest slot
-//!   that holds its [used length](Plain::used_len). A slot is a 16-byte
-//!   header — the owning key, and one word that combines the slot's
-//!   lifecycle with a seqlock version (the idiom of `cuckoo::sync`) —
-//!   followed by the item's bytes. An 8-way bucket is 1.5 lines whatever
+//!   it. The classes are the strides of [`STRIDES`] (64, 80, 96, … 320
+//!   bytes, up to the one that holds the largest `V`), and an item takes
+//!   the smallest slot that holds its [used length](Plain::used_len). A
+//!   slot is a 16-byte header — the owning key, and one word that
+//!   combines the slot's lifecycle with a seqlock version (the idiom of
+//!   `cuckoo::sync`) — followed by the item's bytes. An 8-way bucket is 1.5 lines whatever
 //!   the value size, and a cuckoo displacement moves 12 bytes, not the
 //!   item;
 //! - `GET` is the map's lock-free optimistic read of the slot, then a
@@ -47,7 +47,7 @@
 //! - each class reserves room for the whole capacity, allocated zeroed
 //!   and mapped lazily, and hands out slots densely from index 0, so
 //!   resident memory follows the resident items and their sizes, not the
-//!   capacity.
+//!   capacity; [`ClockCache::memory_bytes`] counts what is handed out.
 //!
 //! Recency is approximate under races (a `GET` may mark a slot that was
 //! just recycled) — which is CLOCK's nature and why MemC3 chose it: "a
@@ -86,11 +86,20 @@ const WRITING: u64 = 1 << 2;
 /// (CHANGES.md has the rows).
 const MULTIGET_GROUP: usize = 8;
 
-/// A cache line, and the step between size classes.
+/// A cache line.
 const LINE: usize = 64;
 
+/// The slab's slot sizes, smallest first: a cache of `V` uses those
+/// below `HEAD + size_of::<V>()` and the first that holds it. Each is a
+/// multiple of 16 whose slots, wherever they start, span no more lines
+/// than their size needs (`ceil(stride / 64)`), so a read copies no
+/// line a larger class would not: 112 is left out, since its slot at
+/// offset 48 spans three lines. Eight classes keep a slot name's class
+/// in three bits.
+pub const STRIDES: [usize; 8] = [64, 80, 96, 128, 160, 192, 256, 320];
+
 /// Bytes of a slot's header: its word, then its owner.
-const HEAD: usize = 16;
+pub const HEAD: usize = 16;
 
 /// The most of its table's slots a cache fills, in percent. Filling an
 /// empty table, the insert search first fails at load 0.977–0.986
@@ -128,7 +137,7 @@ struct Class {
     words: Box<[std::sync::atomic::AtomicU64]>,
     /// Index of the first line-aligned word.
     first: usize,
-    /// Bytes from one slot to the next: a line multiple.
+    /// Bytes from one slot to the next: one of [`STRIDES`].
     stride: usize,
     #[cfg(cuckoo_model)]
     heads: Box<[Head]>,
@@ -145,6 +154,8 @@ struct Class {
     /// Slots out of the free stack (SETUP, USED or EVICTING): steers
     /// eviction to a class that holds items.
     held: AtomicUsize,
+    /// Items the CLOCK hand evicted from this class.
+    evictions: AtomicU64,
 }
 
 impl Class {
@@ -167,6 +178,7 @@ impl Class {
             bump: AtomicUsize::new(0),
             hand: AtomicUsize::new(0),
             held: AtomicUsize::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
@@ -284,7 +296,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// `get` calls that missed.
     pub misses: u64,
-    /// Entries evicted by the CLOCK hand.
+    /// Entries evicted by the CLOCK hand, summed over the size classes.
     pub evictions: u64,
     /// Second chances granted (recency bit cleared instead of evicting).
     pub second_chances: u64,
@@ -299,6 +311,22 @@ pub struct CacheStats {
     /// [`ClockCache::record_expiration`] (the cache itself has no clock;
     /// the layer that stamps lifetimes also detects their end).
     pub expirations: u64,
+}
+
+/// One size class of a [`ClockCache`]'s slab, as memcached's `stats
+/// slabs` reports it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClassStats {
+    /// Bytes of a slot: its 16-byte header and the largest item it holds.
+    pub stride: usize,
+    /// Slots handed out so far, the class's resident prefix: held or free.
+    pub slots: usize,
+    /// Slots holding an item, or being filled or emptied.
+    pub held: usize,
+    /// Handed-out slots back on the free stack.
+    pub free: usize,
+    /// Items the CLOCK hand evicted from this class.
+    pub evictions: u64,
 }
 
 /// A fixed-capacity concurrent cache with CLOCK eviction over a cuckoo+
@@ -323,14 +351,14 @@ pub struct CacheStats {
 pub struct ClockCache<V: Plain> {
     /// The index: key → slot name (`index << CLASS_BITS | class`).
     map: OptimisticCuckooMap<u64, u32, 8>,
-    /// The slab, one class per line multiple up to the largest `V`.
+    /// The slab, one class per stride of [`STRIDES`] up to the one that
+    /// holds the largest `V`.
     classes: Box<[Class]>,
     /// Slots out of the free stacks, across classes: at most `capacity`.
     held: AtomicUsize,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     second_chances: AtomicU64,
     inserts: AtomicU64,
     updates: AtomicU64,
@@ -345,9 +373,15 @@ pub struct ClockCache<V: Plain> {
 }
 
 impl<V: Plain> ClockCache<V> {
-    /// Size classes: line multiples up to the one that holds the largest
-    /// item (header and a whole `V`).
-    const CLASSES: usize = (HEAD + size_of::<V>()).div_ceil(LINE);
+    /// Size classes: the strides below the largest item (header and a
+    /// whole `V`), and one that holds it.
+    const CLASSES: usize = {
+        let mut n = 1;
+        while n < STRIDES.len() && STRIDES[n - 1] < HEAD + size_of::<V>() {
+            n += 1;
+        }
+        n
+    };
 
     /// Low bits of a slot name that name its class.
     const CLASS_BITS: u32 = usize::BITS - (Self::CLASSES - 1).leading_zeros();
@@ -372,12 +406,11 @@ impl<V: Plain> ClockCache<V> {
         let capacity = capacity.min(map.capacity() * MAX_LOAD_PERCENT / 100);
         ClockCache {
             map,
-            classes: (1..=Self::CLASSES).map(|lines| Class::new(capacity, lines * LINE)).collect(),
+            classes: (0..Self::CLASSES).map(|c| Class::new(capacity, Self::stride(c))).collect(),
             held: AtomicUsize::new(0),
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             second_chances: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             updates: AtomicU64::new(0),
@@ -411,18 +444,36 @@ impl<V: Plain> ClockCache<V> {
         self.len() == 0
     }
 
-    /// Heap footprint reserved for the cache: the cuckoo table (buckets,
-    /// lock stripes, sharded counter) plus the slab. Each slab class
-    /// reserves slots, recency bits and free stack for the whole
-    /// capacity, since every item may take the same class, so this is
-    /// the sum over the classes. Fixed at construction — the cache never
-    /// resizes — so owners can report it (e.g. `cuckood`'s `stats`)
-    /// without taking any locks. The slab is reserved, not resident: a
-    /// class's pages are mapped as its slots are first handed out, so a
-    /// full cache is resident for its items' classes only.
+    /// Heap bytes the cache holds: the cuckoo table (buckets, lock
+    /// stripes, sharded counter) plus every slab slot handed out so far,
+    /// with its recency byte. Each class reserves room for the whole
+    /// capacity, since every item may take the same class, but its pages
+    /// are mapped only as its slots are first handed out, densely from
+    /// index 0; so this follows the items stored and their classes, and
+    /// never falls, since a freed slot stays handed out for reuse. Read
+    /// without locks, so owners can report it (e.g. `cuckood`'s `stats`).
     pub fn memory_bytes(&self) -> usize {
-        let per_slot = |c: &Class| c.stride + size_of::<AtomicU8>() + size_of::<u32>();
-        self.map.memory_bytes() + self.capacity * self.classes.iter().map(per_slot).sum::<usize>()
+        // ORDERING: advisory.relaxed
+        let slab = |c: &Class| c.bump.load(Ordering::Relaxed) * (c.stride + size_of::<AtomicU8>());
+        self.map.memory_bytes() + self.classes.iter().map(slab).sum::<usize>()
+    }
+
+    /// Each size class's stride and slot counts, smallest first. Takes
+    /// each class's free-stack lock: for reporting, not for hot paths.
+    pub fn class_stats(&self) -> Vec<ClassStats> {
+        let stats = |class: &Class| {
+            let free = class.free.lock().expect("freelist mutex poisoned");
+            ClassStats {
+                stride: class.stride,
+                // ORDERING: advisory.relaxed
+                slots: class.bump.load(Ordering::Relaxed),
+                // ORDERING: advisory.relaxed
+                held: class.held.load(Ordering::Relaxed),
+                free: free.len(),
+                evictions: class.evictions.load(Ordering::Relaxed),
+            }
+        };
+        self.classes.iter().map(stats).collect()
     }
 
     /// Point-in-time statistics.
@@ -430,7 +481,7 @@ impl<V: Plain> ClockCache<V> {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: self.classes.iter().map(|c| c.evictions.load(Ordering::Relaxed)).sum(),
             second_chances: self.second_chances.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             updates: self.updates.load(Ordering::Relaxed),
@@ -471,10 +522,23 @@ impl<V: Plain> ClockCache<V> {
         self.misses.fetch_add(misses, Ordering::Relaxed);
     }
 
-    /// The class whose slots hold `v`: the smallest line multiple that
-    /// holds the header and `v`'s used bytes.
+    /// Bytes of a slot of class `c`: its stride in [`STRIDES`], or, for
+    /// the last class of a `V` larger than every stride, the whole item
+    /// rounded up to a line.
+    fn stride(c: usize) -> usize {
+        let whole = HEAD + size_of::<V>();
+        if c + 1 == Self::CLASSES && STRIDES[c] < whole {
+            whole.next_multiple_of(LINE)
+        } else {
+            STRIDES[c]
+        }
+    }
+
+    /// The class whose slots hold `v`: the smallest stride that holds the
+    /// header and `v`'s used bytes.
     fn class_of(v: &V) -> usize {
-        (HEAD + v.used_len().min(size_of::<V>())).div_ceil(LINE).max(1) - 1
+        let need = HEAD + v.used_len().min(size_of::<V>());
+        STRIDES[..Self::CLASSES - 1].iter().take_while(|&&stride| stride < need).count()
     }
 
     /// The name the table stores for slot `i` of class `c`.
@@ -1063,7 +1127,7 @@ impl<V: Plain> ClockCache<V> {
             // model checker's seeded ABA bug). The slot is ours to
             // reclaim either way.
             if self.map.remove_if(&key, |&s| s == t).is_some() {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                class.evictions.fetch_add(1, Ordering::Relaxed);
             }
             self.release_slot(t, w);
             return true;
@@ -1385,18 +1449,34 @@ mod tests {
         assert_eq!(c.len(), 16);
     }
 
+    /// `memory_bytes` is the table plus each slot handed out, with its
+    /// recency byte: a fresh slot adds its stride and one byte, while a
+    /// delete, a reuse and an in-place write add nothing.
     #[test]
-    fn memory_footprint_is_fixed() {
+    fn memory_bytes_counts_the_slots_handed_out() {
+        // 16 + 64 bytes: every item takes an 80-byte slot.
         let c: ClockCache<[u8; 64]> = ClockCache::new(1024);
+        let per_slot = 80 + size_of::<AtomicU8>();
         let empty = c.memory_bytes();
-        // At least the slab's items.
-        assert!(empty > 1024 * 64);
+        assert_eq!(empty, c.map.memory_bytes(), "an empty cache holds no slab slot");
+        for k in 0..100u64 {
+            c.put(k, [k as u8; 64]);
+            assert_eq!(c.memory_bytes(), empty + (k as usize + 1) * per_slot);
+        }
+        c.put(5, [0; 64]);
+        for k in 0..10u64 {
+            c.delete(k);
+        }
+        assert_eq!(c.memory_bytes(), empty + 100 * per_slot, "an in-place write or a delete");
+        for k in 100..110u64 {
+            c.put(k, [0; 64]);
+        }
+        assert_eq!(c.memory_bytes(), empty + 100 * per_slot, "freed slots are reused first");
+        // Churn past the capacity: the slab stops at one slot per item.
         for k in 0..10_000u64 {
             c.put(k, [0; 64]);
         }
-        // The cache never allocates after construction: same footprint
-        // at full occupancy (with evictions churning) as when empty.
-        assert_eq!(c.memory_bytes(), empty);
+        assert_eq!(c.memory_bytes(), empty + c.capacity() * per_slot);
     }
 
     /// Slots are handed out densely from index 0, and a returned slot is
@@ -1535,31 +1615,89 @@ mod tests {
         c.at(c.map.get(&key).expect("resident")).0
     }
 
-    /// Each item takes the smallest line multiple that holds its header
-    /// and used bytes, and a replace into another class moves it there
-    /// and back, freeing the slot it left.
+    /// Every stride is a multiple of 16 whose slots span no more lines
+    /// than their size needs at every offset a slot of it can start at,
+    /// and the largest item of the widest `V` here fits the last one.
+    #[test]
+    fn strides_never_straddle_an_extra_line() {
+        assert!(STRIDES.windows(2).all(|w| w[0] < w[1]), "{STRIDES:?} ascend");
+        for stride in STRIDES {
+            assert_eq!(stride % 16, 0, "{stride}");
+            for i in 0..LINE {
+                let start = i * stride % LINE;
+                let lines = (start + stride).div_ceil(LINE);
+                assert_eq!(lines, stride.div_ceil(LINE), "a {stride}-byte slot at offset {start}");
+            }
+        }
+        // 112 would: its slot at offset 48 spans three lines.
+        assert_eq!((112 % LINE + 112).div_ceil(LINE), 3);
+        assert_eq!(ClockCache::<Var>::CLASSES, STRIDES.len(), "16 + 296 bytes: every class");
+        assert_eq!(ClockCache::<Var>::CLASS_BITS, 3);
+        assert_eq!(ClockCache::<u64>::CLASSES, 1);
+        // A `V` past the last stride widens the last class to hold it.
+        assert_eq!(ClockCache::<[u8; 400]>::stride(STRIDES.len() - 1), 448);
+    }
+
+    /// Each item takes the smallest stride that holds its header and used
+    /// bytes, and a replace into another class moves it there and back,
+    /// freeing the slot it left.
     #[test]
     fn items_take_the_smallest_class_that_holds_them() {
         let c: ClockCache<Var> = ClockCache::new(64);
-        assert_eq!(ClockCache::<Var>::CLASSES, 5, "16 + 296 bytes: five lines");
-        // Header + length word + `len` words, against 64-byte steps.
-        for (len, class) in [(0, 0), (5, 0), (6, 1), (13, 1), (14, 2), (29, 3), (30, 4), (36, 4)] {
+        // Header + length word + `len` words: 24 + 8 × `len` bytes.
+        for len in 0..=36 {
+            let need = HEAD + Var::new(0, 0, len).used_len();
+            let smallest = STRIDES.iter().position(|&s| s >= need).expect("the last stride holds any Var");
+            assert_eq!(ClockCache::<Var>::class_of(&Var::new(0, 0, len)), smallest, "{len} words");
+            assert!(smallest == 0 || STRIDES[smallest - 1] < need);
+        }
+        let table = [(0, 0), (5, 0), (6, 1), (7, 1), (8, 2), (9, 2), (10, 3), (13, 3), (14, 4), (17, 4)];
+        for (len, class) in table.into_iter().chain([(18, 5), (21, 5), (22, 6), (29, 6), (30, 7), (36, 7)]) {
             let key = 100 + len as u64;
             c.put(key, Var::new(key, 0, len));
             assert_eq!(class_of_key(&c, key), class, "{len} words");
             assert_eq!(c.get(key).unwrap().used(), Var::new(key, 0, len).used());
         }
         c.put(1, Var::new(1, 0, 1));
-        for (n, len) in [(1, 30), (2, 2), (3, 13), (4, 13)] {
+        for (n, len) in [(1, 30), (2, 2), (3, 8), (4, 9), (5, 13)] {
             assert!(c.replace(1, Var::new(1, n, len)));
             assert_eq!(c.get(1).unwrap().used(), Var::new(1, n, len).used());
         }
-        assert_eq!(class_of_key(&c, 1), 1);
-        // The moves left their old slots free: class 4 holds two items
-        // (the 30- and 36-word ones), class 0 the two small ones.
-        assert_eq!(c.classes[4].held.load(Ordering::Relaxed), 2);
-        assert_eq!(c.classes[0].held.load(Ordering::Relaxed), 2);
-        assert_eq!(c.stats().updates, 4);
+        assert_eq!(class_of_key(&c, 1), 3);
+        // The moves left their old slots free: class 7 holds the two
+        // items of 30 and 36 words, class 0 the two of 0 and 5, class 3
+        // those of 10 and 13 words and key 1.
+        let held: Vec<usize> = c.class_stats().iter().map(|s| s.held).collect();
+        assert_eq!(held, [2, 2, 2, 3, 2, 2, 2, 2]);
+        assert_eq!(c.stats().updates, 5);
+        c.check_slab_invariants();
+    }
+
+    /// `class_stats` reports each class's stride, its slots handed out,
+    /// held and free, and its own evictions, which sum to the cache's.
+    #[test]
+    fn class_stats_report_what_each_class_holds() {
+        let c: ClockCache<Var> = ClockCache::new(32);
+        let cap = c.capacity() as u64;
+        for k in 0..4 {
+            c.put(k, Var::new(k, 0, 7)); // 80-byte slots
+        }
+        c.put(10, Var::new(10, 0, 9)); // a 96-byte slot
+        c.delete(0);
+        let s = c.class_stats();
+        assert_eq!(s.iter().map(|s| s.stride).collect::<Vec<_>>(), STRIDES);
+        assert_eq!(s[1], ClassStats { stride: 80, slots: 4, held: 3, free: 1, evictions: 0 });
+        assert_eq!(s[2], ClassStats { stride: 96, slots: 1, held: 1, free: 0, evictions: 0 });
+        assert!(s.iter().enumerate().all(|(i, s)| i == 1 || i == 2 || s.slots == 0));
+        // Class-0 items past the capacity: once class 0 holds items, the
+        // hand evicts there.
+        for k in 100..100 + cap {
+            c.put(k, Var::new(k, 0, 1));
+        }
+        let s = c.class_stats();
+        let evicted: u64 = s.iter().map(|s| s.evictions).sum();
+        assert!(s[0].evictions > 0 && evicted == c.stats().evictions, "{s:?}");
+        assert_eq!(s.iter().map(|s| s.held).sum::<usize>(), c.len());
         c.check_slab_invariants();
     }
 
@@ -1573,19 +1711,21 @@ mod tests {
             c.put(k, Var::new(k, 0, 1));
         }
         assert_eq!(c.stats().evictions, 0);
-        // Class 2 holds nothing: its first item evicts one of class 0's.
+        // The 192-byte class holds nothing: its first item evicts one of
+        // class 0's.
         c.put(cap, Var::new(cap, 0, 20));
-        assert_eq!(class_of_key(&c, cap), 2);
+        assert_eq!(class_of_key(&c, cap), 5);
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.len(), cap as usize);
-        // Now class 2 holds an item: more of them evict their own class,
+        // Now class 5 holds an item: more of them evict their own class,
         // so the class keeps the share it had when the cache filled.
         for k in cap + 1..cap + 8 {
             c.put(k, Var::new(k, 0, 20));
         }
         assert_eq!(c.stats().evictions, 8);
-        assert_eq!(c.classes[2].held.load(Ordering::Relaxed), 1);
-        assert_eq!(c.classes[0].held.load(Ordering::Relaxed), cap as usize - 1);
+        let s = c.class_stats();
+        assert_eq!((s[5].held, s[5].evictions), (1, 7));
+        assert_eq!((s[0].held, s[0].evictions), (cap as usize - 1, 1));
         // Replacing into a full class moves through a slot of it.
         let small = (0..cap).find(|&k| c.get(k).is_some()).expect("a class-0 item survives");
         assert!(c.replace(small, Var::new(small, 1, 20)));
@@ -1603,7 +1743,12 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         use std::time::{Duration, Instant};
         const KEYS: u64 = 8;
+        // 1, 7, 9, 13, 16, 32 words: the 64-, 80-, 96-, 128-, 160- and
+        // 320-byte classes.
+        const LENS: [usize; 6] = [1, 7, 9, 13, 16, 32];
         let c: ClockCache<Var> = ClockCache::new(64);
+        let classes = LENS.map(|len| ClockCache::<Var>::class_of(&Var::new(0, 0, len)));
+        assert_eq!(classes, [0, 1, 2, 3, 4, 7]);
         let keys: Vec<u64> = (0..KEYS).collect();
         for &k in &keys {
             c.put(k, Var::new(k, 0, 1));
@@ -1614,8 +1759,7 @@ mod tests {
                 let mut n = 1;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     for &k in &keys {
-                        // 1, 8, 16, 24, 32 words: classes 0 to 4.
-                        c.put(k, Var::new(k, n, (n as usize % 5 * 8).max(1)));
+                        c.put(k, Var::new(k, n, LENS[(n as usize + k as usize) % LENS.len()]));
                     }
                     n += 1;
                 }

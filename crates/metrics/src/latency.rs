@@ -72,8 +72,15 @@ impl LatencyHistogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, nanos: u64) {
-        self.buckets[Self::index_of(nanos)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.record_n(nanos, 1);
+    }
+
+    /// Records `n` samples of the same value: the histogram ends as `n`
+    /// calls of [`record`](Self::record) leave it, at the cost of one.
+    #[inline]
+    pub fn record_n(&self, nanos: u64, n: u64) {
+        self.buckets[Self::index_of(nanos)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
         self.max.fetch_max(nanos, Ordering::Relaxed);
     }
 
@@ -168,6 +175,27 @@ mod tests {
         assert_eq!(h.percentile(1.0), 0);
         assert_eq!(h.percentile(100.0), 31);
         assert_eq!(h.max(), 31);
+    }
+
+    /// `record_n(v, n)` leaves buckets, count, max, mean and percentiles
+    /// as `n` calls of `record(v)` do.
+    #[test]
+    fn record_n_equals_n_records() {
+        let (one_by_one, at_once) = (LatencyHistogram::new(), LatencyHistogram::new());
+        for (v, n) in [(7u64, 3u64), (1_000, 10), (123_456, 1), (40, 0), (9_876_543, 5), (1_000, 2)] {
+            for _ in 0..n {
+                one_by_one.record(v);
+            }
+            at_once.record_n(v, n);
+        }
+        let counts =
+            |h: &LatencyHistogram| h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect::<Vec<_>>();
+        assert_eq!(counts(&at_once), counts(&one_by_one));
+        assert_eq!((at_once.len(), at_once.max()), (one_by_one.len(), one_by_one.max()));
+        assert_eq!(at_once.mean(), one_by_one.mean());
+        for p in [0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
+            assert_eq!(at_once.percentile(p), one_by_one.percentile(p), "p{p}");
+        }
     }
 
     #[test]

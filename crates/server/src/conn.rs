@@ -23,7 +23,8 @@ use crate::stats::OpClass;
 use crate::store::{StoreCmd, StoreOutcome};
 use crate::ServerCtx;
 
-/// Read chunk size; also the growth step for the receive buffer.
+/// Room a read asks the socket to fill at least; also the growth step
+/// for the receive buffer.
 const READ_CHUNK: usize = 16 * 1024;
 /// Above this, an idle connection's buffers are shrunk back.
 const BUFFER_KEEP: usize = 64 * 1024;
@@ -43,7 +44,11 @@ pub enum PumpResult {
 
 pub struct Conn {
     stream: TcpStream,
+    /// Received bytes, then zeroed room for the next read. Zeroed only
+    /// as it grows, so a read pays no memset.
     rbuf: Vec<u8>,
+    /// Bytes of `rbuf` received and not yet consumed.
+    filled: usize,
     wbuf: Vec<u8>,
     /// Bytes of `wbuf` already written to the socket.
     wpos: usize,
@@ -55,7 +60,7 @@ pub struct Conn {
 
 impl Conn {
     pub fn new(stream: TcpStream) -> Self {
-        Conn { stream, rbuf: Vec::new(), wbuf: Vec::new(), wpos: 0, closing: false, handoff: None }
+        Conn { stream, rbuf: Vec::new(), filled: 0, wbuf: Vec::new(), wpos: 0, closing: false, handoff: None }
     }
 
     /// Duplicates the socket and takes the unflushed response bytes so a
@@ -112,37 +117,31 @@ impl Conn {
         }
     }
 
-    /// Reads until `WouldBlock`/EOF; returns bytes read.
+    /// Reads until the socket has no more for now: a read that fills
+    /// less than the room it was given, `WouldBlock`, or EOF. Bytes that
+    /// arrive later are read on the next pump, since the worker pumps
+    /// again while there is progress. Returns bytes read.
     fn fill(&mut self) -> Result<usize, FillEnd> {
         let mut total = 0;
         loop {
-            let old = self.rbuf.len();
-            self.rbuf.resize(old + READ_CHUNK, 0);
-            match self.stream.read(&mut self.rbuf[old..]) {
-                Ok(0) => {
-                    self.rbuf.truncate(old);
-                    return if total > 0 { Ok(total) } else { Err(FillEnd::Eof) };
-                }
+            if self.rbuf.len() < self.filled + READ_CHUNK {
+                self.rbuf.resize(self.filled + READ_CHUNK, 0);
+            }
+            let room = self.rbuf.len() - self.filled;
+            match self.stream.read(&mut self.rbuf[self.filled..]) {
+                Ok(0) => return if total > 0 { Ok(total) } else { Err(FillEnd::Eof) },
                 Ok(n) => {
-                    self.rbuf.truncate(old + n);
+                    self.filled += n;
                     total += n;
                     // Don't let one firehose connection starve the rest of
                     // the worker's shard.
-                    if total >= 4 * READ_CHUNK {
+                    if n < room || total >= 4 * READ_CHUNK {
                         return Ok(total);
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    self.rbuf.truncate(old);
-                    return Ok(total);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {
-                    self.rbuf.truncate(old);
-                }
-                Err(_) => {
-                    self.rbuf.truncate(old);
-                    return Err(FillEnd::Fatal);
-                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(total),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Err(FillEnd::Fatal),
             }
         }
     }
@@ -154,7 +153,7 @@ impl Conn {
     /// already sitting in the buffer run as one batched store read,
     /// adjacent `set`/`add`/`replace` as one batched store write.
     fn drain_requests(&mut self, ctx: &ServerCtx) -> bool {
-        let mut requests = Requests { buf: &self.rbuf, consumed: 0, ahead: None };
+        let mut requests = Requests { buf: &self.rbuf[..self.filled], consumed: 0, ahead: None };
         let mut any = false;
         while !self.closing && self.handoff.is_none() {
             match requests.next() {
@@ -180,7 +179,8 @@ impl Conn {
         }
         let consumed = requests.consumed;
         if consumed > 0 {
-            self.rbuf.drain(..consumed);
+            self.rbuf.copy_within(consumed..self.filled, 0);
+            self.filled -= consumed;
         }
         any
     }
@@ -209,7 +209,8 @@ impl Conn {
 
     /// Returns oversized buffers to a sane footprint once idle.
     fn maybe_shrink(&mut self) {
-        if self.rbuf.capacity() > BUFFER_KEEP && self.rbuf.len() < BUFFER_KEEP / 2 {
+        if self.rbuf.capacity() > BUFFER_KEEP && self.filled < BUFFER_KEEP / 2 {
+            self.rbuf.truncate(BUFFER_KEEP);
             self.rbuf.shrink_to(BUFFER_KEEP);
         }
         if self.wbuf.capacity() > BUFFER_KEEP && self.wbuf.len() - self.wpos < BUFFER_KEEP / 2 {
@@ -411,6 +412,10 @@ fn execute<'a>(
                     ctx.store.metrics_reset();
                     proto::encode_line(out, "RESET");
                 }
+                proto::StatsArg::Slabs => {
+                    crate::stats::encode_slabs(out, &ctx.store.slab_classes());
+                    proto::encode_end(out);
+                }
             }
             OpClass::Other
         }
@@ -455,4 +460,61 @@ fn execute<'a>(
     };
     ctx.stats.record_served(class, t0, served);
     Action::Continue
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    /// A `set` whose data block spans three read chunks arrives over
+    /// several reads and pumps, some of them short, and reads back whole.
+    #[test]
+    fn a_set_of_three_read_chunks_round_trips() {
+        let handle = crate::spawn(crate::Config {
+            port: 0,
+            capacity: 1 << 10,
+            workers: 1,
+            no_evict: true,
+            ..Default::default()
+        })
+        .expect("spawn");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        served.set_nonblocking(true).unwrap();
+        client.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(served);
+
+        let value: Vec<u8> = (0..3 * READ_CHUNK).map(|i| (i % 251) as u8).collect();
+        let mut request = format!("set big 0 0 {}\r\n", value.len()).into_bytes();
+        request.extend_from_slice(&value);
+        request.extend_from_slice(b"\r\nget big\r\n");
+        let mut expected = format!("STORED\r\nVALUE big 0 {}\r\n", value.len()).into_bytes();
+        expected.extend_from_slice(&value);
+        expected.extend_from_slice(b"\r\nEND\r\n");
+
+        let (mut sent, mut replies) = (0, Vec::new());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while replies.len() < expected.len() {
+            assert!(Instant::now() < deadline, "{} of {} reply bytes", replies.len(), expected.len());
+            match client.write(&request[sent..]) {
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(e) => panic!("client write: {e}"),
+            }
+            assert!(matches!(conn.pump(handle.ctx()), PumpResult::Open { .. }));
+            let mut chunk = [0u8; 4096];
+            match client.read(&mut chunk) {
+                Ok(0) => panic!("server side closed the connection"),
+                Ok(n) => replies.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(e) => panic!("client read: {e}"),
+            }
+        }
+        assert!(replies == expected, "the value came back changed");
+        assert_eq!(conn.filled, 0, "every received byte was consumed");
+        handle.shutdown();
+    }
 }

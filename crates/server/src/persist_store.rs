@@ -170,6 +170,10 @@ impl Store for PersistentStore {
         self.inner.stats()
     }
 
+    fn slab_classes(&self) -> Vec<cache::ClassStats> {
+        self.inner.slab_classes()
+    }
+
     fn engine(&self) -> &'static str {
         self.inner.engine()
     }

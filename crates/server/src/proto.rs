@@ -66,6 +66,9 @@ pub enum StatsArg {
     /// `stats reset` — zero the resettable counters (latency
     /// histograms, cuckoo metric families).
     Reset,
+    /// `stats slabs` — the CLOCK slab's size classes, under memcached's
+    /// field names.
+    Slabs,
 }
 
 impl StatsArg {
@@ -75,6 +78,7 @@ impl StatsArg {
             StatsArg::Cuckoo => "cuckoo",
             StatsArg::Prometheus => "prometheus",
             StatsArg::Reset => "reset",
+            StatsArg::Slabs => "slabs",
         }
     }
 }
@@ -302,6 +306,7 @@ pub fn parse(buf: &[u8]) -> Parsed<'_> {
                 Some(b"cuckoo") => StatsArg::Cuckoo,
                 Some(b"prometheus") => StatsArg::Prometheus,
                 Some(b"reset") => StatsArg::Reset,
+                Some(b"slabs") => StatsArg::Slabs,
                 Some(_) => {
                     return Parsed::Err(ProtoError::client(
                         "bad stats argument",
@@ -688,6 +693,8 @@ mod tests {
         assert_eq!(req, Request::Stats { arg: StatsArg::General });
         let (req, _) = parse_one(b"stats prometheus\r\n");
         assert_eq!(req, Request::Stats { arg: StatsArg::Prometheus });
+        let (req, _) = parse_one(b"stats slabs\r\n");
+        assert_eq!(req, Request::Stats { arg: StatsArg::Slabs });
         match parse(b"stats bogus\r\nversion\r\n") {
             Parsed::Err(e) => {
                 assert_eq!(e.kind, ErrorKind::Client);
@@ -718,6 +725,7 @@ mod tests {
             Request::Stats { arg: StatsArg::Cuckoo },
             Request::Stats { arg: StatsArg::Prometheus },
             Request::Stats { arg: StatsArg::Reset },
+            Request::Stats { arg: StatsArg::Slabs },
             Request::Version,
             Request::Quit,
         ];

@@ -6,6 +6,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+use cache::ClassStats;
 use metrics::latency::LatencyHistogram;
 
 use crate::proto::{encode_stat, encode_stat_u64};
@@ -90,7 +91,8 @@ impl ServerStats {
     /// Records `n` requests served together since `t0` — one, or a
     /// burst: one histogram sample per request, each of the mean, so
     /// `cmd_get` / `cmd_set` count individual requests and the mean
-    /// reflects per-request service time.
+    /// reflects per-request service time. A burst is one histogram
+    /// update.
     pub fn record_served(&self, class: OpClass, t0: Instant, n: usize) {
         let histogram = match class {
             OpClass::Get => &self.get_latency,
@@ -99,9 +101,7 @@ impl ServerStats {
             OpClass::Other => return,
         };
         let per_request = t0.elapsed().as_nanos() as u64 / n as u64;
-        for _ in 0..n {
-            histogram.record(per_request);
-        }
+        histogram.record_n(per_request, n as u64);
     }
 
     /// Records one batched read burst of `keys` keys.
@@ -181,6 +181,27 @@ impl ServerStats {
         self.multiget_keys.store(0, Ordering::Relaxed);
         self.multiset_batches.store(0, Ordering::Relaxed);
         self.multiset_keys.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Renders the `stats slabs` body (without the trailing `END`) under
+/// memcached's field names: per class, numbered from 1, its slot size
+/// (`chunk_size`), slots handed out (`total_chunks`), held
+/// (`used_chunks`), free and evicted; then how many classes have slots
+/// (`active_slabs`) and their bytes (`total_malloced`). An engine with no
+/// slab reports `active_slabs 0` alone.
+pub fn encode_slabs(out: &mut Vec<u8>, classes: &[ClassStats]) {
+    for (n, c) in (1..).zip(classes) {
+        encode_stat_u64(out, &format!("{n}:chunk_size"), c.stride as u64);
+        encode_stat_u64(out, &format!("{n}:total_chunks"), c.slots as u64);
+        encode_stat_u64(out, &format!("{n}:used_chunks"), c.held as u64);
+        encode_stat_u64(out, &format!("{n}:free_chunks"), c.free as u64);
+        encode_stat_u64(out, &format!("{n}:evicted"), c.evictions);
+    }
+    encode_stat_u64(out, "active_slabs", classes.iter().filter(|c| c.slots > 0).count() as u64);
+    if !classes.is_empty() {
+        let malloced: usize = classes.iter().map(|c| c.slots * c.stride).sum();
+        encode_stat_u64(out, "total_malloced", malloced as u64);
     }
 }
 

@@ -8,7 +8,7 @@
 //!   process), and the full key + value + metadata are packed into an
 //!   [`InlineEntry`]. The cuckoo table maps the key hash to a slab slot,
 //!   and the entry lives in that slot of the cache's CLOCK slab, in the
-//!   smallest line-multiple size class that holds it, so a read is the
+//!   smallest size class that holds it, so a read is the
 //!   table's optimistic probe plus one validated copy of the slot, with
 //!   zero locking. This mirrors the paper's §6 MemC3 evaluation, which
 //!   uses small items; items that do not fit the inline budget are
@@ -28,7 +28,7 @@
 
 // ORDERING-FILE: stats.counter — hit/miss/eviction tallies and the monotonic CAS-id allocator.
 
-use cache::{CacheStats, ClockCache};
+use cache::{CacheStats, ClassStats, ClockCache};
 use cuckoo::hash::SipHashBuilder;
 use cuckoo::{CuckooMap, Plain};
 use persist::SetRef;
@@ -122,11 +122,10 @@ pub struct StoreStats {
     pub capacity: usize,
     /// Bytes the engine's index occupies: the cuckoo table (buckets,
     /// metadata, lock stripes, counters) and, for the clock engine, the
-    /// CLOCK slab beside it, which holds the items. The slab is reserved,
-    /// not resident: each of its five size classes reserves room for a
-    /// full cache of its items (about 1 KB per item in all), and pages
-    /// become resident as slots are first used, so a full cache of
-    /// 49-byte items is resident for about 128 B per item. For the
+    /// slots of the CLOCK slab beside it that have been handed out, each
+    /// with its recency byte: what is resident, not what each size class
+    /// reserves. A full cache of 49-byte items (73-byte entries) holds
+    /// 97 B of slab per item, and a fresh one holds none. For the
     /// growing engine, also any expansion target and retired table not
     /// yet freed.
     pub table_bytes: usize,
@@ -217,6 +216,11 @@ pub trait Store: Send + Sync + 'static {
         Ok(())
     }
     fn stats(&self) -> StoreStats;
+    /// The CLOCK slab's size classes, smallest first (`stats slabs`).
+    /// Default: none, for an engine that keeps no slab.
+    fn slab_classes(&self) -> Vec<ClassStats> {
+        Vec::new()
+    }
     /// Human label for the `stats` output.
     fn engine(&self) -> &'static str;
     /// Appends the backend's cuckoo observability samples (`stats
@@ -235,14 +239,14 @@ pub trait Store: Send + Sync + 'static {
 
 /// Inline item budget: key + value together. With the 24-byte header the
 /// largest entry is 256 bytes, which with the slab slot's own 16-byte
-/// header takes the slab's largest class, five cache lines.
+/// header takes the slab's largest class, 320 bytes (five cache lines).
 pub const INLINE_DATA: usize = 232;
 
 /// A complete item (key, value, metadata) packed into a POD block. The
 /// CLOCK slab keeps its [used bytes](Plain::used_len) in a slot of the
-/// smallest line-multiple class that holds them (17-byte keys with
-/// 32-byte values: two lines), where readers copy it lock-free and
-/// validate the copy against the slot's version word.
+/// smallest size class that holds them (17-byte keys with 32-byte
+/// values: a 96-byte slot, two lines), where readers copy it lock-free
+/// and validate the copy against the slot's version word.
 #[derive(Clone, Copy)]
 #[repr(C)]
 pub struct InlineEntry {
@@ -462,6 +466,10 @@ impl Store for ClockStore {
             table_slots: self.cache.table_slots(),
             hash_collisions: self.collisions.load(Ordering::Relaxed),
         }
+    }
+
+    fn slab_classes(&self) -> Vec<ClassStats> {
+        self.cache.class_stats()
     }
 
     fn engine(&self) -> &'static str {
@@ -1439,8 +1447,8 @@ mod tests {
             };
             let got = s.get(&key, 0).unwrap_or_else(|| panic!("{n}-byte item missing"));
             assert_eq!((got.flags, got.cas, &got.data), (7, cas, &value), "{n}-byte item");
-            // 116 bytes away is always another class: the classes are 64
-            // bytes apart.
+            // 116 bytes away is always another class: the classes are at
+            // most 64 bytes apart.
             let other = if n <= 116 { n + 116 } else { n - 116 };
             let moved = vec![!(n as u8); other.saturating_sub(key.len())];
             for v in [&moved, &value] {
@@ -1458,6 +1466,27 @@ mod tests {
         }
         let (key, value) = sized_item(INLINE_DATA);
         assert_eq!(s.store(StoreVerb::Set, &key, 0, 0, &[&value[..], b"x"].concat(), 0), StoreOutcome::TooLarge);
+    }
+
+    /// The largest entry fits the slab's last class, and `table_bytes`
+    /// is the empty store's plus one slot and its recency byte per item:
+    /// 2^16 entries of 73 bytes (17-byte keys, 32-byte values) take
+    /// 96-byte slots.
+    #[test]
+    fn clock_store_table_bytes_count_resident_slots() {
+        assert!(cache::HEAD + size_of::<InlineEntry>() <= cache::STRIDES[cache::STRIDES.len() - 1]);
+        const ITEMS: usize = 1 << 16;
+        let s = ClockStore::new(2 * ITEMS);
+        let empty = s.stats().table_bytes;
+        for i in 0..ITEMS {
+            let key = format!("key:{i:013}");
+            assert!(stored(s.store(StoreVerb::Set, key.as_bytes(), 0, 0, &[b'v'; 32], 0)));
+        }
+        assert_eq!(s.stats().len, ITEMS);
+        assert_eq!(s.stats().table_bytes, empty + ITEMS * (96 + 1));
+        let slabs = s.slab_classes();
+        assert_eq!((slabs[2].stride, slabs[2].slots, slabs[2].held), (96, ITEMS, ITEMS));
+        assert_eq!(slabs.iter().map(|c| c.slots).sum::<usize>(), ITEMS);
     }
 
     #[test]

@@ -55,16 +55,21 @@ impl Client {
 
     /// `stats`: every `STAT name value` line, by name.
     fn stats(&mut self) -> std::collections::HashMap<String, String> {
-        write!(self.writer, "stats\r\n").unwrap();
-        let mut stats = std::collections::HashMap::new();
+        self.stat_lines("stats").into_iter().collect()
+    }
+
+    /// Every `STAT name value` line `command` answers, in order.
+    fn stat_lines(&mut self, command: &str) -> Vec<(String, String)> {
+        write!(self.writer, "{command}\r\n").unwrap();
+        let mut lines = Vec::new();
         loop {
             let line = self.line();
             if line == "END" {
-                return stats;
+                return lines;
             }
             let rest = line.strip_prefix("STAT ").unwrap_or_else(|| panic!("stats line {line:?}"));
             let (name, value) = rest.split_once(' ').unwrap();
-            stats.insert(name.to_string(), value.to_string());
+            lines.push((name.to_string(), value.to_string()));
         }
     }
 
@@ -422,8 +427,51 @@ fn stats_report_table_footprint() {
     };
     assert_eq!(stat("table_slots"), CAPACITY);
     assert_eq!(stat("max_items"), CAPACITY * cache::MAX_LOAD_PERCENT as u64 / 100);
-    // Every slot holds at least its 8-byte key hash.
+    // Every slot holds at least its 8-byte key hash, and the slab counts
+    // the one slot handed out, not each class's reservation.
     assert!(stat("table_bytes") > CAPACITY * 8, "table_bytes {}", stat("table_bytes"));
+    assert!(stat("table_bytes") < 32 << 20, "table_bytes {}", stat("table_bytes"));
+    handle.shutdown();
+}
+
+/// `stats slabs` reports each of the CLOCK slab's eight size classes
+/// under memcached's field names: a 73-byte entry (17-byte key, 32-byte
+/// value) takes a 96-byte slot. The `--no-evict` engine has no slab.
+#[test]
+fn stats_slabs_report_each_size_class() {
+    let handle = server::spawn(server::Config { port: 0, capacity: 1 << 12, workers: 1, ..Default::default() })
+        .expect("spawn");
+    let mut client = Client::connect(handle.local_addr());
+    client.set("key:0000000000017", &[b'v'; 32]);
+    client.set("k", b"v");
+    client.set("gone", b"v");
+    assert!(client.delete("gone"));
+    let slabs = client.stat_lines("stats slabs");
+    let stat = |name: &str| -> u64 {
+        let (_, v) = slabs.iter().find(|(n, _)| n == name).unwrap_or_else(|| panic!("no STAT {name}"));
+        v.parse().unwrap()
+    };
+    let sizes: Vec<u64> = (1..=8).map(|n| stat(&format!("{n}:chunk_size"))).collect();
+    assert_eq!(sizes, [64, 80, 96, 128, 160, 192, 256, 320]);
+    assert_eq!(slabs.len(), 8 * 5 + 2, "{slabs:?}");
+    assert_eq!((stat("1:total_chunks"), stat("1:used_chunks"), stat("1:free_chunks")), (2, 1, 1));
+    assert_eq!((stat("3:total_chunks"), stat("3:used_chunks"), stat("3:free_chunks")), (1, 1, 0));
+    assert_eq!(stat("3:evicted"), 0);
+    assert_eq!(stat("active_slabs"), 2);
+    assert_eq!(stat("total_malloced"), 2 * 64 + 96);
+    handle.shutdown();
+
+    let handle = server::spawn(server::Config {
+        port: 0,
+        capacity: 1 << 12,
+        workers: 1,
+        no_evict: true,
+        ..Default::default()
+    })
+    .expect("spawn");
+    let mut client = Client::connect(handle.local_addr());
+    client.set("k", b"v");
+    assert_eq!(client.stat_lines("stats slabs"), [("active_slabs".to_string(), "0".to_string())]);
     handle.shutdown();
 }
 
