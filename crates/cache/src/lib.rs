@@ -18,9 +18,10 @@
 //!   the smallest slot that holds its [used length](Plain::used_len). A
 //!   slot is a 16-byte header — the owning key, and one word that
 //!   combines the slot's lifecycle with a seqlock version (the idiom of
-//!   `cuckoo::sync`) — followed by the item's bytes. An 8-way bucket is 1.5 lines whatever
-//!   the value size, and a cuckoo displacement moves 12 bytes, not the
-//!   item;
+//!   `cuckoo::sync`) — followed by the item's bytes, in every build: the
+//!   model checker's builds read the same header words. An 8-way bucket
+//!   is 1.5 lines whatever the value size, and a cuckoo displacement
+//!   moves 12 bytes, not the item;
 //! - `GET` is the map's lock-free optimistic read of the slot, then a
 //!   copy of the slab slot validated against its word: the slot must be
 //!   live, unwritten across the copy, and still owned by the key probed.
@@ -109,16 +110,6 @@ pub const HEAD: usize = 16;
 /// churning 4× a 2^18-slot cache's keys took no full-table fallback.
 pub const MAX_LOAD_PERCENT: usize = 95;
 
-/// A slab slot's header, as the model checker sees it: its instrumented
-/// atomics cannot be laid over the slab's words, so model builds keep
-/// the headers in a side array and leave the slot's first 16 bytes
-/// unused.
-#[cfg(cuckoo_model)]
-struct Head {
-    word: AtomicU64,
-    owner: AtomicU64,
-}
-
 /// One size class of the slab: slots of `stride` bytes, each a header
 /// (word, owner) and then the item's bytes.
 ///
@@ -130,17 +121,19 @@ struct Head {
 /// The slots are stored as 8-byte words: std zero-fills an allocation
 /// aligned beyond 16 bytes by hand, touching every page, while a zeroed
 /// array of words stays lazily mapped. The slots start at the first line
-/// boundary inside it. An item access is a racy per-chunk copy
-/// (`cuckoo::racy`), so concurrent readers and writers are defined
-/// behavior; the slot's word says whether a copy is whole.
+/// boundary inside it. The words are `cuckoo::sync2`'s atomics, so a
+/// slot's header is its first two words in every build: in model builds
+/// the checker's instrumented atomics are laid out as std's, and each
+/// header access is one of its scheduling points. An item access is a
+/// racy per-chunk copy (`cuckoo::racy`), so concurrent readers and
+/// writers are defined behavior; the slot's word says whether a copy is
+/// whole.
 struct Class {
-    words: Box<[std::sync::atomic::AtomicU64]>,
+    words: Box<[AtomicU64]>,
     /// Index of the first line-aligned word.
     first: usize,
     /// Bytes from one slot to the next: one of [`STRIDES`].
     stride: usize,
-    #[cfg(cuckoo_model)]
-    heads: Box<[Head]>,
     /// CLOCK recency bits, one per slot.
     recency: Box<[AtomicU8]>,
     /// Slots returned by evictions, deletes and moves; reused before
@@ -161,17 +154,15 @@ struct Class {
 impl Class {
     /// A class of `n` slots of `stride` bytes.
     fn new(n: usize, stride: usize) -> Self {
-        // SAFETY: zero bytes are a valid atomic word, and a FREE header at
-        // version 0.
-        let words: Box<[std::sync::atomic::AtomicU64]> = unsafe { zeroed_slice((n * stride + LINE) / 8) };
+        // SAFETY: zero bytes are a valid atomic word — in model builds too,
+        // where the checker's atomics are laid out as std's — and a FREE
+        // header at version 0.
+        let words: Box<[AtomicU64]> = unsafe { zeroed_slice((n * stride + LINE) / 8) };
         let first = words.as_ptr().cast::<u8>().align_offset(LINE) / 8;
         Class {
             words,
             first,
             stride,
-            // SAFETY: zero bytes are a FREE header at version 0.
-            #[cfg(cuckoo_model)]
-            heads: unsafe { zeroed_slice(n) },
             // SAFETY: zero bytes are a clear recency bit.
             recency: unsafe { zeroed_slice(n) },
             free: Mutex::new(Vec::with_capacity(n)),
@@ -184,7 +175,7 @@ impl Class {
 
     /// The words of slot `i`, header first (bounds-checked).
     #[inline]
-    fn slot(&self, i: usize) -> &[std::sync::atomic::AtomicU64] {
+    fn slot(&self, i: usize) -> &[AtomicU64] {
         let at = self.first + i * self.stride / 8;
         &self.words[at..at + self.stride / 8]
     }
@@ -193,27 +184,15 @@ impl Class {
     /// 0..2). Each write window advances the version by two, so a reader
     /// that sees one word before and after its copy saw no write and no
     /// reuse.
-    #[cfg(not(cuckoo_model))]
     #[inline]
     fn word(&self, i: usize) -> &AtomicU64 {
         &self.slot(i)[0]
     }
 
     /// Slot `i`'s owning key, written only inside a write window.
-    #[cfg(not(cuckoo_model))]
     #[inline]
     fn owner(&self, i: usize) -> &AtomicU64 {
         &self.slot(i)[1]
-    }
-
-    #[cfg(cuckoo_model)]
-    fn word(&self, i: usize) -> &AtomicU64 {
-        &self.heads[i].word
-    }
-
-    #[cfg(cuckoo_model)]
-    fn owner(&self, i: usize) -> &AtomicU64 {
-        &self.heads[i].owner
     }
 
     /// Bytes a read of a `V` copies from a slot: the slot's item bytes,
@@ -364,11 +343,6 @@ pub struct ClockCache<V: Plain> {
     updates: AtomicU64,
     deletes: AtomicU64,
     expirations: AtomicU64,
-    /// Model-checking mutation switch: re-enables the pre-fix delete
-    /// ordering (remove the map entry *before* claiming the slot) so the
-    /// model tests can prove the checker catches the original ABA bug.
-    #[cfg(cuckoo_model)]
-    aba_mutation: bool,
     item: core::marker::PhantomData<fn() -> V>,
 }
 
@@ -416,8 +390,6 @@ impl<V: Plain> ClockCache<V> {
             updates: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
             expirations: AtomicU64::new(0),
-            #[cfg(cuckoo_model)]
-            aba_mutation: false,
             item: core::marker::PhantomData,
         }
     }
@@ -850,10 +822,6 @@ impl<V: Plain> ClockCache<V> {
     /// two live entries end up sharing one slot (caught by the churn
     /// test as `len() > capacity`).
     pub fn delete_if(&self, key: u64, pred: impl FnOnce(&V) -> bool) -> Option<V> {
-        #[cfg(cuckoo_model)]
-        if self.aba_mutation {
-            return self.delete_aba_buggy(key);
-        }
         let mut spins = 0;
         let (t, w) = loop {
             let t = self.map.get(&key)?;
@@ -898,11 +866,12 @@ impl<V: Plain> ClockCache<V> {
     /// frees the slot, without claiming it `USED → EVICTING`. Between
     /// those two steps the CLOCK hand can observe the orphaned USED
     /// slot, fail its `remove_if`, and reclaim the slot itself — after
-    /// which our own `release_slot` frees it a second time. Kept (model
-    /// builds only, behind [`Self::enable_aba_mutation`]) as the seeded
-    /// bug that proves the model checker catches this class of race.
+    /// which our own `release_slot` frees it a second time. Kept, in
+    /// model builds only, as the seeded bug that proves the model checker
+    /// catches this class of race: a model calls it in place of
+    /// [`Self::delete`].
     #[cfg(cuckoo_model)]
-    fn delete_aba_buggy(&self, key: u64) -> Option<V> {
+    pub fn delete_aba_buggy(&self, key: u64) -> Option<V> {
         let t = self.map.remove(&key)?;
         let (_, class, i) = self.at(t);
         let v = class.load(i);
@@ -911,12 +880,6 @@ impl<V: Plain> ClockCache<V> {
         let w = class.word(i).load(Ordering::Acquire);
         self.release_slot(t, w);
         Some(v)
-    }
-
-    /// Model-only: arms [`Self::delete`] with the pre-fix ABA ordering.
-    #[cfg(cuckoo_model)]
-    pub fn enable_aba_mutation(&mut self) {
-        self.aba_mutation = true;
     }
 
     /// Model-only: one CLOCK sweep, exactly as eviction pressure for an

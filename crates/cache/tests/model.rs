@@ -1,12 +1,17 @@
 //! Model-checking tests for the ClockCache slot lifecycle (build with
 //! `RUSTFLAGS="--cfg cuckoo_model"`).
 //!
+//! The slab headers the models check are the product's own: each slot's
+//! word and owner are its first two words in every build, so these
+//! schedules exercise the layout that ships.
+//!
 //! The centerpiece is the PR 1 delete/evict ABA bug: `delete` originally
 //! removed the map entry *before* claiming the slot, letting the CLOCK
 //! hand reclaim the orphaned slot concurrently — a double free. The bug
-//! is kept behind [`ClockCache::enable_aba_mutation`] precisely so these
-//! tests can prove the checker finds it (and replays it from a seed),
-//! while the shipped ordering passes the same exploration.
+//! is kept as the model-only [`ClockCache::delete_aba_buggy`], which a
+//! model calls in place of `delete`, precisely so these tests can prove
+//! the checker finds it (and replays it from a seed), while the shipped
+//! ordering passes the same exploration.
 #![cfg(cuckoo_model)]
 
 use cache::ClockCache;
@@ -21,11 +26,7 @@ const SCHEDULES: usize = 800;
 /// scenario in which the PR 1 bug double-frees the slot.
 fn delete_vs_hand_sweep(mutated: bool) -> impl Fn() + Send + Sync + 'static {
     move || {
-        let mut cache: ClockCache<u64> = ClockCache::new(8);
-        if mutated {
-            cache.enable_aba_mutation();
-        }
-        let cache = Arc::new(cache);
+        let cache: Arc<ClockCache<u64>> = Arc::new(ClockCache::new(8));
         cache.put(1, 11);
         // As if the hand had already swept once: next encounter evicts
         // instead of granting a second chance (keeps schedules shallow).
@@ -34,7 +35,11 @@ fn delete_vs_hand_sweep(mutated: bool) -> impl Fn() + Send + Sync + 'static {
         let deleter = {
             let cache = Arc::clone(&cache);
             loom::thread::spawn(move || {
-                cache.delete(1);
+                if mutated {
+                    cache.delete_aba_buggy(1);
+                } else {
+                    cache.delete(1);
+                }
             })
         };
         let hand = {

@@ -1,8 +1,8 @@
 //! Switchable synchronization facade.
 //!
-//! Everything concurrency-critical in this crate (and in `cache`, which
-//! re-uses this module) imports its atomics, locks, and spin/yield
-//! primitives from here instead of `std`:
+//! Everything concurrency-critical in this crate (and in `cache` and
+//! `persist`, which re-use this module) imports its atomics, locks,
+//! condvars, and spin/yield primitives from here instead of `std`:
 //!
 //! - **Normal builds**: straight re-exports of `std::sync`/`std::thread`/
 //!   `std::hint`. Zero cost, zero behavior change.
@@ -10,7 +10,9 @@
 //!   instrumented versions, where every operation is a scheduling point
 //!   for the deterministic model checker (see `shims/loom`). Tests under
 //!   `tests/model.rs` explore thread interleavings of the real table
-//!   code through this seam.
+//!   code through this seam. The shim's atomics are laid out as std's,
+//!   so code that views raw memory as atomics (the cache's slab
+//!   headers) is the same code in both builds.
 //!
 //! Deliberately **not** routed through the facade: `Arc` (refcounting is
 //! not part of any protocol we model), and the metadata counters in
@@ -18,10 +20,10 @@
 //! explored state space without covering any invariant).
 
 #[cfg(not(cuckoo_model))]
-pub use std::sync::{Mutex, MutexGuard};
+pub use std::sync::{Condvar, Mutex, MutexGuard};
 
 #[cfg(cuckoo_model)]
-pub use loom::sync::{Mutex, MutexGuard};
+pub use loom::sync::{Condvar, Mutex, MutexGuard};
 
 /// Atomic types + `Ordering` + `fence`.
 pub mod atomic {

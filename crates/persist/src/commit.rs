@@ -12,9 +12,11 @@
 //!   so the run is always LSN-ordered frames and two racing appends can
 //!   never enqueue out of order. The run *is* what the writer puts on
 //!   disk: a drained batch is one write.
-//! - **Backpressure never blocks on disk**: when the buffer is at its
-//!   byte bound the appender spin-yields until the writer drains it —
-//!   it waits on *memory*, not on `fsync`.
+//! - **Backpressure never blocks on disk**: an appender that finds the
+//!   buffer at its byte bound waits on the queue's condvar until the
+//!   writer drains it — on *memory*, not on `fsync`. Only what releases
+//!   a waiter notifies: a drain of a run at the bound, shutdown, and a
+//!   durable mark while a [`CommitQueue::sync`] waits.
 //! - **Watermarks** (`written_lsn` ≤ everything the writer handed to the
 //!   OS; `durable_lsn` ≤ everything fsync'd) only ever advance, and
 //!   `durable_lsn ≤ written_lsn ≤ last_lsn` always holds.
@@ -22,11 +24,11 @@
 //! The std-only writer thread (file writes, fsync cadence, rotation)
 //! lives in [`crate::log`]; under the model a test thread plays its role
 //! by calling [`CommitQueue::pop_batch`] / [`CommitQueue::mark_durable`]
-//! directly.
+//! directly, and a lost wakeup is a deadlock the checker reports.
 
 use crate::record::{encode_op, OpRef};
-use cuckoo::sync2::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use cuckoo::sync2::{thread, Mutex};
+use cuckoo::sync2::atomic::{AtomicBool, AtomicU64, Ordering};
+use cuckoo::sync2::{Condvar, Mutex};
 use metrics::persist::PersistMetrics;
 use std::time::Instant;
 
@@ -39,6 +41,8 @@ struct Pending {
     /// part of the modeled protocol.
     first_enqueued: Option<Instant>,
     next_lsn: u64,
+    /// [`CommitQueue::sync`] callers waiting on `changed`.
+    syncs: usize,
 }
 
 /// One drained run of frames, as [`CommitQueue::pop_batch`] hands it
@@ -56,9 +60,8 @@ pub struct Batch {
 /// See the module docs.
 pub struct CommitQueue {
     pending: Mutex<Pending>,
-    /// Mirror of the buffered byte total, readable without the mutex so
-    /// backpressure polling does not fight the writer for the lock.
-    pending_bytes: AtomicUsize,
+    /// Signalled, with `pending` held, when a waiter may proceed.
+    changed: Condvar,
     /// Highest LSN assigned to an append.
     last_lsn: AtomicU64,
     /// Highest LSN written to the log file (not necessarily durable).
@@ -69,33 +72,35 @@ pub struct CommitQueue {
     sync_requested: AtomicBool,
     /// No more appends; writer drains, fsyncs, and exits.
     shutdown: AtomicBool,
-    max_pending_bytes: usize,
+    max_bytes: usize,
 }
 
 impl CommitQueue {
     /// `start_lsn` is the highest LSN already on disk (recovery hands it
-    /// in so restart continues the sequence); `max_pending_bytes` bounds
-    /// the in-flight buffer.
-    pub fn new(start_lsn: u64, max_pending_bytes: usize) -> Self {
+    /// in so restart continues the sequence); `max_bytes` bounds the
+    /// in-flight buffer.
+    pub fn new(start_lsn: u64, max_bytes: usize) -> Self {
         CommitQueue {
             pending: Mutex::new(Pending {
                 buf: Vec::new(),
                 first_enqueued: None,
                 next_lsn: start_lsn + 1,
+                syncs: 0,
             }),
-            pending_bytes: AtomicUsize::new(0),
+            changed: Condvar::new(),
             last_lsn: AtomicU64::new(start_lsn),
             written_lsn: AtomicU64::new(start_lsn),
             durable_lsn: AtomicU64::new(start_lsn),
             sync_requested: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            max_pending_bytes,
+            max_bytes,
         }
     }
 
     /// Assigns the next LSN, encodes `op` under it, and enqueues the
-    /// frame. Spin-yields (never touches the disk) while the buffer is
-    /// over its bound. Returns the assigned LSN.
+    /// frame. Waits (never on the disk) while the buffer is at its
+    /// bound, until the writer drains it or shutdown begins. Returns the
+    /// assigned LSN.
     pub fn append(&self, op: OpRef<'_>, metrics: &PersistMetrics) -> u64 {
         self.append_many(1, |_, lsn, buf| encode_op(op, lsn, buf), metrics)
     }
@@ -113,69 +118,43 @@ impl CommitQueue {
         if n == 0 {
             return self.last_lsn();
         }
-        let mut waited = false;
-        loop {
-            // Cheap pre-check outside the lock; the authoritative check
-            // rides the mutex below.
-            // ORDERING: publish.acquire-load
-            if self.pending_bytes.load(Ordering::Acquire) >= self.max_pending_bytes
-                // ORDERING: publish.acquire-load
-                && !self.shutdown.load(Ordering::Acquire)
-            {
-                if !waited {
-                    metrics.backpressure_waits.inc();
-                    waited = true;
-                }
-                thread::yield_now();
-                continue;
+        let full = |st: &Pending| st.buf.len() >= self.max_bytes && !self.is_shutdown();
+        let mut st = self.pending.lock().expect("commit queue poisoned");
+        if full(&st) {
+            metrics.backpressure_waits.inc();
+            while full(&st) {
+                st = self.changed.wait(st).expect("commit queue poisoned");
             }
-            let mut st = self.pending.lock().expect("commit queue poisoned");
-            // ORDERING: publish.acquire-load
-            if self.pending_bytes.load(Ordering::Acquire) >= self.max_pending_bytes
-                // ORDERING: publish.acquire-load
-                && !self.shutdown.load(Ordering::Acquire)
-            {
-                drop(st);
-                if !waited {
-                    metrics.backpressure_waits.inc();
-                    waited = true;
-                }
-                thread::yield_now();
-                continue;
-            }
-            let st = &mut *st;
-            if st.buf.is_empty() {
-                st.first_enqueued = Some(Instant::now());
-            }
-            let mut bytes = 0;
-            for i in 0..n {
-                bytes += encode(i, st.next_lsn, &mut st.buf);
-                st.next_lsn += 1;
-            }
-            let lsn = st.next_lsn - 1;
-            // ORDERING: publish.release-store
-            self.pending_bytes.fetch_add(bytes, Ordering::Release);
-            // ORDERING: publish.release-store
-            self.last_lsn.store(lsn, Ordering::Release);
-            metrics.log_records.add(n as u64);
-            metrics.log_bytes.add(bytes as u64);
-            return lsn;
         }
+        let st = &mut *st;
+        if st.buf.is_empty() {
+            st.first_enqueued = Some(Instant::now());
+        }
+        let mut bytes = 0;
+        for i in 0..n {
+            bytes += encode(i, st.next_lsn, &mut st.buf);
+            st.next_lsn += 1;
+        }
+        let lsn = st.next_lsn - 1;
+        // ORDERING: publish.release-store
+        self.last_lsn.store(lsn, Ordering::Release);
+        metrics.log_records.add(n as u64);
+        metrics.log_bytes.add(bytes as u64);
+        lsn
     }
 
     /// Takes the whole buffered run of frames (possibly empty) and
     /// leaves `spare`, cleared, in its place: the writer hands back the
-    /// run it last wrote, so steady state allocates nothing.
+    /// run it last wrote, so steady state allocates nothing. Wakes the
+    /// appenders if the run had reached the bound: only then can one wait.
     pub fn pop_batch(&self, mut spare: Vec<u8>) -> Batch {
         spare.clear();
         let mut st = self.pending.lock().expect("commit queue poisoned");
         let frames = std::mem::replace(&mut st.buf, spare);
         let enqueued = st.first_enqueued.take();
         let last_lsn = st.next_lsn - 1;
-        drop(st);
-        if !frames.is_empty() {
-            // ORDERING: publish.release-store
-            self.pending_bytes.fetch_sub(frames.len(), Ordering::Release);
+        if frames.len() >= self.max_bytes {
+            self.changed.notify_all();
         }
         Batch { frames, last_lsn, enqueued }
     }
@@ -186,12 +165,17 @@ impl CommitQueue {
         self.written_lsn.fetch_max(lsn, Ordering::Release);
     }
 
-    /// Writer: everything up to `lsn` survived an fsync.
+    /// Writer: everything up to `lsn` survived an fsync. Wakes the
+    /// [`sync`](Self::sync) callers, if any wait.
     pub fn mark_durable(&self, lsn: u64) {
         // ORDERING: publish.acquire-load
         debug_assert!(lsn <= self.written_lsn.load(Ordering::Acquire));
         // ORDERING: publish.release-store
         self.durable_lsn.fetch_max(lsn, Ordering::Release);
+        let st = self.pending.lock().expect("commit queue poisoned");
+        if st.syncs > 0 {
+            self.changed.notify_all();
+        }
     }
 
     pub fn last_lsn(&self) -> u64 {
@@ -213,10 +197,13 @@ impl CommitQueue {
     /// everything appended so far is durable.
     pub fn sync(&self) {
         let target = self.last_lsn();
+        let mut st = self.pending.lock().expect("commit queue poisoned");
         while self.durable_lsn() < target {
             // ORDERING: publish.release-store
             self.sync_requested.store(true, Ordering::Release);
-            thread::yield_now();
+            st.syncs += 1;
+            st = self.changed.wait(st).expect("commit queue poisoned");
+            st.syncs -= 1;
         }
     }
 
@@ -227,10 +214,13 @@ impl CommitQueue {
     }
 
     /// Stops accepting the backpressure wait (appends still succeed so a
-    /// drain cannot deadlock) and tells the writer to finish.
+    /// drain cannot deadlock) and tells the writer to finish. Sets the
+    /// flag and wakes the waiters under the mutex, so none misses it.
     pub fn begin_shutdown(&self) {
+        let _st = self.pending.lock().expect("commit queue poisoned");
         // ORDERING: publish.release-store
         self.shutdown.store(true, Ordering::Release);
+        self.changed.notify_all();
     }
 
     pub fn is_shutdown(&self) -> bool {

@@ -82,7 +82,7 @@ pub struct PersistConfig {
     /// background thread (snapshots then only happen at shutdown).
     pub snapshot_interval: Duration,
     /// Bound on encoded bytes buffered between appenders and the writer;
-    /// appends spin-yield (never block on disk) above it.
+    /// at it, appends wait (on memory, not disk) for the writer's drain.
     pub max_pending_bytes: usize,
 }
 

@@ -10,7 +10,11 @@
 //!   replica replay relies on);
 //! - the `durable ≤ written ≤ last` watermark chain holds at every
 //!   observable point while a writer thread drains concurrently;
-//! - shutdown cannot deadlock an appender parked in backpressure;
+//! - an appender waiting on the byte bound, and a `sync` waiting for
+//!   durability, are woken by what releases them — shutdown, the
+//!   writer's drain, the writer's durable mark. The waits are the shim's
+//!   condvar, on which a waiter stays parked until notified, so a lost
+//!   wakeup fails a schedule as a deadlock;
 //! - apply-to-map-then-append-to-log under a [`persist::WriteStripes`]
 //!   stripe makes a fuzzy scan plus the log tail converge to the final
 //!   table — the invariant behind both snapshots and replicas.
@@ -108,13 +112,13 @@ fn watermarks_never_cross_under_a_racing_writer() {
 }
 
 /// An appender parked in backpressure (1-byte bound: the second append
-/// cannot fit) races `begin_shutdown` + drain. Every schedule must
-/// terminate with both records enqueued — shutdown releases the wait
-/// rather than deadlocking the drain. Seeded random walks (the spin
-/// loop makes DFS explode).
+/// cannot fit) races `begin_shutdown`, with no writer to drain. Every
+/// schedule must terminate with both records enqueued — shutdown
+/// releases the wait rather than deadlocking the drain. Bounded DFS,
+/// exhausted.
 #[test]
 fn shutdown_releases_backpressured_appenders() {
-    loom::explore(loom::config_from_env(loom::Config::random(0xd00d, 300)), || {
+    let stats = loom::explore(loom::Config::dfs(4_000), || {
         let q = Arc::new(CommitQueue::new(0, 1));
         let m = Arc::new(PersistMetrics::new());
         let appender = {
@@ -124,15 +128,62 @@ fn shutdown_releases_backpressured_appenders() {
                 append_set(&q, 2, &m); // over bound: parks until shutdown
             })
         };
-        let closer = {
-            let q = Arc::clone(&q);
-            loom::thread::spawn(move || q.begin_shutdown())
-        };
-        closer.join().unwrap();
+        q.begin_shutdown();
         appender.join().unwrap();
         assert_eq!(lsns(&q.pop_batch(Vec::new()).frames), [1, 2]);
     })
     .expect("shutdown must release appenders parked on the byte bound");
+    assert!(stats.exhausted, "{stats:?}");
+}
+
+/// The writer's drain releases an appender parked on the byte bound:
+/// record 1 fills the 1-byte bound, the appender of record 2 races one
+/// `pop_batch`, and every schedule ends with both records drained in
+/// order. Bounded DFS, exhausted.
+#[test]
+fn a_drain_releases_a_backpressured_appender() {
+    let stats = loom::explore(loom::Config::dfs(4_000), || {
+        let q = Arc::new(CommitQueue::new(0, 1));
+        let m = Arc::new(PersistMetrics::new());
+        append_set(&q, 1, &m);
+        let appender = {
+            let (q, m) = (Arc::clone(&q), Arc::clone(&m));
+            loom::thread::spawn(move || append_set(&q, 2, &m)) // over bound: parks until the drain
+        };
+        let first = q.pop_batch(Vec::new());
+        assert_eq!(appender.join().unwrap(), 2);
+        let mut drained = lsns(&first.frames);
+        drained.extend(lsns(&q.pop_batch(Vec::new()).frames));
+        assert_eq!(drained, [1, 2]);
+    })
+    .expect("a drain must release an appender parked on the byte bound");
+    assert!(stats.exhausted, "{stats:?}");
+}
+
+/// `sync` returns once the writer marks its record durable: the writer
+/// drains, writes and marks durable while a `sync` of record 1 waits,
+/// and every schedule ends with the record durable. Bounded DFS,
+/// exhausted.
+#[test]
+fn sync_returns_once_the_writer_marks_durable() {
+    let stats = loom::explore(loom::Config::dfs(4_000), || {
+        let q = Arc::new(CommitQueue::new(0, 1 << 20));
+        let m = PersistMetrics::new();
+        append_set(&q, 1, &m);
+        let syncer = {
+            let q = Arc::clone(&q);
+            loom::thread::spawn(move || {
+                q.sync();
+                assert_eq!(q.durable_lsn(), 1, "sync returned before its record was durable");
+            })
+        };
+        let batch = q.pop_batch(Vec::new());
+        q.mark_written(batch.last_lsn);
+        q.mark_durable(batch.last_lsn);
+        syncer.join().unwrap();
+    })
+    .expect("a sync must return once its record is durable");
+    assert!(stats.exhausted, "{stats:?}");
 }
 
 /// The convergence kernel behind fuzzy snapshots *and* replica

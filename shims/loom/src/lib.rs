@@ -21,6 +21,12 @@
 //!   data structures where DFS cannot finish; every failing walk prints a
 //!   **replayable seed** (rerun with `LOOM_SEED=<seed>`).
 //!
+//! Blocking primitives — [`sync::Mutex`], [`sync::Condvar`] and
+//! `JoinHandle::join` — park a model thread until its condition can hold;
+//! when every live thread is parked the schedule fails as a deadlock, so
+//! an AB-BA lock order or a lost condvar wakeup is a reported, replayable
+//! failure rather than a hang.
+//!
 //! Outside [`model`]/[`explore`] every instrumented primitive is a
 //! zero-cost passthrough to `std`, so code built with `--cfg
 //! cuckoo_model` still runs normally when no model is active.
@@ -396,6 +402,137 @@ mod tests {
         })
         .expect_err("AB-BA locking must deadlock in some schedule");
         assert!(failure.deadlock, "failure should be a deadlock: {failure}");
+    }
+
+    /// Explores `body` with random walks, expects a deadlock, and checks
+    /// that the reported seed replays it.
+    fn assert_deadlocks_and_replays(body: impl Fn() + Send + Sync + Clone + 'static) {
+        let failure =
+            explore(Config::random(0x10_57, 200), body.clone()).expect_err("a lost wakeup exists");
+        assert!(failure.deadlock, "a lost wakeup is a deadlock: {failure}");
+        let seed = failure.seed.expect("random failures carry a seed");
+        let replayed = explore(
+            Config {
+                strategy: Strategy::Replay { seed },
+                max_schedules: 1,
+                ..Config::default()
+            },
+            body,
+        )
+        .expect_err("replay must reproduce");
+        assert!(replayed.deadlock, "{replayed}");
+    }
+
+    /// The waiter checks its condition before taking the lock: the
+    /// notifier can set it and notify in between, and the wait that
+    /// follows is never woken.
+    #[test]
+    fn condition_checked_outside_the_lock_loses_the_wakeup() {
+        assert_deadlocks_and_replays(|| {
+            let ready = Arc::new(sync::atomic::AtomicBool::new(false));
+            let pair = Arc::new((sync::Mutex::new(()), sync::Condvar::new()));
+            let waiter = {
+                let (ready, pair) = (Arc::clone(&ready), Arc::clone(&pair));
+                thread::spawn(move || {
+                    if !ready.load(Ordering::SeqCst) {
+                        let g = pair.0.lock().unwrap();
+                        drop(pair.1.wait(g).unwrap());
+                    }
+                })
+            };
+            ready.store(true, Ordering::SeqCst);
+            pair.1.notify_all();
+            waiter.join().unwrap();
+        });
+    }
+
+    /// The waiter checks under the lock, but the notifier sets the
+    /// condition and notifies without it: both can land between the
+    /// check and the wait.
+    #[test]
+    fn a_notifier_that_skips_the_lock_loses_the_wakeup() {
+        assert_deadlocks_and_replays(|| {
+            let ready = Arc::new(sync::atomic::AtomicBool::new(false));
+            let pair = Arc::new((sync::Mutex::new(()), sync::Condvar::new()));
+            let waiter = {
+                let (ready, pair) = (Arc::clone(&ready), Arc::clone(&pair));
+                thread::spawn(move || {
+                    let mut g = pair.0.lock().unwrap();
+                    while !ready.load(Ordering::SeqCst) {
+                        g = pair.1.wait(g).unwrap();
+                    }
+                })
+            };
+            ready.store(true, Ordering::SeqCst);
+            pair.1.notify_all();
+            waiter.join().unwrap();
+        });
+    }
+
+    /// The waiter waits without a condition: a notify that comes first
+    /// wakes no one, and the wait after it parks for good.
+    #[test]
+    fn a_notify_before_the_wait_is_lost() {
+        assert_deadlocks_and_replays(|| {
+            let pair = Arc::new((sync::Mutex::new(()), sync::Condvar::new()));
+            let waiter = {
+                let pair = Arc::clone(&pair);
+                thread::spawn(move || {
+                    let g = pair.0.lock().unwrap();
+                    drop(pair.1.wait(g).unwrap());
+                })
+            };
+            pair.1.notify_all();
+            waiter.join().unwrap();
+        });
+    }
+
+    /// The condition lives under the mutex, the waiter re-checks it in a
+    /// loop, and the notifier sets it under the lock: every schedule
+    /// hands off.
+    #[test]
+    fn condvar_handoff_passes_dfs() {
+        let stats = explore(Config::dfs(10_000), || {
+            let pair = Arc::new((sync::Mutex::new(false), sync::Condvar::new()));
+            let waiter = {
+                let pair = Arc::clone(&pair);
+                thread::spawn(move || {
+                    let mut ready = pair.0.lock().unwrap();
+                    while !*ready {
+                        ready = pair.1.wait(ready).unwrap();
+                    }
+                })
+            };
+            *pair.0.lock().unwrap() = true;
+            pair.1.notify_all();
+            waiter.join().unwrap();
+        })
+        .expect("a handoff under the lock cannot lose its wakeup");
+        assert!(stats.exhausted, "{stats:?}");
+    }
+
+    /// Outside a model the condvar is std's: real threads block and wake.
+    #[test]
+    fn condvar_works_with_real_threads_outside_a_model() {
+        let pair = Arc::new((sync::Mutex::new(0u32), sync::Condvar::new()));
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let pair = Arc::clone(&pair);
+                std::thread::spawn(move || {
+                    let mut n = pair.0.lock().unwrap();
+                    while *n == 0 {
+                        n = pair.1.wait(n).unwrap();
+                    }
+                    *n
+                })
+            })
+            .collect();
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        *pair.0.lock().unwrap() = 7;
+        pair.1.notify_all();
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), 7);
+        }
     }
 
     #[test]

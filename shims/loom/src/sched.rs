@@ -5,8 +5,9 @@
 //! parked inside [`yield_point`] waiting for a grant. The controller (the
 //! thread that called `explore`) repeatedly picks a runnable thread,
 //! grants it, and waits for it to report back — paused at its next yield
-//! point, blocked on a mutex/join, or finished. Scheduling decisions are
-//! delegated to a [`Chooser`], which is where DFS/random/replay live.
+//! point, blocked on a mutex, a condvar or a join, or finished.
+//! Scheduling decisions are delegated to a [`Chooser`], which is where
+//! DFS/random/replay live.
 
 use crate::rng::XorShift;
 use std::collections::HashMap;
@@ -24,6 +25,8 @@ enum Status {
     Runnable,
     /// Waiting for the mutex keyed by this address to be released.
     BlockedOnMutex(usize),
+    /// Waiting on the condvar keyed by this address until notified.
+    BlockedOnCondvar(usize),
     /// Waiting for thread `tid` to finish (a `join`).
     BlockedOnThread(usize),
     Finished,
@@ -154,7 +157,8 @@ impl Shared {
         }
     }
 
-    /// Ends the step marking the thread blocked (on a mutex or a join);
+    /// Ends the step marking the thread blocked (on a mutex, a condvar or
+    /// a join);
     /// the controller will re-grant it once the condition can hold.
     fn block_and_wait(&self, id: usize, status: Status) {
         let mut st = self.lock_state();
@@ -201,6 +205,23 @@ impl Shared {
         // first, which is exactly the nondeterminism we want to explore).
         for t in st.threads.iter_mut() {
             if *t == Status::BlockedOnMutex(addr) {
+                *t = Status::Runnable;
+            }
+        }
+    }
+
+    /// Condvar wait: the caller has released its mutex; it parks until a
+    /// [`notify_condvar`](Self::notify_condvar) on `addr`.
+    pub(crate) fn wait_condvar(&self, id: usize, addr: usize) {
+        self.block_and_wait(id, Status::BlockedOnCondvar(addr));
+    }
+
+    /// Makes every waiter on the condvar at `addr` runnable.
+    pub(crate) fn notify_condvar(&self, addr: usize) {
+        yield_point();
+        let mut st = self.lock_state();
+        for t in st.threads.iter_mut() {
+            if *t == Status::BlockedOnCondvar(addr) {
                 *t = Status::Runnable;
             }
         }

@@ -1,8 +1,9 @@
 //! Instrumented `std::sync` subset.
 //!
-//! Every type wraps its `std` counterpart; the only instrumentation is a
+//! Every type wraps its `std` counterpart; the instrumentation is a
 //! [`crate::yield_point`] before each shared-memory operation, which is
-//! what lets the scheduler explore interleavings. Constructors stay
+//! what lets the scheduler explore interleavings, and, for the blocking
+//! `Mutex` and `Condvar`, parking the model thread in the scheduler. Constructors stay
 //! `const` so statics and `const fn new` in the code under test keep
 //! compiling. Outside a model the yield is a no-op and behavior is
 //! byte-for-byte `std`.
@@ -22,8 +23,11 @@ pub mod atomic {
 
     macro_rules! instrumented_atomic {
         ($name:ident, $std:ty, $int:ty) => {
-            /// Instrumented wrapper over the `std` atomic of the same name.
+            /// Instrumented wrapper over the `std` atomic of the same name,
+            /// laid out exactly as it is: a slice of zeroed words can be
+            /// viewed as these, so model builds read the same memory.
             #[derive(Debug, Default)]
+            #[repr(transparent)]
             pub struct $name {
                 inner: $std,
             }
@@ -190,8 +194,9 @@ pub mod atomic {
     instrumented_arith!(AtomicUsize, usize);
     instrumented_arith!(AtomicIsize, isize);
 
-    /// Instrumented `AtomicPtr<T>`.
+    /// Instrumented `AtomicPtr<T>`, laid out as the `std` one.
     #[derive(Debug)]
+    #[repr(transparent)]
     pub struct AtomicPtr<T> {
         inner: std::sync::atomic::AtomicPtr<T>,
     }
@@ -270,6 +275,8 @@ pub struct Mutex<T: ?Sized> {
 
 /// Guard returned by [`Mutex::lock`]; releases model ownership on drop.
 pub struct MutexGuard<'a, T: ?Sized> {
+    /// The mutex, for [`Condvar::wait`] to re-acquire.
+    lock: &'a Mutex<T>,
     /// `Option` so `Drop` can release the `std` guard *before* releasing
     /// model ownership (the next owner must find the inner mutex free).
     inner: Option<std::sync::MutexGuard<'a, T>>,
@@ -301,10 +308,12 @@ impl<T: ?Sized> Mutex<T> {
         match sched::with_current_shared(|shared, id| (std::sync::Arc::clone(shared), id)) {
             None => match self.inner.lock() {
                 Ok(g) => Ok(MutexGuard {
+                    lock: self,
                     inner: Some(g),
                     model: None,
                 }),
                 Err(poison) => Err(PoisonError::new(MutexGuard {
+                    lock: self,
                     inner: Some(poison.into_inner()),
                     model: None,
                 })),
@@ -319,6 +328,7 @@ impl<T: ?Sized> Mutex<T> {
                     .try_lock()
                     .expect("model mutex ownership granted but std mutex still held");
                 Ok(MutexGuard {
+                    lock: self,
                     inner: Some(g),
                     model: Some((shared, id, addr)),
                 })
@@ -331,12 +341,14 @@ impl<T: ?Sized> Mutex<T> {
         match sched::with_current_shared(|shared, id| (std::sync::Arc::clone(shared), id)) {
             None => match self.inner.try_lock() {
                 Ok(g) => Ok(MutexGuard {
+                    lock: self,
                     inner: Some(g),
                     model: None,
                 }),
                 Err(TryLockError::WouldBlock) => Err(TryLockError::WouldBlock),
                 Err(TryLockError::Poisoned(poison)) => {
                     Err(TryLockError::Poisoned(PoisonError::new(MutexGuard {
+                        lock: self,
                         inner: Some(poison.into_inner()),
                         model: None,
                     })))
@@ -352,6 +364,7 @@ impl<T: ?Sized> Mutex<T> {
                     .try_lock()
                     .expect("model mutex ownership granted but std mutex still held");
                 Ok(MutexGuard {
+                    lock: self,
                     inner: Some(g),
                     model: Some((shared, id, addr)),
                 })
@@ -387,6 +400,78 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
         drop(self.inner.take());
         if let Some((shared, id, addr)) = self.model.take() {
             shared.unlock_mutex(id, addr);
+        }
+    }
+}
+
+/// Instrumented condition variable: `wait` and `notify_all`. Under a
+/// model, `wait` is a scheduling point, then releases the mutex and
+/// parks the thread in one step,
+/// and the thread stays parked — not runnable — until a `notify_all` on
+/// this condvar; it then re-acquires the mutex as [`Mutex::lock`] does.
+/// A wakeup that is lost (a notify that lands before the wait, or a
+/// condition checked outside the lock) therefore leaves the waiter
+/// parked, and the scheduler reports the schedule as a deadlock. There
+/// are no spurious wakeups under a model. Outside a model this is
+/// `std::sync::Condvar`.
+#[derive(Debug, Default)]
+pub struct Condvar {
+    inner: std::sync::Condvar,
+}
+
+impl Condvar {
+    /// Creates a new condvar (const, usable in statics).
+    #[inline]
+    pub const fn new() -> Self {
+        Condvar {
+            inner: std::sync::Condvar::new(),
+        }
+    }
+
+    fn addr(&self) -> usize {
+        self as *const Condvar as usize
+    }
+
+    /// Releases `guard`'s mutex, waits for a notification, and returns
+    /// with the mutex held again.
+    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
+        let lock = guard.lock;
+        match guard.model.clone() {
+            None => {
+                let inner = guard.inner.take().expect("guard accessed after drop");
+                match self.inner.wait(inner) {
+                    Ok(g) => Ok(MutexGuard {
+                        lock,
+                        inner: Some(g),
+                        model: None,
+                    }),
+                    Err(poison) => Err(PoisonError::new(MutexGuard {
+                        lock,
+                        inner: Some(poison.into_inner()),
+                        model: None,
+                    })),
+                }
+            }
+            Some((shared, id, _)) => {
+                // A scheduling point between the caller's last check of
+                // its condition and the park, where a notifier that does
+                // not take the mutex can slip in. Releasing takes none,
+                // so no other model thread runs between the unlock and
+                // the park.
+                sched::yield_point();
+                drop(guard);
+                shared.wait_condvar(id, self.addr());
+                lock.lock()
+            }
+        }
+    }
+
+    /// Wakes every thread waiting on this condvar; a scheduling point
+    /// under a model.
+    pub fn notify_all(&self) {
+        match sched::with_current_shared(|shared, _| std::sync::Arc::clone(shared)) {
+            None => self.inner.notify_all(),
+            Some(shared) => shared.notify_condvar(self.addr()),
         }
     }
 }

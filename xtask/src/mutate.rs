@@ -33,6 +33,10 @@
 //!   copy without re-checking the slot's word.
 //! * **SAFETY-comment strip** — the SAFETY lint must notice its
 //!   comments disappearing (the old first sed smoke).
+//! * **Lost wakeup** — the commit queue's drain skips the notify that
+//!   releases an appender parked on the byte bound. Killed dynamically
+//!   by the persist model suite, where the parked appender is a
+//!   deadlock.
 //!
 //! Modes: `--ci` runs the pinned per-PR subset (every mutant must be
 //! killed), `--all` additionally generates the full ordering-weakening
@@ -89,6 +93,14 @@ pub enum Kill {
     Safety,
     /// `cargo test -q -p <pkg> --lib <filter>` must fail.
     Test {
+        pkg: &'static str,
+        filter: &'static str,
+    },
+    /// `RUSTFLAGS="--cfg cuckoo_model" cargo test -q -p <pkg> --test
+    /// model <filter>` must fail: a model-checked schedule catches the
+    /// mutant. Built in `target/model`, so the model build and the
+    /// normal one do not evict each other's artifacts.
+    Model {
         pkg: &'static str,
         filter: &'static str,
     },
@@ -265,6 +277,17 @@ fn kill_check(root: &Path, kill: &Kill) -> Result<bool, String> {
                 .map_err(|e| format!("could not run cargo test: {e}"))?;
             Ok(!status.success())
         }
+        Kill::Model { pkg, filter } => {
+            let status = Command::new(env!("CARGO"))
+                .args(["test", "-q", "-p", pkg, "--test", "model", filter])
+                .arg("--target-dir")
+                .arg(root.join("target").join("model"))
+                .env("RUSTFLAGS", "--cfg cuckoo_model")
+                .current_dir(root)
+                .status()
+                .map_err(|e| format!("could not run cargo test: {e}"))?;
+            Ok(!status.success())
+        }
     }
 }
 
@@ -273,6 +296,7 @@ fn kill_name(kill: &Kill) -> String {
         Kill::Orderings => "xtask orderings".into(),
         Kill::Safety => "SAFETY lint".into(),
         Kill::Test { pkg, filter } => format!("cargo test -p {pkg} --lib {filter}"),
+        Kill::Model { pkg, filter } => format!("model checker: cargo test -p {pkg} --test model {filter}"),
     }
 }
 
@@ -463,6 +487,19 @@ pub fn pinned() -> Vec<Mutant> {
                 filter: "visit_many_shows_only_whole_values_of_the_key_read",
             },
             "cache read keeps a slab copy without re-checking the slot word (torn or recycled items)",
+        ),
+        m(
+            "commit-drain-skips-notify",
+            "crates/persist/src/commit.rs",
+            Op::Replace {
+                find: "if frames.len() >= self.max_bytes {".into(),
+                replace: "if false {".into(),
+            },
+            Kill::Model {
+                pkg: "persist",
+                filter: "a_drain_releases_a_backpressured_appender",
+            },
+            "the writer's drain does not wake an appender parked on the byte bound (lost wakeup)",
         ),
     ]
 }
