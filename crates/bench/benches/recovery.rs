@@ -4,10 +4,10 @@
 //! Two restart shapes are measured end to end through the real server:
 //!
 //! - **clean restart** — populate `cuckood` over TCP with a data dir,
-//!   shut down gracefully (final snapshot + clean marker), and time a
+//!   shut down gracefully (final snapshot, logs removed), and time a
 //!   respawn: recovery is a straight snapshot load with zero replay.
 //! - **dirty restart** — build a crash-shaped directory (op log only:
-//!   appended, fsync'd, no marker — exactly what `kill -9` leaves) and
+//!   appended, fsync'd, no snapshot — exactly what `kill -9` leaves) and
 //!   time a respawn that must replay every record.
 //!
 //! Both cases then read back every key over TCP; `lost` counts
@@ -156,7 +156,7 @@ fn clean_case(dir: &Path, n: usize, value_len: usize) -> Row {
 }
 
 /// Build the post-`kill -9` directory shape — a fully fsync'd op log,
-/// no snapshot, no marker — and time the replaying respawn.
+/// no snapshot — and time the replaying respawn.
 fn dirty_case(dir: &Path, n: usize, value_len: usize) -> Row {
     let t0 = Instant::now();
     {

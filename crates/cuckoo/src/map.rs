@@ -203,6 +203,9 @@ pub struct CuckooMap<K, V, const B: usize = 8, S = DefaultHashBuilder> {
     /// Observability counters (migration progress, graveyard depth).
     /// Boxed so the counters don't dilute the struct's hot cache lines.
     table_metrics: Box<TableMetrics>,
+    /// Unparked each time a migration begins, and when the map drops
+    /// (see [`unpark_on_migration`](Self::unpark_on_migration)).
+    migration_waiter: std::sync::OnceLock<std::thread::Thread>,
 }
 
 // SAFETY: the map owns its entries (moving the map moves them) and
@@ -274,12 +277,21 @@ where
             help_tick: AtomicU64::new(0),
             displacements: AtomicU64::new(0),
             table_metrics: Box::new(TableMetrics::new()),
+            migration_waiter: std::sync::OnceLock::new(),
         }
     }
 
     /// How this map resizes.
     pub fn resize_mode(&self) -> ResizeMode {
         self.resize_mode
+    }
+
+    /// Has `thread` unparked each time an incremental migration begins,
+    /// so a background sweeper can park while there is none to drive,
+    /// and once more when the map drops, so a sweeper holding a `Weak`
+    /// to it can exit. Only the first call registers a thread.
+    pub fn unpark_on_migration(&self, thread: std::thread::Thread) {
+        let _ = self.migration_waiter.set(thread);
     }
 
     /// Whether an incremental expansion is currently in flight.
@@ -900,6 +912,9 @@ where
         });
         self.migration.store(Box::into_raw(desc), Ordering::SeqCst);
         self.table_metrics.migrations_started.inc();
+        if let Some(sweeper) = self.migration_waiter.get() {
+            sweeper.unpark();
+        }
     }
 
     /// Model-only: starts an incremental migration immediately, exactly
@@ -1322,6 +1337,9 @@ where
 
 impl<K, V, const B: usize, S> Drop for CuckooMap<K, V, B, S> {
     fn drop(&mut self) {
+        if let Some(sweeper) = self.migration_waiter.get() {
+            sweeper.unpark();
+        }
         let m = *self.migration.get_mut();
         if !m.is_null() {
             // Dropped mid-migration: entries are split across old and
@@ -1346,6 +1364,42 @@ impl<K, V, const B: usize, S> Drop for CuckooMap<K, V, B, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The thread registered with `unpark_on_migration` is woken when a
+    /// migration begins and again when the map drops: a sweeper parked
+    /// on a `Weak` neither misses a doubling nor outlives its map.
+    #[test]
+    fn a_registered_thread_is_unparked_by_a_migration_and_by_the_drop() {
+        use std::sync::{mpsc, Arc};
+        use std::time::Duration;
+        let m = Arc::new(CuckooMap::<u64, u64>::with_capacity(64));
+        let weak = Arc::downgrade(&m);
+        let (tx, rx) = mpsc::channel();
+        let sweeper = std::thread::spawn(move || {
+            let mut seen = false;
+            loop {
+                std::thread::park();
+                match weak.upgrade() {
+                    Some(m) if m.is_migrating() && !seen => {
+                        seen = true;
+                        tx.send("migrating").unwrap();
+                    }
+                    Some(_) => {} // a spurious wake
+                    None => return tx.send("dropped").unwrap(),
+                }
+            }
+        });
+        m.unpark_on_migration(sweeper.thread().clone());
+        let mut k = 0;
+        while !m.is_migrating() {
+            m.insert(k, k).unwrap();
+            k += 1;
+        }
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok("migrating"));
+        drop(m);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok("dropped"));
+        sweeper.join().unwrap();
+    }
 
     #[test]
     fn string_keys_and_values() {

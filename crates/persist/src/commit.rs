@@ -1,10 +1,11 @@
 //! The group-commit core: a bounded in-flight buffer between the write
-//! hot path and the single log-writer thread.
+//! hot path and the single log-writer thread, and the one handshake
+//! every durable-path thread waits on.
 //!
-//! This module is deliberately free of file I/O and timers so the model
-//! checker can explore it (`--cfg cuckoo_model` swaps every primitive
-//! here for the instrumented loom shim via `cuckoo::sync2`). The
-//! protocol it owns:
+//! This module is deliberately free of file I/O so the model checker
+//! can explore it (`--cfg cuckoo_model` swaps every primitive here for
+//! the instrumented loom shim via `cuckoo::sync2`). The protocol it
+//! owns:
 //!
 //! - **LSN assignment and enqueue are one atomic step** (both under the
 //!   queue mutex): each record is encoded straight onto the end of one
@@ -12,26 +13,30 @@
 //!   so the run is always LSN-ordered frames and two racing appends can
 //!   never enqueue out of order. The run *is* what the writer puts on
 //!   disk: a drained batch is one write.
-//! - **Backpressure never blocks on disk**: an appender that finds the
-//!   buffer at its byte bound waits on the queue's condvar until the
-//!   writer drains it — on *memory*, not on `fsync`. Only what releases
-//!   a waiter notifies: a drain of a run at the bound, shutdown, and a
-//!   durable mark while a [`CommitQueue::sync`] waits.
+//! - **One mutex, one condvar, every wait.** The writer, a backpressured
+//!   appender, a `sync` caller, the snapshotter and a log tailer each
+//!   wait on `changed` for a condition kept under `pending`, rotation
+//!   state included. Only what can release a waiter notifies (DESIGN.md
+//!   §5g lists each); a busy writer drains at its fsync deadline, and
+//!   only an appender at the byte bound wakes it sooner.
 //! - **Watermarks** (`written_lsn` ≤ everything the writer handed to the
 //!   OS; `durable_lsn` ≤ everything fsync'd) only ever advance, and
 //!   `durable_lsn ≤ written_lsn ≤ last_lsn` always holds.
 //!
-//! The std-only writer thread (file writes, fsync cadence, rotation)
-//! lives in [`crate::log`]; under the model a test thread plays its role
-//! by calling [`CommitQueue::pop_batch`] / [`CommitQueue::mark_durable`]
-//! directly, and a lost wakeup is a deadlock the checker reports.
+//! The std-only writer thread (file writes, fsync, rotation) lives in
+//! [`crate::log`]; under the model a test thread plays its role, and a
+//! lost wakeup is a deadlock the checker reports (the models wait
+//! untimed: a timed wait may time out at any point instead).
 
 use crate::record::{encode_op, OpRef};
-use cuckoo::sync2::atomic::{AtomicBool, AtomicU64, Ordering};
-use cuckoo::sync2::{Condvar, Mutex};
+use cuckoo::sync2::atomic::{AtomicU64, Ordering};
+use cuckoo::sync2::{Condvar, Mutex, MutexGuard};
 use metrics::persist::PersistMetrics;
 use std::time::Instant;
 
+const POISONED: &str = "commit queue poisoned";
+
+#[derive(Default)]
 struct Pending {
     /// Encoded frames (header + payload each), back to back in LSN
     /// order: exactly the bytes the writer appends to the log.
@@ -43,10 +48,29 @@ struct Pending {
     next_lsn: u64,
     /// [`CommitQueue::sync`] callers waiting on `changed`.
     syncs: usize,
+    /// [`CommitQueue::wait_for_log`] callers waiting on `changed`.
+    tailers: usize,
+    /// A `sync` wants the writer to fsync now.
+    sync_requested: bool,
+    /// The writer waits with nothing queued or unsynced: the next append
+    /// wakes it.
+    writer_idle: bool,
+    /// The snapshotter wants the writer to rotate the log.
+    rotate_requested: bool,
+    /// Nonzero while a replication bootstrap pins the live `oplog`; the
+    /// writer defers a requested rotation until it drops to zero.
+    paused: usize,
+    /// Completed rotations. A tailer at EOF that sees this change must
+    /// reopen the log, which was renamed away.
+    rotations: u64,
+    /// The live `oplog` holds exactly the LSNs above this.
+    rotate_lsn: u64,
+    /// No more appends; the writer drains, fsyncs, and exits.
+    shutdown: bool,
 }
 
-/// One drained run of frames, as [`CommitQueue::pop_batch`] hands it
-/// to the writer.
+/// One drained run of frames ([`CommitQueue::next_work`],
+/// [`CommitQueue::pop_batch`]).
 pub struct Batch {
     /// Whole frames, LSN-ordered and dense; empty if nothing was queued.
     pub frames: Vec<u8>,
@@ -55,6 +79,18 @@ pub struct Batch {
     pub last_lsn: u64,
     /// When the first frame in `frames` was enqueued.
     pub enqueued: Option<Instant>,
+}
+
+/// What the writer does next, as [`CommitQueue::next_work`] hands it:
+/// write `batch`, then fsync if `fsync`, then rotate if `rotate`.
+pub struct Work {
+    pub batch: Batch,
+    /// An fsync was asked for, or is due with something unsynced.
+    pub fsync: bool,
+    /// A rotation is requested and no pause holds the log.
+    pub rotate: bool,
+    /// Shutdown began: the writer exits once a batch comes back empty.
+    pub shutdown: bool,
 }
 
 /// See the module docs.
@@ -68,10 +104,6 @@ pub struct CommitQueue {
     written_lsn: AtomicU64,
     /// Highest LSN fsync'd.
     durable_lsn: AtomicU64,
-    /// An appender wants durability now (graceful drain, tests).
-    sync_requested: AtomicBool,
-    /// No more appends; writer drains, fsyncs, and exits.
-    shutdown: AtomicBool,
     max_bytes: usize,
 }
 
@@ -81,20 +113,25 @@ impl CommitQueue {
     /// in-flight buffer.
     pub fn new(start_lsn: u64, max_bytes: usize) -> Self {
         CommitQueue {
-            pending: Mutex::new(Pending {
-                buf: Vec::new(),
-                first_enqueued: None,
-                next_lsn: start_lsn + 1,
-                syncs: 0,
-            }),
+            pending: Mutex::new(Pending { next_lsn: start_lsn + 1, rotate_lsn: start_lsn, ..Pending::default() }),
             changed: Condvar::new(),
             last_lsn: AtomicU64::new(start_lsn),
             written_lsn: AtomicU64::new(start_lsn),
             durable_lsn: AtomicU64::new(start_lsn),
-            sync_requested: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
             max_bytes,
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Pending> {
+        self.pending.lock().expect(POISONED)
+    }
+
+    /// One wait on `changed`, until a notify or, if there is one,
+    /// `deadline`. Returns the guard and whether the deadline passed.
+    fn wait<'a>(&self, st: MutexGuard<'a, Pending>, deadline: Option<Instant>) -> (MutexGuard<'a, Pending>, bool) {
+        let Some(d) = deadline else { return (self.changed.wait(st).expect(POISONED), false) };
+        let (st, r) = self.changed.wait_timeout(st, d.saturating_duration_since(Instant::now())).expect(POISONED);
+        (st, r.timed_out())
     }
 
     /// Assigns the next LSN, encodes `op` under it, and enqueues the
@@ -118,12 +155,14 @@ impl CommitQueue {
         if n == 0 {
             return self.last_lsn();
         }
-        let full = |st: &Pending| st.buf.len() >= self.max_bytes && !self.is_shutdown();
-        let mut st = self.pending.lock().expect("commit queue poisoned");
+        let full = |st: &Pending| st.buf.len() >= self.max_bytes && !st.shutdown;
+        let mut st = self.lock();
         if full(&st) {
             metrics.backpressure_waits.inc();
+            // The writer may be waiting out its fsync deadline: drain now.
+            self.changed.notify_all();
             while full(&st) {
-                st = self.changed.wait(st).expect("commit queue poisoned");
+                st = self.wait(st, None).0;
             }
         }
         let st = &mut *st;
@@ -138,6 +177,10 @@ impl CommitQueue {
         let lsn = st.next_lsn - 1;
         // ORDERING: publish.release-store
         self.last_lsn.store(lsn, Ordering::Release);
+        if st.writer_idle {
+            st.writer_idle = false;
+            self.changed.notify_all();
+        }
         metrics.log_records.add(n as u64);
         metrics.log_bytes.add(bytes as u64);
         lsn
@@ -147,9 +190,12 @@ impl CommitQueue {
     /// leaves `spare`, cleared, in its place: the writer hands back the
     /// run it last wrote, so steady state allocates nothing. Wakes the
     /// appenders if the run had reached the bound: only then can one wait.
-    pub fn pop_batch(&self, mut spare: Vec<u8>) -> Batch {
+    pub fn pop_batch(&self, spare: Vec<u8>) -> Batch {
+        self.take_batch(&mut self.lock(), spare)
+    }
+
+    fn take_batch(&self, st: &mut Pending, mut spare: Vec<u8>) -> Batch {
         spare.clear();
-        let mut st = self.pending.lock().expect("commit queue poisoned");
         let frames = std::mem::replace(&mut st.buf, spare);
         let enqueued = st.first_enqueued.take();
         let last_lsn = st.next_lsn - 1;
@@ -159,10 +205,40 @@ impl CommitQueue {
         Batch { frames, last_lsn, enqueued }
     }
 
-    /// Writer: the batch up to `lsn` has been handed to the OS.
+    /// Writer: waits until there is work, then drains the queue. With
+    /// nothing queued or unsynced the next append wakes it; else it waits
+    /// until `fsync_due` or a full buffer. A sync, a rotation no pause
+    /// holds back, and shutdown end either wait and ask for an fsync.
+    pub fn next_work(&self, spare: Vec<u8>, fsync_due: Instant) -> Work {
+        let mut st = self.lock();
+        let mut due = false;
+        let (fsync, rotate) = loop {
+            let rotate = st.rotate_requested && st.paused == 0;
+            let unsynced = !st.buf.is_empty() || self.durable_lsn() < self.written_lsn();
+            due |= unsynced && Instant::now() >= fsync_due;
+            if st.shutdown || st.sync_requested || rotate || due {
+                break (true, rotate);
+            }
+            if st.buf.len() >= self.max_bytes {
+                break (false, false);
+            }
+            st.writer_idle = !unsynced;
+            (st, due) = self.wait(st, unsynced.then_some(fsync_due));
+            st.writer_idle = false;
+        };
+        st.sync_requested = false;
+        let shutdown = st.shutdown;
+        Work { batch: self.take_batch(&mut st, spare), fsync, rotate, shutdown }
+    }
+
+    /// Writer: the batch up to `lsn` has been handed to the OS. Wakes
+    /// the [`wait_for_log`](Self::wait_for_log) callers, if any wait.
     pub fn mark_written(&self, lsn: u64) {
         // ORDERING: publish.release-store
         self.written_lsn.fetch_max(lsn, Ordering::Release);
+        if self.lock().tailers > 0 {
+            self.changed.notify_all();
+        }
     }
 
     /// Writer: everything up to `lsn` survived an fsync. Wakes the
@@ -172,10 +248,19 @@ impl CommitQueue {
         debug_assert!(lsn <= self.written_lsn.load(Ordering::Acquire));
         // ORDERING: publish.release-store
         self.durable_lsn.fetch_max(lsn, Ordering::Release);
-        let st = self.pending.lock().expect("commit queue poisoned");
-        if st.syncs > 0 {
+        if self.lock().syncs > 0 {
             self.changed.notify_all();
         }
+    }
+
+    /// Writer: the log was rotated, and the fresh `oplog` starts after
+    /// `lsn`. Wakes the snapshotter and the tailers.
+    pub fn rotated(&self, lsn: u64) {
+        let mut st = self.lock();
+        st.rotate_requested = false;
+        st.rotations += 1;
+        st.rotate_lsn = lsn;
+        self.changed.notify_all();
     }
 
     pub fn last_lsn(&self) -> u64 {
@@ -193,39 +278,98 @@ impl CommitQueue {
         self.durable_lsn.load(Ordering::Acquire)
     }
 
-    /// Asks the writer to fsync at its next opportunity and waits until
-    /// everything appended so far is durable.
+    /// Completed log rotations, and the LSN the live `oplog` starts
+    /// after (it holds exactly the LSNs above it).
+    pub fn rotation(&self) -> (u64, u64) {
+        let st = self.lock();
+        (st.rotations, st.rotate_lsn)
+    }
+
+    /// Asks the writer to fsync now and waits until everything appended
+    /// so far is durable. One request serves every waiting `sync`: the
+    /// writer drains all that was queued when it takes the request.
     pub fn sync(&self) {
         let target = self.last_lsn();
-        let mut st = self.pending.lock().expect("commit queue poisoned");
+        let mut st = self.lock();
         while self.durable_lsn() < target {
-            // ORDERING: publish.release-store
-            self.sync_requested.store(true, Ordering::Release);
+            if !st.sync_requested {
+                st.sync_requested = true;
+                self.changed.notify_all();
+            }
             st.syncs += 1;
-            st = self.changed.wait(st).expect("commit queue poisoned");
+            st = self.wait(st, None).0;
             st.syncs -= 1;
         }
     }
 
-    /// Writer side of [`sync`](Self::sync): consumes the request flag.
-    pub fn take_sync_request(&self) -> bool {
-        // ORDERING: handoff.acqrel-rmw
-        self.sync_requested.swap(false, Ordering::AcqRel)
+    /// Snapshotter: asks the writer to rotate the log. Returns the
+    /// rotations completed so far, for [`wait_rotation`](Self::wait_rotation).
+    pub fn request_rotation(&self) -> u64 {
+        let mut st = self.lock();
+        st.rotate_requested = true;
+        self.changed.notify_all();
+        st.rotations
+    }
+
+    /// Snapshotter: waits until a rotation after the `before`-th
+    /// completes. Returns its LSN (the sealed `oplog.old` holds
+    /// everything up to it), or `None` if shutdown began first.
+    pub fn wait_rotation(&self, before: u64) -> Option<u64> {
+        let mut st = self.lock();
+        while st.rotations == before {
+            if st.shutdown {
+                return None;
+            }
+            st = self.wait(st, None).0;
+        }
+        Some(st.rotate_lsn)
+    }
+
+    /// Pins the live `oplog`: the writer defers rotation until every
+    /// pause is released by [`unpause`](Self::unpause).
+    pub fn pause(&self) {
+        self.lock().paused += 1;
+    }
+
+    /// Releases one [`pause`](Self::pause), waking a deferred rotation.
+    pub fn unpause(&self) {
+        let mut st = self.lock();
+        st.paused -= 1;
+        if st.paused == 0 && st.rotate_requested {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Log tailer: waits until the writer has written past `cursor`, a
+    /// rotation other than the `rotations`-th completes, shutdown
+    /// begins, or `deadline` passes.
+    pub fn wait_for_log(&self, cursor: u64, rotations: u64, deadline: Option<Instant>) {
+        let (mut st, mut timed_out) = (self.lock(), false);
+        while !timed_out && self.written_lsn() <= cursor && st.rotations == rotations && !st.shutdown {
+            st.tailers += 1;
+            (st, timed_out) = self.wait(st, deadline);
+            st.tailers -= 1;
+        }
+    }
+
+    /// Sleeps until `deadline` or until shutdown begins; returns whether
+    /// shutdown began.
+    pub fn sleep_until(&self, deadline: Option<Instant>) -> bool {
+        let (mut st, mut timed_out) = (self.lock(), false);
+        while !timed_out && !st.shutdown {
+            (st, timed_out) = self.wait(st, deadline);
+        }
+        st.shutdown
     }
 
     /// Stops accepting the backpressure wait (appends still succeed so a
-    /// drain cannot deadlock) and tells the writer to finish. Sets the
-    /// flag and wakes the waiters under the mutex, so none misses it.
+    /// drain cannot deadlock), tells the writer to finish, and wakes
+    /// every waiter. Sets the flag and notifies under the mutex, so no
+    /// waiter misses it.
     pub fn begin_shutdown(&self) {
-        let _st = self.pending.lock().expect("commit queue poisoned");
-        // ORDERING: publish.release-store
-        self.shutdown.store(true, Ordering::Release);
+        let mut st = self.lock();
+        st.shutdown = true;
         self.changed.notify_all();
-    }
-
-    pub fn is_shutdown(&self) -> bool {
-        // ORDERING: publish.acquire-load
-        self.shutdown.load(Ordering::Acquire)
     }
 }
 

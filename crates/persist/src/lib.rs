@@ -45,9 +45,10 @@
 //! snapshot scanned from that table and removes the logs, so a running
 //! directory always looks like {recent snapshot, short live log}.
 //! Nothing is written before that snapshot publishes, so a crash
-//! mid-recovery replays the same files again. A clean shutdown
-//! additionally leaves a `clean` marker; when the marker matches,
-//! startup streams the snapshot alone, with no replay.
+//! mid-recovery replays the same files again. When both logs are empty
+//! — after a graceful shutdown, which ends by publishing a snapshot and
+//! removing them — there is nothing to replay or rewrite, and startup
+//! streams the snapshot alone.
 
 pub mod commit;
 pub mod log;
@@ -58,25 +59,23 @@ pub use record::{OpRef, SetRef};
 
 use commit::CommitQueue;
 use cuckoo::sync2::{Mutex, MutexGuard};
-use log::RotateCtl;
 use metrics::persist::PersistMetrics;
 use record::{encode_op, Payload};
-use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-const CLEAN_MARKER: &str = "clean";
+use std::time::{Duration, Instant};
 
 /// Tuning for one data directory.
 #[derive(Debug, Clone)]
 pub struct PersistConfig {
     pub dir: PathBuf,
-    /// Group-commit window: the writer fsyncs at least this often while
-    /// records are in flight. This is the maximum acknowledged-but-lost
-    /// window on `kill -9`.
+    /// Group-commit window: records reach the log file and the disk at
+    /// least this often while they are in flight. This is the maximum
+    /// acknowledged-but-lost window on `kill -9`, and it bounds how far a
+    /// replica trails.
     pub fsync_interval: Duration,
     /// How often the snapshot thread compacts the log. Zero disables the
     /// background thread (snapshots then only happen at shutdown).
@@ -102,9 +101,6 @@ impl PersistConfig {
 pub struct Recovered {
     /// Highest LSN recovered; new appends continue right after it.
     pub last_lsn: u64,
-    /// True when a clean-shutdown marker matched and no replay was
-    /// needed.
-    pub clean: bool,
     /// Log records replayed on top of the snapshot.
     pub replayed: u64,
 }
@@ -171,13 +167,12 @@ pub type TableScan = Arc<dyn Fn(&mut dyn FnMut(SetRef<'_>)) -> bool + Send + Syn
 /// from being renamed away) while held — replication bootstrap pins the
 /// file it is about to stream. Dropping releases.
 pub struct CompactionPause<'a> {
-    ctl: &'a RotateCtl,
+    queue: &'a CommitQueue,
 }
 
 impl Drop for CompactionPause<'_> {
     fn drop(&mut self) {
-        // ORDERING: handoff.acqrel-rmw
-        self.ctl.paused.fetch_sub(1, Ordering::AcqRel);
+        self.queue.unpause();
     }
 }
 
@@ -186,22 +181,22 @@ impl Drop for CompactionPause<'_> {
 pub struct Persister {
     cfg: PersistConfig,
     queue: Arc<CommitQueue>,
-    rotate: Arc<RotateCtl>,
     metrics: Arc<PersistMetrics>,
     // Cold-path state behind std mutexes (never touched by `append`), so
     // the server can drive start/shutdown through a shared `&self`.
     writer: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
     snapshotter: std::sync::Mutex<Option<std::thread::JoinHandle<()>>>,
-    snap_stop: Arc<AtomicBool>,
     scan: TableScan,
     finished: AtomicBool,
 }
 
 impl Persister {
     /// Recovers the directory (creating it if needed) into `sink`,
-    /// normalizes it to {snapshot of `scan`, no log}, and starts the
-    /// writer and (unless `snapshot_interval` is zero) the compaction
-    /// thread. `scan` must scan the table `sink` fills.
+    /// normalizes it to {snapshot of `scan`, no log} unless both logs
+    /// are already empty, and starts the writer and (unless
+    /// `snapshot_interval` is zero) the compaction thread, both asleep
+    /// on the commit queue until they have work. `scan` must scan the
+    /// table `sink` fills.
     /// An error, or a panic in `sink`, leaves every file as it was.
     pub fn open(
         cfg: PersistConfig,
@@ -210,7 +205,6 @@ impl Persister {
         sink: &mut dyn FnMut(OpRef<'_>),
     ) -> io::Result<(Persister, Recovered)> {
         fs::create_dir_all(&cfg.dir)?;
-        let marker = read_clean_marker(&cfg.dir);
         let log_paths = [cfg.dir.join(log::OPLOG_OLD), cfg.dir.join(log::OPLOG)];
         let logs_empty = log_paths
             .iter()
@@ -225,9 +219,11 @@ impl Persister {
             None => None,
         };
 
-        let clean = marker == Some(covers.unwrap_or(0)) && logs_empty;
-        let recovered = if clean || (covers.is_none() && logs_empty) {
-            Recovered { last_lsn: covers.unwrap_or(0), clean, replayed: 0 }
+        // With both logs empty replay applies nothing, and a rewrite
+        // would write back the table the snapshot just filled. A `clean`
+        // file an older binary left at shutdown is ignored.
+        let recovered = if logs_empty {
+            Recovered { last_lsn: covers.unwrap_or(0), replayed: 0 }
         } else {
             let recovered = replay(covers.unwrap_or(0), &log_paths, &metrics, sink)?;
             // Normalize: everything recovered is now in one fresh
@@ -236,29 +232,18 @@ impl Persister {
             publish(&cfg.dir, recovered.last_lsn, &scan, &metrics, &[log::OPLOG_OLD, log::OPLOG])?;
             recovered
         };
-        // The marker only ever describes the shutdown that wrote it.
-        let _ = fs::remove_file(cfg.dir.join(CLEAN_MARKER));
 
         metrics.replayed_records.add(recovered.replayed);
         metrics.durable_lsn.set(recovered.last_lsn);
 
         let queue = Arc::new(CommitQueue::new(recovered.last_lsn, cfg.max_pending_bytes));
-        let rotate = Arc::new(RotateCtl::new(recovered.last_lsn));
-        let writer = log::spawn_writer(
-            cfg.dir.clone(),
-            Arc::clone(&queue),
-            Arc::clone(&rotate),
-            Arc::clone(&metrics),
-            cfg.fsync_interval,
-        );
+        let writer = log::spawn_writer(cfg.dir.clone(), Arc::clone(&queue), Arc::clone(&metrics), cfg.fsync_interval);
         let p = Persister {
             cfg,
             queue,
-            rotate,
             metrics,
             writer: std::sync::Mutex::new(Some(writer)),
             snapshotter: std::sync::Mutex::new(None),
-            snap_stop: Arc::new(AtomicBool::new(false)),
             scan,
             finished: AtomicBool::new(false),
         };
@@ -291,39 +276,18 @@ impl Persister {
         self.queue.last_lsn()
     }
 
-    pub fn durable_lsn(&self) -> u64 {
-        self.queue.durable_lsn()
-    }
-
-    /// Highest LSN the writer has handed to the OS — everything a log
-    /// tailer can currently read from the files.
-    pub fn written_lsn(&self) -> u64 {
-        self.queue.written_lsn()
-    }
-
     pub fn metrics(&self) -> &Arc<PersistMetrics> {
         &self.metrics
-    }
-
-    pub fn dir(&self) -> &Path {
-        &self.cfg.dir
     }
 
     pub fn oplog_path(&self) -> PathBuf {
         self.cfg.dir.join(log::OPLOG)
     }
 
-    /// Completed log rotations; a tailer that reaches EOF and sees this
-    /// change must reopen [`oplog_path`](Self::oplog_path).
-    pub fn rotations(&self) -> u64 {
-        // ORDERING: publish.acquire-load
-        self.rotate.rotations.load(Ordering::Acquire)
-    }
-
-    /// The fresh `oplog` contains exactly the LSNs above this.
-    pub fn rotate_lsn(&self) -> u64 {
-        // ORDERING: publish.acquire-load
-        self.rotate.rotate_lsn.load(Ordering::Acquire)
+    /// The commit queue: a log tailer reads the rotation state there
+    /// and waits there at EOF.
+    pub fn queue(&self) -> &CommitQueue {
+        &self.queue
     }
 
     /// Pins the current `oplog` file (no rotation, and therefore no
@@ -331,9 +295,8 @@ impl Persister {
     /// its "scan table at S, then stream the log above S" handoff in
     /// this so the file cannot be renamed away mid-handoff.
     pub fn pause_compaction(&self) -> CompactionPause<'_> {
-        // ORDERING: handoff.acqrel-rmw
-        self.rotate.paused.fetch_add(1, Ordering::AcqRel);
-        CompactionPause { ctl: &self.rotate }
+        self.queue.pause();
+        CompactionPause { queue: &self.queue }
     }
 
     /// Starts the compaction thread, unless `snapshot_interval` is zero.
@@ -343,35 +306,15 @@ impl Persister {
         }
         let dir = self.cfg.dir.clone();
         let queue = Arc::clone(&self.queue);
-        let rotate = Arc::clone(&self.rotate);
         let metrics = Arc::clone(&self.metrics);
-        let stop = Arc::clone(&self.snap_stop);
         let scan = Arc::clone(&self.scan);
         let interval = self.cfg.snapshot_interval;
         let h = std::thread::Builder::new()
             .name("persist-snapshot".into())
             .spawn(move || {
-                // ORDERING: publish.acquire-load
-                while !stop.load(Ordering::Acquire) {
-                    // Sleep in short slices so shutdown is prompt.
-                    let mut slept = Duration::ZERO;
-                    // ORDERING: publish.acquire-load
-                    while slept < interval && !stop.load(Ordering::Acquire) {
-                        let step = Duration::from_millis(50).min(interval - slept);
-                        std::thread::sleep(step);
-                        slept += step;
-                    }
-                    // ORDERING: publish.acquire-load
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    // ORDERING: publish.acquire-load
-                    if rotate.paused.load(Ordering::Acquire) != 0 {
-                        continue;
-                    }
-                    if let Err(e) =
-                        snapshot_cycle(&dir, &queue, &rotate, &metrics, &scan, &stop)
-                    {
+                // Shutdown ends the sleep at once.
+                while !queue.sleep_until(Some(Instant::now() + interval)) {
+                    if let Err(e) = snapshot_cycle(&dir, &queue, &metrics, &scan) {
                         // Leave the log un-compacted; durability is
                         // unaffected and the next cycle retries.
                         eprintln!("persist: snapshot failed: {e}");
@@ -385,19 +328,12 @@ impl Persister {
     /// Runs one rotate-scan-publish-compact cycle synchronously (tests,
     /// benches, and admin tooling).
     pub fn snapshot_now(&self) -> io::Result<()> {
-        snapshot_cycle(
-            &self.cfg.dir,
-            &self.queue,
-            &self.rotate,
-            &self.metrics,
-            &self.scan,
-            &self.snap_stop,
-        )
+        snapshot_cycle(&self.cfg.dir, &self.queue, &self.metrics, &self.scan)
     }
 
     /// Graceful drain: stops the background threads, fsyncs everything,
-    /// publishes a final snapshot, removes the logs, and writes the
-    /// clean-shutdown marker so the next start skips replay entirely.
+    /// publishes a final snapshot and removes the logs, so the next
+    /// start streams the snapshot alone.
     ///
     /// All appenders must be quiesced first (the server drains
     /// connections before calling this).
@@ -409,17 +345,17 @@ impl Persister {
         self.stop_threads();
         let last = self.queue.durable_lsn();
         debug_assert_eq!(last, self.queue.last_lsn());
-        publish(&self.cfg.dir, last, &self.scan, &self.metrics, &[log::OPLOG_OLD, log::OPLOG])?;
-        write_clean_marker(&self.cfg.dir, last)
+        publish(&self.cfg.dir, last, &self.scan, &self.metrics, &[log::OPLOG_OLD, log::OPLOG])
     }
 
+    /// Wakes every waiter with the queue's shutdown, then joins the
+    /// snapshotter (a cycle in flight finishes its publish) and the
+    /// writer (which drains and fsyncs first).
     fn stop_threads(&self) {
-        // ORDERING: publish.release-store
-        self.snap_stop.store(true, Ordering::Release);
+        self.queue.begin_shutdown();
         if let Some(h) = self.snapshotter.lock().expect("snapshotter mutex poisoned").take() {
             let _ = h.join();
         }
-        self.queue.begin_shutdown();
         if let Some(h) = self.writer.lock().expect("writer mutex poisoned").take() {
             let _ = h.join();
         }
@@ -429,37 +365,17 @@ impl Persister {
 impl Drop for Persister {
     fn drop(&mut self) {
         // Ungraceful drop (tests, panics): stop the threads so the final
-        // fsync still happens, but leave no clean marker — the next open
-        // takes the replay path, which is always safe.
+        // fsync still happens, but publish nothing — the next open
+        // replays the logs, which is always safe.
         self.stop_threads();
     }
 }
 
-fn snapshot_cycle(
-    dir: &Path,
-    queue: &CommitQueue,
-    rotate: &RotateCtl,
-    metrics: &PersistMetrics,
-    scan: &TableScan,
-    stop: &AtomicBool,
-) -> io::Result<()> {
-    // 1. Rotate, so the records to be covered sit in a frozen file.
-    // ORDERING: publish.acquire-load
-    let before = rotate.rotations.load(Ordering::Acquire);
-    // ORDERING: publish.release-store
-    rotate.requested.store(true, Ordering::Release);
-    // ORDERING: publish.acquire-load
-    while rotate.rotations.load(Ordering::Acquire) == before {
-        // ORDERING: publish.acquire-load
-        if stop.load(Ordering::Acquire) || queue.is_shutdown() {
-            // ORDERING: publish.release-store
-            rotate.requested.store(false, Ordering::Release);
-            return Ok(());
-        }
-        std::thread::yield_now();
-    }
-    // ORDERING: publish.acquire-load
-    let r = rotate.rotate_lsn.load(Ordering::Acquire);
+fn snapshot_cycle(dir: &Path, queue: &CommitQueue, metrics: &PersistMetrics, scan: &TableScan) -> io::Result<()> {
+    // 1. Rotate, so the records to be covered sit in a frozen file. A
+    // pause defers the rotation, and shutdown cancels the cycle.
+    let before = queue.request_rotation();
+    let Some(r) = queue.wait_rotation(before) else { return Ok(()) };
 
     // 2. Scan the live table *after* the rotation, publish, then drop
     // the covered generation. Apply-before-append under the write
@@ -526,36 +442,11 @@ fn replay(
             metrics.torn_tails.inc();
         }
     }
-    Ok(Recovered { last_lsn, clean: false, replayed })
+    Ok(Recovered { last_lsn, replayed })
 }
 
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-fn clean_marker_bytes(lsn: u64) -> [u8; 12] {
-    let mut b = [0u8; 12];
-    b[..8].copy_from_slice(&lsn.to_le_bytes());
-    let crc = record::crc32(&b[..8]);
-    b[8..].copy_from_slice(&crc.to_le_bytes());
-    b
-}
-
-fn write_clean_marker(dir: &Path, lsn: u64) -> io::Result<()> {
-    let mut f = File::create(dir.join(CLEAN_MARKER))?;
-    f.write_all(&clean_marker_bytes(lsn))?;
-    f.sync_all()
-}
-
-/// A missing, short, or CRC-failing marker all mean the same thing:
-/// not a clean shutdown.
-fn read_clean_marker(dir: &Path) -> Option<u64> {
-    let mut buf = Vec::new();
-    File::open(dir.join(CLEAN_MARKER)).ok()?.read_to_end(&mut buf).ok()?;
-    let b: &[u8; 12] = buf.as_slice().try_into().ok()?;
-    let lsn = u64::from_le_bytes(b[..8].try_into().expect("8-byte slice of a [u8; 12]"));
-    let crc = u32::from_le_bytes(b[8..].try_into().expect("4-byte slice of a [u8; 12]"));
-    (record::crc32(&b[..8]) == crc).then_some(lsn)
 }
 
 #[cfg(all(test, not(cuckoo_model)))]
@@ -625,17 +516,15 @@ mod tests {
         {
             let (p, rec, _) = open_map(&d, Arc::new(PersistMetrics::new()));
             assert_eq!(rec.last_lsn, 0);
-            assert!(!rec.clean);
             p.append(set_op("a", "1", 1));
             p.append(set_op("b", "2", 2));
             p.append(OpRef::Delete(b"a"));
             p.append(set_op("c", "3", 3));
             p.sync();
-            // Dropped without shutdown(): no marker, log left in place.
+            // Dropped without shutdown(): no snapshot, log left in place.
         }
         let m = Arc::new(PersistMetrics::new());
         let (_p, rec, t) = open_map(&d, Arc::clone(&m));
-        assert!(!rec.clean);
         assert_eq!(rec.last_lsn, 4);
         assert_eq!(rec.replayed, 4);
         let t = values(&t);
@@ -730,14 +619,14 @@ mod tests {
             p.append(set_op("k", "v", 1));
             p.shutdown().unwrap();
         }
+        // Shutdown left a covering snapshot and no log: open streams
+        // the snapshot alone, with no replay and no rewrite.
         let m = Arc::new(PersistMetrics::new());
         let (p, rec, t) = open_map(&d, Arc::clone(&m));
-        assert!(rec.clean, "marker + covering snapshot must skip replay");
         assert_eq!(rec.replayed, 0);
+        assert_eq!(m.snapshots.get(), 0, "an empty log needs no normalizing rewrite");
         assert_eq!(rec.last_lsn, 1);
         assert_eq!(values(&t)[b"k".as_slice()], b"v");
-        // The marker is single-use: a crash now must not read as clean.
-        assert!(!d.join(CLEAN_MARKER).exists());
         assert_eq!(p.append(set_op("k2", "v2", 2)), 2, "LSNs continue after restart");
         drop(p);
         fs::remove_dir_all(&d).unwrap();
@@ -798,8 +687,7 @@ mod tests {
             p.append(set_op(&key, "v", i + 1));
         }
         p.snapshot_now().unwrap();
-        assert_eq!(p.rotations(), 1);
-        assert_eq!(p.rotate_lsn(), 20);
+        assert_eq!(p.queue().rotation(), (1, 20));
         assert!(!d.join(log::OPLOG_OLD).exists(), "covered generation deleted");
         assert_eq!(p.metrics().snapshots.get(), 1);
 
@@ -817,6 +705,34 @@ mod tests {
         fs::remove_dir_all(&d).unwrap();
     }
 
+    /// The snapshot thread sleeps its interval, then rotates and
+    /// compacts on its own; shutdown ends its sleep at once, however
+    /// long the interval.
+    #[test]
+    fn the_snapshot_thread_compacts_each_interval_and_stops_at_shutdown() {
+        for interval in [Duration::from_millis(20), Duration::from_secs(3600)] {
+            let d = tmpdir("interval");
+            let table = Table::default();
+            let mut c = cfg(&d);
+            c.snapshot_interval = interval;
+            let (p, _) = Persister::open(c, Arc::new(PersistMetrics::new()), scan_of(Arc::clone(&table)), &mut |_| {}).unwrap();
+            table.lock().unwrap().insert(b"k".to_vec(), (0, 0, 1, b"v".to_vec()));
+            p.append(set_op("k", "v", 1));
+            let short = interval < Duration::from_secs(1);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while short && p.metrics().snapshots.get() == 0 {
+                assert!(Instant::now() < deadline, "no snapshot within 10 s of a {interval:?} interval");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let (tx, rx) = std::sync::mpsc::channel();
+            let closer = std::thread::spawn(move || tx.send(p.shutdown().map(|_| p.queue().rotation().0)).unwrap());
+            let rotations = rx.recv_timeout(Duration::from_secs(10)).expect("shutdown did not end the snapshot thread's sleep");
+            closer.join().unwrap();
+            assert_eq!(rotations.unwrap() >= 1, short, "{interval:?}");
+            fs::remove_dir_all(&d).unwrap();
+        }
+    }
+
     #[test]
     fn pause_compaction_blocks_rotation_until_dropped() {
         let d = tmpdir("pauseguard");
@@ -824,17 +740,17 @@ mod tests {
         p.append(set_op("a", "1", 1));
         p.sync();
         let guard = p.pause_compaction();
-        let before = p.rotations();
+        let before = p.queue().rotation().0;
         // A cycle started while paused must not rotate; run it from
         // another thread and watch it stay put.
         std::thread::scope(|s| {
             let h = s.spawn(|| p.snapshot_now());
             std::thread::sleep(Duration::from_millis(20));
-            assert_eq!(p.rotations(), before, "rotated under pause");
+            assert_eq!(p.queue().rotation().0, before, "rotated under pause");
             drop(guard);
             h.join().unwrap().unwrap();
         });
-        assert_eq!(p.rotations(), before + 1);
+        assert_eq!(p.queue().rotation().0, before + 1);
         drop(p);
         fs::remove_dir_all(&d).unwrap();
     }

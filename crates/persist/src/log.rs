@@ -1,6 +1,7 @@
 //! The std-only side of the op log: the writer thread that drains the
-//! commit queue to disk, the rotation protocol the snapshotter uses to
-//! carve off a compactable prefix, and the recovery-time file scanner.
+//! commit queue to disk and carries out the rotations the snapshotter
+//! asks for to carve off a compactable prefix, and the recovery-time
+//! file scanner.
 //!
 //! Each drain takes the queue's whole run of frames and appends it with
 //! one `write(2)` (`cuckoo_persist_log_writes_total` counts them), then
@@ -10,8 +11,8 @@
 //!
 //! Everything here runs on real files and real time, so it is *not*
 //! compiled under the model checker — the protocol it drives (the
-//! commit queue) is modeled separately with a test thread standing in
-//! for this one.
+//! commit queue, where the writer makes its one wait) is modeled
+//! separately with a test thread standing in for this one.
 //!
 //! File layout inside a data directory:
 //!
@@ -28,43 +29,11 @@ use metrics::persist::PersistMetrics;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub const OPLOG: &str = "oplog";
 pub const OPLOG_OLD: &str = "oplog.old";
-
-/// How often the idle writer re-polls the queue. Bounds how stale the
-/// on-disk (pre-fsync) log can be, which matters for replication
-/// visibility, not durability.
-const POLL: Duration = Duration::from_millis(1);
-
-/// Rotation handshake between the writer thread (executes rotations at
-/// batch boundaries) and the snapshotter / replication feeders.
-#[derive(Debug, Default)]
-pub struct RotateCtl {
-    /// Snapshotter sets this; the writer consumes it.
-    pub requested: AtomicBool,
-    /// Completed-rotation count. Feeders compare it across reads to
-    /// detect that the file they are tailing was renamed away.
-    pub rotations: AtomicU64,
-    /// Highest LSN contained in `oplog.old` after the last rotation,
-    /// i.e. the fresh `oplog` holds exactly the LSNs above this.
-    pub rotate_lsn: AtomicU64,
-    /// Nonzero while a replication bootstrap needs the current `oplog`
-    /// to stay in place; the writer defers rotation requests.
-    pub paused: AtomicUsize,
-}
-
-impl RotateCtl {
-    pub fn new(start_lsn: u64) -> Self {
-        let ctl = RotateCtl::default();
-        // ORDERING: advisory.relaxed
-        ctl.rotate_lsn.store(start_lsn, Ordering::Relaxed);
-        ctl
-    }
-}
 
 /// Spawns the group-commit writer. It exits after
 /// [`CommitQueue::begin_shutdown`] once the queue is drained, leaving
@@ -72,13 +41,12 @@ impl RotateCtl {
 pub fn spawn_writer(
     dir: PathBuf,
     queue: Arc<CommitQueue>,
-    rotate: Arc<RotateCtl>,
     metrics: Arc<PersistMetrics>,
     fsync_interval: Duration,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("persist-writer".into())
-        .spawn(move || writer_loop(&dir, &queue, &rotate, &metrics, fsync_interval))
+        .spawn(move || writer_loop(&dir, &queue, &metrics, fsync_interval))
         .expect("spawn persist writer")
 }
 
@@ -90,13 +58,13 @@ fn open_log(dir: &Path) -> File {
         .expect("persist: cannot open op log")
 }
 
-fn writer_loop(
-    dir: &Path,
-    queue: &CommitQueue,
-    rotate: &RotateCtl,
-    metrics: &PersistMetrics,
-    fsync_interval: Duration,
-) {
+/// Sleeps in [`CommitQueue::next_work`] until there is work, then
+/// writes the drained run with one `write(2)`, fsyncs when asked, and
+/// rotates when asked. While records keep coming it thus writes and
+/// fsyncs once per `fsync_interval`; an idle writer is woken by the
+/// first append and, its last fsync being older than the interval,
+/// writes and fsyncs that record at once.
+fn writer_loop(dir: &Path, queue: &CommitQueue, metrics: &PersistMetrics, fsync_interval: Duration) {
     let mut file = open_log(dir);
     let mut last_fsync = Instant::now();
     // Oldest record written since the last fsync; its age *at* the fsync
@@ -106,10 +74,9 @@ fn writer_loop(
     let mut spare = Vec::new();
 
     loop {
-        let batch = queue.pop_batch(spare);
-        let shutting_down = queue.is_shutdown();
+        let work = queue.next_work(spare, last_fsync + fsync_interval);
+        let batch = work.batch;
         let drained = !batch.frames.is_empty();
-
         if drained {
             if oldest_unsynced.is_none() {
                 oldest_unsynced = batch.enqueued;
@@ -117,55 +84,41 @@ fn writer_loop(
             file.write_all(&batch.frames).expect("persist: op log write failed");
             metrics.log_writes.inc();
             // Written (visible to a tailing replica feeder) but not yet
-            // durable until the next fsync below.
+            // durable until the fsync below.
             queue.mark_written(batch.last_lsn);
         }
         spare = batch.frames;
 
-        let sync_now = queue.take_sync_request();
-        let dirty = oldest_unsynced.is_some();
-        if dirty && (sync_now || shutting_down || last_fsync.elapsed() >= fsync_interval) {
-            file.sync_data().expect("persist: fsync failed");
-            metrics.fsyncs.inc();
+        if work.fsync {
             if let Some(t) = oldest_unsynced.take() {
+                file.sync_data().expect("persist: fsync failed");
+                metrics.fsyncs.inc();
                 metrics.group_commit_us.record(t.elapsed().as_micros() as u64);
+                let written = queue.written_lsn();
+                queue.mark_durable(written);
+                metrics.durable_lsn.set(written);
+                last_fsync = Instant::now();
             }
-            let written = queue.written_lsn();
-            queue.mark_durable(written);
-            metrics.durable_lsn.set(written);
-            last_fsync = Instant::now();
         }
 
-        // Rotation only at a batch boundary, with everything durable,
-        // and never while a replication bootstrap holds the pause.
-        // ORDERING: publish.acquire-load
-        if rotate.requested.load(Ordering::Acquire)
-            // ORDERING: publish.acquire-load
-            && rotate.paused.load(Ordering::Acquire) == 0
-            && queue.durable_lsn() == queue.written_lsn()
-        {
-            // ORDERING: publish.release-store
-            rotate.requested.store(false, Ordering::Release);
+        // Rotation only at a batch boundary, with everything durable
+        // (the fsync above), and never while a replication bootstrap
+        // holds the pause (`next_work` checked it).
+        if work.rotate {
+            debug_assert_eq!(queue.durable_lsn(), queue.written_lsn());
             drop(file);
             fs::rename(dir.join(OPLOG), dir.join(OPLOG_OLD))
                 .expect("persist: log rotation rename failed");
             file = open_log(dir);
-            // ORDERING: publish.release-store
-            rotate.rotate_lsn.store(queue.written_lsn(), Ordering::Release);
-            // ORDERING: publish.release-store
-            rotate.rotations.fetch_add(1, Ordering::Release);
+            queue.rotated(queue.written_lsn());
         }
 
-        if shutting_down && !drained {
-            // One extra empty pop after the flag means the queue is
-            // drained (appenders are quiesced before shutdown); the
-            // fsync above already ran because `dirty` pairs with
-            // `shutting_down`.
+        if work.shutdown && !drained {
+            // An empty drain after the flag means the queue is drained
+            // (appenders are quiesced before shutdown), and the fsync
+            // above ran: shutdown always asks for one.
             debug_assert_eq!(queue.durable_lsn(), queue.last_lsn());
             return;
-        }
-        if !drained {
-            std::thread::sleep(POLL);
         }
     }
 }
@@ -231,15 +184,8 @@ mod tests {
     fn writer_drains_fsyncs_and_rotates() {
         let d = tmpdir("writer");
         let queue = Arc::new(CommitQueue::new(0, 1 << 20));
-        let rotate = Arc::new(RotateCtl::new(0));
         let metrics = Arc::new(PersistMetrics::new());
-        let h = spawn_writer(
-            d.clone(),
-            Arc::clone(&queue),
-            Arc::clone(&rotate),
-            Arc::clone(&metrics),
-            Duration::from_millis(1),
-        );
+        let h = spawn_writer(d.clone(), Arc::clone(&queue), Arc::clone(&metrics), Duration::from_millis(1));
         for i in 0..20 {
             append_set(&queue, i, &metrics);
         }
@@ -248,11 +194,9 @@ mod tests {
         assert!(metrics.fsyncs.get() >= 1);
 
         // Rotate: the live log moves aside complete, a fresh one starts.
-        rotate.requested.store(true, Ordering::Release);
-        while rotate.rotations.load(Ordering::Acquire) == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(rotate.rotate_lsn.load(Ordering::Acquire), 20);
+        let before = queue.request_rotation();
+        assert_eq!(queue.wait_rotation(before), Some(20));
+        assert_eq!(queue.rotation(), (1, 20));
         let (old, scan) = lsns(&d.join(OPLOG_OLD));
         assert_eq!(old.len(), 20);
         assert!(!scan.torn);
@@ -271,28 +215,54 @@ mod tests {
     fn pause_defers_rotation() {
         let d = tmpdir("pause");
         let queue = Arc::new(CommitQueue::new(0, 1 << 20));
-        let rotate = Arc::new(RotateCtl::new(0));
         let metrics = Arc::new(PersistMetrics::new());
-        let h = spawn_writer(
-            d.clone(),
-            Arc::clone(&queue),
-            Arc::clone(&rotate),
-            Arc::clone(&metrics),
-            Duration::from_millis(1),
-        );
+        let h = spawn_writer(d.clone(), Arc::clone(&queue), Arc::clone(&metrics), Duration::from_millis(1));
         append_set(&queue, 1, &metrics);
         queue.sync();
-        rotate.paused.fetch_add(1, Ordering::AcqRel);
-        rotate.requested.store(true, Ordering::Release);
+        queue.pause();
+        let before = queue.request_rotation();
         std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(rotate.rotations.load(Ordering::Acquire), 0, "rotated while paused");
-        rotate.paused.fetch_sub(1, Ordering::AcqRel);
-        while rotate.rotations.load(Ordering::Acquire) == 0 {
-            std::thread::yield_now();
-        }
+        assert_eq!(queue.rotation().0, 0, "rotated while paused");
+        queue.unpause();
+        assert_eq!(queue.wait_rotation(before), Some(1));
         queue.begin_shutdown();
         h.join().unwrap();
         fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// A writer is asleep, not polling, and wakes for what it waits
+    /// for: with a one-hour fsync window, a `sync` still returns at
+    /// once; with a short one, the first append after an idle spell is
+    /// written and fsync'd without a `sync`.
+    #[test]
+    fn a_sleeping_writer_wakes_for_a_sync_and_for_an_append() {
+        for (window, sync) in [(Duration::from_secs(3600), true), (Duration::from_millis(1), false)] {
+            let d = tmpdir(if sync { "sleep-sync" } else { "sleep-append" });
+            let queue = Arc::new(CommitQueue::new(0, 1 << 20));
+            let metrics = Arc::new(PersistMetrics::new());
+            let h = spawn_writer(d.clone(), Arc::clone(&queue), Arc::clone(&metrics), window);
+            std::thread::sleep(Duration::from_millis(20));
+            append_set(&queue, 1, &metrics);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let waiter = {
+                let queue = Arc::clone(&queue);
+                std::thread::spawn(move || {
+                    if sync {
+                        queue.sync();
+                    }
+                    while queue.durable_lsn() < 1 {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    tx.send(()).unwrap();
+                })
+            };
+            rx.recv_timeout(Duration::from_secs(10)).expect("the sleeping writer was not woken");
+            waiter.join().unwrap();
+            assert_eq!(lsns(&d.join(OPLOG)).0, [1]);
+            queue.begin_shutdown();
+            h.join().unwrap();
+            fs::remove_dir_all(&d).unwrap();
+        }
     }
 
     #[test]

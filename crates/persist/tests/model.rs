@@ -15,6 +15,13 @@
 //!   writer's drain, the writer's durable mark. The waits are the shim's
 //!   condvar, on which a waiter stays parked until notified, so a lost
 //!   wakeup fails a schedule as a deadlock;
+//! - every other thread of the durable path sleeps on the same condvar
+//!   and is woken by what it waits for: the idle writer by an append, a
+//!   rotation request or a pause release; the snapshotter by the
+//!   rotation's completion; a log tailer by the written mark; and each
+//!   of them by shutdown. These models wait untimed (no fsync or
+//!   heartbeat deadline), because a timed wait may time out at any
+//!   scheduling point and so can never fail as a deadlock;
 //! - apply-to-map-then-append-to-log under a [`persist::WriteStripes`]
 //!   stripe makes a fuzzy scan plus the log tail converge to the final
 //!   table — the invariant behind both snapshots and replicas.
@@ -27,6 +34,7 @@ use persist::commit::CommitQueue;
 use persist::record::decode_each;
 use persist::{OpRef, SetRef, WriteStripes};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Appends a `Set` of key `k` whose cas and value are `tag`.
 fn append_set(q: &CommitQueue, tag: u64, m: &PersistMetrics) -> u64 {
@@ -184,6 +192,138 @@ fn sync_returns_once_the_writer_marks_durable() {
     })
     .expect("a sync must return once its record is durable");
     assert!(stats.exhausted, "{stats:?}");
+}
+
+/// An append wakes an idle writer: the writer waits with nothing queued
+/// or unsynced (its fsync is already due, so a record ends the wait at
+/// once), one record is appended, and every schedule ends with the
+/// writer holding it. Bounded DFS, exhausted.
+#[test]
+fn an_append_wakes_an_idle_writer() {
+    let stats = loom::explore(loom::Config::dfs(4_000), || {
+        let q = Arc::new(CommitQueue::new(0, 1 << 20));
+        let m = PersistMetrics::new();
+        let writer = {
+            let q = Arc::clone(&q);
+            loom::thread::spawn(move || {
+                let work = q.next_work(Vec::new(), Instant::now());
+                assert!(work.fsync && !work.rotate && !work.shutdown);
+                lsns(&work.batch.frames)
+            })
+        };
+        append_set(&q, 1, &m);
+        assert_eq!(writer.join().unwrap(), [1]);
+    })
+    .expect("an append must wake an idle writer");
+    assert!(stats.exhausted, "{stats:?}");
+}
+
+/// The snapshotter's rotation request wakes an idle writer, and the
+/// writer's completion wakes the snapshotter, which gets the rotation
+/// LSN. Bounded DFS, exhausted.
+#[test]
+fn a_rotation_request_wakes_the_writer_and_its_completion_the_snapshotter() {
+    let stats = loom::explore(loom::Config::dfs(4_000), || {
+        let q = Arc::new(CommitQueue::new(7, 1 << 20));
+        let writer = {
+            let q = Arc::clone(&q);
+            loom::thread::spawn(move || {
+                let work = q.next_work(Vec::new(), Instant::now());
+                assert!(work.rotate && work.fsync && work.batch.frames.is_empty());
+                q.rotated(q.written_lsn());
+            })
+        };
+        let before = q.request_rotation();
+        assert_eq!(q.wait_rotation(before), Some(7));
+        writer.join().unwrap();
+        assert_eq!(q.rotation(), (1, 7));
+    })
+    .expect("a rotation request and its completion must each wake their waiter");
+    assert!(stats.exhausted, "{stats:?}");
+}
+
+/// A pause defers a requested rotation, and its release lets it run:
+/// the log is paused and a rotation requested before the writer starts
+/// (so it must keep waiting), then the pause is released. Every
+/// schedule ends with the rotation done. Bounded DFS, exhausted.
+#[test]
+fn a_pause_release_lets_a_deferred_rotation_run() {
+    let stats = loom::explore(loom::Config::dfs(4_000), || {
+        let q = Arc::new(CommitQueue::new(0, 1 << 20));
+        q.pause();
+        let before = q.request_rotation();
+        let writer = {
+            let q = Arc::clone(&q);
+            loom::thread::spawn(move || {
+                let work = q.next_work(Vec::new(), Instant::now());
+                assert!(work.rotate, "woken without a rotation to run");
+                q.rotated(q.written_lsn());
+            })
+        };
+        q.unpause();
+        assert_eq!(q.wait_rotation(before), Some(0));
+        writer.join().unwrap();
+    })
+    .expect("a pause release must let a deferred rotation run");
+    assert!(stats.exhausted, "{stats:?}");
+}
+
+/// `mark_written` wakes a log tailer waiting at the end of the log:
+/// the tailer waits for anything past LSN 0, and the writer drains and
+/// writes record 1. Bounded DFS, exhausted.
+#[test]
+fn mark_written_wakes_a_waiting_tailer() {
+    let stats = loom::explore(loom::Config::dfs(4_000), || {
+        let q = Arc::new(CommitQueue::new(0, 1 << 20));
+        let m = PersistMetrics::new();
+        let tailer = {
+            let q = Arc::clone(&q);
+            loom::thread::spawn(move || {
+                q.wait_for_log(0, 0, None);
+                assert_eq!(q.written_lsn(), 1, "woken before the record was written");
+            })
+        };
+        append_set(&q, 1, &m);
+        q.mark_written(q.pop_batch(Vec::new()).last_lsn);
+        tailer.join().unwrap();
+    })
+    .expect("a written mark must wake a waiting tailer");
+    assert!(stats.exhausted, "{stats:?}");
+}
+
+/// Shutdown wakes each waiter of the durable path: an idle writer, a
+/// snapshotter waiting for a rotation no writer runs, a tailer at the
+/// end of the log, and a snapshotter asleep between cycles. One
+/// exhausted DFS per waiter, each racing `begin_shutdown`.
+#[test]
+fn shutdown_wakes_each_waiter() {
+    type Waiter = fn(&CommitQueue);
+    let waiters: [(&str, Waiter); 4] = [
+        ("idle writer", |q| assert!(q.next_work(Vec::new(), Instant::now()).shutdown)),
+        ("rotation waiter", |q| assert_eq!(q.wait_rotation(q.request_rotation()), None)),
+        ("log tailer", |q| q.wait_for_log(0, 0, None)),
+        ("sleeping snapshotter", |q| assert!(q.sleep_until(None))),
+    ];
+    let failures: Vec<String> = waiters
+        .into_iter()
+        .filter_map(|(name, wait)| {
+            let explored = loom::explore(loom::Config::dfs(4_000), move || {
+                let q = Arc::new(CommitQueue::new(0, 1 << 20));
+                let waiter = {
+                    let q = Arc::clone(&q);
+                    loom::thread::spawn(move || wait(&q))
+                };
+                q.begin_shutdown();
+                waiter.join().unwrap();
+            });
+            match explored {
+                Ok(stats) if stats.exhausted => None,
+                Ok(stats) => Some(format!("{name}: not exhausted: {stats:?}")),
+                Err(f) => Some(format!("shutdown must wake the {name}: {f:?}")),
+            }
+        })
+        .collect();
+    assert!(failures.is_empty(), "{failures:#?}");
 }
 
 /// The convergence kernel behind fuzzy snapshots *and* replica

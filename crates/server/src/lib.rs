@@ -46,7 +46,7 @@ pub const VERSION: &str = concat!("cuckood-", env!("CARGO_PKG_VERSION"));
 pub fn run_cli(args: impl Iterator<Item = String>) -> Result<(), String> {
     let config = parse_args(args)?;
     signal::install();
-    let handle = spawn(config.clone()).map_err(|e| format!("bind failed: {e}"))?;
+    let mut handle = spawn(config.clone()).map_err(|e| format!("bind failed: {e}"))?;
     eprintln!(
         "cuckood listening on {} ({} workers, {} mode, capacity {})",
         handle.local_addr(),
@@ -54,10 +54,7 @@ pub fn run_cli(args: impl Iterator<Item = String>) -> Result<(), String> {
         if config.no_evict { "no-evict" } else { "clock" },
         config.capacity,
     );
-    // Wait for a signal, then drain.
-    while !signal::requested() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+    handle.wait_for_drain();
     eprintln!("cuckood: shutdown requested, draining connections...");
     handle.shutdown();
     eprintln!("cuckood: bye");
@@ -129,8 +126,10 @@ OPTIONS:
   -d, --data-dir <DIR>    enable durability: append-only op log +
                           snapshots in DIR; warm restart replays them
       --fsync-interval-ms <MS>
-                          group-commit window (default 5): max
-                          acknowledged-but-lost ops on kill -9
+                          group-commit window (default 5): records
+                          reach the log file and the disk at least
+                          this often; max acknowledged-but-lost ops on
+                          kill -9, and how far a replica trails
       --snapshot-interval-secs <SECS>
                           log compaction cadence (default 60; 0 = only
                           at shutdown)

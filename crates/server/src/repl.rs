@@ -16,9 +16,10 @@
 //! format, CRCs and all, so the replica's decoder and its crash recovery
 //! share one codec and one record type, [`persist::OpRef`]: the feeder
 //! forwards log frames as read, and the applier applies and relogs each
-//! op borrowed from its receive buffer. Idle feeds carry `Heartbeat`
-//! frames (wire-only, tag never written to a log file) so the replica
-//! can compute lag.
+//! op borrowed from its receive buffer. At EOF the feeder sleeps on the
+//! commit queue until the writer writes more (within the group-commit
+//! window). Idle feeds carry `Heartbeat` frames (wire-only, tag never
+//! written to a log file) so the replica can compute lag.
 //!
 //! **Bootstrap correctness.** The feeder reads `S = last_lsn`, scans the
 //! live table (non-blocking; a dirty pass is cut back off the send
@@ -56,11 +57,9 @@ use crate::persist_store::PersistentStore;
 use crate::store::{now_secs, Store};
 use crate::ServerCtx;
 
-/// Idle-feed keep-alive cadence.
+/// Idle-feed keep-alive cadence; with the applier's read timeout, it
+/// bounds how fast shutdown and promote are noticed.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
-/// Feeder poll while the log has nothing new; applier read timeout (both
-/// bound how fast shutdown/promote are noticed).
-const IDLE_POLL: Duration = Duration::from_millis(1);
 const APPLIER_READ_TIMEOUT: Duration = Duration::from_millis(200);
 /// Reconnect backoff after a lost primary.
 const RECONNECT_DELAY: Duration = Duration::from_millis(200);
@@ -108,15 +107,16 @@ fn feed(
 
     // Pin the live oplog while deciding what to stream, so it cannot be
     // rotated away between reading the watermarks and opening the file.
+    // A rotation already under way when the pin lands moves the count
+    // read here, and the tail below reopens the file.
     let pause = p.pause_compaction();
-    let rotate_lsn = p.rotate_lsn();
+    let (mut rotations_seen, rotate_lsn) = p.queue().rotation();
     let last = p.last_lsn();
     // Incremental iff the live log still contains everything after the
     // replica's cursor.
     let incremental = req_lsn >= rotate_lsn && req_lsn <= last;
     let mut cursor = if incremental { req_lsn } else { last };
     let file = std::fs::File::open(p.oplog_path());
-    let mut rotations_seen = p.rotations();
     drop(pause);
 
     let mut out = format!("OK {} {cursor}\r\n", if incremental { "incr" } else { "full" }).into_bytes();
@@ -191,14 +191,15 @@ fn feed(
         }
 
         // EOF. Did the file rotate out from under the read position?
-        if p.rotations() != rotations_seen {
+        let rotations = p.queue().rotation().0;
+        if rotations != rotations_seen {
             if !carry.is_empty() {
                 return Err(io::Error::new(
                     ErrorKind::InvalidData,
                     "rotated log ended in a partial frame",
                 ));
             }
-            rotations_seen = p.rotations();
+            rotations_seen = rotations;
             file = std::fs::File::open(p.oplog_path())?;
             first_after_reopen = true;
             continue;
@@ -210,7 +211,9 @@ fn feed(
             last_write = Instant::now();
             m.replication_lag.set(p.last_lsn().saturating_sub(cursor));
         }
-        std::thread::sleep(IDLE_POLL);
+        // Sleep until the writer writes past the cursor or rotates, or
+        // the next heartbeat is due.
+        p.queue().wait_for_log(cursor, rotations_seen, Some(last_write + HEARTBEAT_EVERY));
     }
 }
 
@@ -255,11 +258,9 @@ fn applier_loop(primary: &str, ctx: &ServerCtx) {
                 eprintln!("cuckood: cannot reach primary {primary}: {e}");
             }
         }
-        // Promote/shutdown must not wait out the backoff.
-        let waited = Instant::now();
-        while waited.elapsed() < RECONNECT_DELAY && !ctx.draining() && !ctx.is_promoted() {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // Promote and shutdown are noticed after the backoff, as they
+        // are after a read timeout while connected.
+        std::thread::sleep(RECONNECT_DELAY);
     }
 }
 

@@ -8,7 +8,8 @@
 //! and the stats counters, which is the point of fronting a concurrent
 //! cuckoo table). Workers run a poll-free event loop over their shard:
 //! nonblocking sockets, a pump per connection per sweep, and a short
-//! park when a sweep makes no progress. That trades idle latency for
+//! park when a sweep makes no progress (a worker with no connection
+//! blocks on its channel instead). That trades idle latency for
 //! zero dependencies, and `perf` (PR 11) measured the trade: a lone
 //! request that finds the worker parked takes ~300 µs
 //! (`server.rtt_idle_us`) against ~54 µs while other traffic keeps the
@@ -63,7 +64,8 @@ pub struct Config {
     /// Durability: op log + snapshots live here; `None` disables
     /// persistence entirely.
     pub data_dir: Option<std::path::PathBuf>,
-    /// Group-commit fsync cadence in milliseconds (the maximum
+    /// Group-commit window in milliseconds: records reach the log file
+    /// and the disk at least this often (the maximum
     /// acknowledged-but-lost window on `kill -9`).
     pub fsync_interval_ms: u64,
     /// Background snapshot/compaction cadence in seconds (0 = only at
@@ -161,10 +163,15 @@ impl ServerHandle {
         &self.ctx
     }
 
+    /// Blocks until SIGINT or SIGTERM starts a drain: the acceptor exits.
+    pub(crate) fn wait_for_drain(&mut self) {
+        let _ = self.accept.take().map(JoinHandle::join);
+    }
+
     /// Requests a graceful drain and joins every thread. With
     /// persistence on, the drain ends by fsyncing the op log, writing a
-    /// final snapshot, and leaving the clean-shutdown marker — the next
-    /// start skips replay entirely.
+    /// final snapshot and removing the logs — the next start streams the
+    /// snapshot alone.
     pub fn shutdown(mut self) {
         self.ctx.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
@@ -207,11 +214,10 @@ fn make_store(config: &Config) -> std::io::Result<BuiltStore> {
     let recovered = &restored.recovered;
     if recovered.replayed > 0 || !restored.entries.is_empty() {
         eprintln!(
-            "cuckood: warm restart from {}: {} entries, {} log records replayed ({})",
+            "cuckood: warm restart from {}: {} entries, {} log records replayed",
             dir.display(),
             restored.entries.len(),
             recovered.replayed,
-            if recovered.clean { "clean shutdown" } else { "crash recovery" },
         );
     }
     Ok((Arc::clone(&store) as Arc<dyn Store>, Some(store)))
@@ -300,7 +306,8 @@ fn accept_loop(listener: TcpListener, senders: Vec<mpsc::Sender<TcpStream>>, ctx
             Err(_) => thread::sleep(Duration::from_millis(10)),
         }
     }
-    // Dropping `senders` lets idle workers notice shutdown immediately.
+    // Dropping `senders` ends the wait of every worker with no
+    // connection; the rest notice the drain on their next sweep.
 }
 
 /// Longest the acceptor blocks for a connection before it looks for a
@@ -344,10 +351,14 @@ fn worker_loop(rx: mpsc::Receiver<TcpStream>, ctx: Arc<ServerCtx>) {
     let mut drain_started: Option<Instant> = None;
 
     loop {
-        // Adopt newly accepted connections.
-        while let Ok(stream) = rx.try_recv() {
+        // With no connection there is nothing to sweep: block for one.
+        // The acceptor drops its senders at drain, which ends the wait.
+        if conns.is_empty() {
+            let Ok(stream) = rx.recv() else { return };
             conns.push(Conn::new(stream));
         }
+        // Adopt newly accepted connections.
+        conns.extend(rx.try_iter().map(Conn::new));
 
         let draining = ctx.draining();
         if draining && drain_started.is_none() {

@@ -546,9 +546,6 @@ fn rechain(items: &[&Arc<StoredItem>], tail: Option<Arc<StoredItem>>) -> Option<
 /// server still finishes a doubling in a few hundred passes.
 const SWEEP_CHUNKS: usize = 8;
 
-/// Sweeper nap between passes when no migration is in flight.
-const SWEEP_IDLE: std::time::Duration = std::time::Duration::from_millis(2);
-
 /// No-eviction store over the general `cuckoo::CuckooMap`.
 ///
 /// The table is keyed by the key's 64-bit keyed SipHash-1-3 (the hash
@@ -564,8 +561,9 @@ const SWEEP_IDLE: std::time::Duration = std::time::Duration::from_millis(2);
 /// write load. A read-mostly workload, however, could leave a migration
 /// half-finished (and readers on the two-table path) indefinitely, so
 /// each store spawns a detached background sweeper that drains pending
-/// chunks whenever a migration is in flight. The sweeper holds only a
-/// [`Weak`] reference and exits when the store is dropped.
+/// chunks whenever a migration is in flight, and is parked while none
+/// is. The map unparks it when a migration begins and when it drops;
+/// the sweeper holds only a [`Weak`] reference, so it then exits.
 pub struct CuckooStore<S = SipHashBuilder> {
     map: Arc<CuckooMap<u64, Arc<StoredItem>, 8>>,
     hasher: S,
@@ -595,18 +593,20 @@ impl<S: BuildHasher> CuckooStore<S> {
     fn with_hasher(capacity: usize, hasher: S) -> Self {
         let map = Arc::new(CuckooMap::with_capacity(capacity));
         let weak = Arc::downgrade(&map);
-        std::thread::Builder::new()
+        let sweeper = std::thread::Builder::new()
             .name("cuckoo-sweeper".into())
             .spawn(move || loop {
                 let Some(map) = weak.upgrade() else { return };
                 let migrating = map.help_migrate(SWEEP_CHUNKS);
-                // Don't keep the store alive while napping.
+                // Don't keep the store alive while parked.
                 drop(map);
                 if !migrating {
-                    std::thread::sleep(SWEEP_IDLE);
+                    std::thread::park();
                 }
             })
             .expect("failed to spawn cuckoo-sweeper thread");
+        // Before the store is returned, so before any migration can begin.
+        map.unpark_on_migration(sweeper.thread().clone());
         CuckooStore {
             map,
             hasher,

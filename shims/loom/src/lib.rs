@@ -535,6 +535,83 @@ mod tests {
         }
     }
 
+    /// A timed wait nothing notifies times out: it is never reported as
+    /// a deadlock, however long its timeout.
+    #[test]
+    fn an_unnotified_timed_wait_times_out_and_is_no_deadlock() {
+        let stats = explore(Config::dfs(100), || {
+            let pair = Arc::new((sync::Mutex::new(()), sync::Condvar::new()));
+            let waiter = {
+                let pair = Arc::clone(&pair);
+                thread::spawn(move || {
+                    let g = pair.0.lock().unwrap();
+                    let (_g, r) = pair.1.wait_timeout(g, std::time::Duration::from_secs(3600)).unwrap();
+                    assert!(r.timed_out(), "woken with no notifier");
+                })
+            };
+            waiter.join().unwrap();
+        })
+        .expect("a timed wait must time out, not deadlock");
+        assert!(stats.exhausted, "{stats:?}");
+    }
+
+    /// A notify wakes a timed waiter, and the wait may also time out
+    /// first: DFS sees both outcomes, and every schedule terminates.
+    #[test]
+    fn a_timed_wait_is_woken_by_a_notify_or_times_out() {
+        let seen = Arc::new(std::sync::Mutex::new(std::collections::BTreeSet::new()));
+        let stats = {
+            let seen = Arc::clone(&seen);
+            explore(Config::dfs(10_000), move || {
+                let pair = Arc::new((sync::Mutex::new(false), sync::Condvar::new()));
+                let waiter = {
+                    let pair = Arc::clone(&pair);
+                    thread::spawn(move || {
+                        let g = pair.0.lock().unwrap();
+                        if *g {
+                            return None;
+                        }
+                        let (g, r) = pair.1.wait_timeout(g, std::time::Duration::from_secs(3600)).unwrap();
+                        assert!(r.timed_out() || *g, "woken with the condition unset");
+                        Some(r.timed_out())
+                    })
+                };
+                *pair.0.lock().unwrap() = true;
+                pair.1.notify_all();
+                seen.lock().unwrap().insert(waiter.join().unwrap());
+            })
+            .expect("a timed wait must end by a notify or a time-out")
+        };
+        assert!(stats.exhausted, "{stats:?}");
+        let seen: Vec<_> = seen.lock().unwrap().iter().copied().collect();
+        assert_eq!(seen, [None, Some(false), Some(true)], "missing outcome");
+    }
+
+    /// Outside a model `wait_timeout` is std's: it times out on real
+    /// time, and a notify ends it early.
+    #[test]
+    fn wait_timeout_works_with_real_threads_outside_a_model() {
+        let pair = Arc::new((sync::Mutex::new(false), sync::Condvar::new()));
+        let g = pair.0.lock().unwrap();
+        let (g, r) = pair.1.wait_timeout(g, std::time::Duration::from_millis(5)).unwrap();
+        assert!(r.timed_out());
+        let notifier = {
+            let pair = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                *pair.0.lock().unwrap() = true;
+                pair.1.notify_all();
+            })
+        };
+        let mut g = g;
+        while !*g {
+            let (next, r) = pair.1.wait_timeout(g, std::time::Duration::from_secs(60)).unwrap();
+            assert!(!r.timed_out(), "the notify did not end the wait");
+            g = next;
+        }
+        drop(g);
+        notifier.join().unwrap();
+    }
+
     #[test]
     fn passthrough_outside_model() {
         // Instrumented primitives must work normally with no model active.

@@ -27,9 +27,21 @@ enum Status {
     BlockedOnMutex(usize),
     /// Waiting on the condvar keyed by this address until notified.
     BlockedOnCondvar(usize),
+    /// A timed wait on the condvar keyed by this address: woken by a
+    /// notify, or by the scheduler granting it (a time-out), so it is
+    /// always schedulable and never part of a deadlock.
+    TimedWaitOnCondvar(usize),
     /// Waiting for thread `tid` to finish (a `join`).
     BlockedOnThread(usize),
     Finished,
+}
+
+impl Status {
+    /// Whether the controller may grant the thread: it is runnable, or
+    /// in a timed wait that may time out now.
+    fn schedulable(self) -> bool {
+        matches!(self, Status::Runnable | Status::TimedWaitOnCondvar(_))
+    }
 }
 
 struct State {
@@ -40,6 +52,8 @@ struct State {
     locks: HashMap<usize, usize>,
     /// First failure (panic message, was_deadlock).
     failure: Option<(String, bool)>,
+    /// The thread last granted out of a timed wait, i.e. timed out.
+    timed_out: Option<usize>,
     /// Set when the controller is tearing the schedule down; parked
     /// threads unwind with [`ModelAbort`] when they observe it.
     abort: bool,
@@ -101,6 +115,7 @@ impl Shared {
                 running: None,
                 locks: HashMap::new(),
                 failure: None,
+                timed_out: None,
                 abort: false,
                 steps: 0,
                 max_steps,
@@ -130,7 +145,7 @@ impl Shared {
             .threads
             .iter()
             .enumerate()
-            .any(|(i, t)| i != id && *t == Status::Runnable);
+            .any(|(i, t)| i != id && t.schedulable());
         if !others_runnable && !st.abort && st.steps < st.max_steps {
             st.steps += 1;
             return;
@@ -216,12 +231,20 @@ impl Shared {
         self.block_and_wait(id, Status::BlockedOnCondvar(addr));
     }
 
+    /// Timed condvar wait: as [`wait_condvar`](Self::wait_condvar), but
+    /// the scheduler may also grant the thread before any notify, at any
+    /// scheduling point. Returns whether it timed out.
+    pub(crate) fn wait_condvar_timeout(&self, id: usize, addr: usize) -> bool {
+        self.block_and_wait(id, Status::TimedWaitOnCondvar(addr));
+        self.lock_state().timed_out.take() == Some(id)
+    }
+
     /// Makes every waiter on the condvar at `addr` runnable.
     pub(crate) fn notify_condvar(&self, addr: usize) {
         yield_point();
         let mut st = self.lock_state();
         for t in st.threads.iter_mut() {
-            if *t == Status::BlockedOnCondvar(addr) {
+            if matches!(*t, Status::BlockedOnCondvar(a) | Status::TimedWaitOnCondvar(a) if a == addr) {
                 *t = Status::Runnable;
             }
         }
@@ -443,15 +466,10 @@ where
             .threads
             .iter()
             .enumerate()
-            .filter_map(|(i, t)| {
-                match *t {
-                    Status::Runnable => Some(i),
-                    // Blocked threads are re-grantable once their
-                    // condition can hold; finish/unlock already promoted
-                    // them, so anything still Blocked stays parked.
-                    _ => None,
-                }
-            })
+            // Blocked threads are re-grantable once their condition can
+            // hold; finish/unlock/notify already promoted them, so
+            // anything still Blocked stays parked.
+            .filter_map(|(i, t)| t.schedulable().then_some(i))
             .collect();
         if runnable.is_empty() {
             let live = st
@@ -472,6 +490,10 @@ where
             break;
         }
         let tid = runnable[chooser.choose(runnable.len()).min(runnable.len() - 1)];
+        if let Status::TimedWaitOnCondvar(_) = st.threads[tid] {
+            st.threads[tid] = Status::Runnable;
+            st.timed_out = Some(tid);
+        }
         st.running = Some(tid);
         st.steps += 1;
         shared.thread_cv.notify_all();

@@ -10,6 +10,7 @@
 
 use crate::sched;
 use std::sync::{LockResult, PoisonError, TryLockError, TryLockResult};
+use std::time::Duration;
 
 pub use std::sync::Arc;
 
@@ -404,16 +405,27 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     }
 }
 
-/// Instrumented condition variable: `wait` and `notify_all`. Under a
-/// model, `wait` is a scheduling point, then releases the mutex and
-/// parks the thread in one step,
-/// and the thread stays parked — not runnable — until a `notify_all` on
-/// this condvar; it then re-acquires the mutex as [`Mutex::lock`] does.
-/// A wakeup that is lost (a notify that lands before the wait, or a
-/// condition checked outside the lock) therefore leaves the waiter
-/// parked, and the scheduler reports the schedule as a deadlock. There
-/// are no spurious wakeups under a model. Outside a model this is
-/// `std::sync::Condvar`.
+/// Whether a [`Condvar::wait_timeout`] returned because its time ran
+/// out (std's type has no public constructor).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaitTimeoutResult(bool);
+
+impl WaitTimeoutResult {
+    pub fn timed_out(&self) -> bool {
+        self.0
+    }
+}
+
+/// Instrumented condition variable: `wait`, `wait_timeout` and
+/// `notify_all`. Under a model, `wait` is a scheduling point, then
+/// releases the mutex and parks the thread in one step, and the thread
+/// stays parked — not runnable — until a `notify_all` on this condvar;
+/// it then re-acquires the mutex as [`Mutex::lock`] does. A wakeup that
+/// is lost (a notify that lands before the wait, or a condition checked
+/// outside the lock) therefore leaves the waiter parked, and the
+/// scheduler reports the schedule as a deadlock. A `wait_timeout`
+/// instead may time out at any scheduling point. There are no spurious
+/// wakeups under a model. Outside a model this is `std::sync::Condvar`.
 #[derive(Debug, Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
@@ -462,6 +474,40 @@ impl Condvar {
                 drop(guard);
                 shared.wait_condvar(id, self.addr());
                 lock.lock()
+            }
+        }
+    }
+
+    /// [`wait`](Self::wait), returning after `timeout` at the latest.
+    /// Under a model the wait may time out at any scheduling point,
+    /// however short or long `timeout` is, so a timed waiter is never
+    /// part of a deadlock; a notify still wakes it early.
+    pub fn wait_timeout<'a, T>(
+        &self,
+        mut guard: MutexGuard<'a, T>,
+        timeout: Duration,
+    ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
+        let lock = guard.lock;
+        match guard.model.clone() {
+            None => {
+                let inner = guard.inner.take().expect("guard accessed after drop");
+                let wrap = |(g, r): (std::sync::MutexGuard<'a, T>, std::sync::WaitTimeoutResult)| {
+                    (MutexGuard { lock, inner: Some(g), model: None }, WaitTimeoutResult(r.timed_out()))
+                };
+                self.inner
+                    .wait_timeout(inner, timeout)
+                    .map(wrap)
+                    .map_err(|poison| PoisonError::new(wrap(poison.into_inner())))
+            }
+            Some((shared, id, _)) => {
+                // The same scheduling point and one-step park as `wait`.
+                sched::yield_point();
+                drop(guard);
+                let r = WaitTimeoutResult(shared.wait_condvar_timeout(id, self.addr()));
+                match lock.lock() {
+                    Ok(g) => Ok((g, r)),
+                    Err(poison) => Err(PoisonError::new((poison.into_inner(), r))),
+                }
             }
         }
     }

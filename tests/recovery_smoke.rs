@@ -131,7 +131,7 @@ fn warm_restart_after_graceful_shutdown(tag: &str, no_evict: bool) {
         for i in (0..300).step_by(3) {
             assert!(c.delete(&format!("k{i}")));
         }
-        handle.shutdown(); // graceful: snapshot + clean marker
+        handle.shutdown(); // graceful: final snapshot, logs removed
     }
     let handle = server::spawn(config()).expect("respawn");
     let mut c = Client::connect(handle.local_addr());
@@ -143,9 +143,10 @@ fn warm_restart_after_graceful_shutdown(tag: &str, no_evict: bool) {
             assert_eq!(got, Some(format!("v{i}").into_bytes()), "{tag}: k{i} lost across restart");
         }
     }
-    // A clean restart replays nothing.
+    // A graceful restart replays nothing and rewrites no snapshot.
     let stats = c.stat_section("cuckoo");
     assert_eq!(stats["cuckoo_persist_replayed_records_total"], 0, "{tag}: {stats:?}");
+    assert_eq!(stats["cuckoo_persist_snapshots_total"], 0, "{tag}: {stats:?}");
     handle.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -160,9 +161,8 @@ fn warm_restart_after_kill_nine_replays_the_log() {
 fn warm_restart_after_kill_nine(tag: &str, no_evict: bool) {
     let dir = tmpdir(&format!("crash-{tag}"));
     std::fs::create_dir_all(&dir).unwrap();
-    // A real process and a real SIGKILL: no drain, no final snapshot, no
-    // clean-shutdown marker — recovery has only the fsynced log to work
-    // with. (An in-process "crash" can't model this: dropping the handle
+    // A real process and a real SIGKILL: no drain and no final snapshot
+    // — recovery has only the fsynced log to work with. (An in-process "crash" can't model this: dropping the handle
     // leaves the old writer thread alive and contending for the log.)
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_cuckood"))
         .args([
@@ -331,6 +331,35 @@ fn replica_bootstraps_mid_stream_converges_and_promotes() {
     assert_eq!(sc.get("live100"), Some(b"new100".to_vec()));
     solo.shutdown();
 
+    std::fs::remove_dir_all(&pdir).unwrap();
+    std::fs::remove_dir_all(&rdir).unwrap();
+}
+
+/// A `set` on a primary that has gone idle still reaches the replica:
+/// the primary's log writer and the replica's feeder both sleep while
+/// nothing is written, and the set must wake them.
+#[test]
+fn a_replica_receives_a_set_made_on_an_idle_primary() {
+    let pdir = tmpdir("idle-primary");
+    let rdir = tmpdir("idle-replica");
+    let primary = server::spawn(persistent_config(&pdir)).expect("spawn primary");
+    let mut pc = Client::connect(primary.local_addr());
+    pc.set("before", b"1");
+    let mut rcfg = persistent_config(&rdir);
+    rcfg.replica_of = Some(primary.local_addr().to_string());
+    let replica = server::spawn(rcfg).expect("spawn replica");
+    let mut rc = Client::connect(replica.local_addr());
+    wait_until("replica bootstrap", Duration::from_secs(10), || rc.get("before").is_some());
+
+    // Long enough for every thread of the primary to go back to sleep.
+    std::thread::sleep(Duration::from_millis(500));
+    pc.set("after-idle", b"2");
+    wait_until("the set made on an idle primary", Duration::from_secs(10), || {
+        rc.get("after-idle") == Some(b"2".to_vec())
+    });
+
+    replica.shutdown();
+    primary.shutdown();
     std::fs::remove_dir_all(&pdir).unwrap();
     std::fs::remove_dir_all(&rdir).unwrap();
 }

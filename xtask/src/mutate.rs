@@ -501,6 +501,19 @@ pub fn pinned() -> Vec<Mutant> {
             },
             "the writer's drain does not wake an appender parked on the byte bound (lost wakeup)",
         ),
+        m(
+            "append-skips-idle-writer-notify",
+            "crates/persist/src/commit.rs",
+            Op::Replace {
+                find: "if st.writer_idle {".into(),
+                replace: "if false {".into(),
+            },
+            Kill::Model {
+                pkg: "persist",
+                filter: "an_append_wakes_an_idle_writer",
+            },
+            "an append does not wake the idle log writer, which sleeps with the record unwritten (lost wakeup)",
+        ),
     ]
 }
 
